@@ -97,6 +97,7 @@ def transport_summary(stats) -> Dict[str, int]:
         "gave_up_packets": stats.gave_up,
         "gave_up_subids": stats.gave_up_subids,
         "gave_up_by_cause": stats.gave_up_by_cause,
+        "unroutable": stats.unroutable,
         "busy_backoffs": stats.busy_backoffs,
         "shed": stats.shed,
         "breaker_opens": stats.breaker_opens,
@@ -121,6 +122,8 @@ def render_transport_summary(stats) -> str:
     if causes:
         per_cause = ", ".join(f"{c} x{n}" for c, n in sorted(causes.items()))
         lines.append(f"gave up: {per_cause}")
+    if s["unroutable"]:
+        lines.append(f"unroutable: {s['unroutable']} entries dropped (no next hop)")
     dur = {c: n for c, n in s["durable"].items() if n}
     if dur:
         per = ", ".join(f"{c} x{n}" for c, n in sorted(dur.items()))

@@ -202,14 +202,15 @@ class HyperSubConfig:
     replication_factor: int = 1
 
     # -- hot-path route caching (perf extension) -------------------------
-    #: Memoise ``next_hop_addr`` per node, keyed on the overlay's
+    #: Memoise Algorithm 5's per-entry route decision -- "responsible
+    #: here" or the ``next_hop_addr`` -- per node, keyed on the overlay's
     #: ``routing_epoch`` (dht/base.py contract): the many SubIDs sharing
-    #: a destination arc in one Algorithm-5 worklist -- and across
-    #: consecutive events -- resolve with one routing computation.  Any
-    #: routing-state mutation (finger fix-up, successor change, churn)
-    #: bumps the epoch and flushes the cache, so cached answers are
-    #: provably identical to uncached ones.  Circuit-breaker reroutes
-    #: are applied *after* the cache read and never stored.
+    #: a destination arc in one worklist -- and across consecutive
+    #: events -- resolve with one routing computation.  Any routing-state
+    #: mutation (predecessor move, finger fix-up, successor change,
+    #: churn) bumps the epoch and flushes the cache, so cached answers
+    #: are provably identical to uncached ones.  Circuit-breaker
+    #: reroutes are applied *after* the cache read and never stored.
     route_cache: bool = True
     #: Entries kept per node before the cache is flushed wholesale
     #: (flush-on-full beats LRU bookkeeping at this hit pattern).

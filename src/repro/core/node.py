@@ -21,7 +21,6 @@ Concrete node classes bind the mixin to an overlay:
 
 from __future__ import annotations
 
-from collections import deque
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -51,9 +50,15 @@ from repro.sim.messages import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import HyperSubSystem
 
-#: Route-cache miss sentinel: ``None`` is a valid cached answer ("this
-#: node is responsible"), so absence needs its own marker.
+#: Route decisions besides a next-hop address: ``_RC_HERE`` -- this
+#: node is responsible for the id; ``None`` -- no usable hop (healing
+#: ring).  ``_RC_MISS`` marks absence from the cache.
+_RC_HERE = object()
 _RC_MISS = object()
+#: Payload fields a forwarded event packet inherits from the packet it
+#: was derived from, when that one carries them (causal ordering
+#: context, hop-failover budget).
+_INHERITED_FIELDS = ("pub", "pseq", "deps", "fo")
 
 
 #: Wire size of one subscription box (two float64 bounds per dimension).
@@ -201,11 +206,12 @@ class PubSubNodeMixin:
         #: our own rejoin and after every predecessor change
         self._dur_vacuous_after = 0.0
 
-        #: epoch-keyed next-hop cache (perf extension; the invalidation
-        #: rule lives in dht/base.py and docs/PERFORMANCE.md)
+        #: epoch-keyed route-decision cache: id -> ``_RC_HERE`` | next-hop
+        #: address | ``None`` (perf extension; the invalidation rule
+        #: lives in dht/base.py and docs/PERFORMANCE.md)
         self._rc_enabled = system.config.route_cache
         self._rc_max = system.config.route_cache_size
-        self._rc: Dict[int, Optional[int]] = {}
+        self._rc: Dict[int, Any] = {}
         self._rc_epoch = -1
         self.rc_hits = 0
         self.rc_misses = 0
@@ -1852,50 +1858,70 @@ class PubSubNodeMixin:
                     best_dist = d
         return best
 
-    def _cached_next_hop(self, nid: int) -> Optional[int]:
-        """``next_hop_addr`` memoised per routing epoch.
+    # -- fused route decision (perf contract, docs/PERFORMANCE.md) ------
+    def _route_decide(self, nid: int):
+        """Where an entry for ``nid`` goes, from routing state alone:
+        ``_RC_HERE``, a next-hop address, or ``None`` (unroutable)."""
+        if self.is_responsible(nid):
+            return _RC_HERE
+        return self.next_hop_addr(nid)
 
-        The cache holds *routing-table answers only*: a flushed epoch is
-        the sole invalidation rule (any finger/successor/predecessor
-        mutation bumps it, see dht/base.py), so a hit is byte-identical
-        to recomputing.  Breaker reroutes happen downstream of this call
-        and are never written back -- an open circuit must not poison
-        routing for the breaker's lifetime.
+    def _route_cache(self) -> Dict[int, Any]:
+        """The decision cache, flushed if the routing epoch moved.
+
+        A flushed epoch is the sole invalidation rule: responsibility
+        and next hop depend only on predecessor/successors/fingers, and
+        any mutation of those bumps the epoch (dht/base.py), so a hit
+        is byte-identical to recomputing.  Breaker reroutes happen
+        downstream of the decision and are never written back -- an
+        open circuit must not poison routing for the breaker's
+        lifetime.
         """
         epoch = self.routing_epoch
         if epoch != self._rc_epoch:
             self._rc.clear()
             self._rc_epoch = epoch
-        nh = self._rc.get(nid, _RC_MISS)
-        if nh is not _RC_MISS:
-            self.rc_hits += 1
-            return nh
+        return self._rc
+
+    def _route_miss(self, nid: int):
+        """Decide for ``nid`` and remember the answer."""
         self.rc_misses += 1
-        nh = self.next_hop_addr(nid)
+        decision = self._route_decide(nid)
         if len(self._rc) >= self._rc_max:
             self._rc.clear()
-        self._rc[nid] = nh
-        return nh
+        self._rc[nid] = decision
+        return decision
+
+    def _cached_next_hop(self, nid: int) -> Optional[int]:
+        """``next_hop_addr`` through the decision cache (``None`` when
+        this node is responsible, like the uncached call)."""
+        decision = self._route_cache().get(nid, _RC_MISS)
+        if decision is _RC_MISS:
+            decision = self._route_miss(nid)
+        else:
+            self.rc_hits += 1
+        return None if decision is _RC_HERE else decision
 
     def _on_ps_storm(self, msg: Message) -> None:
         """Synthetic storm traffic (``FaultSchedule.storm``): its entire
         cost is the service time it consumed in the ingress queue."""
 
     def _on_ps_event(self, msg: Message) -> None:
-        rseq = msg.payload.get("rseq")
-        if rseq is not None:
+        p = msg.payload
+        if "rseq" in p:
+            rseq = p["rseq"]
             self.send(
                 Message(
                     src=self.addr, dst=msg.src, kind="ps_event_ack",
                     payload={"rseq": rseq}, size_bytes=CONTROL_BYTES,
                 )
             )
-            key = (msg.src, msg.payload.get("repoch", 0), rseq)
+            key = (msg.src, p.get("repoch", 0), rseq)
             if key in self._rel_seen:
                 return  # duplicate (our ack was lost): already processed
             self._rel_seen.add(key)
-        pb = msg.payload.get("pb")
-        if pb is not None and hasattr(self, "absorb_piggyback"):
+        if "pb" in p and hasattr(self, "absorb_piggyback"):
+            pb = p["pb"]
             self.absorb_piggyback(
                 pb["id"],
                 pb["addr"],
@@ -1905,125 +1931,158 @@ class PubSubNodeMixin:
         self._process_event(msg)
 
     def _process_event(self, msg: Message) -> None:
-        """Algorithm 5: one node's share of the dissemination tree."""
+        """Algorithm 5: one node's share of the dissemination tree.
+
+        The best-effort packet -- ``(nid, iid)`` entries, the four base
+        payload fields -- is the straight line through this function.
+        Everything a guarantee adds (custody metadata on an entry,
+        ordering context, failover budget, piggybacked ring state) is
+        paid for only by packets that carry it.
+        """
         p = msg.payload
-        event_id = p["event_id"]
-        point = p["point"]
-        scheme_name = p["scheme"]
-        if msg.hops > self.system.config.event_ttl_hops:
+        system = self.system
+        cfg = system.config
+        if msg.hops > cfg.event_ttl_hops:
             # Transient routing loops are possible while the ring heals
             # around a crash; the TTL converts them into counted drops.
             self._count_give_up(p, span=msg.span_id, cause="ttl")
             return
-        fo = p.get("fo")
-        tel = self.system.telemetry
+        event_id = p["event_id"]
+        point = p["point"]
+        scheme_name = p["scheme"]
+        addr = self.addr
+        breaker = self.breaker
+        tel = system.telemetry
         prof = tel.profiler if tel is not None and tel.profiling else None
+        rc = self._route_cache() if self._rc_enabled else None
+        rc_hits = 0
+        carries_meta = False
 
-        worklist = deque(p["entries"])
+        # The worklist grows while it is walked: SubIDs matched here are
+        # appended and handled in arrival order, like every other entry.
+        worklist = list(p["entries"])
         groups: Dict[int, List[tuple]] = {}
-        while worklist:
-            ent = worklist.popleft()
-            nid, iid = ent[0], ent[1]
-            meta = ent[2] if len(ent) > 2 else None
-            if meta is not None and "q" in meta:
-                # Sequencer-bound entry (causal mode): routed by network
-                # address, not by DHT id -- the sequencer is pinned.
-                seq_addr = meta["s"][1]
-                if seq_addr == self.addr:
-                    worklist.extend(self._seq_ingest(p, meta, msg))
+        for ent in worklist:
+            if len(ent) == 2:
+                nid, iid = ent
+                meta = None
+            else:
+                nid, iid, meta = ent
+                carries_meta = True
+                if "q" in meta:
+                    # Sequencer-bound entry (causal mode): routed by
+                    # network address, not by DHT id -- the sequencer is
+                    # pinned.
+                    seq_addr = meta["s"][1]
+                    if seq_addr == addr:
+                        worklist.extend(self._seq_ingest(p, meta, msg))
+                    else:
+                        groups.setdefault(seq_addr, []).append(ent)
+                    continue
+            if prof is not None:
+                t0 = perf_counter()
+            if rc is None:
+                nh = self._route_decide(nid)
+            else:
+                nh = rc.get(nid, _RC_MISS)
+                if nh is _RC_MISS:
+                    nh = self._route_miss(nid)
                 else:
-                    groups.setdefault(seq_addr, []).append(ent)
-                continue
-            if self.is_responsible(nid):
-                if prof is not None:
-                    t0 = perf_counter()
-                if meta is not None:
-                    more = self._durable_handle(p, nid, iid, meta, msg)
-                else:
+                    rc_hits += 1
+            if prof is not None:
+                t1 = perf_counter()
+                prof.add("algo5.route", t1 - t0)
+            if nh is _RC_HERE:
+                if meta is None:
                     more = self._handle_local_entry(
                         event_id, scheme_name, point, nid, iid, msg
                     )
-                if prof is not None:
-                    prof.add("algo5.match", perf_counter() - t0)
-                worklist.extend(more)
-            else:
-                if prof is not None:
-                    t0 = perf_counter()
-                if self._rc_enabled:
-                    nh = self._cached_next_hop(nid)
                 else:
-                    nh = self.next_hop_addr(nid)
+                    more = self._durable_handle(p, nid, iid, meta, msg)
                 if prof is not None:
-                    prof.add("algo5.route", perf_counter() - t0)
-                if nh is None or nh == self.addr:
-                    # Unroutable (healing ring) or a degenerate self-hop
-                    # -- a self-forward costs zero latency and no hops,
-                    # i.e. an infinite loop at frozen simulated time.
-                    # Drop the entry: durable custody redelivers it once
-                    # the ring converges; best-effort never promised it.
-                    continue
-                if self.breaker is not None and not self.breaker.allow(
-                    nh, self.sim.now
-                ):
-                    alt = self._route_around(nid, nh)
-                    if alt is not None:
-                        nh = alt
-                groups.setdefault(nh, []).append(ent)
+                    prof.add("algo5.match", perf_counter() - t1)
+                if more:
+                    worklist.extend(more)
+                continue
+            if nh is None or nh == addr:
+                # Unroutable (healing ring) or a degenerate self-hop
+                # -- a self-forward costs zero latency and no hops,
+                # i.e. an infinite loop at frozen simulated time.
+                # Drop the entry, counted: durable custody redelivers
+                # it once the ring converges; best-effort never
+                # promised it.
+                self.network.stats.record_unroutable()
+                continue
+            if breaker is not None and not breaker.allow(nh, self.sim.now):
+                alt = self._route_around(nid, nh)
+                if alt is not None:
+                    nh = alt
+            group = groups.get(nh)
+            if group is None:
+                groups[nh] = [ent]
+            else:
+                group.append(ent)
+        self.rc_hits += rc_hits
+        if not groups:
+            return
 
+        # What the forwarded packets inherit is a property of the packet
+        # that came in, looked up once for all of them.
+        inherited = {name: p[name] for name in _INHERITED_FIELDS if name in p}
+        extra_bytes = (
+            DEP_ENTRY_BYTES * len(inherited["deps"]) if "deps" in inherited else 0
+        )
         piggyback = None
-        if self.system.config.piggyback_maintenance and hasattr(self, "successors"):
+        if cfg.piggyback_maintenance and hasattr(self, "successors"):
             piggyback = {
                 "id": self.node_id,
-                "addr": self.addr,
+                "addr": addr,
                 "pred": self.predecessor,
                 "succ": self.successors[0] if self.successors else None,
             }
+        tracing = tel is not None and tel.tracing
+        edge_tracing = system.tracing
+        reliable = cfg.reliable_delivery
+        on_event_message = system.metrics.on_event_message
+        send = self.network.send
         for nh, ents in groups.items():
-            size = event_message_bytes(len(ents))
-            n_meta = sum(1 for e in ents if len(e) > 2)
-            if n_meta:
-                size += DURABLE_META_BYTES * n_meta
+            size = event_message_bytes(len(ents)) + extra_bytes
+            if carries_meta:
+                size += DURABLE_META_BYTES * sum(1 for e in ents if len(e) > 2)
             payload = {
                 "event_id": event_id,
                 "scheme": scheme_name,
                 "point": point,
                 "entries": ents,
             }
-            for extra in ("pub", "pseq", "deps"):
-                if extra in p:
-                    payload[extra] = p[extra]
-            if "deps" in payload:
-                size += DEP_ENTRY_BYTES * len(payload["deps"])
-            if fo is not None:
-                # Inherited failover budget: bounded per packet lineage.
-                payload["fo"] = fo
+            if inherited:
+                # (the failover budget is bounded per packet lineage)
+                payload.update(inherited)
             if piggyback is not None and self._pb_due(nh):
                 payload["pb"] = piggyback
                 size += PIGGYBACK_BYTES
-            child = msg.child(self.addr, nh, "ps_event", payload, size)
-            self.system.metrics.on_event_message(event_id, size)
+            child = msg.child(addr, nh, "ps_event", payload, size)
+            on_event_message(event_id, size)
             # One call site feeds both edge views: the EventRecord list
             # and the causal trace ("forward" spans) stay in lockstep.
-            if tel is not None and tel.tracing:
+            if tracing:
                 child.span_id = tel.tracer.span(
                     "forward",
                     t=self.sim.now,
-                    node=self.addr,
+                    node=addr,
                     event=event_id,
                     parent=msg.span_id,
-                    src=self.addr,
+                    src=addr,
                     dst=nh,
                     entries=len(ents),
                     bytes=size,
                 )
-            if self.system.tracing:
-                self.system.metrics.on_event_edge(
-                    event_id, self.addr, nh, len(ents)
-                )
-            if self.system.config.reliable_delivery:
+            if edge_tracing:
+                system.metrics.on_event_edge(event_id, addr, nh, len(ents))
+            if reliable:
                 self._send_event_reliably(child)
             else:
-                self.send(child)
+                send(child)
 
     def _trace_match(self, event_id: int, msg: Message, n_matched: int) -> None:
         """Record one matching step in the causal trace (if active)."""
@@ -2088,18 +2147,17 @@ class PubSubNodeMixin:
                 entity_key, sub, _zone = self.own_subs[iid]
                 if sub.scheme_name != scheme_name:  # pragma: no cover - defensive
                     return []
-                if (event_id, iid) in self._delivered:
+                once = (event_id, iid)
+                if once in self._delivered:
                     return []  # failover redelivery under a fresh packet
-                self._delivered.add((event_id, iid))
+                self._delivered.add(once)
                 latency_ms = self.sim.now - msg.root_time
-                self.system.metrics.on_delivery(
-                    event_id,
-                    SubID(self.node_id, iid),
-                    self.addr,
-                    msg.hops,
-                    latency_ms,
+                system = self.system
+                subid = SubID(nid, iid)
+                system.metrics.on_delivery(
+                    event_id, subid, self.addr, msg.hops, latency_ms
                 )
-                tel = self.system.telemetry
+                tel = system.telemetry
                 if tel is not None:
                     tel.registry.counter("events.delivered").inc()
                     tel.registry.histogram("delivery.hops").observe(msg.hops)
@@ -2117,9 +2175,7 @@ class PubSubNodeMixin:
                             hops=msg.hops,
                             latency_ms=latency_ms,
                         )
-                self.system.notify_application(
-                    self.addr, event_id, SubID(self.node_id, iid)
-                )
+                system.notify_application(self.addr, event_id, subid)
                 return []
 
             repo_key = self.marker_origin.get(iid)

@@ -98,10 +98,12 @@ class Metrics:
         return eid
 
     def on_event_message(self, event_id: int, size_bytes: int) -> None:
-        rec = self.records.get(event_id)
-        if rec is not None:
-            rec.bytes += size_bytes
-            rec.messages += 1
+        try:
+            rec = self.records[event_id]
+        except KeyError:  # records were cleared while the event was in flight
+            return
+        rec.bytes += size_bytes
+        rec.messages += 1
 
     def on_event_edge(
         self, event_id: int, src: int, dst: int, n_entries: int
@@ -765,11 +767,13 @@ class HyperSubSystem:
         return self.network.stats.out_bytes / 1024.0
 
     def route_cache_stats(self) -> Dict[str, float]:
-        """Aggregate next-hop cache counters (perf extension).
+        """Aggregate route-decision cache counters (perf extension).
 
-        ``hit_rate`` is 0.0 before any routed entry (no division by
-        zero); ``python -m repro bench`` records it in
-        ``BENCH_hotpath.json`` and CI asserts it stays > 0.
+        Every Algorithm-5 entry is one lookup, whether it ends up
+        handled here or forwarded.  ``hit_rate`` is 0.0 before any
+        routed entry (no division by zero); ``python -m repro bench``
+        records it in ``BENCH_hotpath.json`` and CI asserts it stays
+        > 0.
         """
         hits = sum(n.rc_hits for n in self.nodes)
         misses = sum(n.rc_misses for n in self.nodes)

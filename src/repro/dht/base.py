@@ -84,9 +84,12 @@ class OverlayNode(SimNode):
         self._handlers[kind] = fn
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._handlers.get(msg.kind)
-        if handler is None:
-            raise KeyError(f"{type(self).__name__} has no handler for {msg.kind!r}")
+        try:
+            handler = self._handlers[msg.kind]
+        except KeyError:
+            raise KeyError(
+                f"{type(self).__name__} has no handler for {msg.kind!r}"
+            ) from None
         handler(msg)
 
     def alive(self) -> bool:

@@ -30,6 +30,7 @@ import numpy as np
 from repro.dht.base import OverlayNode
 from repro.dht.idspace import (
     ID_BITS,
+    ID_MASK,
     cw_distance,
     id_add,
     id_in_interval,
@@ -256,19 +257,24 @@ class ChordNode(OverlayNode):
     # Routing (OverlayNode interface)
     # ------------------------------------------------------------------
     def is_responsible(self, key: int) -> bool:
-        if self.predecessor is None:
+        """``key in (predecessor, self]`` on the clockwise ring."""
+        pred = self._predecessor
+        if pred is None:
             # Bootstrapping/single node: own everything we are asked about.
-            return not self.successors or key == self.node_id
-        return id_in_interval(
-            key, self.predecessor[0], self.node_id, incl_right=True
-        )
+            return not self._successors or key == self.node_id
+        # id_in_interval(key, pred, self, incl_right=True) as inline
+        # 64-bit ring arithmetic (the property tests pin the
+        # equivalence); an arc of length zero is the whole ring.
+        left = pred[0]
+        arc = (self.node_id - left) & ID_MASK
+        return arc == 0 or 0 < ((key - left) & ID_MASK) <= arc
 
     def next_hop_addr(self, key: int) -> Optional[int]:
         if self.is_responsible(key):
             return None
-        if not self.successors:
+        if not self._successors:
             return None
-        succ_id, succ_addr = self.successors[0]
+        succ_id, succ_addr = self._successors[0]
         # A same-id rejoin can transiently hold *itself* as successor
         # (its join lookup resolved through the ring back to its own
         # address).  Forwarding to ourselves would loop at zero cost

@@ -11,7 +11,7 @@ units (latencies from the King dataset are millisecond RTTs).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
@@ -75,7 +75,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, EventHandle, Callable[..., Any], tuple]] = []
-        self._now: float = 0.0
+        #: current simulation time in milliseconds.  A plain attribute
+        #: (every handler reads it, most more than once): read-only for
+        #: everything but the run loop.
+        self.now: float = 0.0
         self._seq: int = 0
         self._processed: int = 0
         self._live: int = 0
@@ -83,11 +86,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now
-
     @property
     def pending(self) -> int:
         """Raw heap size, *including* cancelled stubs (cancellation
@@ -117,15 +115,22 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` milliseconds of simulated time."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = self.now + delay
+        seq = self._seq
+        handle = EventHandle(time, seq, self)
+        heappush(self._queue, (time, seq, handle, fn, args))
+        self._seq = seq + 1
+        self._live += 1
+        return handle
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        handle = EventHandle(time, self._seq, self)
-        heapq.heappush(self._queue, (time, self._seq, handle, fn, args))
-        self._seq += 1
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        seq = self._seq
+        handle = EventHandle(time, seq, self)
+        heappush(self._queue, (time, seq, handle, fn, args))
+        self._seq = seq + 1
         self._live += 1
         return handle
 
@@ -153,11 +158,11 @@ class Simulator:
             if handle.cancelled:
                 return
             fn(*args)
-            nxt = self._now + interval_ms
+            nxt = self.now + interval_ms
             if until is None or nxt <= until:
                 handle._inner = self.schedule(interval_ms, _tick)
 
-        first = self._now + interval_ms
+        first = self.now + interval_ms
         if until is None or first <= until:
             handle._inner = self.schedule(interval_ms, _tick)
         return handle
@@ -168,12 +173,12 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` when idle."""
         while self._queue:
-            time, _seq, handle, fn, args = heapq.heappop(self._queue)
+            time, _seq, handle, fn, args = heappop(self._queue)
             if handle.cancelled:
                 continue
             handle._done = True
             self._live -= 1
-            self._now = time
+            self.now = time
             fn(*args)
             self._processed += 1
             return True
@@ -192,24 +197,24 @@ class Simulator:
 
         Returns the number of callbacks executed by this call.
         """
+        queue = self._queue
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
         executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
+        while queue and executed < budget:
+            if queue[0][0] > horizon:
                 break
-            time, _seq, handle, fn, args = self._queue[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._queue)
+            time, _seq, handle, fn, args = heappop(queue)
             if handle.cancelled:
                 continue
             handle._done = True
             self._live -= 1
-            self._now = time
+            self.now = time
             fn(*args)
             self._processed += 1
             executed += 1
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
         return executed
 
     def run_until_idle(self, max_events: int = 100_000_000) -> int:

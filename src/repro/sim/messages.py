@@ -12,8 +12,7 @@ benchmarks all charge bandwidth identically.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Bytes charged for a packet header on every message.
@@ -38,8 +37,6 @@ DURABLE_META_BYTES = 16
 #: (publisher addr 4B + pseq 8B).
 DEP_ENTRY_BYTES = 12
 
-_msg_counter = itertools.count()
-
 
 def event_message_bytes(num_subids: int) -> int:
     """Size of an event-delivery packet carrying ``num_subids`` SubIDs."""
@@ -48,7 +45,7 @@ def event_message_bytes(num_subids: int) -> int:
     return HEADER_BYTES + EVENT_BYTES + SUBID_BYTES * num_subids
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A packet in flight between two simulated nodes.
 
@@ -72,7 +69,6 @@ class Message:
     #: the sender when causal tracing is active; NOT inherited by
     #: ``child`` -- each forwarded packet gets its own ``forward`` span)
     span_id: Optional[int] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_counter))
 
     def child(self, src: int, dst: int, kind: str, payload: Any, size_bytes: int) -> "Message":
         """Derive a follow-on message that inherits path metadata.
@@ -82,12 +78,6 @@ class Message:
         keep accumulating.
         """
         return Message(
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            hops=self.hops,
-            path_latency=self.path_latency,
-            root_time=self.root_time,
+            src, dst, kind, payload, size_bytes,
+            self.hops, self.path_latency, self.root_time,
         )

@@ -19,8 +19,11 @@ Delivery has two modes per node:
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from typing import Dict, Optional
+
+import numpy as np
 
 from repro.sim.engine import RepeatingHandle, Simulator
 from repro.sim.messages import Message, event_message_bytes
@@ -39,6 +42,7 @@ class SimNode:
     def __init__(self, addr: int, network: "Network") -> None:
         self.addr = addr
         self.network = network
+        self.sim: Simulator = network.sim
         #: relative processing capacity (the heterogeneous-capacity
         #: ratio of Section 4); scales the service rate.
         self.capacity: float = 1.0
@@ -58,10 +62,6 @@ class SimNode:
         #: high-water mark of the ingress depth over the node's life.
         self.ingress_peak = 0
         network.register(self)
-
-    @property
-    def sim(self) -> Simulator:
-        return self.network.sim
 
     def send(self, msg: Message) -> None:
         """Convenience wrapper; ``msg.src`` must be this node."""
@@ -175,6 +175,19 @@ class Network:
         self._dup_rng = None
         self._reorder_window = 0.0
         self._reorder_rng = None
+        #: True while any packet-level fault (partition, one-way cut,
+        #: loss, duplication, reordering) is installed: the one guard
+        #: ``send`` pays for the whole fault machinery.
+        self._faults_armed = False
+
+    def _refresh_faults_armed(self) -> None:
+        self._faults_armed = (
+            self._partition is not None
+            or bool(self._asym_cuts)
+            or self._loss_rng is not None
+            or self._dup_rng is not None
+            or self._reorder_rng is not None
+        )
 
     @property
     def dropped(self) -> int:
@@ -194,10 +207,9 @@ class Network:
         ``rate`` (deterministic per seed).  0 disables."""
         if not 0.0 <= rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
-        import numpy as np
-
         self._loss_rate = rate
         self._loss_rng = np.random.default_rng(seed) if rate > 0 else None
+        self._refresh_faults_armed()
 
     def clear_loss(self) -> None:
         """Heal message loss: stop dropping packets."""
@@ -208,10 +220,11 @@ class Network:
         different groups are dropped.  Addresses absent from the map are
         group 0.  ``None`` heals the partition."""
         self._partition = dict(groups) if groups is not None else None
+        self._refresh_faults_armed()
 
     def clear_partition(self) -> None:
         """Heal the partition: all addresses can talk again."""
-        self._partition = None
+        self.set_partition(None)
 
     def set_latency_factor(self, factor: float) -> None:
         """Multiply every non-local one-way latency by ``factor``
@@ -252,20 +265,21 @@ class Network:
         if token in self._asym_cuts:
             raise ValueError(f"asym cut token {token} already active")
         self._asym_cuts[token] = (frozenset(src_addrs), frozenset(dst_addrs))
+        self._refresh_faults_armed()
 
     def remove_asym_cut(self, token: int) -> None:
         """Heal the one-way cut named ``token`` (idempotent)."""
         self._asym_cuts.pop(token, None)
+        self._refresh_faults_armed()
 
     def set_duplicate(self, rate: float, seed: int = 0) -> None:
         """Gray failure: deliver each non-local packet a *second* time
         with probability ``rate`` (deterministic per seed).  0 disables."""
         if not 0.0 <= rate <= 1.0:
             raise ValueError("duplicate rate must be in [0, 1]")
-        import numpy as np
-
         self._dup_rate = rate
         self._dup_rng = np.random.default_rng(seed) if rate > 0 else None
+        self._refresh_faults_armed()
 
     def clear_duplicate(self) -> None:
         """Heal duplication: packets are delivered once again."""
@@ -277,12 +291,11 @@ class Network:
         otherwise-FIFO streams (deterministic per seed).  0 disables."""
         if window_ms < 0:
             raise ValueError("reorder window must be non-negative")
-        import numpy as np
-
         self._reorder_window = window_ms
         self._reorder_rng = (
             np.random.default_rng(seed) if window_ms > 0 else None
         )
+        self._refresh_faults_armed()
 
     def clear_reorder(self) -> None:
         """Heal reordering: links are FIFO again."""
@@ -373,19 +386,31 @@ class Network:
         ``local_delivery_delay_ms`` and are *not* charged to the
         network byte counters -- the paper measures network bandwidth.
         """
-        if msg.dst not in self._nodes:
+        src, dst = msg.src, msg.dst
+        if dst not in self._nodes:
             self.stats.record_drop("dead_dst")
             return
-        if msg.src == msg.dst:
+        if src == dst:
             self.sim.schedule(self.local_delivery_delay_ms, self._deliver, msg, 0.0)
             return
+        # The sender did transmit: bytes are charged even if a fault
+        # then drops the packet.
+        self.stats.record_send(src, dst, msg.kind, msg.size_bytes)
+        if self._faults_armed:
+            self._send_through_faults(msg)
+            return
+        latency = self.topology.latency_ms(src, dst) * self._latency_factor
+        self.sim.schedule(latency, self._deliver, msg, latency)
+
+    def _send_through_faults(self, msg: Message) -> None:
+        """Rest of ``send`` for a charged, non-local packet while any
+        fault is installed: drop, jitter and/or ghost it.  Each fault
+        draws from its own generator, once per packet in send order --
+        the replay contract of fixed-seed chaos schedules."""
         cause = self._injected_failure(msg)
         if cause is not None:
-            # The sender did transmit: bytes are still charged.
-            self.stats.record_send(msg.src, msg.dst, msg.kind, msg.size_bytes)
             self.stats.record_drop(cause)
             return
-        self.stats.record_send(msg.src, msg.dst, msg.kind, msg.size_bytes)
         latency = self.topology.latency_ms(msg.src, msg.dst) * self._latency_factor
         if self._reorder_rng is not None:
             # Adversarial per-packet jitter: later sends can arrive first.
@@ -398,19 +423,18 @@ class Network:
             # mutation in _deliver from compounding across the two
             # deliveries; the payload is shared, exactly like a
             # retransmitted packet, so dedup layers see the same bits.
-            import dataclasses
-
             ghost = dataclasses.replace(msg)
             ghost_latency = latency + float(self._dup_rng.uniform(0.0, latency))
             self.stats.record_duplicate()
             self.sim.schedule(ghost_latency, self._deliver, ghost, ghost_latency)
 
     def _deliver(self, msg: Message, latency: float) -> None:
-        node = self._nodes.get(msg.dst)
+        dst = msg.dst
+        node = self._nodes.get(dst)
         if node is None or not node.alive():
             self.stats.record_drop("dead_dst")
             return
-        if msg.src != msg.dst:
+        if msg.src != dst:
             msg.hops += 1
             msg.path_latency += latency
         if node.service_rate is None:

@@ -90,10 +90,7 @@ class NetworkStats:
         self, num_nodes: int, registry: Optional[MetricsRegistry] = None
     ) -> None:
         self.num_nodes = num_nodes
-        self.in_bytes = np.zeros(num_nodes, dtype=np.float64)
-        self.out_bytes = np.zeros(num_nodes, dtype=np.float64)
-        self.in_msgs = np.zeros(num_nodes, dtype=np.int64)
-        self.out_msgs = np.zeros(num_nodes, dtype=np.int64)
+        self._zero_per_node()
         self.bytes_by_kind: Dict[str, float] = {}
         self.msgs_by_kind: Dict[str, int] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -115,6 +112,9 @@ class NetworkStats:
         self._c_durable = {
             name: self.registry.counter(name) for name in DURABLE_COUNTERS
         }
+        #: event entries Algorithm 5 discarded because the healing ring
+        #: offered no next hop (or only a degenerate self-hop).
+        self._c_unroutable = self.registry.counter("transport.unroutable")
         #: ``ps_busy`` NACKs honoured by senders (overload backpressure:
         #: each one rescheduled a retransmission with exponential backoff
         #: instead of consuming the retry budget).
@@ -255,6 +255,14 @@ class NetworkStats:
         self._c_gave_up_cause[cause].inc()
         self._c_gave_up_subids.inc(n_subids)
 
+    @property
+    def unroutable(self) -> int:
+        """Event entries dropped for want of a next hop (Algorithm 5)."""
+        return int(self._c_unroutable.value)
+
+    def record_unroutable(self) -> None:
+        self._c_unroutable.inc()
+
     def record_durable(self, name: str, n: int = 1) -> None:
         """Bump one ``durable.*`` counter (see DURABLE_COUNTERS)."""
         self._c_durable[f"durable.{name}"].inc(n)
@@ -278,28 +286,61 @@ class NetworkStats:
         """Deepest single-node ingress backlog observed this run."""
         return int(self._g_queue_peak.value)
 
+    def _zero_per_node(self) -> None:
+        # Per-node accumulators are plain lists: ``record_send`` runs
+        # once per packet and a NumPy scalar read-modify-write costs
+        # several times a list slot's.  The array views below are built
+        # on demand for the (rare) readers.
+        n = self.num_nodes
+        self._in_bytes = [0.0] * n
+        self._out_bytes = [0.0] * n
+        self._in_msgs = [0] * n
+        self._out_msgs = [0] * n
+
     def record_send(self, src: int, dst: int, kind: str, size_bytes: int) -> None:
-        self.out_bytes[src] += size_bytes
-        self.out_msgs[src] += 1
-        self.in_bytes[dst] += size_bytes
-        self.in_msgs[dst] += 1
-        self.bytes_by_kind[kind] = self.bytes_by_kind.get(kind, 0.0) + size_bytes
-        self.msgs_by_kind[kind] = self.msgs_by_kind.get(kind, 0) + 1
+        self._out_bytes[src] += size_bytes
+        self._out_msgs[src] += 1
+        self._in_bytes[dst] += size_bytes
+        self._in_msgs[dst] += 1
+        try:
+            self.bytes_by_kind[kind] += size_bytes
+            self.msgs_by_kind[kind] += 1
+        except KeyError:
+            self.bytes_by_kind[kind] = float(size_bytes)
+            self.msgs_by_kind[kind] = 1
+
+    # -- per-node views (snapshots; the accumulators are the lists) ------
+    @property
+    def in_bytes(self) -> np.ndarray:
+        """Bytes received per node address (float64 snapshot)."""
+        return np.array(self._in_bytes, dtype=np.float64)
+
+    @property
+    def out_bytes(self) -> np.ndarray:
+        """Bytes sent per node address (float64 snapshot)."""
+        return np.array(self._out_bytes, dtype=np.float64)
+
+    @property
+    def in_msgs(self) -> np.ndarray:
+        """Packets received per node address (int64 snapshot)."""
+        return np.array(self._in_msgs, dtype=np.int64)
+
+    @property
+    def out_msgs(self) -> np.ndarray:
+        """Packets sent per node address (int64 snapshot)."""
+        return np.array(self._out_msgs, dtype=np.int64)
 
     @property
     def total_bytes(self) -> float:
-        return float(self.out_bytes.sum())
+        return float(sum(self._out_bytes))
 
     @property
     def total_msgs(self) -> int:
-        return int(self.out_msgs.sum())
+        return sum(self._out_msgs)
 
     def reset(self) -> None:
         """Zero every counter (used between warm-up and measurement)."""
-        self.in_bytes[:] = 0.0
-        self.out_bytes[:] = 0.0
-        self.in_msgs[:] = 0
-        self.out_msgs[:] = 0
+        self._zero_per_node()
         self.bytes_by_kind.clear()
         self.msgs_by_kind.clear()
         self.registry.reset("transport.")

@@ -287,13 +287,16 @@ def measure_system(
         if hasattr(node, "_ingress_hi")
     )
     stats = system.network.stats
-    components["network_stats"] = int(
-        stats.in_bytes.nbytes
-        + stats.out_bytes.nbytes
-        + stats.in_msgs.nbytes
-        + stats.out_msgs.nbytes
-        + deep_sizeof(stats.bytes_by_kind, walk)
-        + deep_sizeof(stats.msgs_by_kind, walk)
+    components["network_stats"] = sum(
+        deep_sizeof(part, walk)
+        for part in (
+            stats._in_bytes,
+            stats._out_bytes,
+            stats._in_msgs,
+            stats._out_msgs,
+            stats.bytes_by_kind,
+            stats.msgs_by_kind,
+        )
     )
 
     total = int(sum(components.values()))

@@ -128,6 +128,48 @@ class TestEventEdgeCases:
         node._process_event(msg)  # must not raise
         system.run_until_idle()
 
+    @pytest.mark.parametrize("route_cache", [True, False])
+    def test_unroutable_entry_is_counted_not_silent(self, route_cache):
+        """A healing ring can leave a node with no hop toward a key it
+        does not own (or only a self-hop).  The entry is dropped -- but
+        under ``transport.unroutable``, not without a trace."""
+        from repro.sim.messages import Message
+
+        system, scheme = tiny_system(route_cache=route_cache)
+        node = system.nodes[0]
+        foreign = next(
+            n.node_id for n in system.nodes if not node.is_responsible(n.node_id)
+        )
+
+        def offer():
+            node._process_event(
+                Message(
+                    src=0, dst=0, kind="ps_event",
+                    payload={
+                        "event_id": 999,
+                        "scheme": "s",
+                        "point": np.array([1.0, 1.0]),
+                        "entries": [(foreign, None), (node.node_id, 424242)],
+                    },
+                    size_bytes=0,
+                )
+            )
+            system.run_until_idle()
+
+        stats = system.network.stats
+        offer()  # healthy ring: forwarded
+        assert stats.unroutable == 0 and stats.total_msgs > 0
+        sent = stats.total_msgs
+        node.successors = []  # no next hop at all
+        offer()
+        assert stats.unroutable == 1 and stats.total_msgs == sent
+        node.successors = [(node.node_id, node.addr)]  # degenerate self-hop
+        node.fingers = {}
+        offer()
+        assert stats.unroutable == 2 and stats.total_msgs == sent
+        stats.reset()
+        assert stats.unroutable == 0
+
     def test_event_to_empty_leaf_dies_quietly(self):
         system, scheme = tiny_system()
         system.finish_setup()

@@ -1,5 +1,7 @@
 """Failure-injection tests: message loss and network partitions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.core import (
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network, SimNode
-from repro.sim.topology import ConstantTopology
+from repro.sim.topology import ConstantTopology, KingLikeTopology
 
 
 class Recorder(SimNode):
@@ -24,6 +26,52 @@ class Recorder(SimNode):
 
     def handle_message(self, msg):
         self.received.append(msg)
+
+
+class TestArmedFaultReplay:
+    def test_fixed_seed_fault_mix_replays_bit_identically(self):
+        """Loss, duplication, reordering and cuts armed together: each
+        fault draws from its own generator once per packet, in send
+        order.  The digest was recorded before ``Network.send`` grew its
+        flat no-fault path; the armed path must keep producing it."""
+
+        class Logger(SimNode):
+            def handle_message(self, msg):
+                log.append(
+                    (repr(self.sim.now), msg.src, msg.dst, msg.payload,
+                     msg.hops, repr(msg.path_latency))
+                )
+
+        log = []
+        sim = Simulator()
+        net = Network(sim, KingLikeTopology(8, seed=3))
+        for addr in range(8):
+            Logger(addr, net)
+        net.set_loss_rate(0.2, seed=5)
+        net.set_duplicate(0.3, seed=6)
+        net.set_reorder(25.0, seed=7)
+        net.add_asym_cut(1, [0], [7])
+        for i in range(400):
+            if i == 200:
+                net.remove_asym_cut(1)
+                net.set_partition({3: 1})
+            net.send(
+                Message(src=i % 8, dst=(i * 5 + 1) % 8, kind="t", payload=i,
+                        size_bytes=10 + i % 7)
+            )
+            if i % 40 == 39:
+                sim.run()
+        sim.run()
+        s = net.stats
+        assert (len(log), s.duplicated, s.reordered) == (360, 80, 280)
+        assert s.dropped_by_cause == {
+            "dead_dst": 0, "loss": 70, "partition": 50, "overflow": 0,
+        }
+        summary = (log, s.dropped_by_cause, s.duplicated, s.reordered,
+                   s.total_bytes, s.total_msgs)
+        assert hashlib.sha256(repr(summary).encode()).hexdigest() == (
+            "7ed6371fc653a5b47f8c07eeb51d018397e5b0908f8e7ae9d29de8b2d740038d"
+        )
 
 
 class TestLossInjection:

@@ -9,6 +9,7 @@ route cache must never change what the system delivers: same
 dissemination trees, same message and byte counts, on fixed seeds.
 """
 
+import hashlib
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -22,8 +23,9 @@ from repro.core import (
     Scheme,
     Subscription,
 )
+from repro.core.node import _RC_HERE
 from repro.dht.chord import ChordNode, build_chord_overlay
-from repro.dht.idspace import ID_SPACE
+from repro.dht.idspace import ID_SPACE, id_in_interval
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import ConstantTopology
@@ -152,6 +154,46 @@ def test_agreement_under_mutation_interleavings(seed):
 
 
 # ----------------------------------------------------------------------
+# is_responsible: inline ring arithmetic == the interval reference
+# ----------------------------------------------------------------------
+def responsibility_probes(node_id, pred_id, keys):
+    """Random keys plus every boundary of the arc ``(pred, self]``."""
+    probes = list(keys)
+    for anchor in (node_id, pred_id, 0, ID_SPACE - 1):
+        if anchor is not None:
+            probes += [anchor, (anchor + 1) % ID_SPACE, (anchor - 1) % ID_SPACE]
+    return probes
+
+
+@given(
+    node_id=ids64,
+    pred_id=st.one_of(st.none(), ids64),
+    pred_is_self=st.booleans(),
+    has_successors=st.booleans(),
+    keys=st.lists(ids64, min_size=1, max_size=16),
+)
+@settings(max_examples=200, deadline=None)
+def test_is_responsible_matches_interval_reference(
+    node_id, pred_id, pred_is_self, has_successors, keys
+):
+    """``ChordNode.is_responsible(key)`` is ``key in (pred, self]`` for
+    arbitrary ids: wrapped arcs, ``pred == self`` (a lone node owns the
+    whole ring) and the bootstrapping ``predecessor is None`` case."""
+    node = bare_node(node_id)
+    if pred_is_self:
+        pred_id = node_id
+    if has_successors:
+        node.successors = [((node_id + 12345) % ID_SPACE, 1)]
+    node.predecessor = None if pred_id is None else (pred_id, 2)
+    for key in responsibility_probes(node_id, pred_id, keys):
+        if pred_id is None:
+            expected = not has_successors or key == node_id
+        else:
+            expected = id_in_interval(key, pred_id, node_id, incl_right=True)
+        assert node.is_responsible(key) is expected, (node_id, pred_id, key)
+
+
+# ----------------------------------------------------------------------
 # Route cache: caching must never change delivery results
 # ----------------------------------------------------------------------
 DOMAIN = 1000.0
@@ -206,8 +248,67 @@ def test_route_cache_preserves_dissemination_trees():
         cached, cached_sys = run_fixed_workload(True, seed)
         uncached, uncached_sys = run_fixed_workload(False, seed)
         assert cached == uncached
+        # ... and in aggregate: same delivery digest, bytes, messages,
+        # and nothing dropped for want of a route on a healthy ring.
+        assert delivery_digest(cached) == delivery_digest(uncached)
+        on_stats, off_stats = cached_sys.network.stats, uncached_sys.network.stats
+        assert on_stats.total_bytes == off_stats.total_bytes
+        assert on_stats.total_msgs == off_stats.total_msgs
+        assert on_stats.unroutable == 0 and off_stats.unroutable == 0
         stats = cached_sys.route_cache_stats()
         assert stats["hits"] > 0
         assert stats["hit_rate"] > 0.0
         off = uncached_sys.route_cache_stats()
         assert off["hits"] == 0 and off["misses"] == 0
+
+
+def delivery_digest(per_event) -> str:
+    blob = repr([rec["deliveries"] for rec in per_event]).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def uncached_decision(node, nid):
+    return _RC_HERE if node.is_responsible(nid) else node.next_hop_addr(nid)
+
+
+def test_fused_decision_cache_dies_with_every_routing_mutation():
+    """The cache holds "responsible here" *and* next hops, so it must be
+    flushed by predecessor moves (responsibility) as well as successor
+    and finger changes (next hop): after each mutation every cached key
+    answers like the uncached decision again."""
+    _out, system = run_fixed_workload(True, seed=7)
+    node = system.nodes[0]
+    donor, other = system.nodes[1], system.nodes[2]
+    keys = [k for k in range(0, ID_SPACE, ID_SPACE // 64)] + [
+        node.node_id, donor.node_id, other.node_id,
+    ]
+    owned = [k for k in keys if k != node.node_id and node.is_responsible(k)]
+    assert owned, "need a key the node owns besides its own id"
+
+    def check_all():
+        for key in keys:
+            decision = uncached_decision(node, key)
+            hop = node._cached_next_hop(key)  # fills the cache
+            assert hop == (None if decision is _RC_HERE else decision)
+            assert node._rc[key] == decision
+
+    check_all()
+    mutations = (
+        # the arc shrinks to (self - 1, self]: owned keys stop being ours
+        lambda: setattr(
+            node, "predecessor", ((node.node_id - 1) % ID_SPACE, donor.addr)
+        ),
+        lambda: setattr(node, "successors", [(other.node_id, other.addr)]),
+        lambda: node.successors.insert(0, (donor.node_id, donor.addr)),
+        lambda: node.fingers.update(
+            {i: (donor.node_id, donor.addr) for i in list(node.fingers)}
+        ),
+        lambda: setattr(node, "predecessor", None),
+    )
+    for step, mutate in enumerate(mutations):
+        misses = node.rc_misses
+        mutate()
+        check_all()
+        assert node.rc_misses >= misses + len(set(keys)), "stale cache served"
+        if step == 0:
+            assert all(node._rc[k] is not _RC_HERE for k in owned)

@@ -36,6 +36,53 @@ def make_net(n=4, rtt=100.0):
     return sim, net, nodes
 
 
+def test_child_inherits_path_metadata_but_not_the_span():
+    parent = Message(
+        src=0, dst=1, kind="t", payload={"a": 1}, size_bytes=30,
+        hops=3, path_latency=12.5, root_time=99.0, span_id=41,
+    )
+    child = parent.child(1, 2, "u", {"b": 2}, 77)
+    assert (child.src, child.dst, child.kind) == (1, 2, "u")
+    assert child.payload == {"b": 2} and child.size_bytes == 77
+    assert (child.hops, child.path_latency, child.root_time) == (3, 12.5, 99.0)
+    assert child.span_id is None  # every forwarded packet gets its own span
+    with pytest.raises(AttributeError):
+        child.not_a_field = 1  # slotted: no per-packet __dict__
+
+
+def test_fault_machinery_is_armed_only_while_a_fault_is_installed():
+    sim, net, nodes = make_net()
+    assert not net._faults_armed
+    arm_and_heal = (
+        (lambda: net.set_loss_rate(0.1, seed=1), net.clear_loss),
+        (lambda: net.set_duplicate(0.1, seed=1), net.clear_duplicate),
+        (lambda: net.set_reorder(5.0, seed=1), net.clear_reorder),
+        (lambda: net.set_partition({1: 1}), net.clear_partition),
+        (lambda: net.add_asym_cut(9, [0], [1]), lambda: net.remove_asym_cut(9)),
+    )
+    for arm, heal in arm_and_heal:
+        arm()
+        assert net._faults_armed
+        heal()
+        assert not net._faults_armed
+    # two faults at once: healing one leaves the guard up
+    net.set_loss_rate(0.1, seed=1)
+    net.set_partition({1: 1})
+    net.clear_loss()
+    assert net._faults_armed
+    net.send(Message(src=0, dst=1, kind="t", payload=None, size_bytes=30))
+    sim.run()
+    assert nodes[1].received == [] and net.stats.dropped_by_cause["partition"] == 1
+    net.clear_partition()
+    # a latency spike is not a packet fault: it rides the flat path
+    net.set_latency_factor(3.0)
+    assert not net._faults_armed
+    net.send(Message(src=0, dst=1, kind="t", payload=None, size_bytes=30))
+    sim.run()
+    (t, _msg), = nodes[1].received
+    assert t == 150.0
+
+
 def test_message_arrives_after_one_way_latency():
     sim, net, nodes = make_net(rtt=100.0)
     net.send(Message(src=0, dst=1, kind="t", payload=None, size_bytes=30))

@@ -29,6 +29,49 @@ class TestNetworkStats:
         assert s.in_msgs[2] == 1
         assert s.msgs_by_kind["k"] == 1
 
+    def test_per_node_views_keep_dtype_shape_and_reset(self):
+        s = NetworkStats(4)
+        s.record_send(0, 2, "k", 50)
+        s.record_send(0, 3, "k", 7)
+        s.record_send(3, 0, "j", 1)
+        views = {
+            "in_bytes": (np.float64, [1.0, 0.0, 50.0, 7.0]),
+            "out_bytes": (np.float64, [57.0, 0.0, 0.0, 1.0]),
+            "in_msgs": (np.int64, [1, 0, 1, 1]),
+            "out_msgs": (np.int64, [2, 0, 0, 1]),
+        }
+        for name, (dtype, expected) in views.items():
+            arr = getattr(s, name)
+            assert isinstance(arr, np.ndarray), name
+            assert arr.dtype == dtype and arr.shape == (4,), name
+            assert arr.tolist() == expected, name
+        assert s.total_bytes == 58.0 and isinstance(s.total_bytes, float)
+        assert s.total_msgs == 3 and isinstance(s.total_msgs, int)
+        assert s.bytes_by_kind == {"k": 57.0, "j": 1.0}
+        assert s.msgs_by_kind == {"k": 2, "j": 1}
+        s.reset()
+        for name, (dtype, _expected) in views.items():
+            arr = getattr(s, name)
+            assert arr.dtype == dtype and arr.shape == (4,), name
+            assert not arr.any(), name
+        assert s.total_bytes == 0.0 and s.total_msgs == 0
+        s.record_send(1, 2, "k", 5)  # accumulates again after a reset
+        assert s.out_bytes.tolist() == [0.0, 5.0, 0.0, 0.0]
+
+    def test_unroutable_is_counted_summarised_and_reset(self):
+        from repro.analysis.trace import transport_summary
+
+        s = NetworkStats(3)
+        assert s.unroutable == 0
+        s.record_unroutable()
+        s.record_unroutable()
+        assert s.unroutable == 2
+        assert s.registry.value("transport.unroutable") == 2.0
+        assert transport_summary(s)["unroutable"] == 2
+        s.reset()
+        assert s.unroutable == 0
+        assert transport_summary(s)["unroutable"] == 0
+
     def test_transport_counters_are_registry_backed(self):
         s = NetworkStats(3)
         s.retransmissions += 2

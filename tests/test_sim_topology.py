@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.topology import (
+    LATENCY_MEMO_PER_NODE,
     ConstantTopology,
     ExplicitTopology,
     KingLikeTopology,
@@ -36,6 +37,38 @@ class TestConstantTopology:
         topo = ConstantTopology(4, rtt=10.0)
         out = topo.rtt_many(1, [0, 1, 2, 3])
         assert list(out) == [10.0, 0.0, 10.0, 10.0]
+
+
+class TestLatencyMemo:
+    """``latency_ms`` memoises ``rtt_ms / 2`` per directed pair."""
+
+    def test_bit_identical_to_half_rtt_and_symmetric(self):
+        topo = KingLikeTopology(60, seed=5)
+        for a in range(0, 60, 7):
+            for b in range(60):
+                first = topo.latency_ms(a, b)
+                expected = 0.0 if a == b else topo.rtt_ms(a, b) / 2.0
+                # == on floats: the memo must return the same bits,
+                # cold, warm, and from the opposite direction
+                assert first == expected
+                assert topo.latency_ms(a, b) == expected
+                assert topo.latency_ms(b, a) == expected
+                assert type(first) is float
+
+    def test_warm_lookup_skips_rtt(self):
+        topo = ConstantTopology(4, rtt=42.0)
+        assert topo.latency_ms(0, 1) == 21.0
+        topo._rtt = 999.0  # a pure-function violation only a miss would see
+        assert topo.latency_ms(0, 1) == 21.0
+        assert topo.latency_ms(1, 0) == 499.5
+
+    def test_memo_is_bounded(self):
+        topo = ConstantTopology(6, rtt=10.0)
+        for _ in range(3):
+            for a in range(6):
+                for b in range(6):
+                    assert topo.latency_ms(a, b) == (0.0 if a == b else 5.0)
+                    assert len(topo._latency_memo) <= LATENCY_MEMO_PER_NODE * 6
 
 
 class TestExplicitTopology:
