@@ -10,12 +10,13 @@ index over every dimension -- both drop-in compatible with
 them; the property tests prove they answer identically).
 
 The linear store compares the query point against *every* stored box
-(vectorised, so cheap until stores grow to thousands of entries).  The
-grid maps each box to the cells its first-two-dimension footprint
+(one columnar compare + reduce, so cheap until stores grow to tens of
+thousands of entries; docs/MATCHING.md has the measured crossover).
+The grid maps each box to the cells its first-two-dimension footprint
 covers; a point query inspects one cell's candidates only.  Matching
 cost drops from O(n) to O(n in cell) at the price of O(cells covered)
-insertion -- exactly the right trade for surrogate nodes, which match
-events far more often than they accept registrations.
+insertion.  Both indexes only pre-select candidate slots; the exact
+containment test is the store's own kernel (``BoxStore._match``).
 """
 
 from __future__ import annotations
@@ -70,10 +71,14 @@ class GridIndex(BoxStore):
 
     # ------------------------------------------------------------------
     def _cell_of(self, value: float, dim: int) -> int:
-        c = int((value - self._cell_lo[dim]) * self._cell_inv[dim])
-        if c < 0:
+        # Clamp before ``int()``: ±inf bounds are legal ("unspecified
+        # dimension") and ``int()`` raises on them.  NaN fails both
+        # tests and lands in the last cell, where exact verification
+        # rejects it like everything else compared against NaN.
+        c = (value - self._cell_lo[dim]) * self._cell_inv[dim]
+        if c <= 0:
             return 0
-        return c if c < self._cell_max else self._cell_max
+        return int(c) if c < self._cell_max else self._cell_max
 
     def _cells_for_box(self, lows: np.ndarray, highs: np.ndarray):
         ranges = [
@@ -94,7 +99,7 @@ class GridIndex(BoxStore):
         slot = self._slot_of[subid]
         if existed:
             self._unlink(slot)
-        cells = self._cells_for_box(self._lows[slot], self._highs[slot])
+        cells = self._cells_for_box(lows, highs)  # validated by super().put
         self._slot_cells[slot] = cells
         for cell in cells:
             self._buckets.setdefault(cell, set()).add(slot)
@@ -114,20 +119,14 @@ class GridIndex(BoxStore):
     def match_point(self, point: np.ndarray) -> List[SubID]:
         if self._size == 0:
             return []
-        point = np.asarray(point, dtype=np.float64)
         cell = tuple(
             self._cell_of(point[d], d) for d in range(self._grid_dims)
         )
         bucket = self._buckets.get(cell)
         if not bucket:
             return []
-        idx = np.fromiter(bucket, dtype=np.intp, count=len(bucket))
-        inside = (
-            self._active[idx]
-            & np.all(self._lows[idx] <= point, axis=1)
-            & np.all(point <= self._highs[idx], axis=1)
-        )
-        return [self._subids[i] for i in idx[np.nonzero(inside)[0]]]  # type: ignore[misc]
+        cand = np.fromiter(bucket, dtype=np.intp, count=len(bucket))
+        return self._match(point, point, cand)
 
 
 class BandIndex(BoxStore):
@@ -176,7 +175,7 @@ class BandIndex(BoxStore):
         if slot in self._delta:
             self._delta.discard(slot)
         else:
-            self._stale += 1  # inactive until rebuild; _active gates it
+            self._stale += 1  # tombstoned (NaN) until rebuild: never verifies
 
     # ------------------------------------------------------------------
     def _needs_rebuild(self) -> bool:
@@ -188,8 +187,8 @@ class BandIndex(BoxStore):
         return pending * 4 > max(self._MIN_INDEXED, self._built_count)
 
     def _rebuild(self) -> None:
-        cap = len(self._active)
-        idx = np.nonzero(self._active)[0]
+        cap = self._cols.shape[1]
+        idx = np.nonzero(~np.isnan(self._cols[0, : self._hwm]))[0]
         n = len(idx)
         self._delta.clear()
         self._stale = 0
@@ -204,8 +203,8 @@ class BandIndex(BoxStore):
         edges_list: List[np.ndarray] = []
         bits_list: List[np.ndarray] = []
         for d in range(self.dims):
-            lo = self._lows[idx, d]
-            hi = self._highs[idx, d]
+            lo = self._cols[d, idx]
+            hi = -self._cols[self.dims + d, idx]
             vals = np.concatenate([lo, hi])
             vals = vals[np.isfinite(vals)]
             if vals.size:
@@ -234,7 +233,6 @@ class BandIndex(BoxStore):
     def match_point(self, point: np.ndarray) -> List[SubID]:
         if self._size == 0:
             return []
-        point = np.asarray(point, dtype=np.float64)
         if self._needs_rebuild():
             self._rebuild()
         if not self._built_count:
@@ -251,12 +249,7 @@ class BandIndex(BoxStore):
             )
         if not len(cand):
             return []
-        inside = (
-            self._active[cand]
-            & np.all(self._lows[cand] <= point, axis=1)
-            & np.all(point <= self._highs[cand], axis=1)
-        )
-        return [self._subids[i] for i in cand[np.nonzero(inside)[0]]]  # type: ignore[misc]
+        return self._match(point, point, cand)
 
 
 def make_store(

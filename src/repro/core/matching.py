@@ -1,11 +1,13 @@
 """Vectorised subscription stores.
 
 Every content-zone repository keeps its registered boxes (real
-subscriptions *and* surrogate subscriptions) in a :class:`BoxStore`:
-bounds live in growing NumPy arrays so matching an event against a
-repository is two broadcast comparisons instead of a Python loop --
-the ``event_match`` of Algorithm 5 is the hottest operation in the
-whole simulation.
+subscriptions *and* surrogate subscriptions) in a :class:`BoxStore`.
+Bounds live column-major in one growing ``(2 * dims, capacity)`` NumPy
+array holding ``[lows; -highs]``, so matching an event against a
+repository is one broadcast ``<=`` against a ``[point; -point]`` query
+column and one AND-reduce along the short axis instead of a Python
+loop -- the ``event_match`` of Algorithm 5 is the hottest operation in
+the whole simulation.
 """
 
 from __future__ import annotations
@@ -24,15 +26,24 @@ class BoxStore:
 
     ``put`` with an existing id replaces the box (surrogate-subscription
     updates); removed slots are tombstoned and recycled.
+
+    Layout: slot ``s`` is column ``s`` of ``_cols``; rows ``[:dims]``
+    are the lows and rows ``[dims:]`` the *negated* highs, so containment
+    ``low <= p <= high`` is the single test ``column <= [p; -p]``.  Free
+    and tombstoned columns hold NaN, which compares False against every
+    query (±inf and NaN included) and which ``fmin`` skips, so neither
+    matching nor :meth:`bounding_box` needs an "active" mask.  Scans stop
+    at ``_hwm``, one past the highest slot ever handed out.
     """
 
     def __init__(self, dims: int) -> None:
         if dims < 1:
             raise ValueError("dims must be >= 1")
         self.dims = dims
-        self._lows = np.empty((_INITIAL_CAPACITY, dims), dtype=np.float64)
-        self._highs = np.empty((_INITIAL_CAPACITY, dims), dtype=np.float64)
-        self._active = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._cols = np.full((2 * dims, _INITIAL_CAPACITY), np.nan)
+        # The query column, refilled in place per query.
+        self._query = np.empty((2 * dims, 1), dtype=np.float64)
+        self._hwm = 0
         self._subids: List[Optional[SubID]] = [None] * _INITIAL_CAPACITY
         self._slot_of: Dict[SubID, int] = {}
         self._free: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
@@ -56,22 +67,22 @@ class BoxStore:
     def subids(self) -> Iterator[SubID]:
         return iter(self._slot_of.keys())
 
+    def _box_at(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Fresh copies of the bounds in ``slot``; negation is exact, so
+        ±inf and the sign of zero round-trip."""
+        col = self._cols[:, slot]
+        return col[: self.dims].copy(), -col[self.dims :]
+
     def get_box(self, subid: SubID) -> Tuple[np.ndarray, np.ndarray]:
-        slot = self._slot_of[subid]
-        return self._lows[slot].copy(), self._highs[slot].copy()
+        return self._box_at(self._slot_of[subid])
 
     # ------------------------------------------------------------------
     def _grow(self) -> None:
-        old = len(self._active)
+        old = self._cols.shape[1]
         new = old * 2
-        for arr_name in ("_lows", "_highs"):
-            old_arr = getattr(self, arr_name)
-            new_arr = np.empty((new, self.dims), dtype=np.float64)
-            new_arr[:old] = old_arr
-            setattr(self, arr_name, new_arr)
-        active = np.zeros(new, dtype=bool)
-        active[:old] = self._active
-        self._active = active
+        cols = np.full((2 * self.dims, new), np.nan)
+        cols[:, :old] = self._cols
+        self._cols = cols
         self._subids.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
@@ -81,14 +92,15 @@ class BoxStore:
         highs = np.asarray(highs, dtype=np.float64)
         if lows.shape != (self.dims,) or highs.shape != (self.dims,):
             raise ValueError(f"box must have shape ({self.dims},)")
-        # NaN never compares True, so ``highs < lows`` alone would let a
-        # NaN box through: stored, it matches nothing yet poisons
-        # ``bounding_box``/``merge_box`` (min/max propagate NaN into the
-        # summary filter, killing the child-piece cascade).  ±inf stays
-        # legal -- unspecified dimensions are the full attribute domain.
-        if np.isnan(lows).any() or np.isnan(highs).any():
-            raise ValueError("box bounds must not contain NaN")
-        if np.any(highs < lows):
+        # One comparison admits the legal boxes; NaN never compares
+        # True, so it lands here too and is told apart by name.  A NaN
+        # box must not be stored: it would be indistinguishable from a
+        # tombstone (``len`` and the slot table would disagree with the
+        # columns).  ±inf stays legal -- unspecified dimensions are the
+        # full attribute domain.
+        if not (lows <= highs).all():
+            if np.isnan(lows).any() or np.isnan(highs).any():
+                raise ValueError("box bounds must not contain NaN")
             raise ValueError("box has negative extent")
         slot = self._slot_of.get(subid)
         if slot is None:
@@ -97,10 +109,12 @@ class BoxStore:
             slot = self._free.pop()
             self._slot_of[subid] = slot
             self._subids[slot] = subid
-            self._active[slot] = True
+            if slot >= self._hwm:
+                self._hwm = slot + 1
             self._size += 1
-        self._lows[slot] = lows
-        self._highs[slot] = highs
+        col = self._cols[:, slot]
+        col[: self.dims] = lows
+        np.negative(highs, out=col[self.dims :])
 
     def _release_slot(self, slot: int) -> None:
         """Index-maintenance hook run before a slot is tombstoned.
@@ -113,7 +127,7 @@ class BoxStore:
     def remove(self, subid: SubID) -> None:
         slot = self._slot_of.pop(subid)
         self._release_slot(slot)
-        self._active[slot] = False
+        self._cols[:, slot] = np.nan
         self._subids[slot] = None
         self._free.append(slot)
         self._size -= 1
@@ -123,62 +137,82 @@ class BoxStore:
 
         Used by the load balancer to extract the subscriptions whose
         subscribers fall in a migrated identifier arc.  Single pass over
-        the slot table: bounds are copied straight from the slot and the
-        entry is tombstoned in place, with no per-entry ``get_box`` /
-        ``remove`` dict re-resolution (that double lookup dominated
-        handoff cost at migration scale).
+        the slot table, then one gather copies every picked column out
+        and one scatter tombstones them -- no per-entry ``get_box`` /
+        ``remove`` (that dict re-resolution and the per-entry array
+        traffic dominated handoff cost at migration scale).
         """
         picked = [
             (sid, slot) for sid, slot in self._slot_of.items() if predicate(sid)
         ]
-        out = []
+        if not picked:
+            return []
+        slots = [slot for _, slot in picked]
+        rows = self._cols.take(slots, axis=1).T
+        lows = rows[:, : self.dims].copy()
+        highs = np.negative(rows[:, self.dims :], order="C")
         for sid, slot in picked:
             del self._slot_of[sid]
             self._release_slot(slot)
-            self._active[slot] = False
             self._subids[slot] = None
-            self._free.append(slot)
-            out.append((sid, self._lows[slot].copy(), self._highs[slot].copy()))
+        self._cols[:, slots] = np.nan
+        self._free.extend(slots)
         self._size -= len(picked)
-        return out
+        return [(sid, lo, hi) for (sid, _), lo, hi in zip(picked, lows, highs)]
 
     # ------------------------------------------------------------------
+    def _match(
+        self,
+        head: np.ndarray,
+        tail: np.ndarray,
+        cand: Optional[np.ndarray] = None,
+    ) -> List[SubID]:
+        """Subids of the boxes with ``lows <= head`` and ``tail <= highs``.
+
+        The one exact-containment kernel: the query column becomes
+        ``[head; -tail]`` and a slot hits when its whole column is
+        ``<=`` it.  Scans every slot below the high-water mark, in
+        ascending order, or only the candidate slots an index
+        pre-selected, in ``cand`` order.  The reduce runs along the
+        short ``2 * dims`` axis, i.e. as ``2 * dims - 1`` contiguous
+        ANDs of long rows.
+        """
+        query, dims = self._query, self.dims
+        query[:dims, 0] = head
+        np.negative(tail, out=query[dims:, 0])
+        if cand is None:
+            cols = self._cols[:, : self._hwm]
+        else:
+            cols = self._cols.take(cand, axis=1)
+        hit = np.logical_and.reduce(cols <= query, axis=0).nonzero()[0]
+        if cand is not None:
+            hit = cand[hit]
+        subids = self._subids
+        return [subids[i] for i in hit.tolist()]  # type: ignore[misc]
+
     def match_point(self, point: np.ndarray) -> List[SubID]:
         """All subids whose box contains ``point`` (Algorithm 5's
-        ``event_match``)."""
+        ``event_match``), in ascending slot order.  A NaN coordinate
+        matches nothing."""
         if self._size == 0:
             return []
-        point = np.asarray(point, dtype=np.float64)
-        inside = (
-            self._active
-            & np.all(self._lows <= point, axis=1)
-            & np.all(point <= self._highs, axis=1)
-        )
-        idx = np.nonzero(inside)[0]
-        return [self._subids[i] for i in idx]  # type: ignore[misc]
+        return self._match(point, point)
 
     def match_box(self, lows: np.ndarray, highs: np.ndarray) -> List[SubID]:
         """All subids whose box intersects ``[lows, highs]`` (closed).
 
-        One vectorised overlap test; the covering layer uses it to find
-        fusion candidates (both containers and containees, which point
-        probes cannot discover).
+        The point kernel with ``highs`` against the stored lows and
+        ``lows`` against the stored highs; the covering layer uses it
+        to find fusion candidates (both containers and containees,
+        which point probes cannot discover).
         """
         if self._size == 0:
             return []
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        inside = (
-            self._active
-            & np.all(self._lows <= highs, axis=1)
-            & np.all(lows <= self._highs, axis=1)
-        )
-        return [self._subids[i] for i in np.nonzero(inside)[0]]  # type: ignore[misc]
+        return self._match(highs, lows)
 
     def bounding_box(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Smallest box covering every active entry, or ``None`` if empty."""
         if self._size == 0:
             return None
-        lows = self._lows[self._active]
-        highs = self._highs[self._active]
-        return lows.min(axis=0), highs.max(axis=0)
+        mins = np.fmin.reduce(self._cols[:, : self._hwm], axis=1)
+        return mins[: self.dims], -mins[self.dims :]

@@ -36,11 +36,12 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
                 "next_hop_ops_per_sec": 400_000.0,
                 "closest_preceding_speedup": 30.0,
             },
-            "matching": {"grid_speedup": 8.0},
+            "matching": {"linear_speedup": 5.0, "grid_speedup": 8.0},
             "algo5": {"scales": {"10000": {
                 "boxes": 10_000, "points": 200, "agree": True,
-                "grid_speedup": 30.0, "bands_speedup": 50.0,
-                "linear_us_per_call": 100.0, "grid_us_per_call": 3.3,
+                "linear_speedup": 45.0, "grid_speedup": 30.0,
+                "bands_speedup": 50.0, "naive_us_per_call": 100.0,
+                "linear_us_per_call": 2.2, "grid_us_per_call": 3.3,
                 "bands_us_per_call": 2.0,
                 "covering": {"build_seconds": 1.0, "entries": 10_000,
                              "index_boxes": 100, "aggregation_ratio": 100.0,
@@ -127,6 +128,7 @@ class TestTrajectoryPoint:
     def test_trajectory_point_carries_matching_metrics(self):
         p = trajectory_point(bench_doc())
         assert p["metrics"]["matching_bands_speedup"] == 50.0
+        assert p["metrics"]["matching_linear_speedup"] == 45.0
         assert p["metrics"]["pop_matching_speedup"] == 1.3
         assert p["metrics"]["surrogate_install_reduction"] == 3.0
         assert p["metrics"]["covering_aggregation_ratio"] == 1.6

@@ -1,5 +1,7 @@
 """Tests for the grid and band matching indexes (equivalence with the
-linear store)."""
+linear store and with the pure-Python oracle of tests/box_oracle.py)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.indexing import BandIndex, GridIndex, make_store
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
+from tests.box_oracle import boxes, check_against_oracle, oracle_match_point
 
 DOM_LO = np.array([0.0, 0.0, 0.0])
 DOM_HI = np.array([100.0, 100.0, 100.0])
@@ -66,6 +69,34 @@ class TestBasics:
         g = grid()
         g.put(SubID(1, 1), np.array([95.0, 95.0, 0.0]), np.array([100.0, 100.0, 100.0]))
         assert g.match_point(np.array([100.0, 100.0, 50.0]))
+
+    def test_infinite_bounds_are_legal(self):
+        # Regression: ``int(inf)`` in ``_cell_of`` raised OverflowError
+        # on the "unspecified dimension" boxes BoxStore.put documents.
+        g = GridIndex(2, [0.0, 0.0], [10.0, 10.0], cells_per_dim=4)
+        g.put(SubID(1, 1), np.array([-np.inf, 0.0]), np.array([np.inf, 5.0]))
+        g.put(SubID(2, 1), np.array([6.0, 6.0]), np.array([np.inf, np.inf]))
+        assert [s.nid for s in g.match_point(np.array([0.5, 2.0]))] == [1]
+        assert [s.nid for s in g.match_point(np.array([9.5, 2.0]))] == [1]
+        assert [s.nid for s in g.match_point(np.array([1e9, 1e9]))] == [2]
+        assert g.match_point(np.array([3.0, 7.0])) == []
+        g.remove(SubID(1, 1))
+        g.remove(SubID(2, 1))
+        assert not g._buckets
+
+
+@pytest.mark.parametrize("kind", ["linear", "grid", "bands"])
+def test_nan_coordinate_matches_nothing(kind):
+    # Regression: GridIndex raised ValueError (int(nan)) where the
+    # linear store answered [].
+    store = make_store(kind, 3, DOM_LO, DOM_HI)
+    for i in range(80):  # enough for the band index to build
+        store.put(SubID(i, 1), np.full(3, -np.inf), np.full(3, np.inf))
+    assert len(store.match_point(np.array([1.0, 2.0, 3.0]))) == 80
+    for d in range(3):
+        p = np.array([1.0, 2.0, 3.0])
+        p[d] = np.nan
+        assert store.match_point(p) == []
 
 
 class TestBands:
@@ -136,20 +167,22 @@ class TestFactory:
 
 
 # ----------------------------------------------------------------------
-# Property: every index kind === BoxStore under any operation sequence
+# Property: every store kind === the pure-Python oracle (and hence one
+# another) under any operation sequence
 # ----------------------------------------------------------------------
-coord = st.floats(0, 100, allow_nan=False, width=32).map(float)
+coord = st.one_of(
+    st.floats(0, 100, width=32),
+    st.sampled_from([-math.inf, -0.0, 0.0, 100.0, math.inf]),
+)
 ops = st.lists(
     st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 11), boxes(3, coord)),
+        st.tuples(st.just("remove"), st.integers(0, 11)),
+        st.tuples(st.just("pop"), st.integers(2, 4)),
         st.tuples(
-            st.just("put"),
-            st.integers(0, 9),
-            st.tuples(coord, coord),
-            st.tuples(coord, coord),
-            st.tuples(coord, coord),
+            st.just("query"),
+            st.tuples(*[st.one_of(coord, st.just(math.nan))] * 3),
         ),
-        st.tuples(st.just("remove"), st.integers(0, 9)),
-        st.tuples(st.just("query"), st.tuples(coord, coord, coord)),
     ),
     min_size=1,
     max_size=50,
@@ -162,22 +195,36 @@ ops = st.lists(
 def test_index_equals_linear_under_any_sequence(kind, operations):
     linear = BoxStore(3)
     indexed = grid(cells=5) if kind == "grid" else BandIndex(3)
+    # Let a dozen boxes build the band index, so the bitset, delta and
+    # stale-slot paths all run (the default threshold is 64 entries).
+    indexed._MIN_INDEXED = 4
+    oracle = {}
     for op in operations:
         if op[0] == "put":
-            _tag, key, xs, ys, zs = op
-            lo = np.array([min(xs), min(ys), min(zs)])
-            hi = np.array([max(xs), max(ys), max(zs)])
+            _tag, key, (lo, hi) = op
             sid = SubID(key, 0)
-            linear.put(sid, lo, hi)
-            indexed.put(sid, lo, hi)
+            for store in (linear, indexed):
+                store.put(sid, np.array(lo), np.array(hi))
+            oracle[sid] = (lo, hi)
         elif op[0] == "remove":
             sid = SubID(op[1], 0)
-            if sid in linear:
+            if sid in oracle:
                 linear.remove(sid)
                 indexed.remove(sid)
+                del oracle[sid]
+        elif op[0] == "pop":
+            gone = {s for s in oracle if s.nid % op[1] == 0}
+            for store in (linear, indexed):
+                popped = store.pop_matching(lambda s: s.nid % op[1] == 0)
+                assert {s for s, _, _ in popped} == gone
+            for sid in gone:
+                del oracle[sid]
         else:
             p = np.array(op[1])
-            a = sorted(linear.match_point(p), key=lambda s: (s.nid, s.iid))
-            b = sorted(indexed.match_point(p), key=lambda s: (s.nid, s.iid))
-            assert a == b
-    assert len(linear) == len(indexed)
+            expected = oracle_match_point(oracle, op[1])
+            for store in (linear, indexed):
+                got = store.match_point(p)
+                assert len(got) == len(set(got))
+                assert set(got) == expected
+    check_against_oracle(linear, oracle)
+    check_against_oracle(indexed, oracle)

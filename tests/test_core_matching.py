@@ -1,12 +1,24 @@
 """Unit + property tests for the vectorised box store."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
+from tests.box_oracle import (
+    bound,
+    boxes,
+    check_against_oracle,
+    oracle_match_box,
+    oracle_match_point,
+    query_coord,
+    same_bits,
+)
 
 
 def box(lo, hi):
@@ -76,7 +88,7 @@ class TestBasics:
         s = BoxStore(2)
         with pytest.raises(ValueError):
             s.put(SubID(1, 1), np.array([1.0]), np.array([2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative extent"):
             s.put(SubID(1, 1), *box([5, 5], [1, 1]))
         with pytest.raises(ValueError):
             BoxStore(0)
@@ -114,6 +126,19 @@ class TestBasics:
         s.put(SubID(1, 1), *box([-np.inf, 0], [np.inf, 1]))
         assert s.match_point(np.array([1e18, 0.5]))
         assert not s.match_point(np.array([0.0, 2.0]))
+
+    def test_all_infinite_match_box_skips_tombstones(self):
+        # A tombstone poisoned with +inf would satisfy ``inf <= inf``
+        # and come back as a ``None`` subid.
+        s = BoxStore(2)
+        for i in range(5):
+            s.put(SubID(i, 1), *box([i, i], [i + 1, i + 1]))
+        s.remove(SubID(1, 1))
+        s.remove(SubID(3, 1))
+        everything = s.match_box(
+            np.array([-np.inf, -np.inf]), np.array([np.inf, np.inf])
+        )
+        assert [x.nid for x in everything] == [0, 2, 4]
 
     def test_pop_matching(self):
         s = BoxStore(1)
@@ -220,3 +245,114 @@ def test_match_box_equals_bruteforce(data, qa, qb):
     )
     got = sorted(store.match_box(qlo, qhi), key=lambda s: (s.nid, s.iid))
     assert got == expected
+
+
+# ----------------------------------------------------------------------
+# State machine: BoxStore === the pure-Python dict-of-boxes oracle of
+# tests/box_oracle.py under any interleaving of put / replace / remove /
+# pop_matching, growth and slot recycling included.
+# ----------------------------------------------------------------------
+class BoxStoreMachine(RuleBasedStateMachine):
+    DIMS = 2
+
+    def __init__(self):
+        super().__init__()
+        self.store = BoxStore(self.DIMS)
+        self.oracle = {}
+        # Independent model of slot allocation: the most recently freed
+        # slot is reused first, otherwise the next never-used one.  The
+        # order of every packet's entries (and so every digest) rests
+        # on it.
+        self.slot = {}
+        self.freed = []
+        self.fresh = 0
+
+    def release(self, sid):
+        del self.oracle[sid]
+        self.freed.append(self.slot.pop(sid))
+
+    def in_slot_order(self, sids):
+        return sorted(sids, key=self.slot.__getitem__)
+
+    # Several boxes per step, so runs outgrow the initial capacity of 8.
+    @rule(
+        items=st.lists(
+            st.tuples(st.integers(0, 23), boxes(DIMS)), min_size=1, max_size=8
+        )
+    )
+    def put(self, items):
+        for key, b in items:
+            sid = SubID(key, 0)
+            self.store.put(sid, np.array(b[0]), np.array(b[1]))
+            if sid not in self.oracle:
+                if self.freed:
+                    self.slot[sid] = self.freed.pop()
+                else:
+                    self.slot[sid] = self.fresh
+                    self.fresh += 1
+            self.oracle[sid] = b
+
+    @rule(key=st.integers(0, 23), b=boxes(DIMS), dim=st.integers(0, DIMS - 1),
+          flaw=st.sampled_from(["nan-low", "nan-high", "inverted", "shape"]))
+    def rejected_put_changes_nothing(self, key, b, dim, flaw):
+        lo, hi = list(b[0]), list(b[1])
+        if flaw == "nan-low":
+            lo[dim], message = math.nan, "NaN"
+        elif flaw == "nan-high":
+            hi[dim], message = math.nan, "NaN"
+        elif flaw == "inverted":
+            lo[dim], hi[dim], message = 3.0, 2.0, "negative extent"
+        else:
+            lo, message = lo + [0.0], "shape"
+        with pytest.raises(ValueError, match=message):
+            self.store.put(SubID(key, 0), np.array(lo), np.array(hi))
+
+    @rule(key=st.integers(0, 23))
+    def remove(self, key):
+        sid = SubID(key, 0)
+        if sid in self.oracle:
+            self.store.remove(sid)
+            self.release(sid)
+        else:
+            with pytest.raises(KeyError):
+                self.store.remove(sid)
+
+    @rule(modulus=st.integers(1, 4), residue=st.integers(0, 3))
+    def pop_matching(self, modulus, residue):
+        popped = self.store.pop_matching(lambda s: s.nid % modulus == residue)
+        expected = [s for s in self.oracle if s.nid % modulus == residue]
+        assert [sid for sid, _, _ in popped] == expected  # insertion order
+        for sid, lo, hi in popped:
+            assert same_bits(lo, self.oracle[sid][0])
+            assert same_bits(hi, self.oracle[sid][1])
+            self.release(sid)
+
+    @rule(point=st.tuples(*[query_coord] * DIMS))
+    def match_point(self, point):
+        got = self.store.match_point(np.array(point))
+        assert got == self.in_slot_order(oracle_match_point(self.oracle, point))
+
+    @rule(a=st.tuples(*[bound] * DIMS), b=st.tuples(*[bound] * DIMS))
+    def match_box(self, a, b):
+        qlo, qhi = np.minimum(a, b), np.maximum(a, b)
+        got = self.store.match_box(qlo, qhi)
+        assert got == self.in_slot_order(
+            oracle_match_box(self.oracle, qlo, qhi)
+        )
+
+    @rule()
+    def match_everything(self):
+        inf = np.full(self.DIMS, np.inf)
+        assert self.store.match_box(-inf, inf) == self.in_slot_order(
+            self.oracle
+        )
+
+    @invariant()
+    def agrees_with_oracle(self):
+        check_against_oracle(self.store, self.oracle)
+
+
+BoxStoreMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+TestBoxStoreMachine = BoxStoreMachine.TestCase
