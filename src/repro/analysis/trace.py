@@ -98,6 +98,8 @@ def transport_summary(stats) -> Dict[str, int]:
         "gave_up_subids": stats.gave_up_subids,
         "gave_up_by_cause": stats.gave_up_by_cause,
         "unroutable": stats.unroutable,
+        "lookup_abandoned": stats.lookup_abandoned,
+        "stale_unregister": stats.stale_unregister,
         "busy_backoffs": stats.busy_backoffs,
         "shed": stats.shed,
         "breaker_opens": stats.breaker_opens,
@@ -124,6 +126,11 @@ def render_transport_summary(stats) -> str:
         lines.append(f"gave up: {per_cause}")
     if s["unroutable"]:
         lines.append(f"unroutable: {s['unroutable']} entries dropped (no next hop)")
+    if s["lookup_abandoned"] or s["stale_unregister"]:
+        lines.append(
+            f"install: {s['lookup_abandoned']} lookups abandoned, "
+            f"{s['stale_unregister']} stale unregistrations"
+        )
     dur = {c: n for c, n in s["durable"].items() if n}
     if dur:
         per = ", ".join(f"{c} x{n}" for c, n in sorted(dur.items()))

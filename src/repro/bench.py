@@ -551,6 +551,87 @@ def run_matching_smoke(
 
 
 # ----------------------------------------------------------------------
+# Subscription installation (Algorithms 1-3 through simulated lookups)
+# ----------------------------------------------------------------------
+def _bench_install(
+    num_nodes: int = 200, ops: int = 2_000, repeat: int = 3
+) -> Dict[str, Any]:
+    """Subscribe/unsubscribe throughput with ``simulate_install=True``.
+
+    A fixed schedule -- 5 subscriptions per node installed up front,
+    then ``ops`` Poisson-spaced operations, 55 % subscribes of a fresh
+    Table-1 box and 45 % unsubscribes of a live one -- run through LPH,
+    ``lookup()``, the surrogate's registration and the summary-filter
+    cascade.  Best of ``repeat`` identical runs; ``lph_box_us`` times
+    Algorithm 1 alone on the schedule's boxes.
+    """
+    import numpy as np
+
+    from repro.core.config import HyperSubConfig
+    from repro.core.system import HyperSubSystem
+    from repro.workloads import WorkloadGenerator, default_paper_spec
+
+    best = float("inf")
+    for _ in range(repeat):
+        gen = WorkloadGenerator(default_paper_spec(subs_per_node=5), seed=7)
+        rng = np.random.default_rng(7)
+        system = HyperSubSystem(
+            num_nodes=num_nodes,
+            config=HyperSubConfig(simulate_install=True, seed=1),
+        )
+        system.add_scheme(gen.scheme)
+        # populate() installs node by node, 5 each
+        live = [(i // 5, subid) for i, (_sub, subid) in enumerate(gen.populate(system))]
+        system.finish_setup()
+
+        def subscribe(addr: int, sub) -> None:
+            live.append((addr, system.subscribe(addr, sub)))
+
+        def unsubscribe(j: int) -> None:
+            live[j], live[-1] = live[-1], live[j]
+            addr, subid = live.pop()
+            system.unsubscribe(addr, subid)
+
+        t = system.sim.now
+        n_live = len(live)
+        boxes = []
+        for _ in range(ops):
+            t += float(rng.exponential(20.0))
+            if rng.random() < 0.55 or not n_live:
+                sub = gen.subscription()
+                boxes.append(sub)
+                system.sim.schedule_at(
+                    t, subscribe, int(rng.integers(0, num_nodes)), sub
+                )
+                n_live += 1
+            else:
+                system.sim.schedule_at(t, unsubscribe, int(rng.integers(0, n_live)))
+                n_live -= 1
+        dispatched = system.sim.processed
+        t0 = perf_counter()
+        system.run_until_idle()
+        best = min(best, perf_counter() - t0)
+        dispatches = system.sim.processed - dispatched
+
+    entity = system.entity_for_subscription(boxes[0])
+    t0 = perf_counter()
+    for sub in boxes:
+        entity.zone_of_subscription(sub)
+    lph_us = (perf_counter() - t0) / len(boxes) * 1e6
+    traffic = system.install_traffic
+    return {
+        "num_nodes": num_nodes,
+        "ops": ops,
+        "best_seconds": best,
+        "ops_per_sec": ops / best,
+        "dispatches_per_op": dispatches / ops,
+        "marker_registrations": traffic.get("marker", [0, 0])[0],
+        "live_at_end": len(live),
+        "lph_box_us": lph_us,
+    }
+
+
+# ----------------------------------------------------------------------
 # Macro benchmark (fig2-shaped delivery run, profiler on)
 # ----------------------------------------------------------------------
 def _run_macro_once(
@@ -567,13 +648,17 @@ def _run_macro_once(
         tracing=False, profiling=True,
     ) as tel:
         cfg = HyperSubConfig(route_cache=route_cache, seed=1)
+        t_build = perf_counter()
         system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
         gen = WorkloadGenerator(
             default_paper_spec(subs_per_node=10), seed=7
         )
         system.add_scheme(gen.scheme)
+        t_populate = perf_counter()
         gen.populate(system)
+        t_finish = perf_counter()
         system.finish_setup()
+        t_ready = perf_counter()
         gen.schedule_events(system, count=num_events)
         t0 = perf_counter()
         system.run_until_idle()
@@ -586,6 +671,13 @@ def _run_macro_once(
         )
     return {
         "route_cache": route_cache,
+        #: host seconds before the timed phase, by stage
+        "setup_s": {
+            "build": t_populate - t_build,
+            "populate": t_finish - t_populate,
+            "finish_setup": t_ready - t_finish,
+            "total": t_ready - t_build,
+        },
         "wall_seconds": wall,
         "events_per_sec": num_events / wall,
         "deliveries": deliveries,
@@ -691,6 +783,7 @@ TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
     "matching_bands_speedup": {"direction": "higher", "env": _FULL_ENV},
     "matching_linear_speedup": {"direction": "higher", "env": _FULL_ENV},
     "pop_matching_speedup": {"direction": "higher", "env": _FULL_ENV},
+    "install_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     # Deterministic counters (simulation outcomes, not wall-clock):
     # comparable across any machine, so no env fields gate them.
     "surrogate_install_reduction": {"direction": "higher", "env": ()},
@@ -731,6 +824,7 @@ def trajectory_point(data: Dict[str, Any]) -> Dict[str, Any]:
                 micro["algo5"]["scales"]["10000"]["linear_speedup"]
             ),
             "pop_matching_speedup": micro["pop_matching"]["speedup"],
+            "install_ops_per_sec": micro.get("install", {}).get("ops_per_sec"),
             "surrogate_install_reduction": (
                 data["covering"]["surrogate_install_reduction"]
             ),
@@ -739,6 +833,7 @@ def trajectory_point(data: Dict[str, Any]) -> Dict[str, Any]:
             ),
             "mem_bytes_per_node": float(mem.get("bytes_per_node", 0.0)),
             "wall_improvement": macro["wall_improvement"],
+            "setup_s": macro["cache_on"].get("setup_s", {}).get("total"),
         },
     }
 
@@ -885,6 +980,7 @@ def run_bench(
         "matching": _bench_matching(),
         "algo5": _bench_algo5(full_scale),
         "pop_matching": _bench_pop_matching(),
+        "install": _bench_install(),
         "store": _bench_store(),
     }
     macro = _bench_macro(num_nodes, num_events, tel_dir)
@@ -958,6 +1054,10 @@ def run_bench(
         + f"pop_matching  {micro['pop_matching']['speedup']:.2f}x vs "
         f"reference loop ({micro['pop_matching']['popped']} of "
         f"{micro['pop_matching']['boxes']} boxes popped)\n"
+        f"install       {micro['install']['ops_per_sec']:12,.0f} sub/unsub "
+        f"ops/s through simulated lookups "
+        f"({micro['install']['dispatches_per_op']:.1f} dispatches/op, "
+        f"lph_box {micro['install']['lph_box_us']:.1f}us)\n"
         f"covering      surrogate installs "
         f"{covering['off']['marker_registrations']:,} -> "
         f"{covering['on']['marker_registrations']:,} "
@@ -972,6 +1072,10 @@ def run_bench(
         f"memory        {mem.get('bytes_per_node', 0.0):12,.0f} bytes/node "
         f"({mem.get('total_bytes', 0) / 1e6:.1f} MB over "
         f"{mem.get('alive_nodes', 0)} nodes)\n"
+        f"setup         {m['setup_s']['total']:.2f}s (build "
+        f"{m['setup_s']['build']:.2f} / populate "
+        f"{m['setup_s']['populate']:.2f} / finish_setup "
+        f"{m['setup_s']['finish_setup']:.2f})\n"
         f"macro         {m['wall_seconds']:.2f}s "
         f"({m['events_per_sec']:,.0f} events/s), route-cache hit rate "
         f"{m['route_cache_stats']['hit_rate']:.3f}, "

@@ -28,7 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.zones import ContentZone, ZoneGeometry
+from repro.core.zones import ContentZone, ZoneGeometry, as_floats
 
 
 def lph_box(
@@ -39,27 +39,37 @@ def lph_box(
     geometry: ZoneGeometry,
 ) -> ContentZone:
     """Smallest zone completely covering the box (Algorithm 1 for
-    subscriptions)."""
-    d = len(domain_lows)
-    lows = np.array(domain_lows, dtype=np.float64)
-    highs = np.array(domain_highs, dtype=np.float64)
-    if np.any(sub_lows < lows) or np.any(sub_highs > highs):
-        raise ValueError("box lies outside the content space")
-    if np.any(sub_highs < sub_lows):
-        raise ValueError("box has negative extent")
+    subscriptions).
+
+    Runs on Python floats: the same IEEE double operations and the same
+    ``int()`` truncation as NumPy scalars, without their per-operation
+    cost (``tests/geometry_reference.py`` keeps the array form).
+    """
+    sub_lo, sub_hi = as_floats(sub_lows), as_floats(sub_highs)
+    lows, highs = as_floats(domain_lows), as_floats(domain_highs)
+    d = len(lows)
+    if len(sub_lo) != d or len(sub_hi) != d:
+        raise ValueError("box and content space differ in dimensions")
+    for j in range(d):
+        if sub_lo[j] < lows[j] or sub_hi[j] > highs[j]:
+            raise ValueError("box lies outside the content space")
+    for j in range(d):
+        if sub_hi[j] < sub_lo[j]:
+            raise ValueError("box has negative extent")
+    tops = list(highs)
     base = geometry.base
+    last = base - 1
     code = 0
     level = 0
     for i in range(geometry.max_level):
         j = i % d
-        width = (highs[j] - lows[j]) / base
+        lo = lows[j]
+        width = (highs[j] - lo) / base
         # Segment of the box's lower bound (clamp handles the domain top).
-        p = min(int((sub_lows[j] - lows[j]) / width), base - 1)
-        seg_lo = lows[j] + p * width
+        p = min(int((sub_lo[j] - lo) / width), last)
+        seg_lo = lo + p * width
         seg_hi = seg_lo + width
-        covers = sub_lows[j] >= seg_lo and (
-            sub_highs[j] < seg_hi or seg_hi >= domain_highs[j]
-        )
+        covers = sub_lo[j] >= seg_lo and (sub_hi[j] < seg_hi or seg_hi >= tops[j])
         if not covers:
             break
         lows[j] = seg_lo
@@ -75,20 +85,27 @@ def lph_point(
     domain_highs: np.ndarray,
     geometry: ZoneGeometry,
 ) -> ContentZone:
-    """The m-level leaf zone holding the point (Algorithm 1 for events)."""
-    d = len(domain_lows)
-    lows = np.array(domain_lows, dtype=np.float64)
-    highs = np.array(domain_highs, dtype=np.float64)
-    if np.any(point < lows) or np.any(point > highs):
-        raise ValueError("point lies outside the content space")
+    """The m-level leaf zone holding the point (Algorithm 1 for events);
+    on Python floats, like :func:`lph_box`."""
+    pt = as_floats(point)
+    lows, highs = as_floats(domain_lows), as_floats(domain_highs)
+    d = len(lows)
+    if len(pt) != d:
+        raise ValueError("point and content space differ in dimensions")
+    for j in range(d):
+        if pt[j] < lows[j] or pt[j] > highs[j]:
+            raise ValueError("point lies outside the content space")
     base = geometry.base
+    last = base - 1
     code = 0
     for i in range(geometry.max_level):
         j = i % d
-        width = (highs[j] - lows[j]) / base
-        p = min(int((point[j] - lows[j]) / width), base - 1)
-        lows[j] = lows[j] + p * width
-        highs[j] = lows[j] + width
+        lo = lows[j]
+        width = (highs[j] - lo) / base
+        p = min(int((pt[j] - lo) / width), last)
+        lo = lo + p * width
+        lows[j] = lo
+        highs[j] = lo + width
         code = code * base + p
     return ContentZone(code, geometry.max_level, geometry)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID, Subscription
-from repro.core.summary import boxes_equal, child_pieces, merge_box
+from repro.core.summary import boxes_equal, merge_box, split_pieces
 from repro.core.overload import CircuitBreaker
 from repro.core.subscheme import PubSubEntity
 from repro.core.zones import ContentZone
@@ -83,12 +83,18 @@ def _store_checksum(store: BoxStore) -> int:
 class ZoneRepo:
     """Surrogate state for one content zone of one entity."""
 
-    __slots__ = ("entity_key", "zone", "store", "sf", "pushed", "marker_iids", "kinds")
+    __slots__ = (
+        "entity_key", "zone", "store", "sf", "pushed", "marker_iids", "kinds", "split",
+    )
 
     def __init__(self, entity_key: str, zone: ContentZone, store: BoxStore) -> None:
         self.entity_key = entity_key
         self.zone = zone
         self.store = store
+        #: where the zone divides into children (``entity.child_split``),
+        #: worked out by the first cascade and kept: two floats, all the
+        #: cascade reads of the zone's box
+        self.split: Optional[Tuple[float, float]] = None
         #: summary filter: bounding box of everything registered here
         self.sf: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: last piece pushed to each child digit
@@ -101,6 +107,19 @@ class ZoneRepo:
     @property
     def key(self) -> Tuple[str, int, int]:
         return (self.entity_key, self.zone.code, self.zone.level)
+
+    def child_pieces(
+        self, entity: PubSubEntity, sf: Tuple[np.ndarray, np.ndarray]
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """``sf`` subdivided to fit the child zones (Section 3.3)."""
+        zone = self.zone
+        if self.split is None:
+            self.split = entity.child_split(zone)
+        edge, width = self.split
+        dims = entity.full_dims
+        return split_pieces(
+            sf, dims[zone.level % len(dims)], edge, width, zone.geometry.base
+        )
 
 
 class PubSubNodeMixin:
@@ -312,21 +331,27 @@ class PubSubNodeMixin:
             "subid": (subid.nid, subid.iid),
         }
         if self.system.config.simulate_install:
-            self.lookup(
-                key,
-                lambda res: self.send(
-                    Message(
-                        src=self.addr,
-                        dst=res.home_addr,
-                        kind="ps_unregister",
-                        payload=payload,
-                        size_bytes=CONTROL_BYTES + SUBID_BYTES,
-                    )
-                ),
+            self._send_to_home(
+                key, "ps_unregister", payload, CONTROL_BYTES + SUBID_BYTES
             )
         else:
             home = self.system.node_at_home(key)
             home._unregister_local(entity_key, zone.code, zone.level, subid)
+
+    def _send_to_home(self, key: int, kind: str, payload: dict, size: int) -> None:
+        """``lookup(key)``, then one ``kind`` packet to the node found
+        (Algorithm 2).  When that node is this one the packet is handed
+        over on the spot: it has no bytes or latency to charge, and a
+        zero-cost self-packet is a function call."""
+
+        def _send(res) -> None:
+            msg = Message(self.addr, res.home_addr, kind, payload, size)
+            if res.home_addr == self.addr:
+                self.handle_message(msg)
+            else:
+                self.network.send(msg)
+
+        self.lookup(key, _send)
 
     # ------------------------------------------------------------------
     # Algorithm 3: registration on the surrogate (plus the cascade)
@@ -360,35 +385,20 @@ class PubSubNodeMixin:
             "code": zone.code,
             "level": zone.level,
             "subid": (subid.nid, subid.iid),
-            "lows": lows.tolist(),
-            "highs": highs.tolist(),
+            "lows": lows,
+            "highs": highs,
             "kind": kind,
         }
-        size = CONTROL_BYTES + subscription_wire_bytes(len(lows))
-
-        def _send(res) -> None:
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=res.home_addr,
-                    kind="ps_register",
-                    payload=payload,
-                    size_bytes=size,
-                )
-            )
-
-        self.lookup(key, _send)
+        self._send_to_home(
+            key, "ps_register", payload,
+            CONTROL_BYTES + subscription_wire_bytes(len(lows)),
+        )
 
     def _on_ps_register(self, msg: Message) -> None:
         p = msg.payload
         self._register_local(
-            p["entity"],
-            p["code"],
-            p["level"],
-            SubID(*p["subid"]),
-            np.asarray(p["lows"], dtype=np.float64),
-            np.asarray(p["highs"], dtype=np.float64),
-            p["kind"],
+            p["entity"], p["code"], p["level"], SubID(*p["subid"]),
+            p["lows"], p["highs"], p["kind"],
         )
 
     def _get_repo(self, entity: PubSubEntity, zone: ContentZone) -> ZoneRepo:
@@ -417,30 +427,33 @@ class PubSubNodeMixin:
         kind: str,
     ) -> None:
         """Algorithm 3: store, refresh the summary filter, cascade."""
-        entity = self.system.entity(entity_key)
-        zone = ContentZone(code, level, entity.geometry)
-        repo = self._get_repo(entity, zone)
+        cfg = self.system.config
+        repo = self.zone_repos.get((entity_key, code, level))
+        if repo is None:
+            # first registration here: validate the zone, open its repo
+            entity = self.system.entity(entity_key)
+            repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
         replaced = subid in repo.store
         repo.store.put(subid, lows, highs)
         repo.kinds[subid] = kind
-        if self.system.config.replication_factor > 1:
+        if cfg.replication_factor > 1:
             self._replicate(entity_key, code, level, subid, lows, highs, kind)
-        if replaced and self.system.config.summary_mode == "shrink":
+        if replaced and cfg.summary_mode == "shrink":
             # A surrogate-subscription update may *shrink* the box (the
             # parent's filter tightened); recompute instead of merging.
             self._refresh_summary(repo)
             return
         new_sf, changed = merge_box(repo.sf, (lows, highs))
         repo.sf = new_sf
+        zone = repo.zone
         if not changed or zone.is_leaf:
             return
-        if zone.level < self.system.config.direct_rendezvous_levels:
+        if zone.level < cfg.direct_rendezvous_levels:
             # Shallow zones are visited directly by every event; their
             # filters need not cascade toward the leaves.
             return
-        zbox = entity.zone_box_projected(zone)
-        pieces = child_pieces(zone, new_sf, zbox, entity.dims)
-        self._cascade_pieces(repo, entity, zone, pieces)
+        entity = self.system.entity(entity_key)
+        self._cascade_pieces(repo, entity, zone, repo.child_pieces(entity, new_sf))
 
     def _cascade_pieces(
         self,
@@ -504,11 +517,7 @@ class PubSubNodeMixin:
             return  # migrated away while dirty; the importer re-derives
         entity = self.system.entity(repo.entity_key)
         zone = repo.zone
-        if repo.sf is None:
-            pieces: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        else:
-            zbox = entity.zone_box_projected(zone)
-            pieces = child_pieces(zone, repo.sf, zbox, entity.dims)
+        pieces = {} if repo.sf is None else repo.child_pieces(entity, repo.sf)
         self._push_pieces(repo, entity, zone, pieces)
 
     def _push_pieces(
@@ -595,11 +604,7 @@ class PubSubNodeMixin:
         if zone.is_leaf or zone.level < self.system.config.direct_rendezvous_levels:
             return
         entity = self.system.entity(repo.entity_key)
-        if tight is None:
-            pieces: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        else:
-            zbox = entity.zone_box_projected(zone)
-            pieces = child_pieces(zone, tight, zbox, entity.dims)
+        pieces = {} if tight is None else repo.child_pieces(entity, tight)
         self._cascade_pieces(repo, entity, zone, pieces)
 
     def _dispatch_unregister(
@@ -621,18 +626,7 @@ class PubSubNodeMixin:
             "level": zone.level,
             "subid": (subid.nid, subid.iid),
         }
-        self.lookup(
-            key,
-            lambda res: self.send(
-                Message(
-                    src=self.addr,
-                    dst=res.home_addr,
-                    kind="ps_unregister",
-                    payload=payload,
-                    size_bytes=CONTROL_BYTES + SUBID_BYTES,
-                )
-            ),
-        )
+        self._send_to_home(key, "ps_unregister", payload, CONTROL_BYTES + SUBID_BYTES)
 
     # ------------------------------------------------------------------
     # Replication extension: standby copies on the successor list
@@ -1324,7 +1318,9 @@ class PubSubNodeMixin:
     ) -> None:
         repo = self.zone_repos.get((entity_key, code, level))
         if repo is None or subid not in repo.store:
-            return  # stale (e.g. the copy was migrated away)
+            # stale (e.g. the copy was migrated away)
+            self.network.stats.record_stale_unregister()
+            return
         repo.store.remove(subid)
         repo.kinds.pop(subid, None)
         # Grow-only mode: summary filters never shrink (conservative

@@ -20,7 +20,7 @@ one rendezvous entry per entity of their scheme.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,14 @@ class PubSubEntity:
         self.rotation = rotation % ID_SPACE
         self.domain_lows = scheme.domain_lows()[self.dims]
         self.domain_highs = scheme.domain_highs()[self.dims]
+        #: the same three as plain Python values, for scalar geometry
+        self.full_dims: List[int] = self.dims.tolist()
+        self._domain_lo: List[float] = self.domain_lows.tolist()
+        self._domain_hi: List[float] = self.domain_highs.tolist()
+        #: every ``child_split`` answer, by value: zones that differ only
+        #: along the other dimensions divide alike, so a few hundred
+        #: tuples serve every repository of the entity
+        self._splits: Dict[Tuple[float, float], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     def zone_of_subscription(self, sub: Subscription) -> ContentZone:
@@ -83,6 +91,14 @@ class PubSubEntity:
 
     def zone_box_projected(self, zone: ContentZone) -> Tuple[np.ndarray, np.ndarray]:
         return zone.box(self.domain_lows, self.domain_highs)
+
+    def child_split(self, zone: ContentZone) -> Tuple[float, float]:
+        """``(edge, width)`` of the zone's division into children, on
+        full dimension ``full_dims[zone.level % len(full_dims)]``: the
+        part of :meth:`zone_box_projected` the summary cascade reads.
+        Equal answers are one shared tuple."""
+        split = zone.split_segment(self._domain_lo, self._domain_hi)
+        return self._splits.setdefault(split, split)
 
     def specified_count(self, sub: Subscription) -> int:
         """How many of this entity's dimensions the subscription pins."""

@@ -41,9 +41,12 @@ def merge_box(current: Optional[Box], addition: Box) -> Tuple[Box, bool]:
 
 
 def boxes_equal(a: Optional[Box], b: Optional[Box]) -> bool:
+    """Same bounds, element for element (``np.array_equal`` on each side:
+    -0.0 equals 0.0, NaN equals nothing, shapes must agree); ``None``
+    equals only ``None``."""
     if a is None or b is None:
         return a is b
-    return bool(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+    return a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
 
 def intersect_box(a: Box, b: Box) -> Optional[Box]:
@@ -76,21 +79,33 @@ def child_pieces(
     shared boundary; that only costs a spurious surrogate registration,
     never a missed delivery.
     """
-    k = len(entity_dims)
-    j_proj = zone.split_dimension(k)
-    j_full = int(entity_dims[j_proj])
-    z_lows, z_highs = zone_box_projected
     base = zone.geometry.base
-    width = (z_highs[j_proj] - z_lows[j_proj]) / base
+    j_proj = zone.split_dimension(len(entity_dims))
+    edge = float(zone_box_projected[0][j_proj])
+    width = (float(zone_box_projected[1][j_proj]) - edge) / base
+    return split_pieces(sf, int(entity_dims[j_proj]), edge, width, base)
+
+
+def split_pieces(
+    sf: Box, j_full: int, edge: float, width: float, base: int
+) -> Dict[int, Box]:
+    """:func:`child_pieces` given the split itself: child ``digit`` owns
+    ``[edge + digit * width, edge + (digit + 1) * width]`` of full
+    dimension ``j_full`` (:meth:`ContentZone.split_segment`)."""
+    sf_lows, sf_highs = sf
+    lo = float(sf_lows[j_full])
+    hi = float(sf_highs[j_full])
     out: Dict[int, Box] = {}
     for digit in range(base):
-        seg_lo = z_lows[j_proj] + digit * width
+        seg_lo = edge + digit * width
         seg_hi = seg_lo + width
-        if sf[0][j_full] > seg_hi or sf[1][j_full] < seg_lo:
+        if lo > seg_hi or hi < seg_lo:
             continue
-        piece_lows = sf[0].copy()
-        piece_highs = sf[1].copy()
-        piece_lows[j_full] = max(piece_lows[j_full], seg_lo)
-        piece_highs[j_full] = min(piece_highs[j_full], seg_hi)
+        piece_lows = sf_lows.copy()
+        piece_highs = sf_highs.copy()
+        if seg_lo > lo:
+            piece_lows[j_full] = seg_lo
+        if seg_hi < hi:
+            piece_highs[j_full] = seg_hi
         out[digit] = (piece_lows, piece_highs)
     return out

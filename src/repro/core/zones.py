@@ -15,8 +15,8 @@ so the key is the highest identifier in the zone's arc of the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,10 @@ class ZoneGeometry:
 
     base: int = 2
     code_bits: int = 20
+    #: log2(base); derived, so not part of equality or the hash
+    bits_per_digit: int = field(init=False, repr=False, compare=False)
+    #: m: the number of digits in a full zone code (derived likewise)
+    max_level: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 2 or self.base & (self.base - 1):
@@ -47,15 +51,14 @@ class ZoneGeometry:
             )
         if not 0 < self.code_bits <= ID_BITS:
             raise ValueError("code_bits must be in (0, 64]")
+        object.__setattr__(self, "bits_per_digit", bits_per_digit)
+        object.__setattr__(self, "max_level", self.code_bits // bits_per_digit)
 
-    @property
-    def bits_per_digit(self) -> int:
-        return self.base.bit_length() - 1
 
-    @property
-    def max_level(self) -> int:
-        """m: the number of digits in a full zone code."""
-        return self.code_bits // self.bits_per_digit
+def as_floats(values) -> List[float]:
+    """``values`` as Python floats (float64 round-trips exactly): the
+    geometry loops run on these, not on NumPy scalars."""
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
 def zone_key(code: int, level: int, geometry: ZoneGeometry) -> int:
@@ -69,10 +72,10 @@ def zone_key(code: int, level: int, geometry: ZoneGeometry) -> int:
     m = geometry.max_level
     if not 0 <= level <= m:
         raise ValueError(f"level {level} outside [0, {m}]")
-    if not 0 <= code < geometry.base**level:
+    if code < 0 or code >> (geometry.bits_per_digit * level):
         raise ValueError(f"code {code} invalid for level {level}")
-    pad = m - level
-    code_padded = (code + 1) * geometry.base**pad - 1
+    # base**(m - level) as a shift: base is a power of two
+    code_padded = ((code + 1) << (geometry.bits_per_digit * (m - level))) - 1
     low_bits = ID_BITS - geometry.code_bits
     return (code_padded << low_bits) | ((1 << low_bits) - 1)
 
@@ -85,7 +88,7 @@ class ContentZone:
     def __init__(self, code: int, level: int, geometry: ZoneGeometry) -> None:
         if not 0 <= level <= geometry.max_level:
             raise ValueError(f"level {level} outside [0, {geometry.max_level}]")
-        if not 0 <= code < geometry.base**level:
+        if code < 0 or code >> (geometry.bits_per_digit * level):
             raise ValueError(f"code {code} invalid for level {level}")
         self.code = code
         self.level = level
@@ -152,17 +155,43 @@ class ContentZone:
 
         Replays the division sequence: division ``i`` splits dimension
         ``i mod d`` into ``base`` equal parts and keeps the part named
-        by the i-th code digit.
+        by the i-th code digit.  The loop runs on Python floats -- the
+        same IEEE double operations as NumPy scalars, bit for bit.
         """
-        lows = np.array(domain_lows, dtype=np.float64)
-        highs = np.array(domain_highs, dtype=np.float64)
+        lows, highs = as_floats(domain_lows), as_floats(domain_highs)
         d = len(lows)
+        base = self.geometry.base
         for i, digit in enumerate(self.digits()):
             j = i % d
-            width = (highs[j] - lows[j]) / self.geometry.base
+            width = (highs[j] - lows[j]) / base
             lows[j] = lows[j] + digit * width
             highs[j] = lows[j] + width
-        return lows, highs
+        return np.array(lows), np.array(highs)
+
+    def split_segment(
+        self, domain_lows: Sequence[float], domain_highs: Sequence[float]
+    ) -> Tuple[float, float]:
+        """``(edge, width)`` of the next division: child ``digit`` covers
+        ``[edge + digit * width, edge + (digit + 1) * width]`` on
+        dimension ``split_dimension(d)``.
+
+        The part of :meth:`box` the summary-filter cascade reads.  Only
+        the divisions of the split dimension are replayed (the others
+        never touch it), with :meth:`box`'s operations in its order, so
+        ``edge`` is its lower bound there and ``width`` its extent over
+        ``base``, bit for bit.  The domain bounds are Python floats.
+        """
+        d = len(domain_lows)
+        j = self.level % d
+        base = self.geometry.base
+        bits = self.geometry.bits_per_digit
+        lo, hi = domain_lows[j], domain_highs[j]
+        for i in range(j, self.level, d):
+            digit = (self.code >> (bits * (self.level - 1 - i))) & (base - 1)
+            width = (hi - lo) / base
+            lo = lo + digit * width
+            hi = lo + width
+        return lo, (hi - lo) / base
 
     # ------------------------------------------------------------------
     def __eq__(self, other) -> bool:

@@ -44,6 +44,10 @@ from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network, SimNode
 
 _lookup_ids = itertools.count()
+#: a pending lookup is the list ``[key, callback, hops, start, restarts]``
+_KEY, _CALLBACK, _HOPS, _START, _RESTARTS = range(5)
+#: walks restarted this often without converging are abandoned
+MAX_LOOKUP_RESTARTS = 10
 
 
 @dataclass
@@ -64,7 +68,9 @@ class OverlayNode(SimNode):
         super().__init__(addr, network)
         self.node_id = node_id
         self._handlers: Dict[str, Callable[[Message], None]] = {}
-        self._pending_lookups: Dict[int, dict] = {}
+        self._pending_lookups: Dict[int, list] = {}
+        #: replies one walk may take before it counts as a routing loop
+        self._lookup_hop_limit = 4 * max(4, network.topology.size.bit_length() * 4)
         #: bumped on every routing-state mutation (see module docstring);
         #: snapshots/caches keyed on it self-invalidate.
         self.routing_epoch = 0
@@ -134,85 +140,123 @@ class OverlayNode(SimNode):
 
         Iterative style: this node queries each hop in turn; every step
         costs one round trip of two control packets, mirroring p2psim's
-        Chord lookup accounting.
+        Chord lookup accounting.  The first step interrogates the origin
+        itself and counts as a hop like any other, but it is a function
+        call, not a packet: it never had bytes or latency to charge.
+        ``callback`` still never runs inside this call -- a lookup the
+        origin can answer alone completes at zero delay through the
+        scheduler (Chord's join and ``fix_fingers`` rely on that).
         """
+        if not self._alive:
+            # A crashed origin asks nobody; counted like the packet it
+            # would have lost.
+            self.network.stats.record_drop("dead_dst")
+            return
+        nxt = self.next_hop_addr(key)
+        if nxt is None:
+            self.sim.schedule(
+                0.0,
+                self._lookup_home,
+                callback,
+                LookupResult(key, self.addr, self.node_id, 1, 0.0),
+            )
+            return
         lid = next(_lookup_ids)
-        self._pending_lookups[lid] = {
-            "key": key,
-            "callback": callback,
-            "hops": 0,
-            "start": self.sim.now,
-        }
-        self._lookup_query(lid, key, self.addr)
+        self._pending_lookups[lid] = [key, callback, 1, self.sim.now, 0]
+        self._lookup_query(lid, key, nxt)
+
+    def _lookup_home(
+        self, callback: Callable[[LookupResult], None], result: LookupResult
+    ) -> None:
+        """Complete a lookup this node answered itself.  A method, not
+        the bare ``callback``, so that a crash in between is noticed
+        and span tracers see a callable of this module."""
+        if self._alive:
+            callback(result)
+        else:
+            self.network.stats.record_drop("dead_dst")
 
     def _lookup_restart(self, lid: int) -> None:
         state = self._pending_lookups.get(lid)
-        if state is None or not self.alive():
+        if state is None or not self._alive:
             return
-        self._lookup_query(lid, state["key"], self.addr)
+        key = state[_KEY]
+        state[_HOPS] += 1
+        nxt = self.next_hop_addr(key)
+        if nxt is None:
+            self._lookup_done(lid, state, self.addr, self.node_id)
+        else:
+            self._lookup_query(lid, key, nxt)
 
     def _lookup_query(self, lid: int, key: int, target_addr: int) -> None:
-        msg = Message(
-            src=self.addr,
-            dst=target_addr,
-            kind="dht_lookup_step",
-            payload={"key": key, "lid": lid, "origin": self.addr},
-            size_bytes=CONTROL_BYTES,
+        self.network.send(
+            Message(
+                src=self.addr,
+                dst=target_addr,
+                kind="dht_lookup_step",
+                payload={"key": key, "lid": lid, "origin": self.addr},
+                size_bytes=CONTROL_BYTES,
+            )
         )
-        self.send(msg)
 
     def _on_lookup_step(self, msg: Message) -> None:
         key = msg.payload["key"]
         nxt = self.next_hop_addr(key)
-        reply = Message(
-            src=self.addr,
-            dst=msg.payload["origin"],
-            kind="dht_lookup_reply",
-            payload={
-                "lid": msg.payload["lid"],
-                "key": key,
-                "done": nxt is None,
-                "next": self.addr if nxt is None else nxt,
-                "node_id": self.node_id,
-            },
-            size_bytes=CONTROL_BYTES,
+        self.network.send(
+            Message(
+                src=self.addr,
+                dst=msg.payload["origin"],
+                kind="dht_lookup_reply",
+                payload={
+                    "lid": msg.payload["lid"],
+                    "key": key,
+                    "done": nxt is None,
+                    "next": self.addr if nxt is None else nxt,
+                    "node_id": self.node_id,
+                },
+                size_bytes=CONTROL_BYTES,
+            )
         )
-        self.send(reply)
 
     def _on_lookup_reply(self, msg: Message) -> None:
-        lid = msg.payload["lid"]
+        reply = msg.payload
+        lid = reply["lid"]
         state = self._pending_lookups.get(lid)
         if state is None:
             return
-        state["hops"] += 1
-        if state["hops"] > 4 * max(4, self.network.topology.size.bit_length() * 4):
+        state[_HOPS] += 1
+        if state[_HOPS] > self._lookup_hop_limit:
             # Routing loop: while the ring heals around failures, stale
             # fingers can cycle a walk indefinitely.  That is a transient,
             # not a broken invariant -- restart the walk from the origin
             # after a backoff (counted, bounded) instead of destroying
-            # the run.  A lookup that exhausts its restarts is dropped;
-            # the caller's own retry discipline (e.g. custody redelivery)
-            # picks up from there.
-            state["restarts"] = state.get("restarts", 0) + 1
-            self.network.stats.lookup_restarts += 1
-            if state["restarts"] > 10:
+            # the run.  A lookup that exhausts its restarts is dropped
+            # (counted as ``dht.lookup_abandoned``); the caller's own
+            # retry discipline (e.g. custody redelivery) picks up from
+            # there.
+            state[_RESTARTS] += 1
+            stats = self.network.stats
+            stats.lookup_restarts += 1
+            if state[_RESTARTS] > MAX_LOOKUP_RESTARTS:
                 del self._pending_lookups[lid]
+                stats.record_lookup_abandoned()
                 return
-            state["hops"] = 0
+            state[_HOPS] = 0
             self.sim.schedule(500.0, self._lookup_restart, lid)
             return
-        if msg.payload["done"]:
-            del self._pending_lookups[lid]
-            result = LookupResult(
-                key=state["key"],
-                home_addr=msg.payload["next"],
-                home_id=msg.payload["node_id"],
-                hops=state["hops"],
-                latency_ms=self.sim.now - state["start"],
-            )
-            state["callback"](result)
+        if reply["done"]:
+            self._lookup_done(lid, state, reply["next"], reply["node_id"])
         else:
-            self._lookup_query(lid, state["key"], msg.payload["next"])
+            self._lookup_query(lid, state[_KEY], reply["next"])
+
+    def _lookup_done(self, lid: int, state: list, home_addr: int, home_id: int) -> None:
+        del self._pending_lookups[lid]
+        state[_CALLBACK](
+            LookupResult(
+                state[_KEY], home_addr, home_id, state[_HOPS],
+                self.sim.now - state[_START],
+            )
+        )
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -140,6 +140,12 @@ class NetworkStats:
         #: routing-loop guard tripped -- an expected transient while the
         #: ring heals around failures, fatal only if it never converges.
         self._c_lookup_restarts = self.registry.counter("dht.lookup_restarts")
+        #: lookups dropped after exhausting their restarts (the caller's
+        #: callback never runs).
+        self._c_lookup_abandoned = self.registry.counter("dht.lookup_abandoned")
+        #: unregistrations that found nothing to remove on the surrogate
+        #: (repository gone, or the copy was migrated / already removed).
+        self._c_stale_unregister = self.registry.counter("install.stale_unregister")
         # Eagerly create the queue-depth gauges so every pub/sub run's
         # manifest carries them (REQUIRED_METRICS), even before the first
         # sample_telemetry() call.  ``queue.depth`` is the instantaneous
@@ -204,6 +210,22 @@ class NetworkStats:
     @lookup_restarts.setter
     def lookup_restarts(self, value: int) -> None:
         self._c_lookup_restarts.value = float(value)
+
+    @property
+    def lookup_abandoned(self) -> int:
+        """Lookups dropped after their last restart also looped."""
+        return int(self._c_lookup_abandoned.value)
+
+    def record_lookup_abandoned(self) -> None:
+        self._c_lookup_abandoned.inc()
+
+    @property
+    def stale_unregister(self) -> int:
+        """Unregistrations that found no stored copy to remove."""
+        return int(self._c_stale_unregister.value)
+
+    def record_stale_unregister(self) -> None:
+        self._c_stale_unregister.inc()
 
     @property
     def dropped(self) -> int:
@@ -350,7 +372,8 @@ class NetworkStats:
         self.registry.reset("faults.shed")
         self.registry.reset("breaker.open")
         self.registry.reset("durable.")
-        self.registry.reset("dht.lookup_restarts")
+        self.registry.reset("dht.lookup_")
+        self.registry.reset("install.stale_unregister")
         self.registry.reset("queue.depth.peak")
 
     def bytes_for(self, prefixes: Iterable[str]) -> float:

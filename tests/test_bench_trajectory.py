@@ -52,11 +52,17 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
                              "reference_popped": 7_500,
                              "single_pass_ms": 10.0, "reference_ms": 13.0,
                              "speedup": 1.3},
+            "install": {"num_nodes": 200, "ops": 2_000, "best_seconds": 0.5,
+                        "ops_per_sec": 4_000.0, "dispatches_per_op": 13.0,
+                        "marker_registrations": 10_000, "live_at_end": 1_200,
+                        "lph_box_us": 8.0},
             "store": {"roundtrip_ok": True},
         },
         "macro": {
             "cache_on": {
                 "events_per_sec": events_per_sec,
+                "setup_s": {"build": 0.5, "populate": 1.0,
+                            "finish_setup": 0.1, "total": 1.6},
                 "wall_seconds": 1.0,
                 "deliveries": 10,
                 "route_cache_stats": {"hit_rate": 0.9},
@@ -130,6 +136,8 @@ class TestTrajectoryPoint:
         assert p["metrics"]["matching_bands_speedup"] == 50.0
         assert p["metrics"]["matching_linear_speedup"] == 45.0
         assert p["metrics"]["pop_matching_speedup"] == 1.3
+        assert p["metrics"]["install_ops_per_sec"] == 4_000.0
+        assert p["metrics"]["setup_s"] == 1.6
         assert p["metrics"]["surrogate_install_reduction"] == 3.0
         assert p["metrics"]["covering_aggregation_ratio"] == 1.6
 
@@ -179,6 +187,20 @@ class TestComparePoints:
         new = trajectory_point(bench_doc(events_per_sec=700.0))  # -30%
         regressions, _ = compare_points(base, new)
         assert any("events_per_sec" in r for r in regressions)
+
+    def test_install_throughput_is_a_floor_and_absent_in_old_points(self):
+        base = trajectory_point(bench_doc())
+        slow = bench_doc()
+        slow["micro"]["install"]["ops_per_sec"] = 2_800.0  # -30%
+        regressions, _ = compare_points(base, trajectory_point(slow))
+        assert any("install_ops_per_sec" in r for r in regressions)
+        # a point recorded before the install bench existed is no baseline
+        del base["metrics"]["install_ops_per_sec"]
+        regressions, notes = compare_points(base, trajectory_point(slow))
+        assert regressions == []
+        assert "install_ops_per_sec: skipped (missing value)" in notes
+        # setup_s is recorded with the point, not gated
+        assert not any("setup_s" in n for n in notes)
 
     def test_memory_direction_is_lower_is_better(self):
         base = trajectory_point(bench_doc(mem_bpn=100_000.0))
@@ -284,6 +306,9 @@ class TestCli:
         monkeypatch.setattr(
             bench, "_bench_pop_matching",
             lambda: fast["micro"]["pop_matching"],
+        )
+        monkeypatch.setattr(
+            bench, "_bench_install", lambda: fast["micro"]["install"]
         )
         monkeypatch.setattr(
             bench, "_bench_macro", lambda n, e, d: fast["macro"]

@@ -266,3 +266,134 @@ class TestMigrationInternals:
             n.stored_subscription_count("marker") for n in system.nodes
         )
         assert markers_after == markers_before
+
+
+class TestInstallPaths:
+    """``simulate_install`` changes how a registration travels (lookup +
+    packet, or a direct call on the surrogate), never where it lands."""
+
+    @staticmethod
+    def churned(simulate):
+        """40 subscribes, then 120 Poisson-spaced subscribe/unsubscribe
+        operations in shrink mode, then 60 events; returns what was
+        delivered and where everything is stored."""
+        system, scheme = tiny_system(
+            simulate_install=simulate, direct_rendezvous_levels=2
+        )
+        assert system.config.summary_mode == "shrink"
+        rng = np.random.default_rng(11)
+
+        def draw_sub():
+            c = rng.uniform(0, 95, 2)
+            return Subscription.from_box(
+                scheme, list(c), list(np.minimum(c + rng.uniform(0.5, 30, 2), 100))
+            )
+
+        live = {}  # row -> (addr, sub, SubID)
+        for row in range(40):
+            addr, sub = int(rng.integers(0, 12)), draw_sub()
+            live[row] = (addr, sub, system.subscribe(addr, sub))
+        system.finish_setup()
+
+        def subscribe_row(row, addr, sub):
+            live[row] = (addr, sub, system.subscribe(addr, sub))
+
+        def unsubscribe_row(row):
+            addr, _sub, sid = live.pop(row)
+            system.unsubscribe(addr, sid)
+
+        t = system.sim.now
+        known = set(live)
+        next_row = 40
+        for _ in range(120):
+            t += float(rng.exponential(15.0))
+            if rng.random() < 0.5 or not known:
+                system.sim.schedule_at(
+                    t, subscribe_row, next_row, int(rng.integers(0, 12)), draw_sub()
+                )
+                known.add(next_row)
+                next_row += 1
+            else:
+                row = sorted(known)[int(rng.integers(0, len(known)))]
+                known.discard(row)
+                system.sim.schedule_at(t, unsubscribe_row, row)
+        system.run_until_idle()
+        assert set(live) == known
+
+        delivered = []
+        for _ in range(60):
+            ev = Event(scheme, list(rng.uniform(0, 100, 2)))
+            eid = system.publish(int(rng.integers(0, 12)), ev)
+            system.run_until_idle()
+            got = sorted(
+                (d[0].nid, d[0].iid) for d in system.metrics.records[eid].deliveries
+            )
+            want = sorted(
+                (sid.nid, sid.iid) for _a, sub, sid in live.values() if sub.matches(ev)
+            )
+            assert got == want
+            delivered.append(got)
+        assert sum(map(len, delivered)) > 20
+        stats = system.network.stats
+        assert stats.stale_unregister == 0 and stats.lookup_abandoned == 0
+        return delivered, system.node_loads().tolist()
+
+    def test_same_deliveries_and_placement_after_churn(self):
+        fast, simulated = self.churned(False), self.churned(True)
+        assert fast == simulated
+
+    def test_registration_homed_on_the_subscriber_costs_one_dispatch(self):
+        """The lookup answers itself and the ``ps_register`` it then
+        owes itself is handed over by function call: one scheduler
+        dispatch (the lookup staying asynchronous), no packet."""
+        system, scheme = tiny_system(
+            simulate_install=True, direct_rendezvous_levels=9  # no cascade
+        )
+        sub = Subscription.from_box(scheme, [10, 10], [12, 12])
+        entity = system.entity_for_subscription(sub)
+        zone = entity.zone_of_subscription(sub)
+        home = system.node_at_home(entity.rotated_key(zone))
+        dispatched = system.sim.processed
+        sid = home.subscribe(sub)
+        repo_key = (entity.key, zone.code, zone.level)
+        assert repo_key not in home.zone_repos  # not inside subscribe()
+        system.run_until_idle()
+        assert sid in home.zone_repos[repo_key].store
+        assert system.sim.processed - dispatched == 1
+        assert system.network.stats.total_msgs == 0
+        assert system.install_traffic["sub"][0] == 1
+
+        home.unsubscribe(sid)
+        assert sid in home.zone_repos[repo_key].store
+        system.run_until_idle()
+        assert sid not in home.zone_repos[repo_key].store
+        assert system.sim.processed - dispatched == 2
+        assert system.network.stats.total_msgs == 0
+
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_stale_unregister_is_counted_not_silent(self, simulate):
+        """Withdrawing what the surrogate no longer holds (the copy
+        migrated, or was already removed) is a counted no-op."""
+        from repro.analysis.trace import render_transport_summary, transport_summary
+
+        system, scheme = tiny_system(simulate_install=simulate)
+        sub = Subscription.from_box(scheme, [10, 10], [12, 12])
+        sid = system.subscribe(0, sub)
+        system.finish_setup()
+        entity = system.entity_for_subscription(sub)
+        zone = entity.zone_of_subscription(sub)
+        stats = system.network.stats
+        node = system.nodes[0]
+        node._dispatch_unregister(entity, zone, sid)
+        system.run_until_idle()
+        assert stats.stale_unregister == 0
+        node._dispatch_unregister(entity, zone, sid)  # subid absent
+        empty = ContentZone(zone.code ^ 1, zone.level, zone.geometry)
+        node._dispatch_unregister(entity, empty, sid)  # no such repo
+        system.run_until_idle()
+        assert stats.stale_unregister == 2
+        assert stats.registry.value("install.stale_unregister") == 2.0
+        assert transport_summary(stats)["stale_unregister"] == 2
+        assert "2 stale unregistrations" in render_transport_summary(stats)
+        stats.reset()
+        assert stats.stale_unregister == 0

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.node import ZoneRepo
+from repro.core.scheme import Attribute, Scheme
+from repro.core.subscheme import PubSubEntity
 from repro.core.summary import boxes_equal, child_pieces, intersect_box, merge_box
 from repro.core.zones import ContentZone, ZoneGeometry
+from tests import geometry_reference as ref
+from tests.box_oracle import same_bits
 
 
 def B(lo, hi):
@@ -123,3 +128,96 @@ def test_pieces_cover_filter_exactly(lo, width):
     spans = sorted((p[0][0], p[1][0]) for p in pieces.values())
     for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
         assert b_lo <= a_hi + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The cascade's scalar forms == the array forms (tests/geometry_reference.py)
+# ----------------------------------------------------------------------
+
+_SCHEME = Scheme(
+    "s",
+    [
+        Attribute("a", 0.0, 10_000.0),
+        Attribute("b", 0.1, 0.7),
+        Attribute("c", -3.0, 1000.0),
+        Attribute("d", 0.0, 1.0),
+    ],
+)
+
+
+@given(
+    data=st.data(),
+    base=st.sampled_from([2, 4]),
+    dims=st.sets(st.integers(0, 3), min_size=1).map(sorted),
+)
+@settings(max_examples=150, deadline=None)
+def test_repo_split_is_the_zone_box_on_the_split_dimension(data, base, dims):
+    """Down one root-to-leaf path: at every level the (edge, width) the
+    repo keeps equals the reference box on the split dimension bit for
+    bit, and the pieces cut with it equal the pieces cut from the box."""
+    geometry = ZoneGeometry(base=base, code_bits=12)
+    entity = PubSubEntity("s", _SCHEME, dims, geometry)
+    full_lo, full_hi = _SCHEME.domain_lows(), _SCHEME.domain_highs()
+    code = 0
+    for level in range(geometry.max_level):
+        zone = ContentZone(code, level, geometry)
+        zbox = ref.zone_box(zone, entity.domain_lows, entity.domain_highs)
+        got_box = entity.zone_box_projected(zone)
+        assert same_bits(got_box[0], zbox[0]) and same_bits(got_box[1], zbox[1])
+
+        # a filter in the full space, overlapping the zone or not
+        a = np.array([data.draw(st.floats(lo, hi)) for lo, hi in zip(full_lo, full_hi)])
+        b = np.array([data.draw(st.floats(lo, hi)) for lo, hi in zip(full_lo, full_hi)])
+        sf = (np.minimum(a, b), np.maximum(a, b))
+
+        repo = ZoneRepo("s", zone, store=None)
+        assert repo.split is None
+        got = repo.child_pieces(entity, sf)
+        j = level % len(dims)
+        edge, width = kept = repo.split
+        assert type(edge) is float and type(width) is float
+        assert same_bits([edge], [zbox[0][j]])
+        assert same_bits([width], [(zbox[1][j] - zbox[0][j]) / base])
+
+        want = ref.child_pieces(zone, sf, zbox, entity.dims)
+        assert got.keys() == want.keys()
+        for digit in want:
+            assert same_bits(got[digit][0], want[digit][0])
+            assert same_bits(got[digit][1], want[digit][1])
+            assert got[digit][0] is not sf[0] and got[digit][1] is not sf[1]
+        via_box = child_pieces(zone, sf, zbox, entity.dims)
+        assert via_box.keys() == want.keys()
+        for digit in want:
+            assert same_bits(via_box[digit][0], want[digit][0])
+            assert same_bits(via_box[digit][1], want[digit][1])
+
+        repo.child_pieces(entity, sf)  # second cascade: nothing recomputed
+        assert repo.split is kept
+        # a zone that differs only along another dimension (here: in its
+        # last digit) divides alike, and shares the tuple
+        if level >= 1 and len(dims) > 1:
+            sibling = ContentZone(code ^ 1, level, geometry)
+            assert entity.child_split(sibling) is kept
+        code = code * base + data.draw(st.integers(0, base - 1))
+
+
+_EDGE_VALUES = [-np.inf, -1.5, -0.0, 0.0, 1.5, np.inf, np.nan]
+_edge_arrays = st.lists(
+    st.sampled_from(_EDGE_VALUES), min_size=0, max_size=3
+).map(lambda v: np.array(v, dtype=np.float64))
+_maybe_box = st.one_of(st.none(), st.tuples(_edge_arrays, _edge_arrays))
+
+
+@given(a=_maybe_box, b=_maybe_box)
+@settings(max_examples=500)
+def test_boxes_equal_is_array_equal_on_both_bounds(a, b):
+    """-0.0 == 0.0, inf == inf, NaN != NaN, shapes must agree, and
+    ``None`` equals only ``None`` -- what ``np.array_equal`` said."""
+    if a is None or b is None:
+        want = a is b
+    else:
+        want = bool(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+    assert boxes_equal(a, b) is want
+    assert boxes_equal(b, a) is want
+    if a is not None and not np.isnan(a[0]).any() and not np.isnan(a[1]).any():
+        assert boxes_equal(a, (a[0].copy(), a[1].copy()))

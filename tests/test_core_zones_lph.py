@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.core.lph import lph_box, lph_point
 from repro.core.zones import ContentZone, ZoneGeometry, zone_key
 from repro.dht.idspace import ID_SPACE
+from tests import geometry_reference as ref
+from tests.box_oracle import same_bits
 
 
 G2 = ZoneGeometry(base=2, code_bits=20)
@@ -280,3 +282,160 @@ def test_keys_unique_per_level(codes):
     g = ZoneGeometry(base=2, code_bits=8)
     other = (codes + 1) % 2**8
     assert zone_key(codes, 8, g) != zone_key(other, 8, g)
+
+
+# ----------------------------------------------------------------------
+# Float arithmetic == the NumPy digit replay (tests/geometry_reference.py)
+# ----------------------------------------------------------------------
+
+#: domains whose segment edges are exact in binary, and ones where every
+#: division rounds
+DOMAINS = [(0.0, 10_000.0), (0.0, 1.0), (0.1, 0.7), (-3.0, 1000.0), (-1e-3, 1e9)]
+
+
+@st.composite
+def spaces(draw):
+    """(geometry, domain_lows, domain_highs) for base 2/4 and 1-4 dims."""
+    base = draw(st.sampled_from([2, 4]))
+    digits = draw(st.integers(1, 10))
+    geometry = ZoneGeometry(base=base, code_bits=digits * geometry_bits(base))
+    dims = draw(st.integers(1, 4))
+    bounds = [draw(st.sampled_from(DOMAINS)) for _ in range(dims)]
+    dom_lo = np.array([b[0] for b in bounds])
+    dom_hi = np.array([b[1] for b in bounds])
+    return geometry, dom_lo, dom_hi
+
+
+def geometry_bits(base):
+    return base.bit_length() - 1
+
+
+@st.composite
+def zones_in(draw, geometry, max_level=None):
+    level = draw(st.integers(0, geometry.max_level if max_level is None else max_level))
+    code = draw(st.integers(0, geometry.base**level - 1))
+    return ContentZone(code, level, geometry)
+
+
+@st.composite
+def coordinates(draw, geometry, dom_lo, dom_hi):
+    """One coordinate per dimension: anywhere in the domain, exactly on
+    a segment boundary of some zone, or on the domain top."""
+    edges = ref.zone_box(draw(zones_in(geometry)), dom_lo, dom_hi)
+    out = []
+    for j in range(len(dom_lo)):
+        out.append(
+            draw(
+                st.one_of(
+                    st.floats(dom_lo[j], dom_hi[j]),
+                    st.sampled_from(
+                        [edges[0][j], edges[1][j], dom_lo[j], dom_hi[j]]
+                    ),
+                )
+            )
+        )
+    return np.array(out)
+
+
+@given(data=st.data(), space=spaces())
+@settings(max_examples=300, deadline=None)
+def test_zone_box_equals_numpy_replay_bit_for_bit(data, space):
+    geometry, dom_lo, dom_hi = space
+    zone = data.draw(zones_in(geometry))
+    got = zone.box(dom_lo, dom_hi)
+    want = ref.zone_box(zone, dom_lo, dom_hi)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert got[0].dtype == got[1].dtype == np.float64
+    # fresh arrays: the caller may write to them
+    assert got[0] is not dom_lo and got[0].base is None
+
+
+@given(data=st.data(), space=spaces())
+@settings(max_examples=300, deadline=None)
+def test_split_segment_is_the_box_on_the_split_dimension(data, space):
+    geometry, dom_lo, dom_hi = space
+    zone = data.draw(zones_in(geometry, max_level=geometry.max_level - 1))
+    z_lo, z_hi = ref.zone_box(zone, dom_lo, dom_hi)
+    j = zone.split_dimension(len(dom_lo))
+    edge, width = zone.split_segment(dom_lo.tolist(), dom_hi.tolist())
+    assert type(edge) is float and type(width) is float
+    assert same_bits([edge], [z_lo[j]])
+    assert same_bits([width], [(z_hi[j] - z_lo[j]) / geometry.base])
+
+
+@given(data=st.data(), space=spaces())
+@settings(max_examples=400, deadline=None)
+def test_lph_point_equals_numpy_replay(data, space):
+    geometry, dom_lo, dom_hi = space
+    point = data.draw(coordinates(geometry, dom_lo, dom_hi))
+    zone = lph_point(point, dom_lo, dom_hi, geometry)
+    assert (zone.code, zone.level) == ref.lph_point(point, dom_lo, dom_hi, geometry)
+
+
+@given(data=st.data(), space=spaces())
+@settings(max_examples=400, deadline=None)
+def test_lph_box_equals_numpy_replay(data, space):
+    geometry, dom_lo, dom_hi = space
+    a = data.draw(coordinates(geometry, dom_lo, dom_hi))
+    b = data.draw(coordinates(geometry, dom_lo, dom_hi))
+    lows, highs = np.minimum(a, b), np.maximum(a, b)
+    zone = lph_box(lows, highs, dom_lo, dom_hi, geometry)
+    assert (zone.code, zone.level) == ref.lph_box(lows, highs, dom_lo, dom_hi, geometry)
+
+
+def _error_of(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    data=st.data(),
+    space=spaces(),
+    nudge=st.sampled_from(["below", "above", "inverted", "nan", "none"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_illegal_inputs_raise_the_same_named_errors(data, space, nudge):
+    """Out-of-domain and negative-extent inputs: same ValueError, same
+    message, same precedence as the NumPy forms (NaN compares false
+    everywhere, so it passes the range checks in both)."""
+    geometry, dom_lo, dom_hi = space
+    a = data.draw(coordinates(geometry, dom_lo, dom_hi))
+    b = data.draw(coordinates(geometry, dom_lo, dom_hi))
+    lows, highs = np.minimum(a, b), np.maximum(a, b)
+    j = data.draw(st.integers(0, len(dom_lo) - 1))
+    if nudge == "below":
+        lows[j] = np.nextafter(dom_lo[j], -np.inf)
+    elif nudge == "above":
+        highs[j] = np.nextafter(dom_hi[j], np.inf)
+    elif nudge == "inverted":
+        lows[j], highs[j] = dom_hi[j], dom_lo[j]
+    elif nudge == "nan":
+        lows[j] = np.nan
+
+    want = _error_of(ref.lph_box, lows, highs, dom_lo, dom_hi, geometry)
+    assert _error_of(lph_box, lows, highs, dom_lo, dom_hi, geometry) == want
+    if nudge in ("below", "above"):
+        assert want == "box lies outside the content space"
+    elif nudge == "inverted":
+        assert want == "box has negative extent"
+    elif nudge == "none":
+        assert want is None
+
+    point = highs if nudge == "above" else lows
+    want = _error_of(ref.lph_point, point, dom_lo, dom_hi, geometry)
+    assert _error_of(lph_point, point, dom_lo, dom_hi, geometry) == want
+    if nudge in ("below", "above"):
+        assert want == "point lies outside the content space"
+
+
+def test_geometry_derives_its_constants_once():
+    g = ZoneGeometry(base=4, code_bits=20)
+    assert vars(g) == {"base": 4, "code_bits": 20, "bits_per_digit": 2, "max_level": 10}
+    # derived fields take no part in identity
+    assert g == ZoneGeometry(4, 20) and hash(g) == hash(ZoneGeometry(4, 20))
+    assert repr(g) == "ZoneGeometry(base=4, code_bits=20)"
+    with pytest.raises(TypeError):
+        ZoneGeometry(4, 20, 2)

@@ -181,6 +181,46 @@ class TestSimulatedLookup:
         # (local, free); every later step is one RTT (100 ms here).
         assert res.latency_ms == pytest.approx(100.0 * (res.hops - 1))
 
+    def test_join_whose_bootstrap_is_the_home_completes_asynchronously(self):
+        """The joiner's id falls in the bootstrap's own arc, so the
+        bootstrap answers the join lookup without asking anyone -- and
+        still not inside ``join()``: ``_attempt`` arms its retry timer
+        after the call and must find the join not yet done."""
+        sim = Simulator()
+        net = Network(sim, ConstantTopology(3, rtt=100.0))
+        nodes, _ = build_chord_overlay(net, node_ids=[1000, 5000])
+        bootstrap = nodes[1]  # owns (1000, 5000]
+        joiner = ChordNode(2, 3000, net, stabilize_interval_ms=50.0)
+        joined = []
+        joiner.join(bootstrap, done=lambda: joined.append(sim.now))
+        assert joined == [] and not joiner.successors
+        sim.run(until=0.0)
+        assert joined == [0.0]
+        assert joiner.successors[0] == (5000, bootstrap.addr)
+        assert net.stats.total_msgs == 0  # nobody was asked
+
+    def test_fix_fingers_applies_answers_after_the_round(self):
+        """One round over fingers 60-63 of node 1000 on the ring {1000,
+        2^63}: three targets are the other node's (one hop away), the
+        last wraps into this node's own arc and resolves without a
+        packet.  Either way the table must not change while
+        ``fix_fingers`` is still walking it."""
+        sim = Simulator()
+        net = Network(sim, ConstantTopology(2, rtt=100.0))
+        nodes, _ = build_chord_overlay(net, node_ids=[1000, 1 << 63])
+        node, other = nodes
+        node.fingers = {i: (42, 1) for i in range(60, 64)}  # stale entries
+        node._next_fix_finger = 60
+        before = dict(node.fingers)
+        node.fix_fingers()
+        assert node.fingers == before
+        sim.run_until_idle()
+        for i in (60, 61, 62):
+            assert node.fingers[i] == (other.node_id, other.addr)
+        # its own answer is never installed as a finger
+        assert node.fingers[63] == (42, 1)
+        assert net.stats.msgs_by_kind["dht_lookup_step"] == 3
+
     def test_neighbor_addrs_distinct_and_exclude_self(self):
         _, _, nodes, _ = build(80, seed=12)
         for node in nodes[:10]:

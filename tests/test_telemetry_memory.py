@@ -105,6 +105,29 @@ class TestDeepSizeof:
         assert deep_sizeof(Slotted()) > sys.getsizeof(list(range(1_000)))
 
 
+    def test_zone_repo_split_is_attributed(self):
+        """The (edge, width) a repo keeps after its first cascade is one
+        tuple of two floats in one slot; the ``zones`` walk enters the
+        slot and charges it once however many repos share it."""
+        import sys
+
+        from repro.core.node import ZoneRepo
+        from repro.core.subscheme import PubSubEntity
+        from repro.core.zones import ContentZone, ZoneGeometry
+
+        geometry = ZoneGeometry(base=2, code_bits=12)
+        entity = PubSubEntity("s", make_scheme(), [0, 1], geometry)
+        repo = ZoneRepo("s", ContentZone(5, 3, geometry), store=None)
+        abreast = ZoneRepo("s", ContentZone(4, 3, geometry), store=None)
+        before = deep_sizeof([repo, abreast])
+        sf = (np.zeros(2), np.full(2, 1000.0))
+        repo.child_pieces(entity, sf)
+        abreast.child_pieces(entity, sf)
+        assert abreast.split is repo.split
+        split_bytes = sys.getsizeof((1.5, 2.5)) + 2 * sys.getsizeof(1.5)
+        assert deep_sizeof([repo, abreast]) - before == split_bytes
+
+
 # ---------------------------------------------------------------------------
 # _sample_indices
 # ---------------------------------------------------------------------------
