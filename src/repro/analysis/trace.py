@@ -100,6 +100,7 @@ def transport_summary(stats) -> Dict[str, int]:
         "unroutable": stats.unroutable,
         "lookup_abandoned": stats.lookup_abandoned,
         "stale_unregister": stats.stale_unregister,
+        "stale_subid": stats.stale_subid,
         "busy_backoffs": stats.busy_backoffs,
         "shed": stats.shed,
         "breaker_opens": stats.breaker_opens,
@@ -126,6 +127,8 @@ def render_transport_summary(stats) -> str:
         lines.append(f"gave up: {per_cause}")
     if s["unroutable"]:
         lines.append(f"unroutable: {s['unroutable']} entries dropped (no next hop)")
+    if s["stale_subid"]:
+        lines.append(f"stale: {s['stale_subid']} entries for SubIDs nobody holds")
     if s["lookup_abandoned"] or s["stale_unregister"]:
         lines.append(
             f"install: {s['lookup_abandoned']} lookups abandoned, "

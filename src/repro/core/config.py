@@ -25,8 +25,6 @@ class HyperSubConfig:
     overlay: str = "chord"
     #: Proximity neighbour selection for Chord fingers (Chord-PNS).
     pns: bool = True
-    #: Candidates sampled per finger span under PNS (p2psim PNS(16)).
-    pns_samples: int = 16
     #: Zone-mapping rotation (static load balancing, Section 4).
     rotation: bool = True
 
@@ -86,12 +84,6 @@ class HyperSubConfig:
     #: Reroute attempts per packet lineage before giving up for good
     #: (counted in ``NetworkStats.gave_up``).
     failover_max_attempts: int = 3
-    #: Hard per-packet hop ceiling.  Transient routing loops are possible
-    #: while the ring heals around a crash (A routes to B's stale
-    #: successor entry, which routes back); the TTL converts them into
-    #: counted drops.  Stable-ring paths are O(log n), so 64 is far above
-    #: any legitimate route.
-    event_ttl_hops: int = 64
     #: Periodic anti-entropy re-replication: every
     #: ``anti_entropy_interval_ms`` each node (a) promotes standby
     #: replicas whose keys it has become responsible for (successor
@@ -212,9 +204,6 @@ class HyperSubConfig:
     #: are provably identical to uncached ones.  Circuit-breaker
     #: reroutes are applied *after* the cache read and never stored.
     route_cache: bool = True
-    #: Entries kept per node before the cache is flushed wholesale
-    #: (flush-on-full beats LRU bookkeeping at this hit pattern).
-    route_cache_size: int = 4096
 
     # -- local event matching --------------------------------------------
     #: Index structure for surrogate repositories: "linear" (vectorised
@@ -301,8 +290,6 @@ class HyperSubConfig:
             raise ValueError("failover_backoff_ms must be positive")
         if self.failover_max_attempts < 1:
             raise ValueError("failover_max_attempts must be >= 1")
-        if self.event_ttl_hops < 1:
-            raise ValueError("event_ttl_hops must be >= 1")
         if self.service_rate_msgs_per_ms <= 0:
             raise ValueError("service_rate_msgs_per_ms must be positive")
         if self.ingress_queue_capacity < 1:
@@ -323,8 +310,6 @@ class HyperSubConfig:
             raise ValueError("anti_entropy requires replication_factor > 1")
         if self.anti_entropy_interval_ms <= 0:
             raise ValueError("anti_entropy_interval_ms must be positive")
-        if self.route_cache_size < 1:
-            raise ValueError("route_cache_size must be >= 1")
         if self.delivery_mode not in ("best_effort", "durable"):
             raise ValueError(f"unknown delivery_mode {self.delivery_mode!r}")
         if self.ordering not in ("none", "fifo", "causal"):

@@ -55,15 +55,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: ring).  ``_RC_MISS`` marks absence from the cache.
 _RC_HERE = object()
 _RC_MISS = object()
+#: VCube-PS-style causal ordering context: it rides every packet and
+#: custody record of an event that carries it.
+_ORDERING_FIELDS = ("pub", "pseq", "deps")
 #: Payload fields a forwarded event packet inherits from the packet it
-#: was derived from, when that one carries them (causal ordering
-#: context, hop-failover budget).
-_INHERITED_FIELDS = ("pub", "pseq", "deps", "fo")
+#: was derived from, when that one carries them (ordering context,
+#: hop-failover budget).
+_INHERITED_FIELDS = _ORDERING_FIELDS + ("fo",)
+#: Hard per-packet hop ceiling.  Transient routing loops are possible
+#: while the ring heals around a crash (A routes to B's stale successor
+#: entry, which routes back); the TTL converts them into counted drops.
+#: Stable-ring paths are O(log n), so 64 is far above any legitimate route.
+EVENT_TTL_HOPS = 64
+#: Route decisions kept per node before the cache is flushed wholesale
+#: (flush-on-full beats LRU bookkeeping at this hit pattern).
+ROUTE_CACHE_MAX = 4096
 
 
 #: Wire size of one subscription box (two float64 bounds per dimension).
 def subscription_wire_bytes(dims: int) -> int:
     return SUBID_BYTES + 16 * dims
+
+
+def _event_fields(p: Dict[str, Any]) -> Dict[str, Any]:
+    """The event-constant fields of packet payload or custody record
+    ``p``: event id, scheme, point, plus the ordering context it has."""
+    out = {"event_id": p["event_id"], "scheme": p["scheme"], "point": p["point"]}
+    for name in _ORDERING_FIELDS:
+        if name in p:
+            out[name] = p[name]
+    return out
 
 
 def _store_checksum(store: BoxStore) -> int:
@@ -120,6 +141,25 @@ class ZoneRepo:
         return split_pieces(
             sf, dims[zone.level % len(dims)], edge, width, zone.geometry.base
         )
+
+    def export(self, subids=None) -> Tuple[dict, int]:
+        """The one writer of the repository-transfer format.
+
+        ``{"repo": key, "entries": [((nid, iid), lows, highs, kind)]}``
+        over every stored entry (or just ``subids``), and the bytes
+        those entries occupy on the wire.  :meth:`PubSubNodeMixin.
+        _absorb_repo` is the reader.
+        """
+        store = self.store
+        entries = []
+        wire_bytes = 0
+        for sid in (store.subids() if subids is None else subids):
+            lo, hi = store.get_box(sid)
+            entries.append(
+                ((sid.nid, sid.iid), lo.tolist(), hi.tolist(), self.kinds.get(sid, "sub"))
+            )
+            wire_bytes += subscription_wire_bytes(len(lo))
+        return {"repo": list(self.key), "entries": entries}, wire_bytes
 
 
 class PubSubNodeMixin:
@@ -229,7 +269,6 @@ class PubSubNodeMixin:
         #: address | ``None`` (perf extension; the invalidation rule
         #: lives in dht/base.py and docs/PERFORMANCE.md)
         self._rc_enabled = system.config.route_cache
-        self._rc_max = system.config.route_cache_size
         self._rc: Dict[int, Any] = {}
         self._rc_epoch = -1
         self.rc_hits = 0
@@ -276,6 +315,15 @@ class PubSubNodeMixin:
         self._marker_iid_counter += 1
         return self._marker_iid_counter
 
+    def _trace(self, name: str, **fields: Any) -> Optional[int]:
+        """Record one span at this node, now -- for the cold paths (the
+        per-message sites keep their inline guard); returns the span id,
+        ``None`` when no trace is being taken."""
+        tel = self.system.telemetry
+        if tel is None or not tel.tracing:
+            return None
+        return tel.tracer.span(name, t=self.sim.now, node=self.addr, **fields)
+
     # ------------------------------------------------------------------
     # Load (Section 4: "load on node is measured as the number of
     # subscriptions stored on the node")
@@ -316,27 +364,13 @@ class PubSubNodeMixin:
         The installed copy is removed from the (current) surrogate of
         the subscription's zone.  A copy that has since been *migrated*
         becomes a stale entry: deliveries targeting it find no local
-        subscription here and are silently dropped, the standard
-        eventual-consistency behaviour for this kind of system.
+        subscription here and are dropped (``delivery.stale_subid``), the
+        standard eventual-consistency behaviour for this kind of system.
         """
         if subid.nid != self.node_id or subid.iid not in self.own_subs:
             raise KeyError(f"not our subscription: {subid}")
         entity_key, _sub, zone = self.own_subs.pop(subid.iid)
-        entity = self.system.entity(entity_key)
-        key = entity.rotated_key(zone)
-        payload = {
-            "entity": entity_key,
-            "code": zone.code,
-            "level": zone.level,
-            "subid": (subid.nid, subid.iid),
-        }
-        if self.system.config.simulate_install:
-            self._send_to_home(
-                key, "ps_unregister", payload, CONTROL_BYTES + SUBID_BYTES
-            )
-        else:
-            home = self.system.node_at_home(key)
-            home._unregister_local(entity_key, zone.code, zone.level, subid)
+        self._dispatch_unregister(self.system.entity(entity_key), zone, subid)
 
     def _send_to_home(self, key: int, kind: str, payload: dict, size: int) -> None:
         """``lookup(key)``, then one ``kind`` packet to the node found
@@ -709,6 +743,49 @@ class PubSubNodeMixin:
     ) -> None:
         self.standby_markers[(origin_nid, iid)] = repo_key
 
+    def _absorb_repo(self, group: dict, mode: str) -> None:
+        """The one reader of the repository-transfer format
+        (:meth:`ZoneRepo.export` writes it).  ``mode`` is how the
+        entries are installed:
+
+        * ``"cascade"`` -- as fresh registrations (Algorithm 3: store,
+          refresh the filter, cascade, replicate);
+        * ``"standby"`` -- as standby copies that serve nothing until
+          promoted;
+        * ``"verbatim"`` -- live, filter merged, no cascade: the
+          surrogate subscriptions pointing at a marker-served repo
+          already exist in the child zones, and cascading again would
+          mint duplicate markers.  The repository is opened even when
+          the group is empty.
+        """
+        entity_key, code, level = group["repo"]
+        if mode == "verbatim":
+            entity = self.system.entity(entity_key)
+            repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
+        for (nid, iid), lows, highs, kind in group["entries"]:
+            sid = SubID(nid, iid)
+            lo = np.asarray(lows, dtype=np.float64)
+            hi = np.asarray(highs, dtype=np.float64)
+            if mode == "cascade":
+                self._register_local(entity_key, code, level, sid, lo, hi, kind)
+            elif mode == "standby":
+                self._store_replica(entity_key, code, level, sid, lo, hi, kind)
+            else:
+                repo.store.put(sid, lo, hi)
+                repo.kinds[sid] = kind
+                repo.sf, _ = merge_box(repo.sf, (lo, hi))
+
+    def _absorb_markers(self, markers) -> None:
+        """Install shipped ``(nid, iid, repo key)`` marker mappings: our
+        own surrogate-subscription ids (the volatile ``marker_origin``
+        died with a crash) come back as ours, anyone else's as standby."""
+        for nid, iid, repo_key in markers:
+            repo_key = tuple(repo_key)
+            if nid == self.node_id:
+                self.marker_origin.setdefault(iid, repo_key)
+            else:
+                self.standby_markers[(nid, iid)] = repo_key
+
     # ------------------------------------------------------------------
     # Anti-entropy re-replication (self-healing extension)
     # ------------------------------------------------------------------
@@ -794,17 +871,8 @@ class PubSubNodeMixin:
             "repos": digest,
             "markers": markers,
         }
-        tel = self.system.telemetry
         for _succ_id, succ_addr in replicas:
-            if tel is not None and tel.tracing:
-                tel.tracer.span(
-                    "ae_digest",
-                    t=self.sim.now,
-                    node=self.addr,
-                    dst=succ_addr,
-                    repos=len(digest),
-                    bytes=size,
-                )
+            self._trace("ae_digest", dst=succ_addr, repos=len(digest), bytes=size)
             self.send(
                 Message(
                     src=self.addr,
@@ -868,44 +936,24 @@ class PubSubNodeMixin:
             if repo is None:
                 continue  # no longer ours (handed off meanwhile)
             have = {(nid, iid) for nid, iid in entry["have"]}
-            fills = []
-            for sid in repo.store.subids():
-                if (sid.nid, sid.iid) in have:
-                    continue
-                lo, hi = repo.store.get_box(sid)
-                fills.append(
-                    (
-                        (sid.nid, sid.iid),
-                        lo.tolist(),
-                        hi.tolist(),
-                        repo.kinds.get(sid, "sub"),
-                    )
-                )
-            drop = [
+            group, fill_bytes = repo.export(
+                [s for s in repo.store.subids() if (s.nid, s.iid) not in have]
+            )
+            group["drop"] = [
                 [nid, iid]
                 for nid, iid in have
                 if SubID(nid, iid) not in repo.store
             ]
-            if not fills and not drop:
+            if not group["entries"] and not group["drop"]:
                 continue
-            dims = self.system.entity(repo.entity_key).scheme.dimensions
-            groups.append(
-                {"repo": list(repo_key), "entries": fills, "drop": drop}
-            )
-            payload_bytes += len(fills) * subscription_wire_bytes(dims)
-            payload_bytes += len(drop) * SUBID_BYTES
+            groups.append(group)
+            payload_bytes += fill_bytes + len(group["drop"]) * SUBID_BYTES
         if not groups:
             return
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "ae_fill",
-                t=self.sim.now,
-                node=self.addr,
-                dst=msg.payload["origin"],
-                repos=len(groups),
-                bytes=CONTROL_BYTES + payload_bytes,
-            )
+        self._trace(
+            "ae_fill", dst=msg.payload["origin"], repos=len(groups),
+            bytes=CONTROL_BYTES + payload_bytes,
+        )
         self.send(
             Message(
                 src=self.addr,
@@ -919,18 +967,8 @@ class PubSubNodeMixin:
     def _on_ae_fill(self, msg: Message) -> None:
         """Standby side: absorb the diff."""
         for group in msg.payload["groups"]:
-            entity_key, code, level = group["repo"]
-            for (nid, iid), lows, highs, kind in group["entries"]:
-                self._store_replica(
-                    entity_key,
-                    code,
-                    level,
-                    SubID(nid, iid),
-                    np.asarray(lows, dtype=np.float64),
-                    np.asarray(highs, dtype=np.float64),
-                    kind,
-                )
-            repo = self.standby_repos.get((entity_key, code, level))
+            self._absorb_repo(group, "standby")
+            repo = self.standby_repos.get(tuple(group["repo"]))
             if repo is None:
                 continue
             for nid, iid in group["drop"]:
@@ -959,17 +997,7 @@ class PubSubNodeMixin:
         if succs:
             succ = self.system.nodes[succs[0][1]]
             for repo in self.zone_repos.values():
-                for sid in list(repo.store.subids()):
-                    lo, hi = repo.store.get_box(sid)
-                    succ._store_replica(
-                        repo.entity_key,
-                        repo.zone.code,
-                        repo.zone.level,
-                        sid,
-                        lo,
-                        hi,
-                        repo.kinds.get(sid, "sub"),
-                    )
+                succ._absorb_repo(repo.export()[0], "standby")
             for iid, repo_key in self.marker_origin.items():
                 succ.register_standby_marker(self.node_id, iid, repo_key)
             for iid, (scheme_name, store) in self.migrated.items():
@@ -1047,22 +1075,9 @@ class PubSubNodeMixin:
                 if repo is None:
                     continue
                 moved_repo_keys.add(repo_key)
-                entity = self.system.entity(repo.entity_key)
-                entries = []
-                for sid in list(repo.store.subids()):
-                    lo, hi = repo.store.get_box(sid)
-                    entries.append(
-                        (
-                            (sid.nid, sid.iid),
-                            lo.tolist(),
-                            hi.tolist(),
-                            repo.kinds.get(sid, "sub"),
-                        )
-                    )
-                groups.append({"repo": list(repo_key), "entries": entries})
-                payload_bytes += len(entries) * subscription_wire_bytes(
-                    entity.scheme.dimensions
-                )
+                group, group_bytes = repo.export()
+                groups.append(group)
+                payload_bytes += group_bytes
             del self.rendezvous_index[key]
 
         # Crash-rejoin resync: the joiner's marker-served internal repos
@@ -1088,22 +1103,9 @@ class PubSubNodeMixin:
             if repo is None:
                 continue
             snapshotted.add(repo_key)
-            entries = []
-            for sid in list(repo.store.subids()):
-                lo, hi = repo.store.get_box(sid)
-                entries.append(
-                    (
-                        (sid.nid, sid.iid),
-                        lo.tolist(),
-                        hi.tolist(),
-                        repo.kinds.get(sid, "sub"),
-                    )
-                )
-            snapshots.append({"repo": list(repo_key), "entries": entries})
-            entity = self.system.entity(repo.entity_key)
-            payload_bytes += len(entries) * subscription_wire_bytes(
-                entity.scheme.dimensions
-            )
+            group, group_bytes = repo.export()
+            snapshots.append(group)
+            payload_bytes += group_bytes
         markers.extend(
             (self.node_id, iid, list(repo_key))
             for iid, repo_key in self.marker_origin.items()
@@ -1143,42 +1145,11 @@ class PubSubNodeMixin:
 
     def _on_ps_handoff(self, msg: Message) -> None:
         for group in msg.payload["groups"]:
-            entity_key, code, level = group["repo"]
-            for (nid, iid), lows, highs, kind in group["entries"]:
-                self._register_local(
-                    entity_key,
-                    code,
-                    level,
-                    SubID(nid, iid),
-                    np.asarray(lows, dtype=np.float64),
-                    np.asarray(highs, dtype=np.float64),
-                    kind,
-                )
+            self._absorb_repo(group, "cascade")
         for group in msg.payload.get("snapshots", ()):
             # Marker-served internal repos restored after a crash-rejoin.
-            # Installed verbatim -- the surrogate subscriptions pointing
-            # at them already exist in the child zones, so cascading
-            # again (as ``_register_local`` would) would mint duplicate
-            # markers.
-            entity_key, code, level = group["repo"]
-            entity = self.system.entity(entity_key)
-            zone = ContentZone(code, level, entity.geometry)
-            repo = self._get_repo(entity, zone)
-            for (nid, iid), lows, highs, kind in group["entries"]:
-                lo = np.asarray(lows, dtype=np.float64)
-                hi = np.asarray(highs, dtype=np.float64)
-                sid = SubID(nid, iid)
-                repo.store.put(sid, lo, hi)
-                repo.kinds[sid] = kind
-                repo.sf, _ = merge_box(repo.sf, (lo, hi))
-        for nid, iid, repo_key in msg.payload.get("markers", ()):
-            repo_key = tuple(repo_key)
-            if nid == self.node_id:
-                # Our own surrogate-subscription mapping, recovered after
-                # a crash-rejoin wiped the volatile ``marker_origin``.
-                self.marker_origin.setdefault(iid, repo_key)
-            else:
-                self.standby_markers[(nid, iid)] = repo_key
+            self._absorb_repo(group, "verbatim")
+        self._absorb_markers(msg.payload.get("markers", ()))
         dur_state = msg.payload.get("durable")
         if dur_state is not None and self.durable is not None:
             self.durable.absorb_site_state(dur_state)
@@ -1221,23 +1192,10 @@ class PubSubNodeMixin:
         shipped: set = set()
         payload_bytes = 0
         for repo_key, repo in self.standby_repos.items():
-            entity = self.system.entity(repo.entity_key)
-            entries = []
-            for sid in list(repo.store.subids()):
-                lo, hi = repo.store.get_box(sid)
-                entries.append(
-                    (
-                        (sid.nid, sid.iid),
-                        lo.tolist(),
-                        hi.tolist(),
-                        repo.kinds.get(sid, "sub"),
-                    )
-                )
-            groups.append({"repo": list(repo_key), "entries": entries})
+            group, group_bytes = repo.export()
+            groups.append(group)
             shipped.add(repo_key)
-            payload_bytes += len(entries) * subscription_wire_bytes(
-                entity.scheme.dimensions
-            )
+            payload_bytes += group_bytes
         markers = [
             (nid, iid, list(repo_key))
             for (nid, iid), repo_key in self.standby_markers.items()
@@ -1260,9 +1218,9 @@ class PubSubNodeMixin:
     def _on_ps_resync_state(self, msg: Message) -> None:
         # Repos serving our own surrogate subscriptions (marker-served
         # internal zones) are installed verbatim live, exactly like the
-        # handoff snapshot path -- cascading again would mint duplicate
-        # markers.  Everything else lands as standby; promotion turns
-        # the keys we answer for live once the ring view settles.
+        # handoff snapshot path.  Everything else lands as standby;
+        # promotion turns the keys we answer for live once the ring view
+        # settles.
         own = {
             tuple(repo_key)
             for nid, _iid, repo_key in msg.payload.get("markers", ())
@@ -1270,36 +1228,9 @@ class PubSubNodeMixin:
         }
         own.update(self.marker_origin.values())
         for group in msg.payload["groups"]:
-            entity_key, code, level = group["repo"]
-            repo_key = (entity_key, code, level)
-            if repo_key in own:
-                entity = self.system.entity(entity_key)
-                zone = ContentZone(code, level, entity.geometry)
-                repo = self._get_repo(entity, zone)
-                for (nid, iid), lows, highs, kind in group["entries"]:
-                    lo = np.asarray(lows, dtype=np.float64)
-                    hi = np.asarray(highs, dtype=np.float64)
-                    sid = SubID(nid, iid)
-                    repo.store.put(sid, lo, hi)
-                    repo.kinds[sid] = kind
-                    repo.sf, _ = merge_box(repo.sf, (lo, hi))
-            else:
-                for (nid, iid), lows, highs, kind in group["entries"]:
-                    self._store_replica(
-                        entity_key,
-                        code,
-                        level,
-                        SubID(nid, iid),
-                        np.asarray(lows, dtype=np.float64),
-                        np.asarray(highs, dtype=np.float64),
-                        kind,
-                    )
-        for nid, iid, repo_key in msg.payload.get("markers", ()):
-            repo_key = tuple(repo_key)
-            if nid == self.node_id:
-                self.marker_origin.setdefault(iid, repo_key)
-            else:
-                self.standby_markers[(nid, iid)] = repo_key
+            mode = "verbatim" if tuple(group["repo"]) in own else "standby"
+            self._absorb_repo(group, mode)
+        self._absorb_markers(msg.payload.get("markers", ()))
         self.promote_takeovers()
         # Our predecessor pointer may still be settling; retry promotion
         # once stabilization has had a couple of rounds (anti-entropy,
@@ -1343,7 +1274,7 @@ class PubSubNodeMixin:
         cfg = self.system.config
         durable = self.durable
         ordering = cfg.ordering if durable is not None else "none"
-        payload = {
+        fields = {
             "event_id": event_id,
             "scheme": event.scheme_name,
             "point": event.point,
@@ -1366,20 +1297,9 @@ class PubSubNodeMixin:
             durable.causal_ctx[self.addr] = pseq
             durable.causal_sent[self.addr] = pseq
             seq_addr = self.system.sequencer_addr(event.scheme_name)
-            payload["pub"] = self.addr
-            payload["pseq"] = pseq
-            payload["deps"] = deps
-            ev = {
-                "event_id": event_id,
-                "scheme": event.scheme_name,
-                "point": event.point,
-                "rt": self.sim.now,
-                "pub": self.addr,
-                "pseq": pseq,
-                "deps": deps,
-            }
+            fields.update(pub=self.addr, pseq=pseq, deps=deps)
             meta = {"s": ["S", seq_addr], "k": pseq, "q": 1}
-            self._dur_log("seq", ev, -1, None, meta)
+            self._dur_log("seq", dict(fields, rt=self.sim.now), -1, None, meta)
             entries = [(-1, None, meta)]
             span_extra = {"pseq": pseq, "deps": deps}
         else:
@@ -1389,26 +1309,11 @@ class PubSubNodeMixin:
             if durable is None:
                 entries = [(key, None) for key in keys]
             else:
-                ev = {
-                    "event_id": event_id,
-                    "scheme": event.scheme_name,
-                    "point": event.point,
-                    "rt": self.sim.now,
-                }
-                entries = []
-                if ordering == "none":
-                    for key in keys:
-                        meta: Dict[str, Any] = {}
-                        self._dur_log("key", ev, key, None, meta)
-                        entries.append((key, None, meta))
-                else:  # publisher-FIFO: one sequenced stream per key
-                    stream = ("P", self.addr)
-                    for key in keys:
-                        kq = durable.next_kseq(stream, key)
-                        meta = {"s": list(stream), "k": kq}
-                        self._dur_log("key", ev, key, None, meta)
-                        entries.append((key, None, meta))
-        payload["entries"] = entries
+                # publisher-FIFO: one sequenced stream per key
+                stream = ("P", self.addr) if ordering == "fifo" else None
+                entries = self._dur_key_entries(
+                    dict(fields, rt=self.sim.now), keys, stream
+                )
         root_span = None
         tel = self.system.telemetry
         if tel is not None:
@@ -1423,16 +1328,9 @@ class PubSubNodeMixin:
                     entries=len(entries),
                     **span_extra,
                 )
-        root = Message(
-            src=self.addr,
-            dst=self.addr,
-            kind="ps_event",
-            payload=payload,
-            size_bytes=0,
-            root_time=self.sim.now,
-            span_id=root_span,
+        self._process_event(
+            self._local_event(fields, entries, 0, 0.0, self.sim.now, root_span)
         )
-        self._process_event(root)
         return event_id
 
     def _event_target_keys(
@@ -1550,34 +1448,31 @@ class PubSubNodeMixin:
                 )
             return
         state["retries"] += 1
-        self.network.stats.retransmissions += 1
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "retransmit",
-                t=self.sim.now,
-                node=self.addr,
-                event=state["payload"]["event_id"],
-                parent=state.get("span"),
-                dst=state["dst"],
-                attempt=state["retries"],
-            )
-        clone = Message(
-            src=self.addr,
-            dst=state["dst"],
-            kind="ps_event",
-            payload=state["payload"],
-            size_bytes=state["size"],
-            hops=state["hops"],
-            path_latency=state["path_latency"],
-            root_time=state["root_time"],
-            span_id=state.get("span"),
+        self._trace(
+            "retransmit", event=state["payload"]["event_id"],
+            parent=state.get("span"), dst=state["dst"], attempt=state["retries"],
         )
+        self._rel_retransmit(seq, state)
+
+    def _rel_retransmit(self, seq: int, state: dict) -> None:
+        """Put a pending packet on the wire again and re-arm its timer.
+
+        The packet is rebuilt from the pending state: the object sent
+        earlier is not a record of it (``Network._deliver`` counts hops
+        on the object it is handed).
+        """
+        self.network.stats.retransmissions += 1
         # A retransmission is real traffic.
         self.system.metrics.on_event_message(
             state["payload"]["event_id"], state["size"]
         )
-        self.send(clone)
+        self.send(
+            Message(
+                self.addr, state["dst"], "ps_event", state["payload"],
+                state["size"], state["hops"], state["path_latency"],
+                state["root_time"], state.get("span"),
+            )
+        )
         state["timer"] = self.sim.schedule(
             self.system.config.retransmit_timeout_ms, self._rel_retry, seq
         )
@@ -1594,17 +1489,10 @@ class PubSubNodeMixin:
         entries = payload.get("entries", ())
         self.network.stats.record_give_up(cause, len(entries))
         self.system.metrics.on_give_up(payload["event_id"], len(entries))
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "give_up",
-                t=self.sim.now,
-                node=self.addr,
-                event=payload["event_id"],
-                parent=span,
-                entries=len(entries),
-                cause=cause,
-            )
+        self._trace(
+            "give_up", event=payload["event_id"], parent=span,
+            entries=len(entries), cause=cause,
+        )
 
     # ------------------------------------------------------------------
     # Hop-failover rerouting (self-healing extension)
@@ -1632,17 +1520,11 @@ class PubSubNodeMixin:
                 state["payload"], span=state.get("span"), cause="failover"
             )
             return
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            sid = tel.tracer.span(
-                "failover",
-                t=self.sim.now,
-                node=self.addr,
-                event=state["payload"]["event_id"],
-                parent=state.get("span"),
-                dead=dead_addr,
-                budget=fo,
-            )
+        sid = self._trace(
+            "failover", event=state["payload"]["event_id"],
+            parent=state.get("span"), dead=dead_addr, budget=fo,
+        )
+        if sid is not None:
             # Reroutes nest under the failover decision, keeping the
             # causal chain publish -> forward -> failover -> forward.
             state["span"] = sid
@@ -1660,34 +1542,35 @@ class PubSubNodeMixin:
             )
             return
         p = state["payload"]
-        payload = {
-            "event_id": p["event_id"],
-            "scheme": p["scheme"],
-            "point": p["point"],
-            "entries": list(p["entries"]),
-            "fo": fo,
-        }
-        for extra in ("pub", "pseq", "deps"):
-            # Durable ordered modes ride these on every packet; losing
-            # them across a failover would strand the custody chain.
-            if extra in p:
-                payload[extra] = p[extra]
         # Re-enter Algorithm 5 at this node: responsibility may have
         # shifted to us meanwhile (takeover), in which case the entries
         # are served locally from standby replicas; otherwise they are
         # re-grouped by the repaired routing tables and forwarded.
         self._process_event(
-            Message(
-                src=self.addr,
-                dst=self.addr,
-                kind="ps_event",
-                payload=payload,
-                size_bytes=0,
-                hops=state["hops"],
-                path_latency=state["path_latency"],
-                root_time=state["root_time"],
-                span_id=state.get("span"),
+            self._local_event(
+                p, list(p["entries"]), state["hops"], state["path_latency"],
+                state["root_time"], state.get("span"), fo=fo,
             )
+        )
+
+    def _local_event(
+        self, fields: Dict[str, Any], entries: List[tuple], hops: int,
+        path_latency: float, root_time: float, span_id: Optional[int],
+        fo: Optional[int] = None,
+    ) -> Message:
+        """The one writer of an event packet this node addresses to
+        itself (publish root, failover re-entry, parked out-of-order
+        entry, sequencer emit, custody redelivery): zero bytes, the
+        event-constant ``fields`` -- ordering context included, or the
+        custody chain of an ordered mode would strand -- around
+        ``entries``, and the path metadata of what it continues."""
+        payload = _event_fields(fields)
+        payload["entries"] = entries
+        if fo is not None:
+            payload["fo"] = fo
+        return Message(
+            self.addr, self.addr, "ps_event", payload, 0,
+            hops, path_latency, root_time, span_id,
         )
 
     def _on_ps_event_ack(self, msg: Message) -> None:
@@ -1726,13 +1609,10 @@ class PubSubNodeMixin:
         protected = self.system.config.overload_protection
         if protected:
             self.network.stats.shed += 1
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            event_id = p.get("event_id") if p is not None else None
-            tel.tracer.span(
-                "shed", t=self.sim.now, node=self.addr, event=event_id,
-                parent=msg.span_id, msg_kind=msg.kind, src=msg.src,
-            )
+        self._trace(
+            "shed", event=p.get("event_id") if p is not None else None,
+            parent=msg.span_id, msg_kind=msg.kind, src=msg.src,
+        )
         if p is None:
             return
         rseq = p.get("rseq")
@@ -1774,17 +1654,10 @@ class PubSubNodeMixin:
             * (cfg.busy_backoff_factor ** state["busy"]),
             cfg.busy_backoff_max_ms,
         )
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "busy",
-                t=self.sim.now,
-                node=self.addr,
-                event=state["payload"]["event_id"],
-                parent=state.get("span"),
-                dst=state["dst"],
-                backoff_ms=delay,
-            )
+        self._trace(
+            "busy", event=state["payload"]["event_id"],
+            parent=state.get("span"), dst=state["dst"], backoff_ms=delay,
+        )
         state["timer"] = self.sim.schedule(delay, self._rel_busy_resend, seq)
 
     def _rel_busy_resend(self, seq: int) -> None:
@@ -1797,33 +1670,11 @@ class PubSubNodeMixin:
                 state["payload"], span=state.get("span"), cause="retries"
             )
             return
-        clone = Message(
-            src=self.addr,
-            dst=state["dst"],
-            kind="ps_event",
-            payload=state["payload"],
-            size_bytes=state["size"],
-            hops=state["hops"],
-            path_latency=state["path_latency"],
-            root_time=state["root_time"],
-            span_id=state.get("span"),
-        )
-        self.network.stats.retransmissions += 1
-        self.system.metrics.on_event_message(
-            state["payload"]["event_id"], state["size"]
-        )
-        self.send(clone)
-        state["timer"] = self.sim.schedule(
-            self.system.config.retransmit_timeout_ms, self._rel_retry, seq
-        )
+        self._rel_retransmit(seq, state)
 
     def _note_breaker_open(self, dst: int) -> None:
         self.network.stats.breaker_opens += 1
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "breaker_open", t=self.sim.now, node=self.addr, dst=dst
-            )
+        self._trace("breaker_open", dst=dst)
 
     def _route_around(self, key: int, hot: int) -> Optional[int]:
         """Open circuit to ``hot``: alternate routing entry for ``key``.
@@ -1883,7 +1734,7 @@ class PubSubNodeMixin:
         """Decide for ``nid`` and remember the answer."""
         self.rc_misses += 1
         decision = self._route_decide(nid)
-        if len(self._rc) >= self._rc_max:
+        if len(self._rc) >= ROUTE_CACHE_MAX:
             self._rc.clear()
         self._rc[nid] = decision
         return decision
@@ -1938,9 +1789,7 @@ class PubSubNodeMixin:
         p = msg.payload
         system = self.system
         cfg = system.config
-        if msg.hops > cfg.event_ttl_hops:
-            # Transient routing loops are possible while the ring heals
-            # around a crash; the TTL converts them into counted drops.
+        if msg.hops > EVENT_TTL_HOPS:
             self._count_give_up(p, span=msg.span_id, cause="ttl")
             return
         event_id = p["event_id"]
@@ -2223,7 +2072,9 @@ class PubSubNodeMixin:
             if mig_scheme == scheme_name:
                 return [(s.nid, s.iid) for s in store.match_point(point)]
 
-        return []  # stale SubID (unsubscribed / departed): drop silently
+        # stale SubID (unsubscribed / departed): dropped, counted
+        self.network.stats.record_stale_subid()
+        return []
 
     # ------------------------------------------------------------------
     # Durable delivery: custody transfer (delivery-guarantees extension)
@@ -2248,15 +2099,9 @@ class PubSubNodeMixin:
     def _dur_truncated(self, entry) -> None:
         """Count + trace a budget eviction (a permanent, visible loss)."""
         self.network.stats.record_durable("truncated")
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "durable_truncate",
-                t=self.sim.now,
-                node=self.addr,
-                event=entry.event["event_id"],
-                entry_kind=entry.kind,
-            )
+        self._trace(
+            "durable_truncate", event=entry.event["event_id"], entry_kind=entry.kind
+        )
 
     def _dur_ack(self, meta: Dict[str, Any], event_id: int) -> None:
         """Retire ``meta``'s custody entry at its custodian.
@@ -2292,39 +2137,50 @@ class PubSubNodeMixin:
 
     def _dur_event_fields(self, p: dict, msg: Message) -> Dict[str, Any]:
         """Event-constant fields a custody entry must replay verbatim."""
-        ev = {
-            "event_id": p["event_id"],
-            "scheme": p["scheme"],
-            "point": p["point"],
-            "rt": msg.root_time,
-        }
-        for extra in ("pub", "pseq", "deps"):
-            if extra in p:
-                ev[extra] = p[extra]
+        ev = _event_fields(p)
+        ev["rt"] = msg.root_time
         return ev
 
     def _dur_parked_msg(self, p: dict, ent: tuple, msg: Message) -> Message:
         """Wrap one out-of-order entry for later local re-processing."""
-        payload = {
-            "event_id": p["event_id"],
-            "scheme": p["scheme"],
-            "point": p["point"],
-            "entries": [ent],
-        }
-        for extra in ("pub", "pseq", "deps"):
-            if extra in p:
-                payload[extra] = p[extra]
-        return Message(
-            src=self.addr,
-            dst=self.addr,
-            kind="ps_event",
-            payload=payload,
-            size_bytes=0,
-            hops=msg.hops,
-            path_latency=msg.path_latency,
-            root_time=msg.root_time,
-            span_id=msg.span_id,
+        return self._local_event(
+            p, [ent], msg.hops, msg.path_latency, msg.root_time, msg.span_id
         )
+
+    def _dur_key_entries(
+        self, ev: Dict[str, Any], keys: List[int], stream: Optional[tuple]
+    ) -> List[tuple]:
+        """Rendezvous keys -> one logged ``key`` custody entry each; in
+        an ordered mode each takes its ``stream``'s next kseq at the key."""
+        entries = []
+        for key in keys:
+            meta: Dict[str, Any] = {}
+            if stream is not None:
+                meta["s"] = list(stream)
+                meta["k"] = self.durable.next_kseq(stream, key)
+            self._dur_log("key", ev, key, None, meta)
+            entries.append((key, None, meta))
+        return entries
+
+    def _dur_take_custody(
+        self, p: dict, msg: Message, matched: List[tuple],
+        stream: Optional[tuple] = None, key: Optional[int] = None,
+    ) -> List[tuple]:
+        """Matched SubIDs -> one logged ``sub`` custody entry each; in
+        an ordered mode each takes the next mseq of its subscription in
+        ``stream`` at rendezvous ``key``."""
+        if not matched:
+            return []
+        ev = self._dur_event_fields(p, msg)
+        out: List[tuple] = []
+        for snid, siid in matched:
+            m: Dict[str, Any] = {}
+            if stream is not None:
+                m["s"] = list(stream)
+                m["m"] = self.durable.next_mseq(stream, key, (snid, siid))
+            self._dur_log("sub", ev, snid, siid, m)
+            out.append((snid, siid, m))
+        return out
 
     def _dur_park(self, park: Dict[int, Message], seq: int, parked: Message) -> None:
         """Buffer an out-of-order packet, bounded by ``reorder_buffer_max``.
@@ -2387,13 +2243,7 @@ class PubSubNodeMixin:
         matched = self._handle_local_entry(
             event_id, p["scheme"], p["point"], nid, None, msg
         )
-        out: List[tuple] = []
-        if matched:
-            ev = self._dur_event_fields(p, msg)
-            for snid, siid in matched:
-                m: Dict[str, Any] = {}
-                self._dur_log("sub", ev, snid, siid, m)
-                out.append((snid, siid, m))
+        out = self._dur_take_custody(p, msg, matched)
         self._dur_ack(meta, event_id)
         return out
 
@@ -2425,14 +2275,7 @@ class PubSubNodeMixin:
         matched = self._handle_local_entry(
             p["event_id"], p["scheme"], p["point"], nid, None, msg
         )
-        out: List[tuple] = []
-        if matched:
-            ev = self._dur_event_fields(p, msg)
-            for snid, siid in matched:
-                mq = self.durable.next_mseq(stream, nid, (snid, siid))
-                m = {"s": list(stream), "m": mq}
-                self._dur_log("sub", ev, snid, siid, m)
-                out.append((snid, siid, m))
+        out = self._dur_take_custody(p, msg, matched, stream, nid)
         self.durable.site_w[skey] = k
         self._dur_ack(meta, p["event_id"])
         park = self._dur_parks.get(skey)
@@ -2468,13 +2311,7 @@ class PubSubNodeMixin:
         matched = self._handle_local_entry(
             event_id, p["scheme"], p["point"], nid, iid, msg
         )
-        out: List[tuple] = []
-        if matched:
-            ev = self._dur_event_fields(p, msg)
-            for snid, siid in matched:
-                m: Dict[str, Any] = {}
-                self._dur_log("sub", ev, snid, siid, m)
-                out.append((snid, siid, m))
+        out = self._dur_take_custody(p, msg, matched)
         self._dur_ack(meta, event_id)
         return out
 
@@ -2574,31 +2411,10 @@ class PubSubNodeMixin:
         keys = self._event_target_keys(p["scheme"], p["point"], filter_leaf=True)
         if not keys:
             return  # nobody subscribed anywhere: fully discharged
-        entries = []
-        for key in keys:
-            kq = self.durable.next_kseq(("Q",), key)
-            m = {"s": ["Q"], "k": kq}
-            self._dur_log("key", ev, key, None, m)
-            entries.append((key, None, m))
-        payload = {
-            "event_id": p["event_id"],
-            "scheme": p["scheme"],
-            "point": p["point"],
-            "pub": p["pub"],
-            "pseq": p["pseq"],
-            "entries": entries,
-        }
         self._process_event(
-            Message(
-                src=self.addr,
-                dst=self.addr,
-                kind="ps_event",
-                payload=payload,
-                size_bytes=0,
-                hops=msg.hops,
-                path_latency=msg.path_latency,
-                root_time=msg.root_time,
-                span_id=msg.span_id,
+            self._local_event(
+                ev, self._dur_key_entries(ev, keys, ("Q",)),
+                msg.hops, msg.path_latency, msg.root_time, msg.span_id,
             )
         )
 
@@ -2631,28 +2447,16 @@ class PubSubNodeMixin:
         entry.last_sent = self.sim.now
         entry.attempts += 1
         self.network.stats.record_durable("redelivered")
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing:
-            tel.tracer.span(
-                "durable_redeliver",
-                t=self.sim.now,
-                node=self.addr,
-                event=entry.event["event_id"],
-                entry_kind=entry.kind,
-                attempt=entry.attempts,
-            )
-        payload = {k: v for k, v in entry.event.items() if k != "rt"}
-        payload["entries"] = [entry.wire_entry()]
+        self._trace(
+            "durable_redeliver", event=entry.event["event_id"],
+            entry_kind=entry.kind, attempt=entry.attempts,
+        )
         # Replayed with the ORIGINAL root time: healing latency is real
         # end-to-end latency, not time-since-retry.
         self._process_event(
-            Message(
-                src=self.addr,
-                dst=self.addr,
-                kind="ps_event",
-                payload=payload,
-                size_bytes=0,
-                root_time=entry.event.get("rt", self.sim.now),
+            self._local_event(
+                entry.event, [entry.wire_entry()], 0, 0.0,
+                entry.event.get("rt", self.sim.now), None,
             )
         )
 
@@ -2799,21 +2603,10 @@ class PubSubNodeMixin:
                 ]
                 if not picked:
                     continue
-                entity = self.system.entity(repo.entity_key)
-                entries = []
-                for sid in picked:
-                    lo, hi = repo.store.get_box(sid)
-                    entries.append(((sid.nid, sid.iid), lo.tolist(), hi.tolist()))
-                groups.append(
-                    {
-                        "repo": list(repo.key),
-                        "scheme": entity.scheme.name,
-                        "entries": entries,
-                    }
-                )
-                payload_bytes += len(picked) * subscription_wire_bytes(
-                    entity.scheme.dimensions
-                )
+                group, group_bytes = repo.export(picked)
+                group["scheme"] = self.system.entity(repo.entity_key).scheme.name
+                groups.append(group)
+                payload_bytes += group_bytes
             if not groups:
                 continue
             size = CONTROL_BYTES + payload_bytes
@@ -2834,7 +2627,7 @@ class PubSubNodeMixin:
             scheme_name = group["scheme"]
             dims = self.system.scheme(scheme_name).dimensions
             store = BoxStore(dims)
-            for (nid, iid), lows, highs in group["entries"]:
+            for (nid, iid), lows, highs, _kind in group["entries"]:
                 store.put(
                     SubID(nid, iid),
                     np.asarray(lows, dtype=np.float64),

@@ -229,7 +229,6 @@ class HyperSubSystem:
                 self.network,
                 seed=self.config.seed,
                 pns=self.config.pns,
-                pns_samples=self.config.pns_samples,
                 node_factory=factory,
                 node_ids=initial,
             )
@@ -239,7 +238,6 @@ class HyperSubSystem:
             self.nodes, self.ring = build_pastry_overlay(
                 self.network,
                 seed=self.config.seed,
-                proximity_samples=self.config.pns_samples,
                 node_factory=factory,
             )
 

@@ -13,7 +13,7 @@ accumulated by the pub/sub layer in :class:`repro.core.system.EventRecord`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +73,27 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}: n={self.count}, total={self.total})"
+
+
+class _CounterAttr:
+    """An ``int`` attribute of :class:`NetworkStats` kept in the registry
+    counter that ``NetworkStats.__init__`` stored under ``slot``: reading
+    gives the count, assigning (``writable`` ones only) overwrites it."""
+
+    def __init__(self, slot: str, doc: str = "", writable: bool = False) -> None:
+        self.slot = slot
+        self.writable = writable
+        self.__doc__ = doc
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return int(getattr(obj, self.slot).value)
+
+    def __set__(self, obj, value: int) -> None:
+        if not self.writable:
+            raise AttributeError("read-only counter; use its record_* method")
+        getattr(obj, self.slot).value = float(value)
 
 
 class NetworkStats:
@@ -146,6 +167,10 @@ class NetworkStats:
         #: unregistrations that found nothing to remove on the surrogate
         #: (repository gone, or the copy was migrated / already removed).
         self._c_stale_unregister = self.registry.counter("install.stale_unregister")
+        #: event entries that reached their node and found no subscription,
+        #: marker or migrated store under that SubID (unsubscribed while
+        #: the event was in flight, or the holder departed).
+        self._c_stale_subid = self.registry.counter("delivery.stale_subid")
         # Eagerly create the queue-depth gauges so every pub/sub run's
         # manifest carries them (REQUIRED_METRICS), even before the first
         # sample_telemetry() call.  ``queue.depth`` is the instantaneous
@@ -155,85 +180,41 @@ class NetworkStats:
         self._g_queue_peak = self.registry.gauge("queue.depth.peak")
 
     # -- registry-backed counter attributes -----------------------------
-    @property
-    def retransmissions(self) -> int:
-        return int(self._c_retrans.value)
-
-    @retransmissions.setter
-    def retransmissions(self, value: int) -> None:
-        self._c_retrans.value = float(value)
-
-    @property
-    def gave_up(self) -> int:
-        return int(self._c_gave_up.value)
-
-    @gave_up.setter
-    def gave_up(self, value: int) -> None:
-        self._c_gave_up.value = float(value)
-
-    @property
-    def gave_up_subids(self) -> int:
-        return int(self._c_gave_up_subids.value)
-
-    @gave_up_subids.setter
-    def gave_up_subids(self, value: int) -> None:
-        self._c_gave_up_subids.value = float(value)
-
-    @property
-    def busy_backoffs(self) -> int:
-        return int(self._c_busy.value)
-
-    @busy_backoffs.setter
-    def busy_backoffs(self, value: int) -> None:
-        self._c_busy.value = float(value)
-
-    @property
-    def shed(self) -> int:
-        return int(self._c_shed.value)
-
-    @shed.setter
-    def shed(self, value: int) -> None:
-        self._c_shed.value = float(value)
-
-    @property
-    def breaker_opens(self) -> int:
-        return int(self._c_breaker_open.value)
-
-    @breaker_opens.setter
-    def breaker_opens(self, value: int) -> None:
-        self._c_breaker_open.value = float(value)
-
-    @property
-    def lookup_restarts(self) -> int:
-        return int(self._c_lookup_restarts.value)
-
-    @lookup_restarts.setter
-    def lookup_restarts(self, value: int) -> None:
-        self._c_lookup_restarts.value = float(value)
-
-    @property
-    def lookup_abandoned(self) -> int:
-        """Lookups dropped after their last restart also looped."""
-        return int(self._c_lookup_abandoned.value)
+    retransmissions = _CounterAttr("_c_retrans", writable=True)
+    gave_up = _CounterAttr("_c_gave_up", writable=True)
+    gave_up_subids = _CounterAttr("_c_gave_up_subids", writable=True)
+    busy_backoffs = _CounterAttr("_c_busy", writable=True)
+    shed = _CounterAttr("_c_shed", writable=True)
+    breaker_opens = _CounterAttr("_c_breaker_open", writable=True)
+    lookup_restarts = _CounterAttr("_c_lookup_restarts", writable=True)
+    dropped = _CounterAttr("_c_dropped", writable=True)
+    lookup_abandoned = _CounterAttr(
+        "_c_lookup_abandoned", "Lookups dropped after their last restart also looped."
+    )
+    stale_unregister = _CounterAttr(
+        "_c_stale_unregister", "Unregistrations that found no stored copy to remove."
+    )
+    stale_subid = _CounterAttr(
+        "_c_stale_subid", "Event entries for a SubID nobody here holds any more."
+    )
+    duplicated = _CounterAttr(
+        "_c_duplicated", "Packets the network ghost-delivered twice (duplicate fault)."
+    )
+    reordered = _CounterAttr(
+        "_c_reordered", "Packets that picked up adversarial reorder jitter."
+    )
+    unroutable = _CounterAttr(
+        "_c_unroutable", "Event entries dropped for want of a next hop (Algorithm 5)."
+    )
 
     def record_lookup_abandoned(self) -> None:
         self._c_lookup_abandoned.inc()
 
-    @property
-    def stale_unregister(self) -> int:
-        """Unregistrations that found no stored copy to remove."""
-        return int(self._c_stale_unregister.value)
-
     def record_stale_unregister(self) -> None:
         self._c_stale_unregister.inc()
 
-    @property
-    def dropped(self) -> int:
-        return int(self._c_dropped.value)
-
-    @dropped.setter
-    def dropped(self, value: int) -> None:
-        self._c_dropped.value = float(value)
+    def record_stale_subid(self) -> None:
+        self._c_stale_subid.inc()
 
     @property
     def dropped_by_cause(self) -> Dict[str, int]:
@@ -247,18 +228,8 @@ class NetworkStats:
         self._c_dropped.inc()
         self._c_drop_cause[cause].inc()
 
-    @property
-    def duplicated(self) -> int:
-        """Packets the network ghost-delivered twice (duplicate fault)."""
-        return int(self._c_duplicated.value)
-
     def record_duplicate(self) -> None:
         self._c_duplicated.inc()
-
-    @property
-    def reordered(self) -> int:
-        """Packets that picked up adversarial reorder jitter."""
-        return int(self._c_reordered.value)
 
     def record_reorder(self) -> None:
         self._c_reordered.inc()
@@ -276,11 +247,6 @@ class NetworkStats:
         self._c_gave_up.inc()
         self._c_gave_up_cause[cause].inc()
         self._c_gave_up_subids.inc(n_subids)
-
-    @property
-    def unroutable(self) -> int:
-        """Event entries dropped for want of a next hop (Algorithm 5)."""
-        return int(self._c_unroutable.value)
 
     def record_unroutable(self) -> None:
         self._c_unroutable.inc()
@@ -374,6 +340,7 @@ class NetworkStats:
         self.registry.reset("durable.")
         self.registry.reset("dht.lookup_")
         self.registry.reset("install.stale_unregister")
+        self.registry.reset("delivery.stale_subid")
         self.registry.reset("queue.depth.peak")
 
     def bytes_for(self, prefixes: Iterable[str]) -> float:

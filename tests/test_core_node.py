@@ -127,6 +127,44 @@ class TestEventEdgeCases:
         )
         node._process_event(msg)  # must not raise
         system.run_until_idle()
+        assert system.network.stats.stale_subid == 1  # ... but not uncounted
+
+    def test_unsubscribe_racing_an_inflight_event_counts_a_stale_subid(self):
+        """The subscriber forgets the subscription at once; the
+        ``ps_unregister`` still has a lookup to ride.  An event matched
+        at the surrogate in between carries a SubID nobody holds: it is
+        dropped at the subscriber under ``delivery.stale_subid``."""
+        from repro.analysis.trace import render_transport_summary, transport_summary
+
+        system, scheme = tiny_system(
+            simulate_install=True, direct_rendezvous_levels=9  # no cascade
+        )
+        sub = Subscription.from_box(scheme, [10, 10], [12, 12])
+        entity = system.entity_for_subscription(sub)
+        zone = entity.zone_of_subscription(sub)
+        home = system.node_at_home(entity.rotated_key(zone))
+        subscriber = next(n for n in system.nodes if n is not home)
+        sid = subscriber.subscribe(sub)
+        system.finish_setup()
+        stats = system.network.stats
+
+        subscriber.unsubscribe(sid)
+        # Published at the surrogate itself: matched inside publish(),
+        # before the unregistration's lookup has taken a single step.
+        eid = home.publish(Event(scheme, {"x": 11, "y": 11}))
+        assert sid in home.zone_repos[(entity.key, zone.code, zone.level)].store
+        system.run_until_idle()
+        assert system.metrics.records[eid].matched == 0
+        assert stats.stale_subid == 1
+        assert stats.registry.value("delivery.stale_subid") == 1.0
+        assert transport_summary(stats)["stale_subid"] == 1
+        assert "stale: 1 entries" in render_transport_summary(stats)
+        # the unregistration has landed by now: nothing left to go stale
+        home.publish(Event(scheme, {"x": 11, "y": 11}))
+        system.run_until_idle()
+        assert stats.stale_subid == 1
+        stats.reset()
+        assert stats.stale_subid == 0
 
     @pytest.mark.parametrize("route_cache", [True, False])
     def test_unroutable_entry_is_counted_not_silent(self, route_cache):
@@ -369,6 +407,43 @@ class TestInstallPaths:
         assert sid not in home.zone_repos[repo_key].store
         assert system.sim.processed - dispatched == 2
         assert system.network.stats.total_msgs == 0
+
+    @pytest.mark.parametrize("simulate", [False, True])
+    def test_install_traffic_counts_every_unregistration(self, simulate, monkeypatch):
+        """``install_traffic["unregister"]`` = user unsubscriptions +
+        surrogate-subscription withdrawals, on both install paths (user
+        unsubscriptions used to bypass the counter)."""
+        from repro.core.node import PubSubNodeMixin
+        from repro.sim.messages import CONTROL_BYTES, SUBID_BYTES
+
+        withdrawn = []
+        real = PubSubNodeMixin._dispatch_unregister
+
+        def spy(self, entity, zone, subid):
+            if subid.iid > 1 << 48:  # the marker iid namespace
+                withdrawn.append(subid)
+            return real(self, entity, zone, subid)
+
+        monkeypatch.setattr(PubSubNodeMixin, "_dispatch_unregister", spy)
+        system, scheme = tiny_system(
+            simulate_install=simulate, direct_rendezvous_levels=0
+        )
+        rng = np.random.default_rng(4)
+        installed = []
+        for addr in range(12):
+            lo = rng.uniform(0, 90, 2)
+            sub = Subscription.from_box(scheme, lo, lo + rng.uniform(1, 10, 2))
+            installed.append((addr, system.subscribe(addr, sub)))
+        system.run_until_idle()
+        assert "unregister" not in system.install_traffic
+        for addr, sid in installed[:9]:
+            system.unsubscribe(addr, sid)
+            system.run_until_idle()
+        assert withdrawn, "shrinking filters withdrew no surrogate subscription"
+        count, nbytes = system.install_traffic["unregister"]
+        assert count == 9 + len(withdrawn)
+        assert nbytes == count * (CONTROL_BYTES + SUBID_BYTES)
+        assert system.network.stats.stale_unregister == 0
 
     @pytest.mark.parametrize("simulate", [False, True])
     def test_stale_unregister_is_counted_not_silent(self, simulate):

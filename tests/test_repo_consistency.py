@@ -110,3 +110,48 @@ class TestPublicApi:
                 obj = getattr(module, name)
                 if callable(obj) or isinstance(obj, type):
                     assert obj.__doc__, f"{pkg}.{name} lacks a docstring"
+
+
+class TestWireFormatOwners:
+    """Each packet kind of ``core/node.py`` is built at exactly one
+    place (docs/ALGORITHMS.md, "Wire formats"), so a format change --
+    or a serialiser for real sockets -- has one site to land on."""
+
+    #: ``ps_event``: the forward loop's ``msg.child``, the self-addressed
+    #: builder and the retransmit
+    MAX_SITES = {"ps_event": 3}
+
+    @staticmethod
+    def construction_sites():
+        """``{kind: [line, ...]}`` over every call in node.py that is
+        handed a ``"ps_*"`` literal, handler registration aside."""
+        import ast
+
+        path = REPO / "src" / "repro" / "core" / "node.py"
+        sites = {}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "attr", None) == "register_handler":
+                continue
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                if (
+                    isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                    and arg.value.startswith("ps_")
+                ):
+                    sites.setdefault(arg.value, []).append(node.lineno)
+        return sites
+
+    def test_each_kind_has_one_construction_site(self):
+        sites = self.construction_sites()
+        source = (REPO / "src" / "repro" / "core" / "node.py").read_text(encoding="utf-8")
+        handled = set(re.findall(r'register_handler\("(ps_\w+)"', source))
+        # every kind the node handles is also written by the node, except
+        # the storm filler the fault injector sends
+        assert handled - set(sites) == {"ps_storm"}
+        assert set(sites) <= handled
+        for kind, lines in sorted(sites.items()):
+            assert len(lines) <= self.MAX_SITES.get(kind, 1), (
+                f"{kind} is constructed at node.py lines {lines}"
+            )
