@@ -156,6 +156,19 @@ def main(argv=None) -> int:
         "(default: BENCH_trajectory.json)",
     )
     parser.add_argument(
+        "--e2e-summary",
+        metavar="FILE",
+        default=None,
+        help="(bench) out/bench/summary.json of a benchmarks/e2e/run.py "
+        "run of this checkout; its per-workload medians ride along in "
+        "the trajectory point",
+    )
+    parser.add_argument(
+        "--note",
+        default=None,
+        help="(bench) free text recorded with the trajectory point",
+    )
+    parser.add_argument(
         "--rounds",
         type=int,
         default=25,
@@ -256,6 +269,8 @@ def main(argv=None) -> int:
             telemetry_dir=args.telemetry_out,
             compare=args.compare,
             trajectory_path=args.trajectory or DEFAULT_TRAJECTORY_PATH,
+            e2e_summary_path=args.e2e_summary,
+            note=args.note,
         )
 
     if args.experiment == "list":

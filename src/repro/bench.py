@@ -84,6 +84,57 @@ def _bench_scheduler(events: int = 20_000, repeat: int = 3) -> Dict[str, Any]:
     }
 
 
+def _bench_scheduler_lane(timers: int = 20_000, repeat: int = 3) -> Dict[str, Any]:
+    """Retransmission-timer traffic: one timer armed per step with a
+    constant delay, nine in ten cancelled 100 steps later (the ack),
+    one in ten left to fire.  Timed through a ``TimeoutLane`` and, as
+    the reference, through ``schedule()`` / ``EventHandle.cancel``; the
+    two must fire the same timers at the same times."""
+    from repro.sim.engine import Simulator
+
+    def run(use_lane: bool) -> Tuple[float, List[Tuple[float, int]]]:
+        sim = Simulator()
+        arm = sim.timeout_lane(1_000.0).arm if use_lane else (
+            lambda fn, *args: sim.schedule(1_000.0, fn, *args)
+        )
+        fired: List[Tuple[float, int]] = []
+        armed: List[Any] = []
+
+        def expire(i: int) -> None:
+            fired.append((sim.now, i))
+
+        def step() -> None:
+            i = len(armed)
+            armed.append(arm(expire, i))
+            if i >= 100 and (i - 100) % 10:
+                armed[i - 100].cancel()
+            if i + 1 < timers:
+                sim.schedule(1.0, step)
+
+        t0 = perf_counter()
+        sim.schedule(0.0, step)
+        sim.run()
+        return perf_counter() - t0, fired
+
+    lane_s = ref_s = float("inf")
+    agree = True
+    for _ in range(repeat):
+        seconds, fired = run(True)
+        lane_s = min(lane_s, seconds)
+        seconds, ref_fired = run(False)
+        ref_s = min(ref_s, seconds)
+        agree = agree and fired == ref_fired
+    return {
+        "timers": timers,
+        "fired": len(fired),
+        "agree": agree,
+        "best_seconds": lane_s,
+        "ops_per_sec": timers / lane_s,
+        "reference_ops_per_sec": timers / ref_s,
+        "speedup": ref_s / lane_s,
+    }
+
+
 def _bench_routing(
     ring_nodes: int = 1024,
     chain_keys: int = 200,
@@ -720,6 +771,9 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
         "scheduler_floor": (
             micro["scheduler"]["ops_per_sec"] >= SCHEDULER_FLOOR_OPS
         ),
+        "scheduler_lane_agreement": bool(
+            micro.get("scheduler_lane", {}).get("agree", True)
+        ),
         # Acceptance gates of the matching-engine overhaul: the bands
         # index must beat the naive row-major scan (>=5x at 10^5;
         # parity floor at 10^4 where candidate verification
@@ -775,6 +829,7 @@ _MEM_ENV = ("machine", "python_minor")
 TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
     "events_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "scheduler_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
+    "scheduler_lane_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "next_hop_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "routing_speedup": {"direction": "higher", "env": _FULL_ENV},
     # All three matching ratios are over the naive row-major scan
@@ -796,12 +851,42 @@ def _python_minor(version: str) -> str:
     return ".".join(version.split(".")[:2])
 
 
-def trajectory_point(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Flatten one BENCH_hotpath document into one trajectory point."""
+#: End-to-end metrics of ``benchmarks/e2e`` a trajectory point carries.
+E2E_POINT_METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
+
+
+def e2e_medians(summary: Dict[str, Any]) -> Dict[str, Any]:
+    """The part of ``out/bench/summary.json`` (written by
+    ``benchmarks/e2e/run.py``) a trajectory point keeps: per workload,
+    the medians over the children of :data:`E2E_POINT_METRICS` -- host
+    seconds there are already normalised to reference speed."""
+    return {
+        "seed": summary["seed"],
+        "seconds": summary["seconds"],
+        "smoke": summary["smoke"],
+        "workloads": {
+            name: {m: rec["metrics"][m]["median"] for m in E2E_POINT_METRICS}
+            for name, rec in sorted(summary["a"].items())
+        },
+    }
+
+
+def trajectory_point(
+    data: Dict[str, Any],
+    e2e_summary: Optional[Dict[str, Any]] = None,
+    note: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Flatten one BENCH_hotpath document into one trajectory point.
+
+    ``e2e_summary`` is the parsed ``out/bench/summary.json`` of an
+    end-to-end benchmark run of the same checkout: the point then
+    carries the workloads' medians under ``"e2e"`` (recorded, not
+    floor-gated).  ``note`` is free text kept with the point.
+    """
     micro = data["micro"]
     macro = data["macro"]
     mem = (macro["cache_on"].get("memory") or {})
-    return {
+    point: Dict[str, Any] = {
         "created_utc": data["created_utc"],
         "git_rev": data["git_rev"],
         "scale": dict(data["scale"]),
@@ -814,6 +899,9 @@ def trajectory_point(data: Dict[str, Any]) -> Dict[str, Any]:
         "metrics": {
             "events_per_sec": macro["cache_on"]["events_per_sec"],
             "scheduler_ops_per_sec": micro["scheduler"]["ops_per_sec"],
+            "scheduler_lane_ops_per_sec": (
+                micro.get("scheduler_lane", {}).get("ops_per_sec")
+            ),
             "next_hop_ops_per_sec": micro["routing"]["next_hop_ops_per_sec"],
             "routing_speedup": micro["routing"]["closest_preceding_speedup"],
             "matching_grid_speedup": micro["matching"]["grid_speedup"],
@@ -836,6 +924,11 @@ def trajectory_point(data: Dict[str, Any]) -> Dict[str, Any]:
             "setup_s": macro["cache_on"].get("setup_s", {}).get("total"),
         },
     }
+    if e2e_summary is not None:
+        point["e2e"] = e2e_medians(e2e_summary)
+    if note:
+        point["note"] = note
+    return point
 
 
 def load_trajectory(path) -> Dict[str, Any]:
@@ -964,6 +1057,8 @@ def run_bench(
     compare: bool = False,
     trajectory_path: str = DEFAULT_TRAJECTORY_PATH,
     tolerance: float = REGRESSION_TOLERANCE,
+    e2e_summary_path: Optional[str] = None,
+    note: Optional[str] = None,
 ) -> int:
     from repro.experiments.common import scale_from_env
     from repro.telemetry.manifest import git_revision
@@ -976,6 +1071,7 @@ def run_bench(
     full_scale = num_nodes >= 600  # quick CI runs skip the 10^5 micro
     micro = {
         "scheduler": _bench_scheduler(),
+        "scheduler_lane": _bench_scheduler_lane(),
         "routing": _bench_routing(),
         "matching": _bench_matching(),
         "algo5": _bench_algo5(full_scale),
@@ -1021,13 +1117,23 @@ def run_bench(
             data, trajectory_path, tolerance
         )
         print("\n".join(lines), file=sys.stderr if not compare_ok else sys.stdout)
-    append_trajectory(trajectory_path, trajectory_point(data))
+    e2e_summary = None
+    if e2e_summary_path is not None:
+        e2e_summary = json.loads(
+            Path(e2e_summary_path).read_text(encoding="utf-8")
+        )
+    append_trajectory(
+        trajectory_path, trajectory_point(data, e2e_summary, note)
+    )
 
     r = micro["routing"]
     m = macro["cache_on"]
     mem = m.get("memory") or {}
     print(
         f"scheduler     {micro['scheduler']['ops_per_sec']:12,.0f} ops/s\n"
+        f"timeout lane  {micro['scheduler_lane']['ops_per_sec']:12,.0f} "
+        f"timers/s armed, 90% cancelled "
+        f"({micro['scheduler_lane']['speedup']:.2f}x vs schedule()/cancel)\n"
         f"next_hop      {r['next_hop_ops_per_sec']:12,.0f} hops/s "
         f"(bisect {r['bisect_us_per_call']:.2f}us vs linear "
         f"{r['linear_us_per_call']:.2f}us = "

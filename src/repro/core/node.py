@@ -162,6 +162,50 @@ class ZoneRepo:
         return {"repo": list(self.key), "entries": entries}, wire_bytes
 
 
+class CustodyCohort:
+    """The nodes whose custody scan was armed by one
+    ``start_durable_redelivery`` call.
+
+    They share a phase, so they share one scheduler entry per period:
+    the tick visits the members in the order given (address order --
+    the order their separate timers would fire in) and scans only those
+    with something in the log, so a node with no unacked custody costs
+    nothing.  Membership is by identity: a member that was stopped,
+    restarted (it then belongs to a newer cohort) or crashed is dropped
+    at the next tick, and a cohort with no members left is not re-armed,
+    so a dead incarnation's timer dies with it and the simulation
+    drains.  The class lives in this module because the tick is node
+    work, and profilers book a scheduled callback by the module that
+    defines it.
+    """
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: List["PubSubNodeMixin"]) -> None:
+        self.members = members
+        for node in members:
+            node._dur_cohort = self
+        first = members[0]
+        first.sim.schedule(first.system.config.durable_redelivery_ms, self.tick)
+
+    def tick(self) -> None:
+        members = self.members = [
+            node for node in self.members
+            if node._dur_cohort is self and node._alive
+        ]
+        if not members:
+            return
+        sim = members[0].sim
+        interval = members[0].system.config.durable_redelivery_ms
+        now = sim.now
+        for node in members:
+            durable = node.durable
+            if durable.log:
+                for entry in durable.due(now, interval):
+                    node._dur_redeliver(entry)
+        sim.schedule(interval, self.tick)
+
+
 class PubSubNodeMixin:
     """Pub/sub behaviour shared by every overlay binding.
 
@@ -259,7 +303,8 @@ class PubSubNodeMixin:
         self._dur_sub_parks: Dict[Tuple, Dict[int, Message]] = {}
         #: causal sequencer: pseq-contiguous arrivals blocked on deps
         self._seq_blocked: Dict[int, tuple] = {}
-        self._dur_running = False
+        #: the cohort whose tick scans our custody log; None when stopped
+        self._dur_cohort: Optional[CustodyCohort] = None
         #: until this sim time, keys with no local repository are NOT
         #: vacuously acked -- a ring-stabilization grace extended after
         #: our own rejoin and after every predecessor change
@@ -1419,12 +1464,10 @@ class PubSubNodeMixin:
             "span": msg.span_id,
         }
         self._rel_pending[seq] = state
-        self.send(msg)
-        # The timer handle is kept so a ps_busy NACK can cancel it and
-        # reschedule with backoff (and so an ack kills the stub early).
-        state["timer"] = self.sim.schedule(
-            self.system.config.retransmit_timeout_ms, self._rel_retry, seq
-        )
+        self.network.send(msg)
+        # The timer is kept so the ack can cancel it and a ps_busy NACK
+        # can replace it by a backoff timer.
+        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
 
     def _rel_retry(self, seq: int) -> None:
         state = self._rel_pending.get(seq)
@@ -1466,16 +1509,14 @@ class PubSubNodeMixin:
         self.system.metrics.on_event_message(
             state["payload"]["event_id"], state["size"]
         )
-        self.send(
+        self.network.send(
             Message(
                 self.addr, state["dst"], "ps_event", state["payload"],
                 state["size"], state["hops"], state["path_latency"],
                 state["root_time"], state.get("span"),
             )
         )
-        state["timer"] = self.sim.schedule(
-            self.system.config.retransmit_timeout_ms, self._rel_retry, seq
-        )
+        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
 
     def _count_give_up(
         self, payload: dict, span: Optional[int] = None, cause: str = "retries"
@@ -1577,11 +1618,8 @@ class PubSubNodeMixin:
         state = self._rel_pending.pop(msg.payload["rseq"], None)
         if state is None:
             return
-        timer = state.get("timer")
-        if timer is not None:
-            # Kill the stub now instead of letting it no-op later: keeps
-            # Simulator.live honest and the heap lean under load.
-            timer.cancel()
+        # Retransmission timer or ps_busy backoff timer, whichever is armed.
+        state["timer"].cancel()
         if self.breaker is not None:
             self.breaker.record_success(state["dst"])
 
@@ -1645,9 +1683,7 @@ class PubSubNodeMixin:
             msg.src, self.sim.now
         ):
             self._note_breaker_open(msg.src)
-        timer = state.get("timer")
-        if timer is not None:
-            timer.cancel()
+        state["timer"].cancel()
         cfg = self.system.config
         delay = min(
             cfg.retransmit_timeout_ms
@@ -1757,10 +1793,10 @@ class PubSubNodeMixin:
         p = msg.payload
         if "rseq" in p:
             rseq = p["rseq"]
-            self.send(
+            self.network.send(
                 Message(
-                    src=self.addr, dst=msg.src, kind="ps_event_ack",
-                    payload={"rseq": rseq}, size_bytes=CONTROL_BYTES,
+                    self.addr, msg.src, "ps_event_ack", {"rseq": rseq},
+                    CONTROL_BYTES,
                 )
             )
             key = (msg.src, p.get("repoch", 0), rseq)
@@ -1893,7 +1929,8 @@ class PubSubNodeMixin:
         for nh, ents in groups.items():
             size = event_message_bytes(len(ents)) + extra_bytes
             if carries_meta:
-                size += DURABLE_META_BYTES * sum(1 for e in ents if len(e) > 2)
+                # entries are (nid, iid) or (nid, iid, meta)
+                size += DURABLE_META_BYTES * (sum(map(len, ents)) - 2 * len(ents))
             payload = {
                 "event_id": event_id,
                 "scheme": scheme_name,
@@ -2119,13 +2156,10 @@ class PubSubNodeMixin:
                 self.network.stats.record_durable("acked")
             return
         self.system.metrics.on_event_message(event_id, CONTROL_BYTES)
-        self.send(
+        self.network.send(
             Message(
-                src=self.addr,
-                dst=cust,
-                kind="ps_dack",
-                payload={"tok": tok, "event": event_id},
-                size_bytes=CONTROL_BYTES,
+                self.addr, cust, "ps_dack", {"tok": tok, "event": event_id},
+                CONTROL_BYTES,
             )
         )
 
@@ -2420,27 +2454,13 @@ class PubSubNodeMixin:
 
     # -- redelivery ----------------------------------------------------
     def start_durable_redelivery(self) -> None:
-        """Arm the periodic scan that re-sends unacked custody entries."""
-        if self.durable is None or self._dur_running:
-            return
-        self._dur_running = True
-        self.sim.schedule(
-            self.system.config.durable_redelivery_ms, self._dur_tick
-        )
+        """Arm the periodic scan that re-sends unacked custody entries,
+        as a cohort of one (a rejoined node keeps its own phase)."""
+        if self.durable is not None and self._dur_cohort is None:
+            CustodyCohort([self])
 
     def stop_durable_redelivery(self) -> None:
-        self._dur_running = False
-
-    def _dur_tick(self) -> None:
-        # Deliberately no re-arm once stopped or crashed: a dead
-        # incarnation's timer must die with it or the simulation would
-        # never drain (the rejoined incarnation arms its own).
-        if not self._dur_running or not self._alive:
-            return
-        interval = self.system.config.durable_redelivery_ms
-        for entry in self.durable.due(self.sim.now, interval):
-            self._dur_redeliver(entry)
-        self.sim.schedule(interval, self._dur_tick)
+        self._dur_cohort = None
 
     def _dur_redeliver(self, entry) -> None:
         """Re-issue one unacked obligation from its logged state."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.config import HyperSubConfig
 from repro.core.event import Event
-from repro.core.node import HyperSubChordNode, HyperSubPastryNode
+from repro.core.node import CustodyCohort, HyperSubChordNode, HyperSubPastryNode
 from repro.core.scheme import Scheme
 from repro.core.subscheme import (
     PubSubEntity,
@@ -213,6 +213,11 @@ class HyperSubSystem:
             registry=self.telemetry.registry if self.telemetry else None,
         )
         self.network = Network(self.sim, topology, stats=stats)
+        #: every retransmission timer of the fleet waits the same
+        #: ``retransmit_timeout_ms``, so they share one timeout lane
+        self.retransmit_lane = self.sim.timeout_lane(
+            self.config.retransmit_timeout_ms
+        )
         self.metrics = Metrics()
 
         factory = self._node_factory()
@@ -685,13 +690,18 @@ class HyperSubSystem:
             node.stop_anti_entropy()
 
     def start_durable_redelivery(self) -> None:
-        """Arm the periodic custody-log scan on every alive node."""
+        """Arm the periodic custody-log scan on every alive node that is
+        not running one: together they form one cohort, one tick."""
         if self.config.delivery_mode != "durable":
             raise ValueError("config.delivery_mode is not 'durable'")
         self._durable_redelivery = True
-        for node in self.nodes:
-            if node.alive():
-                node.start_durable_redelivery()
+        cohort = [
+            node for node in self.nodes
+            if node.alive() and node.durable is not None
+            and node._dur_cohort is None
+        ]
+        if cohort:
+            CustodyCohort(cohort)
 
     def stop_durable_redelivery(self) -> None:
         self._durable_redelivery = False

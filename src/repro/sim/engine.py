@@ -11,8 +11,9 @@ units (latencies from the King dataset are millisecond RTTs).
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 
 class EventHandle:
@@ -61,6 +62,117 @@ class RepeatingHandle:
             self._inner.cancel()
 
 
+class LaneTimer:
+    """One timer armed on a :class:`TimeoutLane`.
+
+    The same cancellation contract as :class:`EventHandle` (idempotent,
+    :attr:`Simulator.live` drops exactly once, cancelling after the
+    timer fired changes nothing), and the same attributes the run loop
+    reads -- while the timer is its lane's head it *is* the handle of
+    the lane's heap entry, so a cancelled head is skipped at pop like
+    any other stub.
+    """
+
+    __slots__ = ("time", "seq", "cancelled", "_done", "fn", "args", "_lane")
+
+    def __init__(
+        self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
+        lane: "TimeoutLane",
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.cancelled = False
+        self._done = False
+        self.fn = fn
+        self.args = args
+        self._lane = lane
+
+    def cancel(self) -> None:
+        """Prevent the callback from firing.  Idempotent."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if not self._done:
+            self._done = True
+            lane = self._lane
+            lane._sim._live -= 1
+            if lane._head is self:
+                lane._promote()
+
+
+class TimeoutLane:
+    """Timers that all share one constant delay, kept off the heap.
+
+    ``now`` never decreases, so with a constant delay the deadlines of
+    successive :meth:`arm` calls never decrease either: arrival order
+    *is* ``(time, seq)`` order and a FIFO holds the timers sorted for
+    free.  Only the oldest live timer (the head) occupies a heap slot;
+    arming behind it is a deque append, cancelling flips a flag, and a
+    cancelled timer is dropped when it reaches the front -- it never
+    costs a heap push, a pop or a dispatch.
+
+    Every timer keeps the sequence number :meth:`Simulator.schedule`
+    would have given it (``arm`` reserves it from the same counter), and
+    the head enters the heap under its own ``(time, seq)`` key, so each
+    callback fires at the instant and in the order -- same-timestamp
+    ties included -- its own ``schedule()`` entry would have had.
+    Obtain one from :meth:`Simulator.timeout_lane`.
+    """
+
+    __slots__ = ("delay", "_sim", "_waiting", "_head")
+
+    def __init__(self, sim: "Simulator", delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay!r}")
+        self.delay = delay
+        self._sim = sim
+        #: armed timers behind the head, oldest first (cancelled ones
+        #: included until they reach the front)
+        self._waiting: deque = deque()
+        #: the timer whose heap entry wakes the lane; None when idle
+        self._head: Optional[LaneTimer] = None
+
+    def arm(self, fn: Callable[..., Any], *args: Any) -> LaneTimer:
+        """Run ``fn(*args)`` after the lane's delay, exactly as
+        ``sim.schedule(lane.delay, fn, *args)`` would."""
+        sim = self._sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        sim._live += 1
+        timer = LaneTimer(sim.now + self.delay, seq, fn, args, self)
+        self._waiting.append(timer)
+        if self._head is None:
+            self._promote()
+        return timer
+
+    @property
+    def backlog(self) -> int:
+        """Live timers waiting behind the head (not in the heap)."""
+        return sum(1 for timer in self._waiting if not timer.cancelled)
+
+    def _promote(self) -> None:
+        """Give the heap slot to the oldest live timer, if any."""
+        waiting = self._waiting
+        while waiting:
+            timer = waiting.popleft()
+            if not timer.cancelled:
+                self._head = timer
+                heappush(
+                    self._sim._queue,
+                    (timer.time, timer.seq, timer, self._fire, ()),
+                )
+                return
+        self._head = None
+
+    def _fire(self) -> None:
+        # The run loop popped the head's entry (and settled ``live`` and
+        # the handle).  The successor is promoted first, so a callback
+        # that arms this lane finds it in a consistent state.
+        timer = self._head
+        self._promote()
+        timer.fn(*timer.args)
+
+
 class Simulator:
     """A discrete-event simulation engine.
 
@@ -82,24 +194,28 @@ class Simulator:
         self._seq: int = 0
         self._processed: int = 0
         self._live: int = 0
+        #: the timeout lanes created by :meth:`timeout_lane`
+        self.lanes: List[TimeoutLane] = []
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Raw heap size, *including* cancelled stubs (cancellation
-        leaves the entry in place and skips it at pop).  For "how much
-        work is actually left" use :attr:`live`."""
-        return len(self._queue)
+        """Entries the scheduler holds: the raw heap, *including*
+        cancelled stubs (cancellation leaves the entry in place and
+        skips it at pop), plus the live timers waiting in timeout lanes
+        (a timer cancelled there is never counted).  For "how much work
+        is actually left" use :attr:`live`."""
+        return len(self._queue) + sum(lane.backlog for lane in self.lanes)
 
     @property
     def live(self) -> int:
         """Number of events still queued, excluding cancelled stubs.
 
-        ``pending`` overstates remaining work whenever timers were
-        cancelled (every acked reliable packet leaves one stub); this is
-        the honest count for progress displays and telemetry sampling.
+        ``pending`` overstates remaining work whenever ``schedule()``
+        entries were cancelled (each leaves one stub); this is the
+        honest count for progress displays and telemetry sampling.
         """
         return self._live
 
@@ -133,6 +249,13 @@ class Simulator:
         self._seq = seq + 1
         self._live += 1
         return handle
+
+    def timeout_lane(self, delay: float) -> TimeoutLane:
+        """A :class:`TimeoutLane` for timers that all fire ``delay``
+        milliseconds after they are armed."""
+        lane = TimeoutLane(self, delay)
+        self.lanes.append(lane)
+        return lane
 
     def schedule_every(
         self,

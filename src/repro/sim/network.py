@@ -31,6 +31,10 @@ from repro.sim.stats import NetworkStats
 from repro.sim.topology import Topology
 
 
+#: loss draws taken from the generator per refill of the armed path
+LOSS_BLOCK = 1024
+
+
 class SimNode:
     """Base class for anything attached to the network.
 
@@ -165,6 +169,8 @@ class Network:
         # -- failure injection ------------------------------------------
         self._loss_rate = 0.0
         self._loss_rng = None
+        #: loss draws not yet consumed, next one last (see LOSS_BLOCK)
+        self._loss_draws: list = []
         self._partition: Optional[Dict[int, int]] = None  # addr -> group
         self._latency_factor = 1.0
         # -- gray-failure injection (chaos extension) -------------------
@@ -209,6 +215,8 @@ class Network:
             raise ValueError("loss rate must be in [0, 1)")
         self._loss_rate = rate
         self._loss_rng = np.random.default_rng(seed) if rate > 0 else None
+        # Draws taken ahead from the previous generator die with it.
+        self._loss_draws = []
         self._refresh_faults_armed()
 
     def clear_loss(self) -> None:
@@ -344,18 +352,6 @@ class Network:
         self.stats.record_send(addr, addr, "ps_storm", size_bytes)
         self._deliver(msg, 0.0)
 
-    def _injected_failure(self, msg: Message) -> Optional[str]:
-        """Drop cause for an injected fault, or ``None`` to deliver."""
-        if self._partition is not None:
-            if self._partition.get(msg.src, 0) != self._partition.get(msg.dst, 0):
-                return "partition"
-        for src_set, dst_set in self._asym_cuts.values():
-            if msg.src in src_set and msg.dst in dst_set:
-                return "partition"
-        if self._loss_rng is not None and self._loss_rng.random() < self._loss_rate:
-            return "loss"
-        return None
-
     # ------------------------------------------------------------------
     def register(self, node: SimNode) -> None:
         if not 0 <= node.addr < self.topology.size:
@@ -406,12 +402,30 @@ class Network:
         """Rest of ``send`` for a charged, non-local packet while any
         fault is installed: drop, jitter and/or ghost it.  Each fault
         draws from its own generator, once per packet in send order --
-        the replay contract of fixed-seed chaos schedules."""
-        cause = self._injected_failure(msg)
-        if cause is not None:
-            self.stats.record_drop(cause)
+        the replay contract of fixed-seed chaos schedules.  The loss
+        generator is read ``LOSS_BLOCK`` draws at a time: the block
+        holds exactly the values the same number of scalar ``random()``
+        calls would return, so the drop pattern is that of one draw per
+        packet."""
+        src, dst = msg.src, msg.dst
+        partition = self._partition
+        if partition is not None and partition.get(src, 0) != partition.get(dst, 0):
+            self.stats.record_drop("partition")
             return
-        latency = self.topology.latency_ms(msg.src, msg.dst) * self._latency_factor
+        if self._asym_cuts:
+            for src_set, dst_set in self._asym_cuts.values():
+                if src in src_set and dst in dst_set:
+                    self.stats.record_drop("partition")
+                    return
+        if self._loss_rng is not None:
+            draws = self._loss_draws
+            if not draws:
+                draws = self._loss_draws = self._loss_rng.random(LOSS_BLOCK).tolist()
+                draws.reverse()
+            if draws.pop() < self._loss_rate:
+                self.stats.record_drop("loss")
+                return
+        latency = self.topology.latency_ms(src, dst) * self._latency_factor
         if self._reorder_rng is not None:
             # Adversarial per-packet jitter: later sends can arrive first.
             latency += float(self._reorder_rng.uniform(0.0, self._reorder_window))

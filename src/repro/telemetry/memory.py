@@ -252,7 +252,8 @@ def measure_system(
     Components (see :data:`NODE_COMPONENTS` for the per-node ones):
     ``subscriptions``, ``zones``, ``overlay``, ``transport``,
     ``route_cache``, ``durable_log`` (scaled from the node sample),
-    plus ``sim_queue`` (the scheduler's live heap, messages included),
+    plus ``sim_queue`` (the scheduler's live heap, messages included,
+    and the timers waiting in its timeout lanes),
     ``ingress_queues`` (finite-service backlogs) and ``network_stats``
     (the fabric's per-node byte/message arrays), measured in full.
     """
@@ -260,6 +261,10 @@ def measure_system(
     # Never wander into the wiring: every node holds system/network/sim
     # back-references, and the telemetry session must not bill itself.
     walk.exclude([system, system.network, system.sim, system.topology])
+    # A pending packet holds its retransmission timer, and the timer its
+    # lane: without this the first node walked would be billed the
+    # whole fleet's timers.
+    walk.exclude(system.sim.lanes)
     walk.exclude(system.nodes)
     walk.exclude(system.schemes.values())
     if getattr(system, "telemetry", None) is not None:
@@ -280,7 +285,9 @@ def measure_system(
         components[name] = int(measured * scale)
 
     # Global structures: measured in full, never scaled.
-    components["sim_queue"] = deep_sizeof(system.sim._queue, walk)
+    components["sim_queue"] = deep_sizeof(system.sim._queue, walk) + sum(
+        deep_sizeof(lane._waiting, walk) for lane in system.sim.lanes
+    )
     components["ingress_queues"] = sum(
         deep_sizeof(node._ingress_hi, walk) + deep_sizeof(node._ingress_lo, walk)
         for node in alive

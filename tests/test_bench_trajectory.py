@@ -142,6 +142,67 @@ class TestTrajectoryPoint:
         assert p["metrics"]["covering_aggregation_ratio"] == 1.6
 
 
+    def test_lane_micro_is_a_floor_and_an_agreement_check(self):
+        doc = bench_doc()
+        # a document written before the lane micro existed: no value, no gate
+        assert trajectory_point(doc)["metrics"]["scheduler_lane_ops_per_sec"] is None
+        assert validate_bench(doc)["scheduler_lane_agreement"] is True
+        doc["micro"]["scheduler_lane"] = {
+            "timers": 20_000, "fired": 2_090, "agree": True,
+            "ops_per_sec": 600_000.0, "reference_ops_per_sec": 300_000.0,
+            "speedup": 2.0,
+        }
+        base = trajectory_point(doc)
+        assert base["metrics"]["scheduler_lane_ops_per_sec"] == 600_000.0
+        slow = copy.deepcopy(doc)
+        slow["micro"]["scheduler_lane"]["ops_per_sec"] = 400_000.0  # -33%
+        regressions, _ = compare_points(base, trajectory_point(slow))
+        assert any("scheduler_lane_ops_per_sec" in r for r in regressions)
+        slow["micro"]["scheduler_lane"]["agree"] = False
+        assert validate_bench(slow)["scheduler_lane_agreement"] is False
+
+    def test_lane_micro_fires_what_the_reference_fires(self):
+        from repro.bench import _bench_scheduler_lane
+
+        result = _bench_scheduler_lane(timers=1_000, repeat=1)
+        assert result["agree"]
+        # one timer in ten is never acked, plus the last 100 nobody got to
+        assert result["fired"] == 100 + 90
+        assert result["ops_per_sec"] > 0 and result["reference_ops_per_sec"] > 0
+
+    def test_point_carries_the_e2e_medians_and_a_note(self):
+        summary = {
+            "seed": 7, "seconds": 12, "smoke": False,
+            "a": {
+                name: {
+                    "metrics": {
+                        m: {"median": v, "min": v - 1, "max": v + 1, "unit": "x"}
+                        for m, v in (
+                            ("ops_per_s", ops), ("setup_s", 1.5),
+                            ("peak_rss_mb", 90.0), ("delivered_share", 1.0),
+                        )
+                    },
+                    "correct": True,
+                }
+                for name, ops in (("durable_lossy", 290.0), ("sub_churn", 4_900.0))
+            },
+        }
+        p = trajectory_point(bench_doc(), summary, note="PR 15 recorded no point")
+        assert p["note"] == "PR 15 recorded no point"
+        assert p["e2e"]["seed"] == 7 and p["e2e"]["seconds"] == 12
+        assert p["e2e"]["workloads"] == {
+            "durable_lossy": {"ops_per_s": 290.0, "setup_s": 1.5, "peak_rss_mb": 90.0},
+            "sub_churn": {"ops_per_s": 4_900.0, "setup_s": 1.5, "peak_rss_mb": 90.0},
+        }
+        json.dumps(p)
+        # without a summary the point has the shape it always had
+        assert "e2e" not in trajectory_point(bench_doc())
+        assert "note" not in trajectory_point(bench_doc())
+        # recorded, not gated: the e2e block never enters a comparison
+        regressions, notes = compare_points(p, trajectory_point(bench_doc()))
+        assert regressions == [] and not any("e2e" in n for n in notes)
+
+
 class TestTrajectoryFile:
     def test_load_missing_file_is_a_fresh_document(self, tmp_path):
         doc = load_trajectory(tmp_path / "absent.json")

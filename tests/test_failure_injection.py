@@ -85,6 +85,62 @@ class TestLossInjection:
         sim.run()
         assert 0.6 < len(b.received) / 1000 < 0.8
 
+    def test_drop_pattern_is_one_scalar_draw_per_packet(self):
+        """The armed path reads its generator a block at a time; the
+        drop pattern must be that of one ``rng.random()`` per packet in
+        send order -- across block boundaries, a reseed in the middle of
+        a block, and a heal followed by a re-arm."""
+        from repro.sim.network import LOSS_BLOCK
+
+        sim = Simulator()
+        net = Network(sim, ConstantTopology(2, rtt=10.0))
+        Recorder(0, net), Recorder(1, net)
+
+        def send_all(n):
+            pattern = []
+            for _ in range(n):
+                before = net.stats.dropped_by_cause["loss"]
+                net.send(Message(src=0, dst=1, kind="t", payload=None, size_bytes=10))
+                pattern.append(net.stats.dropped_by_cause["loss"] > before)
+            return pattern
+
+        def scalar(n, rate, seed):
+            rng = np.random.default_rng(seed)
+            return [bool(rng.random() < rate) for _ in range(n)]
+
+        assert LOSS_BLOCK < 1_500 < 2 * LOSS_BLOCK  # the reseed lands mid-block
+        net.set_loss_rate(0.03, seed=11)
+        got = send_all(1_500)
+        net.set_loss_rate(0.2, seed=12)  # reseed: the draws taken ahead die
+        got += send_all(1_500)
+        net.clear_loss()
+        healed = send_all(100)
+        net.set_loss_rate(0.03, seed=11)  # re-arm: the stream starts over
+        got += send_all(2_000)
+        assert got == scalar(1_500, 0.03, 11) + scalar(1_500, 0.2, 12) + scalar(2_000, 0.03, 11)
+        assert not any(healed)
+        assert 0 < sum(got) == net.stats.dropped_by_cause["loss"]
+
+    def test_a_partitioned_packet_consumes_no_loss_draw(self):
+        """Cuts are tested before the loss draw, so a packet a partition
+        eats leaves the loss stream where it was."""
+        sim = Simulator()
+        net = Network(sim, ConstantTopology(3, rtt=10.0))
+        nodes = [Recorder(a, net) for a in range(3)]
+        net.set_loss_rate(0.5, seed=4)
+        net.set_partition({2: 1})
+        net.add_asym_cut(1, [1], [0])
+        for i in range(300):
+            for dst in (1, 2):  # 0 -> 2 crosses the partition
+                net.send(Message(src=0, dst=dst, kind="t", payload=i, size_bytes=10))
+            net.send(Message(src=1, dst=0, kind="t", payload=i, size_bytes=10))
+        sim.run()
+        rng = np.random.default_rng(4)
+        survivors = [i for i in range(300) if not rng.random() < 0.5]
+        assert [m.payload for m in nodes[1].received] == survivors
+        assert nodes[0].received == [] and nodes[2].received == []
+        assert net.stats.dropped_by_cause["partition"] == 600
+
     def test_loss_still_charges_sender_bytes(self):
         sim = Simulator()
         net = Network(sim, ConstantTopology(2, rtt=10.0))

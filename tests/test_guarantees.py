@@ -350,3 +350,174 @@ class TestDurableEndToEnd:
             for subid, seq in per_sub.items():
                 assert seq == sorted(seq)
                 assert len(seq) == 8
+
+
+# ----------------------------------------------------------------------
+# The custody tick: one per start cohort (docs/SIMULATOR.md)
+# ----------------------------------------------------------------------
+def _durable_cfg(**over):
+    kw = dict(
+        seed=3, code_bits=12, reliable_delivery=True,
+        retransmit_timeout_ms=500.0, max_retries=2,
+        delivery_mode="durable", durable_redelivery_ms=1_000.0,
+        durable_rejoin_grace_ms=2_000.0,
+    )
+    kw.update(over)
+    return HyperSubConfig(**kw)
+
+
+def _cohort_tick_times(system, cohort):
+    """Deadlines of ``cohort``'s scheduler entries (white box)."""
+    return [
+        time for time, _seq, handle, fn, _args in system.sim._queue
+        if getattr(fn, "__self__", None) is cohort and not handle.cancelled
+    ]
+
+
+class TestCustodyCohort:
+    def test_idle_nodes_cost_no_dispatch(self):
+        """50 nodes with empty custody logs: the only callbacks of a
+        60 s drain are the cohort's ticks, one per period."""
+        system, _scheme, _ = _small_system(_durable_cfg(), num_nodes=50)
+        system.start_durable_redelivery()
+        cohort = system.nodes[0]._dur_cohort
+        assert all(n._dur_cohort is cohort for n in system.nodes)
+        assert cohort.members == system.nodes  # address order
+        before = system.sim.processed
+        system.run(until=60_000.0)
+        assert system.sim.processed - before == 60
+        system.stop_durable_redelivery()
+        system.run_until_idle()
+        assert system.sim.processed - before == 61  # the last tick finds nobody
+        assert system.sim.live == 0
+
+    def test_restart_redelivers_at_the_configured_period(self, monkeypatch):
+        """stop + start before the old tick fires used to leave two
+        live tick chains on the node (the stale callback saw the
+        running flag up again).  Membership is by identity now: the
+        stale cohort's tick is a no-op and the obligation is re-sent on
+        the new phase only, once per period."""
+        from repro.core.node import PubSubNodeMixin
+
+        victim = 7
+        system, scheme, _ = _small_system(
+            _durable_cfg(), subs=[(victim, [200.0, 200.0], [600.0, 600.0])]
+        )
+        times = []
+        redeliver = PubSubNodeMixin._dur_redeliver
+
+        def recording(self, entry):
+            times.append(self.sim.now)
+            redeliver(self, entry)
+
+        monkeypatch.setattr(PubSubNodeMixin, "_dur_redeliver", recording)
+        system.start_durable_redelivery()       # phase 0: ticks at 1000, 2000, ...
+        system.run(until=300.0)
+        system.stop_durable_redelivery()
+        system.start_durable_redelivery()       # phase 300: 1300, 2300, ...
+        system.nodes[victim].fail()             # nobody will ever ack the delivery
+        system.run(until=1_900.0)
+        system.publish(3, Event(scheme, [300.0, 400.0]))
+        system.run(until=9_000.0)
+        assert times, "the match site never re-sent its custody entry"
+        # due at the first tick >= 1000 ms after it was logged: a stale
+        # phase-0 chain would take it at 3000, the live one at 3300
+        assert [t % 1_000.0 for t in times] == [300.0] * len(times)
+        assert [b - a for a, b in zip(times, times[1:])] == [1_000.0] * (len(times) - 1)
+        system.stop_durable_redelivery()
+        system.run_until_idle()
+
+    def test_rejoined_node_keeps_its_own_phase(self):
+        victim = 7
+        system, _scheme, _ = _small_system(_durable_cfg())
+        system.start_maintenance(stabilize_interval_ms=500.0, rpc_timeout_ms=1_500.0)
+        system.start_durable_redelivery()
+        fleet = system.nodes[0]._dur_cohort
+        old = system.nodes[victim]
+        system.run(until=1_000.0)
+        old.fail()
+        system.run(until=6_400.0)
+        assert old not in fleet.members  # dropped at the first tick after the crash
+        assert len(fleet.members) == len(system.nodes) - 1
+        system.rejoin_node(victim)
+        node = system.nodes[victim]
+        own = node._dur_cohort
+        assert own is not fleet and own.members == [node]
+        assert _cohort_tick_times(system, own) == [7_400.0]
+        assert _cohort_tick_times(system, fleet) == [7_000.0]
+        system.run(until=8_100.0)
+        assert _cohort_tick_times(system, own) == [8_400.0]
+        assert _cohort_tick_times(system, fleet) == [9_000.0]
+        system.stop_maintenance()
+        system.stop_durable_redelivery()
+        system.run_until_idle()
+
+    def test_a_fleet_of_crashed_members_drains_unstopped(self):
+        """A dead incarnation's share of the tick dies with it: once
+        every member has crashed, nothing re-arms and the simulation
+        drains without anyone calling stop."""
+        system, _scheme, _ = _small_system(_durable_cfg(), num_nodes=12)
+        system.start_durable_redelivery()
+        cohort = system.nodes[0]._dur_cohort
+        system.run(until=2_500.0)
+        for node in system.nodes[:5]:
+            node.fail()
+        system.run(until=3_500.0)
+        assert cohort.members == system.nodes[5:]
+        for node in system.nodes[5:]:
+            node.fail()
+        system.sim.run_until_idle(max_events=1_000)
+        assert cohort.members == [] and system.sim.live == 0
+
+    def test_dispatch_count_gate(self, monkeypatch):
+        """Fixed seed, 60 nodes, durable + fifo under 3 % loss: every
+        scheduler dispatch is a packet arrival, a scheduled publish, a
+        retransmission timer that really expired or a cohort tick.  A
+        cancelled timer or an idle node never costs a dispatch."""
+        from repro.core.node import CustodyCohort, PubSubNodeMixin
+
+        counts = {"retry": 0, "tick": 0, "publish": 0}
+        retry, tick = PubSubNodeMixin._rel_retry, CustodyCohort.tick
+
+        def counted_retry(self, seq):
+            counts["retry"] += 1
+            retry(self, seq)
+
+        def counted_tick(self):
+            counts["tick"] += 1
+            tick(self)
+
+        monkeypatch.setattr(PubSubNodeMixin, "_rel_retry", counted_retry)
+        monkeypatch.setattr(CustodyCohort, "tick", counted_tick)
+        cfg = _durable_cfg(
+            seed=16, ordering="fifo", direct_rendezvous_levels=21,
+            retransmit_timeout_ms=1_000.0, durable_redelivery_ms=2_000.0,
+        )
+        subs = [
+            (a, [13.0 * a % 700, 50.0], [13.0 * a % 700 + 250.0, 950.0])
+            for a in range(60)
+        ]
+        system, scheme, _ = _small_system(cfg, num_nodes=60, subs=subs)
+        system.network.set_loss_rate(0.03, seed=16)
+        system.start_durable_redelivery()
+
+        def publish(i):
+            counts["publish"] += 1
+            system.publish(i % 60, Event(scheme, [37.0 * i % 1000, 500.0]))
+
+        before = system.sim.processed
+        for i in range(120):
+            system.sim.schedule_at(25.0 * i, publish, i)
+        system.run(until=40_000.0)
+        system.stop_durable_redelivery()
+        system.run_until_idle()
+
+        stats = system.network.stats
+        arrivals = stats.total_msgs - stats.dropped_by_cause["loss"]
+        assert stats.retransmissions > 0 and stats.dropped_by_cause["loss"] > 0
+        assert counts["retry"] < stats.msgs_by_kind["ps_event"] // 5
+        assert system.sim.processed - before == (
+            arrivals + counts["publish"] + counts["retry"] + counts["tick"]
+        )
+        assert counts["tick"] == 21  # 40 s / 2 s, plus the one that finds nobody
+        assert sum(len(n.durable.log) for n in system.nodes) == 0

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event scheduler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -197,3 +199,197 @@ def test_live_tracks_nested_scheduling():
     assert sim.live == 1  # the nested event replaced the fired one
     sim.run()
     assert sim.live == 0
+
+
+# ----------------------------------------------------------------------
+# Timeout lanes
+# ----------------------------------------------------------------------
+LANE_DELAY = 5.0
+
+
+class LaneWorld:
+    """One simulator driven by a script of nested actions.
+
+    ``use_lane=False`` is the reference: every timer of the script goes
+    through ``schedule()``.  ``use_lane=True`` arms the constant-delay
+    timers on a :class:`TimeoutLane` instead.  The two must be
+    indistinguishable from inside the simulation.
+    """
+
+    def __init__(self, use_lane):
+        self.sim = Simulator()
+        self.lane = self.sim.timeout_lane(LANE_DELAY) if use_lane else None
+        self.handles = []   # every handle ever returned, in creation order
+        self.timers = []    # the constant-delay ones among them
+        self.fired = []     # (time, label)
+        self.labels = 0
+
+    def _label(self):
+        self.labels += 1
+        return self.labels
+
+    def fire(self, label, actions):
+        self.fired.append((self.sim.now, label))
+        self.apply(actions)
+
+    def apply(self, actions):
+        sim = self.sim
+        for act in actions:
+            kind = act[0]
+            if kind == "arm":
+                if self.lane is not None:
+                    handle = self.lane.arm(self.fire, self._label(), act[1])
+                else:
+                    handle = sim.schedule(
+                        LANE_DELAY, self.fire, self._label(), act[1]
+                    )
+                self.timers.append(handle)
+            elif kind == "schedule":
+                handle = sim.schedule(act[1], self.fire, self._label(), act[2])
+            elif kind == "schedule_at":
+                handle = sim.schedule_at(
+                    sim.now + act[1], self.fire, self._label(), act[2]
+                )
+            elif kind == "cancel":
+                if not self.handles:
+                    continue
+                handle = self.handles[act[1] % len(self.handles)]
+                handle.cancel()
+                continue
+            else:  # "cancel_oldest": the lane's head, in lane terms
+                for handle in self.timers:
+                    if not handle.cancelled and not handle._done:
+                        handle.cancel()
+                        break
+                continue
+            self.handles.append(handle)
+
+    def observe(self):
+        return (list(self.fired), self.sim.now, self.sim.live, self.sim.processed)
+
+
+def _lane_actions(depth):
+    inner = _lane_actions(depth - 1) if depth else st.just(())
+    # 0, the lane delay itself and its multiples are there on purpose:
+    # same-timestamp ties between lane timers and ordinary entries.
+    delays = st.sampled_from([0.0, 1.0, 2.5, LANE_DELAY, 2 * LANE_DELAY])
+    action = st.one_of(
+        st.tuples(st.just("arm"), inner),
+        st.tuples(st.just("arm"), inner),
+        st.tuples(st.just("schedule"), delays, inner),
+        st.tuples(st.just("schedule_at"), delays, inner),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("cancel_oldest")),
+    )
+    return st.lists(action, max_size=4).map(tuple)
+
+
+def _lane_programs():
+    step = st.one_of(
+        st.tuples(st.just("apply"), _lane_actions(3)),
+        st.tuples(st.just("run_until"), st.sampled_from([0.0, 1.0, 2.5, 5.0, 7.5, 12.0])),
+        st.tuples(st.just("run_max"), st.integers(1, 4)),
+        st.tuples(st.just("step")),
+    )
+    return st.lists(step, max_size=12)
+
+
+def _run_lane_program(program, make_world=LaneWorld):
+    ref, lane = make_world(False), make_world(True)
+    for step in program + [("drain",)]:
+        for world in (ref, lane):
+            sim = world.sim
+            if step[0] == "apply":
+                world.apply(step[1])
+            elif step[0] == "run_until":
+                sim.run(until=sim.now + step[1])
+            elif step[0] == "run_max":
+                sim.run(max_events=step[1])
+            elif step[0] == "step":
+                sim.step()
+            else:
+                sim.run()
+        assert lane.observe() == ref.observe(), step
+        # the reference holds one heap entry per timer until it is
+        # popped, cancelled or not; the lane never holds more
+        assert lane.sim.pending <= ref.sim.pending
+        assert len(lane.sim._queue) <= len(ref.sim._queue)
+    assert lane.sim.pending == lane.sim.live == 0
+    return ref, lane
+
+
+class TestTimeoutLane:
+    def test_equals_a_simulator_that_schedules_everything(self):
+        """Random interleavings of arm / cancel / schedule /
+        schedule_at, nested inside callbacks, with ties on purpose: the
+        same (time, callback) sequence, the same ``live`` and
+        ``processed`` after every step, ``run(until=)`` and
+        ``run(max_events=)`` stopping on the same entry."""
+
+        @settings(max_examples=300, deadline=None)
+        @given(_lane_programs())
+        def check(program):
+            _run_lane_program(program)
+
+        check()
+
+    def test_a_callback_may_arm_cancel_and_tie_with_the_lane(self):
+        """The cases the property test must reach, pinned: re-arming
+        from inside a lane callback, cancelling the head, cancelling a
+        timer that already fired, an ordinary entry landing on a lane
+        deadline from either side of it in sequence order."""
+        program = [
+            ("apply", (
+                ("schedule", LANE_DELAY, ()),              # 1: seq before the timers
+                # 2: arms 6 from inside a lane callback, then cancels the
+                # oldest live timer -- 4, the head promoted just before
+                ("arm", (("arm", (("arm", ()),)), ("cancel_oldest",))),
+                ("schedule", LANE_DELAY, (("arm", ()),)),  # 3: seq after 2, arms 7
+                ("arm", ()),                               # 4
+                ("arm", (("cancel", 1),)),                 # 5: cancels 2, long fired
+            )),
+            ("run_until", LANE_DELAY),
+            # the head again (6, so its nested arm never happens), then 8
+            ("apply", (("cancel_oldest",), ("arm", ()))),
+        ]
+        ref, lane = _run_lane_program(program)
+        assert ref.fired == [
+            (5.0, 1), (5.0, 2), (5.0, 3), (5.0, 5), (10.0, 7), (10.0, 8),
+        ]
+
+    def test_only_the_head_occupies_the_heap(self):
+        sim = Simulator()
+        lane = sim.timeout_lane(1_000.0)
+        fired = []
+        timers = []
+        for i in range(100):
+            sim.now = float(i)  # a send every millisecond
+            timers.append(lane.arm(fired.append, i))
+        assert len(sim._queue) == 1
+        assert sim.pending == sim.live == 100
+        assert lane.backlog == 99
+        for t in timers[1::2]:  # acks: not one heap operation
+            t.cancel()
+        assert len(sim._queue) == 1
+        assert sim.pending == sim.live == 50
+        timers[0].cancel()  # the head: its stub stays, the next live one enters
+        assert len(sim._queue) == 2
+        assert sim.live == 49 and sim.pending == 50
+        executed = sim.run()
+        # a cancelled timer never costs a dispatch
+        assert executed == sim.processed == 49
+        assert fired == list(range(2, 100, 2))
+        assert sim.pending == sim.live == 0
+
+    def test_deadlines_are_those_of_schedule(self):
+        sim = Simulator()
+        lane = sim.timeout_lane(0.1)
+        sim.now = 0.7
+        timer = lane.arm(lambda: None)
+        handle = sim.schedule(0.1, lambda: None)
+        assert timer.time == handle.time  # the same float, not a close one
+        assert handle.seq == timer.seq + 1  # arm reserved a sequence number
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator().timeout_lane(-1.0)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     Attribute,
+    Event,
     HyperSubConfig,
     HyperSubSystem,
     Predicate,
@@ -160,6 +161,39 @@ class TestMeasureSystem:
         assert report.total_bytes == sum(report.components.values())
         assert report.bytes_per_node > 0
         assert not report.truncated
+
+    def test_pending_packets_do_not_drag_the_lane_in(self):
+        """A pending reliable packet references its retransmission
+        timer, the timer its lane, the lane every other node's timers:
+        the walk must stop at the lane, bill a node's ``transport`` only
+        its own pending state, and count the waiting timers once, under
+        ``sim_queue``."""
+        scheme = make_scheme()
+        system = HyperSubSystem(
+            num_nodes=30, config=HyperSubConfig(seed=3, reliable_delivery=True)
+        )
+        system.add_scheme(scheme)
+        sub = Subscription(
+            scheme, [Predicate("x", 0.0, 9_000.0), Predicate("y", 0.0, 9_000.0)]
+        )
+        for addr in range(30):
+            system.subscribe(addr, sub)
+        system.finish_setup()
+        idle = measure_system(system)
+        for i in range(20):
+            system.publish(i, Event(scheme, [100.0 + i, 200.0]))
+        system.run(until=system.sim.now + 40.0)  # packets in flight, unacked
+        lane = system.retransmit_lane
+        assert lane.backlog > 20
+        busy = measure_system(system)
+        one_node = measure_system(system, node_sample=1)
+        assert busy.components["sim_queue"] > idle.components["sim_queue"]
+        assert busy.components["transport"] > idle.components["transport"]
+        # sampling one node scales one node's share; it does not find
+        # the fleet's timers behind that node's first pending packet
+        assert one_node.components["transport"] < 3 * busy.components["transport"]
+        assert not busy.truncated
+        system.run_until_idle()
 
     def test_subscription_tables_dominate_an_installed_system(self):
         system = make_system(subs=200)
