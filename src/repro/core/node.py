@@ -1473,6 +1473,14 @@ class PubSubNodeMixin:
         state = self._rel_pending.get(seq)
         if state is None:
             return  # acked in time
+        if not self._alive:
+            # A dead incarnation transmits nothing: the packet is
+            # abandoned, counted like an exhausted retry budget.
+            del self._rel_pending[seq]
+            self._count_give_up(
+                state["payload"], span=state.get("span"), cause="retries"
+            )
+            return
         if self.breaker is not None and self.breaker.record_failure(
             state["dst"], self.sim.now
         ):

@@ -342,6 +342,26 @@ class TestReliableDelivery:
         )
         assert total_recorded >= kinds["ps_event"] * 0.9
 
+    def test_a_crashed_node_sends_nothing_after_fail(self):
+        """``_rel_retry`` had no ``_alive`` guard (its siblings
+        ``_rel_busy_resend`` and ``_failover_resend`` do): a node that
+        crashed with packets pending kept retransmitting them until
+        ``max_retries``.  A dead incarnation drops the pending entry,
+        counts the give-up under ``retries`` and transmits nothing."""
+        system, scheme, _installed, _rng = self.build(max_retries=3)
+        publisher = system.nodes[5]
+        stats = system.network.stats
+        system.publish(5, Event(scheme, [3000.0, 3000.0, 3000.0, 3000.0]))
+        assert publisher._rel_pending, "the publisher forwarded nothing reliably"
+        publisher.fail()  # the acks on their way back find nobody
+        sent = int(stats.out_msgs[5])
+        gave_up = stats.gave_up
+        system.run_until_idle()
+        assert int(stats.out_msgs[5]) == sent
+        assert not publisher._rel_pending
+        assert stats.gave_up > gave_up
+        assert stats.gave_up_by_cause["retries"] == stats.gave_up
+
     def test_gives_up_after_max_retries(self):
         system, scheme, installed, rng = self.build(max_retries=1)
         system.network.set_loss_rate(0.9, seed=5)  # nearly dead network

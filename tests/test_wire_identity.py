@@ -335,18 +335,24 @@ def test_durable_causal_under_loss_is_wire_identical(monkeypatch):
     fp = scenario_durable_causal(monkeypatch)
     # every rewritten event path ran at least once
     assert fp["failovers"] and fp["parked"] and fp["redelivered"] and fp["sequenced"]
+    # Re-recorded in PR 16 with ``_rel_retry``'s ``_alive`` guard: the
+    # three crashed nodes stop retransmitting, which shifts every later
+    # loss draw of this (failover-storm, chaotic) run.  Parent values:
+    # ps_event 2249 / ack 1734 / dack 353, failovers 226, parked 40,
+    # redelivered 144, retransmissions 572, digest fa91f6a468e9...; all
+    # 120 deliveries arrive on both sides.
     assert fp == {
-        "msgs": {"ps_dack": 353, "ps_event": 2249, "ps_event_ack": 1734},
+        "msgs": {"ps_dack": 595, "ps_event": 7683, "ps_event_ack": 6428},
         "bytes": {
-            "ps_dack": 7060.0, "ps_event": 329286.0, "ps_event_ack": 34680.0,
+            "ps_dack": 11900.0, "ps_event": 1122853.0, "ps_event_ack": 128560.0,
         },
         "deliveries": 120,
-        "digest": "fa91f6a468e95afe03992d8939782a5da348f4ca9bab47a852e87c982005ec57",
-        "failovers": 226,
-        "parked": 40,
-        "redelivered": 144,
+        "digest": "511fd2d666f0eb0dd380e3eb376a91cfdf9273058b017f12459d12ef6f78ab4e",
+        "failovers": 507,
+        "parked": 39,
+        "redelivered": 181,
         "sequenced": 12,
-        "retransmissions": 572,
+        "retransmissions": 1617,
     }
 
 
