@@ -1,15 +1,10 @@
 """Benchmark-suite configuration.
 
 Scales are controlled by ``REPRO_SCALE`` (quick | bench | default |
-paper); the suite defaults to ``bench`` (600 nodes, 800 events), which
-keeps the whole harness to a few minutes while preserving every
-qualitative result.  ``REPRO_SCALE=paper`` reruns the paper's exact
-sizes (1740 nodes, 20,000 events; Figure 5 sweeps 2k-16k nodes).
-
-Figures 2, 3 and 4 read the same four delivery runs; the in-process
-memo cache in :mod:`repro.experiments.common` makes the later modules
-reuse the first module's runs, so their reported times measure analysis
-over cached runs, not re-simulation.
+paper); the Table-1 calibration defaults to ``bench`` (600 nodes, 800
+events).  ``REPRO_SCALE=paper`` reruns the paper's exact sizes (1740
+nodes, 20,000 events).  The figures themselves are ``python -m repro
+<exp>``.
 """
 
 import pytest

@@ -35,7 +35,6 @@ def sparkline(loads: np.ndarray, width: int = 60) -> str:
 def main() -> None:
     config = HyperSubConfig(
         seed=5,
-        dynamic_migration=True,
         migration_delta=0.1,
         migration_probe_level=1,
     )

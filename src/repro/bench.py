@@ -4,9 +4,9 @@ The micro-benchmarks under ``benchmarks/`` give statistically careful
 per-operation timings, but nothing *records* them: the perf trajectory
 of the hot paths was invisible across PRs.  This module is the tracked
 counterpart -- it times the same hot paths (scheduler dispatch, Chord
-next-hop routing, local matching), runs one fig2-shaped macro delivery
-with the telemetry profiler on, and writes everything to
-``BENCH_hotpath.json`` (see docs/PERFORMANCE.md for how to read it).
+next-hop routing, local matching), runs one fig2-shaped macro delivery,
+and writes everything to ``BENCH_hotpath.json`` (see
+docs/PERFORMANCE.md for how to read it).
 
 CI's ``bench-smoke`` job runs ``python -m repro bench --quick``,
 uploads the JSON as an artifact and fails the build when a floor check
@@ -299,50 +299,13 @@ def _time_matching(store, pts, repeat: int) -> float:
     return best
 
 
-def _bench_matching(
-    boxes: int = 2_000, points: int = 200, repeat: int = 3
-) -> Dict[str, Any]:
-    """Local event matching: the columnar BoxStore scan and the grid
-    index, each against the naive row-major scan."""
-    import numpy as np
-
-    from repro.core.indexing import GridIndex
-    from repro.core.matching import BoxStore
-    from repro.core.subscription import SubID
-
-    rng = np.random.default_rng(3)
-    lows = rng.uniform(0, 9_000, (boxes, 4))
-    highs = lows + rng.uniform(10, 500, (boxes, 4))
-    pts = rng.uniform(0, 10_000, (points, 4))
-
-    ids = [SubID(i, 1) for i in range(boxes)]
-    linear = BoxStore(4)
-    grid = GridIndex(4, np.zeros(4), np.full(4, 10_000.0), cells_per_dim=32)
-    for i, sid in enumerate(ids):
-        linear.put(sid, lows[i], highs[i])
-        grid.put(sid, lows[i], highs[i])
-
-    naive_s = _time_matching(_NaiveRowMajorScan(ids, lows, highs), pts, repeat)
-    linear_s = _time_matching(linear, pts, repeat)
-    grid_s = _time_matching(grid, pts, repeat)
-    return {
-        "boxes": boxes,
-        "points": points,
-        "naive_ops_per_sec": points / naive_s,
-        "linear_ops_per_sec": points / linear_s,
-        "grid_ops_per_sec": points / grid_s,
-        "linear_speedup": naive_s / linear_s,
-        "grid_speedup": naive_s / grid_s,
-    }
-
-
 def _clustered_boxes(n: int, rng, clusters: int = 64):
     """Fig-shaped box workload: hotspot clusters over a 4-dim domain.
 
     Subscriptions in the paper's workloads concentrate on popular
     attribute regions; hotspot clusters reproduce that skew so the
-    covering layer has real overlap to aggregate while the band/grid
-    indexes still see a full-domain spread.
+    covering layer has real overlap to aggregate while the band index
+    still sees a full-domain spread.
     """
     import numpy as np
 
@@ -358,10 +321,10 @@ def _clustered_boxes(n: int, rng, clusters: int = 64):
 def _bench_algo5(
     full_scale: bool, points: int = 200, repeat: int = 3
 ) -> Dict[str, Any]:
-    """``algo5.match`` micro across index kinds and covering modes.
+    """``match_point`` micro across index kinds and covering modes.
 
     Per scale (10^2..10^4 always; 10^5 unless quick) the same clustered box
-    set is loaded into the linear, grid and bands stores and the same
+    set is loaded into the linear and bands stores and the same
     query points are matched through each; every ``*_speedup`` is over
     the naive row-major scan, and answers are cross-checked against it
     so a speedup can never come from a wrong index.  Covering runs at 10^4
@@ -372,7 +335,7 @@ def _bench_algo5(
     import numpy as np
 
     from repro.core.covering import CoveringStore
-    from repro.core.indexing import make_store
+    from repro.core.indexing import BandIndex
     from repro.core.matching import BoxStore
     from repro.core.subscription import SubID
 
@@ -385,13 +348,7 @@ def _bench_algo5(
         lows, highs = _clustered_boxes(n, rng)
         pts = rng.uniform(0, 10_000, (points, 4))
         ids = [SubID(i, 1) for i in range(n)]
-        stores = {
-            "linear": BoxStore(4),
-            "grid": make_store(
-                "grid", 4, np.zeros(4), np.full(4, 10_000.0), 16
-            ),
-            "bands": make_store("bands", 4),
-        }
+        stores = {"linear": BoxStore(4), "bands": BandIndex(4)}
         for store in stores.values():
             for i, sid in enumerate(ids):
                 store.put(sid, lows[i], highs[i])
@@ -683,24 +640,19 @@ def _bench_install(
 
 
 # ----------------------------------------------------------------------
-# Macro benchmark (fig2-shaped delivery run, profiler on)
+# Macro benchmark (fig2-shaped delivery run)
 # ----------------------------------------------------------------------
-def _run_macro_once(
-    num_nodes: int, num_events: int, route_cache: bool, out_dir: str
-) -> Dict[str, Any]:
+def _bench_macro(num_nodes: int, num_events: int, out_dir: str) -> Dict[str, Any]:
     from repro.core.config import HyperSubConfig
     from repro.core.system import HyperSubSystem
     from repro.telemetry import telemetry_session
     from repro.workloads import WorkloadGenerator, default_paper_spec
 
-    label = "bench-macro" + ("" if route_cache else "-nocache")
     with telemetry_session(
-        os.path.join(out_dir, label), label=label,
-        tracing=False, profiling=True,
-    ) as tel:
-        cfg = HyperSubConfig(route_cache=route_cache, seed=1)
+        os.path.join(out_dir, "bench-macro"), label="bench-macro", tracing=False
+    ):
         t_build = perf_counter()
-        system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
+        system = HyperSubSystem(num_nodes=num_nodes, config=HyperSubConfig(seed=1))
         gen = WorkloadGenerator(
             default_paper_spec(subs_per_node=10), seed=7
         )
@@ -715,13 +667,13 @@ def _run_macro_once(
         system.run_until_idle()
         wall = perf_counter() - t0
         memory = system.sample_memory()
-        profile = tel.profiler.summary()
         rc = system.route_cache_stats()
         deliveries = sum(
             r.matched for r in system.metrics.records.values()
         )
     return {
-        "route_cache": route_cache,
+        "num_nodes": num_nodes,
+        "num_events": num_events,
         #: host seconds before the timed phase, by stage
         "setup_s": {
             "build": t_populate - t_build,
@@ -734,26 +686,6 @@ def _run_macro_once(
         "deliveries": deliveries,
         "route_cache_stats": rc,
         "memory": memory.as_dict() if memory is not None else None,
-        "profile": {
-            k: v for k, v in profile.items() if k.startswith("algo5.")
-        },
-    }
-
-
-def _bench_macro(num_nodes: int, num_events: int, out_dir: str) -> Dict[str, Any]:
-    on = _run_macro_once(num_nodes, num_events, True, out_dir)
-    off = _run_macro_once(num_nodes, num_events, False, out_dir)
-    if on["deliveries"] != off["deliveries"]:
-        raise AssertionError(
-            "route cache changed delivery results: "
-            f"{on['deliveries']} (on) vs {off['deliveries']} (off)"
-        )
-    return {
-        "num_nodes": num_nodes,
-        "num_events": num_events,
-        "cache_on": on,
-        "cache_off": off,
-        "wall_improvement": off["wall_seconds"] / on["wall_seconds"],
     }
 
 
@@ -798,18 +730,12 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
             micro["routing"]["closest_preceding_speedup"]
             >= ROUTING_SPEEDUP_FLOOR
         ),
-        "route_cache_hits": (
-            macro["cache_on"]["route_cache_stats"]["hit_rate"] > 0.0
-        ),
+        "route_cache_hits": macro["route_cache_stats"]["hit_rate"] > 0.0,
         "store_roundtrip": bool(
             micro.get("store", {}).get("roundtrip_ok", True)
         ),
-        "deliveries_unchanged": (
-            macro["cache_on"]["deliveries"] == macro["cache_off"]["deliveries"]
-        ),
         "memory_accounted": (
-            (macro["cache_on"].get("memory") or {}).get("bytes_per_node", 0.0)
-            > 0.0
+            (macro.get("memory") or {}).get("bytes_per_node", 0.0) > 0.0
         ),
     }
 
@@ -832,9 +758,8 @@ TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
     "scheduler_lane_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "next_hop_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "routing_speedup": {"direction": "higher", "env": _FULL_ENV},
-    # All three matching ratios are over the naive row-major scan
-    # (``_NaiveRowMajorScan``), at 2*10^3 (grid) / 10^4 boxes.
-    "matching_grid_speedup": {"direction": "higher", "env": _FULL_ENV},
+    # Both matching ratios are over the naive row-major scan
+    # (``_NaiveRowMajorScan``), at 10^4 boxes.
     "matching_bands_speedup": {"direction": "higher", "env": _FULL_ENV},
     "matching_linear_speedup": {"direction": "higher", "env": _FULL_ENV},
     "pop_matching_speedup": {"direction": "higher", "env": _FULL_ENV},
@@ -885,7 +810,7 @@ def trajectory_point(
     """
     micro = data["micro"]
     macro = data["macro"]
-    mem = (macro["cache_on"].get("memory") or {})
+    mem = macro.get("memory") or {}
     point: Dict[str, Any] = {
         "created_utc": data["created_utc"],
         "git_rev": data["git_rev"],
@@ -897,14 +822,13 @@ def trajectory_point(
             "python_minor": _python_minor(data.get("python", "")),
         },
         "metrics": {
-            "events_per_sec": macro["cache_on"]["events_per_sec"],
+            "events_per_sec": macro["events_per_sec"],
             "scheduler_ops_per_sec": micro["scheduler"]["ops_per_sec"],
             "scheduler_lane_ops_per_sec": (
                 micro.get("scheduler_lane", {}).get("ops_per_sec")
             ),
             "next_hop_ops_per_sec": micro["routing"]["next_hop_ops_per_sec"],
             "routing_speedup": micro["routing"]["closest_preceding_speedup"],
-            "matching_grid_speedup": micro["matching"]["grid_speedup"],
             "matching_bands_speedup": (
                 micro["algo5"]["scales"]["10000"]["bands_speedup"]
             ),
@@ -920,8 +844,7 @@ def trajectory_point(
                 data["covering"]["aggregation_ratio"]
             ),
             "mem_bytes_per_node": float(mem.get("bytes_per_node", 0.0)),
-            "wall_improvement": macro["wall_improvement"],
-            "setup_s": macro["cache_on"].get("setup_s", {}).get("total"),
+            "setup_s": macro.get("setup_s", {}).get("total"),
         },
     }
     if e2e_summary is not None:
@@ -1073,7 +996,6 @@ def run_bench(
         "scheduler": _bench_scheduler(),
         "scheduler_lane": _bench_scheduler_lane(),
         "routing": _bench_routing(),
-        "matching": _bench_matching(),
         "algo5": _bench_algo5(full_scale),
         "pop_matching": _bench_pop_matching(),
         "install": _bench_install(),
@@ -1127,8 +1049,7 @@ def run_bench(
     )
 
     r = micro["routing"]
-    m = macro["cache_on"]
-    mem = m.get("memory") or {}
+    mem = macro.get("memory") or {}
     print(
         f"scheduler     {micro['scheduler']['ops_per_sec']:12,.0f} ops/s\n"
         f"timeout lane  {micro['scheduler_lane']['ops_per_sec']:12,.0f} "
@@ -1138,13 +1059,9 @@ def run_bench(
         f"(bisect {r['bisect_us_per_call']:.2f}us vs linear "
         f"{r['linear_us_per_call']:.2f}us = "
         f"{r['closest_preceding_speedup']:.1f}x)\n"
-        f"matching      scan {micro['matching']['linear_speedup']:.1f}x, "
-        f"grid {micro['matching']['grid_speedup']:.1f}x over the naive "
-        f"row-major scan at {micro['matching']['boxes']} boxes\n"
         + "".join(
-            f"algo5.match   {int(n):>6} boxes: scan "
+            f"match_point   {int(n):>6} boxes: scan "
             f"{e['linear_speedup']:.1f}x ({e['linear_us_per_call']:.1f}us), "
-            f"grid {e['grid_speedup']:.1f}x ({e['grid_us_per_call']:.1f}us), "
             f"bands {e['bands_speedup']:.1f}x ({e['bands_us_per_call']:.1f}us)"
             + (
                 f", covering {e['covering']['aggregation_ratio']:.1f} "
@@ -1178,14 +1095,13 @@ def run_bench(
         f"memory        {mem.get('bytes_per_node', 0.0):12,.0f} bytes/node "
         f"({mem.get('total_bytes', 0) / 1e6:.1f} MB over "
         f"{mem.get('alive_nodes', 0)} nodes)\n"
-        f"setup         {m['setup_s']['total']:.2f}s (build "
-        f"{m['setup_s']['build']:.2f} / populate "
-        f"{m['setup_s']['populate']:.2f} / finish_setup "
-        f"{m['setup_s']['finish_setup']:.2f})\n"
-        f"macro         {m['wall_seconds']:.2f}s "
-        f"({m['events_per_sec']:,.0f} events/s), route-cache hit rate "
-        f"{m['route_cache_stats']['hit_rate']:.3f}, "
-        f"{macro['wall_improvement']:.2f}x vs cache off"
+        f"setup         {macro['setup_s']['total']:.2f}s (build "
+        f"{macro['setup_s']['build']:.2f} / populate "
+        f"{macro['setup_s']['populate']:.2f} / finish_setup "
+        f"{macro['setup_s']['finish_setup']:.2f})\n"
+        f"macro         {macro['wall_seconds']:.2f}s "
+        f"({macro['events_per_sec']:,.0f} events/s), route-cache hit rate "
+        f"{macro['route_cache_stats']['hit_rate']:.3f}"
     )
     failed = [name for name, ok in checks.items() if not ok]
     if failed:

@@ -2,8 +2,9 @@
 
 Defaults mirror the paper's simulation setup (Section 5.1): Chord with
 PNS(16), 64-bit identifiers, 20 bits of zone code, zone-mapping
-rotation on, dynamic migration off unless requested, load-balancing
-probing level 1 and threshold factor delta = 0.1.
+rotation on, load-balancing probing level 1 and threshold factor
+delta = 0.1.  Dynamic migration runs only when a caller starts it
+(``HyperSubSystem.run_migration_rounds`` / ``start_periodic_migration``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ class HyperSubConfig:
     rotation: bool = True
 
     # -- dynamic subscription migration (Section 4) --------------------
-    #: Enable the dynamic migration mechanism.
-    dynamic_migration: bool = False
     #: Threshold factor delta: overloaded when L > avg * (1 + delta).
     migration_delta: float = 0.1
     #: Probing level P_l: 1 = direct neighbours, 2 = plus their neighbours.
@@ -193,31 +192,14 @@ class HyperSubConfig:
     #: paper's configuration).  Chord overlay only.
     replication_factor: int = 1
 
-    # -- hot-path route caching (perf extension) -------------------------
-    #: Memoise Algorithm 5's per-entry route decision -- "responsible
-    #: here" or the ``next_hop_addr`` -- per node, keyed on the overlay's
-    #: ``routing_epoch`` (dht/base.py contract): the many SubIDs sharing
-    #: a destination arc in one worklist -- and across consecutive
-    #: events -- resolve with one routing computation.  Any routing-state
-    #: mutation (predecessor move, finger fix-up, successor change,
-    #: churn) bumps the epoch and flushes the cache, so cached answers
-    #: are provably identical to uncached ones.  Circuit-breaker
-    #: reroutes are applied *after* the cache read and never stored.
-    route_cache: bool = True
-
     # -- local event matching --------------------------------------------
     #: Index structure for surrogate repositories: "linear" (vectorised
-    #: scan, default), "grid" (spatial hash over the first two
-    #: dimensions) or "bands" (interval-band bitsets over every
+    #: scan, default) or "bands" (interval-band bitsets over every
     #: dimension -- the "indexing structures ... to facilitate local
-    #: event matching" the paper mentions but leaves open).  All answer
-    #: identically; grid/bands win once stores grow to thousands of
-    #: entries (docs/MATCHING.md).
+    #: event matching" the paper mentions but leaves open).  Both answer
+    #: identically; bands pays from ~10^5 entries per store
+    #: (docs/MATCHING.md).
     matching_index: str = "linear"
-    #: Grid resolution per indexed dimension for ``matching_index=
-    #: "grid"``.  16 suits fig-2-scale repos; raise it when single
-    #: repositories hold 10^4-10^5 subscriptions.
-    matching_cells: int = 16
     #: Subscription covering/aggregation layer (docs/MATCHING.md): an
     #: installed subscription covered by (or cheaply merged into) an
     #: existing aggregate becomes a refcounted membership instead of a
@@ -236,13 +218,6 @@ class HyperSubConfig:
     #: way install-propagation delay already does; events published
     #: after the flush see the full chain.
     filter_flush_ms: float = 100.0
-    #: Summary-filter maintenance: "shrink" (default) recomputes a tight
-    #: sf after removals/migrations and propagates shrinks down the
-    #: cascade (withdrawing surrogate subscriptions whose piece became
-    #: empty); "grow-only" keeps the paper's never-shrink
-    #: over-approximation for ablation.  Delivered events are identical
-    #: either way -- shrinking only removes false-positive cascade hops.
-    summary_mode: str = "shrink"
 
     # -- installation --------------------------------------------------
     #: When True, subscription installation rides simulated DHT lookups
@@ -270,16 +245,17 @@ class HyperSubConfig:
             raise ValueError("replication_factor must be >= 1")
         if self.replication_factor > 1 and self.overlay != "chord":
             raise ValueError("replication requires the chord overlay")
-        if self.matching_index not in ("linear", "grid", "bands"):
+        if self.matching_index == "grid":
+            raise ValueError(
+                'matching_index="grid" was retired as a selectable kind '
+                '(see docs/MATCHING.md); use "linear" or "bands"'
+            )
+        if self.matching_index not in ("linear", "bands"):
             raise ValueError(f"unknown matching_index {self.matching_index!r}")
-        if not 1 <= self.matching_cells <= 4096:
-            raise ValueError("matching_cells must be in [1, 4096]")
         if self.merge_max_waste < 0:
             raise ValueError("merge_max_waste must be non-negative")
         if self.filter_flush_ms <= 0:
             raise ValueError("filter_flush_ms must be positive")
-        if self.summary_mode not in ("shrink", "grow-only"):
-            raise ValueError(f"unknown summary_mode {self.summary_mode!r}")
         if self.retransmit_timeout_ms <= 0:
             raise ValueError("retransmit_timeout_ms must be positive")
         if self.max_retries < 0:

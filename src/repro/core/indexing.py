@@ -29,6 +29,10 @@ from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
 
 
+# No config selects GridIndex (docs/MATCHING.md "Which kind wins where":
+# it led only on bounded boxes, by < 2x).  The class stays importable
+# because benchmarks/e2e/layers.py names it and that directory is a
+# contract this repo's changes may not edit.
 class GridIndex(BoxStore):
     """A :class:`BoxStore` with a uniform-grid accelerator.
 
@@ -252,20 +256,10 @@ class BandIndex(BoxStore):
         return self._match(point, point, cand)
 
 
-def make_store(
-    kind: str,
-    dims: int,
-    domain_lows=None,
-    domain_highs=None,
-    cells_per_dim: int = 16,
-) -> BoxStore:
-    """Factory used by the system: ``linear``, ``grid`` or ``bands``."""
+def make_store(kind: str, dims: int) -> BoxStore:
+    """Factory used by the system: ``linear`` or ``bands``."""
     if kind == "linear":
         return BoxStore(dims)
-    if kind == "grid":
-        if domain_lows is None or domain_highs is None:
-            raise ValueError("grid index needs the content-space bounds")
-        return GridIndex(dims, domain_lows, domain_highs, cells_per_dim)
     if kind == "bands":
         return BandIndex(dims)
     raise ValueError(f"unknown matching index kind {kind!r}")

@@ -21,7 +21,6 @@ Concrete node classes bind the mixin to an overlay:
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -313,7 +312,6 @@ class PubSubNodeMixin:
         #: epoch-keyed route-decision cache: id -> ``_RC_HERE`` | next-hop
         #: address | ``None`` (perf extension; the invalidation rule
         #: lives in dht/base.py and docs/PERFORMANCE.md)
-        self._rc_enabled = system.config.route_cache
         self._rc: Dict[int, Any] = {}
         self._rc_epoch = -1
         self.rc_hits = 0
@@ -517,7 +515,7 @@ class PubSubNodeMixin:
         repo.kinds[subid] = kind
         if cfg.replication_factor > 1:
             self._replicate(entity_key, code, level, subid, lows, highs, kind)
-        if replaced and cfg.summary_mode == "shrink":
+        if replaced:
             # A surrogate-subscription update may *shrink* the box (the
             # parent's filter tightened); recompute instead of merging.
             self._refresh_summary(repo)
@@ -611,7 +609,7 @@ class PubSubNodeMixin:
         Each digit's piece is compared against the last push: unchanged
         pieces cost nothing, changed ones *replace* the child's marker
         box under the same stable iid (no re-cascade per install), and
-        digits whose piece vanished (shrink mode) withdraw the marker.
+        digits whose piece vanished withdraw the marker.
         With covering, a piece still inside the last pushed box is also
         skipped -- the installed surrogate over-approximates and only
         adds false-positive event forwards, never deliveries.
@@ -619,9 +617,8 @@ class PubSubNodeMixin:
         covering = self.system.config.covering
         for digit in [d for d in repo.pushed if d not in pieces]:
             # The filter no longer reaches this child: withdraw the
-            # surrogate subscription (grow-only mode never gets here --
-            # pieces only ever gain digits).  The iid stays minted so a
-            # later re-push reuses it (marker_origin stays resolvable).
+            # surrogate subscription.  The iid stays minted so a later
+            # re-push reuses it (marker_origin stays resolvable).
             del repo.pushed[digit]
             marker_iid = repo.marker_iids.get(digit)
             if marker_iid is not None:
@@ -663,18 +660,16 @@ class PubSubNodeMixin:
     def _refresh_summary(self, repo: ZoneRepo) -> None:
         """Recompute a tight summary filter and propagate shrinks.
 
-        ``summary_mode="shrink"`` only: after a removal (unsubscribe,
-        migration swap) or a surrogate-subscription replacement, the
-        bounding box over the repo's live entries is the exact tight
-        filter; when it changed, the child pieces are re-derived and the
-        cascade re-pushed -- children whose piece shrank run the same
-        recomputation on *their* repos, so shrinks propagate to the
-        leaves.  Correctness: the recomputed sf still covers every live
-        box by construction, so a shrink can only remove false-positive
-        cascade hops, never a delivery (the property tests assert both).
+        After a removal (unsubscribe, migration swap) or a
+        surrogate-subscription replacement, the bounding box over the
+        repo's live entries is the exact tight filter; when it changed,
+        the child pieces are re-derived and the cascade re-pushed --
+        children whose piece shrank run the same recomputation on
+        *their* repos, so shrinks propagate to the leaves.  Correctness:
+        the recomputed sf still covers every live box by construction,
+        so a shrink can only remove false-positive cascade hops, never a
+        delivery (the property tests assert both).
         """
-        if self.system.config.summary_mode != "shrink":
-            return
         tight = repo.store.bounding_box()
         if boxes_equal(repo.sf, tight):
             return
@@ -1299,9 +1294,7 @@ class PubSubNodeMixin:
             return
         repo.store.remove(subid)
         repo.kinds.pop(subid, None)
-        # Grow-only mode: summary filters never shrink (conservative
-        # over-approximation).  Shrink mode recomputes the tight filter
-        # and propagates the change down the cascade.
+        # The removed box may have been what held the filter wide.
         self._refresh_summary(repo)
 
     # ------------------------------------------------------------------
@@ -1750,13 +1743,6 @@ class PubSubNodeMixin:
         return best
 
     # -- fused route decision (perf contract, docs/PERFORMANCE.md) ------
-    def _route_decide(self, nid: int):
-        """Where an entry for ``nid`` goes, from routing state alone:
-        ``_RC_HERE``, a next-hop address, or ``None`` (unroutable)."""
-        if self.is_responsible(nid):
-            return _RC_HERE
-        return self.next_hop_addr(nid)
-
     def _route_cache(self) -> Dict[int, Any]:
         """The decision cache, flushed if the routing epoch moved.
 
@@ -1775,9 +1761,14 @@ class PubSubNodeMixin:
         return self._rc
 
     def _route_miss(self, nid: int):
-        """Decide for ``nid`` and remember the answer."""
+        """Decide where an entry for ``nid`` goes, from routing state
+        alone -- ``_RC_HERE``, a next-hop address, or ``None``
+        (unroutable) -- and remember the answer."""
         self.rc_misses += 1
-        decision = self._route_decide(nid)
+        if self.is_responsible(nid):
+            decision = _RC_HERE
+        else:
+            decision = self.next_hop_addr(nid)
         if len(self._rc) >= ROUTE_CACHE_MAX:
             self._rc.clear()
         self._rc[nid] = decision
@@ -1842,8 +1833,7 @@ class PubSubNodeMixin:
         addr = self.addr
         breaker = self.breaker
         tel = system.telemetry
-        prof = tel.profiler if tel is not None and tel.profiling else None
-        rc = self._route_cache() if self._rc_enabled else None
+        rc = self._route_cache()
         rc_hits = 0
         carries_meta = False
 
@@ -1868,19 +1858,11 @@ class PubSubNodeMixin:
                     else:
                         groups.setdefault(seq_addr, []).append(ent)
                     continue
-            if prof is not None:
-                t0 = perf_counter()
-            if rc is None:
-                nh = self._route_decide(nid)
+            nh = rc.get(nid, _RC_MISS)
+            if nh is _RC_MISS:
+                nh = self._route_miss(nid)
             else:
-                nh = rc.get(nid, _RC_MISS)
-                if nh is _RC_MISS:
-                    nh = self._route_miss(nid)
-                else:
-                    rc_hits += 1
-            if prof is not None:
-                t1 = perf_counter()
-                prof.add("algo5.route", t1 - t0)
+                rc_hits += 1
             if nh is _RC_HERE:
                 if meta is None:
                     more = self._handle_local_entry(
@@ -1888,8 +1870,6 @@ class PubSubNodeMixin:
                     )
                 else:
                     more = self._durable_handle(p, nid, iid, meta, msg)
-                if prof is not None:
-                    prof.add("algo5.match", perf_counter() - t1)
                 if more:
                     worklist.extend(more)
                 continue

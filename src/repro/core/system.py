@@ -717,21 +717,14 @@ class HyperSubSystem:
     def make_store(self, entity: PubSubEntity):
         """Subscription store for one zone repo, per ``matching_index``.
 
-        ``matching_cells`` sets the grid resolution; with ``covering``
-        on, the index is wrapped in a :class:`~repro.core.covering.
-        CoveringStore` so near-identical registrations share one
-        physical aggregate box (docs/MATCHING.md).
+        With ``covering`` on, the index is wrapped in a
+        :class:`~repro.core.covering.CoveringStore` so near-identical
+        registrations share one physical aggregate box
+        (docs/MATCHING.md).
         """
         from repro.core.indexing import make_store
 
-        scheme = entity.scheme
-        store = make_store(
-            self.config.matching_index,
-            scheme.dimensions,
-            domain_lows=scheme.domain_lows(),
-            domain_highs=scheme.domain_highs(),
-            cells_per_dim=self.config.matching_cells,
-        )
+        store = make_store(self.config.matching_index, entity.scheme.dimensions)
         if self.config.covering:
             from repro.core.covering import CoveringStore
 
@@ -787,7 +780,6 @@ class HyperSubSystem:
         misses = sum(n.rc_misses for n in self.nodes)
         total = hits + misses
         return {
-            "enabled": float(self.config.route_cache),
             "hits": float(hits),
             "misses": float(misses),
             "hit_rate": hits / total if total else 0.0,

@@ -131,7 +131,7 @@ def run_round(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     t0 = time.time()
     with tempfile.TemporaryDirectory() as tmp:
-        with telemetry_session(tmp, tracing=False, profiling=False):
+        with telemetry_session(tmp, tracing=False):
             out = _run_round_inner(task)
     out["wall_seconds"] = time.time() - t0
     return out

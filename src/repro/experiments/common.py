@@ -171,7 +171,6 @@ def run_delivery(
         rotation=cfg.rotation,
         pns=cfg.pns,
         overlay=cfg.overlay,
-        dynamic_migration=cfg.lb,
         direct_rendezvous_levels=cfg.direct_rendezvous_levels,
         seed=cfg.seed,
     )

@@ -71,11 +71,7 @@ def _one_system(
     phase_ms: float,
     samples: List[float],
 ):
-    cfg = HyperSubConfig(
-        seed=1,
-        dynamic_migration=True,
-        migration_interval_ms=phase_ms / 2.0,
-    )
+    cfg = HyperSubConfig(seed=1, migration_interval_ms=phase_ms / 2.0)
     system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
     specs = _phase_specs(phases)
     scheme = specs[0].build_scheme()

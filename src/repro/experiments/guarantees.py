@@ -259,7 +259,7 @@ def _run_cell(task: dict) -> CellResult:
     """
     t0 = time.time()
     with tempfile.TemporaryDirectory() as tmp:
-        with telemetry_session(tmp, tracing=True, profiling=False):
+        with telemetry_session(tmp, tracing=True):
             cell = _run_cell_inner(task)
     cell.wall_seconds = time.time() - t0
     return cell

@@ -62,7 +62,7 @@ def _one_run(
 ):
     spec = default_paper_spec(subs_per_node=subs_per_node)
     gen = WorkloadGenerator(spec, seed=7)
-    cfg = HyperSubConfig(seed=seed, dynamic_migration=True)
+    cfg = HyperSubConfig(seed=seed)
     system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
     system.add_scheme(gen.scheme)
 

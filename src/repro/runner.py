@@ -521,9 +521,7 @@ def _worker_run_point(
     if results_dir is not None:
         os.environ["REPRO_RESULTS_DIR"] = results_dir
     tmp = tempfile.mkdtemp(prefix="repro-worker-")
-    session = TelemetrySession(
-        tmp, label=f"worker-{os.getpid()}", tracing=False, profiling=False
-    )
+    session = TelemetrySession(tmp, label=f"worker-{os.getpid()}", tracing=False)
     previous = current_session()
     set_session(session)
     t0 = time.perf_counter()

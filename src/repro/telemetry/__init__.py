@@ -1,13 +1,11 @@
 """``repro.telemetry`` -- observability for every experiment.
 
-Four pieces, one session:
+Three pieces, one session:
 
 * :class:`MetricsRegistry` -- named counters / gauges / histograms with
   sim-time series sampling (``repro.telemetry.registry``);
 * :class:`Tracer` -- causal span tracing of publish -> forward ->
   match -> deliver chains, JSONL export (``repro.telemetry.tracing``);
-* :class:`Profiler` -- wall-clock totals for the matching/routing hot
-  paths (``repro.telemetry.profiler``);
 * the run **manifest** -- config, seed, git rev, workload, metric
   summaries written next to every output (``repro.telemetry.manifest``).
 
@@ -35,7 +33,6 @@ from repro.telemetry.memory import (
     publish_memory,
     rss_bytes,
 )
-from repro.telemetry.profiler import Profiler
 from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.session import (
     TelemetrySession,
@@ -59,7 +56,6 @@ __all__ = [
     "Histogram",
     "MemoryReport",
     "MetricsRegistry",
-    "Profiler",
     "SnapshotStreamer",
     "Span",
     "TelemetrySession",

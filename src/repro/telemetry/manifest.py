@@ -5,7 +5,7 @@ everything needed to reproduce and interpret one telemetry-enabled
 invocation: the command line, git revision, library versions, every
 system configuration built during the run, the workload specification,
 final metric values (and histogram summaries), per-experiment result
-summaries, the wall-clock profile, and where the span trace lives.
+summaries, and where the span trace lives.
 
 ``validate_manifest`` is the CI gate: it returns a list of problems
 (empty = good) so a workflow step can assert a fresh manifest parses

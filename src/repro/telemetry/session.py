@@ -1,4 +1,4 @@
-"""The telemetry session: one registry + tracer + profiler + manifest.
+"""The telemetry session: one registry + tracer + manifest.
 
 A session is *ambient*: ``python -m repro <exp> --telemetry-out DIR``
 installs one with :func:`set_session`, and every
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.telemetry.manifest import git_revision, versions, write_manifest
-from repro.telemetry.profiler import Profiler
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -40,19 +39,15 @@ class TelemetrySession:
         out_dir,
         label: str = "run",
         tracing: bool = True,
-        profiling: bool = True,
         max_spans: int = 2_000_000,
     ) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.label = label
-        #: span recording on/off (counters and profiling are independent)
+        #: span recording on/off (counters are independent)
         self.tracing = tracing
-        #: wall-clock profiling of the matching/routing hot paths
-        self.profiling = profiling
         self.registry = MetricsRegistry()
         self.tracer = Tracer(max_spans=max_spans)
-        self.profiler = Profiler()
         #: one entry per system built under this session
         self.runs: List[Dict[str, Any]] = []
         #: per-experiment result summaries (record_result)
@@ -193,7 +188,6 @@ class TelemetrySession:
             "results": self.results,
             "extra": self.extra,
             "metrics": self.registry.summary(),
-            "profile": self.profiler.summary(),
             "trace_file": self.trace_path.name,
             "trace_spans": len(self.tracer),
             "trace_spans_dropped": self.tracer.dropped,

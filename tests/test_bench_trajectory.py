@@ -36,12 +36,11 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
                 "next_hop_ops_per_sec": 400_000.0,
                 "closest_preceding_speedup": 30.0,
             },
-            "matching": {"linear_speedup": 5.0, "grid_speedup": 8.0},
             "algo5": {"scales": {"10000": {
                 "boxes": 10_000, "points": 200, "agree": True,
-                "linear_speedup": 45.0, "grid_speedup": 30.0,
+                "linear_speedup": 45.0,
                 "bands_speedup": 50.0, "naive_us_per_call": 100.0,
-                "linear_us_per_call": 2.2, "grid_us_per_call": 3.3,
+                "linear_us_per_call": 2.2,
                 "bands_us_per_call": 2.0,
                 "covering": {"build_seconds": 1.0, "entries": 10_000,
                              "index_boxes": 100, "aggregation_ratio": 100.0,
@@ -59,18 +58,15 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
             "store": {"roundtrip_ok": True},
         },
         "macro": {
-            "cache_on": {
-                "events_per_sec": events_per_sec,
-                "setup_s": {"build": 0.5, "populate": 1.0,
-                            "finish_setup": 0.1, "total": 1.6},
-                "wall_seconds": 1.0,
-                "deliveries": 10,
-                "route_cache_stats": {"hit_rate": 0.9},
-                "memory": {"bytes_per_node": mem_bpn, "total_bytes": 1,
-                           "alive_nodes": num_nodes},
-            },
-            "cache_off": {"deliveries": 10},
-            "wall_improvement": 1.2,
+            "num_nodes": num_nodes, "num_events": num_events,
+            "events_per_sec": events_per_sec,
+            "setup_s": {"build": 0.5, "populate": 1.0,
+                        "finish_setup": 0.1, "total": 1.6},
+            "wall_seconds": 1.0,
+            "deliveries": 10,
+            "route_cache_stats": {"hit_rate": 0.9},
+            "memory": {"bytes_per_node": mem_bpn, "total_bytes": 1,
+                       "alive_nodes": num_nodes},
         },
         "covering": {
             "num_nodes": num_nodes, "num_events": num_events,
@@ -103,7 +99,7 @@ class TestTrajectoryPoint:
     def test_validate_bench_gates_on_memory_accounting(self):
         doc = bench_doc()
         assert validate_bench(doc)["memory_accounted"] is True
-        doc["macro"]["cache_on"]["memory"] = None
+        doc["macro"]["memory"] = None
         assert validate_bench(doc)["memory_accounted"] is False
 
     def test_validate_bench_gates_on_covering_digest(self):
@@ -293,6 +289,20 @@ class TestComparePoints:
             "mem_bytes_per_node" in n and "skipped" in n for n in notes
         )
 
+    def test_old_point_with_retired_metrics_compares_cleanly(self):
+        """Points recorded while the macro ran twice carry
+        ``wall_improvement`` and ``matching_grid_speedup``; no floor
+        reads either, in either direction."""
+        new = trajectory_point(bench_doc())
+        assert "wall_improvement" not in new["metrics"]
+        assert "matching_grid_speedup" not in new["metrics"]
+        old = copy.deepcopy(new)
+        old["metrics"].update(wall_improvement=1.2, matching_grid_speedup=8.0)
+        for base, point in ((old, new), (new, old)):
+            regressions, notes = compare_points(base, point)
+            assert regressions == []
+            assert not any("grid" in n or "wall_improvement" in n for n in notes)
+
     def test_tolerance_is_twenty_percent(self):
         assert REGRESSION_TOLERANCE == 0.20
 
@@ -350,11 +360,6 @@ class TestCli:
             lambda: dict(fast["micro"]["routing"],
                          bisect_us_per_call=0.3, linear_us_per_call=9.0,
                          ring_nodes=8, chain_keys=1, chain_hops=1),
-        )
-        monkeypatch.setattr(
-            bench, "_bench_matching",
-            lambda: dict(fast["micro"]["matching"], boxes=1, points=1,
-                         linear_ops_per_sec=1.0, grid_ops_per_sec=8.0),
         )
         monkeypatch.setattr(
             bench, "_bench_store",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import HyperSubConfig
+from repro.telemetry import TelemetrySession
 
 
 class TestDefaults:
@@ -14,7 +15,6 @@ class TestDefaults:
         assert cfg.overlay == "chord"
         assert cfg.pns
         assert cfg.rotation
-        assert not cfg.dynamic_migration
         assert cfg.migration_delta == 0.1
         assert cfg.migration_probe_level == 1
         assert cfg.replication_factor == 1
@@ -133,25 +133,22 @@ class TestMatchingKnobs:
     def test_defaults(self):
         cfg = HyperSubConfig()
         assert cfg.matching_index == "linear"
-        assert cfg.matching_cells == 16
         assert not cfg.covering
         assert cfg.merge_max_waste == 0.5
         assert cfg.filter_flush_ms == 100.0
-        assert cfg.summary_mode == "shrink"
 
     def test_unknown_matching_index(self):
         with pytest.raises(ValueError, match="matching_index"):
             HyperSubConfig(matching_index="rtree")
-        for kind in ("linear", "grid", "bands"):
+        with pytest.raises(ValueError, match="matching_index.*retired"):
+            HyperSubConfig(matching_index="grid")
+        for kind in ("linear", "bands"):
             HyperSubConfig(matching_index=kind)
 
     def test_matching_cells_bounds(self):
-        with pytest.raises(ValueError, match="matching_cells"):
-            HyperSubConfig(matching_cells=0)
-        with pytest.raises(ValueError, match="matching_cells"):
-            HyperSubConfig(matching_cells=4097)
-        HyperSubConfig(matching_cells=1)
-        HyperSubConfig(matching_cells=4096)
+        # retired with the grid kind: the old default is rejected too
+        with pytest.raises(TypeError, match="matching_cells"):
+            HyperSubConfig(matching_cells=16)
 
     def test_merge_max_waste_non_negative(self):
         with pytest.raises(ValueError, match="merge_max_waste"):
@@ -163,6 +160,20 @@ class TestMatchingKnobs:
             HyperSubConfig(filter_flush_ms=0.0)
 
     def test_unknown_summary_mode(self):
-        with pytest.raises(ValueError, match="summary_mode"):
-            HyperSubConfig(summary_mode="never")
-        HyperSubConfig(summary_mode="grow-only")
+        # summary filters shrink, unconditionally: every mode is unknown
+        with pytest.raises(TypeError, match="summary_mode"):
+            HyperSubConfig(summary_mode="shrink")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: HyperSubConfig(route_cache=False), "route_cache"),
+        (lambda: HyperSubConfig(dynamic_migration=True), "dynamic_migration"),
+        (lambda: TelemetrySession("unused", profiling=False), "profiling"),
+    ],
+    ids=["route_cache", "dynamic_migration", "profiling"],
+)
+def test_retired_selector_is_rejected_by_name(build, name):
+    with pytest.raises(TypeError, match=name):
+        build()

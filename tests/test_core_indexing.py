@@ -89,7 +89,7 @@ class TestBasics:
 def test_nan_coordinate_matches_nothing(kind):
     # Regression: GridIndex raised ValueError (int(nan)) where the
     # linear store answered [].
-    store = make_store(kind, 3, DOM_LO, DOM_HI)
+    store = grid() if kind == "grid" else make_store(kind, 3)
     for i in range(80):  # enough for the band index to build
         store.put(SubID(i, 1), np.full(3, -np.inf), np.full(3, np.inf))
     assert len(store.match_point(np.array([1.0, 2.0, 3.0]))) == 80
@@ -154,12 +154,14 @@ class TestFactory:
         assert isinstance(s, BandIndex)
 
     def test_grid(self):
-        s = make_store("grid", 3, DOM_LO, DOM_HI)
-        assert isinstance(s, GridIndex)
+        # retired from the factory; the class stays a usable BoxStore
+        with pytest.raises(ValueError, match="unknown matching index"):
+            make_store("grid", 3)
+        assert isinstance(grid(), BoxStore)
 
     def test_grid_needs_bounds(self):
-        with pytest.raises(ValueError):
-            make_store("grid", 3)
+        with pytest.raises(ValueError, match="one entry per dim"):
+            GridIndex(3, DOM_LO[:2], DOM_HI)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

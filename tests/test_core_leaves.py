@@ -104,9 +104,7 @@ class TestGracefulLeave:
         assert not system.nodes[5].alive()
 
     def test_migrated_stores_inherited(self):
-        system, scheme, installed, addr_of, rng = build(
-            subs=400, dynamic_migration=True
-        )
+        system, scheme, installed, addr_of, rng = build(subs=400)
         # run_migration_rounds drains the simulator, so periodic chord
         # maintenance must be paused around it (it reschedules forever).
         for node in system.nodes:

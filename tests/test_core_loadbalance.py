@@ -34,10 +34,8 @@ def skewed_workload(system, scheme, n_subs, rng, spread=150.0):
     return installed
 
 
-def build(n=40, subs=400, migration=True, seed=3, **kw):
-    cfg = HyperSubConfig(
-        seed=seed, code_bits=12, dynamic_migration=migration, **kw
-    )
+def build(n=40, subs=400, seed=3, **kw):
+    cfg = HyperSubConfig(seed=seed, code_bits=12, **kw)
     system = HyperSubSystem(num_nodes=n, config=cfg)
     scheme = make_scheme()
     system.add_scheme(scheme)
@@ -81,7 +79,7 @@ class TestMigration:
         distribution", so no uniformity assertion)."""
         balanced, *_ = build(subs=600)
         balanced.run_migration_rounds(3)
-        unbalanced, *_ = build(subs=600, migration=False)
+        unbalanced, *_ = build(subs=600)  # same twin, no rounds run
         assert balanced.node_loads().max() < 0.7 * unbalanced.node_loads().max()
 
     def test_migration_conserves_real_subscriptions(self):
@@ -103,7 +101,7 @@ class TestMigration:
 
     def test_underloaded_network_does_not_thrash(self):
         """Uniform load: no migrations should fire."""
-        cfg = HyperSubConfig(seed=3, code_bits=12, dynamic_migration=True)
+        cfg = HyperSubConfig(seed=3, code_bits=12)
         system = HyperSubSystem(num_nodes=30, config=cfg)
         scheme = make_scheme()
         system.add_scheme(scheme)

@@ -15,6 +15,7 @@ from repro.core.matching import BoxStore
 from repro.core.node import ZoneRepo, subscription_wire_bytes
 from repro.core.subscription import SubID
 from repro.core.zones import ContentZone, ZoneGeometry
+from tests.route_reference import forget_routes
 
 
 def tiny_system(**cfg_kwargs):
@@ -173,7 +174,9 @@ class TestEventEdgeCases:
         under ``transport.unroutable``, not without a trace."""
         from repro.sim.messages import Message
 
-        system, scheme = tiny_system(route_cache=route_cache)
+        system, scheme = tiny_system()
+        if not route_cache:
+            forget_routes(system)
         node = system.nodes[0]
         foreign = next(
             n.node_id for n in system.nodes if not node.is_responsible(n.node_id)
@@ -285,9 +288,7 @@ class TestUnsubscribeSimulated:
 
 class TestMigrationInternals:
     def test_markers_never_migrate(self):
-        system, scheme = tiny_system(
-            dynamic_migration=True, direct_rendezvous_levels=0
-        )
+        system, scheme = tiny_system(direct_rendezvous_levels=0)
         rng = np.random.default_rng(0)
         for _ in range(150):
             c = rng.uniform(10, 80, 2)
@@ -313,12 +314,11 @@ class TestInstallPaths:
     @staticmethod
     def churned(simulate):
         """40 subscribes, then 120 Poisson-spaced subscribe/unsubscribe
-        operations in shrink mode, then 60 events; returns what was
-        delivered and where everything is stored."""
+        operations, then 60 events; returns what was delivered and
+        where everything is stored."""
         system, scheme = tiny_system(
             simulate_install=simulate, direct_rendezvous_levels=2
         )
-        assert system.config.summary_mode == "shrink"
         rng = np.random.default_rng(11)
 
         def draw_sub():

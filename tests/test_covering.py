@@ -4,8 +4,9 @@ Unit coverage of :class:`repro.core.covering.CoveringStore` (refcounted
 memberships, merge profitability, fusion, shrink-on-remove), a
 Hypothesis equivalence property against the naive :class:`BoxStore`
 under arbitrary put/remove/pop interleavings, and system-level parity:
-covering on, off and the grow-only summary ablation must produce the
-exact same delivery set while covering cuts installation traffic.
+covering on and off must produce the exact same delivery set -- and,
+after unsubscribes shrink the summary filters, exactly the brute-force
+match set -- while covering cuts installation traffic.
 """
 
 import numpy as np
@@ -221,22 +222,24 @@ def test_covering_equals_naive_under_any_sequence(waste, operations):
 # ----------------------------------------------------------------------
 # System-level parity: covering must not change a single delivery
 # ----------------------------------------------------------------------
-def _run_delivery_system(covering, summary_mode="shrink", matching_index="linear"):
+def _populated_system(covering, matching_index="linear", make_store=None):
     from repro.core.config import HyperSubConfig
     from repro.core.system import HyperSubSystem
     from repro.workloads import WorkloadGenerator, default_paper_spec
 
-    cfg = HyperSubConfig(
-        seed=1,
-        covering=covering,
-        summary_mode=summary_mode,
-        matching_index=matching_index,
-    )
+    cfg = HyperSubConfig(seed=1, covering=covering, matching_index=matching_index)
     system = HyperSubSystem(num_nodes=40, config=cfg)
+    if make_store is not None:
+        system.make_store = make_store
     gen = WorkloadGenerator(default_paper_spec(subs_per_node=5), seed=7)
     system.add_scheme(gen.scheme)
-    gen.populate(system)
+    installed = gen.populate(system)
     system.finish_setup()
+    return system, gen, installed
+
+
+def _run_delivery_system(covering, **kwargs):
+    system, gen, _installed = _populated_system(covering, **kwargs)
     marker_installs = system.install_traffic.get("marker", [0, 0])[0]
     gen.schedule_events(system, count=60)
     system.run_until_idle()
@@ -261,16 +264,46 @@ class TestSystemParity:
 
     @pytest.mark.parametrize("kind", ["grid", "bands"])
     def test_matching_index_preserves_every_delivery(self, kind):
+        from repro.core.indexing import GridIndex
+
+        def grid_store(entity):  # no config selects the grid: inject it
+            s = entity.scheme
+            return GridIndex(s.dimensions, s.domain_lows(), s.domain_highs())
+
         _, base, _ = _run_delivery_system(covering=False)
-        _, got, _ = _run_delivery_system(covering=False, matching_index=kind)
+        if kind == "grid":
+            system, got, _ = _run_delivery_system(False, make_store=grid_store)
+            repos = [r for n in system.nodes for r in n.zone_repos.values()]
+            assert all(type(r.store) is GridIndex for r in repos)
+        else:
+            _, got, _ = _run_delivery_system(False, matching_index=kind)
         assert got == base
 
     def test_grow_only_ablation_same_deliveries(self):
-        _, shrink, _ = _run_delivery_system(covering=True)
-        _, grow, _ = _run_delivery_system(
-            covering=True, summary_mode="grow-only"
-        )
-        assert shrink == grow
+        # Filters always shrink, so there is no never-shrink run to
+        # compare with: the judge is the brute-force match set, after
+        # unsubscribes have tightened filters and withdrawn markers.
+        system, gen, installed = _populated_system(covering=True)
+
+        def markers():
+            return sum(n.stored_subscription_count("marker") for n in system.nodes)
+
+        before = markers()
+        for i in range(0, len(installed), 3):
+            system.unsubscribe(i // 5, installed[i][1])  # populate(): 5 per node
+        live = [pair for i, pair in enumerate(installed) if i % 3]
+        system.run_until_idle()
+        assert markers() < before
+        delivered = 0
+        for i in range(60):
+            ev = gen.event()
+            eid = system.publish(i % 40, ev)
+            system.run_until_idle()
+            got = {d[0] for d in system.metrics.records[eid].deliveries}
+            assert got == {sid for sub, sid in live if sub.matches(ev)}
+            assert len(got) == len(system.metrics.records[eid].deliveries)
+            delivered += len(got)
+        assert delivered > 0
 
     def test_summary_filters_cover_live_boxes(self):
         # Shrink mode recomputes sf after removals; correctness bar: sf

@@ -2,7 +2,7 @@
 
 A network suffering simultaneous crash-stop failures AND 3 % message
 loss, running with replication (k=3), reliable transport, piggybacked
-maintenance, the grid matching index and subschemes -- the full
+maintenance, the bands matching index and subschemes -- the full
 production configuration.  After the ring heals, delivery to surviving
 subscribers must be complete and exactly-once.
 """
@@ -30,7 +30,7 @@ def battlefield():
         retransmit_timeout_ms=1_200.0,
         max_retries=5,
         piggyback_maintenance=True,
-        matching_index="grid",
+        matching_index="bands",
     )
     system = HyperSubSystem(num_nodes=60, config=cfg)
     scheme = Scheme("s", [Attribute(x, 0, 10000) for x in "abcd"])

@@ -43,7 +43,6 @@ def test_migration_preserves_delivery_and_conserves_subs(p):
     cfg = HyperSubConfig(
         seed=3,
         code_bits=12,
-        dynamic_migration=True,
         migration_delta=p["delta"],
         migration_max_acceptors=p["acceptors"],
     )

@@ -29,6 +29,7 @@ from repro.dht.idspace import ID_SPACE, id_in_interval
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import ConstantTopology
+from tests.route_reference import forget_routes
 
 ids64 = st.integers(0, ID_SPACE - 1)
 
@@ -201,11 +202,10 @@ N_NODES = 25
 
 
 def run_fixed_workload(route_cache: bool, seed: int):
-    cfg = HyperSubConfig(
-        seed=3, base=2, code_bits=12, direct_rendezvous_levels=4,
-        route_cache=route_cache,
-    )
+    cfg = HyperSubConfig(seed=3, base=2, code_bits=12, direct_rendezvous_levels=4)
     system = HyperSubSystem(num_nodes=N_NODES, config=cfg)
+    if not route_cache:
+        forget_routes(system)
     scheme = Scheme(
         "p", [Attribute("x", 0, DOMAIN), Attribute("y", 0, DOMAIN)]
     )
@@ -241,9 +241,10 @@ def run_fixed_workload(route_cache: bool, seed: int):
 
 
 def test_route_cache_preserves_dissemination_trees():
-    """Cache on vs off: identical deliveries, identical per-event
-    forwarding edges, identical message and byte counts -- and the
-    cached run actually exercises the cache."""
+    """Cached vs recomputed per entry (the test's own reference run):
+    identical deliveries, identical per-event forwarding edges,
+    identical message and byte counts -- and the cached run actually
+    exercises the cache."""
     for seed in (7, 23, 99):
         cached, cached_sys = run_fixed_workload(True, seed)
         uncached, uncached_sys = run_fixed_workload(False, seed)
@@ -259,7 +260,7 @@ def test_route_cache_preserves_dissemination_trees():
         assert stats["hits"] > 0
         assert stats["hit_rate"] > 0.0
         off = uncached_sys.route_cache_stats()
-        assert off["hits"] == 0 and off["misses"] == 0
+        assert off["hits"] == 0 and off["misses"] > stats["misses"]
 
 
 def delivery_digest(per_event) -> str:

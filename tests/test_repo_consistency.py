@@ -112,6 +112,31 @@ class TestPublicApi:
                     assert obj.__doc__, f"{pkg}.{name} lacks a docstring"
 
 
+class TestConfigSurface:
+    def test_every_config_field_is_read_under_src(self):
+        """A ``HyperSubConfig`` field nothing reads is a switch that
+        switches nothing: every field name must occur as an attribute
+        access somewhere under ``src/repro/`` outside ``core/config.py``."""
+        import ast
+        import dataclasses
+
+        from repro.core.config import HyperSubConfig
+
+        src = REPO / "src" / "repro"
+        read = set()
+        for path in src.rglob("*.py"):
+            if path == src / "core" / "config.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read |= {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+        unread = {f.name for f in dataclasses.fields(HyperSubConfig)} - read
+        assert not unread, f"config fields read nowhere under src/: {sorted(unread)}"
+
+
 class TestWireFormatOwners:
     """Each packet kind of ``core/node.py`` is built at exactly one
     place (docs/ALGORITHMS.md, "Wire formats"), so a format change --

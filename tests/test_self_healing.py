@@ -210,14 +210,12 @@ class TestRouteCacheInvalidation:
         assert eid in system.metrics.records
 
     def test_failover_full_delivery_with_caching_on(self):
-        """The headline self-healing property with the route cache
-        explicitly enabled: crash the most loaded node, publish through
+        """The headline self-healing property, route cache in the
+        loop: crash the most loaded node, publish through
         the broken overlay, and require ratio 1.0 -- while the cache is
         demonstrably in use (hits > 0) and epoch bumps from eviction/
         maintenance keep it honest."""
-        system, scheme, installed, addr_of, rng = build(
-            route_cache=True, **healing_config()
-        )
+        system, scheme, installed, addr_of, rng = build(**healing_config())
         system.start_maintenance(stabilize_interval_ms=250.0,
                                  rpc_timeout_ms=1_000.0)
         system.start_anti_entropy()

@@ -1,5 +1,5 @@
 """Tests for the telemetry subsystem: metrics registry, causal span
-tracing, profiling, run manifests, and the CLI trace surface."""
+tracing, run manifests, and the CLI trace surface."""
 
 import json
 
@@ -17,7 +17,6 @@ from repro.core import (
 from repro.sim.engine import Simulator
 from repro.telemetry import (
     MetricsRegistry,
-    Profiler,
     TelemetrySession,
     Tracer,
     current_session,
@@ -165,19 +164,6 @@ class TestTracer:
         assert render_span_tree([], 4).startswith("event 4: no spans")
 
 
-class TestProfiler:
-    def test_timeit_accumulates(self):
-        prof = Profiler()
-        with prof.timeit("phase"):
-            sum(range(1000))
-        with prof.timeit("phase"):
-            sum(range(1000))
-        s = prof.summary()
-        assert s["phase"]["calls"] == 2
-        assert s["phase"]["seconds"] >= 0.0
-        assert "phase" in prof.render()
-
-
 class TestScheduleEvery:
     def test_fires_until_bound_and_drains(self):
         sim = Simulator()
@@ -283,13 +269,17 @@ class TestSessionIntegration:
         ), "no span descends from a failover reroute"
 
     def test_profiler_sees_matching_and_routing(self, session):
-        system, scheme, installed, addr_of, rng = build()
+        """Nothing under ``src/`` times matching or routing: wall-clock
+        attribution belongs to ``benchmarks/e2e/run.py --trace``."""
+        import repro.telemetry
+
+        system, scheme, installed, addr_of, rng = build(n=20, subs=40)
         pt = rng.normal(3000, 400, 4) % 10000
         system.publish(0, Event(scheme, list(pt)))
         system.run_until_idle()
-        s = session.profiler.summary()
-        assert s["algo5.match"]["calls"] > 0
-        assert s["algo5.route"]["calls"] > 0
+        assert "profile" not in session.finalize(command="t")
+        assert not hasattr(repro.telemetry, "Profiler")
+        assert not hasattr(session, "profiler")
 
     def test_telemetry_disabled_costs_nothing(self):
         assert current_session() is None
@@ -297,7 +287,7 @@ class TestSessionIntegration:
         assert system.telemetry is None
         pt = rng.normal(3000, 400, 4) % 10000
         system.publish(0, Event(scheme, list(pt)))
-        system.run_until_idle()  # no spans, no profiling, no crash
+        system.run_until_idle()  # no spans, no crash
 
 
 class TestManifest:

@@ -100,9 +100,7 @@ class TestStatus:
 # Worker-manifest merge (the sweep's snapshot/gauge channel)
 # ---------------------------------------------------------------------------
 def _worker_manifest(tmp_path, name, published, mem_bpn, wall):
-    session = TelemetrySession(
-        tmp_path / name, label=name, tracing=False, profiling=False
-    )
+    session = TelemetrySession(tmp_path / name, label=name, tracing=False)
     session.registry.counter("events.published").inc(published)
     session.registry.gauge("mem.bytes_per_node").set(mem_bpn)
     session.registry.gauge("queue.depth.peak").set(mem_bpn / 1000)
@@ -126,9 +124,7 @@ class TestManifestMerge:
 
     def test_merge_child_manifest_folds_snapshots_into_parent(self, tmp_path):
         child = _worker_manifest(tmp_path, "w1", 5, 100.0, wall=0.5)
-        parent = TelemetrySession(
-            tmp_path / "parent", label="parent", tracing=False, profiling=False
-        )
+        parent = TelemetrySession(tmp_path / "parent", label="parent", tracing=False)
         parent.stream_snapshot(kind="sweep")
         parent.merge_child_manifest(child)
         assert len(parent.snapshots) == 2

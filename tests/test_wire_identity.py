@@ -173,7 +173,7 @@ def scenario_replication(monkeypatch) -> dict:
 def scenario_migration() -> dict:
     """One probe-and-migrate round on a hot-spotted population."""
     system, scheme, rng, _installed = _clustered_system(
-        25, 200, dynamic_migration=True, migration_delta=0.1,
+        25, 200, migration_delta=0.1,
         direct_rendezvous_levels=2,
     )
     system.finish_setup()
