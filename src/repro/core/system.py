@@ -154,18 +154,6 @@ class Metrics:
             r.bytes / 1024.0 for r in self.records.values()
         )
 
-    def delivery_ratio(self, expected: Dict[int, int]) -> float:
-        """Fraction of expected deliveries that happened (churn metric)."""
-        want = sum(expected.values())
-        if want == 0:
-            return 1.0
-        got = sum(
-            min(self.records[eid].matched, n)
-            for eid, n in expected.items()
-            if eid in self.records
-        )
-        return got / want
-
 
 class HyperSubSystem:
     """A complete HyperSub deployment inside one simulator.

@@ -48,6 +48,7 @@ import numpy as np
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.faults import ChaosBudget, ChaosNemesis, FaultSchedule, shrink_spec
+from repro.oracle import RunLog, custody_left, drain_custody, judge
 from repro.runner import JsonDocStore, map_tasks, resolve_jobs, store_root
 from repro.telemetry.session import current_session, telemetry_session
 from repro.workloads import WorkloadGenerator, default_paper_spec
@@ -70,8 +71,6 @@ _WARMUP_MS = 2_000.0
 _T_END_MS = 30_000.0
 #: Fixed drain after the last disturbance, before the adaptive tail.
 _DRAIN_MS = 30_000.0
-_HEAL_SLICE_MS = 5_000.0
-_HEAL_CAP_MS = 600_000.0
 #: Finite service model (always on: ``slow`` faults need a service rate
 #: to degrade).  Rate is comfortable -- overload comes from faults, not
 #: from the baseline load.
@@ -212,24 +211,7 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     if durable:
         system.start_durable_redelivery()
 
-    # -- live oracles --------------------------------------------------
-    per_sub: Dict[Tuple[int, int], List[int]] = {}
-
-    def on_deliver(addr: int, event_id: int, subid) -> None:
-        per_sub.setdefault((subid.nid, subid.iid), []).append(event_id)
-
-    system.on_deliver = on_deliver
-
-    pub_index: Dict[int, Tuple[int, int]] = {}
-    pub_event: Dict[int, object] = {}
-    counters: Dict[int, int] = {}
-
-    def do_publish(addr: int, ev) -> None:
-        eid = system.publish(addr, ev)
-        counters[addr] = counters.get(addr, 0) + 1
-        pub_index[eid] = (addr, counters[addr])
-        pub_event[eid] = ev
-
+    log = RunLog(system)
     rng = np.random.default_rng((seed, rnd, 300))
     t = _WARMUP_MS
     span = _T_END_MS - _WARMUP_MS
@@ -238,15 +220,11 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
             rng.uniform(0.0, span / (num_events + 1))
         )
         addr = int(_PUBLISHERS[int(rng.integers(0, len(_PUBLISHERS)))])
-        system.sim.schedule_at(min(t, _T_END_MS), do_publish, addr, gen.event())
+        system.sim.schedule_at(min(t, _T_END_MS), log.publish, addr, gen.event())
 
     system.run(until=_T_END_MS + _DRAIN_MS)
     if durable:
-        deadline = system.sim.now + _HEAL_CAP_MS
-        while system.sim.now < deadline and any(
-            n.durable is not None and n.durable.log for n in system.nodes
-        ):
-            system.run(until=min(deadline, system.sim.now + _HEAL_SLICE_MS))
+        drain_custody(system)
     system.stop_maintenance()
     if cfg.anti_entropy:
         system.stop_anti_entropy()
@@ -255,42 +233,27 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     system.run_until_idle()
 
     # -- oracles -------------------------------------------------------
-    delivered = expected = 0
-    for eid, ev in pub_event.items():
-        want = {sid for s, sid in installed if s.matches(ev)}
-        rec = system.metrics.records[eid]
-        got = {d[0] for d in rec.deliveries}
-        delivered += len(got & want)
-        expected += len(want)
-    lost = expected - delivered
-    dup = sum(len(seq) - len(set(seq)) for seq in per_sub.values())
-
-    fifo_v = 0
-    if durable:
-        for seq in per_sub.values():
-            high: Dict[int, int] = {}
-            for eid in seq:
-                pub, idx = pub_index[eid]
-                if idx < high.get(pub, 0):
-                    fifo_v += 1
-                else:
-                    high[pub] = idx
+    v = judge(log, installed)
+    fifo_v = v.fifo_violations if durable else 0
 
     inv = system.check_invariants(check_ring=True, check_coverage=True)
     inv_violations = list(inv.violations)
 
-    log_left = sum(
-        len(n.durable.log) for n in system.nodes if n.durable is not None
-    )
+    log_left = custody_left(system)
 
     violations: List[str] = [f"invariant: {v}" for v in inv_violations]
     # Exactly-once is unconditional: the dedup layers must absorb
-    # network duplication in every mode.
-    if dup:
-        violations.append(f"duplicate_deliveries: {dup}")
+    # network duplication in every mode, and nothing may reach a
+    # subscription it does not match.
+    if v.duplicate:
+        violations.append(f"duplicate_deliveries: {v.duplicate}")
+    if v.spurious:
+        violations.append(f"spurious_deliveries: {v.spurious}")
     if durable:
-        if lost:
-            violations.append(f"delivery_incomplete: {delivered}/{expected}")
+        if v.missing:
+            violations.append(
+                f"delivery_incomplete: {v.delivered}/{v.expected}"
+            )
         if fifo_v:
             violations.append(f"fifo_violations: {fifo_v}")
         if log_left:
@@ -305,10 +268,11 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
         "num_nodes": num_nodes,
         "num_events": num_events,
         "spec": fault_spec,
-        "delivered": delivered,
-        "expected": expected,
-        "lost": lost,
-        "dup": dup,
+        "delivered": v.delivered,
+        "expected": v.expected,
+        "lost": v.missing,
+        "dup": v.duplicate,
+        "spurious": v.spurious,
         "fifo_violations": fifo_v,
         "invariant_violations": inv_violations,
         "log_left": log_left,

@@ -18,7 +18,7 @@ the lost deliveries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.analysis.tables import format_series
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, Verdict, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
 
@@ -61,7 +62,7 @@ def _one_run(
     num_events: int,
     seed: int = 1,
     replication: int = 1,
-) -> float:
+) -> Tuple[Verdict, bool]:
     spec = default_paper_spec(subs_per_node=5)
     gen = WorkloadGenerator(spec, seed=7)
     cfg = HyperSubConfig(
@@ -72,10 +73,7 @@ def _one_run(
     installed = gen.populate(system)
     system.finish_setup()
 
-    for node in system.nodes:
-        node.stabilize_interval_ms = 500.0
-        node.rpc_timeout_ms = 1500.0
-        node.start_maintenance()
+    system.start_maintenance(500.0, 1500.0)
 
     # Failures land in a burst window, then the ring gets a grace period
     # to stabilize before events flow: the experiment isolates
@@ -93,37 +91,23 @@ def _one_run(
     )
     sched.install(system)
 
-    rng = np.random.default_rng(seed + 101)
     victim_set = set(victims)
-    alive_addrs = [a for a in range(num_nodes) if a not in victim_set]
-
-    events = []
-    t = system.sim.now + churn_window + grace
-    for _ in range(num_events):
-        t += float(rng.exponential(spec.mean_interarrival_ms))
-        addr = int(alive_addrs[rng.integers(0, len(alive_addrs))])
-        ev = gen.event()
-        events.append(ev)
-        system.sim.schedule_at(t, system.publish, addr, ev)
+    log = RunLog(system)
+    _eids, t = log.schedule_poisson(
+        gen,
+        np.random.default_rng(seed + 101),
+        system.sim.now + churn_window + grace,
+        num_events,
+        [a for a in range(num_nodes) if a not in victim_set],
+        spec.mean_interarrival_ms,
+    )
     # Run the event phase, then let maintenance settle and drain.
     system.run(until=t + 60_000.0)
-    # Stop maintenance so the simulation drains.
-    for node in system.nodes:
-        node.stop_maintenance()
+    system.stop_maintenance()
     system.run_until_idle()
 
-    # Oracle: expected deliveries are matches whose subscriber survived.
-    sub_addr = {
-        sid: i // spec.subs_per_node for i, (s, sid) in enumerate(installed)
-    }
-    expected: Dict[int, int] = {}
-    records = sorted(system.metrics.records.values(), key=lambda r: r.publish_time)
-    for rec, ev in zip(records, events):
-        expected[rec.event_id] = sum(
-            1
-            for s, sid in installed
-            if sub_addr[sid] not in victim_set and s.matches(ev)
-        )
+    # Expected deliveries are matches whose subscriber survived.
+    verdict = judge(log, installed, alive=lambda addr: addr not in victim_set)
     # With standby replicas the survivors' subscription state must still
     # be covered after the crashes (ring consistency always must); the
     # unreplicated arm loses state by design, so only the ring is
@@ -131,7 +115,7 @@ def _one_run(
     invariants_ok = system.check_invariants(
         check_coverage=replication > 1
     ).ok
-    return system.metrics.delivery_ratio(expected), invariants_ok
+    return verdict, invariants_ok
 
 
 def run(
@@ -145,6 +129,7 @@ def run(
     run's ratio (itself an instructive observation -- state loss is as
     skewed as the load)."""
     invariant_results: List[bool] = []
+    exactly_once: List[bool] = []
 
     def sweep(replication: int) -> List[float]:
         out = []
@@ -159,8 +144,9 @@ def run(
                 )
                 for s in seeds
             ]
-            invariant_results.extend(ok for _r, ok in runs)
-            out.append(float(np.mean([r for r, _ok in runs])))
+            invariant_results.extend(ok for _v, ok in runs)
+            exactly_once.extend(v.exactly_once for v, _ok in runs)
+            out.append(float(np.mean([v.ratio for v, _ok in runs])))
         return out
 
     ratios = sweep(1)
@@ -170,6 +156,7 @@ def run(
         all(invariant_results),
         "ring (and replicated-arm coverage) invariants hold after churn",
     )
+    report.expect_true(all(exactly_once), "exactly-once, nothing spurious")
     report.expect_within(
         ratios[0], 0.999, 1.0, "no churn => complete delivery"
     )

@@ -20,8 +20,8 @@ import numpy as np
 from repro.analysis.compare import ShapeReport
 from repro.analysis.tables import format_series
 from repro.core.config import HyperSubConfig
-from repro.core.event import Event
 from repro.core.system import HyperSubSystem
+from repro.oracle import RunLog, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
 
@@ -101,11 +101,6 @@ def _one_system(
         for i, node in enumerate(system.nodes):
             system.sim.schedule_at(phase_ms + i * 1.0, node.lb_start_round)
     system.run(until=phases * phase_ms + 1.0)
-    # Tear down periodic probing by draining outstanding traffic only.
-    if periodic:
-        # periodic tick reschedules forever; cut it off by advancing past
-        # the horizon without executing further wakeups.
-        pass
     return system, scheme, installed, loads
 
 
@@ -135,22 +130,19 @@ def run(
         float(np.mean(loads_static[1:])),
         "periodic migration keeps the mean peak lower over time",
     )
-    # Exact delivery after all that churn of subscriptions + migration.
+    # Exact delivery after all that churn of subscriptions + migration,
+    # on events sampled from the *last* phase's distribution.
+    log = RunLog(sys_periodic)
     rng = np.random.default_rng(9)
-    ok = True
+    gen = WorkloadGenerator(_phase_specs(phases)[-1], seed=500)
     for _ in range(15):
-        # Sample events from the *last* phase's distribution.
-        gen = WorkloadGenerator(_phase_specs(phases)[-1], seed=500)
-        ev = gen.event()
-        eid = sys_periodic.publish(int(rng.integers(0, num_nodes)), ev)
+        log.publish(int(rng.integers(0, num_nodes)), gen.event())
         sys_periodic.run(until=sys_periodic.sim.now + 30_000.0)
-        rec = sys_periodic.metrics.records[eid]
-        got = sorted((d[0].nid, d[0].iid) for d in rec.deliveries)
-        expect = sorted(
-            (sid.nid, sid.iid) for s, sid in installed_p if s.matches(ev)
-        )
-        ok = ok and (got == expect)
-    report.expect_true(ok, "deliveries exactly correct after drift + migration")
+    verdict = judge(log, installed_p)
+    report.expect_true(
+        verdict.missing == 0 and verdict.exactly_once,
+        "deliveries exactly correct after drift + migration",
+    )
 
     return DynamicResult(
         times_s=[t / 1000.0 for t in samples],

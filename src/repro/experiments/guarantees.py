@@ -16,15 +16,14 @@ experiment runs the full grid:
   most-loaded surrogate under the finite service model with overload
   protection *off*, so shed packets actually destroy deliveries.
 
-Every cell measures delivery ratio against a global-knowledge oracle
-(all matching subscriptions, crashed subscribers included -- they
-rejoin, so durable modes owe them the events), duplicate deliveries,
-and ordering violations by **two independent oracles**:
+Every cell is judged by :func:`repro.oracle.judge` (all matching
+subscriptions, crashed subscribers included -- they rejoin, so durable
+modes owe them the events; duplicate and spurious deliveries), and
+ordering violations are counted by **two independent oracles**:
 
-* a live protocol-independent check fed by ``system.on_deliver``:
-  publisher order is the order ``publish()`` was called, causal
-  dependencies are snapshotted at publish time as "events this
-  publisher node had seen";
+* the judge's live protocol-independent check: publisher order is the
+  order ``publish()`` was called, causal dependencies are snapshotted
+  at publish time as "events this publisher node had seen";
 * the trace-replay oracle of :mod:`repro.analysis.trace`, wired
   through :class:`~repro.faults.InvariantChecker` (``check_ordering``)
   over the cell's span trace.
@@ -60,6 +59,7 @@ from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.experiments.common import scale_from_env
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, custody_left, drain_custody, judge
 from repro.runner import map_tasks
 from repro.telemetry.session import current_session, telemetry_session
 from repro.workloads import WorkloadGenerator, default_paper_spec
@@ -93,14 +93,6 @@ _REDELIVERY_MS = 2_000.0
 _ORDERED_PUBLISHERS = 5
 #: Simulated drain tail after the last scheduled disturbance.
 _DRAIN_MS = 45_000.0
-#: Adaptive heal tail: after the fixed drain, durable cells keep the
-#: services running in slices until every custody log is empty.  The
-#: storm cells queue thousands of redeliveries behind a saturated
-#: victim, so "heals eventually" needs *eventually*, not a guess.
-_HEAL_SLICE_MS = 5_000.0
-#: Hard cap on the heal tail (simulated): a cell that cannot drain in
-#: this long has a real retirement bug, which the drain check reports.
-_HEAL_CAP_MS = 600_000.0
 
 
 @dataclass
@@ -115,7 +107,8 @@ class CellResult:
     delivered: int
     expected: int
     dup: int
-    #: live-oracle violations (on_deliver replay)
+    spurious: int
+    #: live-oracle violations (repro.oracle.judge)
     fifo_violations: int
     causal_violations: int
     #: trace-replay oracle via InvariantChecker (None for unordered)
@@ -214,40 +207,6 @@ def _chain_safe_churn(
         ):
             return sched, victims
     return last  # pragma: no cover - 64 straight collisions
-
-
-def _live_fifo_violations(
-    per_sub: Dict[Tuple[int, int], List[int]],
-    pub_index: Dict[int, Tuple[int, int]],
-) -> int:
-    """Subscriptions that saw two events of one publisher out of the
-    order ``publish()`` was invoked in."""
-    violations = 0
-    for seq in per_sub.values():
-        high: Dict[int, int] = {}
-        for eid in seq:
-            pub, idx = pub_index[eid]
-            if idx < high.get(pub, 0):
-                violations += 1
-            else:
-                high[pub] = idx
-    return violations
-
-
-def _live_causal_violations(
-    per_sub: Dict[Tuple[int, int], List[int]],
-    pub_deps: Dict[int, frozenset],
-) -> int:
-    """Deliveries that precede a dependency the same subscription also
-    received (deps = events the publisher node had seen at publish)."""
-    violations = 0
-    for seq in per_sub.values():
-        pos = {eid: i for i, eid in enumerate(seq)}
-        for i, eid in enumerate(seq):
-            for dep in pub_deps[eid]:
-                if pos.get(dep, -1) > i:
-                    violations += 1
-    return violations
 
 
 def _run_cell(task: dict) -> CellResult:
@@ -360,38 +319,17 @@ def _run_cell_inner(task: dict) -> CellResult:
     if durable:
         system.start_durable_redelivery()
 
-    # -- live oracles: publish order, causal snapshots, deliveries -----
-    per_sub: Dict[Tuple[int, int], List[int]] = {}
-    seen_at_addr: Dict[int, set] = {}
-
-    def on_deliver(addr: int, event_id: int, subid) -> None:
-        per_sub.setdefault((subid.nid, subid.iid), []).append(event_id)
-        seen_at_addr.setdefault(addr, set()).add(event_id)
-
-    system.on_deliver = on_deliver
-
-    pub_index: Dict[int, Tuple[int, int]] = {}  # eid -> (addr, k-th)
-    pub_deps: Dict[int, frozenset] = {}
-    pub_event: Dict[int, object] = {}
-    counters: Dict[int, int] = {}
-
-    def do_publish(addr: int, ev) -> None:
-        # Causal baseline: everything this node has seen happened-before.
-        deps = frozenset(seen_at_addr.get(addr, ()))
-        eid = system.publish(addr, ev)
-        counters[addr] = counters.get(addr, 0) + 1
-        pub_index[eid] = (addr, counters[addr])
-        pub_deps[eid] = deps
-        pub_event[eid] = ev
-
+    # -- the run log: publish order, causal snapshots, deliveries ------
+    log = RunLog(system)
     survivors = [a for a in range(num_nodes) if a not in set(victims)]
-    publishers = survivors[:_ORDERED_PUBLISHERS] if ordered else survivors
-    rng = np.random.default_rng(seed + 300)
-    t = _WARMUP_MS
-    for _ in range(num_events):
-        t += float(rng.exponential(spec.mean_interarrival_ms))
-        addr = int(publishers[rng.integers(0, len(publishers))])
-        system.sim.schedule_at(t, do_publish, addr, gen.event())
+    _eids, t = log.schedule_poisson(
+        gen,
+        np.random.default_rng(seed + 300),
+        _WARMUP_MS,
+        num_events,
+        survivors[:_ORDERED_PUBLISHERS] if ordered else survivors,
+        spec.mean_interarrival_ms,
+    )
 
     run_end = max(t, last_disturbance) + _DRAIN_MS
     if system.telemetry is not None:
@@ -400,18 +338,7 @@ def _run_cell_inner(task: dict) -> CellResult:
         )
     system.run(until=run_end)
     if durable:
-        # Adaptive heal tail: custody retirement is the termination
-        # signal.  Every obligation is eventually ackable (victims all
-        # rejoin; storms subside), so a drained log means the system
-        # healed -- and a log that cannot drain within the cap is a
-        # retirement bug the drain check below will report.
-        deadline = system.sim.now + _HEAL_CAP_MS
-        while system.sim.now < deadline and any(
-            n.durable is not None and n.durable.log for n in system.nodes
-        ):
-            system.run(
-                until=min(deadline, system.sim.now + _HEAL_SLICE_MS)
-            )
+        drain_custody(system)
     system.stop_maintenance()
     if cfg.anti_entropy:
         system.stop_anti_entropy()
@@ -419,25 +346,13 @@ def _run_cell_inner(task: dict) -> CellResult:
         system.stop_durable_redelivery()
     system.run_until_idle()
 
-    # -- delivery ratio vs the global oracle ---------------------------
-    assert len(pub_index) == num_events
-    delivered = expected = 0
-    latencies: List[float] = []
-    for eid, ev in pub_event.items():
-        want = {sid for s, sid in installed if s.matches(ev)}
-        rec = system.metrics.records[eid]
-        got = {d[0] for d in rec.deliveries}
-        delivered += len(got & want)
-        expected += len(want)
-        latencies.extend(d[3] for d in rec.deliveries)
-    dup = sum(len(seq) - len(set(seq)) for seq in per_sub.values())
-
-    fifo_v = _live_fifo_violations(per_sub, pub_index) if ordered else 0
-    causal_v = (
-        _live_causal_violations(per_sub, pub_deps)
-        if ordering == "causal"
-        else 0
-    )
+    # -- the verdict: crashed subscribers stay expected (they rejoin,
+    # so durable modes owe them the events) ----------------------------
+    assert len(log.published) == num_events
+    verdict = judge(log, installed)
+    latencies = [
+        d[3] for rec in system.metrics.records.values() for d in rec.deliveries
+    ]
     span_v: Optional[int] = None
     if ordered:
         inv = system.check_invariants(
@@ -451,20 +366,20 @@ def _run_cell_inner(task: dict) -> CellResult:
         (n.durable.high_water for n in system.nodes if n.durable is not None),
         default=0,
     )
-    log_left = sum(
-        len(n.durable.log) for n in system.nodes if n.durable is not None
-    )
     return CellResult(
         label=label,
         mode=mode,
         ordering=ordering,
         fault=fault,
         events=num_events,
-        delivered=delivered,
-        expected=expected,
-        dup=dup,
-        fifo_violations=fifo_v,
-        causal_violations=causal_v,
+        delivered=verdict.delivered,
+        expected=verdict.expected,
+        dup=verdict.duplicate,
+        spurious=verdict.spurious,
+        fifo_violations=verdict.fifo_violations if ordered else 0,
+        causal_violations=(
+            verdict.causal_violations if ordering == "causal" else 0
+        ),
         span_violations=span_v,
         kb_per_event=float(
             stats.bytes_for(("ps_event", "ps_dack")) / 1024.0 / num_events
@@ -472,7 +387,7 @@ def _run_cell_inner(task: dict) -> CellResult:
         lat_mean_ms=float(lat.mean()),
         lat_p99_ms=float(np.percentile(lat, 99)),
         log_high_water=int(high_water),
-        log_left=int(log_left),
+        log_left=custody_left(system),
         durable=dict(stats.durable_counts),
         gave_up=dict(stats.gave_up_by_cause),
     )
@@ -520,7 +435,7 @@ def run(
             detail=f"ratio {be.ratio:.4f}",
         )
     report.expect_true(
-        sum(c.dup for c in durable_cells) == 0,
+        sum(c.dup + c.spurious for c in durable_cells) == 0,
         "durable delivery is exactly-once (no duplicate deliveries)",
     )
     report.expect_true(

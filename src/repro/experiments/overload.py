@@ -33,7 +33,7 @@ docs/FAULTS.md for the full service model and policy spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.experiments.common import scale_from_env
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
 #: Finite-service parameters: 0.5 msgs/ms (2 ms per message) against a
@@ -66,6 +67,7 @@ class OverloadRun:
     events: int
     delivered: int
     expected: int
+    exactly_once: bool
     p50_latency_ms: float
     p99_latency_ms: float
     shed: int
@@ -155,15 +157,15 @@ def _run_once(
     sched = FaultSchedule().storm(STORM_T0, STORM_T1, hot, STORM_RATE)
     sched.install(system)
 
-    rng = np.random.default_rng(seed + 300)
-    t = EVENT_START_MS
-    events = []
-    for _ in range(num_events):
-        t += float(rng.exponential(MEAN_INTERARRIVAL_MS))
-        addr = int(rng.integers(0, num_nodes))
-        ev = gen.event()
-        events.append(ev)
-        system.sim.schedule_at(t, system.publish, addr, ev)
+    log = RunLog(system)
+    log.schedule_poisson(
+        gen,
+        np.random.default_rng(seed + 300),
+        EVENT_START_MS,
+        num_events,
+        range(num_nodes),
+        MEAN_INTERARRIVAL_MS,
+    )
 
     if system.telemetry is not None:
         # Dense queue-depth samples across the storm window.
@@ -172,18 +174,10 @@ def _run_once(
         )
     system.run_until_idle()
 
-    records = sorted(
-        system.metrics.records.values(), key=lambda r: r.publish_time
-    )
-    assert len(records) == num_events
-    delivered = expected = 0
-    latencies: List[float] = []
-    for rec, ev in zip(records, events):
-        got = {d[0] for d in rec.deliveries}
-        want = {sid for s, sid in installed if s.matches(ev)}
-        delivered += len(got & want)
-        expected += len(want)
-        latencies.extend(d[3] for d in rec.deliveries)
+    verdict = judge(log, installed)
+    latencies = [
+        d[3] for rec in system.metrics.records.values() for d in rec.deliveries
+    ]
     lat = np.asarray(latencies) if latencies else np.zeros(1)
 
     stats = system.network.stats
@@ -191,8 +185,9 @@ def _run_once(
         protection=protection,
         hot_addr=hot,
         events=num_events,
-        delivered=delivered,
-        expected=expected,
+        delivered=verdict.delivered,
+        expected=verdict.expected,
+        exactly_once=verdict.exactly_once,
         p50_latency_ms=float(np.percentile(lat, 50)),
         p99_latency_ms=float(np.percentile(lat, 99)),
         shed=stats.shed,
@@ -243,6 +238,9 @@ def run(
     report.expect_greater(
         float(on.busy_backoffs), 0.0,
         "senders honour ps_busy backpressure",
+    )
+    report.expect_true(
+        off.exactly_once and on.exactly_once, "exactly-once, nothing spurious"
     )
 
     from repro.telemetry import current_session

@@ -28,7 +28,7 @@ coverage, replica floors) must pass at the end of the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.experiments.common import scale_from_env
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
 #: Phase shares of the event budget (healthy, degraded, healed).
@@ -101,28 +102,6 @@ class RecoveryResult:
         return "\n".join(lines)
 
 
-def _phase_events(
-    system: HyperSubSystem,
-    gen: WorkloadGenerator,
-    rng: np.random.Generator,
-    start_ms: float,
-    count: int,
-    publishers: Sequence[int],
-    mean_interarrival_ms: float,
-) -> Tuple[List[Tuple[int, object]], float]:
-    """Schedule ``count`` Poisson events from ``start_ms``; returns the
-    ``(publisher, event)`` list in time order and the last event time."""
-    out = []
-    t = start_ms
-    for _ in range(count):
-        t += float(rng.exponential(mean_interarrival_ms))
-        addr = int(publishers[rng.integers(0, len(publishers))])
-        ev = gen.event()
-        out.append((addr, ev))
-        system.sim.schedule_at(t, system.publish, addr, ev)
-    return out, t
-
-
 def run(
     num_nodes: Optional[int] = None,
     num_events: Optional[int] = None,
@@ -151,13 +130,11 @@ def run(
     system.add_scheme(gen.scheme)
     installed = gen.populate(system)
     system.finish_setup()
-    sub_addr = {
-        sid: i // spec.subs_per_node for i, (_s, sid) in enumerate(installed)
-    }
 
     system.start_maintenance(stabilize_interval_ms=500.0, rpc_timeout_ms=1_500.0)
     system.start_anti_entropy()
 
+    log = RunLog(system)
     rng = np.random.default_rng(seed + 100)
     n_a, n_b = (int(num_events * f) for f in _PHASE_SPLIT[:2])
     n_c = num_events - n_a - n_b
@@ -165,8 +142,8 @@ def run(
 
     # -- phase A: healthy baseline -------------------------------------
     warmup = 3_000.0
-    phase_a, a_end = _phase_events(
-        system, gen, rng, warmup, n_a, range(num_nodes), mean_ia
+    phase_a, a_end = log.schedule_poisson(
+        gen, rng, warmup, n_a, range(num_nodes), mean_ia
     )
 
     # -- burst crash, then phase B with NO grace period ----------------
@@ -179,8 +156,8 @@ def run(
     )
     victim_set: Set[int] = set(victims)
     survivors = [a for a in range(num_nodes) if a not in victim_set]
-    phase_b, b_end = _phase_events(
-        system, gen, rng, crash_window[1], n_b, survivors, mean_ia
+    phase_b, b_end = log.schedule_poisson(
+        gen, rng, crash_window[1], n_b, survivors, mean_ia
     )
 
     # -- rejoin burst, resync grace, then phase C ----------------------
@@ -192,9 +169,8 @@ def run(
     # ring (a few stabilize rounds) and their arcs resynced from the
     # surviving replicas (handoff + a few anti-entropy rounds).
     heal_grace = 30_000.0
-    phase_c, c_end = _phase_events(
-        system, gen, rng, rejoin_window[1] + heal_grace, n_c,
-        range(num_nodes), mean_ia,
+    phase_c, c_end = log.schedule_poisson(
+        gen, rng, rejoin_window[1] + heal_grace, n_c, range(num_nodes), mean_ia
     )
     sched.install(system)
 
@@ -213,39 +189,28 @@ def run(
     system.stop_anti_entropy()
     system.run_until_idle()
 
-    # -- per-phase delivery against phase-appropriate oracles ----------
-    records = sorted(
-        system.metrics.records.values(), key=lambda r: r.publish_time
+    # -- per-phase verdicts: who owed a delivery differs by phase ------
+    plan = (
+        # A: everyone subscribed is up
+        ("A: healthy baseline", phase_a, None),
+        # B: victims' clients are down
+        (
+            "B: degraded (20% just crashed)" if fail_fraction == 0.2
+            else f"B: degraded ({fail_fraction:.0%} just crashed)",
+            phase_b,
+            lambda addr: addr not in victim_set,
+        ),
+        # C: victims rejoined
+        ("C: healed (rejoined + resynced)", phase_c, None),
     )
-    assert len(records) == num_events
-    bounds = (n_a, n_a + n_b, num_events)
-    oracles = (
-        lambda addr: True,              # A: everyone subscribed is up
-        lambda addr: addr not in victim_set,  # B: victims' clients are down
-        lambda addr: True,              # C: victims rejoined
-    )
-    names = (
-        "A: healthy baseline",
-        "B: degraded (20% just crashed)" if fail_fraction == 0.2
-        else f"B: degraded ({fail_fraction:.0%} just crashed)",
-        "C: healed (rejoined + resynced)",
-    )
-    all_events = phase_a + phase_b + phase_c
-    phases: List[PhaseResult] = []
-    lo = 0
-    for name, hi, alive in zip(names, bounds, oracles):
-        delivered = expected = 0
-        for rec, (_addr, ev) in zip(records[lo:hi], all_events[lo:hi]):
-            got = {d[0] for d in rec.deliveries}
-            want = {
-                sid
-                for s, sid in installed
-                if alive(sub_addr[sid]) and s.matches(ev)
-            }
-            delivered += len(got & want)
-            expected += len(want)
-        phases.append(PhaseResult(name, hi - lo, delivered, expected))
-        lo = hi
+    verdicts = [
+        judge(log, installed, alive=alive, events=eids)
+        for _name, eids, alive in plan
+    ]
+    phases = [
+        PhaseResult(name, len(eids), v.delivered, v.expected)
+        for (name, eids, _alive), v in zip(plan, verdicts)
+    ]
 
     stats = system.network.stats
     event_kb = stats.bytes_for(("ps_event",)) / 1024.0
@@ -272,6 +237,9 @@ def run(
     )
     report.expect_true(
         inv.ok, "invariants hold at end of run", detail=inv.render()
+    )
+    report.expect_true(
+        all(v.exactly_once for v in verdicts), "exactly-once, nothing spurious"
     )
     if system.telemetry is not None:
         system.telemetry.record_result(

@@ -29,6 +29,7 @@ from repro.analysis.tables import format_series
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
 
@@ -80,22 +81,17 @@ def _one_run(loss: float, reliable: bool, num_nodes: int, num_events: int):
     system.finish_setup()
     FaultSchedule().loss(0.0, loss, seed=9).install(system)
 
+    log = RunLog(system)
     rng = np.random.default_rng(3)
-    delivered = expected = 0
     for _ in range(num_events):
-        ev = gen.event()
-        eid = system.publish(int(rng.integers(0, num_nodes)), ev)
+        log.publish(int(rng.integers(0, num_nodes)), gen.event())
         system.run_until_idle()
-        rec = system.metrics.records[eid]
-        got = {(d[0].nid, d[0].iid) for d in rec.deliveries}
-        want = {(sid.nid, sid.iid) for s, sid in installed if s.matches(ev)}
-        delivered += len(got & want)
-        expected += len(want)
+    verdict = judge(log, installed)
     stats = system.network.stats
     bytes_total = float(stats.bytes_by_kind.get("ps_event", 0.0))
     invariants_ok = system.check_invariants().ok
     return (
-        delivered / max(expected, 1),
+        verdict,
         bytes_total,
         stats.retransmissions,
         stats.gave_up,
@@ -110,14 +106,17 @@ def run(
 ) -> ReliabilityResult:
     plain, reliable, overhead = [], [], []
     retrans, gave_up = [], []
-    invariants_ok = True
+    invariants_ok = exactly_once = True
     for p in loss_rates:
-        r_plain, b_plain, _, _, inv_p = _one_run(p, False, num_nodes, num_events)
-        r_rel, b_rel, n_retrans, n_gave, inv_r = _one_run(
+        v_plain, b_plain, _, _, inv_p = _one_run(p, False, num_nodes, num_events)
+        v_rel, b_rel, n_retrans, n_gave, inv_r = _one_run(
             p, True, num_nodes, num_events
         )
-        plain.append(r_plain)
-        reliable.append(r_rel)
+        plain.append(v_plain.ratio)
+        reliable.append(v_rel.ratio)
+        exactly_once = (
+            exactly_once and v_plain.exactly_once and v_rel.exactly_once
+        )
         overhead.append(b_rel / max(b_plain, 1e-9))
         retrans.append(n_retrans)
         gave_up.append(n_gave)
@@ -144,6 +143,7 @@ def run(
     report.expect_true(
         invariants_ok, "ring/coverage invariants hold under loss"
     )
+    report.expect_true(exactly_once, "exactly-once, nothing spurious")
     return ReliabilityResult(
         loss_rates=list(loss_rates),
         plain_ratio=plain,

@@ -187,10 +187,31 @@ class TestRunRound:
         b = run_round(small_task(spec=spec))
         assert a["digest"] == b["digest"]
         assert a["violations"] == [], a["violations"]
-        assert a["dup"] == 0
+        assert a["dup"] == a["spurious"] == 0
         assert a["lost"] == 0
         assert a["log_left"] == 0
         assert a["net_duplicated"] > 0  # the fault actually fired
+
+    @pytest.mark.parametrize("mode", ["durable", "best-effort"])
+    def test_a_spurious_delivery_is_a_violation_in_every_mode(
+        self, mode, monkeypatch
+    ):
+        """Like ``dup``: unconditional, and -- not being hashed -- it
+        leaves every recorded round digest where it was."""
+        from dataclasses import replace
+
+        from repro.experiments import chaos
+
+        clean = run_round(small_task(mode=mode, spec=[]))
+        assert clean["violations"] == [] and clean["spurious"] == 0
+        real_judge = chaos.judge
+        monkeypatch.setattr(
+            chaos, "judge", lambda *a: replace(real_judge(*a), spurious=1)
+        )
+        out = run_round(small_task(mode=mode, spec=[]))
+        assert out["violations"] == ["spurious_deliveries: 1"]
+        assert round_fails(out)
+        assert out["digest"] == clean["digest"]
 
     def test_nemesis_round_samples_when_no_spec(self):
         # seed/round chosen so the tiny 12-node workload draw actually

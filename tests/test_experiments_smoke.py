@@ -146,14 +146,32 @@ class TestDrivers:
         assert res.reliable_ratio[-1] >= 0.99
         assert "R1" in res.render()
 
-    def test_dynamic(self):
+    def test_dynamic(self, monkeypatch):
         from repro.experiments import dynamic
 
+        judged = []
+        real_judge = dynamic.judge
+        monkeypatch.setattr(
+            dynamic, "judge",
+            lambda log, installed: judged.append(log) or real_judge(log, installed),
+        )
         res = dynamic.run(
             num_nodes=60, subs_per_phase=60, phases=3, phase_ms=5_000.0
         )
         assert len(res.max_load_static) == 3
         assert "D1" in res.render()
+        assert res.report.all_passed
+        # Regression: the exact-delivery check used to rebuild its
+        # seeded generator per iteration and publish one point 15 times.
+        # They are now 15 consecutive draws of one generator (14 distinct
+        # points: the hotspot distribution itself repeats one).
+        from repro.workloads import WorkloadGenerator
+
+        (log,) = judged
+        gen = WorkloadGenerator(dynamic._phase_specs(3)[-1], seed=500)
+        want = [tuple(gen.event().point) for _ in range(15)]
+        assert [tuple(p.event.point) for p in log.published.values()] == want
+        assert len(set(want)) > 10
 
 
 class TestSatelliteRegressions:

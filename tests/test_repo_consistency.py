@@ -180,3 +180,34 @@ class TestWireFormatOwners:
             assert len(lines) <= self.MAX_SITES.get(kind, 1), (
                 f"{kind} is constructed at node.py lines {lines}"
             )
+
+
+class TestOneJudge:
+    """Whether a run was right is decided in ``repro/oracle.py`` and
+    nowhere else under ``src/`` (docs/FAULTS.md, "How a run is judged"):
+    a second brute-force loop is a second strength of check."""
+
+    def test_no_private_judge_under_src(self):
+        import ast
+
+        src = REPO / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "matches"
+                    and rel != "oracle.py"
+                ):
+                    offenders.append(f"{rel}:{node.lineno} calls .matches(")
+                if (
+                    isinstance(node, ast.Assign)
+                    and rel.startswith("experiments/")
+                    and any(
+                        getattr(t, "attr", None) == "on_deliver"
+                        for t in node.targets
+                    )
+                ):
+                    offenders.append(f"{rel}:{node.lineno} assigns on_deliver")
+        assert not offenders, "judge through repro.oracle: " + "; ".join(offenders)
