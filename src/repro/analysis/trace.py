@@ -101,6 +101,9 @@ def transport_summary(stats) -> Dict[str, int]:
         "lookup_abandoned": stats.lookup_abandoned,
         "stale_unregister": stats.stale_unregister,
         "stale_subid": stats.stale_subid,
+        "duplicate_packet": stats.duplicate_packet,
+        "duplicate_entry": stats.duplicate_entry,
+        "scheme_mismatch": stats.scheme_mismatch,
         "busy_backoffs": stats.busy_backoffs,
         "shed": stats.shed,
         "breaker_opens": stats.breaker_opens,
@@ -129,6 +132,12 @@ def render_transport_summary(stats) -> str:
         lines.append(f"unroutable: {s['unroutable']} entries dropped (no next hop)")
     if s["stale_subid"]:
         lines.append(f"stale: {s['stale_subid']} entries for SubIDs nobody holds")
+    if s["duplicate_packet"] or s["duplicate_entry"] or s["scheme_mismatch"]:
+        lines.append(
+            f"discarded: {s['duplicate_packet']} duplicate packets, "
+            f"{s['duplicate_entry']} duplicate entries, "
+            f"{s['scheme_mismatch']} scheme mismatches"
+        )
     if s["lookup_abandoned"] or s["stale_unregister"]:
         lines.append(
             f"install: {s['lookup_abandoned']} lookups abandoned, "

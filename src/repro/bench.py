@@ -88,7 +88,7 @@ def _bench_scheduler_lane(timers: int = 20_000, repeat: int = 3) -> Dict[str, An
     """Retransmission-timer traffic: one timer armed per step with a
     constant delay, nine in ten cancelled 100 steps later (the ack),
     one in ten left to fire.  Timed through a ``TimeoutLane`` and, as
-    the reference, through ``schedule()`` / ``EventHandle.cancel``; the
+    the reference, through ``schedule()`` / ``Simulator.cancel``; the
     two must fire the same timers at the same times."""
     from repro.sim.engine import Simulator
 
@@ -107,7 +107,7 @@ def _bench_scheduler_lane(timers: int = 20_000, repeat: int = 3) -> Dict[str, An
             i = len(armed)
             armed.append(arm(expire, i))
             if i >= 100 and (i - 100) % 10:
-                armed[i - 100].cancel()
+                sim.cancel(armed[i - 100])
             if i + 1 < timers:
                 sim.schedule(1.0, step)
 

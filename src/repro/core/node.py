@@ -69,6 +69,8 @@ EVENT_TTL_HOPS = 64
 #: Route decisions kept per node before the cache is flushed wholesale
 #: (flush-on-full beats LRU bookkeeping at this hit pattern).
 ROUTE_CACHE_MAX = 4096
+#: Bytes of an event packet before its SubIDs (header + event body).
+_EVENT_BASE_BYTES = event_message_bytes(0)
 
 
 #: Wire size of one subscription box (two float64 bounds per dimension).
@@ -219,8 +221,12 @@ class PubSubNodeMixin:
         self.system = system
         self._iid_counter = 0
         self._marker_iid_counter = 1 << 48
-        #: iid -> (entity_key, Subscription, zone) for the user's own subs
-        self.own_subs: Dict[int, Tuple[str, Subscription, ContentZone]] = {}
+        #: iid -> (entity_key, Subscription, zone, SubID) for the user's
+        #: own subs (the SubID minted at subscribe time: every delivery
+        #: hands that one object to the application)
+        self.own_subs: Dict[
+            int, Tuple[str, Subscription, ContentZone, SubID]
+        ] = {}
         #: (entity_key, code, level) -> ZoneRepo
         self.zone_repos: Dict[Tuple[str, int, int], ZoneRepo] = {}
         #: rotated zone key -> repo keys reachable by direct rendezvous.
@@ -331,7 +337,14 @@ class PubSubNodeMixin:
         if hasattr(self, "on_predecessor_change"):
             self.on_predecessor_change = self._on_pred_change
         self.register_handler("ps_unregister", self._on_ps_unregister)
-        self.register_handler("ps_event", self._on_ps_event)
+        # The receive side of ``ps_event`` is chosen here, once: only a
+        # config that can put ``rseq`` / ``pb`` on a packet pays for the
+        # wrapper that reads them.
+        cfg = system.config
+        #: no feature of this node's config adds to a forwarded packet
+        self._ev_plain = not (cfg.reliable_delivery or cfg.piggyback_maintenance)
+        on_event = self._process_event if self._ev_plain else self._on_ps_event
+        self.register_handler("ps_event", on_event)
         self.register_handler("ps_event_ack", self._on_ps_event_ack)
         self.register_handler("ps_dack", self._on_ps_dack)
         self.register_handler("ps_busy", self._on_ps_busy)
@@ -395,8 +408,8 @@ class PubSubNodeMixin:
         entity = self.system.entity_for_subscription(sub)
         zone = entity.zone_of_subscription(sub)
         iid = self._next_iid()
-        self.own_subs[iid] = (entity.key, sub, zone)
         subid = SubID(self.node_id, iid)
+        self.own_subs[iid] = (entity.key, sub, zone, subid)
         self.system.metrics.count_subscription(sub.scheme_name)
         self._dispatch_register(entity, zone, subid, sub.lows, sub.highs, "sub")
         return subid
@@ -412,7 +425,7 @@ class PubSubNodeMixin:
         """
         if subid.nid != self.node_id or subid.iid not in self.own_subs:
             raise KeyError(f"not our subscription: {subid}")
-        entity_key, _sub, zone = self.own_subs.pop(subid.iid)
+        entity_key, _sub, zone, _subid = self.own_subs.pop(subid.iid)
         self._dispatch_unregister(self.system.entity(entity_key), zone, subid)
 
     def _send_to_home(self, key: int, kind: str, payload: dict, size: int) -> None:
@@ -1620,7 +1633,7 @@ class PubSubNodeMixin:
         if state is None:
             return
         # Retransmission timer or ps_busy backoff timer, whichever is armed.
-        state["timer"].cancel()
+        self.sim.cancel(state["timer"])
         if self.breaker is not None:
             self.breaker.record_success(state["dst"])
 
@@ -1684,7 +1697,7 @@ class PubSubNodeMixin:
             msg.src, self.sim.now
         ):
             self._note_breaker_open(msg.src)
-        state["timer"].cancel()
+        self.sim.cancel(state["timer"])
         cfg = self.system.config
         delay = min(
             cfg.retransmit_timeout_ms
@@ -1789,6 +1802,10 @@ class PubSubNodeMixin:
         cost is the service time it consumed in the ingress queue."""
 
     def _on_ps_event(self, msg: Message) -> None:
+        """``ps_event`` receive wrapper of a config with reliable
+        transport or piggybacked maintenance (registered by
+        ``_init_pubsub``; any other config registers ``_process_event``
+        itself): ack + packet-level dedup, ring-state absorption."""
         p = msg.payload
         if "rseq" in p:
             rseq = p["rseq"]
@@ -1800,7 +1817,10 @@ class PubSubNodeMixin:
             )
             key = (msg.src, p.get("repoch", 0), rseq)
             if key in self._rel_seen:
-                return  # duplicate (our ack was lost): already processed
+                # duplicate (our ack was lost, or the network ghosted a
+                # copy): already processed
+                self.network.stats.record_duplicate_packet()
+                return
             self._rel_seen.add(key)
         if "pb" in p and hasattr(self, "absorb_piggyback"):
             pb = p["pb"]
@@ -1818,12 +1838,11 @@ class PubSubNodeMixin:
         The best-effort packet -- ``(nid, iid)`` entries, the four base
         payload fields -- is the straight line through this function.
         Everything a guarantee adds (custody metadata on an entry,
-        ordering context, failover budget, piggybacked ring state) is
-        paid for only by packets that carry it.
+        ordering context, failover budget, piggybacked ring state,
+        spans) is paid for only by packets that carry it: one test
+        ahead of the emit loop sends those through the general one.
         """
         p = msg.payload
-        system = self.system
-        cfg = system.config
         if msg.hops > EVENT_TTL_HOPS:
             self._count_give_up(p, span=msg.span_id, cause="ttl")
             return
@@ -1832,9 +1851,14 @@ class PubSubNodeMixin:
         scheme_name = p["scheme"]
         addr = self.addr
         breaker = self.breaker
-        tel = system.telemetry
-        rc = self._route_cache()
-        rc_hits = 0
+        # The decision cache, flushed if the routing epoch moved (the
+        # rule is ``_route_cache``'s).  Hits are counted by difference.
+        rc = self._rc
+        if self.routing_epoch != self._rc_epoch:
+            rc.clear()
+            self._rc_epoch = self.routing_epoch
+        rc_get = rc.get
+        non_hits = 0
         carries_meta = False
 
         # The worklist grows while it is walked: SubIDs matched here are
@@ -1852,17 +1876,17 @@ class PubSubNodeMixin:
                     # Sequencer-bound entry (causal mode): routed by
                     # network address, not by DHT id -- the sequencer is
                     # pinned.
+                    non_hits += 1
                     seq_addr = meta["s"][1]
                     if seq_addr == addr:
                         worklist.extend(self._seq_ingest(p, meta, msg))
                     else:
                         groups.setdefault(seq_addr, []).append(ent)
                     continue
-            nh = rc.get(nid, _RC_MISS)
+            nh = rc_get(nid, _RC_MISS)
             if nh is _RC_MISS:
+                non_hits += 1  # _route_miss counts it
                 nh = self._route_miss(nid)
-            else:
-                rc_hits += 1
             if nh is _RC_HERE:
                 if meta is None:
                     more = self._handle_local_entry(
@@ -1891,12 +1915,46 @@ class PubSubNodeMixin:
                 groups[nh] = [ent]
             else:
                 group.append(ent)
-        self.rc_hits += rc_hits
+        self.rc_hits += len(worklist) - non_hits
         if not groups:
+            return
+
+        system = self.system
+        tel = system.telemetry
+        tracing = tel is not None and tel.tracing
+        edge_tracing = system.tracing
+        on_event_message = system.metrics.on_event_message
+        send = self.network.send
+        if (
+            self._ev_plain
+            and len(p) == 4
+            and not (carries_meta or tracing or edge_tracing)
+        ):
+            # Nothing to inherit, attach or record: one packet per link,
+            # sized by the paper's formula, continuing ``msg``'s path.
+            hops = msg.hops
+            path_latency = msg.path_latency
+            root_time = msg.root_time
+            for nh, ents in groups.items():
+                size = _EVENT_BASE_BYTES + SUBID_BYTES * len(ents)
+                on_event_message(event_id, size)
+                send(
+                    Message(
+                        addr, nh, "ps_event",
+                        {
+                            "event_id": event_id,
+                            "scheme": scheme_name,
+                            "point": point,
+                            "entries": ents,
+                        },
+                        size, hops, path_latency, root_time,
+                    )
+                )
             return
 
         # What the forwarded packets inherit is a property of the packet
         # that came in, looked up once for all of them.
+        cfg = system.config
         inherited = {name: p[name] for name in _INHERITED_FIELDS if name in p}
         extra_bytes = (
             DEP_ENTRY_BYTES * len(inherited["deps"]) if "deps" in inherited else 0
@@ -1909,11 +1967,7 @@ class PubSubNodeMixin:
                 "pred": self.predecessor,
                 "succ": self.successors[0] if self.successors else None,
             }
-        tracing = tel is not None and tel.tracing
-        edge_tracing = system.tracing
         reliable = cfg.reliable_delivery
-        on_event_message = system.metrics.on_event_message
-        send = self.network.send
         for nh, ents in groups.items():
             size = event_message_bytes(len(ents)) + extra_bytes
             if carries_meta:
@@ -1987,9 +2041,9 @@ class PubSubNodeMixin:
                 entity = self.system.entity(repo.entity_key)
                 if entity.scheme.name != scheme_name:
                     continue
-                matched.extend(
+                matched += [
                     (s.nid, s.iid) for s in repo.store.match_point(point)
-                )
+                ]
             if not matched:
                 # Takeover path: we are responsible for this key but hold
                 # no live repo -- a standby replica of the failed primary
@@ -2001,9 +2055,9 @@ class PubSubNodeMixin:
                     entity = self.system.entity(repo.entity_key)
                     if entity.scheme.name != scheme_name:
                         continue
-                    matched.extend(
+                    matched += [
                         (s.nid, s.iid) for s in repo.store.match_point(point)
-                    )
+                    ]
             self._trace_match(event_id, msg, len(matched))
             return matched
 
@@ -2013,17 +2067,20 @@ class PubSubNodeMixin:
         # SubIDs route here, but its iid values must never be confused
         # with our own (Algorithm 5 searches by the full SubID).
         if nid == self.node_id:
-            if iid in self.own_subs:
-                entity_key, sub, _zone = self.own_subs[iid]
-                if sub.scheme_name != scheme_name:  # pragma: no cover - defensive
+            own = self.own_subs.get(iid)
+            if own is not None:
+                _entity_key, sub, _zone, subid = own
+                if sub.scheme_name != scheme_name:
+                    self.network.stats.record_scheme_mismatch()
                     return []
                 once = (event_id, iid)
                 if once in self._delivered:
-                    return []  # failover redelivery under a fresh packet
+                    # failover redelivery under a fresh packet
+                    self.network.stats.record_duplicate_entry()
+                    return []
                 self._delivered.add(once)
                 latency_ms = self.sim.now - msg.root_time
                 system = self.system
-                subid = SubID(nid, iid)
                 system.metrics.on_delivery(
                     event_id, subid, self.addr, msg.hops, latency_ms
                 )
@@ -2068,6 +2125,7 @@ class PubSubNodeMixin:
             if entry is not None:
                 mig_scheme, store = entry
                 if mig_scheme != scheme_name:
+                    self.network.stats.record_scheme_mismatch()
                     return []
                 matched = [(s.nid, s.iid) for s in store.match_point(point)]
                 self._trace_match(event_id, msg, len(matched))
@@ -2094,8 +2152,10 @@ class PubSubNodeMixin:
         inherited = self.standby_migrated.get((nid, iid))
         if inherited is not None and nid != self.node_id:
             mig_scheme, store = inherited
-            if mig_scheme == scheme_name:
-                return [(s.nid, s.iid) for s in store.match_point(point)]
+            if mig_scheme != scheme_name:
+                self.network.stats.record_scheme_mismatch()
+                return []
+            return [(s.nid, s.iid) for s in store.match_point(point)]
 
         # stale SubID (unsubscribed / departed): dropped, counted
         self.network.stats.record_stale_subid()

@@ -155,7 +155,7 @@ class InvariantChecker:
             for _scheme, store in node.standby_migrated.values():
                 migrated_holders.update((s.nid, s.iid) for s in store.subids())
         for node in alive:
-            for iid, (entity_key, _sub, zone) in node.own_subs.items():
+            for iid, (entity_key, _sub, zone, _subid) in node.own_subs.items():
                 entity = system.entity(entity_key)
                 key = entity.rotated_key(zone)
                 home = self._responsible(alive_sorted, key)

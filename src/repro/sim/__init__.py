@@ -12,7 +12,7 @@ simulator the paper runs on).  It provides:
 * :mod:`~repro.sim.stats` -- counters and distribution helpers.
 """
 
-from repro.sim.engine import Simulator, EventHandle
+from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network, SimNode
 from repro.sim.stats import NetworkStats, Counter
@@ -25,7 +25,6 @@ from repro.sim.topology import (
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "Message",
     "Network",
     "SimNode",

@@ -15,89 +15,12 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
-
-class EventHandle:
-    """Cancellation token returned by :meth:`Simulator.schedule`.
-
-    Cancelling does not remove the heap entry (that would be O(n)); the
-    entry is skipped when popped.  The owning simulator keeps a live
-    count (:attr:`Simulator.live`) in sync: cancelling before the event
-    fires decrements it exactly once.
-    """
-
-    __slots__ = ("time", "seq", "cancelled", "_done", "_sim")
-
-    def __init__(
-        self, time: float, seq: int, sim: Optional["Simulator"] = None
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self._done = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self._done and self._sim is not None:
-            self._sim._live -= 1
-            self._done = True
-
-
-class RepeatingHandle:
-    """Cancellation token for :meth:`Simulator.schedule_every`."""
-
-    __slots__ = ("cancelled", "_inner")
-
-    def __init__(self) -> None:
-        self.cancelled = False
-        self._inner: Optional[EventHandle] = None
-
-    def cancel(self) -> None:
-        """Stop future firings.  Idempotent."""
-        self.cancelled = True
-        if self._inner is not None:
-            self._inner.cancel()
-
-
-class LaneTimer:
-    """One timer armed on a :class:`TimeoutLane`.
-
-    The same cancellation contract as :class:`EventHandle` (idempotent,
-    :attr:`Simulator.live` drops exactly once, cancelling after the
-    timer fired changes nothing), and the same attributes the run loop
-    reads -- while the timer is its lane's head it *is* the handle of
-    the lane's heap entry, so a cancelled head is skipped at pop like
-    any other stub.
-    """
-
-    __slots__ = ("time", "seq", "cancelled", "_done", "fn", "args", "_lane")
-
-    def __init__(
-        self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-        lane: "TimeoutLane",
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self._done = False
-        self.fn = fn
-        self.args = args
-        self._lane = lane
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if not self._done:
-            self._done = True
-            lane = self._lane
-            lane._sim._live -= 1
-            if lane._head is self:
-                lane._promote()
+#: Slots of a handle record (see :class:`Simulator`).  A timeout-lane
+#: timer has a fifth slot, ``LANE``.
+TIME, SEQ, FN, ARGS, LANE = range(5)
+#: Callback slot of a ``schedule_every`` record while its own callback
+#: runs: the series can be cancelled, but nothing is queued to count.
+_IN_FLIGHT = object()
 
 
 class TimeoutLane:
@@ -107,16 +30,19 @@ class TimeoutLane:
     successive :meth:`arm` calls never decrease either: arrival order
     *is* ``(time, seq)`` order and a FIFO holds the timers sorted for
     free.  Only the oldest live timer (the head) occupies a heap slot;
-    arming behind it is a deque append, cancelling flips a flag, and a
+    arming behind it is a deque append, cancelling clears a slot, and a
     cancelled timer is dropped when it reaches the front -- it never
     costs a heap push, a pop or a dispatch.
 
-    Every timer keeps the sequence number :meth:`Simulator.schedule`
-    would have given it (``arm`` reserves it from the same counter), and
-    the head enters the heap under its own ``(time, seq)`` key, so each
-    callback fires at the instant and in the order -- same-timestamp
-    ties included -- its own ``schedule()`` entry would have had.
-    Obtain one from :meth:`Simulator.timeout_lane`.
+    A timer is a handle record like any other (``Simulator.cancel``
+    takes it) with the lane in a fifth slot; the head's record is the
+    lane's heap entry itself, so a cancelled head is skipped at pop
+    like any stub.  Every timer keeps the sequence number
+    :meth:`Simulator.schedule` would have given it (``arm`` reserves it
+    from the same counter), so each callback fires at the instant and
+    in the order -- same-timestamp ties included -- its own
+    ``schedule()`` entry would have had.  Obtain one from
+    :meth:`Simulator.timeout_lane`.
     """
 
     __slots__ = ("delay", "_sim", "_waiting", "_head")
@@ -129,17 +55,17 @@ class TimeoutLane:
         #: armed timers behind the head, oldest first (cancelled ones
         #: included until they reach the front)
         self._waiting: deque = deque()
-        #: the timer whose heap entry wakes the lane; None when idle
-        self._head: Optional[LaneTimer] = None
+        #: the timer whose record is in the heap; None when idle
+        self._head: Optional[list] = None
 
-    def arm(self, fn: Callable[..., Any], *args: Any) -> LaneTimer:
+    def arm(self, fn: Callable[..., Any], *args: Any) -> list:
         """Run ``fn(*args)`` after the lane's delay, exactly as
         ``sim.schedule(lane.delay, fn, *args)`` would."""
         sim = self._sim
         seq = sim._seq
         sim._seq = seq + 1
         sim._live += 1
-        timer = LaneTimer(sim.now + self.delay, seq, fn, args, self)
+        timer = [sim.now + self.delay, seq, self._fire, (fn, args), self]
         self._waiting.append(timer)
         if self._head is None:
             self._promote()
@@ -148,29 +74,25 @@ class TimeoutLane:
     @property
     def backlog(self) -> int:
         """Live timers waiting behind the head (not in the heap)."""
-        return sum(1 for timer in self._waiting if not timer.cancelled)
+        return sum(1 for timer in self._waiting if timer[FN] is not None)
 
     def _promote(self) -> None:
         """Give the heap slot to the oldest live timer, if any."""
         waiting = self._waiting
         while waiting:
             timer = waiting.popleft()
-            if not timer.cancelled:
+            if timer[FN] is not None:
                 self._head = timer
-                heappush(
-                    self._sim._queue,
-                    (timer.time, timer.seq, timer, self._fire, ()),
-                )
+                heappush(self._sim._queue, timer)
                 return
         self._head = None
 
-    def _fire(self) -> None:
-        # The run loop popped the head's entry (and settled ``live`` and
-        # the handle).  The successor is promoted first, so a callback
-        # that arms this lane finds it in a consistent state.
-        timer = self._head
+    def _fire(self, fn: Callable[..., Any], args: tuple) -> None:
+        # The run loop popped the head's record (and settled ``live``).
+        # The successor is promoted first, so a callback that arms this
+        # lane finds it in a consistent state.
         self._promote()
-        timer.fn(*timer.args)
+        fn(*args)
 
 
 class Simulator:
@@ -183,10 +105,21 @@ class Simulator:
     >>> sim.run()
     >>> fired
     ['b', 'a']
+
+    **Handles.**  ``schedule`` / ``schedule_at`` push one mutable record
+    ``[time, seq, fn, args]`` onto the heap and return that same list:
+    the heap entry *is* the handle.  ``seq`` is unique, so two records
+    never compare past it.  The callback slot is the record's whole
+    state: the run loop clears it as the callback starts, and
+    :meth:`cancel` clears it (the stub stays in the heap -- removing it
+    would be O(n) -- and is skipped when popped).  Hence cancelling is
+    idempotent, drops :attr:`live` exactly once, and changes nothing
+    once the callback has fired.  ``TimeoutLane.arm`` and
+    ``schedule_every`` return records under the same contract.
     """
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, EventHandle, Callable[..., Any], tuple]] = []
+        self._queue: List[list] = []
         #: current simulation time in milliseconds.  A plain attribute
         #: (every handler reads it, most more than once): read-only for
         #: everything but the run loop.
@@ -227,28 +160,44 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` milliseconds of simulated time."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        time = self.now + delay
         seq = self._seq
-        handle = EventHandle(time, seq, self)
-        heappush(self._queue, (time, seq, handle, fn, args))
+        entry = [self.now + delay, seq, fn, args]
+        heappush(self._queue, entry)
         self._seq = seq + 1
         self._live += 1
-        return handle
+        return entry
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq
-        handle = EventHandle(time, seq, self)
-        heappush(self._queue, (time, seq, handle, fn, args))
+        entry = [time, seq, fn, args]
+        heappush(self._queue, entry)
         self._seq = seq + 1
         self._live += 1
-        return handle
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Prevent ``handle``'s callback from firing -- a record from
+        :meth:`schedule`, :meth:`schedule_at`, :meth:`schedule_every`
+        (stops the series) or :meth:`TimeoutLane.arm`.  Idempotent; a
+        no-op once a one-shot callback has fired."""
+        fn = handle[FN]
+        if fn is None:
+            return
+        handle[FN] = None
+        if fn is _IN_FLIGHT:
+            return
+        self._live -= 1
+        if len(handle) > LANE:
+            lane = handle[LANE]
+            if lane._head is handle:
+                lane._promote()
 
     def timeout_lane(self, delay: float) -> TimeoutLane:
         """A :class:`TimeoutLane` for timers that all fire ``delay``
@@ -263,31 +212,41 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         until: Optional[float] = None,
-    ) -> RepeatingHandle:
+    ) -> list:
         """Run ``fn(*args)`` every ``interval_ms``, first firing one
         interval from now.
 
         ``until`` bounds the series (no firing strictly after it), which
         keeps ``run_until_idle`` terminating; an unbounded series must be
-        cancelled via the returned handle before draining the queue.
+        cancelled (:meth:`cancel` on the returned handle, from outside
+        or from ``fn`` itself) before draining the queue.  The handle is
+        one record for the whole series, pushed again for each firing.
         Used by telemetry's periodic metric sampling and handy for any
         maintenance-style loop.
         """
         if interval_ms <= 0:
             raise ValueError(f"non-positive interval: {interval_ms!r}")
-        handle = RepeatingHandle()
+        handle: list = [self.now, -1, None, ()]
+
+        def _arm() -> None:
+            time = self.now + interval_ms
+            if until is not None and time > until:
+                handle[FN] = None
+                return
+            handle[TIME] = time
+            handle[SEQ] = self._seq
+            handle[FN] = _tick
+            heappush(self._queue, handle)
+            self._seq += 1
+            self._live += 1
 
         def _tick() -> None:
-            if handle.cancelled:
-                return
+            handle[FN] = _IN_FLIGHT
             fn(*args)
-            nxt = self.now + interval_ms
-            if until is None or nxt <= until:
-                handle._inner = self.schedule(interval_ms, _tick)
+            if handle[FN] is not None:  # else: cancelled by ``fn``
+                _arm()
 
-        first = self.now + interval_ms
-        if until is None or first <= until:
-            handle._inner = self.schedule(interval_ms, _tick)
+        _arm()
         return handle
 
     # ------------------------------------------------------------------
@@ -295,17 +254,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` when idle."""
-        while self._queue:
-            time, _seq, handle, fn, args = heappop(self._queue)
-            if handle.cancelled:
-                continue
-            handle._done = True
-            self._live -= 1
-            self.now = time
-            fn(*args)
-            self._processed += 1
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
@@ -327,13 +276,14 @@ class Simulator:
         while queue and executed < budget:
             if queue[0][0] > horizon:
                 break
-            time, _seq, handle, fn, args = heappop(queue)
-            if handle.cancelled:
+            entry = heappop(queue)  # slots by number: TIME 0, FN 2, ARGS 3
+            fn = entry[2]
+            if fn is None:
                 continue
-            handle._done = True
+            entry[2] = None
             self._live -= 1
-            self.now = time
-            fn(*args)
+            self.now = entry[0]
+            fn(*entry[3])
             self._processed += 1
             executed += 1
         if until is not None and until > self.now:
@@ -343,7 +293,7 @@ class Simulator:
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         """Drain everything.  Raises if ``max_events`` is exceeded."""
         executed = self.run(max_events=max_events)
-        if self._queue and executed >= max_events:
+        if self._live and executed >= max_events:
             raise RuntimeError(
                 f"simulation did not converge within {max_events} events"
             )

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.sim.engine import RepeatingHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.messages import Message, event_message_bytes
 from repro.sim.stats import NetworkStats
 from repro.sim.topology import Topology
@@ -315,7 +315,7 @@ class Network:
         rate_msgs_per_ms: float,
         until_ms: float,
         size_bytes: Optional[int] = None,
-    ) -> RepeatingHandle:
+    ) -> list:
         """Flood ``addr`` with synthetic ``ps_storm`` packets.
 
         One packet enters ``addr``'s ingress every ``1 / rate`` ms until
@@ -323,7 +323,8 @@ class Network:
         pub/sub layer handles them as no-ops -- so their only effect is
         the service time they consume, which is exactly what an event
         storm at a hot rendezvous zone looks like from the victim's
-        queue.  Returns the repeating handle (cancel to end early).
+        queue.  Returns ``schedule_every``'s handle (``sim.cancel`` it to
+        end early).
         """
         if rate_msgs_per_ms <= 0:
             raise ValueError("storm rate must be positive (msgs/ms)")

@@ -171,6 +171,18 @@ class NetworkStats:
         #: marker or migrated store under that SubID (unsubscribed while
         #: the event was in flight, or the holder departed).
         self._c_stale_subid = self.registry.counter("delivery.stale_subid")
+        #: reliable event packets acked again but not processed again:
+        #: their ``(sender, epoch, rseq)`` had been seen (the first ack
+        #: was lost and the sender retransmitted, or the network ghosted
+        #: a copy).
+        self._c_duplicate_packet = self.registry.counter("delivery.duplicate_packet")
+        #: entries for a local subscription that had already been handed
+        #: this event (hop failover re-groups SubIDs onto a fresh packet,
+        #: which the packet-level dedup cannot recognise).
+        self._c_duplicate_entry = self.registry.counter("delivery.duplicate_entry")
+        #: entries whose SubID names a subscription or migrated store of
+        #: another scheme than the event's.
+        self._c_scheme_mismatch = self.registry.counter("delivery.scheme_mismatch")
         # Eagerly create the queue-depth gauges so every pub/sub run's
         # manifest carries them (REQUIRED_METRICS), even before the first
         # sample_telemetry() call.  ``queue.depth`` is the instantaneous
@@ -197,6 +209,15 @@ class NetworkStats:
     stale_subid = _CounterAttr(
         "_c_stale_subid", "Event entries for a SubID nobody here holds any more."
     )
+    duplicate_packet = _CounterAttr(
+        "_c_duplicate_packet", "Reliable event packets received (and acked) a second time."
+    )
+    duplicate_entry = _CounterAttr(
+        "_c_duplicate_entry", "Entries for a subscription already handed this event."
+    )
+    scheme_mismatch = _CounterAttr(
+        "_c_scheme_mismatch", "Entries whose SubID belongs to another scheme than the event."
+    )
     duplicated = _CounterAttr(
         "_c_duplicated", "Packets the network ghost-delivered twice (duplicate fault)."
     )
@@ -215,6 +236,15 @@ class NetworkStats:
 
     def record_stale_subid(self) -> None:
         self._c_stale_subid.inc()
+
+    def record_duplicate_packet(self) -> None:
+        self._c_duplicate_packet.inc()
+
+    def record_duplicate_entry(self) -> None:
+        self._c_duplicate_entry.inc()
+
+    def record_scheme_mismatch(self) -> None:
+        self._c_scheme_mismatch.inc()
 
     @property
     def dropped_by_cause(self) -> Dict[str, int]:
@@ -340,7 +370,13 @@ class NetworkStats:
         self.registry.reset("durable.")
         self.registry.reset("dht.lookup_")
         self.registry.reset("install.stale_unregister")
-        self.registry.reset("delivery.stale_subid")
+        # by counter, not by the "delivery." prefix: a shared registry
+        # keeps the delivery.hops / delivery.latency_ms histograms there
+        for counter in (
+            self._c_stale_subid, self._c_duplicate_packet,
+            self._c_duplicate_entry, self._c_scheme_mismatch,
+        ):
+            counter.reset()
         self.registry.reset("queue.depth.peak")
 
     def bytes_for(self, prefixes: Iterable[str]) -> float:

@@ -1,0 +1,141 @@
+"""The per-message cost gate in units the host cannot move (ROADMAP
+item 6 a): Python + C function calls per ``ps_event`` message of a
+fixed best-effort run, counted by ``cProfile``.
+
+Wall-clock floors swing with the machine; a call count repeats exactly,
+so it is gated at zero tolerance upward.  The count depends on the
+interpreter (3.12 inlines comprehensions, for one), hence the ceiling
+is keyed on the Python minor version and the test is skipped on any
+other.  NumPy is only ever entered through C methods called directly
+from ``core/matching.py``, one profiler event each whatever its version.
+"""
+
+import cProfile
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    Attribute,
+    Event,
+    HyperSubConfig,
+    HyperSubSystem,
+    Scheme,
+    Subscription,
+)
+
+#: Python minor -> (``ps_event`` messages, calls) of :func:`profiled_run`.
+#: The messages are simulated and must not move at all; the calls are a
+#: ceiling.  After a change that lowers the count, lower the ceiling to
+#: what the failure message reports.
+PINNED = {(3, 11): (4152, 141_740)}
+
+N_NODES = 80
+N_SUBS = 240
+N_EVENTS = 60
+
+
+def profiled_run():
+    """``(ps_event messages, worklist entries, calls)`` of the event
+    phase of one fixed best-effort system."""
+    system = HyperSubSystem(
+        num_nodes=N_NODES, config=HyperSubConfig(seed=5, code_bits=12)
+    )
+    scheme = Scheme("s", [Attribute(x, 0, 10_000) for x in "abcd"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(11)
+    for _ in range(N_SUBS):
+        centre = rng.normal(3_000, 400, size=4) % 10_000
+        width = rng.uniform(200, 900, size=4)
+        system.subscribe(
+            int(rng.integers(0, N_NODES)),
+            Subscription.from_box(
+                scheme,
+                np.maximum(centre - width, 0.0).tolist(),
+                np.minimum(centre + width, 10_000.0).tolist(),
+            ),
+        )
+    system.finish_setup()
+    events = [
+        (int(rng.integers(0, N_NODES)), Event(scheme, point.tolist()))
+        for point in rng.normal(3_000, 400, size=(N_EVENTS, 4)) % 10_000
+    ]
+    for k, (addr, event) in enumerate(events):
+        system.sim.schedule_at(system.sim.now + 50.0 * k, system.publish, addr, event)
+    prof = cProfile.Profile()
+    prof.enable()
+    system.run_until_idle()
+    prof.disable()
+    rc = system.route_cache_stats()
+    msgs = system.network.stats.msgs_by_kind["ps_event"]
+    assert msgs == system.network.stats.total_msgs  # nothing else on the wire
+    assert sum(r.matched for r in system.metrics.records.values()) > N_EVENTS
+    return msgs, int(rc["hits"] + rc["misses"]), program_calls(prof)
+
+
+def program_calls(prof) -> int:
+    """Calls of the program's own functions plus the builtins they call.
+
+    Summed over the profiler's entries, one per code object: ``pstats``
+    keys by (file, line, name) and lets every generated dataclass
+    ``__init__`` ("<string>", 2) overwrite the previous one.  Frames of
+    anything else -- a ``gc.callbacks`` hook another test's library
+    installed, the profiler's own ``disable`` -- are not the program's.
+    """
+    calls = 0
+    for entry in prof.getstats():
+        code = entry.code
+        if isinstance(code, str) or not (
+            "/repro/" in code.co_filename
+            or code.co_filename in ("<string>", __file__)  # what this file patches in
+        ):
+            continue
+        calls += entry.callcount
+        calls += sum(
+            sub.callcount for sub in entry.calls or () if isinstance(sub.code, str)
+        )
+    return calls
+
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] not in PINNED,
+    reason=f"call ceiling is pinned for Python {sorted(PINNED)} only",
+)
+
+
+def test_calls_per_ps_event_repeat_and_stay_under_the_ceiling():
+    first = profiled_run()
+    assert profiled_run() == first, "the count must repeat exactly"
+    msgs, _entries, calls = first
+    pinned_msgs, ceiling = PINNED[sys.version_info[:2]]
+    assert msgs == pinned_msgs, "the simulated traffic itself moved"
+    assert calls <= ceiling, (
+        f"{calls} calls for {msgs} ps_event messages "
+        f"({calls / msgs:.2f} per message) exceed the pinned {ceiling} "
+        f"({ceiling / msgs:.2f})"
+    )
+
+
+def test_one_extra_call_per_worklist_entry_breaks_the_ceiling(monkeypatch):
+    """The gate has teeth: one Python-level call added to the loop of
+    ``_process_event`` per entry -- here the route cache's ``get`` --
+    shows as exactly one call per entry and lands above the ceiling."""
+    msgs, entries, calls = profiled_run()
+
+    class PythonGet(dict):
+        def get(self, key, default=None):
+            return dict.get(self, key, default)
+
+    real_finish = HyperSubSystem.finish_setup
+
+    def finish_setup(self):
+        real_finish(self)
+        for node in self.nodes:
+            node._rc = PythonGet()
+
+    monkeypatch.setattr(HyperSubSystem, "finish_setup", finish_setup)
+    slow_msgs, slow_entries, slow_calls = profiled_run()
+    assert (slow_msgs, slow_entries) == (msgs, entries)
+    assert slow_calls == calls + entries
+    assert slow_calls > PINNED[sys.version_info[:2]][1]

@@ -110,6 +110,108 @@ class TestRegistration:
         assert not system.shallow_occupied((entity.key, 1, 1))
 
 
+class TestEventReceivePath:
+    """The ``ps_event`` handler is picked once, from the config; the
+    best-effort packet runs the straight line of ``_process_event`` and
+    anything a feature put on a packet takes the general emit loop."""
+
+    @pytest.mark.parametrize(
+        "cfg, wrapped",
+        [
+            ({}, False),
+            ({"service_model": True, "covering": True}, False),
+            ({"reliable_delivery": True}, True),
+            ({"piggyback_maintenance": True}, True),
+            ({"reliable_delivery": True, "piggyback_maintenance": True}, True),
+        ],
+    )
+    def test_handler_is_chosen_at_construction(self, cfg, wrapped):
+        system, _scheme = tiny_system(**cfg)
+        for node in system.nodes:
+            expected = node._on_ps_event if wrapped else node._process_event
+            assert node._handlers["ps_event"] == expected
+
+    @staticmethod
+    def _forwarded(monkeypatch, system, payload_extra=None, meta=None):
+        """Offer node 0 a packet with one entry it must forward; returns
+        ``(packet sent, calls of Message.child)`` -- only the general
+        emit loop derives packets through ``child``."""
+        from repro.sim.messages import Message
+
+        node = system.nodes[0]
+        foreign = next(
+            n.node_id for n in system.nodes if not node.is_responsible(n.node_id)
+        )
+        children = []
+        real_child = Message.child
+
+        def child(self, *args):
+            children.append(args)
+            return real_child(self, *args)
+
+        monkeypatch.setattr(Message, "child", child)
+        sent = []
+        monkeypatch.setattr(system.network, "send", sent.append)
+        entry = (foreign, 7) if meta is None else (foreign, 7, meta)
+        payload = {
+            "event_id": 999, "scheme": "s", "point": np.array([1.0, 1.0]),
+            "entries": [entry],
+        }
+        payload.update(payload_extra or {})
+        node._process_event(Message(5, 0, "ps_event", payload, 0, 3, 12.5, 4.0))
+        (packet,) = sent
+        return packet, len(children)
+
+    def test_best_effort_packet_runs_the_straight_line(self, monkeypatch):
+        system, _scheme = tiny_system()
+        packet, children = self._forwarded(monkeypatch, system)
+        assert children == 0
+        assert list(packet.payload) == ["event_id", "scheme", "point", "entries"]
+        assert packet.size_bytes == 20 + 100 + 9
+        # ... continuing the path of the packet it was derived from
+        assert (packet.src, packet.kind) == (0, "ps_event")
+        assert (packet.hops, packet.path_latency, packet.root_time) == (3, 12.5, 4.0)
+        assert packet.span_id is None
+
+    def test_inherited_fields_take_the_general_loop(self, monkeypatch):
+        system, _scheme = tiny_system()
+        packet, children = self._forwarded(
+            monkeypatch, system, {"fo": 2, "pub": 1, "pseq": 4, "deps": [[2, 1]]}
+        )
+        assert children == 1
+        assert packet.payload["fo"] == 2 and packet.payload["deps"] == [[2, 1]]
+        assert packet.size_bytes == 20 + 100 + 9 + 12
+
+    def test_custody_metadata_takes_the_general_loop(self, monkeypatch):
+        system, _scheme = tiny_system()
+        packet, children = self._forwarded(
+            monkeypatch, system, meta={"t": [3, 1]}
+        )
+        assert children == 1
+        assert packet.payload["entries"][0][2] == {"t": [3, 1]}
+        assert packet.size_bytes == 20 + 100 + 9 + 16
+
+    def test_edge_tracing_takes_the_general_loop(self, monkeypatch):
+        system, _scheme = tiny_system()
+        system.tracing = True  # flipped after construction: read per packet
+        _packet, children = self._forwarded(monkeypatch, system)
+        assert children == 1
+
+    def test_piggyback_takes_the_general_loop(self, monkeypatch):
+        system, _scheme = tiny_system(piggyback_maintenance=True)
+        # only links to the ring neighbours carry state; the general
+        # loop is what asks
+        asked = []
+        node_cls = type(system.nodes[0])
+        monkeypatch.setattr(
+            node_cls, "_pb_due", lambda self, dst: asked.append(dst) or True
+        )
+        packet, children = self._forwarded(monkeypatch, system)
+        assert children == 1 and asked == [packet.dst]
+        assert packet.payload["pb"]["addr"] == 0
+        assert packet.size_bytes == 20 + 100 + 9 + 24
+
+
 class TestEventEdgeCases:
     def test_stale_subid_dropped_silently(self):
         system, scheme = tiny_system()
@@ -166,6 +268,103 @@ class TestEventEdgeCases:
         assert stats.stale_subid == 1
         stats.reset()
         assert stats.stale_subid == 0
+
+    def test_ghost_duplicate_packet_is_counted(self):
+        """The network ghosts a second copy of every packet: the
+        receiver acks the copy again and processes it no second time --
+        under ``delivery.duplicate_packet``, once per ghosted event
+        packet."""
+        from repro.analysis.trace import render_transport_summary, transport_summary
+
+        system, scheme = tiny_system(reliable_delivery=True)
+        system.subscribe(3, Subscription.from_box(scheme, [10, 10], [12, 12]))
+        system.finish_setup()
+        stats = system.network.stats
+        system.network.set_duplicate(1.0, seed=1)
+        eid = system.publish(0, Event(scheme, {"x": 11, "y": 11}))
+        system.run_until_idle()
+        assert system.metrics.records[eid].matched == 1  # exactly once
+        sent = stats.msgs_by_kind["ps_event"]
+        assert sent > 0 and stats.retransmissions == 0
+        assert stats.duplicate_packet == sent
+        assert stats.registry.value("delivery.duplicate_packet") == float(sent)
+        assert transport_summary(stats)["duplicate_packet"] == sent
+        assert f"{sent} duplicate packets" in render_transport_summary(stats)
+        stats.reset()
+        assert stats.duplicate_packet == 0
+
+    def test_failover_redelivery_is_counted(self):
+        """Hop failover re-groups a packet's SubIDs onto a fresh packet,
+        which no packet-level dedup can recognise; the subscriber's
+        ``(event, iid)`` guard drops the second hand-over under
+        ``delivery.duplicate_entry``."""
+        system, scheme = tiny_system()
+        node = system.nodes[3]
+        sid = node.subscribe(Subscription.from_box(scheme, [10, 10], [12, 12]))
+        system.finish_setup()
+        event = Event(scheme, {"x": 11, "y": 11})
+        eid = system.publish(0, event)
+        system.run_until_idle()
+        assert system.metrics.records[eid].matched == 1
+        stats = system.network.stats
+        assert stats.duplicate_entry == 0
+        # what _hop_failover keeps of a packet whose ack never came
+        state = {
+            "payload": {
+                "event_id": eid, "scheme": "s", "point": event.point,
+                "entries": [(sid.nid, sid.iid)],
+            },
+            "hops": 2, "path_latency": 1.0, "root_time": 0.0, "span": None,
+        }
+        node._failover_resend(state, 1)
+        system.run_until_idle()
+        assert system.metrics.records[eid].matched == 1  # still exactly once
+        assert stats.duplicate_entry == 1
+        assert stats.registry.value("delivery.duplicate_entry") == 1.0
+        assert stats.stale_subid == 0
+
+    def test_wrong_scheme_entries_are_counted(self):
+        """A SubID that names something of another scheme than the
+        event's -- an own subscription, a migrated store, a migrated
+        store inherited from a departed node -- is dropped under
+        ``delivery.scheme_mismatch``, not in silence (and not as a
+        stale SubID: the holder exists)."""
+        from repro.sim.messages import Message
+
+        system, scheme = tiny_system()
+        node = system.nodes[0]
+        sid = node.subscribe(Subscription.from_box(scheme, [10, 10], [12, 12]))
+        system.finish_setup()
+        stats = system.network.stats
+        point = np.array([11.0, 11.0])
+
+        def offer(scheme_name, nid, iid):
+            payload = {
+                "event_id": 999, "scheme": scheme_name, "point": point,
+                "entries": [(nid, iid)],
+            }
+            msg = Message(0, 0, "ps_event", payload, 0)
+            return node._handle_local_entry(999, scheme_name, point, nid, iid, msg)
+
+        assert offer("other", sid.nid, sid.iid) == []
+        assert stats.scheme_mismatch == 1
+        store = BoxStore(2)
+        store.put(SubID(7, 1), np.array([0.0, 0.0]), np.array([50.0, 50.0]))
+        node.migrated[77] = ("other", store)
+        assert offer("s", node.node_id, 77) == []
+        assert stats.scheme_mismatch == 2
+        foreign = next(n.node_id for n in system.nodes if n is not node)
+        node.standby_migrated[(foreign, 5)] = ("other", store)
+        assert offer("s", foreign, 5) == []
+        assert stats.scheme_mismatch == 3
+        assert stats.registry.value("delivery.scheme_mismatch") == 3.0
+        assert stats.stale_subid == 0 and 999 not in system.metrics.records
+        # the same three under the right scheme name are served
+        node.migrated[77] = ("s", store)
+        node.standby_migrated[(foreign, 5)] = ("s", store)
+        assert offer("s", node.node_id, 77) == [(7, 1)]
+        assert offer("s", foreign, 5) == [(7, 1)]
+        assert stats.scheme_mismatch == 3
 
     @pytest.mark.parametrize("route_cache", [True, False])
     def test_unroutable_entry_is_counted_not_silent(self, route_cache):

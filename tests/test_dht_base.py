@@ -289,7 +289,7 @@ class TestLookupEqualsMailedWalk:
         # what is queued is a method of this package, not the caller's
         # callback (here a builtin): span tracers attribute scheduler
         # dispatches by the callable's module
-        ((_time, _seq, _handle, fn, _args),) = sim._queue
+        ((_time, _seq, fn, _args),) = sim._queue
         assert fn.__func__.__module__ == "repro.dht.base"
         sim.run_until_idle()
         (res,) = results

@@ -32,6 +32,7 @@ from repro.core import (
 )
 from repro.core.durability import DurableState
 from repro.faults import FaultSchedule
+from repro.sim.engine import FN, TIME
 from repro.telemetry.session import telemetry_session
 
 
@@ -369,8 +370,8 @@ def _durable_cfg(**over):
 def _cohort_tick_times(system, cohort):
     """Deadlines of ``cohort``'s scheduler entries (white box)."""
     return [
-        time for time, _seq, handle, fn, _args in system.sim._queue
-        if getattr(fn, "__self__", None) is cohort and not handle.cancelled
+        entry[TIME] for entry in system.sim._queue
+        if getattr(entry[FN], "__self__", None) is cohort  # None once cancelled
     ]
 
 

@@ -261,6 +261,9 @@ def test_route_cache_preserves_dissemination_trees():
         assert stats["hit_rate"] > 0.0
         off = uncached_sys.route_cache_stats()
         assert off["hits"] == 0 and off["misses"] > stats["misses"]
+        # every worklist entry routed is one lookup, hit or miss (the
+        # uncached run takes the miss path for each of them)
+        assert stats["hits"] + stats["misses"] == off["misses"]
 
 
 def delivery_digest(per_event) -> str:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import ARGS, FN, SEQ, TIME, Simulator
 
 
 def test_events_fire_in_time_order():
@@ -70,7 +70,7 @@ def test_cancellation_skips_callback():
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
     sim.schedule(2.0, fired.append, "y")
-    handle.cancel()
+    sim.cancel(handle)
     sim.run()
     assert fired == ["y"]
 
@@ -78,9 +78,27 @@ def test_cancellation_skips_callback():
 def test_cancel_is_idempotent():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    sim.cancel(handle)
+    sim.cancel(handle)
     assert sim.run() == 0
+
+
+def test_the_heap_entry_is_the_handle():
+    """``schedule`` returns the very record it pushed: ``[time, seq,
+    fn, args]``.  The callback slot is the record's whole state --
+    cleared by ``cancel`` and by the run loop as the callback starts."""
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(2.0, fired.append, "a")
+    second = sim.schedule_at(3.0, fired.append, "b")
+    assert sim._queue[0] is first and sim._queue[1] is second
+    assert first == [2.0, 0, fired.append, ("a",)]
+    assert (second[TIME], second[SEQ], second[ARGS]) == (3.0, 1, ("b",))
+    sim.cancel(second)
+    assert second[FN] is None and sim._queue[1] is second  # the stub stays
+    sim.run()
+    assert first[FN] is None  # fired: a late cancel finds nothing to do
+    assert fired == ["a"]
 
 
 def test_run_until_stops_before_later_events():
@@ -140,6 +158,23 @@ def test_run_until_idle_raises_on_runaway():
         sim.run_until_idle(max_events=50)
 
 
+def test_run_until_idle_ignores_cancelled_stubs_when_the_budget_is_met():
+    """Regression: the budget met exactly with only cancelled stubs left
+    in the heap is a drained simulation, not a runaway one."""
+    sim = Simulator()
+    for i in range(3):
+        sim.schedule(float(i), lambda: None)
+    late = sim.schedule(10.0, lambda: None)
+    sim.cancel(late)
+    assert sim.run_until_idle(max_events=3) == 3
+    assert sim.live == 0 and sim.pending == 1
+    # ... while live work beyond the budget still raises
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run_until_idle(max_events=1)
+
+
 def test_zero_delay_events_run_after_current_callback():
     sim = Simulator()
     order = []
@@ -162,8 +197,8 @@ def test_live_count_excludes_cancelled_stubs():
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
     assert sim.pending == 5
     assert sim.live == 5
-    handles[0].cancel()
-    handles[3].cancel()
+    sim.cancel(handles[0])
+    sim.cancel(handles[3])
     assert sim.pending == 5  # stubs stay in the heap until popped
     assert sim.live == 3
 
@@ -186,8 +221,8 @@ def test_cancel_after_fire_does_not_double_count():
     h = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
     sim.step()  # fires h
-    h.cancel()
-    h.cancel()
+    sim.cancel(h)
+    sim.cancel(h)
     assert sim.live == 1
 
 
@@ -202,18 +237,48 @@ def test_live_tracks_nested_scheduling():
 
 
 # ----------------------------------------------------------------------
-# Timeout lanes
+# Handle records: timeout lanes, periodic series, cancellation
 # ----------------------------------------------------------------------
 LANE_DELAY = 5.0
+
+
+class _ChainedSeries:
+    """``schedule_every`` spelled with ``schedule()``: the reference a
+    periodic handle is compared against."""
+
+    def __init__(self, world, interval, until, label, actions):
+        self.world, self.interval, self.until = world, interval, until
+        self.label, self.actions = label, actions
+        self.stopped = False
+        self.inner = None
+        self._arm()
+
+    def _arm(self):
+        sim = self.world.sim
+        if self.stopped or sim.now + self.interval > self.until:
+            self.inner = None
+        else:
+            self.inner = sim.schedule(self.interval, self._tick)
+
+    def _tick(self):
+        self.world.fire(self.label, self.actions)
+        self._arm()
+
+    def cancel(self):
+        self.stopped = True
+        if self.inner is not None:
+            self.world.sim.cancel(self.inner)
 
 
 class LaneWorld:
     """One simulator driven by a script of nested actions.
 
     ``use_lane=False`` is the reference: every timer of the script goes
-    through ``schedule()``.  ``use_lane=True`` arms the constant-delay
-    timers on a :class:`TimeoutLane` instead.  The two must be
-    indistinguishable from inside the simulation.
+    through ``schedule()``, a periodic series included (one chained
+    ``schedule()`` per firing).  ``use_lane=True`` arms the
+    constant-delay timers on a :class:`TimeoutLane` and the series
+    through ``schedule_every``.  The two must be indistinguishable from
+    inside the simulation.
     """
 
     def __init__(self, use_lane):
@@ -231,6 +296,12 @@ class LaneWorld:
     def fire(self, label, actions):
         self.fired.append((self.sim.now, label))
         self.apply(actions)
+
+    def cancel(self, handle):
+        if isinstance(handle, _ChainedSeries):
+            handle.cancel()
+        else:
+            self.sim.cancel(handle)
 
     def apply(self, actions):
         sim = self.sim
@@ -250,16 +321,26 @@ class LaneWorld:
                 handle = sim.schedule_at(
                     sim.now + act[1], self.fire, self._label(), act[2]
                 )
+            elif kind == "every":
+                # bounded, or the final drain would never end; the
+                # nested actions run again at every firing
+                interval, until = act[1], sim.now + act[1] * act[2]
+                if self.lane is not None:
+                    handle = sim.schedule_every(
+                        interval, self.fire, self._label(), act[3], until=until
+                    )
+                else:
+                    handle = _ChainedSeries(
+                        self, interval, until, self._label(), act[3]
+                    )
             elif kind == "cancel":
-                if not self.handles:
-                    continue
-                handle = self.handles[act[1] % len(self.handles)]
-                handle.cancel()
+                if self.handles:
+                    self.cancel(self.handles[act[1] % len(self.handles)])
                 continue
             else:  # "cancel_oldest": the lane's head, in lane terms
                 for handle in self.timers:
-                    if not handle.cancelled and not handle._done:
-                        handle.cancel()
+                    if handle[FN] is not None:
+                        sim.cancel(handle)
                         break
                 continue
             self.handles.append(handle)
@@ -271,13 +352,17 @@ class LaneWorld:
 def _lane_actions(depth):
     inner = _lane_actions(depth - 1) if depth else st.just(())
     # 0, the lane delay itself and its multiples are there on purpose:
-    # same-timestamp ties between lane timers and ordinary entries.
+    # same-timestamp ties between lane timers, series and ordinary entries.
     delays = st.sampled_from([0.0, 1.0, 2.5, LANE_DELAY, 2 * LANE_DELAY])
     action = st.one_of(
         st.tuples(st.just("arm"), inner),
         st.tuples(st.just("arm"), inner),
         st.tuples(st.just("schedule"), delays, inner),
         st.tuples(st.just("schedule_at"), delays, inner),
+        st.tuples(
+            st.just("every"), st.sampled_from([1.0, 2.5, LANE_DELAY]),
+            st.integers(0, 3), inner,
+        ),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("cancel_oldest")),
     )
@@ -308,7 +393,7 @@ def _run_lane_program(program, make_world=LaneWorld):
             elif step[0] == "step":
                 sim.step()
             else:
-                sim.run()
+                sim.run_until_idle()
         assert lane.observe() == ref.observe(), step
         # the reference holds one heap entry per timer until it is
         # popped, cancelled or not; the lane never holds more
@@ -320,11 +405,13 @@ def _run_lane_program(program, make_world=LaneWorld):
 
 class TestTimeoutLane:
     def test_equals_a_simulator_that_schedules_everything(self):
-        """Random interleavings of arm / cancel / schedule /
-        schedule_at, nested inside callbacks, with ties on purpose: the
-        same (time, callback) sequence, the same ``live`` and
-        ``processed`` after every step, ``run(until=)`` and
-        ``run(max_events=)`` stopping on the same entry."""
+        """Random interleavings of arm / schedule / schedule_at /
+        schedule_every / cancel (before and after the fire, of a lane
+        head, of a series from inside its own callback), nested inside
+        callbacks, with ties on purpose: the same (time, callback)
+        sequence, the same ``live`` and ``processed`` after every step,
+        ``run(until=)`` and ``run(max_events=)`` stopping on the same
+        entry."""
 
         @settings(max_examples=300, deadline=None)
         @given(_lane_programs())
@@ -369,10 +456,10 @@ class TestTimeoutLane:
         assert sim.pending == sim.live == 100
         assert lane.backlog == 99
         for t in timers[1::2]:  # acks: not one heap operation
-            t.cancel()
+            sim.cancel(t)
         assert len(sim._queue) == 1
         assert sim.pending == sim.live == 50
-        timers[0].cancel()  # the head: its stub stays, the next live one enters
+        sim.cancel(timers[0])  # the head: its stub stays, the next live one enters
         assert len(sim._queue) == 2
         assert sim.live == 49 and sim.pending == 50
         executed = sim.run()
@@ -387,8 +474,8 @@ class TestTimeoutLane:
         sim.now = 0.7
         timer = lane.arm(lambda: None)
         handle = sim.schedule(0.1, lambda: None)
-        assert timer.time == handle.time  # the same float, not a close one
-        assert handle.seq == timer.seq + 1  # arm reserved a sequence number
+        assert timer[TIME] == handle[TIME]  # the same float, not a close one
+        assert handle[SEQ] == timer[SEQ] + 1  # arm reserved a sequence number
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

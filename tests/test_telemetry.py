@@ -177,9 +177,39 @@ class TestScheduleEvery:
         fired = []
         handle = sim.schedule_every(10.0, lambda: fired.append(sim.now))
         sim.run(until=35.0)
-        handle.cancel()
+        sim.cancel(handle)
+        sim.cancel(handle)  # idempotent
+        assert sim.live == 0
         sim.run_until_idle()
         assert fired == [10.0, 20.0, 30.0]
+
+    def test_cancel_from_inside_the_callback_ends_the_series(self):
+        """The handle is one record for the whole series; cancelling it
+        while its own callback runs re-arms nothing and costs no further
+        dispatch."""
+        sim = Simulator()
+        fired = []
+        live_inside = []
+
+        def tick():
+            fired.append(sim.now)
+            live_inside.append(sim.live)
+            if len(fired) == 2:
+                sim.cancel(handle)
+
+        handle = sim.schedule_every(10.0, tick)
+        assert sim._queue[0] is handle
+        assert sim.run_until_idle() == 2
+        assert fired == [10.0, 20.0]
+        assert live_inside == [0, 0]  # the running tick is not queued work
+        assert sim.live == sim.pending == 0
+
+    def test_a_series_past_its_bound_is_never_armed(self):
+        sim = Simulator()
+        handle = sim.schedule_every(10.0, lambda: None, until=5.0)
+        assert sim.live == sim.pending == 0
+        sim.cancel(handle)  # nothing to do, nothing to undo
+        assert sim.live == 0
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
