@@ -481,7 +481,7 @@ def _run_covering_once(
             rec.deliveries, key=lambda d: (d[0].nid, d[0].iid, d[1])
         ):
             digest.update(f"{eid}|{sid.nid}|{sid.iid}|{addr}\n".encode())
-    deliveries = sum(len(r.deliveries) for r in system.metrics.records.values())
+    deliveries = sum(r.matched for r in system.metrics.records.values())
     return {
         "covering": covering,
         "marker_registrations": marker[0],

@@ -8,6 +8,11 @@ repository is one broadcast ``<=`` against a ``[point; -point]`` query
 column and one AND-reduce along the short axis instead of a Python
 loop -- the ``event_match`` of Algorithm 5 is the hottest operation in
 the whole simulation.
+
+Nine repositories in ten hold a single box (the relay chains of
+Algorithm 3), so a store costs what it holds: one column to start
+with, doubled on demand; no free list until something is removed; the
+query column shared by every store of the same width.
 """
 
 from __future__ import annotations
@@ -18,7 +23,17 @@ import numpy as np
 
 from repro.core.subscription import SubID
 
-_INITIAL_CAPACITY = 8
+#: ``dims -> (2 * dims, 1)`` query column, shared by every store of
+#: that width: ``_match`` refills it and is done with it before it
+#: returns, so no two uses overlap.
+_QUERY_COLUMNS: Dict[int, np.ndarray] = {}
+
+
+def _query_column(dims: int) -> np.ndarray:
+    query = _QUERY_COLUMNS.get(dims)
+    if query is None:
+        query = _QUERY_COLUMNS[dims] = np.empty((2 * dims, 1), dtype=np.float64)
+    return query
 
 
 class BoxStore:
@@ -34,19 +49,29 @@ class BoxStore:
     query (±inf and NaN included) and which ``fmin`` skips, so neither
     matching nor :meth:`bounding_box` needs an "active" mask.  Scans stop
     at ``_hwm``, one past the highest slot ever handed out.
+
+    Slots are handed out newest tombstone first, then fresh ones in
+    ascending order (``_hwm`` is the next fresh slot), so the hit order
+    of :meth:`match_point` follows from the put / remove history alone.
     """
+
+    __slots__ = (
+        "dims", "_cols", "_query", "_hwm", "_subids", "_slot_of", "_free", "_size",
+    )
 
     def __init__(self, dims: int) -> None:
         if dims < 1:
             raise ValueError("dims must be >= 1")
         self.dims = dims
-        self._cols = np.full((2 * dims, _INITIAL_CAPACITY), np.nan)
-        # The query column, refilled in place per query.
-        self._query = np.empty((2 * dims, 1), dtype=np.float64)
+        self._cols = np.full((2 * dims, 1), np.nan)
+        self._query = _query_column(dims)
         self._hwm = 0
-        self._subids: List[Optional[SubID]] = [None] * _INITIAL_CAPACITY
+        #: slot -> subid (``None`` once tombstoned), one entry per slot
+        #: below ``_hwm``
+        self._subids: List[Optional[SubID]] = []
         self._slot_of: Dict[SubID, int] = {}
-        self._free: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
+        #: tombstoned slots, oldest first; ``None`` until the first removal
+        self._free: Optional[List[int]] = None
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -79,12 +104,9 @@ class BoxStore:
     # ------------------------------------------------------------------
     def _grow(self) -> None:
         old = self._cols.shape[1]
-        new = old * 2
-        cols = np.full((2 * self.dims, new), np.nan)
+        cols = np.full((2 * self.dims, old * 2), np.nan)
         cols[:, :old] = self._cols
         self._cols = cols
-        self._subids.extend([None] * (new - old))
-        self._free.extend(range(new - 1, old - 1, -1))
 
     def put(self, subid: SubID, lows: np.ndarray, highs: np.ndarray) -> None:
         """Insert or replace the box registered under ``subid``."""
@@ -104,13 +126,16 @@ class BoxStore:
             raise ValueError("box has negative extent")
         slot = self._slot_of.get(subid)
         if slot is None:
-            if not self._free:
-                self._grow()
-            slot = self._free.pop()
-            self._slot_of[subid] = slot
-            self._subids[slot] = subid
-            if slot >= self._hwm:
+            if self._free:
+                slot = self._free.pop()
+                self._subids[slot] = subid
+            else:
+                slot = self._hwm
+                if slot == self._cols.shape[1]:
+                    self._grow()
+                self._subids.append(subid)
                 self._hwm = slot + 1
+            self._slot_of[subid] = slot
             self._size += 1
         col = self._cols[:, slot]
         col[: self.dims] = lows
@@ -129,6 +154,8 @@ class BoxStore:
         self._release_slot(slot)
         self._cols[:, slot] = np.nan
         self._subids[slot] = None
+        if self._free is None:
+            self._free = []
         self._free.append(slot)
         self._size -= 1
 
@@ -156,6 +183,8 @@ class BoxStore:
             self._release_slot(slot)
             self._subids[slot] = None
         self._cols[:, slots] = np.nan
+        if self._free is None:
+            self._free = []
         self._free.extend(slots)
         self._size -= len(picked)
         return [(sid, lo, hi) for (sid, _), lo, hi in zip(picked, lows, highs)]

@@ -71,6 +71,15 @@ EVENT_TTL_HOPS = 64
 ROUTE_CACHE_MAX = 4096
 #: Bytes of an event packet before its SubIDs (header + event body).
 _EVENT_BASE_BYTES = event_message_bytes(0)
+#: Packet-dedup keys are one int, ``rseq`` above the sender's epoch
+#: above its address: ``rejoin_node`` refuses the incarnation that
+#: would overflow the epoch field, and no topology reaches 2**32 nodes.
+REL_EPOCH_BITS = 16
+_REL_ADDR_BITS = 32
+#: Surrogate-subscription iids are minted above this, a node's own
+#: subscription iids below it (``_next_marker_iid``): the iid alone
+#: tells a marker from a subscription.
+MARKER_IID_BASE = 1 << 48
 
 
 #: Wire size of one subscription box (two float64 bounds per dimension).
@@ -105,9 +114,7 @@ def _store_checksum(store: BoxStore) -> int:
 class ZoneRepo:
     """Surrogate state for one content zone of one entity."""
 
-    __slots__ = (
-        "entity_key", "zone", "store", "sf", "pushed", "marker_iids", "kinds", "split",
-    )
+    __slots__ = ("entity_key", "zone", "store", "sf", "children", "migr", "split")
 
     def __init__(self, entity_key: str, zone: ContentZone, store: BoxStore) -> None:
         self.entity_key = entity_key
@@ -119,16 +126,42 @@ class ZoneRepo:
         self.split: Optional[Tuple[float, float]] = None
         #: summary filter: bounding box of everything registered here
         self.sf: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: last piece pushed to each child digit
-        self.pushed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: internal id of the surrogate subscription per child digit
-        self.marker_iids: Dict[int, int] = {}
-        #: provenance of each stored entry: "sub" | "marker" | "migr"
-        self.kinds: Dict[SubID, str] = {}
+        #: child digit -> ``[iid of the surrogate subscription there, the
+        #: piece it was last pushed with]``; the piece is ``None`` while
+        #: the surrogate subscription is withdrawn (its iid stays minted)
+        self.children: Dict[int, list] = {}
+        #: stored migration markers, the one provenance the iid does not
+        #: give away (:meth:`kind_of`); ``None`` until the first one
+        self.migr: Optional[set] = None
 
     @property
     def key(self) -> Tuple[str, int, int]:
         return (self.entity_key, self.zone.code, self.zone.level)
+
+    def put(self, subid: SubID, lows: np.ndarray, highs: np.ndarray, kind: str) -> None:
+        """Store (or replace) ``subid``'s box with provenance ``kind``."""
+        if (kind == "marker") != (subid.iid >= MARKER_IID_BASE):
+            raise ValueError(f"{subid} is outside the iid namespace of a {kind!r}")
+        self.store.put(subid, lows, highs)
+        if kind == "migr":
+            if self.migr is None:
+                self.migr = set()
+            self.migr.add(subid)
+        elif self.migr:
+            self.migr.discard(subid)
+
+    def remove(self, subid: SubID) -> None:
+        self.store.remove(subid)
+        if self.migr:
+            self.migr.discard(subid)
+
+    def kind_of(self, subid: SubID) -> str:
+        """Provenance of a stored entry: "sub" | "marker" | "migr"."""
+        if subid.iid >= MARKER_IID_BASE:
+            return "marker"
+        if self.migr and subid in self.migr:
+            return "migr"
+        return "sub"
 
     def child_pieces(
         self, entity: PubSubEntity, sf: Tuple[np.ndarray, np.ndarray]
@@ -157,7 +190,7 @@ class ZoneRepo:
         for sid in (store.subids() if subids is None else subids):
             lo, hi = store.get_box(sid)
             entries.append(
-                ((sid.nid, sid.iid), lo.tolist(), hi.tolist(), self.kinds.get(sid, "sub"))
+                ((sid.nid, sid.iid), lo.tolist(), hi.tolist(), self.kind_of(sid))
             )
             wire_bytes += subscription_wire_bytes(len(lo))
         return {"repo": list(self.key), "entries": entries}, wire_bytes
@@ -220,7 +253,7 @@ class PubSubNodeMixin:
     def _init_pubsub(self, system: "HyperSubSystem") -> None:
         self.system = system
         self._iid_counter = 0
-        self._marker_iid_counter = 1 << 48
+        self._marker_iid_counter = MARKER_IID_BASE
         #: iid -> (entity_key, Subscription, zone, SubID) for the user's
         #: own subs (the SubID minted at subscribe time: every delivery
         #: hands that one object to the application)
@@ -266,9 +299,11 @@ class PubSubNodeMixin:
         #: discard (while still acking!) the new incarnation's first j
         #: packets as duplicates.  ``HyperSubSystem.rejoin_node`` bumps it.
         self._rel_epoch = 0
-        #: (sender addr, epoch, seq) already processed (dedup on ack loss)
+        #: sender (addr, epoch, seq) already processed (dedup on ack
+        #: loss), packed into one int each
         self._rel_seen: set = set()
-        #: (event_id, iid) already handed to the application.  The
+        #: ``event_id << 48 | iid`` (own iids stay below
+        #: ``MARKER_IID_BASE``) already handed to the application.  The
         #: packet-level dedup above is keyed on the packet's identity,
         #: which hop-failover deliberately *changes* (the SubIDs are
         #: re-grouped onto a fresh packet via an alternate route), so an
@@ -395,7 +430,7 @@ class PubSubNodeMixin:
             return self.load()
         total = 0
         for repo in self.zone_repos.values():
-            total += sum(1 for k in repo.kinds.values() if k == kind)
+            total += sum(1 for sid in repo.store.subids() if repo.kind_of(sid) == kind)
         if kind == "sub":
             total += sum(len(store) for _s, store in self.migrated.values())
         return total
@@ -524,8 +559,7 @@ class PubSubNodeMixin:
             entity = self.system.entity(entity_key)
             repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
         replaced = subid in repo.store
-        repo.store.put(subid, lows, highs)
-        repo.kinds[subid] = kind
+        repo.put(subid, lows, highs, kind)
         if cfg.replication_factor > 1:
             self._replicate(entity_key, code, level, subid, lows, highs, kind)
         if replaced:
@@ -628,29 +662,36 @@ class PubSubNodeMixin:
         adds false-positive event forwards, never deliveries.
         """
         covering = self.system.config.covering
-        for digit in [d for d in repo.pushed if d not in pieces]:
-            # The filter no longer reaches this child: withdraw the
-            # surrogate subscription.  The iid stays minted so a later
-            # re-push reuses it (marker_origin stays resolvable).
-            del repo.pushed[digit]
-            marker_iid = repo.marker_iids.get(digit)
-            if marker_iid is not None:
+        children = repo.children
+        for digit, child in children.items():
+            if child[1] is not None and digit not in pieces:
+                # The filter no longer reaches this child: withdraw the
+                # surrogate subscription.  The iid stays minted so a later
+                # re-push reuses it (marker_origin stays resolvable).
+                child[1] = None
                 self._dispatch_unregister(
-                    entity, zone.child(digit), SubID(self.node_id, marker_iid)
+                    entity, zone.child(digit), SubID(self.node_id, child[0])
                 )
         for digit, piece in pieces.items():
-            prev = repo.pushed.get(digit)
+            child = children.get(digit)
+            prev = None if child is None else child[1]
             if boxes_equal(prev, piece):
                 continue
             if covering and prev is not None and bool(
                 np.all(prev[0] <= piece[0]) and np.all(piece[1] <= prev[1])
             ):
                 continue  # still covered by the installed surrogate
-            repo.pushed[digit] = piece
-            marker_iid = repo.marker_iids.get(digit)
-            if marker_iid is None:
+            if child is not None:
+                if prev is None:
+                    # Re-pushed after a withdrawal: behind the live ones,
+                    # so withdrawals keep dispatching in push order.
+                    del children[digit]
+                    children[digit] = child
+                child[1] = piece
+                marker_iid = child[0]
+            else:
                 marker_iid = self._next_marker_iid()
-                repo.marker_iids[digit] = marker_iid
+                children[digit] = [marker_iid, piece]
                 self.marker_origin[marker_iid] = repo.key
                 if self.system.config.replication_factor > 1:
                     # Standbys must be able to resolve our marker iids
@@ -788,8 +829,7 @@ class PubSubNodeMixin:
                 self.standby_rendezvous.setdefault(
                     entity.rotated_key(zone), []
                 ).append(repo_key)
-        repo.store.put(subid, lows, highs)
-        repo.kinds[subid] = kind
+        repo.put(subid, lows, highs, kind)
 
     def register_standby_marker(
         self, origin_nid: int, iid: int, repo_key: Tuple[str, int, int]
@@ -824,8 +864,7 @@ class PubSubNodeMixin:
             elif mode == "standby":
                 self._store_replica(entity_key, code, level, sid, lo, hi, kind)
             else:
-                repo.store.put(sid, lo, hi)
-                repo.kinds[sid] = kind
+                repo.put(sid, lo, hi, kind)
                 repo.sf, _ = merge_box(repo.sf, (lo, hi))
 
     def _absorb_markers(self, markers) -> None:
@@ -836,6 +875,8 @@ class PubSubNodeMixin:
             repo_key = tuple(repo_key)
             if nid == self.node_id:
                 self.marker_origin.setdefault(iid, repo_key)
+                if iid > self._marker_iid_counter:
+                    self._marker_iid_counter = iid  # never minted again
             else:
                 self.standby_markers[(nid, iid)] = repo_key
 
@@ -1027,8 +1068,7 @@ class PubSubNodeMixin:
             for nid, iid in group["drop"]:
                 sid = SubID(nid, iid)
                 if sid in repo.store:
-                    repo.store.remove(sid)
-                    repo.kinds.pop(sid, None)
+                    repo.remove(sid)
 
     # ------------------------------------------------------------------
     # Graceful departure (membership extension)
@@ -1305,8 +1345,7 @@ class PubSubNodeMixin:
             # stale (e.g. the copy was migrated away)
             self.network.stats.record_stale_unregister()
             return
-        repo.store.remove(subid)
-        repo.kinds.pop(subid, None)
+        repo.remove(subid)
         # The removed box may have been what held the filter wide.
         self._refresh_summary(repo)
 
@@ -1815,7 +1854,9 @@ class PubSubNodeMixin:
                     CONTROL_BYTES,
                 )
             )
-            key = (msg.src, p.get("repoch", 0), rseq)
+            key = (
+                (rseq << REL_EPOCH_BITS | p.get("repoch", 0)) << _REL_ADDR_BITS
+            ) | msg.src
             if key in self._rel_seen:
                 # duplicate (our ack was lost, or the network ghosted a
                 # copy): already processed
@@ -2073,7 +2114,7 @@ class PubSubNodeMixin:
                 if sub.scheme_name != scheme_name:
                     self.network.stats.record_scheme_mismatch()
                     return []
-                once = (event_id, iid)
+                once = event_id << 48 | iid
                 if once in self._delivered:
                     # failover redelivery under a fresh packet
                     self.network.stats.record_duplicate_entry()
@@ -2666,7 +2707,7 @@ class PubSubNodeMixin:
                 picked = [
                     sid
                     for sid in repo.store.subids()
-                    if repo.kinds.get(sid) == "sub"
+                    if repo.kind_of(sid) == "sub"
                     and id_in_interval(sid.nid, left, right, incl_left=True)
                 ]
                 if not picked:
@@ -2734,15 +2775,14 @@ class PubSubNodeMixin:
             for nid, iid in ack["subids"]:
                 sid = SubID(nid, iid)
                 if sid in repo.store:
-                    repo.store.remove(sid)
-                    repo.kinds.pop(sid, None)
+                    repo.remove(sid)
             marker = SubID(acc_id, ack["iid"])
-            repo.store.put(
+            repo.put(
                 marker,
                 np.asarray(ack["lows"], dtype=np.float64),
                 np.asarray(ack["highs"], dtype=np.float64),
+                "migr",
             )
-            repo.kinds[marker] = "migr"
             # The migration marker's bounding box may be tighter than
             # the departed subscriptions' contribution to the filter.
             self._refresh_summary(repo)

@@ -18,7 +18,12 @@ import numpy as np
 
 from repro.core.config import HyperSubConfig
 from repro.core.event import Event
-from repro.core.node import CustodyCohort, HyperSubChordNode, HyperSubPastryNode
+from repro.core.node import (
+    REL_EPOCH_BITS,
+    CustodyCohort,
+    HyperSubChordNode,
+    HyperSubPastryNode,
+)
 from repro.core.scheme import Scheme
 from repro.core.subscheme import (
     PubSubEntity,
@@ -44,8 +49,6 @@ class EventRecord:
     scheme: str
     publisher_addr: int
     publish_time: float
-    #: (subid, subscriber addr, hops, latency ms) per delivery
-    deliveries: List[Tuple[SubID, int, int, float]] = field(default_factory=list)
     bytes: float = 0.0
     messages: int = 0
     #: (src addr, dst addr, #subids) per forwarded packet; only filled
@@ -54,18 +57,29 @@ class EventRecord:
     #: SubIDs abandoned by the reliable transport for this event (retry
     #: exhaustion with no surviving failover route, or a TTL drop)
     gave_up_subids: int = 0
+    #: the deliveries, flat: subid, subscriber addr, hops, latency ms of
+    #: the first, then of the second, ... (four slots of one list per
+    #: delivery instead of a tuple each; ``Metrics.on_delivery`` writes)
+    _d: list = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def deliveries(self) -> List[Tuple[SubID, int, int, float]]:
+        """``(subid, subscriber addr, hops, latency ms)`` per delivery,
+        in arrival order."""
+        d = self._d
+        return list(zip(d[0::4], d[1::4], d[2::4], d[3::4]))
 
     @property
     def matched(self) -> int:
-        return len(self.deliveries)
+        return len(self._d) // 4
 
     @property
     def max_hops(self) -> int:
-        return max((d[2] for d in self.deliveries), default=0)
+        return max(self._d[2::4], default=0)
 
     @property
     def max_latency_ms(self) -> float:
-        return max((d[3] for d in self.deliveries), default=0.0)
+        return max(self._d[3::4], default=0.0)
 
 
 class Metrics:
@@ -128,7 +142,7 @@ class Metrics:
     ) -> None:
         rec = self.records.get(event_id)
         if rec is not None:
-            rec.deliveries.append((subid, subscriber_addr, hops, latency_ms))
+            rec._d += (subid, subscriber_addr, hops, latency_ms)
 
     def clear_events(self) -> None:
         """Forget event records (subscription counters persist)."""
@@ -444,7 +458,7 @@ class HyperSubSystem:
                 continue
             occupied += len(node.zone_repos)
             for repo in node.zone_repos.values():
-                if repo.marker_iids and repo.zone.level > chain_depth:
+                if repo.children and repo.zone.level > chain_depth:
                     chain_depth = repo.zone.level
         #: live zone repositories across the deployment
         reg.gauge("zone.occupancy").set(float(occupied))
@@ -554,8 +568,9 @@ class HyperSubSystem:
         Crash-stop loses all volatile surrogate state (zone
         repositories, standbys, markers); the replacement process keeps
         only the durable client-side state -- the user's own
-        subscription list and the internal-id counter (ids embedded in
-        surrogates across the network must never be re-issued).  The
+        subscription list and the two internal-id counters (subscription
+        and marker ids embedded in surrogates across the network must
+        never be re-issued).  The
         node re-enters through Chord's join protocol; once stabilization
         slides it back in as its successor's predecessor, the standard
         arc handoff (``ps_handoff``) returns the rendezvous
@@ -572,6 +587,7 @@ class HyperSubSystem:
         node = self._node_factory()(addr, old.node_id, self.network)
         node.own_subs = dict(old.own_subs)
         node._iid_counter = old._iid_counter
+        node._marker_iid_counter = old._marker_iid_counter
         node.capacity = old.capacity
         if self.config.service_model:
             self._apply_service_model(node)
@@ -579,6 +595,8 @@ class HyperSubSystem:
         # entries from the previous life; restarting rseq at 0 under the
         # same epoch would make them ack-and-discard our first packets.
         node._rel_epoch = old._rel_epoch + 1
+        if node._rel_epoch >> REL_EPOCH_BITS:
+            raise OverflowError(f"node {addr} is out of transport epochs")
         if old.durable is not None:
             # Durable tier: the custody log, its sequence counters and
             # watermarks, the delivered-set and the surrogate state all

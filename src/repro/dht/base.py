@@ -67,7 +67,11 @@ class OverlayNode(SimNode):
     def __init__(self, addr: int, node_id: int, network: Network) -> None:
         super().__init__(addr, network)
         self.node_id = node_id
-        self._handlers: Dict[str, Callable[[Message], None]] = {}
+        #: kind -> ``fn(node, msg)``; one table per distinct registration
+        #: history, shared by every node of the network that has it
+        self._handlers: Dict[str, Callable[["OverlayNode", Message], None]] = (
+            network.handler_tables[None]
+        )
         self._pending_lookups: Dict[int, list] = {}
         #: replies one walk may take before it counts as a routing loop
         self._lookup_hop_limit = 4 * max(4, network.topology.size.bit_length() * 4)
@@ -85,9 +89,29 @@ class OverlayNode(SimNode):
     # Message dispatch
     # ------------------------------------------------------------------
     def register_handler(self, kind: str, fn: Callable[[Message], None]) -> None:
-        if kind in self._handlers:
+        """Have ``fn(msg)`` handle messages of ``kind``.
+
+        A method of this node is kept as its plain function, and the
+        table that results is the one every node with the same
+        registrations so far already uses: tables are never written
+        after they are published, only succeeded (copy-on-write, found
+        again by ``(table before, kind, function)``).  Any other
+        callable is wrapped, which makes its table this node's alone.
+        """
+        table = self._handlers
+        if kind in table:
             raise ValueError(f"duplicate handler for {kind!r}")
-        self._handlers[kind] = fn
+        if getattr(fn, "__self__", None) is self:
+            func = fn.__func__
+        else:
+            def func(_node, msg, fn=fn):
+                fn(msg)
+        tables = self.network.handler_tables
+        step = (id(table), kind, func)
+        grown = tables.get(step)
+        if grown is None:
+            grown = tables[step] = {**table, kind: func}
+        self._handlers = grown
 
     def handle_message(self, msg: Message) -> None:
         try:
@@ -96,7 +120,7 @@ class OverlayNode(SimNode):
             raise KeyError(
                 f"{type(self).__name__} has no handler for {msg.kind!r}"
             ) from None
-        handler(msg)
+        handler(self, msg)
 
     def alive(self) -> bool:
         return self._alive

@@ -59,9 +59,11 @@ class SimNode:
         #: (1.0 = healthy; a ``slow`` fault sets it into (0, 1)).
         self.slow_factor: float = 1.0
         #: two-band ingress queue: band 0 (control) is served before
-        #: band 1 (bulk/event) -- see :meth:`ingress_priority`.
-        self._ingress_hi: deque = deque()
-        self._ingress_lo: deque = deque()
+        #: band 1 (bulk/event) -- see :meth:`ingress_priority`.  Built
+        #: by the first :meth:`enqueue`: an infinite-capacity node never
+        #: queues.
+        self._ingress_hi: Optional[deque] = None
+        self._ingress_lo: Optional[deque] = None
         self._serving = False
         #: high-water mark of the ingress depth over the node's life.
         self.ingress_peak = 0
@@ -86,6 +88,8 @@ class SimNode:
     @property
     def ingress_depth(self) -> int:
         """Messages currently waiting in the ingress queue."""
+        if self._ingress_hi is None:
+            return 0
         return len(self._ingress_hi) + len(self._ingress_lo)
 
     def ingress_priority(self, msg: Message) -> int:
@@ -110,6 +114,9 @@ class SimNode:
         events).  Every shed packet is counted (``net.dropped.overflow``)
         and reported through :meth:`on_ingress_shed` -- never silent.
         """
+        if self._ingress_hi is None:
+            self._ingress_hi = deque()
+            self._ingress_lo = deque()
         hi = self.ingress_priority(msg) == 0
         cap = self.queue_capacity
         if cap is not None and self.ingress_depth >= cap:
@@ -166,6 +173,10 @@ class Network:
         self.stats = stats or NetworkStats(topology.size)
         self.local_delivery_delay_ms = local_delivery_delay_ms
         self._nodes: Dict[int, SimNode] = {}
+        #: message-handler tables shared among this network's nodes:
+        #: the empty one under ``None``, every other under the
+        #: registration that grew it (``OverlayNode.register_handler``)
+        self.handler_tables: Dict[Optional[tuple], dict] = {None: {}}
         # -- failure injection ------------------------------------------
         self._loss_rate = 0.0
         self._loss_rng = None

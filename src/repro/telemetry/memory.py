@@ -254,8 +254,11 @@ def measure_system(
     ``route_cache``, ``durable_log`` (scaled from the node sample),
     plus ``sim_queue`` (the scheduler's live heap, messages included,
     and the timers waiting in its timeout lanes),
-    ``ingress_queues`` (finite-service backlogs) and ``network_stats``
-    (the fabric's per-node byte/message arrays), measured in full.
+    ``ingress_queues`` (finite-service backlogs; a node that never
+    queued has none), ``dispatch`` (the message-handler tables: one
+    per distinct registration history, so normally one for the fleet)
+    and ``network_stats`` (the fabric's per-node byte/message arrays),
+    measured in full.
     """
     walk = _Walk(max_objects)
     # Never wander into the wiring: every node holds system/network/sim
@@ -289,10 +292,13 @@ def measure_system(
         deep_sizeof(lane._waiting, walk) for lane in system.sim.lanes
     )
     components["ingress_queues"] = sum(
-        deep_sizeof(node._ingress_hi, walk) + deep_sizeof(node._ingress_lo, walk)
+        deep_sizeof(queue, walk)
         for node in alive
-        if hasattr(node, "_ingress_hi")
+        for queue in (node._ingress_hi, node._ingress_lo)
+        if queue is not None
     )
+    # The seen-set charges a table shared by many nodes once.
+    components["dispatch"] = sum(deep_sizeof(node._handlers, walk) for node in alive)
     stats = system.network.stats
     components["network_stats"] = sum(
         deep_sizeof(part, walk)

@@ -13,56 +13,22 @@ from ``core/matching.py``, one profiler event each whatever its version.
 import cProfile
 import sys
 
-import numpy as np
 import pytest
 
-from repro.core import (
-    Attribute,
-    Event,
-    HyperSubConfig,
-    HyperSubSystem,
-    Scheme,
-    Subscription,
-)
+from repro.core import HyperSubSystem
+from tests.fixed_run import N_EVENTS, fixed_system
 
 #: Python minor -> (``ps_event`` messages, calls) of :func:`profiled_run`.
 #: The messages are simulated and must not move at all; the calls are a
 #: ceiling.  After a change that lowers the count, lower the ceiling to
 #: what the failure message reports.
-PINNED = {(3, 11): (4152, 141_740)}
-
-N_NODES = 80
-N_SUBS = 240
-N_EVENTS = 60
+PINNED = {(3, 11): (4152, 139_223)}
 
 
 def profiled_run():
     """``(ps_event messages, worklist entries, calls)`` of the event
-    phase of one fixed best-effort system."""
-    system = HyperSubSystem(
-        num_nodes=N_NODES, config=HyperSubConfig(seed=5, code_bits=12)
-    )
-    scheme = Scheme("s", [Attribute(x, 0, 10_000) for x in "abcd"])
-    system.add_scheme(scheme)
-    rng = np.random.default_rng(11)
-    for _ in range(N_SUBS):
-        centre = rng.normal(3_000, 400, size=4) % 10_000
-        width = rng.uniform(200, 900, size=4)
-        system.subscribe(
-            int(rng.integers(0, N_NODES)),
-            Subscription.from_box(
-                scheme,
-                np.maximum(centre - width, 0.0).tolist(),
-                np.minimum(centre + width, 10_000.0).tolist(),
-            ),
-        )
-    system.finish_setup()
-    events = [
-        (int(rng.integers(0, N_NODES)), Event(scheme, point.tolist()))
-        for point in rng.normal(3_000, 400, size=(N_EVENTS, 4)) % 10_000
-    ]
-    for k, (addr, event) in enumerate(events):
-        system.sim.schedule_at(system.sim.now + 50.0 * k, system.publish, addr, event)
+    phase of the fixed best-effort system."""
+    system = fixed_system()
     prof = cProfile.Profile()
     prof.enable()
     system.run_until_idle()

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
+from repro.core.covering import CoveringStore
+from repro.core.indexing import BandIndex, GridIndex
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
 from tests.box_oracle import (
@@ -77,6 +84,47 @@ class TestBasics:
         assert len(s) == 100
         hits = s.match_point(np.array([50.5, 50.5]))
         assert [h.iid for h in hits] == [50]
+
+    def test_costs_what_it_holds(self):
+        """One column to start with, doubled on demand; no free list
+        before the first removal; slots handed out newest tombstone
+        first, then fresh ones ascending -- the order hits come in."""
+        s = BoxStore(2)
+        assert s._cols.shape == (4, 1) and s._subids == [] and s._free is None
+        everything = box([-np.inf] * 2, [np.inf] * 2)
+        capacities = []
+        for i in range(33):
+            s.put(SubID(1, i), *box([i, -i], [i + 1, 0]))
+            capacities.append(s._cols.shape[1])
+        assert sorted(set(capacities)) == [1, 2, 4, 8, 16, 32, 64]
+        assert s._free is None and len(s._subids) == 33
+        for i in (3, 20, 7):
+            s.remove(SubID(1, i))
+        assert s._free == [3, 20, 7]
+        for i in (100, 101, 102, 103):
+            s.put(SubID(2, i), *box([i, i], [i, i]))
+        assert s._free == [] and s._cols.shape[1] == 64
+        assert [s._slot_of[SubID(2, i)] for i in (100, 101, 102, 103)] == [7, 20, 3, 33]
+        hits = s.match_box(*everything)
+        assert [s._slot_of[h] for h in hits] == list(range(34))
+        lo, hi = s.bounding_box()
+        assert lo.tolist() == [0.0, -32.0] and hi.tolist() == [103.0, 103.0]
+        popped = s.pop_matching(lambda sid: sid.nid == 2)
+        assert [sid.iid for sid, _, _ in popped] == [100, 101, 102, 103]
+        assert s._free == [7, 20, 3, 33]
+
+    def test_stores_of_one_width_share_the_query_column(self):
+        a, b, wide = BoxStore(2), BandIndex(2), BoxStore(3)
+        assert a._query is b._query is not wide._query
+        a.put(SubID(1, 1), *box([0, 0], [1, 1]))
+        b.put(SubID(2, 2), *box([5, 5], [6, 6]))
+        wide.put(SubID(3, 3), *box([0, 0, 0], [9, 9, 9]))
+        for _ in range(2):
+            assert a.match_point(np.array([0.5, 0.5])) == [SubID(1, 1)]
+            assert b.match_point(np.array([0.5, 0.5])) == []
+            assert wide.match_point(np.array([5.5, 5.5, 5.5])) == [SubID(3, 3)]
+            assert b.match_point(np.array([5.5, 5.5])) == [SubID(2, 2)]
+            assert a.match_box(*box([1, 1], [5, 5])) == [SubID(1, 1)]
 
     def test_get_box(self):
         s = BoxStore(2)
@@ -248,16 +296,27 @@ def test_match_box_equals_bruteforce(data, qa, qb):
 
 
 # ----------------------------------------------------------------------
-# State machine: BoxStore === the pure-Python dict-of-boxes oracle of
+# State machine: a store === the pure-Python dict-of-boxes oracle of
 # tests/box_oracle.py under any interleaving of put / replace / remove /
-# pop_matching, growth and slot recycling included.
+# pop_matching, growth from one column and slot recycling included.
+# Run over BoxStore, over the two indexes that inherit its layout and
+# over the CoveringStore that wraps one.
 # ----------------------------------------------------------------------
 class BoxStoreMachine(RuleBasedStateMachine):
     DIMS = 2
+    #: hits and ``pop_matching`` come in slot / insertion order (else
+    #: the same ids in an order the store's own structures decide)
+    POINT_HITS_ORDERED = True
+    POPS_ORDERED = True
+    HAS_MATCH_BOX = True
+
+    @classmethod
+    def make_store(cls):
+        return BoxStore(cls.DIMS)
 
     def __init__(self):
         super().__init__()
-        self.store = BoxStore(self.DIMS)
+        self.store = self.make_store()
         self.oracle = {}
         # Independent model of slot allocation: the most recently freed
         # slot is reused first, otherwise the next never-used one.  The
@@ -266,6 +325,11 @@ class BoxStoreMachine(RuleBasedStateMachine):
         self.slot = {}
         self.freed = []
         self.fresh = 0
+        # A second store of the same width, only ever put to (so its
+        # slots are its insertion order): same-width stores share one
+        # query column, and a query on one must not leak into the other.
+        self.twin = self.make_store()
+        self.twin_oracle = {}
 
     def release(self, sid):
         del self.oracle[sid]
@@ -274,10 +338,17 @@ class BoxStoreMachine(RuleBasedStateMachine):
     def in_slot_order(self, sids):
         return sorted(sids, key=self.slot.__getitem__)
 
-    # Several boxes per step, so runs outgrow the initial capacity of 8.
+    def expect_hits(self, got, expected, ordered):
+        if ordered:
+            assert got == self.in_slot_order(expected)
+        else:
+            assert len(got) == len(expected) and set(got) == expected
+
+    # Up to two dozen boxes per step: runs pass 16 live slots, four
+    # doublings of the one column a store starts with, and a fifth.
     @rule(
         items=st.lists(
-            st.tuples(st.integers(0, 23), boxes(DIMS)), min_size=1, max_size=8
+            st.tuples(st.integers(0, 23), boxes(DIMS)), min_size=1, max_size=24
         )
     )
     def put(self, items):
@@ -291,6 +362,11 @@ class BoxStoreMachine(RuleBasedStateMachine):
                     self.slot[sid] = self.fresh
                     self.fresh += 1
             self.oracle[sid] = b
+
+    @rule(key=st.integers(0, 23), b=boxes(DIMS))
+    def put_twin(self, key, b):
+        self.twin.put(SubID(key, 1), np.array(b[0]), np.array(b[1]))
+        self.twin_oracle[SubID(key, 1)] = b
 
     @rule(key=st.integers(0, 23), b=boxes(DIMS), dim=st.integers(0, DIMS - 1),
           flaw=st.sampled_from(["nan-low", "nan-high", "inverted", "shape"]))
@@ -317,21 +393,46 @@ class BoxStoreMachine(RuleBasedStateMachine):
             with pytest.raises(KeyError):
                 self.store.remove(sid)
 
+    @rule(key=st.integers(0, 23), b=boxes(DIMS))
+    def remove_then_put_again(self, key, b):
+        """Recycling: the id comes back in the slot the model says --
+        the newest tombstone -- which the ordered queries then see."""
+        if SubID(key, 0) in self.oracle:
+            self.remove(key)
+        self.put([(key, b)])
+
     @rule(modulus=st.integers(1, 4), residue=st.integers(0, 3))
     def pop_matching(self, modulus, residue):
         popped = self.store.pop_matching(lambda s: s.nid % modulus == residue)
         expected = [s for s in self.oracle if s.nid % modulus == residue]
-        assert [sid for sid, _, _ in popped] == expected  # insertion order
+        got = [sid for sid, _, _ in popped]
+        if self.POPS_ORDERED:
+            assert got == expected  # insertion order
+        else:
+            assert sorted(got) == sorted(expected)
         for sid, lo, hi in popped:
             assert same_bits(lo, self.oracle[sid][0])
             assert same_bits(hi, self.oracle[sid][1])
             self.release(sid)
 
-    @rule(point=st.tuples(*[query_coord] * DIMS))
-    def match_point(self, point):
+    @rule(
+        point=st.tuples(*[query_coord] * DIMS),
+        twin_point=st.tuples(*[query_coord] * DIMS),
+    )
+    def match_point(self, point, twin_point):
+        twin_before = self.twin.match_point(np.array(twin_point))
         got = self.store.match_point(np.array(point))
-        assert got == self.in_slot_order(oracle_match_point(self.oracle, point))
+        assert self.twin.match_point(np.array(twin_point)) == twin_before
+        self.expect_hits(
+            got, oracle_match_point(self.oracle, point), self.POINT_HITS_ORDERED
+        )
+        twin_expected = oracle_match_point(self.twin_oracle, twin_point)
+        if self.POINT_HITS_ORDERED:
+            assert twin_before == [s for s in self.twin_oracle if s in twin_expected]
+        else:
+            assert set(twin_before) == twin_expected
 
+    @precondition(lambda self: self.HAS_MATCH_BOX)
     @rule(a=st.tuples(*[bound] * DIMS), b=st.tuples(*[bound] * DIMS))
     def match_box(self, a, b):
         qlo, qhi = np.minimum(a, b), np.maximum(a, b)
@@ -340,6 +441,7 @@ class BoxStoreMachine(RuleBasedStateMachine):
             oracle_match_box(self.oracle, qlo, qhi)
         )
 
+    @precondition(lambda self: self.HAS_MATCH_BOX)
     @rule()
     def match_everything(self):
         inf = np.full(self.DIMS, np.inf)
@@ -352,7 +454,44 @@ class BoxStoreMachine(RuleBasedStateMachine):
         check_against_oracle(self.store, self.oracle)
 
 
-BoxStoreMachine.TestCase.settings = settings(
-    max_examples=150, stateful_step_count=40, deadline=None
-)
+class EagerBandIndex(BandIndex):
+    _MIN_INDEXED = 4  # build the bitsets at the sizes the machine reaches
+
+
+class BandIndexMachine(BoxStoreMachine):
+    @classmethod
+    def make_store(cls):
+        return EagerBandIndex(cls.DIMS)
+
+
+class GridIndexMachine(BoxStoreMachine):
+    POINT_HITS_ORDERED = False  # candidates come out of a set
+
+    @classmethod
+    def make_store(cls):
+        return GridIndex(
+            cls.DIMS, [-10.0] * cls.DIMS, [10.0] * cls.DIMS, cells_per_dim=4
+        )
+
+
+class CoveringStoreMachine(BoxStoreMachine):
+    # Hits come aggregate by aggregate, a replaced id moves to the back,
+    # and there is no box query.
+    POINT_HITS_ORDERED = False
+    POPS_ORDERED = False
+    HAS_MATCH_BOX = False
+
+    @classmethod
+    def make_store(cls):
+        return CoveringStore(BoxStore(cls.DIMS), merge_max_waste=0.5)
+
+
+_machine_settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+for _machine in (
+    BoxStoreMachine, BandIndexMachine, GridIndexMachine, CoveringStoreMachine
+):
+    _machine.TestCase.settings = _machine_settings
 TestBoxStoreMachine = BoxStoreMachine.TestCase
+TestBandIndexMachine = BandIndexMachine.TestCase
+TestGridIndexMachine = GridIndexMachine.TestCase
+TestCoveringStoreMachine = CoveringStoreMachine.TestCase

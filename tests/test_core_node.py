@@ -12,9 +12,10 @@ from repro.core import (
     Subscription,
 )
 from repro.core.matching import BoxStore
-from repro.core.node import ZoneRepo, subscription_wire_bytes
+from repro.core.node import MARKER_IID_BASE, ZoneRepo, subscription_wire_bytes
 from repro.core.subscription import SubID
 from repro.core.zones import ContentZone, ZoneGeometry
+from repro.sim.messages import Message
 from tests.route_reference import forget_routes
 
 
@@ -49,6 +50,16 @@ class TestIidAllocation:
         ids = [node._next_iid() for _ in range(100)]
         assert ids == sorted(set(ids))
 
+    def test_absorbed_marker_ids_are_never_minted_again(self):
+        system, scheme = tiny_system()
+        node = system.nodes[0]
+        first = node._next_marker_iid()
+        assert first == MARKER_IID_BASE + 1
+        node._absorb_markers(
+            [(node.node_id, first + 40, ["e", 0, 0]), (node.node_id + 1, first + 90, ["e", 1, 1])]
+        )
+        assert node._next_marker_iid() == first + 41  # somebody else's id does not count
+
 
 class TestRegistration:
     def test_subscribe_installs_at_surrogate(self):
@@ -60,7 +71,7 @@ class TestRegistration:
         home = system.node_at_home(entity.rotated_key(zone))
         repo = home.zone_repos[(entity.key, zone.code, zone.level)]
         assert sid in repo.store
-        assert repo.kinds[sid] == "sub"
+        assert repo.kind_of(sid) == "sub"
 
     def test_summary_filter_covers_registrations(self):
         system, scheme = tiny_system()
@@ -127,9 +138,36 @@ class TestEventReceivePath:
     )
     def test_handler_is_chosen_at_construction(self, cfg, wrapped):
         system, _scheme = tiny_system(**cfg)
+        cls = type(system.nodes[0])
+        expected = cls._on_ps_event if wrapped else cls._process_event
         for node in system.nodes:
-            expected = node._on_ps_event if wrapped else node._process_event
-            assert node._handlers["ps_event"] == expected
+            assert node._handlers["ps_event"] is expected
+
+    def test_nodes_share_one_handler_table(self):
+        """Nodes that registered the same handlers dispatch through one
+        table; a handler added to one node afterwards is that node's
+        alone."""
+        system, _scheme = tiny_system()
+        first, second, third = system.nodes[:3]
+        assert first._handlers is second._handlers is third._handlers
+        shared = dict(first._handlers)
+        seen = []
+        second.register_handler("extra", seen.append)
+        assert second._handlers is not first._handlers
+        assert first._handlers is third._handlers
+        assert first._handlers == shared
+        msg = Message(src=0, dst=second.addr, kind="extra", payload=None, size_bytes=0)
+        second.handle_message(msg)
+        assert seen == [msg]
+        with pytest.raises(KeyError, match="extra"):
+            first.handle_message(msg)
+        with pytest.raises(ValueError, match="duplicate"):
+            second.register_handler("extra", seen.append)
+        # a method of the node itself is shared again by whoever follows
+        first.register_handler("storm2", first._on_ps_storm)
+        third.register_handler("storm2", third._on_ps_storm)
+        assert first._handlers is third._handlers
+        assert "storm2" not in second._handlers
 
     @staticmethod
     def _forwarded(monkeypatch, system, payload_extra=None, meta=None):

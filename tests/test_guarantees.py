@@ -15,6 +15,7 @@ Four layers, cheapest first:
   after rejoin, exactly once, with the custody log fully drained.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.trace import (
@@ -351,6 +352,60 @@ class TestDurableEndToEnd:
             for subid, seq in per_sub.items():
                 assert seq == sorted(seq)
                 assert len(seq) == 8
+
+    def test_rejoined_node_never_reissues_a_marker_id(self):
+        """Durable mode remounts ``marker_origin`` and the repositories
+        at a rejoin, and the child zones still hold the surrogate
+        subscriptions minted before the crash: the marker-id counter
+        has to come back too, or the next cascade mints an id that
+        already names another repository (and replaces that one's box
+        in the child zone)."""
+        cfg = _durable_cfg()
+        rng = np.random.default_rng(4)
+        subs = []
+        for _ in range(150):
+            lows = rng.uniform(0.0, 950.0, size=2)
+            subs.append(
+                (int(rng.integers(0, 40)), lows.tolist(), (lows + 40.0).tolist())
+            )
+        system, scheme, _ = _small_system(cfg, num_nodes=40, subs=subs)
+        old = max(system.nodes, key=lambda n: len(n.marker_origin))
+        minted = dict(old.marker_origin)
+        assert len(minted) > 10
+        system.start_maintenance(stabilize_interval_ms=500.0, rpc_timeout_ms=1_500.0)
+        old.fail()
+        system.run(until=system.sim.now + 3_000.0)
+        system.rejoin_node(old.addr)
+        system.run(until=system.sim.now + 8_000.0)
+        system.stop_maintenance()
+        system.run_until_idle()
+        node = system.nodes[old.addr]
+        assert node is not old and node.marker_origin == minted
+
+        def opens_a_cascade(sub):
+            entity = system.entity_for_subscription(sub)
+            zone = entity.zone_of_subscription(sub)
+            return (
+                not zone.is_leaf
+                and zone.level >= cfg.direct_rendezvous_levels
+                and system.home_addr(entity.rotated_key(zone)) == node.addr
+                and (entity.key, zone.code, zone.level) not in node.zone_repos
+            )
+
+        sub = next(
+            sub
+            for x in range(0, 960, 8)
+            for y in range(0, 960, 8)
+            for sub in [Subscription.from_box(scheme, [x, y], [x + 30.0, y + 30.0])]
+            if opens_a_cascade(sub)
+        )
+        system.subscribe(0, sub)
+        system.run_until_idle()
+        for iid, repo_key in minted.items():
+            assert node.marker_origin[iid] == repo_key, "a marker id was reissued"
+        fresh = set(node.marker_origin) - set(minted)
+        assert fresh, "the new repository did not cascade"
+        assert min(fresh) > max(minted)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,12 @@ from repro.core import (
     Scheme,
     Subscription,
 )
-from repro.core.node import PubSubNodeMixin, ZoneRepo, subscription_wire_bytes
+from repro.core.node import (
+    MARKER_IID_BASE,
+    PubSubNodeMixin,
+    ZoneRepo,
+    subscription_wire_bytes,
+)
 from repro.core.subscription import SubID
 from repro.faults import FaultSchedule
 
@@ -371,10 +376,20 @@ def test_busy_backoff_resend_is_wire_identical(monkeypatch):
 # Repository-transfer codec: ZoneRepo.export -> _absorb_repo round trip
 # ----------------------------------------------------------------------
 _bound = st.floats(allow_nan=False, allow_infinity=True, width=64)
-_entry = st.tuples(
-    st.tuples(st.integers(0, 2**64 - 1), st.integers(1, (1 << 48) + 100)),
-    st.lists(st.tuples(_bound, _bound).map(sorted), min_size=2, max_size=2),
-    st.sampled_from(["sub", "marker", "migr"]),
+_box = st.lists(st.tuples(_bound, _bound).map(sorted), min_size=2, max_size=2)
+_nid = st.integers(0, 2**64 - 1)
+# A marker is an iid from the marker namespace and nothing else is.
+_entry = st.one_of(
+    st.tuples(
+        st.tuples(_nid, st.integers(1, MARKER_IID_BASE - 1)),
+        _box,
+        st.sampled_from(["sub", "migr"]),
+    ),
+    st.tuples(
+        st.tuples(_nid, st.integers(MARKER_IID_BASE, MARKER_IID_BASE + 100)),
+        _box,
+        st.just("marker"),
+    ),
 )
 
 
@@ -408,9 +423,8 @@ def test_repo_transfer_round_trips_in_every_mode(entries, subset, mode):
         sid = SubID(nid, iid)
         lows = np.array([d[0] for d in dims])
         highs = np.array([d[1] for d in dims])
-        source.store.put(sid, lows, highs)
-        if kind != "sub":  # a missing kind reads as "sub" on the wire
-            source.kinds[sid] = kind
+        source.put(sid, lows, highs, kind)
+    kinds = {SubID(*ident): kind for ident, _dims, kind in entries}
     stored = list(source.store.subids())
     picked = (
         None if subset is None else [stored[i] for i in sorted(subset) if i < len(stored)]
@@ -432,7 +446,7 @@ def test_repo_transfer_round_trips_in_every_mode(entries, subset, mode):
         for mine, theirs in zip(got.store.get_box(sid), source.store.get_box(sid)):
             assert np.array_equal(mine, theirs)
             assert np.array_equal(np.signbit(mine), np.signbit(theirs))  # +-0.0
-        assert got.kinds[sid] == source.kinds.get(sid, "sub")
+        assert got.kind_of(sid) == source.kind_of(sid) == kinds[sid]
     if mode == "standby":
         assert source.key not in node.zone_repos and got.sf is None
     elif not shipped:
