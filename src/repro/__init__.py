@@ -21,7 +21,8 @@ Package map:
 * :mod:`repro.core` -- the paper's contribution: locality-preserving
   hashing, content zones, subscription installation, embedded-tree
   event delivery, load balancing, the system facade.
-* :mod:`repro.dht` -- Chord (with PNS) and Pastry overlays.
+* :mod:`repro.dht` -- Chord (with PNS), HyperSub's overlay, and Pastry,
+  the Scribe baseline's.
 * :mod:`repro.sim` -- the discrete-event packet-level simulator.
 * :mod:`repro.workloads` -- the Table-1 Zipf workload.
 * :mod:`repro.baselines` -- Meghdoot (over CAN) and a central

@@ -9,7 +9,7 @@ delta = 0.1.  Dynamic migration runs only when a caller starts it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.zones import ZoneGeometry
 
@@ -22,8 +22,6 @@ class HyperSubConfig:
     base: int = 2
     #: Identifier bits reserved for zone codes ("the first 20 bits").
     code_bits: int = 20
-    #: Which overlay to run on: "chord" (paper) or "pastry" (extension).
-    overlay: str = "chord"
     #: Proximity neighbour selection for Chord fingers (Chord-PNS).
     pns: bool = True
     #: Zone-mapping rotation (static load balancing, Section 4).
@@ -189,17 +187,10 @@ class HyperSubConfig:
     #: list.  Standbys serve matching only once they become responsible
     #: for the dead primary's arc (successor takeover), which is exactly
     #: when events start routing to them.  1 disables replication (the
-    #: paper's configuration).  Chord overlay only.
+    #: paper's configuration).
     replication_factor: int = 1
 
     # -- local event matching --------------------------------------------
-    #: Index structure for surrogate repositories: "linear" (vectorised
-    #: scan, default) or "bands" (interval-band bitsets over every
-    #: dimension -- the "indexing structures ... to facilitate local
-    #: event matching" the paper mentions but leaves open).  Both answer
-    #: identically; bands pays from ~10^5 entries per store
-    #: (docs/MATCHING.md).
-    matching_index: str = "linear"
     #: Subscription covering/aggregation layer (docs/MATCHING.md): an
     #: installed subscription covered by (or cheaply merged into) an
     #: existing aggregate becomes a refcounted membership instead of a
@@ -231,27 +222,18 @@ class HyperSubConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.overlay not in ("chord", "pastry"):
-            raise ValueError(f"unknown overlay {self.overlay!r}")
         if self.migration_probe_level not in (1, 2):
             raise ValueError("migration_probe_level must be 1 or 2")
         if self.migration_delta < 0:
             raise ValueError("migration_delta must be non-negative")
         if self.migration_max_acceptors < 1:
             raise ValueError("migration_max_acceptors must be >= 1")
+        if self.migration_interval_ms <= 0:
+            raise ValueError("migration_interval_ms must be positive")
         if self.direct_rendezvous_levels < 0:
             raise ValueError("direct_rendezvous_levels must be >= 0")
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if self.replication_factor > 1 and self.overlay != "chord":
-            raise ValueError("replication requires the chord overlay")
-        if self.matching_index == "grid":
-            raise ValueError(
-                'matching_index="grid" was retired as a selectable kind '
-                '(see docs/MATCHING.md); use "linear" or "bands"'
-            )
-        if self.matching_index not in ("linear", "bands"):
-            raise ValueError(f"unknown matching_index {self.matching_index!r}")
         if self.merge_max_waste < 0:
             raise ValueError("merge_max_waste must be non-negative")
         if self.filter_flush_ms <= 0:

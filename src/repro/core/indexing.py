@@ -7,7 +7,12 @@ is not the focus of this paper."  This module supplies two:
 dimensions, and :class:`BandIndex`, an interval-band (counting-style)
 index over every dimension -- both drop-in compatible with
 :class:`~repro.core.matching.BoxStore` (the micro-benchmarks compare
-them; the property tests prove they answer identically).
+them; the property tests prove they answer identically).  No config
+selects either: every zone repository holds a plain ``BoxStore``
+(docs/MATCHING.md "Which kind wins where").  Both classes stay
+importable because ``benchmarks/e2e/layers.py`` names them and that
+directory is a contract this repo's changes may not edit; ``repro
+bench``'s 10^4 / 10^5 matching micro also times ``BandIndex``.
 
 The linear store compares the query point against *every* stored box
 (one columnar compare + reduce, so cheap until stores grow to tens of
@@ -29,10 +34,6 @@ from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
 
 
-# No config selects GridIndex (docs/MATCHING.md "Which kind wins where":
-# it led only on bounded boxes, by < 2x).  The class stays importable
-# because benchmarks/e2e/layers.py names it and that directory is a
-# contract this repo's changes may not edit.
 class GridIndex(BoxStore):
     """A :class:`BoxStore` with a uniform-grid accelerator.
 
@@ -254,12 +255,3 @@ class BandIndex(BoxStore):
         if not len(cand):
             return []
         return self._match(point, point, cand)
-
-
-def make_store(kind: str, dims: int) -> BoxStore:
-    """Factory used by the system: ``linear`` or ``bands``."""
-    if kind == "linear":
-        return BoxStore(dims)
-    if kind == "bands":
-        return BandIndex(dims)
-    raise ValueError(f"unknown matching index kind {kind!r}")

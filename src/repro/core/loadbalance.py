@@ -43,11 +43,7 @@ def run_static_rounds(
         raise ValueError("rounds must be >= 1")
     # Draining the simulator can never finish while periodic Chord
     # maintenance keeps rescheduling itself; pause it for the duration.
-    paused = [
-        node
-        for node in system.nodes
-        if getattr(node, "_running_maintenance", False)
-    ]
+    paused = [node for node in system.nodes if node._running_maintenance]
     for node in paused:
         node.stop_maintenance()
     system.sim.run_until_idle()

@@ -14,9 +14,8 @@
 * dynamic subscription migration (Section 4): load probing, acceptor
   selection, per-arc migration, summarising surrogate subscriptions.
 
-Concrete node classes bind the mixin to an overlay:
-:class:`HyperSubChordNode` (the paper's configuration) and
-:class:`HyperSubPastryNode` (the portability extension).
+:class:`HyperSubChordNode` binds the mixin to Chord(-PNS), the overlay
+the paper evaluates.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.subscheme import PubSubEntity
 from repro.core.zones import ContentZone
 from repro.dht.chord import ChordNode
 from repro.dht.idspace import cw_distance, id_in_interval
-from repro.dht.pastry import PastryNode
 from repro.core.durability import DurableState
 from repro.sim.messages import (
     AE_DIGEST_ENTRY_BYTES,
@@ -241,10 +239,11 @@ class CustodyCohort:
 
 
 class PubSubNodeMixin:
-    """Pub/sub behaviour shared by every overlay binding.
+    """Pub/sub behaviour of a HyperSub node.
 
-    Requires the host class to be an :class:`~repro.dht.base.OverlayNode`
-    (routing + messaging); call :meth:`_init_pubsub` after overlay init.
+    Requires the host class to be a :class:`~repro.dht.chord.ChordNode`
+    (routing, messaging, ring maintenance); call :meth:`_init_pubsub`
+    after the Chord init.
     """
 
     # ------------------------------------------------------------------
@@ -366,11 +365,10 @@ class PubSubNodeMixin:
         self.register_handler("ps_ae_digest", self._on_ae_digest)
         self.register_handler("ps_ae_state", self._on_ae_state)
         self.register_handler("ps_ae_fill", self._on_ae_fill)
-        # Arc handoff on membership change (Chord only): when a joiner
-        # slides in as our new predecessor, the rendezvous repos whose
-        # keys now fall in its arc must move to it.
-        if hasattr(self, "on_predecessor_change"):
-            self.on_predecessor_change = self._on_pred_change
+        # Arc handoff on membership change: when a joiner slides in as
+        # our new predecessor, the rendezvous repos whose keys now fall
+        # in its arc must move to it.
+        self.on_predecessor_change = self._on_pred_change
         self.register_handler("ps_unregister", self._on_ps_unregister)
         # The receive side of ``ps_event`` is chosen here, once: only a
         # config that can put ``rseq`` / ``pb`` on a packet pays for the
@@ -698,7 +696,7 @@ class PubSubNodeMixin:
                     # after a takeover (events climbing via children
                     # still carry the dead primary's node id).
                     k = self.system.config.replication_factor
-                    for _sid, saddr in getattr(self, "successors", [])[: k - 1]:
+                    for _sid, saddr in self.successors[: k - 1]:
                         self.system.nodes[saddr].register_standby_marker(
                             self.node_id, marker_iid, repo.key
                         )
@@ -771,7 +769,7 @@ class PubSubNodeMixin:
     ) -> None:
         """Mirror one accepted registration onto k-1 successors."""
         k = self.system.config.replication_factor
-        replicas = getattr(self, "successors", [])[: k - 1]
+        replicas = self.successors[: k - 1]
         payload = {
             "entity": entity_key,
             "code": code,
@@ -944,7 +942,7 @@ class PubSubNodeMixin:
     def _ae_exchange(self) -> None:
         """Send one digest of every live repository to each standby peer."""
         k = self.system.config.replication_factor
-        replicas = getattr(self, "successors", [])[: k - 1]
+        replicas = self.successors[: k - 1]
         if not replicas or not self.zone_repos:
             return
         digest = [
@@ -1086,9 +1084,8 @@ class PubSubNodeMixin:
         ship this as one bulk transfer; the ring unlink itself is
         Chord's graceful ``leave``.
         """
-        succs = getattr(self, "successors", [])
-        if succs:
-            succ = self.system.nodes[succs[0][1]]
+        if self.successors:
+            succ = self.system.nodes[self.successors[0][1]]
             for repo in self.zone_repos.values():
                 succ._absorb_repo(repo.export()[0], "standby")
             for iid, repo_key in self.marker_origin.items():
@@ -1262,7 +1259,7 @@ class PubSubNodeMixin:
         lost state, so it solicits those standby holders directly.
         """
         k = self.system.config.replication_factor
-        for _succ_id, succ_addr in getattr(self, "successors", [])[: k - 1]:
+        for _succ_id, succ_addr in self.successors[: k - 1]:
             self.send(
                 Message(
                     src=self.addr,
@@ -1472,15 +1469,13 @@ class PubSubNodeMixin:
         links once per half-interval keeps the state fresh.
         """
         useful = set()
-        succs = getattr(self, "successors", None)
-        if succs:
-            useful.add(succs[0][1])
-        pred = getattr(self, "predecessor", None)
-        if pred is not None:
-            useful.add(pred[1])
+        if self.successors:
+            useful.add(self.successors[0][1])
+        if self.predecessor is not None:
+            useful.add(self.predecessor[1])
         if dst_addr not in useful:
             return False
-        interval = getattr(self, "stabilize_interval_ms", 500.0) / 2.0
+        interval = self.stabilize_interval_ms / 2.0
         last = self._pb_last_sent.get(dst_addr)
         if last is not None and self.sim.now - last < interval:
             return False
@@ -1604,8 +1599,7 @@ class PubSubNodeMixin:
         counted give-up instead of looping.
         """
         dead_addr = state["dst"]
-        if hasattr(self, "evict_neighbor"):
-            self.evict_neighbor(dead_addr)
+        self.evict_neighbor(dead_addr)
         fo = state["payload"].get("fo")
         if fo is None:
             fo = self.system.config.failover_max_attempts
@@ -1776,15 +1770,12 @@ class PubSubNodeMixin:
         exists -- the caller then forwards to ``hot`` anyway, which
         doubles as the breaker's half-open probe.
         """
-        entries = getattr(self, "routing_entries", None)
-        if entries is None:  # pastry: no cw-progress certificate
-            return None
         avoid = self.breaker.open_dsts(self.sim.now)
         avoid.add(hot)
         avoid.add(self.addr)
         best = None
         best_dist = -1
-        for ent_id, ent_addr in entries():
+        for ent_id, ent_addr in self.routing_entries():
             if ent_addr in avoid:
                 continue
             if id_in_interval(ent_id, self.node_id, key):
@@ -1863,7 +1854,7 @@ class PubSubNodeMixin:
                 self.network.stats.record_duplicate_packet()
                 return
             self._rel_seen.add(key)
-        if "pb" in p and hasattr(self, "absorb_piggyback"):
+        if "pb" in p:
             pb = p["pb"]
             self.absorb_piggyback(
                 pb["id"],
@@ -2001,7 +1992,7 @@ class PubSubNodeMixin:
             DEP_ENTRY_BYTES * len(inherited["deps"]) if "deps" in inherited else 0
         )
         piggyback = None
-        if cfg.piggyback_maintenance and hasattr(self, "successors"):
+        if cfg.piggyback_maintenance:
             piggyback = {
                 "id": self.node_id,
                 "addr": addr,
@@ -2793,12 +2784,4 @@ class HyperSubChordNode(PubSubNodeMixin, ChordNode):
 
     def __init__(self, addr: int, node_id: int, network, system=None, **kwargs) -> None:
         ChordNode.__init__(self, addr, node_id, network, **kwargs)
-        self._init_pubsub(system)
-
-
-class HyperSubPastryNode(PubSubNodeMixin, PastryNode):
-    """Portability extension: identical pub/sub logic over Pastry."""
-
-    def __init__(self, addr: int, node_id: int, network, system=None, **kwargs) -> None:
-        PastryNode.__init__(self, addr, node_id, network, **kwargs)
         self._init_pubsub(system)

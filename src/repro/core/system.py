@@ -18,11 +18,11 @@ import numpy as np
 
 from repro.core.config import HyperSubConfig
 from repro.core.event import Event
+from repro.core.matching import BoxStore
 from repro.core.node import (
     REL_EPOCH_BITS,
     CustodyCohort,
     HyperSubChordNode,
-    HyperSubPastryNode,
 )
 from repro.core.scheme import Scheme
 from repro.core.subscheme import (
@@ -33,7 +33,7 @@ from repro.core.subscheme import (
 from repro.core.subscription import SubID, Subscription
 from repro.core.zones import ContentZone
 from repro.dht.chord import build_chord_overlay
-from repro.dht.pastry import build_pastry_overlay
+from repro.dht.idspace import random_ids
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.stats import Distribution, NetworkStats
@@ -191,7 +191,7 @@ class HyperSubSystem:
         target_mean_rtt_ms: Optional[float] = None,
         active_nodes: Optional[int] = None,
     ) -> None:
-        """``active_nodes`` (Chord only) builds the overlay over just the
+        """``active_nodes`` builds the overlay over just the
         first ``active_nodes`` network addresses; the remaining addresses
         are reserved for :meth:`join_node` (live membership extension)."""
         self.config = config or HyperSubConfig()
@@ -222,31 +222,19 @@ class HyperSubSystem:
         )
         self.metrics = Metrics()
 
-        factory = self._node_factory()
-        if self.config.overlay == "chord":
-            from repro.dht.idspace import random_ids
-
-            self._all_ids = random_ids(self.topology.size, self.config.seed)
-            initial = (
-                self._all_ids[:active_nodes]
-                if active_nodes is not None
-                else self._all_ids
-            )
-            self.nodes, self.ring = build_chord_overlay(
-                self.network,
-                seed=self.config.seed,
-                pns=self.config.pns,
-                node_factory=factory,
-                node_ids=initial,
-            )
-        else:
-            if active_nodes is not None:
-                raise ValueError("live joins are only supported on chord")
-            self.nodes, self.ring = build_pastry_overlay(
-                self.network,
-                seed=self.config.seed,
-                node_factory=factory,
-            )
+        self._all_ids = random_ids(self.topology.size, self.config.seed)
+        initial = (
+            self._all_ids[:active_nodes]
+            if active_nodes is not None
+            else self._all_ids
+        )
+        self.nodes, self.ring = build_chord_overlay(
+            self.network,
+            seed=self.config.seed,
+            pns=self.config.pns,
+            node_factory=self._node_factory(),
+            node_ids=initial,
+        )
 
         if self.config.service_model:
             for node in self.nodes:
@@ -299,14 +287,8 @@ class HyperSubSystem:
         node.queue_capacity = self.config.ingress_queue_capacity
 
     def _node_factory(self):
-        cls = (
-            HyperSubChordNode
-            if self.config.overlay == "chord"
-            else HyperSubPastryNode
-        )
-
         def factory(addr, node_id, network, **kwargs):
-            return cls(addr, node_id, network, system=self, **kwargs)
+            return HyperSubChordNode(addr, node_id, network, system=self, **kwargs)
 
         return factory
 
@@ -351,9 +333,7 @@ class HyperSubSystem:
     # Key -> home resolution (global knowledge; setup/fast paths only)
     # ------------------------------------------------------------------
     def home_addr(self, key: int) -> int:
-        if self.config.overlay == "chord":
-            return self.ring.addr(self.ring.successor(key))
-        return self.ring.addr(self.ring.numerically_closest(key))
+        return self.ring.addr(self.ring.successor(key))
 
     def node_at_home(self, key: int):
         return self.nodes[self.home_addr(key)]
@@ -549,8 +529,6 @@ class HyperSubSystem:
         ring oracle is updated immediately, so avoid fast-path
         subscribe() for keys in the joining arc until the ring settles.
         """
-        if self.config.overlay != "chord":
-            raise ValueError("live joins are only supported on chord")
         addr = len(self.nodes)
         if addr >= self.topology.size:
             raise ValueError("no reserved network addresses left")
@@ -578,8 +556,6 @@ class HyperSubSystem:
         live on the takeover node -- and subsequent anti-entropy rounds
         restore its standby copies.
         """
-        if self.config.overlay != "chord":
-            raise ValueError("rejoin is only supported on chord")
         old = self.nodes[addr]
         if old.alive():
             raise ValueError(f"node {addr} is alive; only crashed nodes rejoin")
@@ -629,31 +605,26 @@ class HyperSubSystem:
         # successor at all, and nothing in the ring ever routes back to
         # a node that took over its own arc (chaos nemesis, flap
         # faults).
-        if hasattr(old, "successors"):
-            node.successors = [
-                s for s in old.successors if s[0] != node.node_id
-            ]
-            if node.successors and hasattr(node, "start_maintenance"):
-                # With a usable hint, stabilization can start healing
-                # immediately -- the join lookup refines the picture
-                # but its completion must not gate ring recovery.
-                node.start_maintenance()
-        if hasattr(old, "stabilize_interval_ms"):
-            node.stabilize_interval_ms = old.stabilize_interval_ms
-            node.rpc_timeout_ms = old.rpc_timeout_ms
+        node.successors = [s for s in old.successors if s[0] != node.node_id]
+        if node.successors:
+            # With a usable hint, stabilization can start healing
+            # immediately -- the join lookup refines the picture but its
+            # completion must not gate ring recovery.
+            node.start_maintenance()
+        node.stabilize_interval_ms = old.stabilize_interval_ms
+        node.rpc_timeout_ms = old.rpc_timeout_ms
         self.nodes[addr] = node
         if bootstrap_addr is None:
             bootstrap_addr = next(
                 a for a, n in enumerate(self.nodes) if n.alive() and a != addr
             )
         node.join(self.nodes[bootstrap_addr])
-        if hasattr(node, "request_resync"):
-            # A restart wipes the volatile repositories, and the crash
-            # may have been too brief for any failure detector to fire
-            # (flap faults): nobody promoted a standby, nobody will hand
-            # anything back.  Ask the last-known successors -- the
-            # standby holders -- to return what they hold.
-            node.request_resync()
+        # A restart wipes the volatile repositories, and the crash may
+        # have been too brief for any failure detector to fire (flap
+        # faults): nobody promoted a standby, nobody will hand anything
+        # back.  Ask the last-known successors -- the standby holders --
+        # to return what they hold.
+        node.request_resync()
         if self.config.anti_entropy:
             node.start_anti_entropy()
         if self._durable_redelivery:
@@ -670,7 +641,7 @@ class HyperSubSystem:
     ) -> None:
         """Start periodic overlay maintenance on every alive node."""
         for node in self.nodes:
-            if not node.alive() or not hasattr(node, "start_maintenance"):
+            if not node.alive():
                 continue
             if stabilize_interval_ms is not None:
                 node.stabilize_interval_ms = stabilize_interval_ms
@@ -680,8 +651,7 @@ class HyperSubSystem:
 
     def stop_maintenance(self) -> None:
         for node in self.nodes:
-            if hasattr(node, "stop_maintenance"):
-                node.stop_maintenance()
+            node.stop_maintenance()
 
     def start_anti_entropy(self) -> None:
         """Start periodic anti-entropy repair on every alive node."""
@@ -721,16 +691,15 @@ class HyperSubSystem:
         return InvariantChecker(**kwargs).check(self)
 
     def make_store(self, entity: PubSubEntity):
-        """Subscription store for one zone repo, per ``matching_index``.
+        """Subscription store for one zone repo: a
+        :class:`~repro.core.matching.BoxStore`.
 
-        With ``covering`` on, the index is wrapped in a
+        With ``covering`` on, it is wrapped in a
         :class:`~repro.core.covering.CoveringStore` so near-identical
         registrations share one physical aggregate box
         (docs/MATCHING.md).
         """
-        from repro.core.indexing import make_store
-
-        store = make_store(self.config.matching_index, entity.scheme.dimensions)
+        store = BoxStore(entity.scheme.dimensions)
         if self.config.covering:
             from repro.core.covering import CoveringStore
 

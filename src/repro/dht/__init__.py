@@ -1,10 +1,9 @@
 """Structured-overlay (DHT) substrates.
 
 HyperSub is built on Chord with proximity neighbour selection
-(Chord-PNS, the configuration the paper simulates); the design also
-claims applicability to other DHTs, so a Pastry implementation is
-provided behind the same :class:`~repro.dht.base.OverlayNode`
-interface (paper Section 6, future work).
+(Chord-PNS, the configuration the paper simulates).  Pastry sits behind
+the same :class:`~repro.dht.base.OverlayNode` interface as the
+substrate of the Scribe baseline (:mod:`repro.baselines.scribe`).
 """
 
 from repro.dht.idspace import (
@@ -18,7 +17,6 @@ from repro.dht.ring import SortedRing
 from repro.dht.base import OverlayNode, LookupResult
 from repro.dht.chord import ChordNode, build_chord_overlay
 from repro.dht.pastry import PastryNode, build_pastry_overlay
-from repro.dht.koorde import KoordeNode, build_koorde_overlay
 
 __all__ = [
     "ID_BITS",
@@ -33,6 +31,4 @@ __all__ = [
     "build_chord_overlay",
     "PastryNode",
     "build_pastry_overlay",
-    "KoordeNode",
-    "build_koorde_overlay",
 ]

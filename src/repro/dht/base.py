@@ -10,10 +10,8 @@ HyperSub's pub/sub layer needs exactly three things from the DHT
    (Algorithm 5) instead of maintaining dissemination trees;
 3. a neighbour set, used by the dynamic load balancer for sampling.
 
-Both :class:`~repro.dht.chord.ChordNode` and
-:class:`~repro.dht.pastry.PastryNode` implement this interface, which is
-how the repository demonstrates the paper's claim that "the techniques
-... are applicable to other DHTs".
+:class:`~repro.dht.chord.ChordNode` implements it for HyperSub and
+:class:`~repro.dht.pastry.PastryNode` for the Scribe baseline.
 
 Routing epochs (perf contract, docs/PERFORMANCE.md)
 ---------------------------------------------------

@@ -1,9 +1,9 @@
 """Pastry (Rowstron & Druschel, Middleware'01) behind the overlay API.
 
-Implemented to substantiate the paper's claim (Sections 3 and 6) that
-HyperSub's techniques transfer to other DHTs: the pub/sub layer only
-uses :class:`~repro.dht.base.OverlayNode`, so swapping Chord for Pastry
-is a one-line change in the system configuration.
+The substrate of the Scribe baseline (:mod:`repro.baselines.scribe`).
+HyperSub itself runs on Chord only, the overlay the paper evaluates;
+EXPERIMENTS.md ("Pastry (§3 portability)") records what running it on
+this module once established.
 
 Conventions:
 
@@ -15,8 +15,7 @@ Conventions:
   routing table whose entries are chosen by proximity (Pastry's
   locality heuristic), reusing the same RTT oracle as Chord-PNS.
 
-Only static construction is provided; the churn experiments exercise
-Chord, the overlay the paper evaluates.
+Only static construction is provided.
 """
 
 from __future__ import annotations

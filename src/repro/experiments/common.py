@@ -92,7 +92,6 @@ class DeliveryConfig:
     lb_rounds: int = 3
     rotation: bool = True
     pns: bool = True
-    overlay: str = "chord"
     direct_rendezvous_levels: int = 8
     subschemes: Optional[Tuple[Tuple[str, ...], ...]] = None
     seed: int = 1
@@ -170,7 +169,6 @@ def run_delivery(
         code_bits=cfg.code_bits,
         rotation=cfg.rotation,
         pns=cfg.pns,
-        overlay=cfg.overlay,
         direct_rendezvous_levels=cfg.direct_rendezvous_levels,
         seed=cfg.seed,
     )

@@ -82,12 +82,10 @@ class InvariantChecker:
         if not alive:
             report.violations.append("no alive nodes")
             return report
-        if self.check_ring and system.config.overlay == "chord":
+        if self.check_ring:
             report.checked.append("ring")
             self._check_ring(alive, report)
-        if self.check_coverage and system.config.overlay == "chord":
-            # Responsibility resolution below uses Chord's successor
-            # convention; Pastry coverage would need numerically-closest.
+        if self.check_coverage:
             report.checked.append("coverage")
             self._check_coverage(system, alive, report)
         if self.check_replicas:

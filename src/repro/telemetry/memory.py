@@ -61,8 +61,8 @@ DEFAULT_NODE_SAMPLE = 128
 DEFAULT_MAX_OBJECTS = 4_000_000
 
 #: Node attributes making up each per-node component.  Missing
-#: attributes are skipped, so the same table works for Chord and
-#: Pastry bindings (and stays tolerant of overlay refactors).
+#: attributes are skipped, so the table stays tolerant of overlay
+#: refactors.
 NODE_COMPONENTS: Dict[str, tuple] = {
     #: the user's own subscription table
     "subscriptions": ("own_subs",),

@@ -90,7 +90,6 @@ class TelemetrySession:
         self.runs.append(
             {
                 "num_nodes": len(system.nodes),
-                "overlay": system.config.overlay,
                 "seed": system.config.seed,
                 "config": asdict(system.config),
             }

@@ -15,7 +15,6 @@ documents every reconstructed value.
 from repro.workloads.zipf import ZipfSampler, zipf_cdf
 from repro.workloads.spec import AttributeSpec, WorkloadSpec, default_paper_spec
 from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.tracefile import load_trace, replay_trace, save_trace
 
 __all__ = [
     "ZipfSampler",
@@ -24,7 +23,4 @@ __all__ = [
     "WorkloadSpec",
     "default_paper_spec",
     "WorkloadGenerator",
-    "load_trace",
-    "replay_trace",
-    "save_trace",
 ]

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.indexing import BandIndex, GridIndex, make_store
+from repro.core.covering import CoveringStore
+from repro.core.indexing import BandIndex, GridIndex
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
 from tests.box_oracle import boxes, check_against_oracle, oracle_match_point
@@ -89,7 +90,10 @@ class TestBasics:
 def test_nan_coordinate_matches_nothing(kind):
     # Regression: GridIndex raised ValueError (int(nan)) where the
     # linear store answered [].
-    store = grid() if kind == "grid" else make_store(kind, 3)
+    if kind == "grid":
+        store = grid()
+    else:
+        store = {"linear": BoxStore, "bands": BandIndex}[kind](3)
     for i in range(80):  # enough for the band index to build
         store.put(SubID(i, 1), np.full(3, -np.inf), np.full(3, np.inf))
     assert len(store.match_point(np.array([1.0, 2.0, 3.0]))) == 80
@@ -145,27 +149,41 @@ class TestBands:
 
 
 class TestFactory:
-    def test_linear(self):
-        s = make_store("linear", 4)
-        assert type(s) is BoxStore
+    @staticmethod
+    def system_and_entity(covering):
+        from repro.core import Attribute, HyperSubConfig, HyperSubSystem, Scheme
 
+        system = HyperSubSystem(
+            num_nodes=4, config=HyperSubConfig(code_bits=8, covering=covering)
+        )
+        (entity,) = system.add_scheme(
+            Scheme("f", [Attribute(n, 0, 10) for n in "abcd"])
+        )
+        return system, entity
+
+    def test_linear(self):
+        # the one kind a zone repository holds
+        system, entity = self.system_and_entity(covering=False)
+        s = system.make_store(entity)
+        assert type(s) is BoxStore and s.dims == 4
+
+    def test_covering_wraps_the_box_store(self):
+        system, entity = self.system_and_entity(covering=True)
+        s = system.make_store(entity)
+        assert type(s) is CoveringStore
+        assert type(s.base) is BoxStore
+
+    # No config selects the index classes; they stay drop-in BoxStores
+    # because the benchmarks build them by name.
     def test_bands(self):
-        s = make_store("bands", 3)
-        assert isinstance(s, BandIndex)
+        assert isinstance(BandIndex(3), BoxStore)
 
     def test_grid(self):
-        # retired from the factory; the class stays a usable BoxStore
-        with pytest.raises(ValueError, match="unknown matching index"):
-            make_store("grid", 3)
         assert isinstance(grid(), BoxStore)
 
     def test_grid_needs_bounds(self):
         with pytest.raises(ValueError, match="one entry per dim"):
             GridIndex(3, DOM_LO[:2], DOM_HI)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_store("rtree", 3)
 
 
 # ----------------------------------------------------------------------

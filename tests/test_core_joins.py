@@ -133,14 +133,3 @@ class TestJoinHandoff:
         with pytest.raises(ValueError):
             system.join_node()
         stop(system)
-
-    def test_join_requires_chord(self):
-        cfg = HyperSubConfig(seed=1, overlay="pastry")
-        system = HyperSubSystem(num_nodes=10, config=cfg)
-        with pytest.raises(ValueError):
-            system.join_node()
-
-    def test_active_nodes_rejected_on_pastry(self):
-        cfg = HyperSubConfig(seed=1, overlay="pastry")
-        with pytest.raises(ValueError):
-            HyperSubSystem(num_nodes=10, active_nodes=8, config=cfg)

@@ -86,10 +86,6 @@ class TestReplicaPlacement:
             )
             assert got == expect  # exactly once, no replica duplicates
 
-    def test_replication_requires_chord(self):
-        with pytest.raises(ValueError):
-            HyperSubConfig(overlay="pastry", replication_factor=2)
-
     def test_replication_factor_validation(self):
         with pytest.raises(ValueError):
             HyperSubConfig(replication_factor=0)

@@ -79,10 +79,6 @@ class TestEndToEnd:
         system, scheme, installed, rng = build_system(rotation=False)
         assert_exact_delivery(system, scheme, installed, rng)
 
-    def test_exact_delivery_on_pastry(self):
-        system, scheme, installed, rng = build_system(overlay="pastry")
-        assert_exact_delivery(system, scheme, installed, rng)
-
     def test_exact_delivery_with_subschemes(self):
         cfg = HyperSubConfig(seed=3, code_bits=12)
         system = HyperSubSystem(num_nodes=40, config=cfg)

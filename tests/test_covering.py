@@ -222,12 +222,12 @@ def test_covering_equals_naive_under_any_sequence(waste, operations):
 # ----------------------------------------------------------------------
 # System-level parity: covering must not change a single delivery
 # ----------------------------------------------------------------------
-def _populated_system(covering, matching_index="linear", make_store=None):
+def _populated_system(covering, make_store=None):
     from repro.core.config import HyperSubConfig
     from repro.core.system import HyperSubSystem
     from repro.workloads import WorkloadGenerator, default_paper_spec
 
-    cfg = HyperSubConfig(seed=1, covering=covering, matching_index=matching_index)
+    cfg = HyperSubConfig(seed=1, covering=covering)
     system = HyperSubSystem(num_nodes=40, config=cfg)
     if make_store is not None:
         system.make_store = make_store
@@ -262,7 +262,7 @@ class TestSystemParity:
         # Coalesced cascade: never more installs than eager re-pushes.
         assert installs < base_installs
 
-    @pytest.mark.parametrize("kind", ["grid", "bands"])
+    @pytest.mark.parametrize("kind", ["grid"])
     def test_matching_index_preserves_every_delivery(self, kind):
         from repro.core.indexing import GridIndex
 
@@ -271,12 +271,9 @@ class TestSystemParity:
             return GridIndex(s.dimensions, s.domain_lows(), s.domain_highs())
 
         _, base, _ = _run_delivery_system(covering=False)
-        if kind == "grid":
-            system, got, _ = _run_delivery_system(False, make_store=grid_store)
-            repos = [r for n in system.nodes for r in n.zone_repos.values()]
-            assert all(type(r.store) is GridIndex for r in repos)
-        else:
-            _, got, _ = _run_delivery_system(False, matching_index=kind)
+        system, got, _ = _run_delivery_system(False, make_store=grid_store)
+        repos = [r for n in system.nodes for r in n.zone_repos.values()]
+        assert all(type(r.store) is GridIndex for r in repos)
         assert got == base
 
     def test_grow_only_ablation_same_deliveries(self):

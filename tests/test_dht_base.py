@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.dht.base import MAX_LOOKUP_RESTARTS, LookupResult
 from repro.dht.chord import build_chord_overlay
 from repro.dht.idspace import ID_SPACE, random_ids
-from repro.dht.koorde import build_koorde_overlay
 from repro.dht.pastry import build_pastry_overlay
 from repro.sim.engine import Simulator
 from repro.sim.messages import CONTROL_BYTES, Message
@@ -186,7 +185,6 @@ class MailedLookup:
 BUILDERS = {
     "chord": build_chord_overlay,
     "pastry": build_pastry_overlay,
-    "koorde": build_koorde_overlay,
 }
 
 

@@ -51,10 +51,9 @@ def brute_force(installed, ev):
     )
 
 
-def build_system(base=2, overlay="chord", direct=4):
+def build_system(base=2, direct=4):
     cfg = HyperSubConfig(
-        seed=3, base=base, code_bits=12, overlay=overlay,
-        direct_rendezvous_levels=direct,
+        seed=3, base=base, code_bits=12, direct_rendezvous_levels=direct,
     )
     system = HyperSubSystem(num_nodes=N_NODES, config=cfg)
     scheme = Scheme("p", [Attribute("x", 0, DOMAIN), Attribute("y", 0, DOMAIN)])
@@ -90,9 +89,9 @@ def test_exact_delivery_property(subs, events):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_exact_delivery_property_base4_pastry(subs, events):
-    """Same invariant on the other overlay and base."""
-    system, scheme = build_system(base=4, overlay="pastry")
+def test_exact_delivery_property_base4(subs, events):
+    """Same invariant at base 4."""
+    system, scheme = build_system(base=4)
     installed = []
     for addr, (lows, highs) in subs:
         sub = Subscription.from_box(scheme, list(lows), list(highs))

@@ -136,6 +136,57 @@ class TestConfigSurface:
         unread = {f.name for f in dataclasses.fields(HyperSubConfig)} - read
         assert not unread, f"config fields read nowhere under src/: {sorted(unread)}"
 
+    #: fields only tests set; each must leave once a caller outside
+    #: ``tests/`` sets it, and a new test-only knob fails the build
+    TEST_ONLY_FIELDS = {
+        "busy_backoff_factor": "overload backoff curve, only the overload tests vary it",
+        "busy_backoff_max_ms": "overload backoff ceiling, only the overload tests vary it",
+        "breaker_failure_threshold": "breaker trip count, only the breaker tests vary it",
+        "breaker_open_ms": "breaker open window, only the breaker tests vary it",
+        "durable_log_max_entries": "custody budget, only the truncation tests shrink it",
+        "reorder_buffer_max": "reorder bound, only the overflow tests shrink it",
+        "filter_flush_ms": "covering flush window, only the covering tests vary it",
+        "merge_max_waste": "covering merge bound, bench.py hands it to CoveringStore directly",
+        "migration_max_acceptors": "acceptor count k, open question of ROADMAP item 7c",
+    }
+
+    def test_every_config_field_is_set_outside_tests(self):
+        """Every ``HyperSubConfig`` field is passed by keyword to
+        ``HyperSubConfig(...)`` -- or is a key of a config dict (a dict
+        literal, ``dict(...)`` or ``.update(...)`` whose keys are all
+        config fields) -- somewhere under ``src/repro/``, ``benchmarks/``
+        or ``examples/``, except the named test-only fields."""
+        import ast
+        import dataclasses
+
+        from repro.core.config import HyperSubConfig
+
+        fields = {f.name for f in dataclasses.fields(HyperSubConfig)}
+        paths = [
+            p
+            for top in ("src/repro", "benchmarks", "examples")
+            for p in (REPO / top).rglob("*.py")
+        ]
+        set_outside = set()
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                    keys = {kw.arg for kw in node.keywords if kw.arg}
+                    if name == "HyperSubConfig":
+                        set_outside |= keys
+                    elif name in ("dict", "update") and keys and keys <= fields:
+                        set_outside |= keys
+                elif isinstance(node, ast.Dict):
+                    keys = {
+                        k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    }
+                    if keys and len(keys) == len(node.keys) and keys <= fields:
+                        set_outside |= keys
+        assert set(self.TEST_ONLY_FIELDS) == fields - set_outside
+
 
 class TestWireFormatOwners:
     """Each packet kind of ``core/node.py`` is built at exactly one
