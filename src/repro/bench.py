@@ -303,9 +303,8 @@ def _clustered_boxes(n: int, rng, clusters: int = 64):
     """Fig-shaped box workload: hotspot clusters over a 4-dim domain.
 
     Subscriptions in the paper's workloads concentrate on popular
-    attribute regions; hotspot clusters reproduce that skew so the
-    covering layer has real overlap to aggregate while the band index
-    still sees a full-domain spread.
+    attribute regions; hotspot clusters reproduce that skew while the
+    band index still sees a full-domain spread.
     """
     import numpy as np
 
@@ -321,20 +320,16 @@ def _clustered_boxes(n: int, rng, clusters: int = 64):
 def _bench_algo5(
     full_scale: bool, points: int = 200, repeat: int = 3
 ) -> Dict[str, Any]:
-    """``match_point`` micro across index kinds and covering modes.
+    """``match_point`` micro across index kinds.
 
     Per scale (10^2..10^4 always; 10^5 unless quick) the same clustered box
     set is loaded into the linear and bands stores and the same
     query points are matched through each; every ``*_speedup`` is over
     the naive row-major scan, and answers are cross-checked against it
-    so a speedup can never come from a wrong index.  Covering runs at 10^4
-    only: its fusion sweep re-enumerates overlaps while aggregates
-    snowball, which is quadratic-ish on overlap-dense sets -- the fig3
-    bench covers it at system scale instead.
+    so a speedup can never come from a wrong index.
     """
     import numpy as np
 
-    from repro.core.covering import CoveringStore
     from repro.core.indexing import BandIndex
     from repro.core.matching import BoxStore
     from repro.core.subscription import SubID
@@ -373,26 +368,6 @@ def _bench_algo5(
             entry[f"{name}_us_per_call"] = s / points * 1e6
             if name != "naive":
                 entry[f"{name}_speedup"] = secs["naive"] / s
-        if n == 10_000:
-            cov = CoveringStore(BoxStore(4), merge_max_waste=0.5)
-            t0 = perf_counter()
-            for i in range(n):
-                cov.put(SubID(i, 1), lows[i], highs[i])
-            build_s = perf_counter() - t0
-            cov_s = _time_matching(cov, pts, repeat)
-            cov_agree = all(
-                sorted(cov.match_point(p)) == ref
-                for p, ref in zip(pts, refs)
-            )
-            entry["covering"] = {
-                "build_seconds": build_s,
-                "entries": len(cov),
-                "index_boxes": cov.index_size(),
-                "aggregation_ratio": len(cov) / max(1, cov.index_size()),
-                "match_us_per_call": cov_s / points * 1e6,
-                "speedup_vs_linear": secs["linear"] / cov_s,
-                "agree": bool(cov_agree),
-            }
         out["scales"][str(n)] = entry
     return out
 
@@ -451,109 +426,26 @@ def _bench_pop_matching(boxes: int = 30_000, repeat: int = 3) -> Dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# Covering macro (fig3-shaped installation run)
-# ----------------------------------------------------------------------
-def _run_covering_once(
-    num_nodes: int, num_events: int, covering: bool
-) -> Dict[str, Any]:
-    import hashlib
-
-    from repro.core.config import HyperSubConfig
-    from repro.core.system import HyperSubSystem
-    from repro.workloads import WorkloadGenerator, default_paper_spec
-
-    cfg = HyperSubConfig(seed=1, covering=covering)
-    system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
-    gen = WorkloadGenerator(default_paper_spec(subs_per_node=10), seed=7)
-    system.add_scheme(gen.scheme)
-    gen.populate(system)
-    system.finish_setup()  # drains cascades incl. coalesced flushes
-    marker = list(system.install_traffic.get("marker", [0, 0]))
-    subs = list(system.install_traffic.get("sub", [0, 0]))
-    stats = system.covering_stats()
-    gen.schedule_events(system, count=num_events)
-    system.run_until_idle()
-    digest = hashlib.sha256()
-    for eid in sorted(system.metrics.records):
-        rec = system.metrics.records[eid]
-        for sid, addr, _hops, _lat in sorted(
-            rec.deliveries, key=lambda d: (d[0].nid, d[0].iid, d[1])
-        ):
-            digest.update(f"{eid}|{sid.nid}|{sid.iid}|{addr}\n".encode())
-    deliveries = sum(r.matched for r in system.metrics.records.values())
-    return {
-        "covering": covering,
-        "marker_registrations": marker[0],
-        "marker_bytes": marker[1],
-        "sub_registrations": subs[0],
-        "entries": stats["entries"],
-        "index_boxes": stats["boxes"],
-        "deliveries": deliveries,
-        "digest": digest.hexdigest(),
-    }
-
-
-def _bench_covering_fig3(num_nodes: int, num_events: int) -> Dict[str, Any]:
-    """Fig3-shaped installation cost, covering off vs on.
-
-    The tentpole gate: covering mode must cut the surrogate-subscription
-    registrations the child-piece cascade installs (the deferred
-    level-sweep flush coalesces every same-window re-push into one
-    aggregate piece per child digit) while delivering a byte-identical
-    event outcome -- the digest covers (event, subid, subscriber) for
-    every delivery, so any matching divergence fails the build.
-    """
-    off = _run_covering_once(num_nodes, num_events, covering=False)
-    on = _run_covering_once(num_nodes, num_events, covering=True)
-    return {
-        "num_nodes": num_nodes,
-        "num_events": num_events,
-        "off": off,
-        "on": on,
-        "surrogate_install_reduction": (
-            off["marker_registrations"] / max(1, on["marker_registrations"])
-        ),
-        "surrogate_bytes_reduction": (
-            off["marker_bytes"] / max(1, on["marker_bytes"])
-        ),
-        "aggregation_ratio": on["entries"] / max(1, on["index_boxes"]),
-        "digest_equal": off["digest"] == on["digest"],
-    }
-
-
-def run_matching_smoke(
-    num_nodes: int = 150, num_events: int = 100
-) -> Dict[str, Any]:
+def run_matching_smoke() -> Dict[str, Any]:
     """The CI ``matching-smoke`` gate, as one callable document.
 
     Runs only the matching-engine benches (no scheduler/routing/macro)
     and attaches the same floor checks ``validate_bench`` applies to
-    them: index agreement, the bands floor, ``pop_matching``
-    improvement, and the fig3 covering reduction + digest equality.
+    them: index agreement, the bands floor and ``pop_matching``
+    improvement.
     """
     algo5 = _bench_algo5(full_scale=False)
     pop = _bench_pop_matching()
-    covering = _bench_covering_fig3(num_nodes, num_events)
     scale = algo5["scales"]["10000"]
     checks = {
-        "matching_agreement": bool(
-            scale["agree"] and scale["covering"]["agree"]
-        ),
+        "matching_agreement": bool(scale["agree"]),
         "bands_floor_1e4": scale["bands_speedup"] >= 1.0,
         "pop_matching_improved": pop["speedup"] > 1.0,
-        "covering_digest_identical": covering["digest_equal"],
-        "covering_reduces_surrogates": (
-            covering["surrogate_install_reduction"]
-            >= (3.0 if num_nodes >= 600 else 1.5)
-        ),
-        "covering_aggregates": covering["aggregation_ratio"] > 1.0,
     }
     return {
         "schema": SCHEMA,
         "algo5": algo5,
         "pop_matching": pop,
-        "covering": covering,
         "checks": checks,
     }
 
@@ -696,7 +588,6 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
     """Floor checks; every value must be True for the build to pass."""
     micro = data["micro"]
     macro = data["macro"]
-    covering = data["covering"]
     algo5 = micro["algo5"]["scales"]
     big = algo5.get("100000")
     return {
@@ -709,23 +600,11 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
         # Acceptance gates of the matching-engine overhaul: the bands
         # index must beat the naive row-major scan (>=5x at 10^5;
         # parity floor at 10^4 where candidate verification
-        # dominates), every index kind and the covering layer must
-        # agree with that scan, and the
-        # fig3 covering run must cut surrogate installs while keeping
-        # the delivery digest byte-identical.
-        "matching_agreement": all(
-            e["agree"] and e.get("covering", {}).get("agree", True)
-            for e in algo5.values()
-        ),
+        # dominates) and every index kind must agree with that scan.
+        "matching_agreement": all(e["agree"] for e in algo5.values()),
         "bands_floor_1e4": algo5["10000"]["bands_speedup"] >= 1.0,
         "bands_5x_1e5": big is None or big["bands_speedup"] >= 5.0,
         "pop_matching_improved": micro["pop_matching"]["speedup"] > 1.0,
-        "covering_digest_identical": covering["digest_equal"],
-        "covering_reduces_surrogates": (
-            covering["surrogate_install_reduction"]
-            >= (3.0 if covering["num_nodes"] >= 600 else 1.5)
-        ),
-        "covering_aggregates": covering["aggregation_ratio"] > 1.0,
         "routing_speedup": (
             micro["routing"]["closest_preceding_speedup"]
             >= ROUTING_SPEEDUP_FLOOR
@@ -764,10 +643,6 @@ TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
     "matching_linear_speedup": {"direction": "higher", "env": _FULL_ENV},
     "pop_matching_speedup": {"direction": "higher", "env": _FULL_ENV},
     "install_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
-    # Deterministic counters (simulation outcomes, not wall-clock):
-    # comparable across any machine, so no env fields gate them.
-    "surrogate_install_reduction": {"direction": "higher", "env": ()},
-    "covering_aggregation_ratio": {"direction": "higher", "env": ()},
     "mem_bytes_per_node": {"direction": "lower", "env": _MEM_ENV},
 }
 
@@ -837,12 +712,6 @@ def trajectory_point(
             ),
             "pop_matching_speedup": micro["pop_matching"]["speedup"],
             "install_ops_per_sec": micro.get("install", {}).get("ops_per_sec"),
-            "surrogate_install_reduction": (
-                data["covering"]["surrogate_install_reduction"]
-            ),
-            "covering_aggregation_ratio": (
-                data["covering"]["aggregation_ratio"]
-            ),
             "mem_bytes_per_node": float(mem.get("bytes_per_node", 0.0)),
             "setup_s": macro.get("setup_s", {}).get("total"),
         },
@@ -1002,7 +871,6 @@ def run_bench(
         "store": _bench_store(),
     }
     macro = _bench_macro(num_nodes, num_events, tel_dir)
-    covering = _bench_covering_fig3(num_nodes, max(100, num_events // 2))
 
     data: Dict[str, Any] = {
         "schema": SCHEMA,
@@ -1021,7 +889,6 @@ def run_bench(
         },
         "micro": micro,
         "macro": macro,
-        "covering": covering,
     }
     checks = validate_bench(data)
     data["checks"] = checks
@@ -1062,14 +929,7 @@ def run_bench(
         + "".join(
             f"match_point   {int(n):>6} boxes: scan "
             f"{e['linear_speedup']:.1f}x ({e['linear_us_per_call']:.1f}us), "
-            f"bands {e['bands_speedup']:.1f}x ({e['bands_us_per_call']:.1f}us)"
-            + (
-                f", covering {e['covering']['aggregation_ratio']:.1f} "
-                "subs/box"
-                if "covering" in e
-                else ""
-            )
-            + "\n"
+            f"bands {e['bands_speedup']:.1f}x ({e['bands_us_per_call']:.1f}us)\n"
             for n, e in sorted(
                 micro["algo5"]["scales"].items(), key=lambda kv: int(kv[0])
             )
@@ -1081,14 +941,6 @@ def run_bench(
         f"ops/s through simulated lookups "
         f"({micro['install']['dispatches_per_op']:.1f} dispatches/op, "
         f"lph_box {micro['install']['lph_box_us']:.1f}us)\n"
-        f"covering      surrogate installs "
-        f"{covering['off']['marker_registrations']:,} -> "
-        f"{covering['on']['marker_registrations']:,} "
-        f"({covering['surrogate_install_reduction']:.2f}x fewer, "
-        f"{covering['surrogate_bytes_reduction']:.2f}x fewer bytes), "
-        f"{covering['aggregation_ratio']:.2f} entries/box, digest "
-        + ("identical" if covering["digest_equal"] else "MISMATCH")
-        + "\n"
         f"store         put {micro['store']['put_ms']:.1f}ms / get "
         f"{micro['store']['get_ms']:.1f}ms "
         f"({micro['store']['entry_kb']:.0f} KB/entry)\n"

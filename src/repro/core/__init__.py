@@ -8,7 +8,7 @@ Public API
 * :class:`~repro.core.event.Event`, :class:`~repro.core.subscription.Subscription`
   -- the data model: events are points, subscriptions are hyper-rectangles.
 * :class:`~repro.core.config.HyperSubConfig` -- knobs (base, code bits,
-  rotation, dynamic migration, PNS, covering, delivery guarantees).
+  rotation, dynamic migration, PNS, delivery guarantees).
 * :class:`~repro.core.system.HyperSubSystem` -- the facade: build a
   Chord overlay, register schemes, install subscriptions, publish events,
   collect the paper's metrics.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.zones import ZoneGeometry
+from repro.dht.chord import DEFAULT_SUCC_LIST
 
 
 @dataclass
@@ -187,28 +188,8 @@ class HyperSubConfig:
     #: list.  Standbys serve matching only once they become responsible
     #: for the dead primary's arc (successor takeover), which is exactly
     #: when events start routing to them.  1 disables replication (the
-    #: paper's configuration).
+    #: paper's configuration); at most ``DEFAULT_SUCC_LIST + 1``.
     replication_factor: int = 1
-
-    # -- local event matching --------------------------------------------
-    #: Subscription covering/aggregation layer (docs/MATCHING.md): an
-    #: installed subscription covered by (or cheaply merged into) an
-    #: existing aggregate becomes a refcounted membership instead of a
-    #: new physical box; members are resolved exactly at delivery time,
-    #: so delivered events are identical with the knob on or off.
-    covering: bool = False
-    #: Merge-profitability bound for covering: two boxes merge only when
-    #: the union's volume expansion factor stays ≤ 1 + merge_max_waste
-    #: (the bounded false-positive volume ratio).  0 admits only exact
-    #: covering.
-    merge_max_waste: float = 0.5
-    #: Covering mode coalesces cascade re-pushes: a repo whose filter
-    #: changed is flushed once per window, dispatching ONE aggregate
-    #: surrogate subscription per child digit instead of re-cascading on
-    #: every install.  The window bounds filter-freshness lag the same
-    #: way install-propagation delay already does; events published
-    #: after the flush see the full chain.
-    filter_flush_ms: float = 100.0
 
     # -- installation --------------------------------------------------
     #: When True, subscription installation rides simulated DHT lookups
@@ -234,10 +215,13 @@ class HyperSubConfig:
             raise ValueError("direct_rendezvous_levels must be >= 0")
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if self.merge_max_waste < 0:
-            raise ValueError("merge_max_waste must be non-negative")
-        if self.filter_flush_ms <= 0:
-            raise ValueError("filter_flush_ms must be positive")
+        if self.replication_factor > DEFAULT_SUCC_LIST + 1:
+            # standbys live on the successor list: a larger factor
+            # would silently stop at the list's length
+            raise ValueError(
+                f"replication_factor must be <= {DEFAULT_SUCC_LIST + 1} "
+                "(the successor-list length + 1)"
+            )
         if self.retransmit_timeout_ms <= 0:
             raise ValueError("retransmit_timeout_ms must be positive")
         if self.max_retries < 0:

@@ -25,6 +25,10 @@ store -- the covering layer can only reduce index size, never change
 deliveries.  All enumeration APIs (``subids``/``get_box``/
 ``pop_matching``) speak member ids and true boxes, which keeps state
 shipping (arc handoff, migration, anti-entropy, takeover) byte-exact.
+
+No configuration selects this store: zone repositories hold a plain
+``BoxStore``, and the class stays for the benchmarks that name it
+(docs/MATCHING.md, "Covering (retired)").
 """
 
 from __future__ import annotations

@@ -78,14 +78,6 @@ class BoxStore:
     def __len__(self) -> int:
         return self._size
 
-    def index_size(self) -> int:
-        """Physical boxes held by the matching index.
-
-        Equal to ``len(self)`` for plain stores; the covering layer
-        overrides it (aggregates store many members behind one box).
-        """
-        return self._size
-
     def __contains__(self, subid: SubID) -> bool:
         return subid in self._slot_of
 

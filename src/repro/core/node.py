@@ -268,8 +268,6 @@ class PubSubNodeMixin:
         self.rendezvous_index: Dict[int, List[Tuple[str, int, int]]] = {}
         #: surrogate-subscription iid -> repo key it summarises
         self.marker_origin: Dict[int, Tuple[str, int, int]] = {}
-        #: repos with pending (coalesced) cascade flushes, covering mode
-        self._dirty_cascades: Dict[Tuple[str, int, int], ZoneRepo] = {}
         #: accepted-migration iid -> (scheme_name, BoxStore)
         self.migrated: Dict[int, Tuple[str, BoxStore]] = {}
         #: standby replicas of other primaries' zone repos
@@ -397,8 +395,8 @@ class PubSubNodeMixin:
         Markers used to share ``_next_iid`` with real subscriptions,
         which made a subscription's identity depend on how many markers
         happened to be minted before it -- so any change in cascade
-        timing (e.g. covering's coalesced flushes) relabelled every
-        later subscription and broke digest comparisons across modes.
+        timing relabelled every later subscription and broke digest
+        comparisons across runs.
         The high offset keeps the two sequences disjoint.
         """
         self._marker_iid_counter += 1
@@ -458,7 +456,8 @@ class PubSubNodeMixin:
         """
         if subid.nid != self.node_id or subid.iid not in self.own_subs:
             raise KeyError(f"not our subscription: {subid}")
-        entity_key, _sub, zone, _subid = self.own_subs.pop(subid.iid)
+        entity_key, sub, zone, _subid = self.own_subs.pop(subid.iid)
+        self.system.metrics.count_subscription(sub.scheme_name, -1)
         self._dispatch_unregister(self.system.entity(entity_key), zone, subid)
 
     def _send_to_home(self, key: int, kind: str, payload: dict, size: int) -> None:
@@ -575,72 +574,7 @@ class PubSubNodeMixin:
             # filters need not cascade toward the leaves.
             return
         entity = self.system.entity(entity_key)
-        self._cascade_pieces(repo, entity, zone, repo.child_pieces(entity, new_sf))
-
-    def _cascade_pieces(
-        self,
-        repo: ZoneRepo,
-        entity: PubSubEntity,
-        zone: ContentZone,
-        pieces: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Cascade the repo's child pieces (Algorithm 3, step 3).
-
-        Without covering the push is immediate: every filter change
-        re-dispatches the changed pieces down the chain.  With
-        ``covering`` the repo is marked dirty and coalesced instead --
-        one flush per ``filter_flush_ms`` window pushes ONE aggregate
-        surrogate subscription per child digit, absorbing every install
-        that landed in the window (see :meth:`_flush_cascade`).
-        """
-        if self.system.config.covering:
-            self._defer_cascade(repo)
-            return
-        self._push_pieces(repo, entity, zone, pieces)
-
-    def _defer_cascade(self, repo: ZoneRepo) -> None:
-        """Coalesce cascade work: dirty-mark the repo, flush later.
-
-        Re-cascading per install is the dominant surrogate-registration
-        cost -- a repo whose hull grows K times dispatches K marker
-        replacements per child digit, each of which re-dirties the whole
-        relay chain below it.  Batching to one flush per window makes
-        the install cost per (repo, digit) ~one registration, at the
-        price of a bounded filter-freshness lag (equivalent to the
-        install-propagation delay the network already imposes).
-        """
-        if repo.key in self._dirty_cascades:
-            return
-        self._dirty_cascades[repo.key] = repo
-        # Stagger flushes by zone level on a global slot grid: a repo's
-        # filter includes its parent's surrogate box, and the parent is
-        # one level shallower, so each sweep of the grid visits levels
-        # shallow-to-deep (level L flushes only at slots congruent to
-        # its cascade depth).  Every parent wave therefore lands
-        # strictly before the child's flush of the same sweep -- one
-        # deep flush absorbs both the repo's own installs and the whole
-        # relay chain's markers (without the stagger, mid-chain repos
-        # push once per upstream hop instead of once per sweep).
-        cfg = self.system.config
-        w = cfg.filter_flush_ms
-        zone = repo.zone
-        depth = max(1, zone.level - cfg.direct_rendezvous_levels + 1)
-        period = max(depth, zone.geometry.max_level - cfg.direct_rendezvous_levels + 1)
-        slot = int(self.sim.now // w)
-        ahead = (depth - slot - 1) % period + 1  # next slot ≡ depth (mod period)
-        self.sim.schedule_at((slot + ahead) * w, self._flush_cascade, repo.key)
-
-    def _flush_cascade(self, repo_key: Tuple[str, int, int]) -> None:
-        """Recompute and push the dirty repo's pieces from its current sf."""
-        repo = self._dirty_cascades.pop(repo_key, None)
-        if repo is None or not self._alive:
-            return
-        if self.zone_repos.get(repo_key) is not repo:
-            return  # migrated away while dirty; the importer re-derives
-        entity = self.system.entity(repo.entity_key)
-        zone = repo.zone
-        pieces = {} if repo.sf is None else repo.child_pieces(entity, repo.sf)
-        self._push_pieces(repo, entity, zone, pieces)
+        self._push_pieces(repo, entity, zone, repo.child_pieces(entity, new_sf))
 
     def _push_pieces(
         self,
@@ -649,17 +583,14 @@ class PubSubNodeMixin:
         zone: ContentZone,
         pieces: Dict[int, Tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Dispatch the given child pieces as surrogate subscriptions.
+        """Dispatch the given child pieces as surrogate subscriptions
+        (Algorithm 3, step 3).
 
         Each digit's piece is compared against the last push: unchanged
         pieces cost nothing, changed ones *replace* the child's marker
         box under the same stable iid (no re-cascade per install), and
         digits whose piece vanished withdraw the marker.
-        With covering, a piece still inside the last pushed box is also
-        skipped -- the installed surrogate over-approximates and only
-        adds false-positive event forwards, never deliveries.
         """
-        covering = self.system.config.covering
         children = repo.children
         for digit, child in children.items():
             if child[1] is not None and digit not in pieces:
@@ -675,10 +606,6 @@ class PubSubNodeMixin:
             prev = None if child is None else child[1]
             if boxes_equal(prev, piece):
                 continue
-            if covering and prev is not None and bool(
-                np.all(prev[0] <= piece[0]) and np.all(piece[1] <= prev[1])
-            ):
-                continue  # still covered by the installed surrogate
             if child is not None:
                 if prev is None:
                     # Re-pushed after a withdrawal: behind the live ones,
@@ -731,7 +658,7 @@ class PubSubNodeMixin:
             return
         entity = self.system.entity(repo.entity_key)
         pieces = {} if tight is None else repo.child_pieces(entity, tight)
-        self._cascade_pieces(repo, entity, zone, pieces)
+        self._push_pieces(repo, entity, zone, pieces)
 
     def _dispatch_unregister(
         self, entity: PubSubEntity, zone: ContentZone, subid: SubID

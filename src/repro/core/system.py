@@ -91,9 +91,11 @@ class Metrics:
         self._next_event_id = 0
 
     # -- population -----------------------------------------------------
-    def count_subscription(self, scheme_name: str) -> None:
+    def count_subscription(self, scheme_name: str, delta: int = 1) -> None:
+        """Count an installed (``delta=1``) or withdrawn (``-1``)
+        subscription of ``scheme_name``."""
         self.subscriptions_by_scheme[scheme_name] = (
-            self.subscriptions_by_scheme.get(scheme_name, 0) + 1
+            self.subscriptions_by_scheme.get(scheme_name, 0) + delta
         )
 
     @property
@@ -690,37 +692,10 @@ class HyperSubSystem:
 
         return InvariantChecker(**kwargs).check(self)
 
-    def make_store(self, entity: PubSubEntity):
+    def make_store(self, entity: PubSubEntity) -> BoxStore:
         """Subscription store for one zone repo: a
-        :class:`~repro.core.matching.BoxStore`.
-
-        With ``covering`` on, it is wrapped in a
-        :class:`~repro.core.covering.CoveringStore` so near-identical
-        registrations share one physical aggregate box
-        (docs/MATCHING.md).
-        """
-        store = BoxStore(entity.scheme.dimensions)
-        if self.config.covering:
-            from repro.core.covering import CoveringStore
-
-            store = CoveringStore(store, self.config.merge_max_waste)
-        return store
-
-    def covering_stats(self) -> Dict[str, int]:
-        """Aggregation effectiveness across every live zone repository.
-
-        ``entries`` counts registered subscriptions (real + surrogate +
-        migration markers); ``boxes`` counts the physical boxes the
-        matching indexes actually hold.  Without covering the two are
-        equal; with covering, ``entries / boxes`` is the aggregation
-        ratio the matching-smoke CI gate asserts.
-        """
-        entries = boxes = 0
-        for node in self.nodes:
-            for repo in node.zone_repos.values():
-                entries += len(repo.store)
-                boxes += repo.store.index_size()
-        return {"entries": entries, "boxes": boxes}
+        :class:`~repro.core.matching.BoxStore`."""
+        return BoxStore(entity.scheme.dimensions)
 
     def mark_shallow_occupied(self, repo_key: Tuple[str, int, int]) -> None:
         self._shallow_occupied.add(repo_key)

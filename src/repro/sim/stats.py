@@ -185,9 +185,10 @@ class NetworkStats:
         self._c_scheme_mismatch = self.registry.counter("delivery.scheme_mismatch")
         # Eagerly create the queue-depth gauges so every pub/sub run's
         # manifest carries them (REQUIRED_METRICS), even before the first
-        # sample_telemetry() call.  ``queue.depth`` is the instantaneous
-        # total; ``queue.depth.peak`` is the deepest single-node ingress
-        # backlog seen anywhere over the whole run (finite-service model).
+        # sample_telemetry() call.  ``queue.depth`` is the deepest
+        # single-node ingress backlog at the latest sample;
+        # ``queue.depth.peak`` is the deepest one seen anywhere over the
+        # whole run (finite-service model).
         self.registry.gauge("queue.depth")
         self._g_queue_peak = self.registry.gauge("queue.depth.peak")
 

@@ -42,10 +42,6 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
                 "bands_speedup": 50.0, "naive_us_per_call": 100.0,
                 "linear_us_per_call": 2.2,
                 "bands_us_per_call": 2.0,
-                "covering": {"build_seconds": 1.0, "entries": 10_000,
-                             "index_boxes": 100, "aggregation_ratio": 100.0,
-                             "match_us_per_call": 2.0,
-                             "speedup_vs_linear": 50.0, "agree": True},
             }}},
             "pop_matching": {"boxes": 30_000, "popped": 7_500,
                              "reference_popped": 7_500,
@@ -68,21 +64,6 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
             "memory": {"bytes_per_node": mem_bpn, "total_bytes": 1,
                        "alive_nodes": num_nodes},
         },
-        "covering": {
-            "num_nodes": num_nodes, "num_events": num_events,
-            "off": {"covering": False, "marker_registrations": 300,
-                    "marker_bytes": 9_000, "sub_registrations": 100,
-                    "entries": 400, "index_boxes": 400,
-                    "deliveries": 50, "digest": "d1"},
-            "on": {"covering": True, "marker_registrations": 100,
-                   "marker_bytes": 3_000, "sub_registrations": 100,
-                   "entries": 400, "index_boxes": 250,
-                   "deliveries": 50, "digest": "d1"},
-            "surrogate_install_reduction": 3.0,
-            "surrogate_bytes_reduction": 3.0,
-            "aggregation_ratio": 1.6,
-            "digest_equal": True,
-        },
     }
 
 
@@ -102,29 +83,12 @@ class TestTrajectoryPoint:
         doc["macro"]["memory"] = None
         assert validate_bench(doc)["memory_accounted"] is False
 
-    def test_validate_bench_gates_on_covering_digest(self):
-        doc = bench_doc()
-        assert validate_bench(doc)["covering_digest_identical"] is True
-        doc["covering"]["digest_equal"] = False
-        assert validate_bench(doc)["covering_digest_identical"] is False
-
-    def test_validate_bench_covering_reduction_scales_with_nodes(self):
-        # Quick scale (150 nodes) only needs 1.5x; bench scale needs 3x.
-        doc = bench_doc()
-        doc["covering"]["surrogate_install_reduction"] = 2.0
-        assert validate_bench(doc)["covering_reduces_surrogates"] is True
-        doc["covering"]["num_nodes"] = 600
-        assert validate_bench(doc)["covering_reduces_surrogates"] is False
-        doc["covering"]["surrogate_install_reduction"] = 3.2
-        assert validate_bench(doc)["covering_reduces_surrogates"] is True
-
     def test_validate_bench_bands_floor_only_at_full_scale(self):
         doc = bench_doc()
         assert validate_bench(doc)["bands_5x_1e5"] is True  # absent: skip
         doc["micro"]["algo5"]["scales"]["100000"] = dict(
             doc["micro"]["algo5"]["scales"]["10000"], bands_speedup=4.0
         )
-        del doc["micro"]["algo5"]["scales"]["100000"]["covering"]
         assert validate_bench(doc)["bands_5x_1e5"] is False
 
     def test_trajectory_point_carries_matching_metrics(self):
@@ -134,8 +98,6 @@ class TestTrajectoryPoint:
         assert p["metrics"]["pop_matching_speedup"] == 1.3
         assert p["metrics"]["install_ops_per_sec"] == 4_000.0
         assert p["metrics"]["setup_s"] == 1.6
-        assert p["metrics"]["surrogate_install_reduction"] == 3.0
-        assert p["metrics"]["covering_aggregation_ratio"] == 1.6
 
 
     def test_lane_micro_is_a_floor_and_an_agreement_check(self):
@@ -378,9 +340,6 @@ class TestCli:
         )
         monkeypatch.setattr(
             bench, "_bench_macro", lambda n, e, d: fast["macro"]
-        )
-        monkeypatch.setattr(
-            bench, "_bench_covering_fig3", lambda n, e: fast["covering"]
         )
         traj = tmp_path / "traj.json"
         append_trajectory(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import HyperSubConfig
+from repro.dht.chord import DEFAULT_SUCC_LIST
 from repro.telemetry import TelemetrySession
 
 
@@ -67,6 +68,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             HyperSubConfig(replication_factor=0)
         HyperSubConfig(replication_factor=4)
+        # standbys sit on the successor list: a factor past its length
+        # + 1 would be cut silently, so it is refused by name
+        HyperSubConfig(replication_factor=DEFAULT_SUCC_LIST + 1)
+        with pytest.raises(ValueError, match="replication_factor"):
+            HyperSubConfig(replication_factor=DEFAULT_SUCC_LIST + 2)
 
 
 class TestGuaranteeKnobs:
@@ -136,10 +142,9 @@ class TestGuaranteeKnobs:
 
 class TestMatchingKnobs:
     def test_defaults(self):
-        cfg = HyperSubConfig()
-        assert not cfg.covering
-        assert cfg.merge_max_waste == 0.5
-        assert cfg.filter_flush_ms == 100.0
+        # covering is retired: the old default is rejected by name too
+        with pytest.raises(TypeError, match="covering"):
+            HyperSubConfig(covering=False)
 
     def test_unknown_matching_index(self):
         # every repository holds a BoxStore: there is no kind to choose
@@ -152,13 +157,15 @@ class TestMatchingKnobs:
             HyperSubConfig(matching_cells=16)
 
     def test_merge_max_waste_non_negative(self):
-        with pytest.raises(ValueError, match="merge_max_waste"):
-            HyperSubConfig(merge_max_waste=-0.01)
-        HyperSubConfig(merge_max_waste=0.0)  # exact covering only
+        # retired with covering: CoveringStore takes its bound directly
+        with pytest.raises(TypeError, match="merge_max_waste"):
+            HyperSubConfig(merge_max_waste=0.5)
 
     def test_filter_flush_positive(self):
-        with pytest.raises(ValueError, match="filter_flush_ms"):
-            HyperSubConfig(filter_flush_ms=0.0)
+        # retired with covering's deferred cascade: every install pushes
+        # its pieces at once (Algorithm 3)
+        with pytest.raises(TypeError, match="filter_flush_ms"):
+            HyperSubConfig(filter_flush_ms=100.0)
 
     def test_unknown_summary_mode(self):
         # summary filters shrink, unconditionally: every mode is unknown

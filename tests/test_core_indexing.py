@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.covering import CoveringStore
 from repro.core.indexing import BandIndex, GridIndex
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
@@ -149,29 +148,16 @@ class TestBands:
 
 
 class TestFactory:
-    @staticmethod
-    def system_and_entity(covering):
+    def test_linear(self):
+        # the one kind a zone repository holds
         from repro.core import Attribute, HyperSubConfig, HyperSubSystem, Scheme
 
-        system = HyperSubSystem(
-            num_nodes=4, config=HyperSubConfig(code_bits=8, covering=covering)
-        )
+        system = HyperSubSystem(num_nodes=4, config=HyperSubConfig(code_bits=8))
         (entity,) = system.add_scheme(
             Scheme("f", [Attribute(n, 0, 10) for n in "abcd"])
         )
-        return system, entity
-
-    def test_linear(self):
-        # the one kind a zone repository holds
-        system, entity = self.system_and_entity(covering=False)
         s = system.make_store(entity)
         assert type(s) is BoxStore and s.dims == 4
-
-    def test_covering_wraps_the_box_store(self):
-        system, entity = self.system_and_entity(covering=True)
-        s = system.make_store(entity)
-        assert type(s) is CoveringStore
-        assert type(s.base) is BoxStore
 
     # No config selects the index classes; they stay drop-in BoxStores
     # because the benchmarks build them by name.

@@ -204,12 +204,6 @@ class TestBasics:
         s.put(SubID(99, 1), *box([50], [51]))
         assert s.match_point(np.array([50.5]))
 
-    def test_index_size_equals_len_for_plain_store(self):
-        s = BoxStore(1)
-        s.put(SubID(1, 1), *box([0], [1]))
-        s.put(SubID(2, 1), *box([2], [3]))
-        assert s.index_size() == len(s) == 2
-
     def test_match_box(self):
         s = BoxStore(2)
         s.put(SubID(1, 1), *box([0, 0], [10, 10]))

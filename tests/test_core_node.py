@@ -130,7 +130,7 @@ class TestEventReceivePath:
         "cfg, wrapped",
         [
             ({}, False),
-            ({"service_model": True, "covering": True}, False),
+            ({"service_model": True}, False),
             ({"reliable_delivery": True}, True),
             ({"piggyback_maintenance": True}, True),
             ({"reliable_delivery": True, "piggyback_maintenance": True}, True),

@@ -219,6 +219,11 @@ class TestMetrics:
     def test_total_subscriptions_counted(self):
         system, scheme, installed, rng = build_system(subs=123)
         assert system.metrics.total_subscriptions == 123
+        # the matched-percentage denominator counts live subscriptions
+        for _sub, sid in installed[:20]:
+            system.unsubscribe(system.ring.addr(sid.nid), sid)
+        assert system.metrics.total_subscriptions == 103
+        assert system.metrics.subscriptions_by_scheme == {"s": 103}
 
     def test_bandwidth_counters_track_event_traffic(self):
         system, scheme, installed, rng = build_system()

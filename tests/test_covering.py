@@ -1,12 +1,14 @@
-"""Tests for the subscription covering/aggregation layer.
+"""Tests for the subscription covering/aggregation store and for
+summary filters at system level.
 
 Unit coverage of :class:`repro.core.covering.CoveringStore` (refcounted
-memberships, merge profitability, fusion, shrink-on-remove), a
+memberships, merge profitability, fusion, shrink-on-remove) and a
 Hypothesis equivalence property against the naive :class:`BoxStore`
-under arbitrary put/remove/pop interleavings, and system-level parity:
-covering on and off must produce the exact same delivery set -- and,
-after unsubscribes shrink the summary filters, exactly the brute-force
-match set -- while covering cuts installation traffic.
+under arbitrary put/remove/pop interleavings -- the class is
+store-level only, no config selects it.  At system level, on the
+default configuration: an injected index kind delivers exactly what the
+``BoxStore`` does, and after unsubscribes shrink the summary filters
+deliveries are exactly the brute-force match set.
 """
 
 import numpy as np
@@ -220,15 +222,15 @@ def test_covering_equals_naive_under_any_sequence(waste, operations):
 
 
 # ----------------------------------------------------------------------
-# System-level parity: covering must not change a single delivery
+# System level: summary filters and an injected index kind, judged on
+# the default configuration (no config field selects covering)
 # ----------------------------------------------------------------------
-def _populated_system(covering, make_store=None):
+def _populated_system(make_store=None):
     from repro.core.config import HyperSubConfig
     from repro.core.system import HyperSubSystem
     from repro.workloads import WorkloadGenerator, default_paper_spec
 
-    cfg = HyperSubConfig(seed=1, covering=covering)
-    system = HyperSubSystem(num_nodes=40, config=cfg)
+    system = HyperSubSystem(num_nodes=40, config=HyperSubConfig(seed=1))
     if make_store is not None:
         system.make_store = make_store
     gen = WorkloadGenerator(default_paper_spec(subs_per_node=5), seed=7)
@@ -238,9 +240,8 @@ def _populated_system(covering, make_store=None):
     return system, gen, installed
 
 
-def _run_delivery_system(covering, **kwargs):
-    system, gen, _installed = _populated_system(covering, **kwargs)
-    marker_installs = system.install_traffic.get("marker", [0, 0])[0]
+def _run_delivery_system(**kwargs):
+    system, gen, _installed = _populated_system(**kwargs)
     gen.schedule_events(system, count=60)
     system.run_until_idle()
     deliveries = sorted(
@@ -248,20 +249,10 @@ def _run_delivery_system(covering, **kwargs):
         for eid, rec in system.metrics.records.items()
         for sid, addr, _hops, _lat in rec.deliveries
     )
-    return system, deliveries, marker_installs
+    return system, deliveries
 
 
 class TestSystemParity:
-    def test_covering_preserves_every_delivery(self):
-        _, base, base_installs = _run_delivery_system(covering=False)
-        system, got, installs = _run_delivery_system(covering=True)
-        assert got == base
-        assert base  # the workload actually delivered something
-        stats = system.covering_stats()
-        assert stats["boxes"] < stats["entries"]
-        # Coalesced cascade: never more installs than eager re-pushes.
-        assert installs < base_installs
-
     @pytest.mark.parametrize("kind", ["grid"])
     def test_matching_index_preserves_every_delivery(self, kind):
         from repro.core.indexing import GridIndex
@@ -270,17 +261,18 @@ class TestSystemParity:
             s = entity.scheme
             return GridIndex(s.dimensions, s.domain_lows(), s.domain_highs())
 
-        _, base, _ = _run_delivery_system(covering=False)
-        system, got, _ = _run_delivery_system(False, make_store=grid_store)
+        _, base = _run_delivery_system()
+        system, got = _run_delivery_system(make_store=grid_store)
         repos = [r for n in system.nodes for r in n.zone_repos.values()]
         assert all(type(r.store) is GridIndex for r in repos)
         assert got == base
+        assert base  # the workload actually delivered something
 
     def test_grow_only_ablation_same_deliveries(self):
         # Filters always shrink, so there is no never-shrink run to
         # compare with: the judge is the brute-force match set, after
         # unsubscribes have tightened filters and withdrawn markers.
-        system, gen, installed = _populated_system(covering=True)
+        system, gen, installed = _populated_system()
 
         def markers():
             return sum(n.stored_subscription_count("marker") for n in system.nodes)
@@ -305,7 +297,7 @@ class TestSystemParity:
     def test_summary_filters_cover_live_boxes(self):
         # Shrink mode recomputes sf after removals; correctness bar: sf
         # must always contain the bounding box of what is registered.
-        system, _, _ = _run_delivery_system(covering=True)
+        system, _ = _run_delivery_system()
         checked = 0
         for node in system.nodes:
             for repo in node.zone_repos.values():

@@ -145,8 +145,6 @@ class TestConfigSurface:
         "breaker_open_ms": "breaker open window, only the breaker tests vary it",
         "durable_log_max_entries": "custody budget, only the truncation tests shrink it",
         "reorder_buffer_max": "reorder bound, only the overflow tests shrink it",
-        "filter_flush_ms": "covering flush window, only the covering tests vary it",
-        "merge_max_waste": "covering merge bound, bench.py hands it to CoveringStore directly",
         "migration_max_acceptors": "acceptor count k, open question of ROADMAP item 7c",
     }
 
@@ -263,3 +261,32 @@ class TestOneJudge:
                 ):
                     offenders.append(f"{rel}:{node.lineno} assigns on_deliver")
         assert not offenders, "judge through repro.oracle: " + "; ".join(offenders)
+
+
+class TestCoveringRetired:
+    """Covering is store-level only: ``CoveringStore`` stays for the
+    benchmarks that name it, but nothing on the pub/sub path builds it
+    (docs/MATCHING.md, "Covering (retired)")."""
+
+    def test_no_module_under_src_imports_covering(self):
+        import ast
+
+        src = REPO / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            package = ["repro", *path.relative_to(src).parent.parts]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    # ``from .covering import`` / ``from . import covering``
+                    # resolve against the importing module's package
+                    parts = package[: len(package) - node.level + 1] if node.level else []
+                    base = ".".join(parts + ([node.module] if node.module else []))
+                    names = [base] + [f"{base}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if "repro.core.covering" in names:
+                    offenders.append(f"{rel}:{node.lineno}")
+        assert not offenders, "imports repro.core.covering: " + ", ".join(offenders)
