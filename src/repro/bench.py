@@ -1,17 +1,17 @@
 """Tracked perf-regression harness: ``python -m repro bench``.
 
-The micro-benchmarks under ``benchmarks/`` give statistically careful
-per-operation timings, but nothing *records* them: the perf trajectory
-of the hot paths was invisible across PRs.  This module is the tracked
-counterpart -- it times the same hot paths (scheduler dispatch, Chord
-next-hop routing, local matching), runs one fig2-shaped macro delivery,
-and writes everything to ``BENCH_hotpath.json`` (see
-docs/PERFORMANCE.md for how to read it).
+End-to-end throughput is measured by ``benchmarks/e2e``; this module
+times the few kernels no e2e workload or tier-1 test isolates
+(scheduler dispatch, the retransmission-timer lane, Chord next-hop
+routing, local matching and ``pop_matching``), each against the
+reference it replaced, runs one fig2-shaped macro delivery, and writes
+everything to ``BENCH_hotpath.json`` (see docs/PERFORMANCE.md for how
+to read it).
 
-CI's ``bench-smoke`` job runs ``python -m repro bench --quick``,
-uploads the JSON as an artifact and fails the build when a floor check
-fails -- so a routing or scheduler regression shows up as a red build,
-not as a mysteriously slower ``fig5`` three PRs later.
+CI's ``bench-smoke`` job runs ``python -m repro bench --quick
+--compare``, uploads the JSON as an artifact and fails the build when a
+floor check fails -- so a routing or scheduler regression shows up as a
+red build, not as a mysteriously slower ``fig5`` three PRs later.
 
 The **trajectory** turns single snapshots into history: every bench run
 appends one point (git rev, environment fingerprint, the floor
@@ -28,7 +28,6 @@ import os
 import platform
 import random
 import sys
-import tempfile
 import time
 from pathlib import Path
 from time import perf_counter
@@ -206,58 +205,16 @@ def _bench_routing(
     }
 
 
-def _bench_store(repeat: int = 3) -> Dict[str, Any]:
-    """Result-store round trip: serialize/write and read/rebuild one
-    tiny ``DeliveryResult``, verifying the content digest survives.
-
-    The store is the runner's resume mechanism (docs/RUNNER.md); a
-    slow or lossy round trip would silently tax every sweep, so the
-    tracked harness times it and the CI gate asserts exactness.
-    """
-    import shutil
-
-    from repro.experiments.common import DeliveryConfig, run_delivery
-    from repro.runner import ResultStore, result_digest
-
-    cfg = DeliveryConfig(num_nodes=80, num_events=80, subs_per_node=5)
-    result = run_delivery(cfg, use_cache=False)
-    tmp = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        store = ResultStore(tmp)
-        put_s = float("inf")
-        get_s = float("inf")
-        for _ in range(repeat):
-            t0 = perf_counter()
-            key = store.put(result)
-            put_s = min(put_s, perf_counter() - t0)
-            t0 = perf_counter()
-            loaded = store.get(cfg)
-            get_s = min(get_s, perf_counter() - t0)
-        roundtrip_ok = (
-            loaded is not None
-            and result_digest(loaded) == result_digest(result)
-        )
-        size_kb = store.path_for(key).stat().st_size / 1024.0
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return {
-        "put_ms": put_s * 1e3,
-        "get_ms": get_s * 1e3,
-        "entry_kb": size_kb,
-        "roundtrip_ok": bool(roundtrip_ok),
-    }
-
-
 class _NaiveRowMajorScan:
-    """The fixed baseline every matching ratio is taken against.
+    """The fixed baseline the matching ratio is taken against.
 
     This is ``BoxStore.match_point`` as it stood before the columnar
     layout, frozen here: row-major ``(capacity, dims)`` bounds at the
     power-of-two capacity the store's doubling reached, an ``_active``
     mask and two ``np.all(axis=1)`` reduces along the short axis.  The
-    ``*_speedup`` floors in ``BENCH_trajectory.json`` were recorded
-    against that scan, so keeping it as the denominator keeps their
-    value and meaning while the real stores change underneath; it also
+    ``matching_linear_speedup`` floor in ``BENCH_trajectory.json`` was
+    recorded against that scan, so keeping it as the denominator keeps
+    its value and meaning while the store changes underneath; it also
     makes the agreement check independent of the kernel under test.
     """
 
@@ -303,8 +260,7 @@ def _clustered_boxes(n: int, rng, clusters: int = 64):
     """Fig-shaped box workload: hotspot clusters over a 4-dim domain.
 
     Subscriptions in the paper's workloads concentrate on popular
-    attribute regions; hotspot clusters reproduce that skew while the
-    band index still sees a full-domain spread.
+    attribute regions; hotspot clusters reproduce that skew.
     """
     import numpy as np
 
@@ -317,59 +273,44 @@ def _clustered_boxes(n: int, rng, clusters: int = 64):
     return lows, highs
 
 
-def _bench_algo5(
-    full_scale: bool, points: int = 200, repeat: int = 3
-) -> Dict[str, Any]:
-    """``match_point`` micro across index kinds.
+def _bench_algo5(points: int = 200, repeat: int = 3) -> Dict[str, Any]:
+    """``BoxStore.match_point`` on 10^4 clustered boxes.
 
-    Per scale (10^2..10^4 always; 10^5 unless quick) the same clustered box
-    set is loaded into the linear and bands stores and the same
-    query points are matched through each; every ``*_speedup`` is over
-    the naive row-major scan, and answers are cross-checked against it
-    so a speedup can never come from a wrong index.
+    The same boxes and query points go through the store and the naive
+    row-major scan; ``linear_speedup`` is the ratio of the two, and the
+    store's answers are cross-checked against the scan so a speedup can
+    never come from a wrong answer.  The set is the first draw of
+    ``default_rng(11)``, the one the trajectory floor was recorded on.
     """
     import numpy as np
 
-    from repro.core.indexing import BandIndex
     from repro.core.matching import BoxStore
     from repro.core.subscription import SubID
 
+    n = 10_000
     rng = np.random.default_rng(11)
-    # The small scales draw last: the 10^4 / 10^5 box sets the
-    # trajectory floors were recorded on stay the same draws.
-    scales = [10_000] + ([100_000] if full_scale else []) + [1_000, 100]
-    out: Dict[str, Any] = {"scales": {}}
-    for n in scales:
-        lows, highs = _clustered_boxes(n, rng)
-        pts = rng.uniform(0, 10_000, (points, 4))
-        ids = [SubID(i, 1) for i in range(n)]
-        stores = {"linear": BoxStore(4), "bands": BandIndex(4)}
-        for store in stores.values():
-            for i, sid in enumerate(ids):
-                store.put(sid, lows[i], highs[i])
-        naive = _NaiveRowMajorScan(ids, lows, highs)
+    lows, highs = _clustered_boxes(n, rng)
+    pts = rng.uniform(0, 10_000, (points, 4))
+    ids = [SubID(i, 1) for i in range(n)]
+    store = BoxStore(4)
+    for i, sid in enumerate(ids):
+        store.put(sid, lows[i], highs[i])
+    naive = _NaiveRowMajorScan(ids, lows, highs)
 
-        secs = {
-            name: _time_matching(store, pts, repeat)
-            for name, store in {**stores, "naive": naive}.items()
-        }
-        refs = [sorted(naive.match_point(p)) for p in pts[:50]]
-        agree = all(
-            sorted(s.match_point(p)) == ref
-            for s in stores.values()
-            for p, ref in zip(pts, refs)
-        )
-        entry: Dict[str, Any] = {
-            "boxes": n,
-            "points": points,
-            "agree": bool(agree),
-        }
-        for name, s in secs.items():
-            entry[f"{name}_us_per_call"] = s / points * 1e6
-            if name != "naive":
-                entry[f"{name}_speedup"] = secs["naive"] / s
-        out["scales"][str(n)] = entry
-    return out
+    linear_s = _time_matching(store, pts, repeat)
+    naive_s = _time_matching(naive, pts, repeat)
+    agree = all(
+        sorted(store.match_point(p)) == sorted(naive.match_point(p))
+        for p in pts[:50]
+    )
+    return {"scales": {str(n): {
+        "boxes": n,
+        "points": points,
+        "agree": agree,
+        "linear_us_per_call": linear_s / points * 1e6,
+        "naive_us_per_call": naive_s / points * 1e6,
+        "linear_speedup": naive_s / linear_s,
+    }}}
 
 
 def _bench_pop_matching(boxes: int = 30_000, repeat: int = 3) -> Dict[str, Any]:
@@ -423,111 +364,6 @@ def _bench_pop_matching(boxes: int = 30_000, repeat: int = 3) -> Dict[str, Any]:
         "single_pass_ms": single_s * 1e3,
         "reference_ms": reference_s * 1e3,
         "speedup": reference_s / single_s,
-    }
-
-
-def run_matching_smoke() -> Dict[str, Any]:
-    """The CI ``matching-smoke`` gate, as one callable document.
-
-    Runs only the matching-engine benches (no scheduler/routing/macro)
-    and attaches the same floor checks ``validate_bench`` applies to
-    them: index agreement, the bands floor and ``pop_matching``
-    improvement.
-    """
-    algo5 = _bench_algo5(full_scale=False)
-    pop = _bench_pop_matching()
-    scale = algo5["scales"]["10000"]
-    checks = {
-        "matching_agreement": bool(scale["agree"]),
-        "bands_floor_1e4": scale["bands_speedup"] >= 1.0,
-        "pop_matching_improved": pop["speedup"] > 1.0,
-    }
-    return {
-        "schema": SCHEMA,
-        "algo5": algo5,
-        "pop_matching": pop,
-        "checks": checks,
-    }
-
-
-# ----------------------------------------------------------------------
-# Subscription installation (Algorithms 1-3 through simulated lookups)
-# ----------------------------------------------------------------------
-def _bench_install(
-    num_nodes: int = 200, ops: int = 2_000, repeat: int = 3
-) -> Dict[str, Any]:
-    """Subscribe/unsubscribe throughput with ``simulate_install=True``.
-
-    A fixed schedule -- 5 subscriptions per node installed up front,
-    then ``ops`` Poisson-spaced operations, 55 % subscribes of a fresh
-    Table-1 box and 45 % unsubscribes of a live one -- run through LPH,
-    ``lookup()``, the surrogate's registration and the summary-filter
-    cascade.  Best of ``repeat`` identical runs; ``lph_box_us`` times
-    Algorithm 1 alone on the schedule's boxes.
-    """
-    import numpy as np
-
-    from repro.core.config import HyperSubConfig
-    from repro.core.system import HyperSubSystem
-    from repro.workloads import WorkloadGenerator, default_paper_spec
-
-    best = float("inf")
-    for _ in range(repeat):
-        gen = WorkloadGenerator(default_paper_spec(subs_per_node=5), seed=7)
-        rng = np.random.default_rng(7)
-        system = HyperSubSystem(
-            num_nodes=num_nodes,
-            config=HyperSubConfig(simulate_install=True, seed=1),
-        )
-        system.add_scheme(gen.scheme)
-        # populate() installs node by node, 5 each
-        live = [(i // 5, subid) for i, (_sub, subid) in enumerate(gen.populate(system))]
-        system.finish_setup()
-
-        def subscribe(addr: int, sub) -> None:
-            live.append((addr, system.subscribe(addr, sub)))
-
-        def unsubscribe(j: int) -> None:
-            live[j], live[-1] = live[-1], live[j]
-            addr, subid = live.pop()
-            system.unsubscribe(addr, subid)
-
-        t = system.sim.now
-        n_live = len(live)
-        boxes = []
-        for _ in range(ops):
-            t += float(rng.exponential(20.0))
-            if rng.random() < 0.55 or not n_live:
-                sub = gen.subscription()
-                boxes.append(sub)
-                system.sim.schedule_at(
-                    t, subscribe, int(rng.integers(0, num_nodes)), sub
-                )
-                n_live += 1
-            else:
-                system.sim.schedule_at(t, unsubscribe, int(rng.integers(0, n_live)))
-                n_live -= 1
-        dispatched = system.sim.processed
-        t0 = perf_counter()
-        system.run_until_idle()
-        best = min(best, perf_counter() - t0)
-        dispatches = system.sim.processed - dispatched
-
-    entity = system.entity_for_subscription(boxes[0])
-    t0 = perf_counter()
-    for sub in boxes:
-        entity.zone_of_subscription(sub)
-    lph_us = (perf_counter() - t0) / len(boxes) * 1e6
-    traffic = system.install_traffic
-    return {
-        "num_nodes": num_nodes,
-        "ops": ops,
-        "best_seconds": best,
-        "ops_per_sec": ops / best,
-        "dispatches_per_op": dispatches / ops,
-        "marker_registrations": traffic.get("marker", [0, 0])[0],
-        "live_at_end": len(live),
-        "lph_box_us": lph_us,
     }
 
 
@@ -588,8 +424,6 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
     """Floor checks; every value must be True for the build to pass."""
     micro = data["micro"]
     macro = data["macro"]
-    algo5 = micro["algo5"]["scales"]
-    big = algo5.get("100000")
     return {
         "scheduler_floor": (
             micro["scheduler"]["ops_per_sec"] >= SCHEDULER_FLOOR_OPS
@@ -597,22 +431,14 @@ def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
         "scheduler_lane_agreement": bool(
             micro.get("scheduler_lane", {}).get("agree", True)
         ),
-        # Acceptance gates of the matching-engine overhaul: the bands
-        # index must beat the naive row-major scan (>=5x at 10^5;
-        # parity floor at 10^4 where candidate verification
-        # dominates) and every index kind must agree with that scan.
-        "matching_agreement": all(e["agree"] for e in algo5.values()),
-        "bands_floor_1e4": algo5["10000"]["bands_speedup"] >= 1.0,
-        "bands_5x_1e5": big is None or big["bands_speedup"] >= 5.0,
+        # the store must answer exactly like the naive row-major scan
+        "matching_agreement": micro["algo5"]["scales"]["10000"]["agree"],
         "pop_matching_improved": micro["pop_matching"]["speedup"] > 1.0,
         "routing_speedup": (
             micro["routing"]["closest_preceding_speedup"]
             >= ROUTING_SPEEDUP_FLOOR
         ),
         "route_cache_hits": macro["route_cache_stats"]["hit_rate"] > 0.0,
-        "store_roundtrip": bool(
-            micro.get("store", {}).get("roundtrip_ok", True)
-        ),
         "memory_accounted": (
             (macro.get("memory") or {}).get("bytes_per_node", 0.0) > 0.0
         ),
@@ -637,12 +463,9 @@ TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
     "scheduler_lane_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "next_hop_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "routing_speedup": {"direction": "higher", "env": _FULL_ENV},
-    # Both matching ratios are over the naive row-major scan
-    # (``_NaiveRowMajorScan``), at 10^4 boxes.
-    "matching_bands_speedup": {"direction": "higher", "env": _FULL_ENV},
+    # over the naive row-major scan (``_NaiveRowMajorScan``), 10^4 boxes
     "matching_linear_speedup": {"direction": "higher", "env": _FULL_ENV},
     "pop_matching_speedup": {"direction": "higher", "env": _FULL_ENV},
-    "install_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
     "mem_bytes_per_node": {"direction": "lower", "env": _MEM_ENV},
 }
 
@@ -704,14 +527,10 @@ def trajectory_point(
             ),
             "next_hop_ops_per_sec": micro["routing"]["next_hop_ops_per_sec"],
             "routing_speedup": micro["routing"]["closest_preceding_speedup"],
-            "matching_bands_speedup": (
-                micro["algo5"]["scales"]["10000"]["bands_speedup"]
-            ),
             "matching_linear_speedup": (
                 micro["algo5"]["scales"]["10000"]["linear_speedup"]
             ),
             "pop_matching_speedup": micro["pop_matching"]["speedup"],
-            "install_ops_per_sec": micro.get("install", {}).get("ops_per_sec"),
             "mem_bytes_per_node": float(mem.get("bytes_per_node", 0.0)),
             "setup_s": macro.get("setup_s", {}).get("total"),
         },
@@ -860,15 +679,12 @@ def run_bench(
     print(f"bench: macro scale {num_nodes} nodes / {num_events} events")
 
     t_start = time.time()
-    full_scale = num_nodes >= 600  # quick CI runs skip the 10^5 micro
     micro = {
         "scheduler": _bench_scheduler(),
         "scheduler_lane": _bench_scheduler_lane(),
         "routing": _bench_routing(),
-        "algo5": _bench_algo5(full_scale),
+        "algo5": _bench_algo5(),
         "pop_matching": _bench_pop_matching(),
-        "install": _bench_install(),
-        "store": _bench_store(),
     }
     macro = _bench_macro(num_nodes, num_events, tel_dir)
 
@@ -916,6 +732,7 @@ def run_bench(
     )
 
     r = micro["routing"]
+    m = micro["algo5"]["scales"]["10000"]
     mem = macro.get("memory") or {}
     print(
         f"scheduler     {micro['scheduler']['ops_per_sec']:12,.0f} ops/s\n"
@@ -926,24 +743,11 @@ def run_bench(
         f"(bisect {r['bisect_us_per_call']:.2f}us vs linear "
         f"{r['linear_us_per_call']:.2f}us = "
         f"{r['closest_preceding_speedup']:.1f}x)\n"
-        + "".join(
-            f"match_point   {int(n):>6} boxes: scan "
-            f"{e['linear_speedup']:.1f}x ({e['linear_us_per_call']:.1f}us), "
-            f"bands {e['bands_speedup']:.1f}x ({e['bands_us_per_call']:.1f}us)\n"
-            for n, e in sorted(
-                micro["algo5"]["scales"].items(), key=lambda kv: int(kv[0])
-            )
-        )
-        + f"pop_matching  {micro['pop_matching']['speedup']:.2f}x vs "
+        f"match_point   {m['boxes']:>6} boxes: {m['linear_us_per_call']:.1f}us "
+        f"({m['linear_speedup']:.1f}x vs naive scan)\n"
+        f"pop_matching  {micro['pop_matching']['speedup']:.2f}x vs "
         f"reference loop ({micro['pop_matching']['popped']} of "
         f"{micro['pop_matching']['boxes']} boxes popped)\n"
-        f"install       {micro['install']['ops_per_sec']:12,.0f} sub/unsub "
-        f"ops/s through simulated lookups "
-        f"({micro['install']['dispatches_per_op']:.1f} dispatches/op, "
-        f"lph_box {micro['install']['lph_box_us']:.1f}us)\n"
-        f"store         put {micro['store']['put_ms']:.1f}ms / get "
-        f"{micro['store']['get_ms']:.1f}ms "
-        f"({micro['store']['entry_kb']:.0f} KB/entry)\n"
         f"memory        {mem.get('bytes_per_node', 0.0):12,.0f} bytes/node "
         f"({mem.get('total_bytes', 0) / 1e6:.1f} MB over "
         f"{mem.get('alive_nodes', 0)} nodes)\n"

@@ -38,20 +38,13 @@ def bench_doc(events_per_sec=800.0, mem_bpn=50_000.0, python="3.11.7",
             },
             "algo5": {"scales": {"10000": {
                 "boxes": 10_000, "points": 200, "agree": True,
-                "linear_speedup": 45.0,
-                "bands_speedup": 50.0, "naive_us_per_call": 100.0,
+                "linear_speedup": 45.0, "naive_us_per_call": 100.0,
                 "linear_us_per_call": 2.2,
-                "bands_us_per_call": 2.0,
             }}},
             "pop_matching": {"boxes": 30_000, "popped": 7_500,
                              "reference_popped": 7_500,
                              "single_pass_ms": 10.0, "reference_ms": 13.0,
                              "speedup": 1.3},
-            "install": {"num_nodes": 200, "ops": 2_000, "best_seconds": 0.5,
-                        "ops_per_sec": 4_000.0, "dispatches_per_op": 13.0,
-                        "marker_registrations": 10_000, "live_at_end": 1_200,
-                        "lph_box_us": 8.0},
-            "store": {"roundtrip_ok": True},
         },
         "macro": {
             "num_nodes": num_nodes, "num_events": num_events,
@@ -77,26 +70,32 @@ class TestTrajectoryPoint:
         assert p["scale"]["num_nodes"] == 150
         json.dumps(p)
 
+    def test_validate_bench_checks(self):
+        assert set(validate_bench(bench_doc())) == {
+            "scheduler_floor", "scheduler_lane_agreement",
+            "matching_agreement", "pop_matching_improved",
+            "routing_speedup", "route_cache_hits", "memory_accounted",
+        }
+
+    def test_matching_micro_is_one_scale_that_agrees_with_the_scan(self):
+        from repro.bench import _bench_algo5
+
+        result = _bench_algo5(points=20, repeat=1)
+        assert list(result["scales"]) == ["10000"]
+        entry = result["scales"]["10000"]
+        assert entry["agree"] is True and entry["boxes"] == 10_000
+        assert entry["linear_speedup"] > 0
+
     def test_validate_bench_gates_on_memory_accounting(self):
         doc = bench_doc()
         assert validate_bench(doc)["memory_accounted"] is True
         doc["macro"]["memory"] = None
         assert validate_bench(doc)["memory_accounted"] is False
 
-    def test_validate_bench_bands_floor_only_at_full_scale(self):
-        doc = bench_doc()
-        assert validate_bench(doc)["bands_5x_1e5"] is True  # absent: skip
-        doc["micro"]["algo5"]["scales"]["100000"] = dict(
-            doc["micro"]["algo5"]["scales"]["10000"], bands_speedup=4.0
-        )
-        assert validate_bench(doc)["bands_5x_1e5"] is False
-
     def test_trajectory_point_carries_matching_metrics(self):
         p = trajectory_point(bench_doc())
-        assert p["metrics"]["matching_bands_speedup"] == 50.0
         assert p["metrics"]["matching_linear_speedup"] == 45.0
         assert p["metrics"]["pop_matching_speedup"] == 1.3
-        assert p["metrics"]["install_ops_per_sec"] == 4_000.0
         assert p["metrics"]["setup_s"] == 1.6
 
 
@@ -200,26 +199,15 @@ class TestComparePoints:
         regressions, notes = compare_points(base, new)
         assert regressions == []
         assert any("events_per_sec" in n and "ok" in n for n in notes)
+        # setup_s is recorded with the point, not gated
+        assert new["metrics"]["setup_s"] == 1.6
+        assert not any("setup_s" in n for n in notes)
 
     def test_throughput_regression_beyond_tolerance_fails(self):
         base = trajectory_point(bench_doc(events_per_sec=1000.0))
         new = trajectory_point(bench_doc(events_per_sec=700.0))  # -30%
         regressions, _ = compare_points(base, new)
         assert any("events_per_sec" in r for r in regressions)
-
-    def test_install_throughput_is_a_floor_and_absent_in_old_points(self):
-        base = trajectory_point(bench_doc())
-        slow = bench_doc()
-        slow["micro"]["install"]["ops_per_sec"] = 2_800.0  # -30%
-        regressions, _ = compare_points(base, trajectory_point(slow))
-        assert any("install_ops_per_sec" in r for r in regressions)
-        # a point recorded before the install bench existed is no baseline
-        del base["metrics"]["install_ops_per_sec"]
-        regressions, notes = compare_points(base, trajectory_point(slow))
-        assert regressions == []
-        assert "install_ops_per_sec: skipped (missing value)" in notes
-        # setup_s is recorded with the point, not gated
-        assert not any("setup_s" in n for n in notes)
 
     def test_memory_direction_is_lower_is_better(self):
         base = trajectory_point(bench_doc(mem_bpn=100_000.0))
@@ -252,18 +240,24 @@ class TestComparePoints:
         )
 
     def test_old_point_with_retired_metrics_compares_cleanly(self):
-        """Points recorded while the macro ran twice carry
-        ``wall_improvement`` and ``matching_grid_speedup``; no floor
-        reads either, in either direction."""
+        """Older points carry ``wall_improvement`` and
+        ``matching_grid_speedup`` (while the macro ran twice),
+        ``matching_bands_speedup`` and ``install_ops_per_sec``; no
+        floor reads any of them, in either direction."""
+        retired = dict(
+            wall_improvement=1.2, matching_grid_speedup=8.0,
+            matching_bands_speedup=50.0, install_ops_per_sec=4_000.0,
+        )
         new = trajectory_point(bench_doc())
-        assert "wall_improvement" not in new["metrics"]
-        assert "matching_grid_speedup" not in new["metrics"]
+        assert not set(retired) & set(new["metrics"])
         old = copy.deepcopy(new)
-        old["metrics"].update(wall_improvement=1.2, matching_grid_speedup=8.0)
+        old["metrics"].update(retired)
+        # a retired metric that collapsed is still no regression
+        new["metrics"].update({name: 0.0 for name in retired})
         for base, point in ((old, new), (new, old)):
             regressions, notes = compare_points(base, point)
             assert regressions == []
-            assert not any("grid" in n or "wall_improvement" in n for n in notes)
+            assert not any(name in n for name in retired for n in notes)
 
     def test_tolerance_is_twenty_percent(self):
         assert REGRESSION_TOLERANCE == 0.20
@@ -324,19 +318,11 @@ class TestCli:
                          ring_nodes=8, chain_keys=1, chain_hops=1),
         )
         monkeypatch.setattr(
-            bench, "_bench_store",
-            lambda: {"put_ms": 1.0, "get_ms": 1.0, "entry_kb": 1.0,
-                     "roundtrip_ok": True},
-        )
-        monkeypatch.setattr(
-            bench, "_bench_algo5", lambda full: fast["micro"]["algo5"]
+            bench, "_bench_algo5", lambda: fast["micro"]["algo5"]
         )
         monkeypatch.setattr(
             bench, "_bench_pop_matching",
             lambda: fast["micro"]["pop_matching"],
-        )
-        monkeypatch.setattr(
-            bench, "_bench_install", lambda: fast["micro"]["install"]
         )
         monkeypatch.setattr(
             bench, "_bench_macro", lambda n, e, d: fast["macro"]

@@ -263,30 +263,42 @@ class TestOneJudge:
         assert not offenders, "judge through repro.oracle: " + "; ".join(offenders)
 
 
+def modules_importing(module):
+    """``path:line`` of every import of ``module`` under ``src/repro/``."""
+    import ast
+
+    src = REPO / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        package = ["repro", *path.relative_to(src).parent.parts]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from .covering import`` / ``from . import covering``
+                # resolve against the importing module's package
+                parts = package[: len(package) - node.level + 1] if node.level else []
+                base = ".".join(parts + ([node.module] if node.module else []))
+                names = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if module in names:
+                offenders.append(f"{rel}:{node.lineno}")
+    return offenders
+
+
 class TestCoveringRetired:
     """Covering is store-level only: ``CoveringStore`` stays for the
     benchmarks that name it, but nothing on the pub/sub path builds it
-    (docs/MATCHING.md, "Covering (retired)")."""
+    (docs/MATCHING.md, "Covering (retired)").  ``GridIndex`` and
+    ``BandIndex`` are in the same state: no config selects them and
+    nothing under ``src/repro/`` times them."""
 
     def test_no_module_under_src_imports_covering(self):
-        import ast
-
-        src = REPO / "src" / "repro"
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            rel = path.relative_to(src).as_posix()
-            package = ["repro", *path.relative_to(src).parent.parts]
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    # ``from .covering import`` / ``from . import covering``
-                    # resolve against the importing module's package
-                    parts = package[: len(package) - node.level + 1] if node.level else []
-                    base = ".".join(parts + ([node.module] if node.module else []))
-                    names = [base] + [f"{base}.{a.name}" for a in node.names]
-                else:
-                    continue
-                if "repro.core.covering" in names:
-                    offenders.append(f"{rel}:{node.lineno}")
+        offenders = modules_importing("repro.core.covering")
         assert not offenders, "imports repro.core.covering: " + ", ".join(offenders)
+
+    def test_no_module_under_src_imports_indexing(self):
+        offenders = modules_importing("repro.core.indexing")
+        assert not offenders, "imports repro.core.indexing: " + ", ".join(offenders)
