@@ -42,15 +42,6 @@ def ascii_cdf_plot(
     if x_max <= x_min:
         x_max = x_min + 1.0
 
-    def x_to_col(x: float) -> int:
-        if log_x:
-            frac = (np.log10(max(x, x_min)) - np.log10(x_min)) / (
-                np.log10(x_max) - np.log10(x_min)
-            )
-        else:
-            frac = (x - x_min) / (x_max - x_min)
-        return min(int(frac * (width - 1)), width - 1)
-
     grid = [[" "] * width for _ in range(height)]
     for (label, dist), glyph in zip(populated.items(), SERIES_GLYPHS):
         values = dist.values

@@ -117,55 +117,6 @@ def transport_summary(stats) -> Dict[str, int]:
     }
 
 
-def render_transport_summary(stats) -> str:
-    s = transport_summary(stats)
-    lines = [
-        f"transport: {s['retransmissions']} retransmissions, "
-        f"{s['gave_up_packets']} packets abandoned "
-        f"({s['gave_up_subids']} subids at risk)"
-    ]
-    causes = {c: n for c, n in s["gave_up_by_cause"].items() if n}
-    if causes:
-        per_cause = ", ".join(f"{c} x{n}" for c, n in sorted(causes.items()))
-        lines.append(f"gave up: {per_cause}")
-    if s["unroutable"]:
-        lines.append(f"unroutable: {s['unroutable']} entries dropped (no next hop)")
-    if s["stale_subid"]:
-        lines.append(f"stale: {s['stale_subid']} entries for SubIDs nobody holds")
-    if s["duplicate_packet"] or s["duplicate_entry"] or s["scheme_mismatch"]:
-        lines.append(
-            f"discarded: {s['duplicate_packet']} duplicate packets, "
-            f"{s['duplicate_entry']} duplicate entries, "
-            f"{s['scheme_mismatch']} scheme mismatches"
-        )
-    if s["lookup_abandoned"] or s["stale_unregister"]:
-        lines.append(
-            f"install: {s['lookup_abandoned']} lookups abandoned, "
-            f"{s['stale_unregister']} stale unregistrations"
-        )
-    dur = {c: n for c, n in s["durable"].items() if n}
-    if dur:
-        per = ", ".join(f"{c} x{n}" for c, n in sorted(dur.items()))
-        lines.append(f"durable: {per}")
-    if s["busy_backoffs"] or s["shed"] or s["breaker_opens"]:
-        lines.append(
-            f"overload: {s['shed']} shed, {s['busy_backoffs']} busy "
-            f"backoffs, {s['breaker_opens']} breaker opens"
-        )
-    if s["queue_peak"]:
-        lines.append(f"ingress: peak queue depth {s['queue_peak']}")
-    drops = {c: n for c, n in s["dropped_by_cause"].items() if n}
-    if drops:
-        per_cause = ", ".join(f"{c} x{n}" for c, n in sorted(drops.items()))
-        lines.append(f"dropped: {s['dropped']} ({per_cause})")
-    if s["msgs_by_kind"]:
-        per_kind = ", ".join(
-            f"{kind} x{count}" for kind, count in s["msgs_by_kind"].items()
-        )
-        lines.append(f"messages: {per_kind}")
-    return "\n".join(lines)
-
-
 def edges_from_trace(spans: Iterable[dict], event_id: int) -> List[Tuple[int, int, int]]:
     """``(src, dst, n_entries)`` edges of one event from an exported
     ``trace.jsonl`` -- the same set :class:`EventRecord.edges` holds,

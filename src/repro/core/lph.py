@@ -24,8 +24,6 @@ that matches it.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.zones import ContentZone, ZoneGeometry, as_floats
@@ -108,15 +106,3 @@ def lph_point(
         highs[j] = lo + width
         code = code * base + p
     return ContentZone(code, geometry.max_level, geometry)
-
-
-def lph_keys(
-    sub_lows: np.ndarray,
-    sub_highs: np.ndarray,
-    domain_lows: np.ndarray,
-    domain_highs: np.ndarray,
-    geometry: ZoneGeometry,
-) -> Tuple[int, ContentZone]:
-    """Convenience: zone plus its identifier-space key."""
-    zone = lph_box(sub_lows, sub_highs, domain_lows, domain_highs, geometry)
-    return zone.key, zone

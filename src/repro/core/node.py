@@ -1,6 +1,7 @@
-"""HyperSub node logic: Algorithms 2-5 plus the migration protocol.
+"""HyperSub node logic: Algorithms 2-5.
 
-:class:`PubSubNodeMixin` carries everything above the DHT:
+:class:`PubSubNodeMixin` carries the paper's pub/sub layer above the
+DHT:
 
 * subscriber-side state (the user's own subscriptions, Algorithm 2);
 * surrogate-side state: one :class:`ZoneRepo` per content zone this
@@ -9,13 +10,19 @@
   :class:`~repro.core.matching.BoxStore`, a summary filter and the
   surrogate subscriptions pushed to child zones (Algorithm 3);
 * event processing (Algorithm 5): match locally, merge matched SubIDs,
-  group the remainder by next DHT hop, forward one aggregated message
-  per link;
-* dynamic subscription migration (Section 4): load probing, acceptor
-  selection, per-arc migration, summarising surrogate subscriptions.
+  group the remainder by next DHT hop (through the route-decision
+  cache), forward one aggregated message per link;
+* durable custody and causal sequencing (delivery-guarantees
+  extension), and their :class:`CustodyCohort` tick.
 
-:class:`HyperSubChordNode` binds the mixin to Chord(-PNS), the overlay
-the paper evaluates.
+:class:`HyperSubChordNode` assembles the node the paper evaluates from
+this mixin, three more and Chord(-PNS):
+:class:`~repro.core.transport.TransportMixin` (reliable hop transport,
+failover, overload admission),
+:class:`~repro.core.replication.ReplicationMixin` (replica push,
+anti-entropy, arc handoff, restart resync) and
+:class:`~repro.core.loadbalance.MigrationMixin` (Section 4's dynamic
+subscription migration).
 """
 
 from __future__ import annotations
@@ -24,17 +31,17 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.loadbalance import MigrationMixin
 from repro.core.matching import BoxStore
+from repro.core.replication import ReplicationMixin
 from repro.core.subscription import SubID, Subscription
 from repro.core.summary import boxes_equal, merge_box, split_pieces
-from repro.core.overload import CircuitBreaker
 from repro.core.subscheme import PubSubEntity
+from repro.core.transport import TransportMixin
 from repro.core.zones import ContentZone
 from repro.dht.chord import ChordNode
-from repro.dht.idspace import cw_distance, id_in_interval
 from repro.core.durability import DurableState
 from repro.sim.messages import (
-    AE_DIGEST_ENTRY_BYTES,
     CONTROL_BYTES,
     DEP_ENTRY_BYTES,
     DURABLE_META_BYTES,
@@ -42,6 +49,7 @@ from repro.sim.messages import (
     SUBID_BYTES,
     Message,
     event_message_bytes,
+    subscription_wire_bytes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,20 +77,10 @@ EVENT_TTL_HOPS = 64
 ROUTE_CACHE_MAX = 4096
 #: Bytes of an event packet before its SubIDs (header + event body).
 _EVENT_BASE_BYTES = event_message_bytes(0)
-#: Packet-dedup keys are one int, ``rseq`` above the sender's epoch
-#: above its address: ``rejoin_node`` refuses the incarnation that
-#: would overflow the epoch field, and no topology reaches 2**32 nodes.
-REL_EPOCH_BITS = 16
-_REL_ADDR_BITS = 32
 #: Surrogate-subscription iids are minted above this, a node's own
 #: subscription iids below it (``_next_marker_iid``): the iid alone
 #: tells a marker from a subscription.
 MARKER_IID_BASE = 1 << 48
-
-
-#: Wire size of one subscription box (two float64 bounds per dimension).
-def subscription_wire_bytes(dims: int) -> int:
-    return SUBID_BYTES + 16 * dims
 
 
 def _event_fields(p: Dict[str, Any]) -> Dict[str, Any]:
@@ -93,20 +91,6 @@ def _event_fields(p: Dict[str, Any]) -> Dict[str, Any]:
         if name in p:
             out[name] = p[name]
     return out
-
-
-def _store_checksum(store: BoxStore) -> int:
-    """Order-independent fingerprint of a store's SubID set.
-
-    XOR of per-id hashes: cheap, incremental-friendly, and two stores
-    with equal counts and checksums are treated as identical by the
-    anti-entropy digest exchange (collision odds are negligible for
-    repair purposes, and a miss only costs one redundant diff round).
-    """
-    acc = 0
-    for sid in store.subids():
-        acc ^= hash((sid.nid, sid.iid)) & 0xFFFFFFFFFFFFFFFF
-    return acc
 
 
 class ZoneRepo:
@@ -179,8 +163,8 @@ class ZoneRepo:
 
         ``{"repo": key, "entries": [((nid, iid), lows, highs, kind)]}``
         over every stored entry (or just ``subids``), and the bytes
-        those entries occupy on the wire.  :meth:`PubSubNodeMixin.
-        _absorb_repo` is the reader.
+        those entries occupy on the wire.  :meth:`~repro.core.replication.
+        ReplicationMixin._absorb_repo` is the reader.
         """
         store = self.store
         entries = []
@@ -270,35 +254,6 @@ class PubSubNodeMixin:
         self.marker_origin: Dict[int, Tuple[str, int, int]] = {}
         #: accepted-migration iid -> (scheme_name, BoxStore)
         self.migrated: Dict[int, Tuple[str, BoxStore]] = {}
-        #: standby replicas of other primaries' zone repos
-        #: (replication extension): repo key -> ZoneRepo
-        self.standby_repos: Dict[Tuple[str, int, int], ZoneRepo] = {}
-        #: rotated zone key -> standby repo keys (rendezvous takeover)
-        self.standby_rendezvous: Dict[int, List[Tuple[str, int, int]]] = {}
-        #: (origin nid, iid) -> standby repo key (marker takeover)
-        self.standby_markers: Dict[Tuple[int, int], Tuple[str, int, int]] = {}
-        #: (origin nid, iid) -> (scheme, BoxStore): migrated stores
-        #: inherited from a gracefully departed predecessor
-        self.standby_migrated: Dict[Tuple[int, int], Tuple[str, BoxStore]] = {}
-        #: in-flight load-balancing round state
-        self._lb_round: Optional[dict] = None
-        self._lb_seq = 0
-        #: per-destination throttle for piggybacked ring state: state
-        #: changes slowly, so attaching it to every packet on a busy
-        #: link wastes bytes; once per half-interval keeps it fresh.
-        self._pb_last_sent: Dict[int, float] = {}
-        #: reliable-transport state: outstanding event packets by seq
-        self._rel_pending: Dict[int, dict] = {}
-        self._rel_seq = 0
-        #: transport incarnation.  Sequence numbers restart at 0 after a
-        #: crash-rejoin; without an epoch in the dedup key, peers that
-        #: heard rseq 1..j from the PREVIOUS incarnation would silently
-        #: discard (while still acking!) the new incarnation's first j
-        #: packets as duplicates.  ``HyperSubSystem.rejoin_node`` bumps it.
-        self._rel_epoch = 0
-        #: sender (addr, epoch, seq) already processed (dedup on ack
-        #: loss), packed into one int each
-        self._rel_seen: set = set()
         #: ``event_id << 48 | iid`` (own iids stay below
         #: ``MARKER_IID_BASE``) already handed to the application.  The
         #: packet-level dedup above is keyed on the packet's identity,
@@ -308,24 +263,6 @@ class PubSubNodeMixin:
         #: different keys.  Exactly-once at the application therefore
         #: needs this subscriber-side guard as well.
         self._delivered: set = set()
-        #: relative node capacity (Section 4: "the value of the
-        #: threshold factor delta for each node is based on the node's
-        #: capacity"; the paper's runs assume 1.0 everywhere -- the
-        #: heterogeneous evaluation it defers is experiment H1).
-        self.capacity: float = 1.0
-        #: per-destination circuit breaker (overload-protection
-        #: extension); ``None`` when protection is off.
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(
-                system.config.breaker_failure_threshold,
-                system.config.breaker_open_ms,
-            )
-            if system.config.overload_protection
-            else None
-        )
-
-        #: anti-entropy re-replication loop state (self-healing extension)
-        self._ae_running = False
 
         #: custody-transfer log (delivery-guarantees extension); ``None``
         #: outside durable mode so the hot paths pay one attribute load.
@@ -356,34 +293,11 @@ class PubSubNodeMixin:
         self.rc_misses = 0
 
         self.register_handler("ps_register", self._on_ps_register)
-        self.register_handler("ps_replica", self._on_ps_replica)
-        self.register_handler("ps_handoff", self._on_ps_handoff)
-        self.register_handler("ps_resync", self._on_ps_resync)
-        self.register_handler("ps_resync_state", self._on_ps_resync_state)
-        self.register_handler("ps_ae_digest", self._on_ae_digest)
-        self.register_handler("ps_ae_state", self._on_ae_state)
-        self.register_handler("ps_ae_fill", self._on_ae_fill)
-        # Arc handoff on membership change: when a joiner slides in as
-        # our new predecessor, the rendezvous repos whose keys now fall
-        # in its arc must move to it.
-        self.on_predecessor_change = self._on_pred_change
         self.register_handler("ps_unregister", self._on_ps_unregister)
-        # The receive side of ``ps_event`` is chosen here, once: only a
-        # config that can put ``rseq`` / ``pb`` on a packet pays for the
-        # wrapper that reads them.
-        cfg = system.config
-        #: no feature of this node's config adds to a forwarded packet
-        self._ev_plain = not (cfg.reliable_delivery or cfg.piggyback_maintenance)
-        on_event = self._process_event if self._ev_plain else self._on_ps_event
-        self.register_handler("ps_event", on_event)
-        self.register_handler("ps_event_ack", self._on_ps_event_ack)
         self.register_handler("ps_dack", self._on_ps_dack)
-        self.register_handler("ps_busy", self._on_ps_busy)
-        self.register_handler("ps_storm", self._on_ps_storm)
-        self.register_handler("ps_load_probe", self._on_load_probe)
-        self.register_handler("ps_load_reply", self._on_load_reply)
-        self.register_handler("ps_migrate", self._on_migrate)
-        self.register_handler("ps_migrate_ack", self._on_migrate_ack)
+        self._init_transport(system.config)
+        self._init_replication()
+        self._init_migration()
 
     def _next_iid(self) -> int:
         self._iid_counter += 1
@@ -524,18 +438,32 @@ class PubSubNodeMixin:
         )
 
     def _get_repo(self, entity: PubSubEntity, zone: ContentZone) -> ZoneRepo:
-        repo_key = (entity.key, zone.code, zone.level)
-        repo = self.zone_repos.get(repo_key)
+        repo = self.zone_repos.get((entity.key, zone.code, zone.level))
         if repo is None:
-            repo = ZoneRepo(entity.key, zone, self.system.make_store(entity))
-            self.zone_repos[repo_key] = repo
-            direct = self.system.config.direct_rendezvous_levels
-            if zone.is_leaf or zone.level < direct:
-                self.rendezvous_index.setdefault(
-                    entity.rotated_key(zone), []
-                ).append(repo_key)
-            if zone.level < direct:
-                self.system.mark_shallow_occupied(repo_key)
+            repo = self._open_repo(
+                self.zone_repos, self.rendezvous_index, entity, zone
+            )
+            if zone.level < self.system.config.direct_rendezvous_levels:
+                self.system.mark_shallow_occupied(repo.key)
+        return repo
+
+    def _open_repo(
+        self,
+        repos: Dict[Tuple[str, int, int], ZoneRepo],
+        index: Dict[int, List[Tuple[str, int, int]]],
+        entity: PubSubEntity,
+        zone: ContentZone,
+    ) -> ZoneRepo:
+        """A new, empty repository for ``zone`` in ``repos`` (the live
+        or the standby table), listed in its rendezvous ``index`` when
+        events visit the zone by key: leaves, and shallow zones under
+        the direct radius."""
+        repo_key = (entity.key, zone.code, zone.level)
+        repo = repos[repo_key] = ZoneRepo(
+            entity.key, zone, self.system.make_store(entity)
+        )
+        if zone.is_leaf or zone.level < self.system.config.direct_rendezvous_levels:
+            index.setdefault(entity.rotated_key(zone), []).append(repo_key)
         return repo
 
     def _register_local(
@@ -681,582 +609,6 @@ class PubSubNodeMixin:
         }
         self._send_to_home(key, "ps_unregister", payload, CONTROL_BYTES + SUBID_BYTES)
 
-    # ------------------------------------------------------------------
-    # Replication extension: standby copies on the successor list
-    # ------------------------------------------------------------------
-    def _replicate(
-        self,
-        entity_key: str,
-        code: int,
-        level: int,
-        subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        kind: str,
-    ) -> None:
-        """Mirror one accepted registration onto k-1 successors."""
-        k = self.system.config.replication_factor
-        replicas = self.successors[: k - 1]
-        payload = {
-            "entity": entity_key,
-            "code": code,
-            "level": level,
-            "subid": (subid.nid, subid.iid),
-            "lows": lows.tolist(),
-            "highs": highs.tolist(),
-            "kind": kind,
-            "origin": self.node_id,
-        }
-        size = CONTROL_BYTES + subscription_wire_bytes(len(lows))
-        for _succ_id, succ_addr in replicas:
-            if self.system.config.simulate_install:
-                self.send(
-                    Message(
-                        src=self.addr, dst=succ_addr, kind="ps_replica",
-                        payload=payload, size_bytes=size,
-                    )
-                )
-            else:
-                self.system.nodes[succ_addr]._store_replica(
-                    entity_key, code, level, subid, lows, highs, kind
-                )
-
-    def _on_ps_replica(self, msg: Message) -> None:
-        p = msg.payload
-        self._store_replica(
-            p["entity"], p["code"], p["level"], SubID(*p["subid"]),
-            np.asarray(p["lows"], dtype=np.float64),
-            np.asarray(p["highs"], dtype=np.float64),
-            p["kind"],
-        )
-
-    def _store_replica(
-        self,
-        entity_key: str,
-        code: int,
-        level: int,
-        subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        kind: str,
-    ) -> None:
-        """Accept a standby copy.  Standbys never cascade or match until
-        this node becomes responsible for the dead primary's arc."""
-        entity = self.system.entity(entity_key)
-        zone = ContentZone(code, level, entity.geometry)
-        repo_key = (entity_key, code, level)
-        repo = self.standby_repos.get(repo_key)
-        if repo is None:
-            repo = ZoneRepo(entity_key, zone, self.system.make_store(entity))
-            self.standby_repos[repo_key] = repo
-            direct = self.system.config.direct_rendezvous_levels
-            if zone.is_leaf or zone.level < direct:
-                self.standby_rendezvous.setdefault(
-                    entity.rotated_key(zone), []
-                ).append(repo_key)
-        repo.put(subid, lows, highs, kind)
-
-    def register_standby_marker(
-        self, origin_nid: int, iid: int, repo_key: Tuple[str, int, int]
-    ) -> None:
-        self.standby_markers[(origin_nid, iid)] = repo_key
-
-    def _absorb_repo(self, group: dict, mode: str) -> None:
-        """The one reader of the repository-transfer format
-        (:meth:`ZoneRepo.export` writes it).  ``mode`` is how the
-        entries are installed:
-
-        * ``"cascade"`` -- as fresh registrations (Algorithm 3: store,
-          refresh the filter, cascade, replicate);
-        * ``"standby"`` -- as standby copies that serve nothing until
-          promoted;
-        * ``"verbatim"`` -- live, filter merged, no cascade: the
-          surrogate subscriptions pointing at a marker-served repo
-          already exist in the child zones, and cascading again would
-          mint duplicate markers.  The repository is opened even when
-          the group is empty.
-        """
-        entity_key, code, level = group["repo"]
-        if mode == "verbatim":
-            entity = self.system.entity(entity_key)
-            repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
-        for (nid, iid), lows, highs, kind in group["entries"]:
-            sid = SubID(nid, iid)
-            lo = np.asarray(lows, dtype=np.float64)
-            hi = np.asarray(highs, dtype=np.float64)
-            if mode == "cascade":
-                self._register_local(entity_key, code, level, sid, lo, hi, kind)
-            elif mode == "standby":
-                self._store_replica(entity_key, code, level, sid, lo, hi, kind)
-            else:
-                repo.put(sid, lo, hi, kind)
-                repo.sf, _ = merge_box(repo.sf, (lo, hi))
-
-    def _absorb_markers(self, markers) -> None:
-        """Install shipped ``(nid, iid, repo key)`` marker mappings: our
-        own surrogate-subscription ids (the volatile ``marker_origin``
-        died with a crash) come back as ours, anyone else's as standby."""
-        for nid, iid, repo_key in markers:
-            repo_key = tuple(repo_key)
-            if nid == self.node_id:
-                self.marker_origin.setdefault(iid, repo_key)
-                if iid > self._marker_iid_counter:
-                    self._marker_iid_counter = iid  # never minted again
-            else:
-                self.standby_markers[(nid, iid)] = repo_key
-
-    # ------------------------------------------------------------------
-    # Anti-entropy re-replication (self-healing extension)
-    # ------------------------------------------------------------------
-    def start_anti_entropy(self) -> None:
-        """Begin periodic repair rounds (idempotent).
-
-        Each round (a) promotes standby replicas whose rendezvous keys
-        this node has become responsible for -- successor takeover after
-        a crash -- into live repositories, and (b) reconciles every live
-        repository with the *current* successor list by digest exchange,
-        shipping only missing entries, so ``replication_factor`` copies
-        are restored after churn reshuffles the ring.
-        """
-        if self._ae_running:
-            return
-        self._ae_running = True
-        self.sim.schedule(
-            self.system.config.anti_entropy_interval_ms, self._ae_tick
-        )
-
-    def stop_anti_entropy(self) -> None:
-        self._ae_running = False
-
-    def _ae_tick(self) -> None:
-        if not self._ae_running or not self._alive:
-            return
-        self.promote_takeovers()
-        self._ae_exchange()
-        self.sim.schedule(
-            self.system.config.anti_entropy_interval_ms, self._ae_tick
-        )
-
-    def promote_takeovers(self) -> None:
-        """Turn standby replicas we now answer for into live repositories.
-
-        A standby only *serves matches* while events route to us; it
-        neither cascades nor re-replicates.  Once we are durably
-        responsible for its key (the primary crashed and the arc is
-        ours), promoting it restores the full surrogate role -- and the
-        next digest exchange re-replicates it onto our own successors,
-        closing the repair loop.  Promotion also makes rejoin resync
-        work: the arc handoff to a re-joining predecessor only ships
-        *live* repositories.
-        """
-        self._promote_standby_keys(self.is_responsible)
-
-    def _promote_standby_keys(self, want) -> None:
-        """Promote standby replicas whose rendezvous key satisfies ``want``."""
-        direct = self.system.config.direct_rendezvous_levels
-        for key in list(self.standby_rendezvous):
-            if not want(key):
-                continue
-            for repo_key in self.standby_rendezvous.pop(key):
-                repo = self.standby_repos.pop(repo_key, None)
-                if repo is None or repo_key in self.zone_repos:
-                    continue
-                self.zone_repos[repo_key] = repo
-                self.rendezvous_index.setdefault(key, []).append(repo_key)
-                if repo.zone.level < direct:
-                    self.system.mark_shallow_occupied(repo_key)
-
-    def _ae_exchange(self) -> None:
-        """Send one digest of every live repository to each standby peer."""
-        k = self.system.config.replication_factor
-        replicas = self.successors[: k - 1]
-        if not replicas or not self.zone_repos:
-            return
-        digest = [
-            [list(repo_key), len(repo.store), _store_checksum(repo.store)]
-            for repo_key, repo in self.zone_repos.items()
-        ]
-        markers = [
-            [iid, list(repo_key)] for iid, repo_key in self.marker_origin.items()
-        ]
-        size = (
-            CONTROL_BYTES
-            + AE_DIGEST_ENTRY_BYTES * len(digest)
-            + SUBID_BYTES * len(markers)
-        )
-        payload = {
-            "origin": self.addr,
-            "origin_id": self.node_id,
-            "repos": digest,
-            "markers": markers,
-        }
-        for _succ_id, succ_addr in replicas:
-            self._trace("ae_digest", dst=succ_addr, repos=len(digest), bytes=size)
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=succ_addr,
-                    kind="ps_ae_digest",
-                    payload=payload,
-                    size_bytes=size,
-                )
-            )
-
-    def _on_ae_digest(self, msg: Message) -> None:
-        """Standby side: report which repositories diverge and how."""
-        p = msg.payload
-        for iid, repo_key in p["markers"]:
-            # Marker-id resolution must survive the primary's death even
-            # on successors that joined the list after marker creation.
-            self.register_standby_marker(p["origin_id"], iid, tuple(repo_key))
-        diverged: List[dict] = []
-        have_total = 0
-        for repo_key_list, count, checksum in p["repos"]:
-            repo_key = tuple(repo_key_list)
-            if repo_key in self.zone_repos:
-                # We serve this live (handoff/promotion raced the
-                # primary's digest): never overwrite live state.
-                continue
-            local = self.standby_repos.get(repo_key)
-            if (
-                local is not None
-                and len(local.store) == count
-                and _store_checksum(local.store) == checksum
-            ):
-                continue
-            have = (
-                []
-                if local is None
-                else [[s.nid, s.iid] for s in local.store.subids()]
-            )
-            diverged.append({"repo": list(repo_key), "have": have})
-            have_total += len(have)
-        if not diverged:
-            return
-        self.send(
-            Message(
-                src=self.addr,
-                dst=p["origin"],
-                kind="ps_ae_state",
-                payload={"origin": self.addr, "repos": diverged},
-                size_bytes=CONTROL_BYTES
-                + AE_DIGEST_ENTRY_BYTES * len(diverged)
-                + SUBID_BYTES * have_total,
-            )
-        )
-
-    def _on_ae_state(self, msg: Message) -> None:
-        """Primary side: ship only the diff (missing boxes, stale ids)."""
-        groups: List[dict] = []
-        payload_bytes = 0
-        for entry in msg.payload["repos"]:
-            repo_key = tuple(entry["repo"])
-            repo = self.zone_repos.get(repo_key)
-            if repo is None:
-                continue  # no longer ours (handed off meanwhile)
-            have = {(nid, iid) for nid, iid in entry["have"]}
-            group, fill_bytes = repo.export(
-                [s for s in repo.store.subids() if (s.nid, s.iid) not in have]
-            )
-            group["drop"] = [
-                [nid, iid]
-                for nid, iid in have
-                if SubID(nid, iid) not in repo.store
-            ]
-            if not group["entries"] and not group["drop"]:
-                continue
-            groups.append(group)
-            payload_bytes += fill_bytes + len(group["drop"]) * SUBID_BYTES
-        if not groups:
-            return
-        self._trace(
-            "ae_fill", dst=msg.payload["origin"], repos=len(groups),
-            bytes=CONTROL_BYTES + payload_bytes,
-        )
-        self.send(
-            Message(
-                src=self.addr,
-                dst=msg.payload["origin"],
-                kind="ps_ae_fill",
-                payload={"groups": groups},
-                size_bytes=CONTROL_BYTES + payload_bytes,
-            )
-        )
-
-    def _on_ae_fill(self, msg: Message) -> None:
-        """Standby side: absorb the diff."""
-        for group in msg.payload["groups"]:
-            self._absorb_repo(group, "standby")
-            repo = self.standby_repos.get(tuple(group["repo"]))
-            if repo is None:
-                continue
-            for nid, iid in group["drop"]:
-                sid = SubID(nid, iid)
-                if sid in repo.store:
-                    repo.remove(sid)
-
-    # ------------------------------------------------------------------
-    # Graceful departure (membership extension)
-    # ------------------------------------------------------------------
-    def leave_gracefully(self) -> None:
-        """Transfer every surrogate responsibility to the successor and
-        leave the ring.
-
-        After departure our identifier's keys resolve to the successor,
-        so (a) rendezvous repos become its standby repos (served through
-        the takeover paths), (b) our surrogate-subscription ids -- still
-        embedded in child zones across the network -- are mapped on the
-        successor via ``register_standby_marker``, and (c) migrated
-        stores we accepted are inherited likewise.  A real node would
-        ship this as one bulk transfer; the ring unlink itself is
-        Chord's graceful ``leave``.
-        """
-        if self.successors:
-            succ = self.system.nodes[self.successors[0][1]]
-            for repo in self.zone_repos.values():
-                succ._absorb_repo(repo.export()[0], "standby")
-            for iid, repo_key in self.marker_origin.items():
-                succ.register_standby_marker(self.node_id, iid, repo_key)
-            for iid, (scheme_name, store) in self.migrated.items():
-                succ.standby_migrated[(self.node_id, iid)] = (scheme_name, store)
-        self.leave()
-
-    # ------------------------------------------------------------------
-    # Arc handoff on join (membership extension)
-    # ------------------------------------------------------------------
-    def _on_pred_change(
-        self, old_id: Optional[int], new_id: Optional[int]
-    ) -> None:
-        """A joiner took over part of our arc: move its rendezvous state.
-
-        Only *rendezvous-served* repos (leaves, and shallow zones under
-        the direct radius) move -- they are matched strictly by key, and
-        the key now resolves to the joiner.  Internal zones stay: their
-        surrogate subscriptions in child zones carry OUR node id, which
-        remains a valid address; new registrations for those zones
-        simply accumulate at the joiner under its own markers.
-
-        ``old_id is None`` is the crash-rejoin case: check-predecessor
-        evicted the dead node's pointer, and the rejoining node (same
-        identifier) is now notifying us.  The prior arc boundary is
-        unknown, so everything outside our *new* responsibility ships to
-        the predecessor -- which includes any repos promoted from
-        standby during the takeover window.  Marker mappings for the
-        moved repos travel along so the joiner can serve surrogate
-        subscriptions that still carry its node id (its own volatile
-        ``marker_origin`` died with it).
-        """
-        if self.durable is not None:
-            # Any predecessor change -- not just our own rejoin -- means
-            # this node's claim to its arc is in flux.  A saturated (but
-            # alive) neighbor sheds maintenance pings exactly like a dead
-            # one, so check-predecessor can route the arc of a live repo
-            # owner to us; vacuously acking its keys (the "authoritatively
-            # empty zone" path) would retire custody for subscriptions the
-            # owner still serves.  Hold vacuous acks until the claim has
-            # been stable for the grace window; custodians just redeliver.
-            self._dur_vacuous_after = max(
-                self._dur_vacuous_after,
-                self.sim.now + self.system.config.durable_rejoin_grace_ms,
-            )
-        if new_id is None or old_id == new_id:
-            return
-        if old_id is None:
-            moved = lambda k: not id_in_interval(  # noqa: E731
-                k, new_id, self.node_id, incl_right=True
-            )
-        else:
-            if not id_in_interval(new_id, old_id, self.node_id):
-                return  # arc grew (failure takeover), nothing to ship
-            moved = lambda k: id_in_interval(  # noqa: E731
-                k, old_id, new_id, incl_right=True
-            )
-        # A standby whose key moves to the new predecessor would
-        # otherwise be stuck for good: promotion requires *us* to answer
-        # for the key, and the handoff below ships live repos only.  A
-        # crash shorter than one anti-entropy interval (a flap) hits
-        # exactly that window -- the takeover never ran a promotion
-        # tick, the rejoiner returns to an empty arc, and every copy in
-        # the system stays standby.  Promote such keys now so they ship.
-        self._promote_standby_keys(moved)
-        moved_keys = [k for k in self.rendezvous_index if moved(k)]
-        if not moved_keys:
-            return
-        new_addr = self.predecessor[1]
-        groups: List[dict] = []
-        payload_bytes = 0
-        moved_repo_keys: set = set()
-        for key in moved_keys:
-            for repo_key in self.rendezvous_index[key]:
-                repo = self.zone_repos.pop(repo_key, None)
-                if repo is None:
-                    continue
-                moved_repo_keys.add(repo_key)
-                group, group_bytes = repo.export()
-                groups.append(group)
-                payload_bytes += group_bytes
-            del self.rendezvous_index[key]
-
-        # Crash-rejoin resync: the joiner's marker-served internal repos
-        # (levels >= the direct radius, reached only through surrogate
-        # subscriptions that carry its node id) are invisible to the
-        # rendezvous handoff above.  Our standby replicas -- which we
-        # kept serving during the takeover window via ``standby_markers``
-        # -- are the surviving copies; ship them as no-cascade snapshots,
-        # marker mappings included, so the joiner can answer its own
-        # surrogate subscriptions again.  For a fresh joiner (an id never
-        # seen before) there are no such markers and this adds nothing.
-        markers = []
-        snapshots: List[dict] = []
-        snapshotted: set = set()
-        for (nid, iid), repo_key in self.standby_markers.items():
-            if repo_key in moved_repo_keys or nid == new_id:
-                markers.append((nid, iid, list(repo_key)))
-            if nid != new_id:
-                continue
-            if repo_key in moved_repo_keys or repo_key in snapshotted:
-                continue
-            repo = self.standby_repos.get(repo_key)
-            if repo is None:
-                continue
-            snapshotted.add(repo_key)
-            group, group_bytes = repo.export()
-            snapshots.append(group)
-            payload_bytes += group_bytes
-        markers.extend(
-            (self.node_id, iid, list(repo_key))
-            for iid, repo_key in self.marker_origin.items()
-            if repo_key in moved_repo_keys
-        )
-        dur_state = None
-        if self.durable is not None:
-            # Site-side ordering state travels with the keys: the new
-            # owner must resume each per-key stream where we left it or
-            # the sequence space would fork (duplicates / stalls).
-            dur_state = self.durable.export_site_state(set(moved_keys))
-            if not (dur_state["site_w"] or dur_state["mseq"]):
-                dur_state = None
-        if not groups and not snapshots and not markers and dur_state is None:
-            return
-        payload = {
-            "groups": groups,
-            "snapshots": snapshots,
-            "markers": markers,
-        }
-        if dur_state is not None:
-            payload["durable"] = dur_state
-            payload_bytes += DURABLE_META_BYTES * (
-                len(dur_state["site_w"]) + len(dur_state["mseq"])
-            )
-        self.send(
-            Message(
-                src=self.addr,
-                dst=new_addr,
-                kind="ps_handoff",
-                payload=payload,
-                size_bytes=CONTROL_BYTES
-                + payload_bytes
-                + SUBID_BYTES * len(markers),
-            )
-        )
-
-    def _on_ps_handoff(self, msg: Message) -> None:
-        for group in msg.payload["groups"]:
-            self._absorb_repo(group, "cascade")
-        for group in msg.payload.get("snapshots", ()):
-            # Marker-served internal repos restored after a crash-rejoin.
-            self._absorb_repo(group, "verbatim")
-        self._absorb_markers(msg.payload.get("markers", ()))
-        dur_state = msg.payload.get("durable")
-        if dur_state is not None and self.durable is not None:
-            self.durable.absorb_site_state(dur_state)
-
-    # ------------------------------------------------------------------
-    # Restart resync (self-healing extension)
-    # ------------------------------------------------------------------
-    def request_resync(self) -> None:
-        """Ask the last-known successors to return our arc after a restart.
-
-        A crash shorter than every failure-detection timescale (a flap)
-        is invisible to the membership layer: no predecessor ever
-        changes, so neither the arc handoff nor anti-entropy promotion
-        fires, and the restarted node answers for its keys with empty
-        repositories while its old successors sit on standby copies
-        forever.  The restarting node is the one peer that *knows* it
-        lost state, so it solicits those standby holders directly.
-        """
-        k = self.system.config.replication_factor
-        for _succ_id, succ_addr in self.successors[: k - 1]:
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=succ_addr,
-                    kind="ps_resync",
-                    payload={"origin": self.addr, "origin_id": self.node_id},
-                    size_bytes=CONTROL_BYTES,
-                )
-            )
-
-    def _on_ps_resync(self, msg: Message) -> None:
-        """Ship every standby copy (and marker mapping) to a restarter.
-
-        Over-shipping is deliberate: the receiver keeps everything as
-        standby and lets promotion sort live from spare, so the sender
-        needs no view of the restarter's exact arc boundaries.
-        """
-        p = msg.payload
-        groups: List[dict] = []
-        shipped: set = set()
-        payload_bytes = 0
-        for repo_key, repo in self.standby_repos.items():
-            group, group_bytes = repo.export()
-            groups.append(group)
-            shipped.add(repo_key)
-            payload_bytes += group_bytes
-        markers = [
-            (nid, iid, list(repo_key))
-            for (nid, iid), repo_key in self.standby_markers.items()
-            if nid == p["origin_id"] or repo_key in shipped
-        ]
-        if not groups and not markers:
-            return
-        self.send(
-            Message(
-                src=self.addr,
-                dst=p["origin"],
-                kind="ps_resync_state",
-                payload={"groups": groups, "markers": markers},
-                size_bytes=CONTROL_BYTES
-                + payload_bytes
-                + SUBID_BYTES * len(markers),
-            )
-        )
-
-    def _on_ps_resync_state(self, msg: Message) -> None:
-        # Repos serving our own surrogate subscriptions (marker-served
-        # internal zones) are installed verbatim live, exactly like the
-        # handoff snapshot path.  Everything else lands as standby;
-        # promotion turns the keys we answer for live once the ring view
-        # settles.
-        own = {
-            tuple(repo_key)
-            for nid, _iid, repo_key in msg.payload.get("markers", ())
-            if nid == self.node_id
-        }
-        own.update(self.marker_origin.values())
-        for group in msg.payload["groups"]:
-            mode = "verbatim" if tuple(group["repo"]) in own else "standby"
-            self._absorb_repo(group, mode)
-        self._absorb_markers(msg.payload.get("markers", ()))
-        self.promote_takeovers()
-        # Our predecessor pointer may still be settling; retry promotion
-        # once stabilization has had a couple of rounds (anti-entropy,
-        # where enabled, keeps retrying every interval anyway).
-        for mult in (2.0, 4.0):
-            self.sim.schedule(
-                mult * self.stabilize_interval_ms, self.promote_takeovers
-            )
-
     def _on_ps_unregister(self, msg: Message) -> None:
         p = msg.payload
         self._unregister_local(p["entity"], p["code"], p["level"], SubID(*p["subid"]))
@@ -1385,114 +737,6 @@ class PubSubNodeMixin:
                     keys.append(key)
         return keys
 
-    def _pb_due(self, dst_addr: int) -> bool:
-        """Attach ring state only where it can replace maintenance RPCs.
-
-        Piggybacked state helps the *receiver* skip (a) pinging its
-        predecessor -- we must be that predecessor candidate, i.e. the
-        receiver is our successor -- or (b) stabilizing with its
-        successor -- we must be that successor, i.e. the receiver is
-        our predecessor.  Other links gain nothing, and even on useful
-        links once per half-interval keeps the state fresh.
-        """
-        useful = set()
-        if self.successors:
-            useful.add(self.successors[0][1])
-        if self.predecessor is not None:
-            useful.add(self.predecessor[1])
-        if dst_addr not in useful:
-            return False
-        interval = self.stabilize_interval_ms / 2.0
-        last = self._pb_last_sent.get(dst_addr)
-        if last is not None and self.sim.now - last < interval:
-            return False
-        self._pb_last_sent[dst_addr] = self.sim.now
-        return True
-
-    # ------------------------------------------------------------------
-    # Reliable event transport (extension)
-    # ------------------------------------------------------------------
-    def _send_event_reliably(self, msg: Message) -> None:
-        """Attach a sequence number, arm the retransmission timer."""
-        self._rel_seq += 1
-        seq = self._rel_seq
-        msg.payload["rseq"] = seq
-        if self._rel_epoch:
-            msg.payload["repoch"] = self._rel_epoch
-        state = {
-            "dst": msg.dst,
-            "payload": msg.payload,
-            "size": msg.size_bytes,
-            "hops": msg.hops,
-            "path_latency": msg.path_latency,
-            "root_time": msg.root_time,
-            "retries": 0,
-            "busy": 0,
-            "span": msg.span_id,
-        }
-        self._rel_pending[seq] = state
-        self.network.send(msg)
-        # The timer is kept so the ack can cancel it and a ps_busy NACK
-        # can replace it by a backoff timer.
-        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
-
-    def _rel_retry(self, seq: int) -> None:
-        state = self._rel_pending.get(seq)
-        if state is None:
-            return  # acked in time
-        if not self._alive:
-            # A dead incarnation transmits nothing: the packet is
-            # abandoned, counted like an exhausted retry budget.
-            del self._rel_pending[seq]
-            self._count_give_up(
-                state["payload"], span=state.get("span"), cause="retries"
-            )
-            return
-        if self.breaker is not None and self.breaker.record_failure(
-            state["dst"], self.sim.now
-        ):
-            self._note_breaker_open(state["dst"])
-        if state["retries"] >= self.system.config.max_retries:
-            del self._rel_pending[seq]
-            # Hop presumed dead.  With hop-failover the pending SubIDs
-            # are re-grouped onto an alternate route; otherwise the
-            # give-up is *counted* (NetworkStats.gave_up) -- the seed
-            # dropped these silently, making exhausted hops invisible.
-            if self.system.config.hop_failover:
-                self._hop_failover(state)
-            else:
-                self._count_give_up(
-                    state["payload"], span=state.get("span"), cause="retries"
-                )
-            return
-        state["retries"] += 1
-        self._trace(
-            "retransmit", event=state["payload"]["event_id"],
-            parent=state.get("span"), dst=state["dst"], attempt=state["retries"],
-        )
-        self._rel_retransmit(seq, state)
-
-    def _rel_retransmit(self, seq: int, state: dict) -> None:
-        """Put a pending packet on the wire again and re-arm its timer.
-
-        The packet is rebuilt from the pending state: the object sent
-        earlier is not a record of it (``Network._deliver`` counts hops
-        on the object it is handed).
-        """
-        self.network.stats.retransmissions += 1
-        # A retransmission is real traffic.
-        self.system.metrics.on_event_message(
-            state["payload"]["event_id"], state["size"]
-        )
-        self.network.send(
-            Message(
-                self.addr, state["dst"], "ps_event", state["payload"],
-                state["size"], state["hops"], state["path_latency"],
-                state["root_time"], state.get("span"),
-            )
-        )
-        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
-
     def _count_give_up(
         self, payload: dict, span: Optional[int] = None, cause: str = "retries"
     ) -> None:
@@ -1508,64 +752,6 @@ class PubSubNodeMixin:
         self._trace(
             "give_up", event=payload["event_id"], parent=span,
             entries=len(entries), cause=cause,
-        )
-
-    # ------------------------------------------------------------------
-    # Hop-failover rerouting (self-healing extension)
-    # ------------------------------------------------------------------
-    def _hop_failover(self, state: dict) -> None:
-        """Retry exhaustion against one hop: evict the corpse, reroute.
-
-        The dead address is purged from the local routing tables (the
-        retry exhaustion is stronger death evidence than one maintenance
-        timeout), then after ``failover_backoff_ms`` -- a beat for ring
-        maintenance to converge around the failure -- the packet's
-        SubIDs re-enter Algorithm 5 locally and are re-grouped onto the
-        surviving fingers/successors.  Each packet lineage carries a
-        failover budget (``fo``) so repeated dead hops terminate in a
-        counted give-up instead of looping.
-        """
-        dead_addr = state["dst"]
-        self.evict_neighbor(dead_addr)
-        fo = state["payload"].get("fo")
-        if fo is None:
-            fo = self.system.config.failover_max_attempts
-        if fo <= 0 or not self._alive:
-            self._count_give_up(
-                state["payload"], span=state.get("span"), cause="failover"
-            )
-            return
-        sid = self._trace(
-            "failover", event=state["payload"]["event_id"],
-            parent=state.get("span"), dead=dead_addr, budget=fo,
-        )
-        if sid is not None:
-            # Reroutes nest under the failover decision, keeping the
-            # causal chain publish -> forward -> failover -> forward.
-            state["span"] = sid
-        self.sim.schedule(
-            self.system.config.failover_backoff_ms,
-            self._failover_resend,
-            state,
-            fo - 1,
-        )
-
-    def _failover_resend(self, state: dict, fo: int) -> None:
-        if not self._alive:
-            self._count_give_up(
-                state["payload"], span=state.get("span"), cause="failover"
-            )
-            return
-        p = state["payload"]
-        # Re-enter Algorithm 5 at this node: responsibility may have
-        # shifted to us meanwhile (takeover), in which case the entries
-        # are served locally from standby replicas; otherwise they are
-        # re-grouped by the repaired routing tables and forwarded.
-        self._process_event(
-            self._local_event(
-                p, list(p["entries"]), state["hops"], state["path_latency"],
-                state["root_time"], state.get("span"), fo=fo,
-            )
         )
 
     def _local_event(
@@ -1588,148 +774,7 @@ class PubSubNodeMixin:
             hops, path_latency, root_time, span_id,
         )
 
-    def _on_ps_event_ack(self, msg: Message) -> None:
-        state = self._rel_pending.pop(msg.payload["rseq"], None)
-        if state is None:
-            return
-        # Retransmission timer or ps_busy backoff timer, whichever is armed.
-        self.sim.cancel(state["timer"])
-        if self.breaker is not None:
-            self.breaker.record_success(state["dst"])
-
-    # ------------------------------------------------------------------
-    # Overload protection (bounded-ingress extension; docs/FAULTS.md)
-    # ------------------------------------------------------------------
-    #: Message kinds that may be shed under overload.  Everything else
-    #: (acks, anti-entropy, arc handoffs, migration, maintenance RPCs)
-    #: is control traffic and outranks events, so the system can keep
-    #: healing itself while saturated.
-    _SHEDDABLE_KINDS = frozenset({"ps_event", "ps_storm"})
-
-    def ingress_priority(self, msg: Message) -> int:
-        if not self.system.config.overload_protection:
-            return 1  # priority-blind FIFO: the unprotected baseline
-        return 1 if msg.kind in self._SHEDDABLE_KINDS else 0
-
-    def on_ingress_shed(self, msg: Message) -> None:
-        """A packet was shed from our full ingress queue (admission
-        control).  Shedding is never silent: a reliable event packet is
-        NACKed with ``ps_busy`` (the sender's copy stays pending, backs
-        off and retries), anything else that carried deliveries is
-        accounted exactly like a transport give-up."""
-        p = msg.payload if isinstance(msg.payload, dict) else None
-        protected = self.system.config.overload_protection
-        if protected:
-            self.network.stats.shed += 1
-        self._trace(
-            "shed", event=p.get("event_id") if p is not None else None,
-            parent=msg.span_id, msg_kind=msg.kind, src=msg.src,
-        )
-        if p is None:
-            return
-        rseq = p.get("rseq")
-        if protected and rseq is not None and msg.src != self.addr:
-            self.send(
-                Message(
-                    src=self.addr, dst=msg.src, kind="ps_busy",
-                    payload={"rseq": rseq}, size_bytes=CONTROL_BYTES,
-                )
-            )
-        elif rseq is None and "event_id" in p:
-            # Fire-and-forget packet: nobody will retransmit it.
-            self._count_give_up(p, span=msg.span_id, cause="shed")
-
-    def _on_ps_busy(self, msg: Message) -> None:
-        """Backpressure NACK: the next hop shed our packet (queue full).
-
-        Unlike an ack timeout this is proof the hop is *alive*, so the
-        retransmission consumes no retry budget; it is rescheduled with
-        exponential backoff (doubling per consecutive busy, capped) so
-        senders drain a saturated queue instead of hammering it.
-        """
-        seq = msg.payload["rseq"]
-        state = self._rel_pending.get(seq)
-        if state is None:
-            return  # a duplicate was served meanwhile, or we gave up
-        state["busy"] += 1
-        self.network.stats.busy_backoffs += 1
-        if self.breaker is not None and self.breaker.record_failure(
-            msg.src, self.sim.now
-        ):
-            self._note_breaker_open(msg.src)
-        self.sim.cancel(state["timer"])
-        cfg = self.system.config
-        delay = min(
-            cfg.retransmit_timeout_ms
-            * (cfg.busy_backoff_factor ** state["busy"]),
-            cfg.busy_backoff_max_ms,
-        )
-        self._trace(
-            "busy", event=state["payload"]["event_id"],
-            parent=state.get("span"), dst=state["dst"], backoff_ms=delay,
-        )
-        state["timer"] = self.sim.schedule(delay, self._rel_busy_resend, seq)
-
-    def _rel_busy_resend(self, seq: int) -> None:
-        state = self._rel_pending.get(seq)
-        if state is None:
-            return  # acked while backing off (an earlier copy was served)
-        if not self._alive:
-            del self._rel_pending[seq]
-            self._count_give_up(
-                state["payload"], span=state.get("span"), cause="retries"
-            )
-            return
-        self._rel_retransmit(seq, state)
-
-    def _note_breaker_open(self, dst: int) -> None:
-        self.network.stats.breaker_opens += 1
-        self._trace("breaker_open", dst=dst)
-
-    def _route_around(self, key: int, hot: int) -> Optional[int]:
-        """Open circuit to ``hot``: alternate routing entry for ``key``.
-
-        Reuses the hop-failover machinery's route diversity: any entry
-        strictly inside ``(self, key)`` still makes clockwise progress
-        without overshooting the home node (Chord's guarantee), so the
-        best such entry that avoids every open destination carries the
-        traffic around the hot surrogate.  ``None`` when no alternate
-        exists -- the caller then forwards to ``hot`` anyway, which
-        doubles as the breaker's half-open probe.
-        """
-        avoid = self.breaker.open_dsts(self.sim.now)
-        avoid.add(hot)
-        avoid.add(self.addr)
-        best = None
-        best_dist = -1
-        for ent_id, ent_addr in self.routing_entries():
-            if ent_addr in avoid:
-                continue
-            if id_in_interval(ent_id, self.node_id, key):
-                d = cw_distance(self.node_id, ent_id)
-                if d > best_dist:
-                    best = ent_addr
-                    best_dist = d
-        return best
-
     # -- fused route decision (perf contract, docs/PERFORMANCE.md) ------
-    def _route_cache(self) -> Dict[int, Any]:
-        """The decision cache, flushed if the routing epoch moved.
-
-        A flushed epoch is the sole invalidation rule: responsibility
-        and next hop depend only on predecessor/successors/fingers, and
-        any mutation of those bumps the epoch (dht/base.py), so a hit
-        is byte-identical to recomputing.  Breaker reroutes happen
-        downstream of the decision and are never written back -- an
-        open circuit must not poison routing for the breaker's
-        lifetime.
-        """
-        epoch = self.routing_epoch
-        if epoch != self._rc_epoch:
-            self._rc.clear()
-            self._rc_epoch = epoch
-        return self._rc
-
     def _route_miss(self, nid: int):
         """Decide where an entry for ``nid`` goes, from routing state
         alone -- ``_RC_HERE``, a next-hop address, or ``None``
@@ -1743,53 +788,6 @@ class PubSubNodeMixin:
             self._rc.clear()
         self._rc[nid] = decision
         return decision
-
-    def _cached_next_hop(self, nid: int) -> Optional[int]:
-        """``next_hop_addr`` through the decision cache (``None`` when
-        this node is responsible, like the uncached call)."""
-        decision = self._route_cache().get(nid, _RC_MISS)
-        if decision is _RC_MISS:
-            decision = self._route_miss(nid)
-        else:
-            self.rc_hits += 1
-        return None if decision is _RC_HERE else decision
-
-    def _on_ps_storm(self, msg: Message) -> None:
-        """Synthetic storm traffic (``FaultSchedule.storm``): its entire
-        cost is the service time it consumed in the ingress queue."""
-
-    def _on_ps_event(self, msg: Message) -> None:
-        """``ps_event`` receive wrapper of a config with reliable
-        transport or piggybacked maintenance (registered by
-        ``_init_pubsub``; any other config registers ``_process_event``
-        itself): ack + packet-level dedup, ring-state absorption."""
-        p = msg.payload
-        if "rseq" in p:
-            rseq = p["rseq"]
-            self.network.send(
-                Message(
-                    self.addr, msg.src, "ps_event_ack", {"rseq": rseq},
-                    CONTROL_BYTES,
-                )
-            )
-            key = (
-                (rseq << REL_EPOCH_BITS | p.get("repoch", 0)) << _REL_ADDR_BITS
-            ) | msg.src
-            if key in self._rel_seen:
-                # duplicate (our ack was lost, or the network ghosted a
-                # copy): already processed
-                self.network.stats.record_duplicate_packet()
-                return
-            self._rel_seen.add(key)
-        if "pb" in p:
-            pb = p["pb"]
-            self.absorb_piggyback(
-                pb["id"],
-                pb["addr"],
-                tuple(pb["pred"]) if pb["pred"] else None,
-                tuple(pb["succ"]) if pb["succ"] else None,
-            )
-        self._process_event(msg)
 
     def _process_event(self, msg: Message) -> None:
         """Algorithm 5: one node's share of the dissemination tree.
@@ -1810,8 +808,14 @@ class PubSubNodeMixin:
         scheme_name = p["scheme"]
         addr = self.addr
         breaker = self.breaker
-        # The decision cache, flushed if the routing epoch moved (the
-        # rule is ``_route_cache``'s).  Hits are counted by difference.
+        # The decision cache, flushed if the routing epoch moved.  That
+        # is the sole invalidation rule: responsibility and next hop
+        # depend only on predecessor / successors / fingers, and any
+        # mutation of those bumps the epoch (dht/base.py), so a hit is
+        # byte-identical to recomputing.  Breaker reroutes happen after
+        # the decision and are never written back -- an open circuit
+        # must not poison routing for the breaker's lifetime.  Hits are
+        # counted by difference.
         rc = self._rc
         if self.routing_epoch != self._rc_epoch:
             rc.clear()
@@ -2107,15 +1111,6 @@ class PubSubNodeMixin:
                         (s.nid, s.iid) for s in repo.store.match_point(point)
                     ]
 
-        # Migrated store inherited from a gracefully departed node.
-        inherited = self.standby_migrated.get((nid, iid))
-        if inherited is not None and nid != self.node_id:
-            mig_scheme, store = inherited
-            if mig_scheme != scheme_name:
-                self.network.stats.record_scheme_mismatch()
-                return []
-            return [(s.nid, s.iid) for s in store.match_point(point)]
-
         # stale SubID (unsubscribed / departed): dropped, counted
         self.network.stats.record_stale_subid()
         return []
@@ -2343,10 +1338,7 @@ class PubSubNodeMixin:
         # (unsubscribed -- nobody will ever want it again).  A foreign
         # SubID we merely route for (its node crashed) is NOT resolved:
         # stay silent and let the custodian redeliver after the rejoin.
-        resolved = nid == self.node_id or (
-            (nid, iid) in self.standby_markers
-            or (nid, iid) in self.standby_migrated
-        )
+        resolved = nid == self.node_id or (nid, iid) in self.standby_markers
         if not resolved:
             return []
         matched = self._handle_local_entry(
@@ -2487,226 +1479,10 @@ class PubSubNodeMixin:
             )
         )
 
-    # ------------------------------------------------------------------
-    # Section 4: dynamic subscription migration
-    # ------------------------------------------------------------------
-    def lb_start_round(self) -> None:
-        """Begin one probe-and-migrate round (no-op if one is running)."""
-        if self._lb_round is not None:
-            return
-        targets = self.neighbor_addrs()
-        if not targets:
-            return
-        self._lb_seq += 1
-        self._lb_round = {
-            "seq": self._lb_seq,
-            "pending": set(targets),
-            "samples": [],  # (load, node_id, addr)
-            "wave": 1,
-            "probed": set(targets) | {self.addr},
-        }
-        for addr in targets:
-            self._send_probe(addr)
 
-    def _send_probe(self, addr: int) -> None:
-        self.send(
-            Message(
-                src=self.addr,
-                dst=addr,
-                kind="ps_load_probe",
-                payload={
-                    "origin": self.addr,
-                    "seq": self._lb_round["seq"],
-                    "want_neighbors": self.system.config.migration_probe_level >= 2,
-                },
-                size_bytes=CONTROL_BYTES,
-            )
-        )
-
-    def _on_load_probe(self, msg: Message) -> None:
-        payload = {
-            "seq": msg.payload["seq"],
-            "load": self.load(),
-            "capacity": self.capacity,
-            "node_id": self.node_id,
-            "addr": self.addr,
-        }
-        if msg.payload.get("want_neighbors"):
-            payload["neighbors"] = self.neighbor_addrs()
-        self.send(
-            Message(
-                src=self.addr,
-                dst=msg.payload["origin"],
-                kind="ps_load_reply",
-                payload=payload,
-                size_bytes=CONTROL_BYTES,
-            )
-        )
-
-    def _on_load_reply(self, msg: Message) -> None:
-        state = self._lb_round
-        if state is None or msg.payload["seq"] != state["seq"]:
-            return
-        state["pending"].discard(msg.payload["addr"])
-        state["samples"].append(
-            (
-                msg.payload["load"],
-                msg.payload["node_id"],
-                msg.payload["addr"],
-                msg.payload.get("capacity", 1.0),
-            )
-        )
-        if state["wave"] == 1 and "neighbors" in msg.payload:
-            extra = [
-                a
-                for a in msg.payload["neighbors"]
-                if a not in state["probed"]
-            ]
-            for addr in extra:
-                state["probed"].add(addr)
-                state["pending"].add(addr)
-                self._send_probe(addr)
-        if not state["pending"]:
-            self._lb_decide()
-
-    def _lb_decide(self) -> None:
-        """Threshold check and acceptor selection (Section 4).
-
-        Loads are normalised by capacity: a node is overloaded when its
-        *per-unit-capacity* load exceeds the neighbourhood's
-        per-unit-capacity average by the threshold factor, and acceptors
-        are the neighbours with the most spare headroom.  With uniform
-        capacities (the paper's runs) this reduces to the plain rule.
-        """
-        state = self._lb_round
-        self._lb_round = None
-        samples = state["samples"]
-        if not samples:
-            return
-        total_load = sum(s[0] for s in samples)
-        total_cap = sum(s[3] for s in samples)
-        avg = total_load / max(total_cap, 1e-9)
-        my_load = self.load() / max(self.capacity, 1e-9)
-        delta = self.system.config.migration_delta
-        if my_load <= avg * (1.0 + delta) or my_load == 0:
-            return
-        lighter = sorted(
-            (s for s in samples if s[0] / max(s[3], 1e-9) < my_load),
-            key=lambda s: s[0] / max(s[3], 1e-9),
-        )
-        if not lighter:
-            return
-        k = min(self.system.config.migration_max_acceptors, len(lighter))
-        acceptors = lighter[:k]
-        # "nodes N, A1, A2, ..., Ak lie in the clockwise order on the ring"
-        acceptors.sort(key=lambda s: (s[1] - self.node_id) % (1 << 64))
-        self._migrate_to(acceptors)
-
-    def _migrate_to(self, acceptors: List[Tuple[int, int, int]]) -> None:
-        """Partition stored real subscriptions by subscriber-id arcs.
-
-        Subscriptions whose subscriber falls in [A_i, A_{i+1}) go to
-        A_i; the final arc [A_k, N) also goes to A_k.  Subscribers in
-        [N, A_1) stay local.  Entries are *copied* now and removed only
-        when the acceptor acknowledges, so no event can miss them in
-        transit.
-        """
-        ids = [a[1] for a in acceptors]  # samples are (load, id, addr, cap)
-        arcs: List[Tuple[int, int]] = []  # (arc_left, arc_right) per acceptor
-        for i in range(len(ids)):
-            left = ids[i]
-            right = ids[i + 1] if i + 1 < len(ids) else self.node_id
-            arcs.append((left, right))
-
-        for (_load, acc_id, acc_addr, _cap), (left, right) in zip(acceptors, arcs):
-            groups: List[dict] = []
-            payload_bytes = 0
-            for repo in self.zone_repos.values():
-                picked = [
-                    sid
-                    for sid in repo.store.subids()
-                    if repo.kind_of(sid) == "sub"
-                    and id_in_interval(sid.nid, left, right, incl_left=True)
-                ]
-                if not picked:
-                    continue
-                group, group_bytes = repo.export(picked)
-                group["scheme"] = self.system.entity(repo.entity_key).scheme.name
-                groups.append(group)
-                payload_bytes += group_bytes
-            if not groups:
-                continue
-            size = CONTROL_BYTES + payload_bytes
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=acc_addr,
-                    kind="ps_migrate",
-                    payload={"origin": self.addr, "groups": groups},
-                    size_bytes=size,
-                )
-            )
-
-    def _on_migrate(self, msg: Message) -> None:
-        """Acceptor side: store groups, summarise, acknowledge."""
-        acks = []
-        for group in msg.payload["groups"]:
-            scheme_name = group["scheme"]
-            dims = self.system.scheme(scheme_name).dimensions
-            store = BoxStore(dims)
-            for (nid, iid), lows, highs, _kind in group["entries"]:
-                store.put(
-                    SubID(nid, iid),
-                    np.asarray(lows, dtype=np.float64),
-                    np.asarray(highs, dtype=np.float64),
-                )
-            iid = self._next_iid()
-            self.migrated[iid] = (scheme_name, store)
-            bbox = store.bounding_box()
-            acks.append(
-                {
-                    "repo": group["repo"],
-                    "iid": iid,
-                    "lows": bbox[0].tolist(),
-                    "highs": bbox[1].tolist(),
-                    "subids": [e[0] for e in group["entries"]],
-                }
-            )
-        dims = max(len(a["lows"]) for a in acks)
-        self.send(
-            Message(
-                src=self.addr,
-                dst=msg.payload["origin"],
-                kind="ps_migrate_ack",
-                payload={"acceptor_id": self.node_id, "acks": acks},
-                size_bytes=CONTROL_BYTES + len(acks) * subscription_wire_bytes(dims),
-            )
-        )
-
-    def _on_migrate_ack(self, msg: Message) -> None:
-        """Origin side: swap migrated entries for one summarising marker."""
-        acc_id = msg.payload["acceptor_id"]
-        for ack in msg.payload["acks"]:
-            repo = self.zone_repos.get(tuple(ack["repo"]))
-            if repo is None:  # pragma: no cover - defensive
-                continue
-            for nid, iid in ack["subids"]:
-                sid = SubID(nid, iid)
-                if sid in repo.store:
-                    repo.remove(sid)
-            marker = SubID(acc_id, ack["iid"])
-            repo.put(
-                marker,
-                np.asarray(ack["lows"], dtype=np.float64),
-                np.asarray(ack["highs"], dtype=np.float64),
-                "migr",
-            )
-            # The migration marker's bounding box may be tighter than
-            # the departed subscriptions' contribution to the filter.
-            self._refresh_summary(repo)
-
-
-class HyperSubChordNode(PubSubNodeMixin, ChordNode):
+class HyperSubChordNode(
+    PubSubNodeMixin, TransportMixin, ReplicationMixin, MigrationMixin, ChordNode
+):
     """The paper's configuration: HyperSub over Chord(-PNS)."""
 
     def __init__(self, addr: int, node_id: int, network, system=None, **kwargs) -> None:

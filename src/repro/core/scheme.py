@@ -132,10 +132,6 @@ class Scheme:
     def domain_highs(self) -> np.ndarray:
         return np.array([a.high for a in self.attributes], dtype=np.float64)
 
-    def domain_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The full content space as ``(lows, highs)``."""
-        return self.domain_lows(), self.domain_highs()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         attrs = ", ".join(a.name for a in self.attributes)
         return f"Scheme({self.name!r}: {attrs})"

@@ -63,10 +63,6 @@ class SubID:
     nid: int
     iid: Optional[int]
 
-    @property
-    def is_rendezvous(self) -> bool:
-        return self.iid is None
-
 
 class Subscription:
     """A hyper-rectangle over a scheme's content space."""
@@ -131,15 +127,6 @@ class Subscription:
         return bool(
             np.all(self.lows <= event.point) and np.all(event.point <= self.highs)
         )
-
-    def num_specified(self) -> int:
-        return int(self.specified.sum())
-
-    def volume_fraction(self, scheme: Scheme) -> float:
-        """Fraction of the content space this subscription covers."""
-        dom = scheme.domain_highs() - scheme.domain_lows()
-        frac = (self.highs - self.lows) / dom
-        return float(np.prod(np.clip(frac, 0.0, 1.0)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(

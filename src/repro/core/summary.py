@@ -49,15 +49,6 @@ def boxes_equal(a: Optional[Box], b: Optional[Box]) -> bool:
     return a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
 
-def intersect_box(a: Box, b: Box) -> Optional[Box]:
-    """Closed-interval intersection, ``None`` when empty."""
-    lows = np.maximum(a[0], b[0])
-    highs = np.minimum(a[1], b[1])
-    if np.any(highs < lows):
-        return None
-    return lows, highs
-
-
 def child_pieces(
     zone: ContentZone,
     sf: Box,

@@ -19,11 +19,7 @@ import numpy as np
 from repro.core.config import HyperSubConfig
 from repro.core.event import Event
 from repro.core.matching import BoxStore
-from repro.core.node import (
-    REL_EPOCH_BITS,
-    CustodyCohort,
-    HyperSubChordNode,
-)
+from repro.core.node import CustodyCohort, HyperSubChordNode
 from repro.core.scheme import Scheme
 from repro.core.subscheme import (
     PubSubEntity,
@@ -31,6 +27,7 @@ from repro.core.subscheme import (
     entity_for_subscription,
 )
 from repro.core.subscription import SubID, Subscription
+from repro.core.transport import REL_EPOCH_BITS
 from repro.core.zones import ContentZone
 from repro.dht.chord import build_chord_overlay
 from repro.dht.idspace import random_ids
@@ -592,7 +589,6 @@ class HyperSubSystem:
             node.standby_repos = old.standby_repos
             node.standby_rendezvous = old.standby_rendezvous
             node.standby_markers = old.standby_markers
-            node.standby_migrated = old.standby_migrated
             # Ring state is NOT durable: until stabilization converges,
             # a stale predecessor can wrap this node's interval around
             # foreign keys -- suppress vacuous custody acks meanwhile.

@@ -140,13 +140,6 @@ class ContentZone:
         """The dimension the *next* division (into children) splits."""
         return self.level % dims
 
-    def is_ancestor_of(self, other: "ContentZone") -> bool:
-        """Is this zone a (non-strict) ancestor of ``other``?"""
-        if other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return other.code // (self.geometry.base**shift) == self.code
-
     # ------------------------------------------------------------------
     def box(
         self, domain_lows: np.ndarray, domain_highs: np.ndarray

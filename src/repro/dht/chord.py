@@ -9,8 +9,8 @@ Two construction modes:
   stabilization, we schedule events"): measurements run on a stabilised
   overlay.
 * **Dynamic** -- :meth:`ChordNode.join`, periodic
-  :meth:`ChordNode.stabilize` / :meth:`ChordNode.fix_fingers`, graceful
-  :meth:`ChordNode.leave` and crash-stop :meth:`ChordNode.fail`, used by
+  :meth:`ChordNode.stabilize` / :meth:`ChordNode.fix_fingers` and
+  crash-stop :meth:`ChordNode.fail`, used by
   the churn experiments (paper Section 6 lists churn behaviour as future
   work; we implement it as the extension).
 
@@ -212,7 +212,6 @@ class ChordNode(OverlayNode):
         self.register_handler("chord_get_state", self._on_get_state)
         self.register_handler("chord_state_reply", self._on_state_reply)
         self.register_handler("chord_notify", self._on_notify)
-        self.register_handler("chord_leave", self._on_leave)
         self.register_handler("chord_ping", self._on_ping)
         self.register_handler("chord_pong", self._on_pong)
 
@@ -752,43 +751,6 @@ class ChordNode(OverlayNode):
         # if the eviction evidence was our own shed acks.  Dead
         # predecessors are ``check_predecessor``'s job: a direct ping
         # with a suspicion threshold, immune to self-inflicted give-ups.
-
-    def leave(self) -> None:
-        """Graceful departure: link predecessor and successor directly."""
-        self.stop_maintenance()
-        if self.successors and self.predecessor is not None:
-            succ = self.successors[0]
-            pred = self.predecessor
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=succ[1],
-                    kind="chord_leave",
-                    payload={"role": "pred", "neighbor": pred},
-                    size_bytes=CONTROL_BYTES,
-                )
-            )
-            self.send(
-                Message(
-                    src=self.addr,
-                    dst=pred[1],
-                    kind="chord_leave",
-                    payload={"role": "succ", "neighbor": succ},
-                    size_bytes=CONTROL_BYTES,
-                )
-            )
-        self._alive = False
-
-    def _on_leave(self, msg: Message) -> None:
-        neighbor = tuple(msg.payload["neighbor"])
-        if msg.payload["role"] == "pred":
-            self._set_predecessor(neighbor)
-        else:
-            self.successors = [s for s in self.successors if s[1] != msg.src]
-            if not self.successors or id_in_interval(
-                neighbor[0], self.node_id, self.successors[0][0]
-            ):
-                self.successors.insert(0, neighbor)
 
 
 def build_chord_overlay(

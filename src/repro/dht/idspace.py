@@ -80,11 +80,6 @@ def random_ids(n: int, seed: int) -> List[int]:
     return [out[i] for i in order]
 
 
-def id_to_hex(x: int) -> str:
-    """Fixed-width hex rendering used in logs and reprs."""
-    return f"{x:016x}"
-
-
 def consistent_hash_64(data: bytes) -> int:
     """SHA-1-based consistent hash onto the identifier space.
 
@@ -98,20 +93,3 @@ def consistent_hash_64(data: bytes) -> int:
 
     digest = hashlib.sha1(data).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a 64-bit hash -- a tiny consistent hash.
-
-    Used for scheme-name rotation offsets (Section 4, "The randomness of
-    phi for each scheme/subscheme can be achieved by hashing ... the
-    name of the corresponding scheme/subscheme").  FNV keeps the
-    repository dependency-free and deterministic across runs and
-    platforms, which SHA via ``hashlib`` would also provide; FNV is
-    simply cheaper and sufficient for spreading offsets.
-    """
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & ID_MASK
-    return h

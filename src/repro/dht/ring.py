@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from repro.dht.idspace import ID_SPACE, cw_distance
+from repro.dht.idspace import ID_SPACE
 
 
 class SortedRing:
@@ -95,16 +95,3 @@ class SortedRing:
         if left < right:
             return self._ids[lo:hi]
         return self._ids[lo:] + self._ids[:hi]
-
-    def numerically_closest(self, key: int) -> int:
-        """Id minimising circular distance to ``key`` (Pastry convention).
-
-        Ties (exactly antipodal candidates) resolve to the clockwise one.
-        """
-        succ = self.successor(key)
-        pred = self.predecessor(key)
-        if succ == pred:
-            return succ
-        if cw_distance(key, succ) <= cw_distance(pred, key):
-            return succ
-        return pred

@@ -150,8 +150,6 @@ class InvariantChecker:
         for node in alive:
             for _scheme, store in node.migrated.values():
                 migrated_holders.update((s.nid, s.iid) for s in store.subids())
-            for _scheme, store in node.standby_migrated.values():
-                migrated_holders.update((s.nid, s.iid) for s in store.subids())
         for node in alive:
             for iid, (entity_key, _sub, zone, _subid) in node.own_subs.items():
                 entity = system.entity(entity_key)

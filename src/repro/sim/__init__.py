@@ -15,7 +15,7 @@ simulator the paper runs on).  It provides:
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.network import Network, SimNode
-from repro.sim.stats import NetworkStats, Counter
+from repro.sim.stats import NetworkStats
 from repro.sim.topology import (
     Topology,
     ConstantTopology,
@@ -29,7 +29,6 @@ __all__ = [
     "Network",
     "SimNode",
     "NetworkStats",
-    "Counter",
     "Topology",
     "ConstantTopology",
     "ExplicitTopology",

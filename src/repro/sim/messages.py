@@ -45,6 +45,12 @@ def event_message_bytes(num_subids: int) -> int:
     return HEADER_BYTES + EVENT_BYTES + SUBID_BYTES * num_subids
 
 
+def subscription_wire_bytes(dims: int) -> int:
+    """Wire size of one subscription box: its SubID plus two float64
+    bounds per dimension."""
+    return SUBID_BYTES + 16 * dims
+
+
 @dataclass(slots=True)
 class Message:
     """A packet in flight between two simulated nodes.

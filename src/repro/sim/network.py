@@ -96,7 +96,7 @@ class SimNode:
         """Admission band for ``msg``: 0 = control (served first, never
         shed while bulk traffic can be evicted instead), 1 = bulk.  The
         base fabric is priority-blind; protocol nodes override this
-        (``PubSubNodeMixin`` ranks acks/repair/migration above events
+        (``TransportMixin`` ranks acks/repair/migration above events
         when overload protection is on)."""
         return 1
 

@@ -53,28 +53,6 @@ DURABLE_COUNTERS = (
 )
 
 
-class Counter:
-    """A named monotonically-increasing tally."""
-
-    __slots__ = ("name", "count", "total")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-
-    def add(self, value: float = 1.0) -> None:
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}: n={self.count}, total={self.total})"
-
-
 class _CounterAttr:
     """An ``int`` attribute of :class:`NetworkStats` kept in the registry
     counter that ``NetworkStats.__init__`` stored under ``slot``: reading
@@ -313,14 +291,10 @@ class NetworkStats:
         n = self.num_nodes
         self._in_bytes = [0.0] * n
         self._out_bytes = [0.0] * n
-        self._in_msgs = [0] * n
-        self._out_msgs = [0] * n
 
     def record_send(self, src: int, dst: int, kind: str, size_bytes: int) -> None:
         self._out_bytes[src] += size_bytes
-        self._out_msgs[src] += 1
         self._in_bytes[dst] += size_bytes
-        self._in_msgs[dst] += 1
         try:
             self.bytes_by_kind[kind] += size_bytes
             self.msgs_by_kind[kind] += 1
@@ -340,22 +314,12 @@ class NetworkStats:
         return np.array(self._out_bytes, dtype=np.float64)
 
     @property
-    def in_msgs(self) -> np.ndarray:
-        """Packets received per node address (int64 snapshot)."""
-        return np.array(self._in_msgs, dtype=np.int64)
-
-    @property
-    def out_msgs(self) -> np.ndarray:
-        """Packets sent per node address (int64 snapshot)."""
-        return np.array(self._out_msgs, dtype=np.int64)
-
-    @property
     def total_bytes(self) -> float:
         return float(sum(self._out_bytes))
 
     @property
     def total_msgs(self) -> int:
-        return sum(self._out_msgs)
+        return sum(self.msgs_by_kind.values())
 
     def reset(self) -> None:
         """Zero every counter (used between warm-up and measurement)."""

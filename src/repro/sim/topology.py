@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,24 +271,3 @@ class KingLikeTopology(Topology):
         out = rtts * _pair_jitter_vec(a, idx, self._jitter)
         out[idx == a] = 0.0
         return out
-
-
-def build_topology(
-    size: int,
-    kind: str = "king",
-    seed: int = 1,
-    target_mean_rtt_ms: Optional[float] = None,
-) -> Topology:
-    """Factory used by the experiment harness.
-
-    ``kind`` is one of ``king`` (default), ``constant``.
-    """
-    if kind == "king":
-        return KingLikeTopology(
-            size,
-            seed=seed,
-            target_mean_rtt_ms=target_mean_rtt_ms or KING_MEAN_RTT_MS,
-        )
-    if kind == "constant":
-        return ConstantTopology(size, rtt=target_mean_rtt_ms or 100.0)
-    raise ValueError(f"unknown topology kind: {kind!r}")

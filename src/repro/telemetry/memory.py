@@ -75,7 +75,6 @@ NODE_COMPONENTS: Dict[str, tuple] = {
         "standby_repos",
         "standby_rendezvous",
         "standby_markers",
-        "standby_migrated",
     ),
     #: overlay routing state (fingers/successors/snapshots/leaf sets)
     "overlay": (
@@ -305,8 +304,6 @@ def measure_system(
         for part in (
             stats._in_bytes,
             stats._out_bytes,
-            stats._in_msgs,
-            stats._out_msgs,
             stats.bytes_by_kind,
             stats.msgs_by_kind,
         )

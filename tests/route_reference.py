@@ -1,6 +1,7 @@
-"""The uncached route decision, as the reference cached runs are
-compared against: nodes that never remember an answer recompute
-``is_responsible`` / ``next_hop_addr`` for every Algorithm-5 entry."""
+"""The route decision from the tests' side: the uncached reference
+the cached runs are compared against -- nodes that never remember an
+answer recompute ``is_responsible`` / ``next_hop_addr`` for every
+Algorithm-5 entry -- and one entry driven through the inline cache."""
 
 
 class NeverRemembers(dict):
@@ -14,3 +15,30 @@ def forget_routes(system) -> None:
     """Make every entry on every node of ``system`` take ``_route_miss``."""
     for node in system.nodes:
         node._rc = NeverRemembers()
+
+
+def route_once(node, key):
+    """Offer one entry for ``key`` to Algorithm 5's inline route cache:
+    a self-addressed one-entry packet through ``node._process_event``.
+    The packet names no scheme, so wherever it ends up it matches
+    nothing.  Returns the address it was forwarded to, ``None`` when it
+    was not (served here, or unroutable)."""
+    net = node.network
+    real_send = net.send
+    sent = []
+
+    def send(msg):
+        sent.append(msg.dst)
+        real_send(msg)
+
+    net.send = send
+    try:
+        node._process_event(
+            node._local_event(
+                {"event_id": -1, "scheme": "-", "point": None},
+                [(key, None)], 0, 0.0, 0.0, None,
+            )
+        )
+    finally:
+        del net.send
+    return sent[0] if sent else None

@@ -81,7 +81,7 @@ class TestSubscription:
         s = Subscription(scheme, [Predicate("x", 10, 20)])
         assert list(s.lows) == [10.0, -50.0, 0.0]
         assert list(s.highs) == [20.0, 50.0, 10.0]
-        assert s.num_specified() == 1
+        assert s.specified.tolist() == [True, False, False]
 
     def test_matches_inclusive_bounds(self, scheme):
         s = Subscription(scheme, [Predicate("x", 10, 20)])
@@ -110,10 +110,6 @@ class TestSubscription:
         s = Subscription.from_box(scheme, [0, -10, 0], [50, 10, 5])
         assert s.matches(Event(scheme, {"x": 25, "y": 0, "z": 2}))
 
-    def test_volume_fraction(self, scheme):
-        s = Subscription(scheme, [Predicate("x", 0, 50)])
-        assert s.volume_fraction(scheme) == pytest.approx(0.5)
-
     def test_equality_and_hash(self, scheme):
         a = Subscription(scheme, [Predicate("x", 1, 2)])
         b = Subscription(scheme, [Predicate("x", 1, 2)])
@@ -121,10 +117,6 @@ class TestSubscription:
 
 
 class TestSubID:
-    def test_rendezvous_flag(self):
-        assert SubID(5, None).is_rendezvous
-        assert not SubID(5, 1).is_rendezvous
-
     def test_ordering_and_hash(self):
         assert SubID(1, 2) == SubID(1, 2)
         assert len({SubID(1, 2), SubID(1, 2), SubID(1, 3)}) == 2

@@ -11,7 +11,6 @@ from repro.core import (
     Scheme,
     Subscription,
 )
-from repro.core.loadbalance import imbalance_ratio
 
 
 def make_scheme(name="s"):
@@ -52,7 +51,7 @@ class TestMigration:
         system.run_migration_rounds(2)
         after = system.node_loads()
         assert after.max() < before.max()
-        assert imbalance_ratio(after) < imbalance_ratio(before)
+        assert after.max() / after.mean() < before.max() / before.mean()
 
     def test_migration_preserves_exact_delivery(self):
         system, scheme, installed, rng = build()
@@ -170,8 +169,3 @@ class TestRotation:
         # 120 straddling subscriptions); rotation spreads the schemes.
         assert without.max() == 120
         assert with_rot.max() < without.max()
-
-    def test_imbalance_ratio_helper(self):
-        assert imbalance_ratio([1, 1, 1, 1]) == 1.0
-        assert imbalance_ratio([0, 0, 0, 4]) == 4.0
-        assert imbalance_ratio([0, 0]) == 0.0

@@ -81,11 +81,6 @@ class TestScheme:
         with pytest.raises(KeyError):
             self.make().attr_index("volume")
 
-    def test_domain_box(self):
-        lows, highs = self.make().domain_box()
-        assert list(lows) == [0, 0]
-        assert list(highs) == [500, 1e6]
-
     def test_duplicate_attrs_rejected(self):
         with pytest.raises(ValueError):
             Scheme("s", [Attribute("a", 0, 1), Attribute("a", 0, 2)])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.node import ZoneRepo
 from repro.core.scheme import Attribute, Scheme
 from repro.core.subscheme import PubSubEntity
-from repro.core.summary import boxes_equal, child_pieces, intersect_box, merge_box
+from repro.core.summary import boxes_equal, child_pieces, merge_box
 from repro.core.zones import ContentZone, ZoneGeometry
 from tests import geometry_reference as ref
 from tests.box_oracle import same_bits
@@ -39,19 +39,6 @@ class TestMergeBox:
     def test_boundary_touch_is_unchanged(self):
         merged, changed = merge_box(B([0], [10]), B([10], [10]))
         assert not changed
-
-
-class TestIntersect:
-    def test_overlap(self):
-        out = intersect_box(B([0, 0], [10, 10]), B([5, 5], [15, 15]))
-        assert list(out[0]) == [5, 5] and list(out[1]) == [10, 10]
-
-    def test_disjoint_returns_none(self):
-        assert intersect_box(B([0], [1]), B([2], [3])) is None
-
-    def test_touching_is_degenerate_not_none(self):
-        out = intersect_box(B([0], [5]), B([5], [9]))
-        assert list(out[0]) == [5] and list(out[1]) == [5]
 
 
 class TestChildPieces:

@@ -378,10 +378,9 @@ class TestLookupRestart:
         assert net.stats.lookup_restarts == MAX_LOOKUP_RESTARTS + 1
         assert net.stats.lookup_abandoned == 1
         assert nodes[1]._pending_lookups == {}
-        from repro.analysis.trace import render_transport_summary, transport_summary
+        from repro.analysis.trace import transport_summary
 
         assert transport_summary(net.stats)["lookup_abandoned"] == 1
-        assert "1 lookups abandoned" in render_transport_summary(net.stats)
         net.stats.reset()
         assert net.stats.lookup_abandoned == 0 and net.stats.lookup_restarts == 0
         # same walk, same traffic as when every step was mailed

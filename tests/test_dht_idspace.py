@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht.idspace import (
-    ID_MASK,
     ID_SPACE,
     cw_distance,
-    fnv1a_64,
     id_add,
     id_in_interval,
     id_sub,
-    id_to_hex,
     random_ids,
 )
 
@@ -111,21 +108,3 @@ class TestRandomIds:
         """Address order must not correlate with id rank."""
         out = random_ids(200, seed=1)
         assert out != sorted(out)
-
-
-class TestHashing:
-    def test_fnv_known_vector(self):
-        # FNV-1a 64 of empty input is the offset basis.
-        assert fnv1a_64(b"") == 0xCBF29CE484222325
-
-    def test_fnv_distinct_names(self):
-        names = [f"scheme-{i}".encode() for i in range(100)]
-        hashes = {fnv1a_64(n) for n in names}
-        assert len(hashes) == 100
-
-    def test_fnv_in_space(self):
-        assert 0 <= fnv1a_64(b"stock-quotes") <= ID_MASK
-
-    def test_hex_width(self):
-        assert id_to_hex(0) == "0" * 16
-        assert id_to_hex(ID_SPACE - 1) == "f" * 16

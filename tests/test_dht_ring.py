@@ -93,17 +93,6 @@ class TestArcs:
         assert ring.ids_in_arc(7, 7) == [10, 20]
 
 
-class TestNumericallyClosest:
-    def test_prefers_nearer_side(self):
-        ring = make_ring([0, 100])
-        assert ring.numerically_closest(10) == 0
-        assert ring.numerically_closest(90) == 100
-
-    def test_tie_breaks_clockwise(self):
-        ring = make_ring([0, 100])
-        assert ring.numerically_closest(50) == 100
-
-
 @given(ids=small_ids, key=st.integers(min_value=0, max_value=ID_SPACE - 1))
 @settings(max_examples=200)
 def test_successor_is_first_cw_node(ids, key):
@@ -131,16 +120,3 @@ def test_predecessor_successor_adjacency(ids, key):
         assert not (
             0 < cw_distance(pred, other) < cw_distance(pred, succ)
         ), (pred, other, succ)
-
-
-@given(ids=small_ids, key=st.integers(min_value=0, max_value=ID_SPACE - 1))
-@settings(max_examples=200)
-def test_numerically_closest_minimises_circular_distance(ids, key):
-    ring = make_ring(ids)
-    best = ring.numerically_closest(key)
-
-    def circ(x):
-        d = cw_distance(key, x)
-        return min(d, ID_SPACE - d)
-
-    assert all(circ(other) >= circ(best) for other in ids)

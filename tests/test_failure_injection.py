@@ -354,10 +354,10 @@ class TestReliableDelivery:
         system.publish(5, Event(scheme, [3000.0, 3000.0, 3000.0, 3000.0]))
         assert publisher._rel_pending, "the publisher forwarded nothing reliably"
         publisher.fail()  # the acks on their way back find nobody
-        sent = int(stats.out_msgs[5])
+        sent = float(stats.out_bytes[5])
         gave_up = stats.gave_up
         system.run_until_idle()
-        assert int(stats.out_msgs[5]) == sent
+        assert float(stats.out_bytes[5]) == sent
         assert not publisher._rel_pending
         assert stats.gave_up > gave_up
         assert stats.gave_up_by_cause["retries"] == stats.gave_up

@@ -530,10 +530,11 @@ class TestCustodyCohort:
         scheduler dispatch is a packet arrival, a scheduled publish, a
         retransmission timer that really expired or a cohort tick.  A
         cancelled timer or an idle node never costs a dispatch."""
-        from repro.core.node import CustodyCohort, PubSubNodeMixin
+        from repro.core.node import CustodyCohort
+        from repro.core.transport import TransportMixin
 
         counts = {"retry": 0, "tick": 0, "publish": 0}
-        retry, tick = PubSubNodeMixin._rel_retry, CustodyCohort.tick
+        retry, tick = TransportMixin._rel_retry, CustodyCohort.tick
 
         def counted_retry(self, seq):
             counts["retry"] += 1
@@ -543,7 +544,7 @@ class TestCustodyCohort:
             counts["tick"] += 1
             tick(self)
 
-        monkeypatch.setattr(PubSubNodeMixin, "_rel_retry", counted_retry)
+        monkeypatch.setattr(TransportMixin, "_rel_retry", counted_retry)
         monkeypatch.setattr(CustodyCohort, "tick", counted_tick)
         cfg = _durable_cfg(
             seed=16, ordering="fifo", direct_rendezvous_levels=21,

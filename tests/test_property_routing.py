@@ -29,7 +29,7 @@ from repro.dht.idspace import ID_SPACE, id_in_interval
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import ConstantTopology
-from tests.route_reference import forget_routes
+from tests.route_reference import forget_routes, route_once
 
 ids64 = st.integers(0, ID_SPACE - 1)
 
@@ -292,8 +292,12 @@ def test_fused_decision_cache_dies_with_every_routing_mutation():
     def check_all():
         for key in keys:
             decision = uncached_decision(node, key)
-            hop = node._cached_next_hop(key)  # fills the cache
-            assert hop == (None if decision is _RC_HERE else decision)
+            hop = route_once(node, key)  # fills the cache
+            # forwarded to the decision unless served here or unroutable
+            if decision is _RC_HERE or decision == node.addr:
+                assert hop is None
+            else:
+                assert hop == decision
             assert node._rc[key] == decision
 
     check_all()

@@ -187,9 +187,9 @@ class TestConfigSurface:
 
 
 class TestWireFormatOwners:
-    """Each packet kind of ``core/node.py`` is built at exactly one
-    place (docs/ALGORITHMS.md, "Wire formats"), so a format change --
-    or a serialiser for real sockets -- has one site to land on."""
+    """Each packet kind of the node is built at exactly one place
+    (docs/ALGORITHMS.md, "Wire formats"), so a format change -- or a
+    serialiser for real sockets -- has one site to land on."""
 
     #: ``ps_event``: the forward step's two emit loops (the straight
     #: line's ``Message(...)``, the general loop's ``msg.child``), the
@@ -197,39 +197,127 @@ class TestWireFormatOwners:
     MAX_SITES = {"ps_event": 4}
 
     @staticmethod
-    def construction_sites():
-        """``{kind: [line, ...]}`` over every call in node.py that is
-        handed a ``"ps_*"`` literal, handler registration aside."""
+    def node_modules():
+        """The source files of every pub/sub class ``HyperSubChordNode``
+        is assembled from, read off its MRO: the ``repro.core`` ones
+        (the overlay and network classes below them speak ``chord_*`` /
+        ``dht_*``, and the network writes the storm filler)."""
+        import inspect
+
+        from repro.core.node import HyperSubChordNode
+
+        return sorted(
+            {
+                pathlib.Path(inspect.getsourcefile(cls))
+                for cls in HyperSubChordNode.__mro__
+                if cls.__module__.startswith("repro.core.")
+            }
+        )
+
+    @classmethod
+    def construction_sites(cls):
+        """``{kind: ["module:line", ...]}`` over every call in the node's
+        modules that is handed a ``"ps_*"`` literal, handler
+        registration aside."""
         import ast
 
-        path = REPO / "src" / "repro" / "core" / "node.py"
         sites = {}
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            if getattr(node.func, "attr", None) == "register_handler":
-                continue
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("ps_")
-                ):
-                    sites.setdefault(arg.value, []).append(node.lineno)
+        for path in cls.node_modules():
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if getattr(node.func, "attr", None) == "register_handler":
+                    continue
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                    if (
+                        isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str)
+                        and arg.value.startswith("ps_")
+                    ):
+                        sites.setdefault(arg.value, []).append(
+                            f"{path.name}:{node.lineno}"
+                        )
         return sites
+
+    def test_the_node_is_assembled_from_its_modules(self):
+        names = {path.name for path in self.node_modules()}
+        assert {"node.py", "transport.py", "replication.py", "loadbalance.py"} <= names
 
     def test_each_kind_has_one_construction_site(self):
         sites = self.construction_sites()
-        source = (REPO / "src" / "repro" / "core" / "node.py").read_text(encoding="utf-8")
-        handled = set(re.findall(r'register_handler\("(ps_\w+)"', source))
+        handled = set()
+        for path in self.node_modules():
+            source = path.read_text(encoding="utf-8")
+            handled |= set(re.findall(r'register_handler\("(ps_\w+)"', source))
         # every kind the node handles is also written by the node, except
         # the storm filler the fault injector sends
         assert handled - set(sites) == {"ps_storm"}
         assert set(sites) <= handled
-        for kind, lines in sorted(sites.items()):
-            assert len(lines) <= self.MAX_SITES.get(kind, 1), (
-                f"{kind} is constructed at node.py lines {lines}"
+        for kind, where in sorted(sites.items()):
+            assert len(where) <= self.MAX_SITES.get(kind, 1), (
+                f"{kind} is constructed at {where}"
             )
+
+
+class TestNoTestOnlyCode:
+    """Every function, method and class defined under ``src/repro/`` is
+    named somewhere under ``src/``, ``benchmarks/`` or ``examples/``
+    outside its own body -- in code, a docstring or a comment -- or it
+    is code only the tests run.  Dunders and names defined more than
+    once are skipped (a name search cannot tell their definitions
+    apart)."""
+
+    #: definitions kept although nothing outside ``tests/`` names them
+    ALLOWED = {
+        "clear_cache": (
+            "experiments.common: the test-isolation hook for the in-process memo"
+        ),
+        "index_size": (
+            "CoveringStore: core/covering.py stays importable for the e2e layer list"
+        ),
+    }
+
+    def test_every_definition_is_named_outside_tests(self):
+        import ast
+
+        word = re.compile(r"[A-Za-z_]\w*")
+        words_by_line = {}
+        defs = {}
+        for top in ("src", "benchmarks", "examples"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                words_by_line[path] = [
+                    set(word.findall(line)) for line in text.splitlines()
+                ]
+                if not path.is_relative_to(REPO / "src" / "repro"):
+                    continue
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                    ):
+                        defs.setdefault(node.name, []).append(
+                            (path, node.lineno, node.end_lineno)
+                        )
+        unnamed = []
+        for name, where in sorted(defs.items()):
+            if len(where) > 1 or (name.startswith("__") and name.endswith("__")):
+                continue
+            path, first, last = where[0]
+            named = any(
+                name in words
+                for other, lines in words_by_line.items()
+                for lineno, words in enumerate(lines, 1)
+                if other != path or not first <= lineno <= last
+            )
+            if not named and name not in self.ALLOWED:
+                unnamed.append(f"{path.relative_to(REPO)}:{first} {name}")
+        assert not unnamed, "defined but only tests use it: " + ", ".join(unnamed)
+        stale = {
+            name for name in self.ALLOWED
+            if len(defs.get(name, ())) != 1
+        }
+        assert not stale, f"allowlisted names no longer defined once: {sorted(stale)}"
 
 
 class TestOneJudge:

@@ -10,7 +10,6 @@ from repro.sim.topology import (
     KingLikeTopology,
     _pair_jitter,
     _pair_jitter_vec,
-    build_topology,
 )
 
 
@@ -186,19 +185,3 @@ class TestJitter:
     def test_jitter_varies_across_pairs(self):
         vals = {_pair_jitter(0, b, 0.15) for b in range(1, 50)}
         assert len(vals) > 40
-
-
-class TestBuildTopology:
-    def test_king_factory(self):
-        topo = build_topology(50, kind="king", seed=1)
-        assert isinstance(topo, KingLikeTopology)
-        assert topo.size == 50
-
-    def test_constant_factory(self):
-        topo = build_topology(10, kind="constant", target_mean_rtt_ms=66.0)
-        assert isinstance(topo, ConstantTopology)
-        assert topo.rtt_ms(0, 1) == 66.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            build_topology(10, kind="torus")
