@@ -11,7 +11,8 @@ invaluable when a delivery test fails.
 Since the telemetry subsystem landed, ``EventRecord.edges`` and the
 ``forward`` spans in :mod:`repro.telemetry.tracing` are written by the
 same call site in ``repro.core.node`` -- an exported ``trace.jsonl``
-reconstructs exactly these trees (:func:`edges_from_trace`), and
+reconstructs exactly these trees
+(:func:`~repro.telemetry.tracing.edges_from_spans`), and
 ``python -m repro trace --event N`` renders the full causal view
 (matches, retransmissions, failover reroutes included).
 """
@@ -82,49 +83,6 @@ def render_dissemination_tree(record, max_depth: int = 32) -> str:
     for i, (dst, n) in enumerate(kids):
         visit(dst, n, "", i == len(kids) - 1, 1)
     return "\n".join(lines)
-
-
-def transport_summary(stats) -> Dict[str, int]:
-    """Reliable-transport health counters of one run.
-
-    ``stats`` is a :class:`~repro.sim.stats.NetworkStats`.  Before these
-    counters existed, a hop that exhausted its retries vanished without
-    trace; now every retransmission and every abandoned packet (and the
-    SubIDs it carried) is accounted.
-    """
-    return {
-        "retransmissions": stats.retransmissions,
-        "gave_up_packets": stats.gave_up,
-        "gave_up_subids": stats.gave_up_subids,
-        "gave_up_by_cause": stats.gave_up_by_cause,
-        "unroutable": stats.unroutable,
-        "lookup_abandoned": stats.lookup_abandoned,
-        "stale_unregister": stats.stale_unregister,
-        "stale_subid": stats.stale_subid,
-        "duplicate_packet": stats.duplicate_packet,
-        "duplicate_entry": stats.duplicate_entry,
-        "scheme_mismatch": stats.scheme_mismatch,
-        "busy_backoffs": stats.busy_backoffs,
-        "shed": stats.shed,
-        "breaker_opens": stats.breaker_opens,
-        "dropped": stats.dropped,
-        "dropped_by_cause": stats.dropped_by_cause,
-        "duplicated": stats.duplicated,
-        "reordered": stats.reordered,
-        "queue_peak": stats.queue_peak,
-        "durable": stats.durable_counts,
-        "msgs_by_kind": dict(sorted(stats.msgs_by_kind.items())),
-    }
-
-
-def edges_from_trace(spans: Iterable[dict], event_id: int) -> List[Tuple[int, int, int]]:
-    """``(src, dst, n_entries)`` edges of one event from an exported
-    ``trace.jsonl`` -- the same set :class:`EventRecord.edges` holds,
-    because both views are written by one call site.
-    """
-    from repro.telemetry.tracing import edges_from_spans
-
-    return edges_from_spans(spans, event_id)
 
 
 def _span_view(span) -> Tuple[str, float, int, int, int, dict]:

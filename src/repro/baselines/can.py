@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.messages import CONTROL_BYTES, Message
+from repro.sim.messages import Message
 from repro.sim.network import Network, SimNode
 
 
@@ -144,29 +144,20 @@ def build_can_overlay(
     network: Network,
     dims: int,
     node_factory: Optional[Callable[..., CANNode]] = None,
-    num_zones: Optional[int] = None,
 ) -> List[CANNode]:
-    """Statically partition ``[0,1]^dims`` into one zone per address.
-
-    ``num_zones`` < network size leaves the remaining addresses as
-    *spares* (nodes without zones) for Meghdoot's zone-splitting load
-    balancer to recruit later.
-    """
+    """Statically partition ``[0,1]^dims`` into one zone per address."""
     n = network.topology.size
     if n < 1:
         raise ValueError("need at least one node")
     if dims < 1:
         raise ValueError("dims must be >= 1")
-    zoned = num_zones if num_zones is not None else n
-    if not 1 <= zoned <= n:
-        raise ValueError("num_zones must be in [1, network size]")
 
     # Split the largest zone until there is one per node.  The heap is
     # keyed by (-volume, sequence) for determinism.
     seq = itertools.count()
     root = CANZone(np.zeros(dims), np.ones(dims))
     heap: List[Tuple[float, int, CANZone]] = [(-root.volume(), next(seq), root)]
-    while len(heap) < zoned:
+    while len(heap) < n:
         _negvol, _s, zone = heapq.heappop(heap)
         a, b = zone.split()
         heapq.heappush(heap, (-a.volume(), next(seq), a))
@@ -175,7 +166,7 @@ def build_can_overlay(
 
     factory = node_factory or CANNode
     nodes = [factory(addr, network) for addr in range(n)]
-    for node, zone in zip(nodes, zones):  # spares keep zone = None
+    for node, zone in zip(nodes, zones):
         node.zone = zone
 
     # Face adjacency, vectorised per zone against all others.
@@ -194,46 +185,3 @@ def build_can_overlay(
                 nodes[i].neighbors.append((int(j), zones[j]))
     return nodes
 
-
-def split_zone_to(
-    nodes: Sequence[CANNode], owner_addr: int, spare_addr: int
-) -> Tuple[CANZone, CANZone]:
-    """Hand half of ``owner_addr``'s zone to the spare node.
-
-    The CAN join operation Meghdoot's balancer directs at hot zones:
-    the owner's zone is halved along its longest side; the spare takes
-    the upper half.  Both nodes' neighbour sets -- and every affected
-    neighbour's view -- are rewired.  Returns the two new zones.
-    """
-    owner = nodes[owner_addr]
-    spare = nodes[spare_addr]
-    if owner.zone is None:
-        raise ValueError("owner has no zone")
-    if spare.zone is not None:
-        raise ValueError("spare already owns a zone")
-
-    old_neighbors = list(owner.neighbors)
-    zone_lo, zone_hi = owner.zone.split()
-    owner.zone = zone_lo
-    spare.zone = zone_hi
-
-    # Rebuild both local neighbour sets from the old neighbourhood;
-    # the two halves are each other's neighbours by construction.
-    owner.neighbors = [(spare_addr, zone_hi)]
-    spare.neighbors = [(owner_addr, zone_lo)]
-    for naddr, _stale in old_neighbors:
-        nz = nodes[naddr].zone
-        if nz is None:  # pragma: no cover - defensive
-            continue
-        if zone_lo.faces_touch(nz):
-            owner.neighbors.append((naddr, nz))
-        if zone_hi.faces_touch(nz):
-            spare.neighbors.append((naddr, nz))
-        # The neighbour's view: replace its stale entry for the owner.
-        rebuilt = [(a, z) for a, z in nodes[naddr].neighbors if a != owner_addr]
-        if nz.faces_touch(zone_lo):
-            rebuilt.append((owner_addr, zone_lo))
-        if nz.faces_touch(zone_hi):
-            rebuilt.append((spare_addr, zone_hi))
-        nodes[naddr].neighbors = rebuilt
-    return zone_lo, zone_hi

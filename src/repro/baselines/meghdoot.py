@@ -18,12 +18,9 @@ Mapping (faithful to the Meghdoot paper):
   subscriptions and notifies subscribers directly (one unicast hop,
   Meghdoot's delivery model).
 
-Meghdoot's load balancer is modelled as well: overloaded zones split,
-handing half the zone (and the subscriptions whose points fall there)
-to a spare node -- the directed CAN join of the original paper
-(:meth:`MeghdootSystem.rebalance`).  Zone *replication* for event-load
-sharing is not modelled; the comparison targets delivery cost and
-storage balance, which is what experiment B1 reports.
+Meghdoot's load balancing -- zone splitting toward hot spots and zone
+replication for event load -- is not modelled; the comparison targets
+delivery cost and storage balance, which is what experiment B1 reports.
 """
 
 from __future__ import annotations
@@ -32,16 +29,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.can import CANNode, build_can_overlay, split_zone_to
+from repro.baselines.can import CANNode, build_can_overlay
 from repro.core.event import Event
-from repro.core.matching import BoxStore
 from repro.core.scheme import Scheme
 from repro.core.subscription import SubID, Subscription
 from repro.core.system import Metrics
 from repro.sim.engine import Simulator
 from repro.sim.messages import CONTROL_BYTES, Message, event_message_bytes
 from repro.sim.network import Network
-from repro.sim.stats import NetworkStats
 from repro.sim.topology import KingLikeTopology, Topology
 
 
@@ -82,19 +77,6 @@ class MeghdootNode(CANNode):
         parent: Optional[Message],
     ) -> None:
         """Greedy-forward a message toward the zone owning ``point``."""
-        if self.zone is None:
-            # A spare (zoneless) node bootstraps through any zoned node.
-            entry = next(n for n in self.system.nodes if n.zone is not None)
-            body = {**payload, "point": point}
-            msg = Message(
-                src=self.addr, dst=entry.addr, kind=kind, payload=body,
-                size_bytes=size,
-                root_time=self.sim.now if parent is None else parent.root_time,
-            )
-            if kind == "mg_event":
-                self.system.metrics.on_event_message(payload["event_id"], size)
-            self.send(msg)
-            return
         if self.owns(point):
             # Already home: deliver locally with no network cost.
             msg = Message(
@@ -206,16 +188,11 @@ class MeghdootSystem:
         num_nodes: Optional[int] = None,
         topology: Optional[Topology] = None,
         seed: int = 1,
-        spares: int = 0,
     ) -> None:
-        """``spares`` addresses start without zones; :meth:`rebalance`
-        recruits them to split overloaded zones (Meghdoot's balancer)."""
         if topology is None:
             if num_nodes is None:
                 raise ValueError("provide num_nodes or a topology")
             topology = KingLikeTopology(num_nodes, seed=seed)
-        if not 0 <= spares < topology.size:
-            raise ValueError("spares must leave at least one zoned node")
         self.scheme = scheme
         self.topology = topology
         self.sim = Simulator()
@@ -227,9 +204,7 @@ class MeghdootSystem:
             self.network,
             dims=2 * scheme.dimensions,
             node_factory=lambda addr, network: MeghdootNode(addr, network, self),
-            num_zones=topology.size - spares,
         )
-        self._spares: List[int] = list(range(topology.size - spares, topology.size))
 
     # ------------------------------------------------------------------
     # Content-space <-> CAN-space mapping
@@ -271,38 +246,3 @@ class MeghdootSystem:
 
     def node_loads(self) -> np.ndarray:
         return np.array([len(n.store) for n in self.nodes], dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Meghdoot's load balancer: split overloaded zones to spare nodes
-    # ------------------------------------------------------------------
-    def rebalance(self, threshold: Optional[float] = None) -> int:
-        """Split the hottest zones until no zone exceeds ``threshold``
-        stored subscriptions (default: 2x the mean over zoned nodes) or
-        the spare pool runs dry.  Returns the number of splits.
-
-        This is the quiescent-phase equivalent of Meghdoot's dynamic
-        behaviour, where an overloaded node directs the next joining
-        node into its own zone.
-        """
-        zoned = [n for n in self.nodes if n.zone is not None]
-        if threshold is None:
-            mean = max(np.mean([len(n.store) for n in zoned]), 1.0)
-            threshold = 2.0 * mean
-        splits = 0
-        while self._spares:
-            hot = max(
-                (n for n in self.nodes if n.zone is not None),
-                key=lambda n: len(n.store),
-            )
-            if len(hot.store) <= threshold:
-                break
-            spare_addr = self._spares.pop(0)
-            spare = self.nodes[spare_addr]
-            split_zone_to(self.nodes, hot.addr, spare_addr)
-            # Move the subscriptions whose points now belong to the spare.
-            for subid in list(hot.store):
-                sub = hot.store[subid]
-                if spare.zone.contains(self.sub_point(sub)):
-                    spare.store[subid] = hot.store.pop(subid)
-            splits += 1
-        return splits

@@ -82,16 +82,6 @@ class HyperSubConfig:
     #: Reroute attempts per packet lineage before giving up for good
     #: (counted in ``NetworkStats.gave_up``).
     failover_max_attempts: int = 3
-    #: Periodic anti-entropy re-replication: every
-    #: ``anti_entropy_interval_ms`` each node (a) promotes standby
-    #: replicas whose keys it has become responsible for (successor
-    #: takeover) to live repositories, and (b) exchanges digests with
-    #: its current successor list, shipping only the missing entries, so
-    #: ``replication_factor`` standby copies are restored after churn.
-    #: Requires ``replication_factor > 1``.
-    anti_entropy: bool = False
-    #: Anti-entropy round period (simulated ms).
-    anti_entropy_interval_ms: float = 5_000.0
 
     # -- finite service & overload protection (extension) ----------------
     #: Per-node finite service model: messages join a bounded ingress
@@ -117,17 +107,6 @@ class HyperSubConfig:
     #: routes around the hot surrogate (half-opening on a probe).
     #: Requires ``service_model`` and ``reliable_delivery``.
     overload_protection: bool = False
-    #: Backoff multiplier per consecutive ``ps_busy`` from one packet
-    #: (delay = retransmit_timeout_ms * factor ** busy_count).
-    busy_backoff_factor: float = 2.0
-    #: Ceiling on the busy backoff delay (ms).
-    busy_backoff_max_ms: float = 30_000.0
-    #: Consecutive busy/timeout signals per destination that open its
-    #: circuit breaker.
-    breaker_failure_threshold: int = 3
-    #: How long an open breaker blocks a destination before half-opening
-    #: on a probe (ms).
-    breaker_open_ms: float = 5_000.0
 
     # -- delivery guarantees (extension; ROADMAP item 5) ------------------
     #: Delivery tier on top of the reliable transport.  ``"best_effort"``
@@ -154,16 +133,6 @@ class HyperSubConfig:
     #: each subscription receives every matching event through a single
     #: per-(publisher, key) stream and leaf zones are occupancy-tracked.
     ordering: str = "none"
-    #: Per-node bound on retained durable-log entries.  Appending past
-    #: the budget truncates the oldest unacked entries -- counted in
-    #: ``durable.truncated`` and traced, never silent (a truncated
-    #: delivery is permanently lost, exactly like best-effort give-up).
-    durable_log_max_entries: int = 4096
-    #: Per-(publisher, stream) bound on out-of-order deliveries a
-    #: subscriber (or match site) parks while waiting for a gap to
-    #: fill.  Overflow drops the newest arrival *unacked* (counted in
-    #: ``durable.reorder_overflow``), so upstream redelivers it later.
-    reorder_buffer_max: int = 256
     #: Period between redelivery scans of the unacked durable log (ms).
     durable_redelivery_ms: float = 5_000.0
     #: Ring-stabilization grace after a rejoin (ms): until it expires,
@@ -240,18 +209,6 @@ class HyperSubConfig:
             raise ValueError("overload_protection requires service_model")
         if self.overload_protection and not self.reliable_delivery:
             raise ValueError("overload_protection requires reliable_delivery")
-        if self.busy_backoff_factor < 1.0:
-            raise ValueError("busy_backoff_factor must be >= 1")
-        if self.busy_backoff_max_ms <= 0:
-            raise ValueError("busy_backoff_max_ms must be positive")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if self.breaker_open_ms <= 0:
-            raise ValueError("breaker_open_ms must be positive")
-        if self.anti_entropy and self.replication_factor < 2:
-            raise ValueError("anti_entropy requires replication_factor > 1")
-        if self.anti_entropy_interval_ms <= 0:
-            raise ValueError("anti_entropy_interval_ms must be positive")
         if self.delivery_mode not in ("best_effort", "durable"):
             raise ValueError(f"unknown delivery_mode {self.delivery_mode!r}")
         if self.ordering not in ("none", "fifo", "causal"):
@@ -263,10 +220,6 @@ class HyperSubConfig:
                 'ordering != "none" requires delivery_mode="durable" '
                 "(gaps must be guaranteed to fill)"
             )
-        if self.durable_log_max_entries < 1:
-            raise ValueError("durable_log_max_entries must be >= 1")
-        if self.reorder_buffer_max < 1:
-            raise ValueError("reorder_buffer_max must be >= 1")
         if self.durable_redelivery_ms <= 0:
             raise ValueError("durable_redelivery_ms must be positive")
         if self.durable_rejoin_grace_ms < 0:

@@ -31,7 +31,7 @@ incarnation) and the per-key slices migrate with an arc handoff
 (``export_site_state`` / ``absorb_site_state``).  Everything else on a
 node remains volatile.
 
-Truncation is never silent: appending past ``durable_log_max_entries``
+Truncation is never silent: appending past ``DURABLE_LOG_MAX_ENTRIES``
 evicts the oldest unacked entry, counted in ``durable.truncated`` and
 traced (``durable_truncate`` spans) -- a truncated delivery is
 permanently lost, exactly like a best-effort give-up.
@@ -41,6 +41,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
+
+#: Per-node bound on retained durable-log entries (the node's
+#: ``DurableState`` is built with it).  Appending past it truncates the
+#: oldest unacked entry -- counted in ``durable.truncated`` and traced,
+#: never silent (a truncated delivery is permanently lost, exactly like
+#: best-effort give-up).
+DURABLE_LOG_MAX_ENTRIES = 4096
 
 
 class CustodyEntry:

@@ -40,6 +40,7 @@ from repro.core.subscheme import PubSubEntity
 from repro.core.transport import TransportMixin
 from repro.core.zones import ContentZone
 from repro.dht.chord import ChordNode
+from repro.core import durability
 from repro.core.durability import DurableState
 from repro.sim.messages import (
     CONTROL_BYTES,
@@ -81,6 +82,11 @@ _EVENT_BASE_BYTES = event_message_bytes(0)
 #: subscription iids below it (``_next_marker_iid``): the iid alone
 #: tells a marker from a subscription.
 MARKER_IID_BASE = 1 << 48
+#: Per-(publisher, stream) bound on out-of-order deliveries a
+#: subscriber (or match site) parks while waiting for a gap to fill.
+#: Overflow drops an arrival *unacked* (counted in
+#: ``durable.reorder_overflow``), so upstream redelivers it later.
+REORDER_BUFFER_MAX = 256
 
 
 def _event_fields(p: Dict[str, Any]) -> Dict[str, Any]:
@@ -267,7 +273,7 @@ class PubSubNodeMixin:
         #: custody-transfer log (delivery-guarantees extension); ``None``
         #: outside durable mode so the hot paths pay one attribute load.
         self.durable: Optional[DurableState] = (
-            DurableState(system.config.durable_log_max_entries)
+            DurableState(durability.DURABLE_LOG_MAX_ENTRIES)
             if system.config.delivery_mode == "durable"
             else None
         )
@@ -1219,7 +1225,7 @@ class PubSubNodeMixin:
         return out
 
     def _dur_park(self, park: Dict[int, Message], seq: int, parked: Message) -> None:
-        """Buffer an out-of-order packet, bounded by ``reorder_buffer_max``.
+        """Buffer an out-of-order packet, bounded by ``REORDER_BUFFER_MAX``.
 
         On overflow the entry *furthest* from the watermark is dropped
         (never acked, so its custodian redelivers it once the gap
@@ -1227,7 +1233,7 @@ class PubSubNodeMixin:
         """
         if seq in park:
             return  # duplicate of an already-parked sequence number
-        if len(park) >= self.system.config.reorder_buffer_max:
+        if len(park) >= REORDER_BUFFER_MAX:
             self.network.stats.record_durable("reorder_overflow")
             worst = max(park)
             if seq > worst:

@@ -28,6 +28,13 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive busy / timeout signals per destination that open its
+#: breaker (the node's ``CircuitBreaker`` is built with it).
+BREAKER_FAILURE_THRESHOLD = 3
+#: How long an open breaker blocks a destination before half-opening
+#: on a probe (ms).
+BREAKER_OPEN_MS = 5_000.0
+
 
 class _DstState:
     __slots__ = ("state", "failures", "open_until")

@@ -42,6 +42,9 @@ from repro.sim.messages import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZoneRepo
 
+#: Anti-entropy round period (simulated ms).
+ANTI_ENTROPY_INTERVAL_MS = 2_000.0
+
 
 def _store_checksum(store: BoxStore) -> int:
     """Order-independent fingerprint of a store's SubID set.
@@ -214,9 +217,7 @@ class ReplicationMixin:
         if self._ae_running:
             return
         self._ae_running = True
-        self.sim.schedule(
-            self.system.config.anti_entropy_interval_ms, self._ae_tick
-        )
+        self.sim.schedule(ANTI_ENTROPY_INTERVAL_MS, self._ae_tick)
 
     def stop_anti_entropy(self) -> None:
         self._ae_running = False
@@ -226,9 +227,7 @@ class ReplicationMixin:
             return
         self.promote_takeovers()
         self._ae_exchange()
-        self.sim.schedule(
-            self.system.config.anti_entropy_interval_ms, self._ae_tick
-        )
+        self.sim.schedule(ANTI_ENTROPY_INTERVAL_MS, self._ae_tick)
 
     def promote_takeovers(self) -> None:
         """Turn standby replicas we now answer for into live repositories.

@@ -41,10 +41,6 @@ class Predicate:
         return cls(attr, float(value), float(value))
 
     @classmethod
-    def between(cls, attr: str, low: float, high: float) -> "Predicate":
-        return cls(attr, float(low), float(high))
-
-    @classmethod
     def string_prefix(cls, attr: str, prefix: str) -> "Predicate":
         """Prefix predicate converted to a numeric range (Section 3.1)."""
         low, high = string_prefix_to_range(prefix)

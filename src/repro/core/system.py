@@ -267,6 +267,8 @@ class HyperSubSystem:
         #: fleet-wide redelivery switch; rejoining nodes consult it so a
         #: crash-rejoin re-arms its (durable) custody scan.
         self._durable_redelivery = False
+        #: fleet-wide anti-entropy switch, consulted the same way
+        self._anti_entropy = False
         #: record per-event dissemination edges (see repro.analysis.trace)
         self.tracing: bool = False
         if self.telemetry is not None:
@@ -623,7 +625,7 @@ class HyperSubSystem:
         # back.  Ask the last-known successors -- the standby holders --
         # to return what they hold.
         node.request_resync()
-        if self.config.anti_entropy:
+        if self._anti_entropy:
             node.start_anti_entropy()
         if self._durable_redelivery:
             node.start_durable_redelivery()
@@ -652,14 +654,17 @@ class HyperSubSystem:
             node.stop_maintenance()
 
     def start_anti_entropy(self) -> None:
-        """Start periodic anti-entropy repair on every alive node."""
-        if not self.config.anti_entropy:
-            raise ValueError("config.anti_entropy is off")
+        """Start periodic anti-entropy repair on every alive node, and on
+        every node that rejoins until :meth:`stop_anti_entropy`."""
+        if self.config.replication_factor < 2:
+            raise ValueError("anti-entropy requires replication_factor > 1")
+        self._anti_entropy = True
         for node in self.nodes:
             if node.alive():
                 node.start_anti_entropy()
 
     def stop_anti_entropy(self) -> None:
+        self._anti_entropy = False
         for node in self.nodes:
             node.stop_anti_entropy()
 

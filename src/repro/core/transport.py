@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.core import overload
 from repro.core.overload import CircuitBreaker
 from repro.dht.idspace import cw_distance, id_in_interval
 from repro.sim.messages import CONTROL_BYTES, Message
@@ -32,6 +33,11 @@ from repro.sim.messages import CONTROL_BYTES, Message
 #: would overflow the epoch field, and no topology reaches 2**32 nodes.
 REL_EPOCH_BITS = 16
 _REL_ADDR_BITS = 32
+#: Back-off multiplier per consecutive ``ps_busy`` from one packet
+#: (delay = ``retransmit_timeout_ms * factor ** busy_count``).
+BUSY_BACKOFF_FACTOR = 2.0
+#: Ceiling on the busy back-off delay (ms).
+BUSY_BACKOFF_MAX_MS = 30_000.0
 
 
 class TransportMixin:
@@ -58,7 +64,9 @@ class TransportMixin:
         #: per-destination circuit breaker (overload-protection
         #: extension); ``None`` when protection is off.
         self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(cfg.breaker_failure_threshold, cfg.breaker_open_ms)
+            CircuitBreaker(
+                overload.BREAKER_FAILURE_THRESHOLD, overload.BREAKER_OPEN_MS
+            )
             if cfg.overload_protection
             else None
         )
@@ -317,11 +325,10 @@ class TransportMixin:
         ):
             self._note_breaker_open(msg.src)
         self.sim.cancel(state["timer"])
-        cfg = self.system.config
         delay = min(
-            cfg.retransmit_timeout_ms
-            * (cfg.busy_backoff_factor ** state["busy"]),
-            cfg.busy_backoff_max_ms,
+            self.system.config.retransmit_timeout_ms
+            * (BUSY_BACKOFF_FACTOR ** state["busy"]),
+            BUSY_BACKOFF_MAX_MS,
         )
         self._trace(
             "busy", event=state["payload"]["event_id"],

@@ -165,7 +165,6 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
             ordering="fifo",
             direct_rendezvous_levels=21,
             replication_factor=1,
-            anti_entropy=False,
             durable_redelivery_ms=2_000.0,
             durable_rejoin_grace_ms=2_000.0,
         )
@@ -174,8 +173,6 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
             delivery_mode="best_effort",
             direct_rendezvous_levels=8,
             replication_factor=3,
-            anti_entropy=True,
-            anti_entropy_interval_ms=2_000.0,
         )
     cfg = HyperSubConfig(**kw)
 
@@ -206,7 +203,7 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     sched.install(system)
 
     system.start_maintenance(stabilize_interval_ms=500.0, rpc_timeout_ms=1_500.0)
-    if cfg.anti_entropy:
+    if not durable:
         system.start_anti_entropy()
     if durable:
         system.start_durable_redelivery()
@@ -226,7 +223,7 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     if durable:
         drain_custody(system)
     system.stop_maintenance()
-    if cfg.anti_entropy:
+    if not durable:
         system.stop_anti_entropy()
     if durable:
         system.stop_durable_redelivery()

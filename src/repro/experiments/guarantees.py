@@ -254,12 +254,10 @@ def _run_cell_inner(task: dict) -> CellResult:
         kw.update(
             direct_rendezvous_levels=21,
             replication_factor=1,
-            anti_entropy=False,
         )
     else:
         kw.update(direct_rendezvous_levels=8, replication_factor=3)
-        if fault == "churn":
-            kw.update(anti_entropy=True, anti_entropy_interval_ms=2_000.0)
+    anti_entropy = not ordered and fault == "churn"
     if fault == "storm":
         kw.update(
             service_model=True,
@@ -314,7 +312,7 @@ def _run_cell_inner(task: dict) -> CellResult:
     system.start_maintenance(
         stabilize_interval_ms=500.0, rpc_timeout_ms=1_500.0
     )
-    if cfg.anti_entropy:
+    if anti_entropy:
         system.start_anti_entropy()
     if durable:
         system.start_durable_redelivery()
@@ -340,7 +338,7 @@ def _run_cell_inner(task: dict) -> CellResult:
     if durable:
         drain_custody(system)
     system.stop_maintenance()
-    if cfg.anti_entropy:
+    if anti_entropy:
         system.stop_anti_entropy()
     if durable:
         system.stop_durable_redelivery()

@@ -123,8 +123,6 @@ def run(
         max_retries=2,
         hop_failover=True,
         failover_backoff_ms=2_000.0,
-        anti_entropy=True,
-        anti_entropy_interval_ms=2_000.0,
     )
     system = HyperSubSystem(num_nodes=num_nodes, config=cfg)
     system.add_scheme(gen.scheme)

@@ -26,7 +26,7 @@ from repro.telemetry.registry import MetricsRegistry
 #: groups; ``overflow`` -- the destination's bounded ingress queue was
 #: full (finite-service model).  One aggregate ``net.dropped`` hid which
 #: fault dropped a packet; the per-cause split keeps each mechanism's
-#: contribution visible in ``transport_summary`` and the run manifest.
+#: contribution visible in ``dropped_by_cause`` and the run manifest.
 DROP_CAUSES = ("dead_dst", "loss", "partition", "overflow")
 
 #: Why the reliable transport permanently abandoned an event packet.
@@ -277,11 +277,6 @@ class NetworkStats:
         per-node peak reaches here, so this is rare by construction)."""
         if depth > self._g_queue_peak.value:
             self._g_queue_peak.set(float(depth))
-
-    @property
-    def queue_peak(self) -> int:
-        """Deepest single-node ingress backlog observed this run."""
-        return int(self._g_queue_peak.value)
 
     def _zero_per_node(self) -> None:
         # Per-node accumulators are plain lists: ``record_send`` runs

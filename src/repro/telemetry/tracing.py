@@ -40,7 +40,7 @@ Span kinds emitted by the stack:
 ==============  ======================================================
 
 ``forward`` spans double as the dissemination-tree edge store:
-:meth:`Tracer.edges_for_event` reconstructs exactly the edge set that
+:func:`edges_from_spans` reconstructs exactly the edge set that
 :class:`~repro.core.system.EventRecord` collects, because both are
 written by the same call site in ``repro.core.node``.
 """
@@ -137,15 +137,6 @@ class Tracer:
     def event_ids(self) -> List[int]:
         return sorted({s.event for s in self.spans if s.event is not None})
 
-    def edges_for_event(self, event_id: int) -> List[Tuple[int, int, int]]:
-        """Dissemination edges ``(src, dst, n_entries)`` from the trace --
-        the same edge set :class:`EventRecord.edges` accumulates."""
-        return [
-            (s.attrs["src"], s.attrs["dst"], s.attrs["entries"])
-            for s in self.spans
-            if s.event == event_id and s.kind == "forward"
-        ]
-
     # -- persistence -------------------------------------------------------
     def write_jsonl(self, path) -> int:
         """One span per line; returns the number of lines written."""
@@ -177,6 +168,8 @@ def spans_for_event(spans: Iterable[Dict], event_id: int) -> List[Dict]:
 def edges_from_spans(
     spans: Iterable[Dict], event_id: int
 ) -> List[Tuple[int, int, int]]:
+    """Dissemination edges ``(src, dst, n_entries)`` of one event from
+    exported spans -- the edge set :class:`EventRecord.edges` holds."""
     return [
         (s["attrs"]["src"], s["attrs"]["dst"], s["attrs"]["entries"])
         for s in spans

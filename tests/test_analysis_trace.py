@@ -100,20 +100,10 @@ def test_render_is_deterministic_under_edge_reordering(traced_run):
     assert render_dissemination_tree(shuffled) == out
 
 
-def test_transport_summary_includes_msgs_by_kind(traced_run):
-    from repro.analysis.trace import transport_summary
-
-    system, _record = traced_run
-    s = transport_summary(system.network.stats)
-    assert s["msgs_by_kind"].get("ps_event", 0) > 0
-    assert list(s["msgs_by_kind"]) == sorted(s["msgs_by_kind"])
-
-
 def test_trace_edges_match_record_edges(traced_run):
     """The exported span trace reconstructs EventRecord.edges exactly
     (same call site writes both views)."""
-    from repro.analysis.trace import edges_from_trace
-    from repro.telemetry import TelemetrySession, set_session
+    from repro.telemetry import TelemetrySession, edges_from_spans, set_session
 
     sess = TelemetrySession("/tmp/_analysis_trace_test", label="t")
     set_session(sess)
@@ -140,7 +130,7 @@ def test_trace_edges_match_record_edges(traced_run):
         eid = system.publish(7, ev)
         system.run_until_idle()
         spans = [s.to_dict() for s in sess.tracer.spans]
-        assert sorted(edges_from_trace(spans, eid)) == sorted(
+        assert sorted(edges_from_spans(spans, eid)) == sorted(
             system.metrics.records[eid].edges
         )
     finally:

@@ -202,140 +202,6 @@ class TestCentralRendezvous:
         )
 
 
-class TestCANZoneSplitting:
-    def test_split_zone_to_preserves_partition(self):
-        from repro.baselines.can import split_zone_to
-
-        sim = Simulator()
-        net = Network(sim, ConstantTopology(12, rtt=50.0))
-        nodes = build_can_overlay(net, dims=2, num_zones=10)
-        assert nodes[10].zone is None and nodes[11].zone is None
-        split_zone_to(nodes, 0, 10)
-        total = sum(n.zone.volume() for n in nodes if n.zone is not None)
-        assert total == pytest.approx(1.0)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            p = rng.random(2)
-            owners = [n.addr for n in nodes if n.owns(p)]
-            assert len(owners) == 1
-
-    def test_split_rewires_neighbors_symmetrically(self):
-        from repro.baselines.can import split_zone_to
-
-        sim = Simulator()
-        net = Network(sim, ConstantTopology(12, rtt=50.0))
-        nodes = build_can_overlay(net, dims=2, num_zones=10)
-        split_zone_to(nodes, 3, 10)
-        for node in nodes:
-            if node.zone is None:
-                continue
-            for addr, zone in node.neighbors:
-                assert nodes[addr].zone is not None
-                assert zone is nodes[addr].zone  # views are fresh
-                back = [a for a, _ in nodes[addr].neighbors]
-                assert node.addr in back
-
-    def test_routing_correct_after_splits(self):
-        from repro.baselines.can import split_zone_to
-
-        sim = Simulator()
-        net = Network(sim, ConstantTopology(20, rtt=50.0))
-        nodes = build_can_overlay(net, dims=3, num_zones=15)
-        for spare, owner in zip(range(15, 20), range(5)):
-            split_zone_to(nodes, owner, spare)
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            p = rng.random(3)
-            cur = nodes[int(rng.integers(0, 15))]
-            hops = 0
-            while True:
-                nh = cur.next_hop_addr(p)
-                if nh is None:
-                    break
-                cur = nodes[nh]
-                hops += 1
-                assert hops < 100
-            assert cur.owns(p)
-
-    def test_split_validation(self):
-        from repro.baselines.can import split_zone_to
-
-        sim = Simulator()
-        net = Network(sim, ConstantTopology(4, rtt=50.0))
-        nodes = build_can_overlay(net, dims=2, num_zones=3)
-        with pytest.raises(ValueError):
-            split_zone_to(nodes, 3, 0)  # owner has no zone
-        with pytest.raises(ValueError):
-            split_zone_to(nodes, 0, 1)  # spare already zoned
-
-
-class TestMeghdootRebalance:
-    def make_loaded_system(self, spares=8):
-        scheme = Scheme("s", [Attribute(n, 0, 10000) for n in "abcd"])
-        system = MeghdootSystem(scheme, num_nodes=50, seed=2, spares=spares)
-        rng = np.random.default_rng(3)
-        subs = []
-        for _ in range(300):
-            lows, highs = [], []
-            for _ in range(4):
-                c = float(rng.normal(3000, 200) % 10000)
-                w = float(rng.uniform(50, 400))
-                lows.append(max(0.0, c - w))
-                highs.append(min(10000.0, c + w))
-            sub = Subscription.from_box(scheme, lows, highs)
-            subs.append((sub, system.subscribe(int(rng.integers(0, 40)), sub)))
-        system.finish_setup()
-        return system, scheme, subs, rng
-
-    def test_rebalance_reduces_max_load(self):
-        system, scheme, subs, rng = self.make_loaded_system()
-        before = system.node_loads().max()
-        splits = system.rebalance()
-        assert splits > 0
-        assert system.node_loads().max() < before
-
-    def test_rebalance_conserves_subscriptions(self):
-        system, scheme, subs, rng = self.make_loaded_system()
-        before = system.node_loads().sum()
-        system.rebalance()
-        assert system.node_loads().sum() == before
-
-    def test_delivery_exact_after_rebalance(self):
-        system, scheme, subs, rng = self.make_loaded_system()
-        system.rebalance()
-        matched_any = 0
-        for _ in range(25):
-            pt = rng.normal(3000, 300, 4) % 10000
-            ev = Event(scheme, list(pt))
-            eid = system.publish(int(rng.integers(0, 40)), ev)
-            system.run_until_idle()
-            rec = system.metrics.records[eid]
-            got = sorted((d[0].nid, d[0].iid) for d in rec.deliveries)
-            expect = sorted(
-                (sid.nid, sid.iid) for s, sid in subs if s.matches(ev)
-            )
-            assert got == expect
-            matched_any += bool(expect)
-        assert matched_any > 5
-
-    def test_no_spares_means_no_splits(self):
-        system, scheme, subs, rng = self.make_loaded_system(spares=0)
-        assert system.rebalance() == 0
-
-    def test_subscribe_from_spare_node_routes_via_overlay(self):
-        scheme = Scheme("s", [Attribute(n, 0, 10000) for n in "abcd"])
-        system = MeghdootSystem(scheme, num_nodes=20, seed=2, spares=5)
-        spare_addr = 18  # zoneless
-        assert system.nodes[spare_addr].zone is None
-        sub = Subscription.from_box(
-            scheme, [1000] * 4, [2000] * 4
-        )
-        system.subscribe(spare_addr, sub)
-        system.run_until_idle()
-        stored = sum(len(n.store) for n in system.nodes)
-        assert stored == 1
-
-
 class TestScribe:
     def make_system(self, n=50, buckets=16):
         from repro.baselines import ScribeContentSystem

@@ -80,8 +80,6 @@ class TestGuaranteeKnobs:
         cfg = HyperSubConfig()
         assert cfg.delivery_mode == "best_effort"
         assert cfg.ordering == "none"
-        assert cfg.durable_log_max_entries == 4096
-        assert cfg.reorder_buffer_max == 256
         assert cfg.durable_redelivery_ms == 5_000.0
         assert cfg.durable_rejoin_grace_ms == 10_000.0
 
@@ -121,12 +119,6 @@ class TestGuaranteeKnobs:
                 direct_rendezvous_levels=21,
             )
             assert cfg.ordering == ordering
-
-    def test_log_budget_bounds(self):
-        with pytest.raises(ValueError):
-            HyperSubConfig(durable_log_max_entries=0)
-        with pytest.raises(ValueError):
-            HyperSubConfig(reorder_buffer_max=0)
 
     def test_redelivery_period_positive(self):
         with pytest.raises(ValueError):

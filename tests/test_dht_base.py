@@ -378,9 +378,6 @@ class TestLookupRestart:
         assert net.stats.lookup_restarts == MAX_LOOKUP_RESTARTS + 1
         assert net.stats.lookup_abandoned == 1
         assert nodes[1]._pending_lookups == {}
-        from repro.analysis.trace import transport_summary
-
-        assert transport_summary(net.stats)["lookup_abandoned"] == 1
         net.stats.reset()
         assert net.stats.lookup_abandoned == 0 and net.stats.lookup_restarts == 0
         # same walk, same traffic as when every step was mailed

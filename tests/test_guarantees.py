@@ -214,20 +214,23 @@ def _small_system(cfg, num_nodes=24, subs=None):
 
 
 class TestBestEffortUnchanged:
-    def test_durable_knobs_do_not_leak_into_best_effort(self):
+    def test_durable_knobs_do_not_leak_into_best_effort(self, monkeypatch):
         """Same workload, same best-effort config, wildly different
         durable knobs: delivery sets, message counts and byte counts
         must be byte-identical (the digest-equality contract)."""
         fingerprints = []
-        for knobs in (
-            {},
-            {
-                "durable_log_max_entries": 7,
-                "reorder_buffer_max": 3,
-                "durable_redelivery_ms": 123.0,
-                "durable_rejoin_grace_ms": 0.0,
-            },
+        for knobs, bounds in (
+            ({}, {}),
+            (
+                {"durable_redelivery_ms": 123.0, "durable_rejoin_grace_ms": 0.0},
+                {
+                    "repro.core.durability.DURABLE_LOG_MAX_ENTRIES": 7,
+                    "repro.core.node.REORDER_BUFFER_MAX": 3,
+                },
+            ),
         ):
+            for target, value in bounds.items():
+                monkeypatch.setattr(target, value)
             cfg = HyperSubConfig(
                 seed=5, code_bits=12, reliable_delivery=True,
                 retransmit_timeout_ms=500.0, max_retries=2, **knobs

@@ -122,18 +122,14 @@ class TestServiceModel:
         net.send(msg(0, 2))
         sim.run(until=60.0)
         # The run-wide high-water mark is the *deepest single node*.
-        assert net.stats.queue_peak == 5
         assert net.stats.registry.value("queue.depth.peak") == 5.0
-        from repro.analysis.trace import transport_summary
-
-        assert transport_summary(net.stats)["queue_peak"] == 5
 
     def test_queue_peak_is_zero_under_infinite_capacity(self):
         sim, net, nodes = make_net()
         for _ in range(10):
             net.send(msg(0, 1))
         sim.run()
-        assert net.stats.queue_peak == 0
+        assert net.stats.registry.value("queue.depth.peak") == 0.0
 
     def test_control_band_is_served_first(self):
         sim = Simulator()
@@ -355,20 +351,6 @@ class TestConfigValidation:
             HyperSubConfig(service_rate_msgs_per_ms=0.0)
         with pytest.raises(ValueError):
             HyperSubConfig(ingress_queue_capacity=0)
-        with pytest.raises(ValueError):
-            HyperSubConfig(
-                overload_protection=True,
-                service_model=True,
-                reliable_delivery=True,
-                busy_backoff_factor=0.5,
-            )
-        with pytest.raises(ValueError):
-            HyperSubConfig(
-                overload_protection=True,
-                service_model=True,
-                reliable_delivery=True,
-                breaker_failure_threshold=0,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +369,6 @@ def build_system(protection, n=30, subs=120, seed=3):
         service_rate_msgs_per_ms=0.5,
         ingress_queue_capacity=32,
         overload_protection=protection,
-        busy_backoff_factor=2.0,
-        busy_backoff_max_ms=10_000.0,
-        breaker_failure_threshold=3,
-        breaker_open_ms=2_000.0,
     )
     system = HyperSubSystem(num_nodes=n, config=cfg)
     scheme = Scheme("s", [Attribute(x, 0, 10000) for x in "abcd"])
@@ -426,6 +404,12 @@ def storm_and_publish(system, scheme, rng, events=15):
 
 
 class TestEndToEnd:
+    @pytest.fixture(autouse=True)
+    def storm_knobs(self, monkeypatch):
+        """Back-off ceiling and breaker window at the storm's scale."""
+        monkeypatch.setattr("repro.core.transport.BUSY_BACKOFF_MAX_MS", 10_000.0)
+        monkeypatch.setattr("repro.core.overload.BREAKER_OPEN_MS", 2_000.0)
+
     def test_nodes_get_service_parameters_from_config(self):
         system, *_ = build_system(protection=True, subs=10)
         cfg = system.config

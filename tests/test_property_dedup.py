@@ -37,7 +37,8 @@ N_EVENTS = 25
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_no_duplicate_delivery_under_ack_loss_failover_and_rejoin(seed):
+def test_no_duplicate_delivery_under_ack_loss_failover_and_rejoin(seed, monkeypatch):
+    monkeypatch.setattr("repro.core.replication.ANTI_ENTROPY_INTERVAL_MS", 1_000.0)
     cfg = HyperSubConfig(
         seed=seed + 10,
         code_bits=12,
@@ -47,8 +48,6 @@ def test_no_duplicate_delivery_under_ack_loss_failover_and_rejoin(seed):
         max_retries=2,
         hop_failover=True,
         failover_backoff_ms=500.0,
-        anti_entropy=True,
-        anti_entropy_interval_ms=1_000.0,
     )
     system = HyperSubSystem(num_nodes=N_NODES, config=cfg)
     scheme = Scheme("s", [Attribute(x, 0, 10000) for x in "abcd"])

@@ -2,6 +2,7 @@
 anti-entropy re-replication, and crash-rejoin state resync."""
 
 import numpy as np
+import pytest
 
 from repro.core import (
     Attribute,
@@ -39,6 +40,12 @@ def build(n=40, subs=250, seed=3, **cfg_kwargs):
     return system, scheme, installed, addr_of, rng
 
 
+@pytest.fixture(autouse=True)
+def fast_anti_entropy(monkeypatch):
+    """Anti-entropy rounds at a test-friendly 1 s period."""
+    monkeypatch.setattr("repro.core.replication.ANTI_ENTROPY_INTERVAL_MS", 1_000.0)
+
+
 def healing_config():
     """The full self-healing stack at test-friendly timer settings."""
     return dict(
@@ -48,8 +55,6 @@ def healing_config():
         max_retries=2,
         hop_failover=True,
         failover_backoff_ms=500.0,
-        anti_entropy=True,
-        anti_entropy_interval_ms=1_000.0,
     )
 
 
@@ -176,16 +181,16 @@ class TestRouteCacheInvalidation:
             assert fresh == node.next_hop_addr(key)
             assert fresh != target
 
-    def test_breaker_reroute_is_never_cached(self):
+    def test_breaker_reroute_is_never_cached(self, monkeypatch):
         """An open circuit must divert traffic without poisoning the
         cache: the cached value stays the routing-table answer, so the
         next epoch/half-open probe goes back to the real next hop."""
+        monkeypatch.setattr("repro.core.overload.BREAKER_FAILURE_THRESHOLD", 1)
         system, scheme, installed, addr_of, rng = build(
             subs=60,
             service_model=True,
             reliable_delivery=True,
             overload_protection=True,
-            breaker_failure_threshold=1,
         )
         pt = rng.normal(3000, 400, 4) % 10000
         ev = Event(scheme, list(pt))
@@ -262,6 +267,32 @@ class TestAntiEntropy:
         system.run_until_idle()
         report = system.check_invariants(check_replicas=True)
         assert report.ok, report.render()
+
+    def test_rejoin_after_stop_does_not_restart_repair(self):
+        """Regression: anti-entropy is on exactly while the fleet runs
+        it.  A node rejoining while it runs joins in; one rejoining
+        after ``stop_anti_entropy()`` must not start its own repair
+        loop, whose tick would reschedule itself for as long as the
+        node lives."""
+        system, *_ = build(n=24, subs=40, **healing_config())
+        system.start_anti_entropy()
+        system.nodes[5].fail()
+        system.rejoin_node(5)
+        assert system.nodes[5]._ae_running
+        system.run(until=system.sim.now + 5_000.0)
+        system.nodes[5].fail()
+        system.stop_anti_entropy()
+        system.rejoin_node(5)
+        assert not system.nodes[5]._ae_running
+        system.run(until=system.sim.now + 5_000.0)
+        system.stop_maintenance()
+        system.run_until_idle()  # drains: no repair tick is left armed
+
+    def test_requires_replicas(self):
+        system, *_ = build(n=24, subs=10, replication_factor=1)
+        with pytest.raises(ValueError, match="replication_factor"):
+            system.start_anti_entropy()
+        assert not any(node._ae_running for node in system.nodes)
 
 
 class TestStandbyMarkers:
@@ -348,9 +379,8 @@ class TestRejoinResync:
         system.rejoin_node(7)
         assert system.nodes[7]._rel_epoch == 2
         # Let the asynchronous join finish before stopping: its callback
-        # (re)starts maintenance and anti-entropy on the rejoined node,
-        # which would otherwise keep the simulator alive forever.
+        # (re)starts maintenance on the rejoined node, which would
+        # otherwise keep the simulator alive forever.
         system.run(until=system.sim.now + 5_000.0)
         system.stop_maintenance()
-        system.stop_anti_entropy()
         system.run_until_idle()

@@ -127,7 +127,8 @@ class TestTracer:
         tr.span("forward", t=2.0, node=2, event=7, parent=f1,
                 src=2, dst=5, entries=1, bytes=50)
         tr.span("deliver", t=3.0, node=5, event=7, parent=f1)
-        assert tr.edges_for_event(7) == [(1, 2, 3), (2, 5, 1)]
+        spans = [s.to_dict() for s in tr.spans]
+        assert edges_from_spans(spans, 7) == [(1, 2, 3), (2, 5, 1)]
         assert tr.event_ids() == [7]
         assert len(tr.spans_for_event(7)) == 4
 
@@ -149,7 +150,7 @@ class TestTracer:
         spans = read_jsonl(path)
         assert [s["kind"] for s in spans] == ["publish", "forward"]
         assert spans[1]["parent"] == root
-        assert edges_from_spans(spans, 1) == tr.edges_for_event(1)
+        assert edges_from_spans(spans, 1) == [(1, 2, 2)]
 
     def test_render_span_tree(self, tmp_path):
         tr = Tracer()
@@ -225,10 +226,9 @@ class TestSessionIntegration:
         system.run_until_idle()
         assert session.runs and session.runs[0]["num_nodes"] == 30
         checked = delivered = 0
+        spans = [s.to_dict() for s in session.tracer.spans]
         for eid, rec in system.metrics.records.items():
-            assert sorted(session.tracer.edges_for_event(eid)) == sorted(
-                rec.edges
-            )
+            assert sorted(edges_from_spans(spans, eid)) == sorted(rec.edges)
             n_deliver = sum(
                 1
                 for s in session.tracer.spans_for_event(eid)
@@ -242,10 +242,11 @@ class TestSessionIntegration:
         assert session.registry.value("events.published") == 10.0
         assert session.registry.value("events.delivered") == float(delivered)
 
-    def test_failover_spans_link_back_to_publish_root(self, session):
+    def test_failover_spans_link_back_to_publish_root(self, session, monkeypatch):
         """Under a fresh crash, rerouted packets must stay causally
         attached: every failover span's ancestor chain ends at the
         publish root of its own event."""
+        monkeypatch.setattr("repro.core.replication.ANTI_ENTROPY_INTERVAL_MS", 1_000.0)
         system, scheme, installed, addr_of, rng = build(
             n=40,
             subs=250,
@@ -255,8 +256,6 @@ class TestSessionIntegration:
             max_retries=1,
             hop_failover=True,
             failover_backoff_ms=500.0,
-            anti_entropy=True,
-            anti_entropy_interval_ms=1_000.0,
         )
         system.start_maintenance(
             stabilize_interval_ms=250.0, rpc_timeout_ms=1_000.0

@@ -125,11 +125,10 @@ def scenario_replication(monkeypatch) -> dict:
     """
     absorbed = _count_calls(monkeypatch, "_on_ps_resync_state")
     handoffs = _count_calls(monkeypatch, "_on_ps_handoff")
+    monkeypatch.setattr("repro.core.replication.ANTI_ENTROPY_INTERVAL_MS", 1_000.0)
     system, scheme, rng, installed = _clustered_system(
         30, 160,
         replication_factor=2,
-        anti_entropy=True,
-        anti_entropy_interval_ms=1_000.0,
         reliable_delivery=True,
         retransmit_timeout_ms=500.0,
         max_retries=2,
@@ -251,6 +250,8 @@ def scenario_overload(monkeypatch) -> dict:
     """A storm at the hottest surrogate: shed packets are NACKed with
     ``ps_busy`` and come back through the backoff resend."""
     resends = _count_calls(monkeypatch, "_rel_busy_resend")
+    monkeypatch.setattr("repro.core.transport.BUSY_BACKOFF_MAX_MS", 10_000.0)
+    monkeypatch.setattr("repro.core.overload.BREAKER_OPEN_MS", 2_000.0)
     system, scheme, rng, _installed = _clustered_system(
         30, 120,
         reliable_delivery=True,
@@ -262,8 +263,6 @@ def scenario_overload(monkeypatch) -> dict:
         service_rate_msgs_per_ms=0.5,
         ingress_queue_capacity=32,
         overload_protection=True,
-        busy_backoff_max_ms=10_000.0,
-        breaker_open_ms=2_000.0,
     )
     system.finish_setup()
     hot = int(np.argmax(system.node_loads()))
