@@ -120,11 +120,12 @@ class CoveringStore:
     def subids(self) -> Iterator[SubID]:
         return iter(self._group_of.keys())
 
-    def get_box(self, subid: SubID) -> Tuple[np.ndarray, np.ndarray]:
+    def get_box(self, subid: SubID) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The member's true box, as float tuples like ``BoxStore``'s."""
         lows, highs = self._group_of[subid].members[subid]
-        return lows.copy(), highs.copy()
+        return tuple(lows.tolist()), tuple(highs.tolist())
 
-    def bounding_box(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def bounding_box(self) -> Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
         return self.base.bounding_box()
 
     # ------------------------------------------------------------------

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
+from repro.core.summary import as_box
 from repro.dht.idspace import id_in_interval
 from repro.sim.messages import CONTROL_BYTES, Message, subscription_wire_bytes
 
@@ -223,11 +222,7 @@ class MigrationMixin:
             dims = self.system.scheme(scheme_name).dimensions
             store = BoxStore(dims)
             for (nid, iid), lows, highs, _kind in group["entries"]:
-                store.put(
-                    SubID(nid, iid),
-                    np.asarray(lows, dtype=np.float64),
-                    np.asarray(highs, dtype=np.float64),
-                )
+                store.put(SubID(nid, iid), *as_box(lows, highs))
             iid = self._next_iid()
             self.migrated[iid] = (scheme_name, store)
             bbox = store.bounding_box()
@@ -235,8 +230,8 @@ class MigrationMixin:
                 {
                     "repo": group["repo"],
                     "iid": iid,
-                    "lows": bbox[0].tolist(),
-                    "highs": bbox[1].tolist(),
+                    "lows": list(bbox[0]),
+                    "highs": list(bbox[1]),
                     "subids": [e[0] for e in group["entries"]],
                 }
             )
@@ -263,12 +258,7 @@ class MigrationMixin:
                 if sid in repo.store:
                     repo.remove(sid)
             marker = SubID(acc_id, ack["iid"])
-            repo.put(
-                marker,
-                np.asarray(ack["lows"], dtype=np.float64),
-                np.asarray(ack["highs"], dtype=np.float64),
-                "migr",
-            )
+            repo.put(marker, *as_box(ack["lows"], ack["highs"]), "migr")
             # The migration marker's bounding box may be tighter than
             # the departed subscriptions' contribution to the filter.
             self._refresh_summary(repo)

@@ -17,6 +17,7 @@ query column shared by every store of the same width.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -84,14 +85,12 @@ class BoxStore:
     def subids(self) -> Iterator[SubID]:
         return iter(self._slot_of.keys())
 
-    def _box_at(self, slot: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh copies of the bounds in ``slot``; negation is exact, so
-        ±inf and the sign of zero round-trip."""
-        col = self._cols[:, slot]
-        return col[: self.dims].copy(), -col[self.dims :]
-
-    def get_box(self, subid: SubID) -> Tuple[np.ndarray, np.ndarray]:
-        return self._box_at(self._slot_of[subid])
+    def get_box(self, subid: SubID) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """The bounds stored under ``subid`` as float tuples; negation is
+        exact, so ±inf and the sign of zero round-trip."""
+        col = self._cols[:, self._slot_of[subid]].tolist()
+        dims = self.dims
+        return tuple(col[:dims]), tuple([-v for v in col[dims:]])
 
     # ------------------------------------------------------------------
     def _grow(self) -> None:
@@ -100,20 +99,31 @@ class BoxStore:
         cols[:, :old] = self._cols
         self._cols = cols
 
-    def put(self, subid: SubID, lows: np.ndarray, highs: np.ndarray) -> None:
-        """Insert or replace the box registered under ``subid``."""
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        if lows.shape != (self.dims,) or highs.shape != (self.dims,):
-            raise ValueError(f"box must have shape ({self.dims},)")
-        # One comparison admits the legal boxes; NaN never compares
-        # True, so it lands here too and is told apart by name.  A NaN
-        # box must not be stored: it would be indistinguishable from a
-        # tombstone (``len`` and the slot table would disagree with the
-        # columns).  ±inf stays legal -- unspecified dimensions are the
-        # full attribute domain.
-        if not (lows <= highs).all():
-            if np.isnan(lows).any() or np.isnan(highs).any():
+    def put(self, subid: SubID, lows, highs) -> None:
+        """Insert or replace the box registered under ``subid``.
+
+        The registrar hands in float tuples (:func:`repro.core.summary.
+        as_box`); anything else is read as a float64 array first and
+        must have shape ``(dims,)``.
+        """
+        dims = self.dims
+        if type(lows) is not tuple or type(highs) is not tuple:
+            lows = np.asarray(lows, dtype=np.float64)
+            highs = np.asarray(highs, dtype=np.float64)
+            if lows.shape != (dims,) or highs.shape != (dims,):
+                raise ValueError(f"box must have shape ({dims},)")
+            lows = tuple(lows.tolist())
+            highs = tuple(highs.tolist())
+        elif len(lows) != dims or len(highs) != dims:
+            raise ValueError(f"box must have shape ({dims},)")
+        # One comparison per dimension admits the legal boxes; NaN never
+        # compares True, so it lands here too and is told apart by name.
+        # A NaN box must not be stored: it would be indistinguishable
+        # from a tombstone (``len`` and the slot table would disagree
+        # with the columns).  ±inf stays legal -- unspecified dimensions
+        # are the full attribute domain.
+        if not all(map(operator.le, lows, highs)):
+            if any(v != v for v in lows + highs):
                 raise ValueError("box bounds must not contain NaN")
             raise ValueError("box has negative extent")
         slot = self._slot_of.get(subid)
@@ -129,9 +139,7 @@ class BoxStore:
                 self._hwm = slot + 1
             self._slot_of[subid] = slot
             self._size += 1
-        col = self._cols[:, slot]
-        col[: self.dims] = lows
-        np.negative(highs, out=col[self.dims :])
+        self._cols[:, slot] = lows + tuple([-v for v in highs])
 
     def _release_slot(self, slot: int) -> None:
         """Index-maintenance hook run before a slot is tombstoned.
@@ -231,9 +239,11 @@ class BoxStore:
             return []
         return self._match(highs, lows)
 
-    def bounding_box(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Smallest box covering every active entry, or ``None`` if empty."""
+    def bounding_box(self) -> Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]]:
+        """Smallest box covering every active entry, as float tuples, or
+        ``None`` if empty."""
         if self._size == 0:
             return None
-        mins = np.fmin.reduce(self._cols[:, : self._hwm], axis=1)
-        return mins[: self.dims], -mins[self.dims :]
+        mins = np.fmin.reduce(self._cols[:, : self._hwm], axis=1).tolist()
+        dims = self.dims
+        return tuple(mins[:dims]), tuple([-v for v in mins[dims:]])

@@ -35,10 +35,11 @@ from repro.core.loadbalance import MigrationMixin
 from repro.core.matching import BoxStore
 from repro.core.replication import ReplicationMixin
 from repro.core.subscription import SubID, Subscription
-from repro.core.summary import boxes_equal, merge_box, split_pieces
+from repro.core.summary import Box, as_box, boxes_equal, merge_box, split_pieces
 from repro.core.subscheme import PubSubEntity
 from repro.core.transport import TransportMixin
 from repro.core.zones import ContentZone
+from repro.dht.base import _RC_HERE, _RC_MISS
 from repro.dht.chord import ChordNode
 from repro.core import durability
 from repro.core.durability import DurableState
@@ -56,11 +57,6 @@ from repro.sim.messages import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import HyperSubSystem
 
-#: Route decisions besides a next-hop address: ``_RC_HERE`` -- this
-#: node is responsible for the id; ``None`` -- no usable hop (healing
-#: ring).  ``_RC_MISS`` marks absence from the cache.
-_RC_HERE = object()
-_RC_MISS = object()
 #: VCube-PS-style causal ordering context: it rides every packet and
 #: custody record of an event that carries it.
 _ORDERING_FIELDS = ("pub", "pseq", "deps")
@@ -73,9 +69,6 @@ _INHERITED_FIELDS = _ORDERING_FIELDS + ("fo",)
 #: entry, which routes back); the TTL converts them into counted drops.
 #: Stable-ring paths are O(log n), so 64 is far above any legitimate route.
 EVENT_TTL_HOPS = 64
-#: Route decisions kept per node before the cache is flushed wholesale
-#: (flush-on-full beats LRU bookkeeping at this hit pattern).
-ROUTE_CACHE_MAX = 4096
 #: Bytes of an event packet before its SubIDs (header + event body).
 _EVENT_BASE_BYTES = event_message_bytes(0)
 #: Surrogate-subscription iids are minted above this, a node's own
@@ -113,7 +106,7 @@ class ZoneRepo:
         #: cascade reads of the zone's box
         self.split: Optional[Tuple[float, float]] = None
         #: summary filter: bounding box of everything registered here
-        self.sf: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.sf: Optional[Box] = None
         #: child digit -> ``[iid of the surrogate subscription there, the
         #: piece it was last pushed with]``; the piece is ``None`` while
         #: the surrogate subscription is withdrawn (its iid stays minted)
@@ -126,7 +119,9 @@ class ZoneRepo:
     def key(self) -> Tuple[str, int, int]:
         return (self.entity_key, self.zone.code, self.zone.level)
 
-    def put(self, subid: SubID, lows: np.ndarray, highs: np.ndarray, kind: str) -> None:
+    def put(
+        self, subid: SubID, lows: Tuple[float, ...], highs: Tuple[float, ...], kind: str
+    ) -> None:
         """Store (or replace) ``subid``'s box with provenance ``kind``."""
         if (kind == "marker") != (subid.iid >= MARKER_IID_BASE):
             raise ValueError(f"{subid} is outside the iid namespace of a {kind!r}")
@@ -151,9 +146,7 @@ class ZoneRepo:
             return "migr"
         return "sub"
 
-    def child_pieces(
-        self, entity: PubSubEntity, sf: Tuple[np.ndarray, np.ndarray]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    def child_pieces(self, entity: PubSubEntity, sf: Box) -> Dict[int, Box]:
         """``sf`` subdivided to fit the child zones (Section 3.3)."""
         zone = self.zone
         if self.split is None:
@@ -177,9 +170,7 @@ class ZoneRepo:
         wire_bytes = 0
         for sid in (store.subids() if subids is None else subids):
             lo, hi = store.get_box(sid)
-            entries.append(
-                ((sid.nid, sid.iid), lo.tolist(), hi.tolist(), self.kind_of(sid))
-            )
+            entries.append(((sid.nid, sid.iid), list(lo), list(hi), self.kind_of(sid)))
             wire_bytes += subscription_wire_bytes(len(lo))
         return {"repo": list(self.key), "entries": entries}, wire_bytes
 
@@ -290,14 +281,6 @@ class PubSubNodeMixin:
         #: our own rejoin and after every predecessor change
         self._dur_vacuous_after = 0.0
 
-        #: epoch-keyed route-decision cache: id -> ``_RC_HERE`` | next-hop
-        #: address | ``None`` (perf extension; the invalidation rule
-        #: lives in dht/base.py and docs/PERFORMANCE.md)
-        self._rc: Dict[int, Any] = {}
-        self._rc_epoch = -1
-        self.rc_hits = 0
-        self.rc_misses = 0
-
         self.register_handler("ps_register", self._on_ps_register)
         self.register_handler("ps_unregister", self._on_ps_unregister)
         self.register_handler("ps_dack", self._on_ps_dack)
@@ -362,7 +345,8 @@ class PubSubNodeMixin:
         subid = SubID(self.node_id, iid)
         self.own_subs[iid] = (entity.key, sub, zone, subid)
         self.system.metrics.count_subscription(sub.scheme_name)
-        self._dispatch_register(entity, zone, subid, sub.lows, sub.highs, "sub")
+        lows, highs = as_box(sub.lows, sub.highs)
+        self._dispatch_register(entity, zone, subid, lows, highs, "sub")
         return subid
 
     def unsubscribe(self, subid: SubID) -> None:
@@ -403,8 +387,8 @@ class PubSubNodeMixin:
         entity: PubSubEntity,
         zone: ContentZone,
         subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        lows: Tuple[float, ...],
+        highs: Tuple[float, ...],
         kind: str,
     ) -> None:
         """Deliver a registration to the zone's surrogate node.
@@ -478,8 +462,8 @@ class PubSubNodeMixin:
         code: int,
         level: int,
         subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        lows: Tuple[float, ...],
+        highs: Tuple[float, ...],
         kind: str,
     ) -> None:
         """Algorithm 3: store, refresh the summary filter, cascade."""
@@ -515,7 +499,7 @@ class PubSubNodeMixin:
         repo: ZoneRepo,
         entity: PubSubEntity,
         zone: ContentZone,
-        pieces: Dict[int, Tuple[np.ndarray, np.ndarray]],
+        pieces: Dict[int, Box],
     ) -> None:
         """Dispatch the given child pieces as surrogate subscriptions
         (Algorithm 3, step 3).
@@ -779,21 +763,6 @@ class PubSubNodeMixin:
             self.addr, self.addr, "ps_event", payload, 0,
             hops, path_latency, root_time, span_id,
         )
-
-    # -- fused route decision (perf contract, docs/PERFORMANCE.md) ------
-    def _route_miss(self, nid: int):
-        """Decide where an entry for ``nid`` goes, from routing state
-        alone -- ``_RC_HERE``, a next-hop address, or ``None``
-        (unroutable) -- and remember the answer."""
-        self.rc_misses += 1
-        if self.is_responsible(nid):
-            decision = _RC_HERE
-        else:
-            decision = self.next_hop_addr(nid)
-        if len(self._rc) >= ROUTE_CACHE_MAX:
-            self._rc.clear()
-        self._rc[nid] = decision
-        return decision
 
     def _process_event(self, msg: Message) -> None:
         """Algorithm 5: one node's share of the dissemination tree.

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
-from repro.core.summary import merge_box
+from repro.core.summary import as_box, merge_box
 from repro.core.zones import ContentZone
 from repro.dht.idspace import id_in_interval
 from repro.sim.messages import (
@@ -94,8 +92,8 @@ class ReplicationMixin:
         code: int,
         level: int,
         subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        lows: Tuple[float, ...],
+        highs: Tuple[float, ...],
         kind: str,
     ) -> None:
         """Mirror one accepted registration onto k-1 successors."""
@@ -137,8 +135,8 @@ class ReplicationMixin:
         code: int,
         level: int,
         subid: SubID,
-        lows: np.ndarray,
-        highs: np.ndarray,
+        lows: Tuple[float, ...],
+        highs: Tuple[float, ...],
         kind: str,
     ) -> None:
         """Accept a standby copy.  Standbys never cascade or match until
@@ -178,8 +176,7 @@ class ReplicationMixin:
             repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
         for (nid, iid), lows, highs, kind in group["entries"]:
             sid = SubID(nid, iid)
-            lo = np.asarray(lows, dtype=np.float64)
-            hi = np.asarray(highs, dtype=np.float64)
+            lo, hi = as_box(lows, highs)
             if mode == "cascade":
                 self._register_local(entity_key, code, level, sid, lo, hi, kind)
             elif mode == "standby":

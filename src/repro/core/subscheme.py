@@ -89,14 +89,11 @@ class PubSubEntity:
         """Zone key shifted by the entity's rotation offset phi."""
         return (zone.key + self.rotation) % ID_SPACE
 
-    def zone_box_projected(self, zone: ContentZone) -> Tuple[np.ndarray, np.ndarray]:
-        return zone.box(self.domain_lows, self.domain_highs)
-
     def child_split(self, zone: ContentZone) -> Tuple[float, float]:
         """``(edge, width)`` of the zone's division into children, on
         full dimension ``full_dims[zone.level % len(full_dims)]``: the
-        part of :meth:`zone_box_projected` the summary cascade reads.
-        Equal answers are one shared tuple."""
+        part of the zone's box (``zone.box(domain_lows, domain_highs)``)
+        the summary cascade reads.  Equal answers are one shared tuple."""
         split = zone.split_segment(self._domain_lo, self._domain_hi)
         return self._splits.setdefault(split, split)
 

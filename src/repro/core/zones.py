@@ -175,7 +175,7 @@ class ContentZone:
         ``base``, bit for bit.  The domain bounds are Python floats.
         """
         d = len(domain_lows)
-        j = self.level % d
+        j = self.split_dimension(d)
         base = self.geometry.base
         bits = self.geometry.bits_per_digit
         lo, hi = domain_lows[j], domain_highs[j]

@@ -30,13 +30,24 @@ increasing ``routing_epoch``.  The contract is:
   was built under is still current.
 
 Concrete overlays are responsible for bumping; consumers only compare.
+
+The route-decision cache
+------------------------
+
+Every :class:`OverlayNode` keeps one such cache, ``_rc``: key ->
+``_RC_HERE`` (this node is responsible), a next-hop address, or
+``None`` (no usable hop while the ring heals).  It is flushed when the
+epoch moves, so a hit is byte-identical to asking ``is_responsible`` /
+``next_hop_addr`` again.  Lookups (:meth:`OverlayNode._route`) and
+Algorithm 5's event loop (which reads ``_rc`` inline) share it, and
+both count every decision in ``rc_hits`` / ``rc_misses``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network, SimNode
@@ -46,6 +57,14 @@ _lookup_ids = itertools.count()
 _KEY, _CALLBACK, _HOPS, _START, _RESTARTS = range(5)
 #: walks restarted this often without converging are abandoned
 MAX_LOOKUP_RESTARTS = 10
+#: Route decisions besides a next-hop address: ``_RC_HERE`` -- this
+#: node is responsible for the key; ``None`` -- no usable hop (healing
+#: ring).  ``_RC_MISS`` marks absence from the cache.
+_RC_HERE = object()
+_RC_MISS = object()
+#: Route decisions kept per node before the cache is flushed wholesale
+#: (flush-on-full beats LRU bookkeeping at this hit pattern).
+ROUTE_CACHE_MAX = 4096
 
 
 @dataclass
@@ -79,6 +98,11 @@ class OverlayNode(SimNode):
         #: memoised neighbour list (valid while the epoch matches)
         self._neigh_cache: List[int] = []
         self._neigh_epoch = -1
+        #: route-decision cache (module docstring), valid for ``_rc_epoch``
+        self._rc: Dict[int, Any] = {}
+        self._rc_epoch = -1
+        self.rc_hits = 0
+        self.rc_misses = 0
         self.register_handler("dht_lookup_step", self._on_lookup_step)
         self.register_handler("dht_lookup_reply", self._on_lookup_reply)
         self._alive = True
@@ -134,6 +158,34 @@ class OverlayNode(SimNode):
         """Invalidate every snapshot/cache derived from routing state."""
         self.routing_epoch += 1
 
+    def _route_miss(self, key: int):
+        """Decide where ``key`` goes, from routing state alone --
+        ``_RC_HERE``, a next-hop address, or ``None`` (unroutable) --
+        and remember the answer."""
+        self.rc_misses += 1
+        if self.is_responsible(key):
+            decision = _RC_HERE
+        else:
+            decision = self.next_hop_addr(key)
+        if len(self._rc) >= ROUTE_CACHE_MAX:
+            self._rc.clear()
+        self._rc[key] = decision
+        return decision
+
+    def _route(self, key: int) -> Optional[int]:
+        """``next_hop_addr(key)`` through the route-decision cache:
+        ``None`` when this node is responsible or has no usable hop."""
+        rc = self._rc
+        if self.routing_epoch != self._rc_epoch:
+            rc.clear()
+            self._rc_epoch = self.routing_epoch
+        decision = rc.get(key, _RC_MISS)
+        if decision is _RC_MISS:
+            decision = self._route_miss(key)
+        else:
+            self.rc_hits += 1
+        return None if decision is _RC_HERE else decision
+
     # ------------------------------------------------------------------
     # Routing interface implemented by concrete overlays
     # ------------------------------------------------------------------
@@ -174,7 +226,7 @@ class OverlayNode(SimNode):
             # would have lost.
             self.network.stats.record_drop("dead_dst")
             return
-        nxt = self.next_hop_addr(key)
+        nxt = self._route(key)
         if nxt is None:
             self.sim.schedule(
                 0.0,
@@ -204,7 +256,7 @@ class OverlayNode(SimNode):
             return
         key = state[_KEY]
         state[_HOPS] += 1
-        nxt = self.next_hop_addr(key)
+        nxt = self._route(key)
         if nxt is None:
             self._lookup_done(lid, state, self.addr, self.node_id)
         else:
@@ -223,7 +275,7 @@ class OverlayNode(SimNode):
 
     def _on_lookup_step(self, msg: Message) -> None:
         key = msg.payload["key"]
-        nxt = self.next_hop_addr(key)
+        nxt = self._route(key)
         self.network.send(
             Message(
                 src=self.addr,

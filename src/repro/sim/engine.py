@@ -252,10 +252,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns ``False`` when idle."""
-        return self.run(max_events=1) == 1
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
 

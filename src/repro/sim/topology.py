@@ -26,7 +26,7 @@ import numpy as np
 
 #: Default mean RTT (ms) of the King dataset used in the paper.
 KING_MEAN_RTT_MS = 180.0
-#: Bound on the one-way latency memo, in directed pairs per endpoint.
+#: Bound on the one-way latency memo, in links per endpoint.
 LATENCY_MEMO_PER_NODE = 16
 
 
@@ -34,7 +34,7 @@ class Topology(ABC):
     """Pairwise latency oracle over ``size`` network addresses."""
 
     def __init__(self) -> None:
-        #: (a, b) -> one-way latency, see :meth:`latency_ms`
+        #: link ``(lo, hi)`` -> one-way latency, see :meth:`latency_ms`
         self._latency_memo: dict = {}
 
     @property
@@ -49,17 +49,19 @@ class Topology(ABC):
     def latency_ms(self, a: int, b: int) -> float:
         """One-way latency; the packet-level convention is RTT / 2.
 
-        Memoised per directed pair: a run keeps sending over the same
-        few overlay links per node (about 6.6 k distinct pairs at 1740
-        nodes) and ``rtt_ms`` is a pure function of the pair, so a hit
-        is the bit-identical float.  Iterative lookups touch arbitrary
-        pairs, hence the bound (flushed wholesale, like the route
-        cache).
+        Memoised per link, i.e. per unordered pair: a run keeps sending
+        over the same few overlay links per node (about 6.6 k distinct
+        pairs at 1740 nodes), a reply crosses the link its request did,
+        and ``rtt_ms`` is a pure, symmetric function of the pair --
+        ``rtt_ms(a, b)`` and ``rtt_ms(b, a)`` are the same float in every
+        topology here -- so a hit is the bit-identical float whichever
+        direction asked first.  Iterative lookups touch arbitrary pairs,
+        hence the bound (flushed wholesale, like the route cache).
         """
         if a == b:
             return 0.0
         memo = self._latency_memo
-        key = (a, b)
+        key = (a, b) if a < b else (b, a)
         try:
             return memo[key]
         except KeyError:
@@ -134,7 +136,8 @@ class ExplicitTopology(Topology):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.allclose(matrix, matrix.T):
+        if not np.array_equal(matrix, matrix.T):
+            # exactly: the link-latency memo serves one float per pair
             raise ValueError("RTT matrix must be symmetric")
         if np.any(matrix < 0):
             raise ValueError("RTTs must be non-negative")

@@ -131,9 +131,6 @@ class Tracer:
         return len(self.spans)
 
     # -- queries ----------------------------------------------------------
-    def spans_for_event(self, event_id: int) -> List[Span]:
-        return [s for s in self.spans if s.event == event_id]
-
     def event_ids(self) -> List[int]:
         return sorted({s.event for s in self.spans if s.event is not None})
 

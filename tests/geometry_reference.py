@@ -1,10 +1,11 @@
-"""The NumPy digit-replay forms of the zone geometry, kept as references.
+"""The NumPy forms of the zone geometry and the summary-filter box
+arithmetic, kept as references.
 
-``src/repro/core`` runs these loops on Python floats; the forms below
-run them on NumPy scalars inside float64 arrays, one IEEE operation per
-line in the same order.  The property tests require the two to agree
-bit for bit (``(code, level)`` for the hashes, every bound for the
-boxes) and to reject the same inputs under the same messages.
+``src/repro/core`` runs these on Python floats and float tuples; the
+forms below run them on NumPy scalars inside float64 arrays, one IEEE
+operation per line in the same order.  The property tests require the
+two to agree bit for bit (``(code, level)`` for the hashes, every bound
+for the boxes) and to reject the same inputs under the same messages.
 """
 
 from typing import Dict, List, Tuple
@@ -105,3 +106,58 @@ def child_pieces(zone: ContentZone, sf: Box, zone_box_projected: Box, entity_dim
         piece_highs[j_full] = min(piece_highs[j_full], seg_hi)
         out[digit] = (piece_lows, piece_highs)
     return out
+
+
+# ----------------------------------------------------------------------
+# Summary filters (repro.core.summary, BoxStore.bounding_box)
+# ----------------------------------------------------------------------
+
+
+def merge_box(current, addition):
+    """``(merged, changed)``: ``np.minimum`` / ``np.maximum`` per bound."""
+    add_lows, add_highs = addition
+    if current is None:
+        return (np.array(add_lows, dtype=np.float64), np.array(add_highs, dtype=np.float64)), True
+    cur_lows, cur_highs = current
+    new_lows = np.minimum(cur_lows, add_lows)
+    new_highs = np.maximum(cur_highs, add_highs)
+    changed = bool(np.any(new_lows < cur_lows) or np.any(new_highs > cur_highs))
+    return (new_lows, new_highs), changed
+
+
+def boxes_equal(a, b) -> bool:
+    """``np.array_equal`` on each side; ``None`` equals only ``None``."""
+    if a is None or b is None:
+        return a is b
+    return bool(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]))
+
+
+def split_pieces(sf: Box, j_full: int, edge: float, width: float, base: int) -> Dict[int, Box]:
+    """``{child digit: sf ∩ [edge + digit * width, + width]}`` on ``j_full``."""
+    sf_lows, sf_highs = np.asarray(sf[0], dtype=np.float64), np.asarray(sf[1], dtype=np.float64)
+    lo = sf_lows[j_full]
+    hi = sf_highs[j_full]
+    out: Dict[int, Box] = {}
+    for digit in range(base):
+        seg_lo = edge + digit * width
+        seg_hi = seg_lo + width
+        if lo > seg_hi or hi < seg_lo:
+            continue
+        piece_lows = sf_lows.copy()
+        piece_highs = sf_highs.copy()
+        if seg_lo > lo:
+            piece_lows[j_full] = seg_lo
+        if seg_hi < hi:
+            piece_highs[j_full] = seg_hi
+        out[digit] = (piece_lows, piece_highs)
+    return out
+
+
+def bounding_box(cols: np.ndarray) -> Box:
+    """The bounding box of a ``BoxStore``'s ``[lows; -highs]`` columns
+    (tombstones are NaN): ``fmin`` along each row, the highs negated
+    back.  Which of two tied zeros survives is ``fmin``'s call, so the
+    reference reduces the store's own columns."""
+    dims = cols.shape[0] // 2
+    mins = np.fmin.reduce(cols, axis=1)
+    return mins[:dims], -mins[dims:]

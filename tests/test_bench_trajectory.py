@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pathlib
 
 from repro.bench import (
     REGRESSION_TOLERANCE,
@@ -161,6 +162,25 @@ class TestTrajectoryPoint:
 
 
 class TestTrajectoryFile:
+    def test_committed_points_follow_the_recording_rule(self):
+        """docs/PERFORMANCE.md, "Recording rule": from the first point
+        recorded under it on, every committed point is a first run --
+        its note says so -- and carries the e2e medians of every
+        BENCHMARK.json workload."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        points = load_trajectory(root / "BENCH_trajectory.json")["points"]
+        workloads = {
+            w["name"]
+            for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+        }
+        first = next(
+            i for i, p in enumerate(points) if "first run" in (p.get("note") or "")
+        )
+        for p in points[first:]:
+            assert "first run, flagged floors and all" in p["note"], p["git_rev"]
+            assert set(p["e2e"]["workloads"]) == workloads, p["git_rev"]
+            assert not p["e2e"]["smoke"]
+
     def test_load_missing_file_is_a_fresh_document(self, tmp_path):
         doc = load_trajectory(tmp_path / "absent.json")
         assert doc == {"schema": TRAJECTORY_SCHEMA, "points": []}

@@ -107,8 +107,7 @@ class TestBasics:
         assert [s._slot_of[SubID(2, i)] for i in (100, 101, 102, 103)] == [7, 20, 3, 33]
         hits = s.match_box(*everything)
         assert [s._slot_of[h] for h in hits] == list(range(34))
-        lo, hi = s.bounding_box()
-        assert lo.tolist() == [0.0, -32.0] and hi.tolist() == [103.0, 103.0]
+        assert s.bounding_box() == ((0.0, -32.0), (103.0, 103.0))
         popped = s.pop_matching(lambda sid: sid.nid == 2)
         assert [sid.iid for sid, _, _ in popped] == [100, 101, 102, 103]
         assert s._free == [7, 20, 3, 33]
@@ -134,10 +133,19 @@ class TestBasics:
 
     def test_invalid_inputs(self):
         s = BoxStore(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape"):
             s.put(SubID(1, 1), np.array([1.0]), np.array([2.0]))
+        with pytest.raises(ValueError, match="shape"):
+            s.put(SubID(1, 1), np.zeros((2, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            s.put(SubID(1, 1), (1.0,), (2.0,))
         with pytest.raises(ValueError, match="negative extent"):
             s.put(SubID(1, 1), *box([5, 5], [1, 1]))
+        with pytest.raises(ValueError, match="negative extent"):
+            s.put(SubID(1, 1), (5.0, 5.0), (1.0, 6.0))
+        with pytest.raises(ValueError, match="NaN"):
+            s.put(SubID(1, 1), (0.0, float("nan")), (1.0, 1.0))
+        assert len(s) == 0
         with pytest.raises(ValueError):
             BoxStore(0)
 

@@ -15,6 +15,7 @@ from repro.sim.engine import Simulator
 from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network
 from repro.sim.topology import ConstantTopology, KingLikeTopology
+from tests.route_reference import NeverRemembers
 
 
 def build(n=30, seed=1):
@@ -351,18 +352,22 @@ class TestLookupRestart:
     @staticmethod
     def loop(nodes, key, heal_after=None):
         """Make nodes 1 and 2 bounce ``key`` between them, for good or
-        until the walk has been restarted ``heal_after`` times."""
-        real = {a: nodes[a].next_hop_addr for a in (1, 2)}
+        until the walk has been restarted ``heal_after`` times.  The
+        bounce changes answers without a routing-epoch bump, so the two
+        nodes must not remember route decisions either."""
         stats = nodes[1].network.stats
 
-        def bouncing(addr, other):
-            def next_hop_addr(k):
-                looping = heal_after is None or stats.lookup_restarts < heal_after
-                return other if k == key and looping else real[addr](k)
-            return next_hop_addr
+        def looping(k):
+            return k == key and (heal_after is None or stats.lookup_restarts < heal_after)
 
-        nodes[1].next_hop_addr = bouncing(1, 2)
-        nodes[2].next_hop_addr = bouncing(2, 1)
+        def bounce(node, other):
+            real_hop, real_owns = node.next_hop_addr, node.is_responsible
+            node.next_hop_addr = lambda k: other if looping(k) else real_hop(k)
+            node.is_responsible = lambda k: False if looping(k) else real_owns(k)
+            node._rc = NeverRemembers()
+
+        bounce(nodes[1], 2)
+        bounce(nodes[2], 1)
 
     def run(self, mailed, heal_after):
         key = 0xDEADBEEF

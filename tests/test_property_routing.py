@@ -23,7 +23,7 @@ from repro.core import (
     Scheme,
     Subscription,
 )
-from repro.core.node import _RC_HERE
+from repro.dht.base import _RC_HERE, OverlayNode
 from repro.dht.chord import ChordNode, build_chord_overlay
 from repro.dht.idspace import ID_SPACE, id_in_interval
 from repro.sim.engine import Simulator
@@ -264,6 +264,91 @@ def test_route_cache_preserves_dissemination_trees():
         # every worklist entry routed is one lookup, hit or miss (the
         # uncached run takes the miss path for each of them)
         assert stats["hits"] + stats["misses"] == off["misses"]
+
+
+def run_install_churn(route_cache: bool, monkeypatch):
+    """Subscribes and unsubscribes installed through simulated lookups
+    (``simulate_install=True``) on a maintained ring while one node
+    crashes and rejoins; then events.  Returns every ``LookupResult``
+    (by origin, in completion order), ``install_traffic`` and the
+    delivery digest."""
+    results = []
+    real_lookup = OverlayNode.lookup
+
+    def lookup(node, key, callback):
+        def record(res):
+            results.append((node.addr, res.key, res.home_addr, res.home_id,
+                            res.hops, res.latency_ms))
+            callback(res)
+
+        real_lookup(node, key, record)
+
+    monkeypatch.setattr(OverlayNode, "lookup", lookup)
+    cfg = HyperSubConfig(
+        seed=3, base=2, code_bits=12, simulate_install=True, replication_factor=2
+    )
+    system = HyperSubSystem(num_nodes=N_NODES, config=cfg)
+    if not route_cache:
+        forget_routes(system)
+    scheme = Scheme("p", [Attribute("x", 0, DOMAIN), Attribute("y", 0, DOMAIN)])
+    system.add_scheme(scheme)
+    rng = random.Random(11)
+
+    def subscription():
+        lo = [rng.uniform(0, DOMAIN - 1) for _ in range(2)]
+        hi = [min(DOMAIN, v + rng.uniform(1, 400)) for v in lo]
+        return Subscription.from_box(scheme, lo, hi)
+
+    live = [(i % N_NODES, system.subscribe(i % N_NODES, subscription())) for i in range(40)]
+    system.finish_setup()
+    system.start_maintenance(stabilize_interval_ms=250.0, rpc_timeout_ms=1_000.0)
+    victim = 7
+    for k in range(60):
+        if k == 20:
+            system.nodes[victim].fail()
+        if k == 40:
+            system.rejoin_node(victim)
+            if not route_cache:
+                forget_routes(system)  # the rejoined node is a new object
+        addr = (3 * k) % N_NODES
+        if addr != victim:
+            if k % 3 == 2 and live:
+                owner, subid = live.pop(rng.randrange(len(live)))
+                if owner != victim:
+                    system.unsubscribe(owner, subid)
+            else:
+                live.append((addr, system.subscribe(addr, subscription())))
+        system.run(until=system.sim.now + 300.0)
+    system.run(until=system.sim.now + 10_000.0)
+    system.stop_maintenance()
+    system.run_until_idle()
+    per_event = []
+    for i in range(12):
+        ev = Event(scheme, {"x": rng.uniform(0, DOMAIN), "y": rng.uniform(0, DOMAIN)})
+        eid = system.publish(i % N_NODES, ev)
+        system.run_until_idle()
+        per_event.append({"deliveries": sorted(
+            (d[0].nid, d[0].iid, d[1], d[2]) for d in system.metrics.records[eid].deliveries
+        )})
+    install = {k: tuple(v) for k, v in sorted(system.install_traffic.items())}
+    return results, install, delivery_digest(per_event), system
+
+
+def test_lookups_through_the_cache_survive_crash_and_rejoin(monkeypatch):
+    """Lookups take their decisions from the route-decision cache; on a
+    ring that loses a node and gets it back mid-churn, the cached run
+    sees the same ``LookupResult``s, installs the same traffic and
+    delivers the same as the run whose nodes never remember a route."""
+    with monkeypatch.context() as patch:
+        cached, install, digest, system = run_install_churn(True, patch)
+    with monkeypatch.context() as patch:
+        uncached, ref_install, ref_digest, ref_system = run_install_churn(False, patch)
+    assert cached == uncached
+    assert install == ref_install and digest == ref_digest
+    assert len(cached) > 200
+    assert len({r[1] for r in cached}) < len(cached)  # keys asked again
+    hits = system.route_cache_stats()["hits"]
+    assert hits > 0 and ref_system.route_cache_stats()["hits"] == 0
 
 
 def delivery_digest(per_event) -> str:

@@ -255,16 +255,20 @@ class TestWireFormatOwners:
 
 
 class TestNoTestOnlyCode:
-    """Every function, method and class defined under ``src/repro/`` is
-    named somewhere under ``src/``, ``benchmarks/`` or ``examples/``
-    outside its own body -- by a code token or inside a string literal
-    (``benchmarks/e2e/layers.py`` patches methods by name) -- or it is
-    code only the tests run.  Comments and docstrings do not count: a
-    sentence about a function keeps nothing alive.  Dunders and names
-    defined more than once are skipped (a name search cannot tell their
-    definitions apart)."""
+    """Every function, method and class defined under ``src/repro/`` has
+    a use of its own kind somewhere under ``src/``, ``benchmarks/`` or
+    ``examples/`` outside its own body, or it is code only the tests
+    run.  A method (a definition in a class body) is used through an
+    attribute token, or a word inside a string literal
+    (``benchmarks/e2e/layers.py`` patches methods by name); anything
+    else -- a module-level function or class, a nested function --
+    through a bare name, an import, an ``__all__`` entry, or
+    ``module.name`` on a module the file imports.  So a method and a
+    module-level function that share a name cannot keep each other
+    alive.  Comments and docstrings do not count: a sentence about a
+    function keeps nothing alive.  Dunders are skipped."""
 
-    #: definitions kept although nothing outside ``tests/`` names them
+    #: definitions kept although nothing outside ``tests/`` uses them
     ALLOWED = {
         "clear_cache": (
             "experiments.common: the test-isolation hook for the in-process memo"
@@ -282,74 +286,121 @@ class TestNoTestOnlyCode:
     }
 
     @staticmethod
-    def code_words(tree, text):
-        """``(line, word)`` for every name token of ``text`` (f-string
-        fields included) and every word inside a string literal that is
-        not a docstring or another bare string statement; comments yield
-        nothing."""
-        import ast
-        import io
-        import tokenize
+    def is_module(package, name):
+        """Does ``from package import name`` bind a module of this repo?"""
+        if not package:
+            return False
+        base = REPO / "src" / pathlib.Path(*package.split("."), name)
+        return base.with_suffix(".py").is_file() or (base / "__init__.py").is_file()
 
-        out = {
-            (tok.start[0], tok.string)
-            for tok in tokenize.generate_tokens(io.StringIO(text).readline)
-            if tok.type == tokenize.NAME
-        }
+    @classmethod
+    def uses(cls, tree):
+        """``(line, name, kind)`` for every use in ``tree``: kind
+        ``"attr"`` for an attribute token or a word inside a string
+        literal that is not a docstring, another bare string statement
+        or an ``__all__`` entry; ``"bare"`` for a name token, an
+        imported name, an ``__all__`` entry, or the attribute of a
+        module the file imports.  Comments yield nothing."""
+        import ast
+
+        modules = set()
+        out = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    modules.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    out.add((node.lineno, alias.name, "bare"))
+                    if cls.is_module(node.module, alias.name):
+                        modules.add(alias.asname or alias.name)
         bare = {
             id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)
+        }
+        exported = {
+            id(elt)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in ast.walk(node.value)
         }
         word = re.compile(r"[A-Za-z_]\w*")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                out.add((node.lineno, node.id))
+                out.add((node.lineno, node.id, "bare"))
             elif isinstance(node, ast.Attribute):
-                out.add((node.lineno, node.attr))
+                out.add((node.lineno, node.attr, "attr"))
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    out.add((node.lineno, node.attr, "bare"))
             elif (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and id(node) not in bare
             ):
-                out |= {(node.lineno, w) for w in word.findall(node.value)}
+                kind = "bare" if id(node) in exported else "attr"
+                out |= {(node.lineno, w, kind) for w in word.findall(node.value)}
         return out
 
-    def test_every_definition_is_named_outside_tests(self):
+    @staticmethod
+    def definitions(tree):
+        """``(node, kind)`` for every function and class definition:
+        ``"attr"`` for one in a class body, else ``"bare"``."""
         import ast
 
-        named_at = {}
-        defs = {}
+        out = []
+
+        def visit(parent, kind):
+            for child in ast.iter_child_nodes(parent):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    out.append((child, kind))
+                    visit(child, "attr" if isinstance(child, ast.ClassDef) else "bare")
+                else:
+                    visit(child, kind)
+
+        visit(tree, "bare")
+        return out
+
+    def unused_definitions(self):
+        """``(path, line, name)`` of every non-dunder definition under
+        ``src/repro/`` with no use of its kind outside its own body."""
+        import ast
+
+        used_at = {}
+        defs = []
         for top in ("src", "benchmarks", "examples"):
             for path in sorted((REPO / top).rglob("*.py")):
-                text = path.read_text(encoding="utf-8")
-                tree = ast.parse(text)
-                for lineno, w in self.code_words(tree, text):
-                    named_at.setdefault(w, []).append((path, lineno))
-                if not path.is_relative_to(REPO / "src" / "repro"):
-                    continue
-                for node in ast.walk(tree):
-                    if isinstance(
-                        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                    ):
-                        defs.setdefault(node.name, []).append(
-                            (path, node.lineno, node.end_lineno)
-                        )
-        unnamed = []
-        for name, where in sorted(defs.items()):
-            if len(where) > 1 or (name.startswith("__") and name.endswith("__")):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for lineno, name, kind in self.uses(tree):
+                    used_at.setdefault((name, kind), []).append((path, lineno))
+                if path.is_relative_to(REPO / "src" / "repro"):
+                    defs += [(path, node, kind) for node, kind in self.definitions(tree)]
+        unused = []
+        for path, node, kind in defs:
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            path, first, last = where[0]
-            named = any(
-                other != path or not first <= lineno <= last
-                for other, lineno in named_at.get(name, ())
+            used = any(
+                other != path or not node.lineno <= lineno <= node.end_lineno
+                for other, lineno in used_at.get((name, kind), ())
             )
-            if not named and name not in self.ALLOWED:
-                unnamed.append(f"{path.relative_to(REPO)}:{first} {name}")
-        assert not unnamed, "defined but only tests use it: " + ", ".join(unnamed)
-        stale = {
-            name for name in self.ALLOWED
-            if len(defs.get(name, ())) != 1
-        }
-        assert not stale, f"allowlisted names no longer defined once: {sorted(stale)}"
+            if not used:
+                unused.append((path, node.lineno, name))
+        return unused
+
+    def test_every_definition_is_named_outside_tests(self):
+        found = self.unused_definitions()
+        unused = [
+            f"{path.relative_to(REPO)}:{line} {name}"
+            for path, line, name in found
+            if name not in self.ALLOWED
+        ]
+        assert not unused, "defined but only tests use it: " + ", ".join(unused)
+        names = [name for _path, _line, name in found]
+        stale = {name for name in self.ALLOWED if names.count(name) != 1}
+        assert not stale, f"allowlisted names no longer unused once: {sorted(stale)}"
 
 
 class TestOneJudge:

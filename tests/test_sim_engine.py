@@ -131,12 +131,12 @@ def test_max_events_limits_execution():
     assert fired == [0, 1, 2]
 
 
-def test_step_returns_false_when_idle():
+def test_one_event_run_returns_zero_when_idle():
     sim = Simulator()
-    assert sim.step() is False
+    assert sim.run(max_events=1) == 0
     sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
+    assert sim.run(max_events=1) == 1
+    assert sim.run(max_events=1) == 0
 
 
 def test_processed_counter():
@@ -207,7 +207,7 @@ def test_live_count_decrements_as_events_fire():
     sim = Simulator()
     for i in range(3):
         sim.schedule(float(i + 1), lambda: None)
-    sim.step()
+    sim.run(max_events=1)
     assert sim.live == 2
     sim.run()
     assert sim.live == 0
@@ -220,7 +220,7 @@ def test_cancel_after_fire_does_not_double_count():
     sim = Simulator()
     h = sim.schedule(1.0, lambda: None)
     sim.schedule(2.0, lambda: None)
-    sim.step()  # fires h
+    sim.run(max_events=1)  # fires h
     sim.cancel(h)
     sim.cancel(h)
     assert sim.live == 1
@@ -230,7 +230,7 @@ def test_live_tracks_nested_scheduling():
     sim = Simulator()
     sim.schedule(1.0, lambda: sim.schedule(1.0, lambda: None))
     assert sim.live == 1
-    sim.step()
+    sim.run(max_events=1)
     assert sim.live == 1  # the nested event replaced the fired one
     sim.run()
     assert sim.live == 0
@@ -391,7 +391,7 @@ def _run_lane_program(program, make_world=LaneWorld):
             elif step[0] == "run_max":
                 sim.run(max_events=step[1])
             elif step[0] == "step":
-                sim.step()
+                sim.run(max_events=1)
             else:
                 sim.run_until_idle()
         assert lane.observe() == ref.observe(), step

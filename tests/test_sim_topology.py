@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.topology import (
     LATENCY_MEMO_PER_NODE,
@@ -39,7 +41,7 @@ class TestConstantTopology:
 
 
 class TestLatencyMemo:
-    """``latency_ms`` memoises ``rtt_ms / 2`` per directed pair."""
+    """``latency_ms`` memoises ``rtt_ms / 2`` per link (unordered pair)."""
 
     def test_bit_identical_to_half_rtt_and_symmetric(self):
         topo = KingLikeTopology(60, seed=5)
@@ -55,11 +57,16 @@ class TestLatencyMemo:
                 assert type(first) is float
 
     def test_warm_lookup_skips_rtt(self):
+        """One entry per link: the reverse direction hits the entry the
+        forward one made, and a different link misses."""
         topo = ConstantTopology(4, rtt=42.0)
         assert topo.latency_ms(0, 1) == 21.0
         topo._rtt = 999.0  # a pure-function violation only a miss would see
         assert topo.latency_ms(0, 1) == 21.0
-        assert topo.latency_ms(1, 0) == 499.5
+        assert topo.latency_ms(1, 0) == 21.0
+        assert topo.latency_ms(2, 1) == 499.5
+        assert topo.latency_ms(1, 2) == 499.5
+        assert sorted(topo._latency_memo) == [(0, 1), (1, 2)]
 
     def test_memo_is_bounded(self):
         topo = ConstantTopology(6, rtt=10.0)
@@ -80,6 +87,13 @@ class TestExplicitTopology:
     def test_asymmetric_rejected(self):
         m = np.array([[0.0, 5.0], [6.0, 0.0]])
         with pytest.raises(ValueError):
+            ExplicitTopology(m)
+
+    def test_one_ulp_off_symmetric_rejected(self):
+        """Symmetry is exact: the link memo would otherwise make a
+        latency depend on which direction was asked first."""
+        m = np.array([[0.0, 5.0], [np.nextafter(5.0, np.inf), 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
             ExplicitTopology(m)
 
     def test_nonzero_diagonal_rejected(self):
@@ -103,6 +117,20 @@ class TestExplicitTopology:
 
 
 class TestKingLikeTopology:
+    @given(
+        seed=st.integers(1, 10_000),
+        pairs=st.lists(st.tuples(st.integers(0, 199), st.integers(0, 199)), min_size=1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_rtt_is_bit_symmetric(self, seed, pairs):
+        """``rtt_ms(a, b)`` and ``rtt_ms(b, a)`` are the same float --
+        what lets the latency memo keep one entry per link."""
+        topo = KingLikeTopology(200, seed=seed)
+        for a, b in pairs:
+            ab, ba = topo.rtt_ms(a, b), topo.rtt_ms(b, a)
+            assert ab.hex() == ba.hex()
+            assert topo.latency_ms(b, a) == topo.latency_ms(a, b) == ab / 2.0
+
     def test_mean_rtt_calibrated_to_target(self):
         topo = KingLikeTopology(500, seed=11, target_mean_rtt_ms=180.0)
         assert topo.mean_rtt(20_000) == pytest.approx(180.0, rel=0.08)

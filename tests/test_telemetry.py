@@ -130,7 +130,7 @@ class TestTracer:
         spans = [s.to_dict() for s in tr.spans]
         assert edges_from_spans(spans, 7) == [(1, 2, 3), (2, 5, 1)]
         assert tr.event_ids() == [7]
-        assert len(tr.spans_for_event(7)) == 4
+        assert len([s for s in tr.spans if s.event == 7]) == 4
 
     def test_cap_drops_and_counts(self):
         tr = Tracer(max_spans=2)
@@ -231,8 +231,8 @@ class TestSessionIntegration:
             assert sorted(edges_from_spans(spans, eid)) == sorted(rec.edges)
             n_deliver = sum(
                 1
-                for s in session.tracer.spans_for_event(eid)
-                if s.kind == "deliver"
+                for s in session.tracer.spans
+                if s.event == eid and s.kind == "deliver"
             )
             assert n_deliver == len(rec.deliveries)
             checked += 1
