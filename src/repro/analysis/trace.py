@@ -15,11 +15,15 @@ reconstructs exactly these trees
 (:func:`~repro.telemetry.tracing.edges_from_spans`), and
 ``python -m repro trace --event N`` renders the full causal view
 (matches, retransmissions, failover reroutes included).
+
+Trees explain a run; they do not judge it.  Whether deliveries were
+complete, exactly-once and in FIFO / causal order is decided by
+:func:`repro.oracle.judge` alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 def render_dissemination_tree(record, max_depth: int = 32) -> str:
@@ -83,160 +87,6 @@ def render_dissemination_tree(record, max_depth: int = 32) -> str:
     for i, (dst, n) in enumerate(kids):
         visit(dst, n, "", i == len(kids) - 1, 1)
     return "\n".join(lines)
-
-
-def _span_view(span) -> Tuple[str, float, int, int, int, dict]:
-    """Normalise a :class:`Span` object or an exported JSONL dict."""
-    if isinstance(span, dict):
-        return (
-            span.get("kind"),
-            span.get("t", 0.0),
-            span.get("sid", 0),
-            span.get("node"),
-            span.get("event"),
-            span.get("attrs", {}),
-        )
-    return span.kind, span.t, span.sid, span.node, span.event, span.attrs
-
-
-def _order_views(spans: Iterable) -> Tuple[dict, dict]:
-    """Replay a trace into per-event publish info and per-subscriber
-    delivery sequences.
-
-    Returns ``(publishes, deliveries)``: ``publishes`` maps event id to
-    ``{"pub", "t", "sid", "pseq", "deps"}`` from its ``publish`` span;
-    ``deliveries`` maps ``(nid, iid)`` to the event ids delivered to
-    that subscription, in delivery order (simulated time, then span id
-    -- span ids are allocated in execution order, so ties within one
-    simulated instant resolve to the true processing order).
-    """
-    publishes: Dict[int, dict] = {}
-    deliveries: Dict[Tuple[int, int], List[Tuple[float, int, int]]] = {}
-    for span in spans:
-        kind, t, sid, node, event, attrs = _span_view(span)
-        if kind == "publish":
-            publishes[event] = {
-                "pub": node,
-                "t": t,
-                "sid": sid,
-                "pseq": attrs.get("pseq"),
-                "deps": attrs.get("deps") or [],
-            }
-        elif kind == "deliver":
-            subid = tuple(attrs["subid"])
-            deliveries.setdefault(subid, []).append((t, sid, event))
-    ordered = {
-        subid: [eid for _t, _sid, eid in sorted(seq)]
-        for subid, seq in deliveries.items()
-    }
-    return publishes, ordered
-
-
-def check_fifo_order(spans: Iterable) -> List[dict]:
-    """Publisher-FIFO oracle over a span trace.
-
-    A violation is a subscription that observed two events of the same
-    publisher out of publish order.  Publish order is reconstructed
-    from the ``publish`` spans (time, then span id), so the oracle is
-    protocol-independent: it never looks at sequence numbers the
-    implementation may have assigned.
-    """
-    publishes, deliveries = _order_views(spans)
-    index: Dict[int, Tuple[int, int]] = {}
-    counters: Dict[int, int] = {}
-    for eid, info in sorted(
-        publishes.items(), key=lambda kv: (kv[1]["t"], kv[1]["sid"])
-    ):
-        pub = info["pub"]
-        counters[pub] = counters.get(pub, 0) + 1
-        index[eid] = (pub, counters[pub])
-    violations: List[dict] = []
-    for subid, seq in deliveries.items():
-        high: Dict[int, Tuple[int, int]] = {}  # pub -> (index, event)
-        for eid in seq:
-            if eid not in index:
-                continue  # delivered event published outside the trace
-            pub, i = index[eid]
-            prev = high.get(pub)
-            if prev is not None and i < prev[0]:
-                violations.append(
-                    {
-                        "check": "fifo",
-                        "subid": list(subid),
-                        "publisher": pub,
-                        "event": eid,
-                        "after_event": prev[1],
-                    }
-                )
-            if prev is None or i > prev[0]:
-                high[pub] = (i, eid)
-    return violations
-
-
-def check_causal_order(spans: Iterable) -> List[dict]:
-    """Causal-order oracle over a span trace.
-
-    Requires the publish spans to carry ``pseq``/``deps`` attributes
-    (durable causal mode records them).  Checks, per subscription:
-
-    * publisher-FIFO by ``pseq`` (causal order contains FIFO), and
-    * for every delivered event ``e`` with a dependency ``(a, n)``: no
-      event of publisher ``a`` with ``pseq <= n`` may be delivered
-      *after* ``e`` -- the dependency happened-before ``e``, so a
-      subscription receiving both must see it first.
-    """
-    publishes, deliveries = _order_views(spans)
-    violations: List[dict] = []
-    for subid, seq in deliveries.items():
-        infos = [(eid, publishes.get(eid)) for eid in seq]
-        high: Dict[int, Tuple[int, int]] = {}
-        for eid, info in infos:
-            if info is None or info["pseq"] is None:
-                continue
-            pub, pseq = info["pub"], info["pseq"]
-            prev = high.get(pub)
-            if prev is not None and pseq < prev[0]:
-                violations.append(
-                    {
-                        "check": "causal-fifo",
-                        "subid": list(subid),
-                        "publisher": pub,
-                        "event": eid,
-                        "after_event": prev[1],
-                    }
-                )
-            if prev is None or pseq > prev[0]:
-                high[pub] = (pseq, eid)
-        for i, (eid, info) in enumerate(infos):
-            if info is None:
-                continue
-            for a, n in info["deps"]:
-                for later_eid, later in infos[i + 1:]:
-                    if (
-                        later is not None
-                        and later["pub"] == a
-                        and later["pseq"] is not None
-                        and later["pseq"] <= n
-                    ):
-                        violations.append(
-                            {
-                                "check": "causal-dep",
-                                "subid": list(subid),
-                                "event": eid,
-                                "dep": [a, n],
-                                "delivered_after": later_eid,
-                            }
-                        )
-    return violations
-
-
-def ordering_violations(spans: Iterable, ordering: str) -> List[dict]:
-    """Dispatch to the oracle matching a run's ``config.ordering``."""
-    if ordering == "fifo":
-        return check_fifo_order(spans)
-    if ordering == "causal":
-        return check_causal_order(spans)
-    return []
 
 
 def tree_stats(record) -> Dict[str, float]:

@@ -635,7 +635,6 @@ class PubSubNodeMixin:
             "scheme": event.scheme_name,
             "point": event.point,
         }
-        span_extra: Dict[str, Any] = {}
         if ordering == "causal":
             # The event is funnelled through the scheme's sequencer,
             # which assigns its place in the total order and computes
@@ -657,7 +656,6 @@ class PubSubNodeMixin:
             meta = {"s": ["S", seq_addr], "k": pseq, "q": 1}
             self._dur_log("seq", dict(fields, rt=self.sim.now), -1, None, meta)
             entries = [(-1, None, meta)]
-            span_extra = {"pseq": pseq, "deps": deps}
         else:
             keys = self._event_target_keys(
                 event.scheme_name, event.point, filter_leaf=ordering != "none"
@@ -682,7 +680,6 @@ class PubSubNodeMixin:
                     event=event_id,
                     scheme=event.scheme_name,
                     entries=len(entries),
-                    **span_extra,
                 )
         self._process_event(
             self._local_event(fields, entries, 0, 0.0, self.sim.now, root_span)

@@ -510,12 +510,24 @@ class HyperSubSystem:
         probe-and-migrate rounds (used between setup and events)."""
         from repro.core.loadbalance import run_static_rounds
 
+        self._refuse_ordered_migration()
         run_static_rounds(self, rounds=rounds, stagger_ms=stagger_ms)
 
     def start_periodic_migration(self) -> None:
         from repro.core.loadbalance import start_periodic
 
+        self._refuse_ordered_migration()
         start_periodic(self)
+
+    def _refuse_ordered_migration(self) -> None:
+        # A migration acceptor relays sub custody without the stream
+        # the entry arrived on, so ordered delivery would break.
+        if self.config.ordering != "none":
+            raise ValueError(
+                "Section-4 migration cannot run with "
+                f"ordering={self.config.ordering!r}: a migration acceptor "
+                "relays custody out of stream order"
+            )
 
     # ------------------------------------------------------------------
     # Observations

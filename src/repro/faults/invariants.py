@@ -14,15 +14,13 @@ knowledge (it is an oracle, not a protocol) and verifies:
 * **replica-count floors** -- with ``replication_factor = k``, every
   entry of every rendezvous-served repository exists on at least
   ``min(k, alive)`` alive nodes (the durability goal anti-entropy
-  re-replication maintains after takeovers);
-* **ordering** (opt-in) -- replays the telemetry span trace through the
-  per-scheme ordering oracle (:mod:`repro.analysis.trace`): FIFO and
-  causal runs must show zero out-of-order deliveries, redelivery and
-  failover included (see docs/GUARANTEES.md).
+  re-replication maintains after takeovers).
 
 Checks are individually switchable because they assert *stabilised*
 state: ring consistency holds only after maintenance has converged, and
-replica floors only when anti-entropy has had a full period.
+replica floors only when anti-entropy has had a full period.  The
+checker audits state, not deliveries: whether a run delivered the right
+events, exactly once and in order, is :func:`repro.oracle.judge`'s call.
 """
 
 from __future__ import annotations
@@ -68,12 +66,10 @@ class InvariantChecker:
         check_ring: bool = True,
         check_coverage: bool = True,
         check_replicas: bool = False,
-        check_ordering: bool = False,
     ) -> None:
         self.check_ring = check_ring
         self.check_coverage = check_coverage
         self.check_replicas = check_replicas
-        self.check_ordering = check_ordering
 
     # ------------------------------------------------------------------
     def check(self, system: "HyperSubSystem") -> InvariantReport:
@@ -91,9 +87,6 @@ class InvariantChecker:
         if self.check_replicas:
             report.checked.append("replicas")
             self._check_replicas(system, alive, report)
-        if self.check_ordering:
-            report.checked.append("ordering")
-            self._check_ordering(system, report)
         tel = getattr(system, "telemetry", None)
         if tel is not None:
             tel.registry.counter("invariants.checks").inc()
@@ -173,33 +166,6 @@ class InvariantChecker:
             return True
         standby = home.standby_repos.get(repo_key)
         return standby is not None and subid in standby.store
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_ordering(system, report: InvariantReport) -> None:
-        """Replay the span trace through the per-scheme ordering oracle.
-
-        Needs an active telemetry session with tracing on (the oracle
-        is a trace replay, not live protocol state) and a configured
-        ``ordering``; both missing prerequisites are reported as
-        violations rather than silently passing.
-        """
-        from repro.analysis.trace import ordering_violations
-
-        ordering = system.config.ordering
-        if ordering == "none":
-            report.violations.append(
-                "ordering check requested but config.ordering == 'none'"
-            )
-            return
-        tel = getattr(system, "telemetry", None)
-        if tel is None or not tel.tracing:
-            report.violations.append(
-                "ordering check requested but span tracing is not active"
-            )
-            return
-        for v in ordering_violations(tel.tracer.spans, ordering):
-            report.violations.append(f"ordering: {v}")
 
     # ------------------------------------------------------------------
     @staticmethod

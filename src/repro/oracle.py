@@ -2,18 +2,21 @@
 
 An event must reach *every* subscription it matches and nothing else,
 exactly once (Alg. 5, Sections 3.3-3.4); ordered modes add publisher
-FIFO and causal order.  Every experiment, chaos round and combination
-test is judged here, by brute force over ``Subscription.matches`` --
-nothing of the zoning, routing or index code is consulted, so a bug
-there cannot hide itself.  docs/FAULTS.md "How a run is judged" states
-the contract and names the references that stay independent of it.
+FIFO and causal order, the latter as the full happened-before relation
+of *VCube-PS* (one vector clock per node).  Every experiment, chaos
+round and combination test is judged here -- delivery by brute force
+over ``Subscription.matches``, nothing of the zoning, routing or index
+code consulted, so a bug there cannot hide itself -- and this is the
+only module that checks delivery order.  docs/FAULTS.md "How a run is
+judged" states the contract and names the references that stay
+independent of it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.event import Event
 from repro.core.subscription import SubID, Subscription
@@ -26,9 +29,10 @@ class Published:
     publisher: int  #: address of the publishing node
     k: int  #: this was the publisher's k-th publish (1-based)
     event: Event
-    #: event ids already delivered at the publisher node when it
-    #: published -- the happened-before set of the causal check
-    deps: FrozenSet[int]
+    #: the publisher node's vector clock when it published: publisher
+    #: address -> highest publish index k in its causal past.  Event
+    #: ``(p, j)`` happened before this one iff ``j <= deps.get(p, 0)``.
+    deps: Dict[int, int]
 
 
 class RunLog:
@@ -40,18 +44,29 @@ class RunLog:
         self.published: Dict[int, Published] = {}
         #: (event id, subid) per ``on_deliver`` call, in call order
         self.deliveries: List[Tuple[int, SubID]] = []
-        self._seen: Dict[int, set] = {}
-        self._count: Dict[int, int] = {}
+        #: node address -> vector clock of its causal past (see deps)
+        self._clock: Dict[int, Dict[int, int]] = {}
         system.on_deliver = self._on_deliver
 
     def _on_deliver(self, addr: int, event_id: int, subid: SubID) -> None:
         self.deliveries.append((event_id, subid))
-        self._seen.setdefault(addr, set()).add(event_id)
+        pub = self.published.get(event_id)
+        if pub is None:
+            return  # published around the log: not in anyone's past
+        clock = self._clock.setdefault(addr, {})
+        # Knowing (p, k) already means knowing its whole causal past.
+        if clock.get(pub.publisher, 0) >= pub.k:
+            return
+        for p, j in pub.deps.items():
+            if j > clock.get(p, 0):
+                clock[p] = j
+        clock[pub.publisher] = pub.k
 
     def publish(self, addr: int, event: Event) -> int:
-        deps = frozenset(self._seen.get(addr, ()))
+        clock = self._clock.setdefault(addr, {})
+        deps = dict(clock)
         eid = self.system.publish(addr, event)
-        k = self._count[addr] = self._count.get(addr, 0) + 1
+        k = clock[addr] = deps.get(addr, 0) + 1
         self.published[eid] = Published(addr, k, event, deps)
         return eid
 
@@ -129,24 +144,32 @@ def judge(
     seen = Counter(logged)
     delivered = len(want & seen.keys())
 
-    per_sub: Dict[SubID, List[int]] = {}
+    per_sub: Dict[SubID, List[Published]] = {}
     for eid, sid in logged:
-        per_sub.setdefault(sid, []).append(eid)
+        per_sub.setdefault(sid, []).append(log.published[eid])
     fifo = causal = 0
     for seq in per_sub.values():
         # FIFO: a subscription saw two events of one publisher out of
         # the order publish() was invoked in.
         high: Dict[int, int] = {}
-        # Causal: a delivery precedes one of its dependencies that the
-        # same subscription also received.
-        pos = {eid: i for i, eid in enumerate(seq)}
-        for i, eid in enumerate(seq):
-            pub = log.published[eid]
+        for pub in seq:
             if pub.k < high.get(pub.publisher, 0):
                 fifo += 1
             else:
                 high[pub.publisher] = pub.k
-            causal += sum(1 for dep in pub.deps if pos.get(dep, -1) > i)
+        # Causal: a delivery arrives before an event of another
+        # publisher in its causal past that the same subscription also
+        # receives.  Walking backwards, ``low`` holds per publisher the
+        # lowest k delivered later.
+        low: Dict[int, int] = {}
+        for pub in reversed(seq):
+            if any(
+                j <= pub.deps.get(p, 0)
+                for p, j in low.items()
+                if p != pub.publisher
+            ):
+                causal += 1
+            low[pub.publisher] = min(pub.k, low.get(pub.publisher, pub.k))
     return Verdict(
         expected=len(want),
         delivered=delivered,

@@ -137,6 +137,23 @@ class TestMigration:
         with pytest.raises(ValueError):
             system.run_migration_rounds(0)
 
+    @pytest.mark.parametrize("ordering", ["fifo", "causal"])
+    def test_ordered_modes_refuse_migration(self, ordering):
+        """A migration acceptor relays custody out of stream order, so
+        both entry points refuse an ordered system by name."""
+        system, scheme, installed, rng = build(
+            n=8, subs=20,
+            reliable_delivery=True,
+            delivery_mode="durable",
+            ordering=ordering,
+            direct_rendezvous_levels=21,
+        )
+        pending = system.sim.pending
+        for start in (system.run_migration_rounds, system.start_periodic_migration):
+            with pytest.raises(ValueError, match=f"ordering='{ordering}'"):
+                start()
+        assert system.sim.pending == pending  # nothing was scheduled
+
 
 class TestRotation:
     def test_rotation_spreads_multi_scheme_hotspots(self):

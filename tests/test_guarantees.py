@@ -1,12 +1,10 @@
 """Tests for the delivery-guarantees tier (docs/GUARANTEES.md).
 
-Four layers, cheapest first:
+Three layers, cheapest first (the ordering checks themselves, with
+their negative cases, are tested with the judge in tests/test_oracle.py):
 
 * :class:`TestDurableState` -- unit tests of the custody log itself
   (append/evict/ack/due, sequence assignment, arc-migration export);
-* :class:`TestOrderingOracle` -- the trace-replay oracles on synthetic
-  span traces, including *negative* cases (a violation the oracle must
-  flag -- an oracle only proves things if it can fail);
 * :class:`TestBestEffortUnchanged` -- the digest-equality contract:
   ``delivery_mode="best_effort"`` runs are byte-identical no matter how
   the durable knobs are set (the tier is pay-for-what-you-use);
@@ -16,13 +14,7 @@ Four layers, cheapest first:
 """
 
 import numpy as np
-import pytest
 
-from repro.analysis.trace import (
-    check_causal_order,
-    check_fifo_order,
-    ordering_violations,
-)
 from repro.core import (
     Attribute,
     Event,
@@ -33,8 +25,8 @@ from repro.core import (
 )
 from repro.core.durability import DurableState
 from repro.faults import FaultSchedule
+from repro.oracle import RunLog, judge
 from repro.sim.engine import FN, TIME
-from repro.telemetry.session import telemetry_session
 
 
 # ----------------------------------------------------------------------
@@ -105,93 +97,6 @@ class TestDurableState:
         # A duplicate handoff packet is a no-op.
         dst.absorb_site_state(exported)
         assert dst.site_w[(("S", 1), 40)] == 9
-
-
-# ----------------------------------------------------------------------
-# Trace-replay ordering oracles (synthetic spans)
-# ----------------------------------------------------------------------
-def _publish(sid, t, eid, pub, pseq=None, deps=None):
-    attrs = {}
-    if pseq is not None:
-        attrs["pseq"] = pseq
-    if deps is not None:
-        attrs["deps"] = deps
-    return {
-        "kind": "publish", "t": t, "sid": sid, "node": pub, "event": eid,
-        "attrs": attrs,
-    }
-
-
-def _deliver(sid, t, eid, subid):
-    return {
-        "kind": "deliver", "t": t, "sid": sid, "node": subid[0],
-        "event": eid, "attrs": {"subid": list(subid)},
-    }
-
-
-class TestOrderingOracle:
-    def test_clean_trace_has_no_violations(self):
-        spans = [
-            _publish(1, 0.0, 10, pub=3),
-            _publish(2, 1.0, 11, pub=3),
-            _deliver(3, 5.0, 10, (7, 1)),
-            _deliver(4, 6.0, 11, (7, 1)),
-        ]
-        assert check_fifo_order(spans) == []
-
-    def test_fifo_violation_is_flagged(self):
-        spans = [
-            _publish(1, 0.0, 10, pub=3),
-            _publish(2, 1.0, 11, pub=3),
-            _deliver(3, 5.0, 11, (7, 1)),
-            _deliver(4, 6.0, 10, (7, 1)),  # older event after newer one
-        ]
-        v = check_fifo_order(spans)
-        assert len(v) == 1
-        assert v[0]["check"] == "fifo"
-        assert v[0]["publisher"] == 3
-
-    def test_fifo_is_per_publisher(self):
-        # Interleaving across *different* publishers is always legal.
-        spans = [
-            _publish(1, 0.0, 10, pub=3),
-            _publish(2, 1.0, 20, pub=4),
-            _deliver(3, 5.0, 20, (7, 1)),
-            _deliver(4, 6.0, 10, (7, 1)),
-        ]
-        assert check_fifo_order(spans) == []
-
-    def test_causal_dependency_violation_is_flagged(self):
-        # Event 20 declares (pub 3, pseq 1) happened-before it; a
-        # subscriber seeing 20 first and the dependency after is wrong.
-        spans = [
-            _publish(1, 0.0, 10, pub=3, pseq=1),
-            _publish(2, 1.0, 20, pub=4, pseq=1, deps=[[3, 1]]),
-            _deliver(3, 5.0, 20, (7, 1)),
-            _deliver(4, 6.0, 10, (7, 1)),
-        ]
-        v = check_causal_order(spans)
-        assert any(x["check"] == "causal-dep" for x in v)
-
-    def test_causal_contains_fifo(self):
-        spans = [
-            _publish(1, 0.0, 10, pub=3, pseq=1),
-            _publish(2, 1.0, 11, pub=3, pseq=2),
-            _deliver(3, 5.0, 11, (7, 1)),
-            _deliver(4, 6.0, 10, (7, 1)),
-        ]
-        v = check_causal_order(spans)
-        assert any(x["check"] == "causal-fifo" for x in v)
-
-    def test_dispatch_none_checks_nothing(self):
-        spans = [
-            _publish(1, 0.0, 10, pub=3),
-            _publish(2, 1.0, 11, pub=3),
-            _deliver(3, 5.0, 11, (7, 1)),
-            _deliver(4, 6.0, 10, (7, 1)),
-        ]
-        assert ordering_violations(spans, "none") == []
-        assert len(ordering_violations(spans, "fifo")) == 1
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +224,9 @@ class TestDurableEndToEnd:
         assert left == 0, f"{left} custody entries never retired"
         assert counts.get("appends", 0) == counts.get("acked", 0)
 
-    def test_fifo_run_passes_the_ordering_oracle(self, tmp_path):
-        """A healthy durable+fifo run ends with zero oracle violations
-        (the oracle is wired through InvariantChecker.check_ordering)."""
+    def test_fifo_run_passes_the_ordering_oracle(self):
+        """A healthy durable+fifo run: the judge finds every expected
+        delivery, exactly once, in publish order."""
         cfg = HyperSubConfig(
             seed=11,
             code_bits=12,
@@ -333,28 +238,19 @@ class TestDurableEndToEnd:
             direct_rendezvous_levels=21,
             durable_redelivery_ms=1_000.0,
         )
-        with telemetry_session(str(tmp_path), tracing=True):
-            subs = [(a, [100.0, 100.0], [900.0, 900.0]) for a in range(6)]
-            system, scheme, installed = _small_system(cfg, subs=subs)
-            system.start_durable_redelivery()
-            for i in range(8):
-                system.publish(2, Event(scheme, [200.0 + 50 * i, 500.0]))
-            system.run(until=20_000.0)
-            system.stop_durable_redelivery()
-            system.run_until_idle()
-            report = system.check_invariants(
-                check_ring=False, check_coverage=False, check_ordering=True
-            )
-            assert report.violations == []
-            # Every subscriber saw all eight events, in publish order.
-            per_sub = {}
-            for eid, rec in sorted(system.metrics.records.items()):
-                for d in rec.deliveries:
-                    per_sub.setdefault(d[0], []).append(eid)
-            assert len(per_sub) == len(installed)
-            for subid, seq in per_sub.items():
-                assert seq == sorted(seq)
-                assert len(seq) == 8
+        subs = [(a, [100.0, 100.0], [900.0, 900.0]) for a in range(6)]
+        system, scheme, installed = _small_system(cfg, subs=subs)
+        system.start_durable_redelivery()
+        log = RunLog(system)
+        for i in range(8):
+            log.publish(2, Event(scheme, [200.0 + 50 * i, 500.0]))
+        system.run(until=20_000.0)
+        system.stop_durable_redelivery()
+        system.run_until_idle()
+        verdict = judge(log, installed)
+        assert verdict.expected == 8 * len(installed)
+        assert (verdict.missing, verdict.duplicate, verdict.spurious) == (0, 0, 0)
+        assert (verdict.fifo_violations, verdict.causal_violations) == (0, 0)
 
     def test_rejoined_node_never_reissues_a_marker_id(self):
         """Durable mode remounts ``marker_origin`` and the repositories

@@ -3,7 +3,8 @@ custody under loss, simulated install under churn -- are judged by it.
 
 A clean seeded 60-node run is tampered with one fault at a time -- the
 log is plain data -- and each fault must read as exactly the verdict
-field that names it.
+field that names it.  Scripted delivery orders pin FIFO and causal
+order (happened-before, transitive chains included).
 """
 
 import copy
@@ -18,6 +19,7 @@ from repro.core import (
     HyperSubConfig,
     HyperSubSystem,
     Scheme,
+    SubID,
     Subscription,
 )
 from repro.faults import FaultSchedule
@@ -94,6 +96,12 @@ def per_sub(log):
     return out
 
 
+def in_causal_past(log, a, b):
+    """Event ``a``, of another publisher, happened before event ``b``."""
+    pa, pb = log.published[a], log.published[b]
+    return pa.publisher != pb.publisher and pa.k <= pb.deps.get(pa.publisher, 0)
+
+
 def swapped(log, i, j):
     deliveries = list(log.deliveries)
     deliveries[i], deliveries[j] = deliveries[j], deliveries[i]
@@ -154,7 +162,7 @@ class TestTeeth:
             (i, j)
             for seq in per_sub(log).values()
             for (i, a), (j, b) in zip(seq, seq[1:])
-            if a in log.published[b].deps
+            if in_causal_past(log, a, b)
         )
         got = judge(swapped(log, i, j), installed)
         assert got.causal_violations == 1
@@ -189,6 +197,105 @@ class TestTeeth:
         dropped = tampered(log, log.deliveries[:late] + log.deliveries[late + 1:])
         assert judge(dropped, installed, events=first) == a
         assert judge(dropped, installed, events=second).missing == 1
+
+
+class Recorder:
+    """A stand-in system: ``publish`` hands out event ids and the test
+    calls ``on_deliver`` itself, so a delivery order can be scripted."""
+
+    on_deliver = None
+
+    def __init__(self):
+        self.next_id = 0
+
+    def publish(self, addr, event):
+        self.next_id += 1
+        return self.next_id
+
+
+def scripted(script):
+    """Judge a scripted run.  Each step is ``("pub", addr, name)`` --
+    node ``addr`` publishes event ``name`` -- or ``("dlv", addr, name)``
+    -- the one subscription at ``addr``, which matches everything, is
+    delivered ``name``."""
+    scheme = Boxes(seed=0).scheme
+    anything = Subscription.from_box(scheme, [0.0, 0.0], [DOMAIN, DOMAIN])
+    point = Event(scheme, {"x": 1.0, "y": 1.0})
+    system = Recorder()
+    log = RunLog(system)
+    eid, installed = {}, {}
+    for step, addr, name in script:
+        if step == "pub":
+            eid[name] = log.publish(addr, point)
+        else:
+            sid = installed.setdefault(addr, SubID(addr, 0))
+            system.on_deliver(addr, eid[name], sid)
+    return judge(log, [(anything, sid) for sid in installed.values()])
+
+
+P1, P2, S = 1, 2, 9  # two publishers and a subscriber
+
+
+@pytest.mark.parametrize(
+    "script, want",
+    [
+        pytest.param(
+            [("pub", P1, "a1"), ("pub", P1, "a2"),
+             ("dlv", S, "a1"), ("dlv", S, "a2")],
+            (0, 0),
+            id="clean_trace_has_no_violations",
+        ),
+        pytest.param(
+            [("pub", P1, "a1"), ("pub", P1, "a2"),
+             ("dlv", S, "a2"), ("dlv", S, "a1")],
+            (1, 0),
+            id="fifo_violation_is_flagged",
+        ),
+        pytest.param(
+            [("pub", P1, "a1"), ("pub", P2, "b1"),
+             ("pub", P1, "a2"), ("pub", P2, "b2"),
+             ("dlv", S, "b1"), ("dlv", S, "a1"),
+             ("dlv", S, "b2"), ("dlv", S, "a2")],
+            (0, 0),
+            id="interleaving_across_publishers_is_legal",
+        ),
+        # P2 was delivered a before it published b.
+        pytest.param(
+            [("pub", P1, "a"), ("dlv", P2, "a"), ("pub", P2, "b"),
+             ("dlv", S, "b"), ("dlv", S, "a")],
+            (0, 1),
+            id="causal_dependency_violation_is_flagged",
+        ),
+        # a1 is in a2's causal past too, but an inversion within one
+        # publisher counts once, as FIFO.
+        pytest.param(
+            [("pub", P1, "a1"), ("dlv", P1, "a1"), ("pub", P1, "a2"),
+             ("dlv", S, "a2"), ("dlv", S, "a1")],
+            (1, 0),
+            id="causal_contains_fifo",
+        ),
+        # e1' happened before e1, and e1 before e2 (P2 was delivered e1
+        # when it published e2): e1' happened before e2 although P2
+        # never saw it.  S receives e2 before e1' and never receives e1.
+        pytest.param(
+            [("pub", P1, "e1'"), ("pub", P1, "e1"), ("dlv", P2, "e1"),
+             ("pub", P2, "e2"), ("dlv", S, "e2"), ("dlv", S, "e1'")],
+            (0, 1),
+            id="causal_past_is_transitive",
+        ),
+        # The same delivery order, but P2 publishes before seeing e1.
+        pytest.param(
+            [("pub", P1, "e1'"), ("pub", P1, "e1"), ("pub", P2, "e2"),
+             ("dlv", P2, "e1"), ("dlv", S, "e2"), ("dlv", S, "e1'")],
+            (0, 0),
+            id="a_later_delivery_is_not_in_the_past",
+        ),
+    ],
+)
+def test_ordering(script, want):
+    """``(fifo_violations, causal_violations)`` of a scripted run."""
+    verdict = scripted(script)
+    assert (verdict.fifo_violations, verdict.causal_violations) == want
 
 
 def test_the_verdict_equals_the_property_tests_brute_force():

@@ -91,7 +91,9 @@ def test_durable_fifo_survives_any_nemesis_schedule(seed, rnd):
 
 
 @pytest.mark.xfail(
-    strict=False, reason="ring invariant after heal — ROADMAP item 4"
+    strict=True,
+    raises=AssertionError,
+    reason="ring invariant after heal — ROADMAP item 4",
 )
 @pytest.mark.parametrize(
     "seed, rnd",

@@ -433,6 +433,26 @@ class TestOneJudge:
                     offenders.append(f"{rel}:{node.lineno} assigns on_deliver")
         assert not offenders, "judge through repro.oracle: " + "; ".join(offenders)
 
+    def test_delivery_order_is_checked_only_by_the_judge(self):
+        """No function, method or parameter outside ``repro/oracle.py``
+        is named like an ordering check: FIFO and causal order are the
+        judge's call."""
+        import ast
+        import re
+
+        checker = re.compile(r"(fifo|causal)_order|ordering_violations|check_ordering")
+        src = REPO / "src" / "repro"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            if rel == "oracle.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = getattr(node, "name", None) or getattr(node, "arg", None)
+                if isinstance(name, str) and checker.search(name):
+                    offenders.append(f"{rel}:{node.lineno} {name}")
+        assert not offenders, "order is judged in repro.oracle: " + "; ".join(offenders)
+
 
 def modules_importing(module):
     """``path:line`` of every import of ``module`` under ``src/repro/``."""
