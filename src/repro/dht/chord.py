@@ -758,7 +758,6 @@ def build_chord_overlay(
     seed: int = 1,
     *,
     pns: bool = True,
-    pns_samples: int = 16,
     succ_list_len: int = DEFAULT_SUCC_LIST,
     node_ids: Optional[List[int]] = None,
     node_factory: Optional[Callable[..., ChordNode]] = None,
@@ -801,7 +800,6 @@ def build_chord_overlay(
             ring,
             network.topology,
             pns=pns,
-            pns_samples=pns_samples,
             rng=rng,
         )
     return nodes, ring

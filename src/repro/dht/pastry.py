@@ -20,12 +20,14 @@ Only static construction is provided.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.dht.base import OverlayNode
 from repro.dht.idspace import ID_BITS, cw_distance, random_ids
+from repro.dht.pns import closest_in_spans
 from repro.dht.ring import SortedRing
 from repro.sim.network import Network
 
@@ -166,7 +168,6 @@ def build_pastry_overlay(
     seed: int = 1,
     *,
     leaf_set_size: int = DEFAULT_LEAF_SET,
-    proximity_samples: int = 16,
     node_ids: Optional[List[int]] = None,
     node_factory: Optional[Callable[..., PastryNode]] = None,
 ) -> Tuple[List[PastryNode], SortedRing]:
@@ -196,7 +197,7 @@ def build_pastry_overlay(
                 break
             ccw_ids.append(cur)
         node.leaves_ccw = [(pid, ring.addr(pid)) for pid in ccw_ids]
-        _fill_routing_table(node, ring, network, proximity_samples, rng)
+        _fill_routing_table(node, ring, network, rng)
         # Routing state is complete: invalidate anything derived from the
         # factory-fresh (empty) tables.
         node.bump_routing_epoch()
@@ -207,16 +208,19 @@ def _fill_routing_table(
     node: PastryNode,
     ring: SortedRing,
     network: Network,
-    proximity_samples: int,
     rng: np.random.Generator,
 ) -> None:
     """Populate prefix rows; entries chosen by proximity among candidates.
 
     Candidates for row ``r`` digit ``d`` share the node's first ``r``
     digits and have digit ``d`` next -- a contiguous identifier range,
-    so the global ring answers each cell with one arc query.
+    so two bisects of the global ring bound each cell, and
+    :func:`~repro.dht.pns.closest_in_spans` picks the closest of its
+    (sampled) nodes.  The node's own digit is skipped, so no cell holds
+    the node itself.
     """
-    cells: List[Tuple[int, int, List[int]]] = []  # (row, digit, candidate ids)
+    ids = ring.ids
+    cells: List[Tuple[Tuple[int, int], int, int]] = []  # ((row, digit), first, count)
     for row in range(NUM_DIGITS):
         span_bits = ID_BITS - DIGIT_BITS * (row + 1)
         prefix = node.node_id >> (span_bits + DIGIT_BITS) << (span_bits + DIGIT_BITS)
@@ -226,30 +230,16 @@ def _fill_routing_table(
             if d == own_digit:
                 continue
             start = prefix | (d << span_bits)
-            end = start + (1 << span_bits)
-            cands = ring.ids_in_arc(start, end & ((1 << ID_BITS) - 1))
-            cands = [c for c in cands if c != node.node_id]
-            if not cands:
+            lo = bisect_left(ids, start)
+            hi = bisect_left(ids, start + (1 << span_bits))
+            if hi == lo:
                 continue
             row_has_candidates = True
-            if len(cands) > proximity_samples:
-                picks = rng.choice(len(cands), size=proximity_samples, replace=False)
-                cands = [cands[int(k)] for k in sorted(picks)]
-            cells.append((row, d, cands))
+            cells.append(((row, d), lo, hi - lo))
         # Deeper rows only matter while some node shares this prefix;
         # once a row is empty every longer prefix is empty too.
         if not row_has_candidates and row > 0:
             break
-
-    if not cells:
-        return
-    all_ids = [cid for _r, _d, cands in cells for cid in cands]
-    addrs = np.array([ring.addr(cid) for cid in all_ids], dtype=np.intp)
-    rtts = network.topology.rtt_many(node.addr, addrs)
-    pos = 0
-    for row, d, cands in cells:
-        k = len(cands)
-        best = int(np.argmin(rtts[pos : pos + k]))
-        cid = cands[best]
-        node.table[row][d] = (cid, ring.addr(cid))
-        pos += k
+    picked = closest_in_spans(node.addr, cells, ring, network.topology, rng)
+    for (row, d), entry in picked.items():
+        node.table[row][d] = entry

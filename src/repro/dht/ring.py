@@ -20,6 +20,8 @@ class SortedRing:
 
     def __init__(self, pairs: Iterable[Tuple[int, int]] = ()) -> None:
         self._ids: List[int] = []
+        #: ``_addrs[p]`` is the address of ``_ids[p]``
+        self._addrs: List[int] = []
         self._addr_of: Dict[int, int] = {}
         for node_id, addr in pairs:
             self.add(node_id, addr)
@@ -30,7 +32,9 @@ class SortedRing:
             raise ValueError("id outside identifier space")
         if node_id in self._addr_of:
             raise ValueError(f"duplicate id {node_id}")
-        bisect.insort(self._ids, node_id)
+        idx = bisect.bisect_left(self._ids, node_id)
+        self._ids.insert(idx, node_id)
+        self._addrs.insert(idx, addr)
         self._addr_of[node_id] = addr
 
     def remove(self, node_id: int) -> None:
@@ -38,6 +42,7 @@ class SortedRing:
         if idx >= len(self._ids) or self._ids[idx] != node_id:
             raise KeyError(node_id)
         self._ids.pop(idx)
+        self._addrs.pop(idx)
         del self._addr_of[node_id]
 
     def __len__(self) -> int:
@@ -53,6 +58,12 @@ class SortedRing:
     def ids(self) -> List[int]:
         """Sorted ids (do not mutate)."""
         return self._ids
+
+    @property
+    def addrs(self) -> List[int]:
+        """Addresses by position: ``addrs[p]`` belongs to ``ids[p]``
+        (do not mutate)."""
+        return self._addrs
 
     def addr(self, node_id: int) -> int:
         return self._addr_of[node_id]
@@ -83,15 +94,3 @@ class SortedRing:
         count = min(count, n - 1)
         idx = bisect.bisect_right(self._ids, node_id)
         return [self._ids[(idx + k) % n] for k in range(count)]
-
-    def ids_in_arc(self, left: int, right: int) -> List[int]:
-        """Ids in the clockwise half-open arc ``[left, right)``."""
-        if not self._ids:
-            return []
-        if left == right:
-            return list(self._ids)
-        lo = bisect.bisect_left(self._ids, left)
-        hi = bisect.bisect_left(self._ids, right)
-        if left < right:
-            return self._ids[lo:hi]
-        return self._ids[lo:] + self._ids[:hi]

@@ -38,6 +38,13 @@ class TestBasics:
         with pytest.raises(KeyError):
             ring.remove(10)
 
+    def test_addrs_follow_ids_by_position(self):
+        ring = make_ring([30, 10, 20])
+        assert (ring.ids, ring.addrs) == ([10, 20, 30], [1, 2, 0])
+        ring.remove(20)
+        ring.add(5, 7)
+        assert (ring.ids, ring.addrs) == ([5, 10, 30], [7, 1, 0])
+
     def test_empty_queries_raise(self):
         ring = SortedRing()
         with pytest.raises(LookupError):
@@ -73,24 +80,6 @@ class TestSuccessorPredecessor:
     def test_successor_list_excludes_self_and_caps(self):
         ring = make_ring([10, 20])
         assert ring.successor_list(10, 8) == [20]
-
-
-class TestArcs:
-    def test_plain_arc(self):
-        ring = make_ring([10, 20, 30, 40])
-        assert ring.ids_in_arc(15, 35) == [20, 30]
-
-    def test_arc_includes_left_excludes_right(self):
-        ring = make_ring([10, 20, 30])
-        assert ring.ids_in_arc(20, 30) == [20]
-
-    def test_wrapping_arc(self):
-        ring = make_ring([10, 20, 30, 40])
-        assert ring.ids_in_arc(35, 15) == [40, 10]
-
-    def test_full_ring_arc(self):
-        ring = make_ring([10, 20])
-        assert ring.ids_in_arc(7, 7) == [10, 20]
 
 
 @given(ids=small_ids, key=st.integers(min_value=0, max_value=ID_SPACE - 1))
