@@ -24,6 +24,8 @@ that matches it.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.zones import ContentZone, ZoneGeometry, as_floats
@@ -37,24 +39,43 @@ def lph_box(
     geometry: ZoneGeometry,
 ) -> ContentZone:
     """Smallest zone completely covering the box (Algorithm 1 for
-    subscriptions).
+    subscriptions), from arrays: :func:`lph_box_floats` on their
+    floats."""
+    return lph_box_floats(
+        as_floats(sub_lows),
+        as_floats(sub_highs),
+        as_floats(domain_lows),
+        as_floats(domain_highs),
+        geometry,
+    )
 
-    Runs on Python floats: the same IEEE double operations and the same
-    ``int()`` truncation as NumPy scalars, without their per-operation
-    cost (``tests/geometry_reference.py`` keeps the array form).
+
+def lph_box_floats(
+    sub_lo: Sequence[float],
+    sub_hi: Sequence[float],
+    domain_lo: Sequence[float],
+    domain_hi: Sequence[float],
+    geometry: ZoneGeometry,
+) -> ContentZone:
+    """Smallest zone completely covering the box (Algorithm 1 for
+    subscriptions); every bound is a Python float.
+
+    The same IEEE double operations and the same ``int()`` truncation
+    as NumPy scalars, without their per-operation cost
+    (``tests/geometry_reference.py`` keeps the array form).  The domain
+    sequences are read, never written.
     """
-    sub_lo, sub_hi = as_floats(sub_lows), as_floats(sub_highs)
-    lows, highs = as_floats(domain_lows), as_floats(domain_highs)
-    d = len(lows)
+    d = len(domain_lo)
     if len(sub_lo) != d or len(sub_hi) != d:
         raise ValueError("box and content space differ in dimensions")
     for j in range(d):
-        if sub_lo[j] < lows[j] or sub_hi[j] > highs[j]:
+        if sub_lo[j] < domain_lo[j] or sub_hi[j] > domain_hi[j]:
             raise ValueError("box lies outside the content space")
     for j in range(d):
         if sub_hi[j] < sub_lo[j]:
             raise ValueError("box has negative extent")
-    tops = list(highs)
+    lows = list(domain_lo)
+    highs = list(domain_hi)
     base = geometry.base
     last = base - 1
     code = 0
@@ -64,10 +85,14 @@ def lph_box(
         lo = lows[j]
         width = (highs[j] - lo) / base
         # Segment of the box's lower bound (clamp handles the domain top).
-        p = min(int((sub_lo[j] - lo) / width), last)
+        p = int((sub_lo[j] - lo) / width)
+        if p > last:
+            p = last
         seg_lo = lo + p * width
         seg_hi = seg_lo + width
-        covers = sub_lo[j] >= seg_lo and (sub_hi[j] < seg_hi or seg_hi >= tops[j])
+        covers = sub_lo[j] >= seg_lo and (
+            sub_hi[j] < seg_hi or seg_hi >= domain_hi[j]
+        )
         if not covers:
             break
         lows[j] = seg_lo
@@ -84,7 +109,7 @@ def lph_point(
     geometry: ZoneGeometry,
 ) -> ContentZone:
     """The m-level leaf zone holding the point (Algorithm 1 for events);
-    on Python floats, like :func:`lph_box`."""
+    on Python floats, like :func:`lph_box_floats`."""
     pt = as_floats(point)
     lows, highs = as_floats(domain_lows), as_floats(domain_highs)
     d = len(lows)

@@ -35,7 +35,9 @@ from repro.core.loadbalance import MigrationMixin
 from repro.core.matching import BoxStore
 from repro.core.replication import ReplicationMixin
 from repro.core.subscription import SubID, Subscription
-from repro.core.summary import Box, as_box, boxes_equal, merge_box, split_pieces
+from repro.core.summary import (
+    Box, as_box, boxes_equal, contains, merge_box, split_pieces,
+)
 from repro.core.subscheme import PubSubEntity
 from repro.core.transport import TransportMixin
 from repro.core.zones import ContentZone
@@ -339,13 +341,15 @@ class PubSubNodeMixin:
     # ------------------------------------------------------------------
     def subscribe(self, sub: Subscription) -> SubID:
         """Register interest; returns the global subscription id."""
+        # The box's one conversion to floats: everything after it --
+        # Algorithm 1, the registrar, the cascade -- reads the tuples.
+        lows, highs = as_box(sub.lows, sub.highs)
         entity = self.system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(lows, highs)
         iid = self._next_iid()
         subid = SubID(self.node_id, iid)
         self.own_subs[iid] = (entity.key, sub, zone, subid)
         self.system.metrics.count_subscription(sub.scheme_name)
-        lows, highs = as_box(sub.lows, sub.highs)
         self._dispatch_register(entity, zone, subid, lows, highs, "sub")
         return subid
 
@@ -473,16 +477,20 @@ class PubSubNodeMixin:
             # first registration here: validate the zone, open its repo
             entity = self.system.entity(entity_key)
             repo = self._get_repo(entity, ContentZone(code, level, entity.geometry))
-        replaced = subid in repo.store
+        store = repo.store
+        old = store.get_box(subid) if subid in store else None
         repo.put(subid, lows, highs, kind)
         if cfg.replication_factor > 1:
             self._replicate(entity_key, code, level, subid, lows, highs, kind)
-        if replaced:
-            # A surrogate-subscription update may *shrink* the box (the
-            # parent's filter tightened); recompute instead of merging.
+        box = (lows, highs)
+        if old is not None and not contains(box, old):
+            # A surrogate-subscription update that shrank (the parent's
+            # filter tightened): recompute.  One that only grew -- every
+            # replacement during install -- merges into the filter, which
+            # stays tight (``merge_box``).
             self._refresh_summary(repo)
             return
-        new_sf, changed = merge_box(repo.sf, (lows, highs))
+        new_sf, changed = merge_box(repo.sf, box)
         repo.sf = new_sf
         zone = repo.zone
         if not changed or zone.is_leaf:
@@ -558,14 +566,14 @@ class PubSubNodeMixin:
         """Recompute a tight summary filter and propagate shrinks.
 
         After a removal (unsubscribe, migration swap) or a
-        surrogate-subscription replacement, the bounding box over the
-        repo's live entries is the exact tight filter; when it changed,
-        the child pieces are re-derived and the cascade re-pushed --
-        children whose piece shrank run the same recomputation on
-        *their* repos, so shrinks propagate to the leaves.  Correctness:
-        the recomputed sf still covers every live box by construction,
-        so a shrink can only remove false-positive cascade hops, never a
-        delivery (the property tests assert both).
+        surrogate-subscription replacement that shrank, the bounding
+        box over the repo's live entries is the exact tight filter; when
+        it changed, the child pieces are re-derived and the cascade
+        re-pushed -- children whose piece shrank run the same
+        recomputation on *their* repos, so shrinks propagate to the
+        leaves.  Correctness: the recomputed sf still covers every live
+        box by construction, so a shrink can only remove false-positive
+        cascade hops, never a delivery (the property tests assert both).
         """
         tight = repo.store.bounding_box()
         if boxes_equal(repo.sf, tight):

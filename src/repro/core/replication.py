@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.matching import BoxStore
 from repro.core.subscription import SubID
-from repro.core.summary import as_box, merge_box
+from repro.core.summary import as_box
 from repro.core.zones import ContentZone
 from repro.dht.idspace import id_in_interval
 from repro.sim.messages import (
@@ -164,11 +164,12 @@ class ReplicationMixin:
           refresh the filter, cascade, replicate);
         * ``"standby"`` -- as standby copies that serve nothing until
           promoted;
-        * ``"verbatim"`` -- live, filter merged, no cascade: the
-          surrogate subscriptions pointing at a marker-served repo
-          already exist in the child zones, and cascading again would
-          mint duplicate markers.  The repository is opened even when
-          the group is empty.
+        * ``"verbatim"`` -- live, no cascade: the surrogate
+          subscriptions pointing at a marker-served repo already exist
+          in the child zones, and cascading again would mint duplicate
+          markers.  The filter is recomputed from the store once the
+          group is in (an entry may replace a wider one).  The
+          repository is opened even when the group is empty.
         """
         entity_key, code, level = group["repo"]
         if mode == "verbatim":
@@ -183,7 +184,8 @@ class ReplicationMixin:
                 self._store_replica(entity_key, code, level, sid, lo, hi, kind)
             else:
                 repo.put(sid, lo, hi, kind)
-                repo.sf, _ = merge_box(repo.sf, (lo, hi))
+        if mode == "verbatim":
+            repo.sf = repo.store.bounding_box()
 
     def _absorb_markers(self, markers) -> None:
         """Install shipped ``(nid, iid, repo key)`` marker mappings: our
@@ -250,6 +252,8 @@ class ReplicationMixin:
                 repo = self.standby_repos.pop(repo_key, None)
                 if repo is None or repo_key in self.zone_repos:
                     continue
+                # Standbys keep no filter; a live repository's is tight.
+                repo.sf = repo.store.bounding_box()
                 self.zone_repos[repo_key] = repo
                 self.rendezvous_index.setdefault(key, []).append(repo_key)
                 if repo.zone.level < direct:

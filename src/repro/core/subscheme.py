@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lph import lph_box, lph_point
+from repro.core.lph import lph_box_floats, lph_point
 from repro.core.scheme import Scheme
 from repro.core.subscription import Subscription
 from repro.core.zones import ContentZone, ZoneGeometry
@@ -60,20 +60,26 @@ class PubSubEntity:
         self.full_dims: List[int] = self.dims.tolist()
         self._domain_lo: List[float] = self.domain_lows.tolist()
         self._domain_hi: List[float] = self.domain_highs.tolist()
+        #: whether boxes over the scheme's dimensions need projecting
+        self._projects = len(self.full_dims) != scheme.dimensions
         #: every ``child_split`` answer, by value: zones that differ only
         #: along the other dimensions divide alike, so a few hundred
         #: tuples serve every repository of the entity
         self._splits: Dict[Tuple[float, float], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
-    def zone_of_subscription(self, sub: Subscription) -> ContentZone:
-        """Smallest covering zone of the subscription's projection."""
-        return lph_box(
-            sub.lows[self.dims],
-            sub.highs[self.dims],
-            self.domain_lows,
-            self.domain_highs,
-            self.geometry,
+    def zone_of_box(
+        self, lows: Sequence[float], highs: Sequence[float]
+    ) -> ContentZone:
+        """Smallest covering zone of a box's projection; the bounds are
+        float sequences over every dimension of the scheme
+        (:func:`~repro.core.summary.as_box`)."""
+        if self._projects:
+            dims = self.full_dims
+            lows = [lows[j] for j in dims]
+            highs = [highs[j] for j in dims]
+        return lph_box_floats(
+            lows, highs, self._domain_lo, self._domain_hi, self.geometry
         )
 
     def zone_of_point(self, point: np.ndarray) -> ContentZone:
@@ -147,8 +153,11 @@ def entity_for_subscription(
 
     Installing under exactly one entity keeps deliveries exactly-once;
     the chosen entity maximises zone depth (hence locality) for this
-    subscription.  Ties resolve to the first entity for determinism.
+    subscription.  Ties resolve to the first entity for determinism; a
+    scheme kept whole has one entity, which decides without counting.
     """
+    if len(entities) == 1:
+        return entities[0]
     best = entities[0]
     best_count = -1
     for ent in entities:

@@ -31,6 +31,11 @@ class Predicate:
     high: float
 
     def __post_init__(self) -> None:
+        # NaN compares False everywhere, so it would pass every check
+        # below and fail later without a name; ±inf is a legal bound
+        # (clipped to the attribute's domain).
+        if self.low != self.low or self.high != self.high:
+            raise ValueError(f"predicate on {self.attr!r}: bound is NaN")
         if self.high < self.low:
             raise ValueError(
                 f"predicate on {self.attr!r}: high ({self.high}) < low ({self.low})"

@@ -20,18 +20,21 @@ bit.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterable, Optional, Tuple
 
 Box = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 def as_box(lows: Iterable, highs: Iterable) -> Box:
-    """``(lows, highs)`` as a box of float tuples: a NumPy array goes
-    through ``tolist`` (exact), anything else through ``float``."""
-    if hasattr(lows, "tolist"):
-        lows = lows.tolist()
-    if hasattr(highs, "tolist"):
-        highs = highs.tolist()
+    """``(lows, highs)`` as a box of float tuples.  Float64 arrays (a
+    subscription's bounds) need only ``tolist``, which is exact; any
+    other array goes through ``tolist`` and then ``float``, anything
+    else through ``float``."""
+    if hasattr(lows, "tolist") and hasattr(highs, "tolist"):
+        if lows.dtype.char == "d" == highs.dtype.char:
+            return tuple(lows.tolist()), tuple(highs.tolist())
+        lows, highs = lows.tolist(), highs.tolist()
     return tuple(map(float, lows)), tuple(map(float, highs))
 
 
@@ -41,8 +44,10 @@ def merge_box(current: Optional[Box], addition: Box) -> Tuple[Box, bool]:
     Returns ``(merged, changed)``.  Per bound this is ``np.minimum`` /
     ``np.maximum`` of ``(current, addition)``: on a tie -- ``0.0``
     against ``-0.0`` included -- the addition's bound is kept.
-    Installing only ever grows a filter; removals and replacements
-    shrink it by recomputing it from the store
+    Installing only ever grows a filter: merging a fresh box into a
+    tight filter, or a replacement that :func:`contains` the box it
+    replaces, gives the tight filter again.  Removals and replacements
+    that shrank recompute it from the store
     (``PubSubNodeMixin._refresh_summary``), not through here.
     """
     if current is None:
@@ -55,6 +60,13 @@ def merge_box(current: Optional[Box], addition: Box) -> Tuple[Box, bool]:
     # changed the sign of a zero did not grow the filter.
     changed = new_lows != cur_lows or new_highs != cur_highs
     return (new_lows, new_highs), changed
+
+
+def contains(outer: Box, inner: Box) -> bool:
+    """Does ``outer`` cover ``inner`` on every bound?"""
+    return all(map(operator.le, outer[0], inner[0])) and all(
+        map(operator.ge, outer[1], inner[1])
+    )
 
 
 def boxes_equal(a: Optional[Box], b: Optional[Box]) -> bool:

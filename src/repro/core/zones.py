@@ -69,15 +69,7 @@ def zone_key(code: int, level: int, geometry: ZoneGeometry) -> int:
     the key is the *last* id in the zone's contiguous ring arc, so
     ``successor(key)`` picks one deterministic surrogate per zone.
     """
-    m = geometry.max_level
-    if not 0 <= level <= m:
-        raise ValueError(f"level {level} outside [0, {m}]")
-    if code < 0 or code >> (geometry.bits_per_digit * level):
-        raise ValueError(f"code {code} invalid for level {level}")
-    # base**(m - level) as a shift: base is a power of two
-    code_padded = ((code + 1) << (geometry.bits_per_digit * (m - level))) - 1
-    low_bits = ID_BITS - geometry.code_bits
-    return (code_padded << low_bits) | ((1 << low_bits) - 1)
+    return ContentZone(code, level, geometry).key
 
 
 class ContentZone:
@@ -101,7 +93,13 @@ class ContentZone:
 
     @property
     def key(self) -> int:
-        return zone_key(self.code, self.level, self.geometry)
+        """:func:`zone_key` of a zone the constructor has validated."""
+        geometry = self.geometry
+        # base**(m - level) as a shift: base is a power of two
+        shift = geometry.bits_per_digit * (geometry.max_level - self.level)
+        code_padded = ((self.code + 1) << shift) - 1
+        low_bits = ID_BITS - geometry.code_bits
+        return (code_padded << low_bits) | ((1 << low_bits) - 1)
 
     @property
     def is_leaf(self) -> bool:

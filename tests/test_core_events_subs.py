@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import HyperSubConfig, HyperSubSystem
 from repro.core.event import Event
 from repro.core.scheme import Attribute, Scheme
 from repro.core.subscription import (
@@ -74,6 +75,25 @@ class TestPredicate:
     def test_string_prefix_predicate(self):
         p = Predicate.string_prefix("sym", "AB")
         assert p.low < p.high
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [(float("nan"), 5.0), (1.0, float("nan")), (float("nan"), float("nan"))],
+    )
+    def test_nan_bound_rejected_by_name(self, low, high):
+        with pytest.raises(ValueError, match=r"predicate on 'x': bound is NaN"):
+            Predicate("x", low, high)
+
+    def test_infinite_bounds_are_clipped_to_the_domain(self, scheme):
+        """±inf stays legal: the subscription spans the whole attribute
+        and installs like any other box."""
+        sub = Subscription(scheme, [Predicate("y", -np.inf, np.inf)])
+        assert (sub.lows[1], sub.highs[1]) == (-50.0, 50.0)
+        system = HyperSubSystem(
+            num_nodes=8, config=HyperSubConfig(seed=1, code_bits=8)
+        )
+        system.add_scheme(scheme)
+        system.subscribe(0, sub)
 
 
 class TestSubscription:

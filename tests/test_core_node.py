@@ -14,6 +14,7 @@ from repro.core import (
 from repro.core.matching import BoxStore
 from repro.core.node import MARKER_IID_BASE, ZoneRepo
 from repro.core.subscription import SubID
+from repro.core.summary import as_box
 from repro.core.zones import ContentZone, ZoneGeometry
 from repro.sim.messages import Message, subscription_wire_bytes
 from tests.route_reference import forget_routes
@@ -67,7 +68,7 @@ class TestRegistration:
         sub = Subscription.from_box(scheme, [10, 10], [12, 12])
         sid = system.subscribe(0, sub)
         entity = system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
         home = system.node_at_home(entity.rotated_key(zone))
         repo = home.zone_repos[(entity.key, zone.code, zone.level)]
         assert sid in repo.store
@@ -115,7 +116,7 @@ class TestRegistration:
         sub = Subscription.from_box(scheme, [49, 49], [51, 51])
         system.subscribe(0, sub)
         entity = system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
         assert zone.level == 0
         assert system.shallow_occupied((entity.key, zone.code, zone.level))
         assert not system.shallow_occupied((entity.key, 1, 1))
@@ -290,7 +291,7 @@ class TestEventEdgeCases:
         )
         sub = Subscription.from_box(scheme, [10, 10], [12, 12])
         entity = system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
         home = system.node_at_home(entity.rotated_key(zone))
         subscriber = next(n for n in system.nodes if n is not home)
         sid = subscriber.subscribe(sub)
@@ -621,7 +622,7 @@ class TestInstallPaths:
         )
         sub = Subscription.from_box(scheme, [10, 10], [12, 12])
         entity = system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
         home = system.node_at_home(entity.rotated_key(zone))
         dispatched = system.sim.processed
         sid = home.subscribe(sub)
@@ -686,7 +687,7 @@ class TestInstallPaths:
         sid = system.subscribe(0, sub)
         system.finish_setup()
         entity = system.entity_for_subscription(sub)
-        zone = entity.zone_of_subscription(sub)
+        zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
         stats = system.network.stats
         node = system.nodes[0]
         node._dispatch_unregister(entity, zone, sid)

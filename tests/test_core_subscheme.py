@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.scheme import Attribute, Scheme
 from repro.core.subscription import Predicate, Subscription
+from repro.core.summary import as_box
 from repro.core.subscheme import (
     PubSubEntity,
     build_entities,
@@ -70,8 +71,8 @@ class TestEntityGeometry:
         sub = Subscription(
             scheme, [Predicate("a", 10, 11), Predicate("b", 10, 11)]
         )
-        z0 = ents[0].zone_of_subscription(sub)
-        z1 = ents[1].zone_of_subscription(sub)
+        z0 = ents[0].zone_of_box(*as_box(sub.lows, sub.highs))
+        z1 = ents[1].zone_of_box(*as_box(sub.lows, sub.highs))
         assert z0.level > 5
         assert z1.level == 0
 

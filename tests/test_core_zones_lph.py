@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lph import lph_box, lph_point
+from repro.core.lph import lph_box, lph_box_floats, lph_point
+from repro.core.scheme import Attribute, Scheme
+from repro.core.subscheme import PubSubEntity
 from repro.core.zones import ContentZone, ZoneGeometry, zone_key
 from repro.dht.idspace import ID_SPACE
 from tests import geometry_reference as ref
@@ -366,15 +368,127 @@ def test_lph_point_equals_numpy_replay(data, space):
     assert (zone.code, zone.level) == ref.lph_point(point, dom_lo, dom_hi, geometry)
 
 
+@st.composite
+def boxes(draw, geometry, dom_lo, dom_hi):
+    """``(lows, highs)`` arrays from two drawn coordinates; one draw in
+    four is zero-width (a point box)."""
+    a = draw(coordinates(geometry, dom_lo, dom_hi))
+    b = a if draw(st.integers(0, 3)) == 0 else draw(coordinates(geometry, dom_lo, dom_hi))
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def float_tuples(*arrays):
+    return [tuple(a.tolist()) for a in arrays]
+
+
 @given(data=st.data(), space=spaces())
 @settings(max_examples=400, deadline=None)
 def test_lph_box_equals_numpy_replay(data, space):
+    """The array entry point and the float loop behind it agree with
+    the NumPy replay."""
     geometry, dom_lo, dom_hi = space
-    a = data.draw(coordinates(geometry, dom_lo, dom_hi))
-    b = data.draw(coordinates(geometry, dom_lo, dom_hi))
-    lows, highs = np.minimum(a, b), np.maximum(a, b)
+    lows, highs = data.draw(boxes(geometry, dom_lo, dom_hi))
+    want = ref.lph_box(lows, highs, dom_lo, dom_hi, geometry)
     zone = lph_box(lows, highs, dom_lo, dom_hi, geometry)
-    assert (zone.code, zone.level) == ref.lph_box(lows, highs, dom_lo, dom_hi, geometry)
+    assert (zone.code, zone.level) == want
+    zone = lph_box_floats(*float_tuples(lows, highs, dom_lo, dom_hi), geometry)
+    assert (zone.code, zone.level) == want
+
+
+@st.composite
+def entities(draw):
+    """``(entity, scheme domain lows, highs)``: a scheme of 1-5
+    dimensions and an entity over a drawn subset of them -- every
+    dimension (no projection) or a proper subscheme."""
+    base = draw(st.sampled_from([2, 4]))
+    digits = draw(st.integers(1, 10))
+    geometry = ZoneGeometry(base=base, code_bits=digits * geometry_bits(base))
+    n = draw(st.integers(1, 5))
+    bounds = [draw(st.sampled_from(DOMAINS)) for _ in range(n)]
+    scheme = Scheme("s", [Attribute(f"a{j}", lo, hi) for j, (lo, hi) in enumerate(bounds)])
+    dims = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    entity = PubSubEntity("s", scheme, dims, geometry)
+    return entity, scheme.domain_lows(), scheme.domain_highs()
+
+
+@given(data=st.data(), drawn=entities())
+@settings(max_examples=300, deadline=None)
+def test_entity_zone_of_box_equals_numpy_replay_on_its_dims(data, drawn):
+    """``PubSubEntity.zone_of_box`` takes a box over every dimension of
+    the scheme and hashes its projection onto the entity's dimensions:
+    the same ``(code, level)`` as the replay of the projected arrays, or
+    the same named error."""
+    entity, dom_lo, dom_hi = drawn
+    dims = entity.dims
+    geometry = entity.geometry
+    lows, highs = data.draw(boxes(geometry, dom_lo[dims], dom_hi[dims]))
+    # the other dimensions hold anything in their domain
+    full_lo, full_hi = dom_lo.copy(), dom_hi.copy()
+    full_lo[dims], full_hi[dims] = lows, highs
+    nudge = data.draw(st.sampled_from(["none", "none", "below", "above", "inverted"]))
+    j = int(dims[data.draw(st.integers(0, len(dims) - 1))])
+    if nudge == "below":
+        full_lo[j] = np.nextafter(dom_lo[j], -np.inf)
+    elif nudge == "above":
+        full_hi[j] = np.nextafter(dom_hi[j], np.inf)
+    elif nudge == "inverted":
+        full_lo[j], full_hi[j] = dom_hi[j], dom_lo[j]
+    want = _error_of(
+        ref.lph_box, full_lo[dims], full_hi[dims], dom_lo[dims], dom_hi[dims], geometry
+    ) or ref.lph_box(full_lo[dims], full_hi[dims], dom_lo[dims], dom_hi[dims], geometry)
+    got = _error_of(entity.zone_of_box, *float_tuples(full_lo, full_hi))
+    if got is None:
+        zone = entity.zone_of_box(*float_tuples(full_lo, full_hi))
+        got = (zone.code, zone.level)
+    assert got == want
+
+
+G4_SHORT = ZoneGeometry(base=4, code_bits=8)
+
+
+@pytest.mark.parametrize(
+    "geometry, dom, lows, highs",
+    [
+        # zero width, on an internal segment edge (owned by the right segment)
+        (G_SMALL, [(0.0, 100.0)] * 2, [50.0, 25.0], [50.0, 25.0]),
+        # zero width on the domain top: the top segment owns it at every level
+        (G_SMALL, [(0.0, 100.0)] * 2, [100.0, 100.0], [100.0, 100.0]),
+        # a box ending exactly on a segment edge stays above it
+        (G_SMALL, [(0.0, 100.0)] * 2, [0.0, 0.0], [50.0, 25.0]),
+        # a box ending on the domain top still descends
+        (G_SMALL, [(0.0, 100.0)] * 2, [75.0, 87.5], [100.0, 100.0]),
+        # non-dyadic domains: every division rounds
+        (G_SMALL, [(0.1, 0.7), (-3.0, 1000.0)], [0.4, 496.5], [0.4, 496.5]),
+        (G_SMALL, [(0.1, 0.7), (-1e-3, 1e9)], [0.1, -1e-3], [0.25, 5e8]),
+        # base 4: edges at quarters, the top quarter owns the domain top
+        (G4_SHORT, [(0.0, 100.0)] * 2, [25.0, 75.0], [25.0, 75.0]),
+        (G4_SHORT, [(0.0, 100.0)] * 2, [75.0, 75.0], [100.0, 100.0]),
+        (G4_SHORT, [(0.1, 0.7), (0.0, 1.0)], [0.25, 0.5], [0.4, 0.75]),
+        # named errors: outside the space, negative extent, wrong arity
+        (G_SMALL, [(0.0, 100.0)] * 2, [-1.0, 0.0], [1.0, 1.0]),
+        (G4_SHORT, [(0.0, 100.0)] * 2, [5.0, 0.0], [4.0, 1.0]),
+        (G_SMALL, [(0.0, 100.0)] * 2, [1.0], [2.0]),
+    ],
+)
+def test_lph_box_floats_edge_cases_match_the_reference(geometry, dom, lows, highs):
+    dom_lo = np.array([lo for lo, _hi in dom])
+    dom_hi = np.array([hi for _lo, hi in dom])
+    lows, highs = np.array(lows), np.array(highs)
+    if len(lows) != len(dom_lo):
+        want = "box and content space differ in dimensions"
+    else:
+        want = _error_of(ref.lph_box, lows, highs, dom_lo, dom_hi, geometry)
+        if want is None:
+            want = ref.lph_box(lows, highs, dom_lo, dom_hi, geometry)
+    for fn, args in [
+        (lph_box, (lows, highs, dom_lo, dom_hi)),
+        (lph_box_floats, float_tuples(lows, highs, dom_lo, dom_hi)),
+    ]:
+        got = _error_of(fn, *args, geometry)
+        if got is None:
+            zone = fn(*args, geometry)
+            got = (zone.code, zone.level)
+        assert got == want
 
 
 def _error_of(fn, *args):
@@ -411,6 +525,8 @@ def test_illegal_inputs_raise_the_same_named_errors(data, space, nudge):
 
     want = _error_of(ref.lph_box, lows, highs, dom_lo, dom_hi, geometry)
     assert _error_of(lph_box, lows, highs, dom_lo, dom_hi, geometry) == want
+    floats = float_tuples(lows, highs, dom_lo, dom_hi)
+    assert _error_of(lph_box_floats, *floats, geometry) == want
     if nudge in ("below", "above"):
         assert want == "box lies outside the content space"
     elif nudge == "inverted":

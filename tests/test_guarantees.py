@@ -24,6 +24,7 @@ from repro.core import (
     Subscription,
 )
 from repro.core.durability import DurableState
+from repro.core.summary import as_box
 from repro.faults import FaultSchedule
 from repro.oracle import RunLog, judge
 from repro.sim.engine import FN, TIME
@@ -283,7 +284,7 @@ class TestDurableEndToEnd:
 
         def opens_a_cascade(sub):
             entity = system.entity_for_subscription(sub)
-            zone = entity.zone_of_subscription(sub)
+            zone = entity.zone_of_box(*as_box(sub.lows, sub.highs))
             return (
                 not zone.is_leaf
                 and zone.level >= cfg.direct_rendezvous_levels

@@ -9,7 +9,9 @@ The run is simulated and must repeat exactly; the calls are a ceiling
 keyed on the Python minor version, and the test is skipped on any
 other.  The run made 87 949 calls before the registrar worked on float
 tuples, lookups shared the route-decision cache and the latency memo
-kept one entry per link (79 369 after).
+kept one entry per link (79 369 after), and 75 300 once each
+subscription was converted to floats once and a surrogate
+replacement that only grew was merged into the filter.
 """
 
 import cProfile
@@ -34,7 +36,7 @@ PINNED = {
     (3, 11): (
         {"dht_lookup_reply": 1343, "dht_lookup_step": 1343, "ps_register": 211,
          "ps_unregister": 187},
-        79_369,
+        75_300,
     ),
 }
 
