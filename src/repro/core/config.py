@@ -98,14 +98,12 @@ class HyperSubConfig:
     #: Ingress queue bound; arrivals beyond it are shed (counted as
     #: ``overflow`` drops, never silent).
     ingress_queue_capacity: int = 64
-    #: Admission control + backpressure + circuit breaking: control
-    #: traffic (acks, anti-entropy, migration, maintenance) outranks
-    #: event traffic in the ingress queue; shed reliable event packets
-    #: are NACKed with ``ps_busy`` so the sender backs off exponentially
-    #: instead of retransmitting into a full queue; repeated busy /
-    #: timeout signals open a per-destination circuit breaker that
-    #: routes around the hot surrogate (half-opening on a probe).
-    #: Requires ``service_model`` and ``reliable_delivery``.
+    #: Admission control + backpressure: control traffic (acks,
+    #: anti-entropy, migration, maintenance) outranks event traffic in
+    #: the ingress queue; shed reliable event packets are NACKed with
+    #: ``ps_busy`` so the sender backs off exponentially instead of
+    #: retransmitting into a full queue.  Requires ``service_model``
+    #: and ``reliable_delivery``.
     overload_protection: bool = False
 
     # -- delivery guarantees (extension; ROADMAP item 5) ------------------

@@ -787,15 +787,12 @@ class PubSubNodeMixin:
         point = p["point"]
         scheme_name = p["scheme"]
         addr = self.addr
-        breaker = self.breaker
         # The decision cache, flushed if the routing epoch moved.  That
         # is the sole invalidation rule: responsibility and next hop
         # depend only on predecessor / successors / fingers, and any
         # mutation of those bumps the epoch (dht/base.py), so a hit is
-        # byte-identical to recomputing.  Breaker reroutes happen after
-        # the decision and are never written back -- an open circuit
-        # must not poison routing for the breaker's lifetime.  Hits are
-        # counted by difference.
+        # byte-identical to recomputing.  Hits are counted by
+        # difference.
         rc = self._rc
         if self.routing_epoch != self._rc_epoch:
             rc.clear()
@@ -849,10 +846,6 @@ class PubSubNodeMixin:
                 # promised it.
                 self.network.stats.record_unroutable()
                 continue
-            if breaker is not None and not breaker.allow(nh, self.sim.now):
-                alt = self._route_around(nid, nh)
-                if alt is not None:
-                    nh = alt
             group = groups.get(nh)
             if group is None:
                 groups[nh] = [ent]

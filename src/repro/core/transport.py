@@ -9,8 +9,7 @@ overlay hop, below Algorithm 5's grouping and above the network:
   on a packet);
 * hop failover -- retry exhaustion evicts the dead hop and re-enters
   the packet's SubIDs into Algorithm 5 at this node;
-* overload admission -- shed priorities, the ``ps_busy`` back-off and
-  the per-destination circuit breaker;
+* overload admission -- shed priorities and the ``ps_busy`` back-off;
 * the piggyback throttle for ring state riding event packets, and the
   storm filler the fault injector sends.
 
@@ -23,9 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core import overload
-from repro.core.overload import CircuitBreaker
-from repro.dht.idspace import cw_distance, id_in_interval
 from repro.sim.messages import CONTROL_BYTES, Message
 
 #: Packet-dedup keys are one int, ``rseq`` above the sender's epoch
@@ -61,15 +57,6 @@ class TransportMixin:
         #: sender (addr, epoch, seq) already processed (dedup on ack
         #: loss), packed into one int each
         self._rel_seen: set = set()
-        #: per-destination circuit breaker (overload-protection
-        #: extension); ``None`` when protection is off.
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(
-                overload.BREAKER_FAILURE_THRESHOLD, overload.BREAKER_OPEN_MS
-            )
-            if cfg.overload_protection
-            else None
-        )
         # The receive side of ``ps_event`` is chosen here, once: only a
         # config that can put ``rseq`` / ``pb`` on a packet pays for the
         # wrapper that reads them.
@@ -155,10 +142,6 @@ class TransportMixin:
         state = self._rel_due(seq)
         if state is None:
             return  # acked in time
-        if self.breaker is not None and self.breaker.record_failure(
-            state["dst"], self.sim.now
-        ):
-            self._note_breaker_open(state["dst"])
         if state["retries"] >= self.system.config.max_retries:
             del self._rel_pending[seq]
             # Hop presumed dead.  With hop-failover the pending SubIDs
@@ -261,8 +244,6 @@ class TransportMixin:
             return
         # Retransmission timer or ps_busy backoff timer, whichever is armed.
         self.sim.cancel(state["timer"])
-        if self.breaker is not None:
-            self.breaker.record_success(state["dst"])
 
     # ------------------------------------------------------------------
     # Overload protection (bounded-ingress extension; docs/FAULTS.md)
@@ -320,10 +301,6 @@ class TransportMixin:
             return  # a duplicate was served meanwhile, or we gave up
         state["busy"] += 1
         self.network.stats.busy_backoffs += 1
-        if self.breaker is not None and self.breaker.record_failure(
-            msg.src, self.sim.now
-        ):
-            self._note_breaker_open(msg.src)
         self.sim.cancel(state["timer"])
         delay = min(
             self.system.config.retransmit_timeout_ms
@@ -340,36 +317,6 @@ class TransportMixin:
         state = self._rel_due(seq)
         if state is not None:  # else acked while backing off
             self._rel_retransmit(seq, state)
-
-    def _note_breaker_open(self, dst: int) -> None:
-        self.network.stats.breaker_opens += 1
-        self._trace("breaker_open", dst=dst)
-
-    def _route_around(self, key: int, hot: int) -> Optional[int]:
-        """Open circuit to ``hot``: alternate routing entry for ``key``.
-
-        Reuses the hop-failover machinery's route diversity: any entry
-        strictly inside ``(self, key)`` still makes clockwise progress
-        without overshooting the home node (Chord's guarantee), so the
-        best such entry that avoids every open destination carries the
-        traffic around the hot surrogate.  ``None`` when no alternate
-        exists -- the caller then forwards to ``hot`` anyway, which
-        doubles as the breaker's half-open probe.
-        """
-        avoid = self.breaker.open_dsts(self.sim.now)
-        avoid.add(hot)
-        avoid.add(self.addr)
-        best = None
-        best_dist = -1
-        for ent_id, ent_addr in self.routing_entries():
-            if ent_addr in avoid:
-                continue
-            if id_in_interval(ent_id, self.node_id, key):
-                d = cw_distance(self.node_id, ent_id)
-                if d > best_dist:
-                    best = ent_addr
-                    best_dist = d
-        return best
 
     def _on_ps_storm(self, msg: Message) -> None:
         """Synthetic storm traffic (``FaultSchedule.storm``): its entire

@@ -367,8 +367,8 @@ class ChordNode(OverlayNode):
         """Fingers plus successor list, deduplicated by id.
 
         Derived from the sorted snapshot (clockwise from this node), so
-        anti-entropy and breaker callers no longer rebuild a dict per
-        call.  Owned by the node -- treat as read-only.
+        callers such as :meth:`neighbor_addrs` rebuild no dict per call.
+        Owned by the node -- treat as read-only.
         """
         if self._snap_epoch != self.routing_epoch:
             self._refresh_snapshot()

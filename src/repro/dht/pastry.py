@@ -142,7 +142,7 @@ class PastryNode(OverlayNode):
 
         Pastry construction is static, so after the build bumps the
         epoch once the leaf-set + table walk runs exactly one time no
-        matter how often the load balancer or breaker samples it (the
+        matter how often the load balancer samples it (the
         shared :class:`~repro.dht.base.OverlayNode` epoch contract).
         """
         if self._neigh_epoch == self.routing_epoch:

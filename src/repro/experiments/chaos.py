@@ -47,7 +47,13 @@ import numpy as np
 
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
-from repro.faults import ChaosBudget, ChaosNemesis, FaultSchedule, shrink_spec
+from repro.faults import (
+    ChaosBudget,
+    ChaosNemesis,
+    FaultSchedule,
+    ring_order,
+    shrink_spec,
+)
 from repro.oracle import RunLog, custody_left, drain_custody, judge
 from repro.runner import JsonDocStore, map_tasks, resolve_jobs, store_root
 from repro.telemetry.session import current_session, telemetry_session
@@ -187,12 +193,11 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
     # -- fault schedule: given, or sampled by the nemesis --------------
     fault_spec = task.get("spec")
     if fault_spec is None:
-        ring = sorted(range(num_nodes), key=lambda a: system.nodes[a].node_id)
         nemesis = ChaosNemesis(
             num_nodes,
             chaos_budget(mode),
             seed=seed,
-            ring=ring,
+            ring=ring_order(system),
             # replica floor only binds where losing a chain loses state:
             # best-effort's k-replicated arcs.  Durable custody parks
             # until the owner returns, so k=1 is survivable by design.

@@ -13,6 +13,11 @@ collapse.  A second arm runs the replication extension
 (``replication_factor = 3``: standby copies on the successor list,
 activated by successor takeover), which should recover nearly all of
 the lost deliveries.
+
+Both arms share one crash draw, and that draw never takes down a whole
+replica chain (three ring-consecutive nodes,
+:func:`repro.faults.chain_safe_churn`): k = 3 replication survives at
+most two simultaneous replica failures, like any 3-replicated store.
 """
 
 from __future__ import annotations
@@ -26,9 +31,13 @@ from repro.analysis.compare import ShapeReport
 from repro.analysis.tables import format_series
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
-from repro.faults import FaultSchedule
+from repro.faults import chain_safe_churn, ring_order
 from repro.oracle import RunLog, Verdict, judge
 from repro.workloads import WorkloadGenerator, default_paper_spec
+
+#: Replication factor of the replicated arm; both arms' crash draws
+#: spare every replica chain of this length.
+REPLICAS = 3
 
 
 @dataclass
@@ -46,7 +55,7 @@ class ChurnResult:
                     self.fail_fractions,
                     {
                         "no replication": self.delivery_ratios,
-                        "replication k=3": self.replicated_ratios,
+                        f"replication k={REPLICAS}": self.replicated_ratios,
                     },
                     title="C1 -- delivery ratio under crash-stop churn "
                     "(Chord maintenance on)",
@@ -83,9 +92,10 @@ def _one_run(
     # (and any replay) see the identical fault timeline.
     churn_window = 5_000.0
     grace = 15_000.0
-    sched, victims = FaultSchedule.random_churn(
-        num_nodes,
+    sched, victims = chain_safe_churn(
+        ring_order(system),
         fail_fraction,
+        REPLICAS,
         crash_window=(0.0, churn_window),
         seed=seed + 100,
     )
@@ -150,7 +160,7 @@ def run(
         return out
 
     ratios = sweep(1)
-    replicated = sweep(3)
+    replicated = sweep(REPLICAS)
     report = ShapeReport("C1 churn")
     report.expect_true(
         all(invariant_results),
@@ -177,7 +187,8 @@ def run(
     for f, plain, repl in zip(fail_fractions[1:], ratios[1:], replicated[1:]):
         report.expect_greater(
             repl, min(0.97, plain + 0.01),
-            f"replication (k=3) recovers lost deliveries at {f:.0%} failures",
+            f"replication (k={REPLICAS}) recovers lost deliveries at "
+            f"{f:.0%} failures",
         )
     return ChurnResult(
         fail_fractions=list(fail_fractions),

@@ -12,7 +12,7 @@ experiment runs the full grid:
 * **modes** -- ``best_effort`` (the unchanged baseline), ``durable``
   (custody, no ordering), ``durable+fifo``, ``durable+causal``;
 * **fault schedules** -- a 20% burst crash-and-rejoin churn
-  (:meth:`FaultSchedule.random_churn`), and a 10x hotspot storm at the
+  (:func:`repro.faults.chain_safe_churn`), and a 10x hotspot storm at the
   most-loaded surrogate under the finite service model with overload
   protection *off*, so shed packets actually destroy deliveries.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from repro.analysis.compare import ShapeReport
 from repro.core.config import HyperSubConfig
 from repro.core.system import HyperSubSystem
 from repro.experiments.common import scale_from_env
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, chain_safe_churn, ring_order
 from repro.oracle import RunLog, custody_left, drain_custody, judge
 from repro.runner import map_tasks
 from repro.telemetry.session import current_session, telemetry_session
@@ -169,36 +169,6 @@ class GuaranteesResult:
         return "\n".join(lines)
 
 
-def _chain_safe_churn(
-    system: HyperSubSystem,
-    num_nodes: int,
-    k: int,
-    seed: int,
-) -> Tuple[FaultSchedule, List[int]]:
-    """Sample a churn schedule whose victim set never swallows a whole
-    replica chain (``k`` ring-consecutive nodes): durable delivery is
-    conditional on at most ``k-1`` simultaneous replica failures, like
-    any k-replicated store.  Deterministic: seeds are probed in order."""
-    ring = sorted(range(num_nodes), key=lambda a: system.nodes[a].node_id)
-    n = len(ring)
-    last = None
-    for attempt in range(64):
-        sched, victims = FaultSchedule.random_churn(
-            num_nodes,
-            _FAIL_FRACTION,
-            crash_window=_CRASH_WINDOW,
-            rejoin_window=_REJOIN_WINDOW,
-            seed=seed + attempt,
-        )
-        last = (sched, victims)
-        vs = set(victims)
-        if k <= 1 or not any(
-            all(ring[(i + j) % n] in vs for j in range(k)) for i in range(n)
-        ):
-            return sched, victims
-    return last  # pragma: no cover - 64 straight collisions
-
-
 def _run_cell(task: dict) -> CellResult:
     """One grid cell, self-contained and picklable for map_tasks.
 
@@ -265,7 +235,14 @@ def _run_cell_inner(task: dict) -> CellResult:
     victims: List[int] = []
     if fault == "churn":
         k = cfg.replication_factor if not ordered else 1
-        sched, victims = _chain_safe_churn(system, num_nodes, k, seed + 200)
+        sched, victims = chain_safe_churn(
+            ring_order(system),
+            _FAIL_FRACTION,
+            k,
+            crash_window=_CRASH_WINDOW,
+            rejoin_window=_REJOIN_WINDOW,
+            seed=seed + 200,
+        )
         last_disturbance = _REJOIN_WINDOW[1]
     else:
         # The storm saturates the hottest surrogate AND its standby

@@ -17,12 +17,10 @@ Two runs, identical except for ``overload_protection``:
   its retry budget, fails over to alternates that route straight back
   to the same responsible surrogate, and finally gives up: deliveries
   are destroyed and the storm is amplified by blind retransmissions.
-* **ON** -- control traffic outranks events in the ingress queue, shed
-  event packets are NACKed with ``ps_busy`` so senders back off
-  exponentially without spending retries, and repeated busy signals
-  open per-destination circuit breakers that route around the hot node
-  where an alternate exists.  Every delivery survives (ratio >= 0.99);
-  the storm costs p99 latency instead of data.
+* **ON** -- control traffic outranks events in the ingress queue, and
+  shed event packets are NACKed with ``ps_busy`` so senders back off
+  exponentially without spending retries.  Every delivery survives
+  (ratio >= 0.99); the storm costs p99 latency instead of data.
 
 Queue depth stays bounded by construction in both runs; the point of
 the comparison is where the overflow pressure goes: into counted
@@ -72,7 +70,6 @@ class OverloadRun:
     p99_latency_ms: float
     shed: int
     busy_backoffs: int
-    breaker_opens: int
     overflow_drops: int
     retransmissions: int
     gave_up_subids: int
@@ -101,7 +98,7 @@ class OverloadResult:
             f"queue bound {QUEUE_CAPACITY})",
             "",
             f"{'protection':12s} {'ratio':>7s} {'p50 ms':>8s} "
-            f"{'p99 ms':>9s} {'shed':>6s} {'busy':>6s} {'brk':>4s} "
+            f"{'p99 ms':>9s} {'shed':>6s} {'busy':>6s} "
             f"{'overflow':>9s} {'retrans':>8s} {'lost':>5s} {'peakq':>6s}",
         ]
         for run in (self.off, self.on):
@@ -109,7 +106,7 @@ class OverloadResult:
                 f"{'on' if run.protection else 'off':12s} "
                 f"{run.ratio:7.4f} {run.p50_latency_ms:8.1f} "
                 f"{run.p99_latency_ms:9.1f} {run.shed:6d} "
-                f"{run.busy_backoffs:6d} {run.breaker_opens:4d} "
+                f"{run.busy_backoffs:6d} "
                 f"{run.overflow_drops:9d} {run.retransmissions:8d} "
                 f"{run.gave_up_subids:5d} {run.hot_peak_depth:6d}"
             )
@@ -192,7 +189,6 @@ def _run_once(
         p99_latency_ms=float(np.percentile(lat, 99)),
         shed=stats.shed,
         busy_backoffs=stats.busy_backoffs,
-        breaker_opens=stats.breaker_opens,
         overflow_drops=stats.dropped_by_cause["overflow"],
         retransmissions=stats.retransmissions,
         gave_up_subids=stats.gave_up_subids,
@@ -224,7 +220,7 @@ def run(
     )
     report.expect_greater(
         on.ratio, off.ratio,
-        "backpressure + breakers beat blind retransmission",
+        "backpressure beats blind retransmission",
     )
     report.expect_true(
         on.hot_peak_depth <= QUEUE_CAPACITY,
@@ -258,7 +254,6 @@ def run(
                 "p99_ms_off": off.p99_latency_ms,
                 "shed_on": on.shed,
                 "busy_backoffs_on": on.busy_backoffs,
-                "breaker_opens_on": on.breaker_opens,
                 "overflow_drops_off": off.overflow_drops,
                 "hot_peak_depth_on": on.hot_peak_depth,
                 "all_passed": report.all_passed,

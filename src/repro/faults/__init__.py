@@ -8,7 +8,9 @@ the scaffolding the robustness experiments need:
   actions driven by the simulator clock, with build-time validation
   (:class:`FaultScheduleError`) and a round-trippable declarative spec;
 * :class:`ChaosNemesis` / :class:`ChaosBudget` -- seeded random
-  schedule generation within safety floors (chaos campaigns);
+  schedule generation within safety floors (chaos campaigns), and
+  :func:`chain_safe_churn`, the churn draw that spares every replica
+  chain (churn experiments);
 * :func:`shrink_spec` / :class:`ShrinkResult` -- ddmin + parameter
   shrinking of failing schedules to minimal replayable form;
 * :class:`InvariantChecker` / :class:`InvariantReport` -- global-
@@ -16,7 +18,12 @@ the scaffolding the robustness experiments need:
   and replica-count floors, runnable mid-simulation.
 """
 
-from repro.faults.chaos import ChaosBudget, ChaosNemesis
+from repro.faults.chaos import (
+    ChaosBudget,
+    ChaosNemesis,
+    chain_safe_churn,
+    ring_order,
+)
 from repro.faults.invariants import InvariantChecker, InvariantReport
 from repro.faults.schedule import (
     FaultAction,
@@ -34,5 +41,7 @@ __all__ = [
     "InvariantChecker",
     "InvariantReport",
     "ShrinkResult",
+    "chain_safe_churn",
+    "ring_order",
     "shrink_spec",
 ]

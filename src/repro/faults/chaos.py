@@ -27,7 +27,7 @@ failing-schedule files and the shrinker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,9 @@ DEFAULT_KIND_WEIGHTS: Dict[str, float] = {
     "duplicate": 1.0,
     "reorder": 1.0,
 }
+
+#: Seeds :func:`chain_safe_churn` probes before it gives up by name.
+_CHURN_DRAWS = 64
 
 
 @dataclass(frozen=True)
@@ -397,6 +400,49 @@ def _flatten_pairs(spec: List[Dict]) -> List[Dict]:
         else:
             out.append(entry)
     return out
+
+
+def ring_order(system) -> List[int]:
+    """``system``'s node addresses in ring (identifier) order."""
+    return sorted(range(len(system.nodes)), key=lambda a: system.nodes[a].node_id)
+
+
+def chain_safe_churn(
+    ring: Sequence[int],
+    fail_fraction: float,
+    replica_k: int,
+    crash_window: tuple,
+    rejoin_window: Optional[tuple] = None,
+    seed: int = 0,
+) -> Tuple[FaultSchedule, List[int]]:
+    """:meth:`FaultSchedule.random_churn` over the fleet ``ring`` (its
+    addresses in ring order), re-drawn until the victim set holds no
+    whole replica chain (``replica_k`` ring-consecutive nodes).
+
+    k-replicated state survives at most ``k - 1`` simultaneous replica
+    failures, like any k-replicated store; a draw that crashes a whole
+    chain measures that assumption, not the system.  Deterministic:
+    seeds ``seed, seed + 1, ...`` are probed in order, so a draw that is
+    already safe is the plain ``random_churn`` draw for ``seed``.
+    """
+    pos = {a: i for i, a in enumerate(ring)}
+    for attempt in range(_CHURN_DRAWS):
+        sched, victims = FaultSchedule.random_churn(
+            len(ring),
+            fail_fraction,
+            crash_window=crash_window,
+            rejoin_window=rejoin_window,
+            seed=seed + attempt,
+        )
+        if replica_k <= 1 or not _has_consecutive_run(
+            sorted(pos[v] for v in victims), replica_k, len(ring)
+        ):
+            return sched, victims
+    raise ValueError(
+        f"no churn draw of {fail_fraction:.0%} of {len(ring)} nodes in "
+        f"{_CHURN_DRAWS} seeds from {seed} spares every {replica_k}-node "
+        "replica chain"
+    )
 
 
 def _has_consecutive_run(positions: List[int], k: int, ring_len: int) -> bool:

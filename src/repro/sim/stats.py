@@ -133,8 +133,6 @@ class NetworkStats:
         #: was NACKed with ``ps_busy`` or accounted as a give-up -- never
         #: silently lost, mirroring the ``gave_up`` discipline).
         self._c_shed = self.registry.counter("faults.shed")
-        #: circuit-breaker transitions to the open state (per node+dst).
-        self._c_breaker_open = self.registry.counter("breaker.open")
         #: iterative DHT lookups restarted from the origin after the
         #: routing-loop guard tripped -- an expected transient while the
         #: ring heals around failures, fatal only if it never converges.
@@ -176,7 +174,6 @@ class NetworkStats:
     gave_up_subids = _CounterAttr("_c_gave_up_subids", writable=True)
     busy_backoffs = _CounterAttr("_c_busy", writable=True)
     shed = _CounterAttr("_c_shed", writable=True)
-    breaker_opens = _CounterAttr("_c_breaker_open", writable=True)
     lookup_restarts = _CounterAttr("_c_lookup_restarts", writable=True)
     dropped = _CounterAttr("_c_dropped", writable=True)
     lookup_abandoned = _CounterAttr(
@@ -326,7 +323,6 @@ class NetworkStats:
         self.registry.reset("net.duplicated")
         self.registry.reset("net.reordered")
         self.registry.reset("faults.shed")
-        self.registry.reset("breaker.open")
         self.registry.reset("durable.")
         self.registry.reset("dht.lookup_")
         self.registry.reset("install.stale_unregister")

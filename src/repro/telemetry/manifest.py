@@ -36,7 +36,6 @@ REQUIRED_METRICS = (
     "zone.occupancy",
     "net.dropped",
     "faults.shed",
-    "breaker.open",
     "queue.depth",
     "queue.depth.peak",
     "mem.bytes_per_node",

@@ -35,8 +35,6 @@ Span kinds emitted by the stack:
                 queue (attrs: ``msg_kind``, ``src``)
 ``busy``        a sender honoured a ``ps_busy`` NACK (attrs: ``dst``,
                 ``backoff_ms``)
-``breaker_open``  a per-destination circuit breaker opened
-                (attrs: ``dst``); policy in docs/FAULTS.md
 ==============  ======================================================
 
 ``forward`` spans double as the dissemination-tree edge store:

@@ -10,7 +10,12 @@ from repro.core import (
     Scheme,
     Subscription,
 )
-from repro.faults import FaultSchedule, FaultScheduleError, InvariantChecker
+from repro.faults import (
+    FaultSchedule,
+    FaultScheduleError,
+    InvariantChecker,
+    chain_safe_churn,
+)
 from repro.faults.schedule import SPEC_KEYS
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, SimNode
@@ -113,6 +118,76 @@ class TestRandomChurn:
             FaultSchedule.random_churn(
                 10, 1.0, (0.0, 1_000), protect=[0]
             )
+
+
+def _holds_chain(victims, ring, k) -> bool:
+    """Does ``victims`` contain ``k`` ring-consecutive members of
+    ``ring`` (addresses in ring order, wrapping)?"""
+    vs = set(victims)
+    n = len(ring)
+    return any(all(ring[(i + j) % n] in vs for j in range(k)) for i in range(n))
+
+
+class TestChainSafeChurn:
+    #: address order stands in for the ring
+    RING = list(range(60))
+
+    def test_safe_draw_is_the_plain_draw(self):
+        plain = FaultSchedule.random_churn(60, 0.2, (0.0, 5_000), seed=7)
+        assert not _holds_chain(plain[1], self.RING, 3)
+        sched, victims = chain_safe_churn(self.RING, 0.2, 3, (0.0, 5_000), seed=7)
+        assert victims == plain[1]
+        assert sched.describe() == plain[0].describe()
+
+    def test_redraws_until_no_chain(self):
+        seed = next(
+            s for s in range(100)
+            if _holds_chain(
+                FaultSchedule.random_churn(60, 0.2, (0.0, 5_000), seed=s)[1],
+                self.RING, 3,
+            )
+        )
+        _, victims = chain_safe_churn(self.RING, 0.2, 3, (0.0, 5_000), seed=seed)
+        assert len(victims) == 12
+        assert not _holds_chain(victims, self.RING, 3)
+
+    def test_k1_takes_the_first_draw(self):
+        plain = FaultSchedule.random_churn(60, 0.2, (0.0, 5_000), seed=3)
+        _, victims = chain_safe_churn(self.RING, 0.2, 1, (0.0, 5_000), seed=3)
+        assert victims == plain[1]
+
+    def test_impossible_budget_fails_by_name(self):
+        with pytest.raises(ValueError, match="replica chain"):
+            chain_safe_churn(list(range(10)), 0.9, 2, (0.0, 1_000), seed=0)
+
+    @pytest.mark.parametrize("replication", [1, 3])
+    @pytest.mark.parametrize("num_nodes, seed", [(60, 1), (60, 4), (300, 1)])
+    def test_c1_draws_spare_every_replica_chain(
+        self, monkeypatch, num_nodes, seed, replication
+    ):
+        """C1 (``experiments.churn``) never crashes a whole k = 3 chain,
+        in either arm: the plain draws for these seeds each did."""
+        from repro.experiments import churn
+
+        class Drawn(Exception):
+            pass
+
+        def install(sched, system):
+            ring = sorted(
+                range(len(system.nodes)), key=lambda a: system.nodes[a].node_id
+            )
+            victims = [a for act in sched.actions if act.kind == "crash"
+                       for a in act.addrs]
+            raise Drawn(ring, victims)
+
+        monkeypatch.setattr(FaultSchedule, "install", install)
+        with pytest.raises(Drawn) as drawn:
+            churn._one_run(
+                0.2, num_nodes, 1, seed=seed, replication=replication
+            )
+        ring, victims = drawn.value.args
+        assert len(victims) == int(0.2 * num_nodes)
+        assert not _holds_chain(victims, ring, 3)
 
 
 class TestFromSpec:

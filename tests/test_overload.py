@@ -1,6 +1,6 @@
 """Tests for the overload-protection stack: finite service model,
 bounded ingress queues, admission control / shedding, ``ps_busy``
-backpressure, per-destination circuit breakers and storm injection."""
+backpressure and storm injection."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.core import (
     Scheme,
     Subscription,
 )
-from repro.core.overload import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.faults import FaultSchedule
 from repro.faults.schedule import FaultAction
 from repro.sim.engine import Simulator
@@ -271,67 +270,6 @@ class TestFaultActionValidation:
 
 
 # ---------------------------------------------------------------------------
-# Circuit breaker state machine
-# ---------------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        br = CircuitBreaker(failure_threshold=3, open_ms=100.0)
-        assert not br.record_failure(7, now=0.0)
-        assert not br.record_failure(7, now=1.0)
-        assert br.record_failure(7, now=2.0)  # transition reported once
-        assert br.state(7) == OPEN
-        assert not br.allow(7, now=50.0)
-        assert not br.record_failure(7, now=60.0)  # already open
-
-    def test_success_closes_and_forgets(self):
-        br = CircuitBreaker(failure_threshold=2, open_ms=100.0)
-        br.record_failure(7, now=0.0)
-        br.record_success(7)
-        assert br.state(7) == CLOSED
-        assert not br.record_failure(7, now=1.0)  # count restarted
-
-    def test_half_open_probe_after_window(self):
-        br = CircuitBreaker(failure_threshold=1, open_ms=100.0)
-        assert br.record_failure(7, now=0.0)
-        assert not br.allow(7, now=99.0)
-        assert br.allow(7, now=100.0)  # the probe
-        assert br.state(7) == HALF_OPEN
-        br.record_success(7)
-        assert br.state(7) == CLOSED
-
-    def test_half_open_failure_reopens_full_window(self):
-        br = CircuitBreaker(failure_threshold=5, open_ms=100.0)
-        for i in range(5):
-            br.record_failure(7, now=float(i))
-        assert br.allow(7, now=200.0)  # half-open probe
-        assert br.record_failure(7, now=200.0)  # reopens immediately
-        assert br.state(7) == OPEN
-        assert not br.allow(7, now=250.0)
-        assert br.allow(7, now=300.0)
-
-    def test_open_dsts_set(self):
-        br = CircuitBreaker(failure_threshold=1, open_ms=100.0)
-        br.record_failure(3, now=0.0)
-        br.record_failure(9, now=0.0)
-        br.record_failure(5, now=0.0)
-        br.record_success(5)
-        assert br.open_dsts(now=50.0) == {3, 9}
-        assert br.open_dsts(now=150.0) == set()
-
-    def test_per_destination_isolation(self):
-        br = CircuitBreaker(failure_threshold=1, open_ms=100.0)
-        br.record_failure(3, now=0.0)
-        assert not br.allow(3, now=10.0)
-        assert br.allow(4, now=10.0)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0, open_ms=100.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=1, open_ms=0.0)
-
-
-# ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
 class TestConfigValidation:
@@ -406,9 +344,8 @@ def storm_and_publish(system, scheme, rng, events=15):
 class TestEndToEnd:
     @pytest.fixture(autouse=True)
     def storm_knobs(self, monkeypatch):
-        """Back-off ceiling and breaker window at the storm's scale."""
+        """Back-off ceiling at the storm's scale."""
         monkeypatch.setattr("repro.core.transport.BUSY_BACKOFF_MAX_MS", 10_000.0)
-        monkeypatch.setattr("repro.core.overload.BREAKER_OPEN_MS", 2_000.0)
 
     def test_nodes_get_service_parameters_from_config(self):
         system, *_ = build_system(protection=True, subs=10)
@@ -416,7 +353,6 @@ class TestEndToEnd:
         for node in system.nodes:
             assert node.service_rate == cfg.service_rate_msgs_per_ms
             assert node.queue_capacity == cfg.ingress_queue_capacity
-            assert node.breaker is not None
 
     def test_protection_off_storm_destroys_deliveries(self):
         system, scheme, installed, rng = build_system(protection=False)

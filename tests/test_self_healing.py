@@ -135,8 +135,8 @@ class TestHopFailover:
 class TestRouteCacheInvalidation:
     """The epoch-keyed next-hop cache (perf extension) must never serve
     a stale answer across routing-state changes -- the exact scenarios
-    self-healing creates: finger fix-ups, successor changes, hop-
-    failover evictions and breaker-driven reroutes."""
+    self-healing creates: finger fix-ups, successor changes and hop-
+    failover evictions."""
 
     def test_cache_recomputes_after_each_epoch_bump(self):
         system, *_ = build(subs=10)
@@ -180,43 +180,6 @@ class TestRouteCacheInvalidation:
             fresh = route_once(node, key)
             assert fresh == node.next_hop_addr(key)
             assert fresh != target
-
-    def test_breaker_reroute_is_never_cached(self, monkeypatch):
-        """An open circuit must divert traffic without poisoning the
-        cache: the cached value stays the routing-table answer, so the
-        next epoch/half-open probe goes back to the real next hop."""
-        monkeypatch.setattr("repro.core.overload.BREAKER_FAILURE_THRESHOLD", 1)
-        system, scheme, installed, addr_of, rng = build(
-            subs=60,
-            service_model=True,
-            reliable_delivery=True,
-            overload_protection=True,
-        )
-        pt = rng.normal(3000, 400, 4) % 10000
-        ev = Event(scheme, list(pt))
-        node = system.nodes[0]
-        # Route any non-owned key once to populate the cache, then open
-        # the breaker on the cached hop and route the key again.
-        key = next(
-            k for k in range(0, 2**64, 2**59)
-            if not node.is_responsible(k)
-        )
-        hot = route_once(node, key)
-        assert hot is not None and node._rc[key] == hot
-        node.breaker.record_failure(hot, system.sim.now)
-        assert not node.breaker.allow(hot, system.sim.now)
-        alt = node._route_around(key, hot)
-        hits = node.rc_hits
-        assert route_once(node, key) == (hot if alt is None else alt)
-        # Whether or not an alternate exists, the cache must still hold
-        # the routing-table answer, not the diversion.
-        assert node.rc_hits == hits + 1
-        assert node._rc.get(key) == hot
-        if alt is not None:
-            assert alt != hot
-        eid = system.publish(0, ev)
-        system.run_until_idle()
-        assert eid in system.metrics.records
 
     def test_failover_full_delivery_with_caching_on(self):
         """The headline self-healing property, route cache in the

@@ -251,7 +251,6 @@ def scenario_overload(monkeypatch) -> dict:
     ``ps_busy`` and come back through the backoff resend."""
     resends = _count_calls(monkeypatch, "_rel_busy_resend")
     monkeypatch.setattr("repro.core.transport.BUSY_BACKOFF_MAX_MS", 10_000.0)
-    monkeypatch.setattr("repro.core.overload.BREAKER_OPEN_MS", 2_000.0)
     system, scheme, rng, _installed = _clustered_system(
         30, 120,
         reliable_delivery=True,
