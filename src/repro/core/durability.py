@@ -40,7 +40,7 @@ permanently lost, exactly like a best-effort give-up.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Per-node bound on retained durable-log entries (the node's
 #: ``DurableState`` is built with it).  Appending past it truncates the
@@ -79,8 +79,8 @@ class CustodyEntry:
         self.nid = nid
         self.iid = iid
         #: wire metadata attached to the entry: ``t`` = (custodian addr,
-        #: token), plus ``s``/``k`` (stream, kseq) or ``m`` (mseq) in
-        #: ordered modes and ``q`` on sequencer-bound entries.
+        #: token), plus ``s``/``k`` (stream tuple, kseq) or ``m`` (mseq)
+        #: in ordered modes and ``q`` on sequencer-bound entries.
         self.meta = meta
         self.born = born
         self.last_sent = born
@@ -115,7 +115,8 @@ class DurableState:
         # -- custodian-side sequence assignment --------------------------
         #: (stream, key nid) -> last sequence number assigned
         self.kseq: Dict[Tuple[Any, int], int] = {}
-        #: (stream, key nid, (sub nid, iid)) -> last mseq assigned
+        #: (stream, key nid, (sub nid, iid)) -> last mseq assigned (bumped
+        #: by the node's custody intake, ``_dur_take_custody``)
         self.mseq: Dict[Tuple[Any, int, Tuple[int, int]], int] = {}
         # -- site-side contiguous consumption ----------------------------
         #: (stream, key nid) -> kseq watermark (all <= w consumed)
@@ -141,21 +142,26 @@ class DurableState:
         iid: Optional[int],
         meta: Dict[str, Any],
         now: float,
-    ) -> Tuple[CustodyEntry, List[CustodyEntry]]:
+    ) -> Tuple[CustodyEntry, Sequence[CustodyEntry]]:
         """Log a new obligation; returns ``(entry, evicted)``.
 
-        ``evicted`` is the (possibly empty) list of oldest entries
-        pushed out by the ``max_entries`` budget -- the caller must
-        count and trace each one (truncation is never silent).
+        ``evicted`` holds the oldest entries pushed out by the
+        ``max_entries`` budget (empty while the log is within it) -- the
+        caller must count and trace each one (truncation is never
+        silent).
         """
-        self._next_tok += 1
-        entry = CustodyEntry(self._next_tok, kind, event, nid, iid, meta, now)
-        self.log[entry.tok] = entry
-        if len(self.log) > self.high_water:
-            self.high_water = len(self.log)
+        tok = self._next_tok = self._next_tok + 1
+        entry = CustodyEntry(tok, kind, event, nid, iid, meta, now)
+        log = self.log
+        log[tok] = entry
+        size = len(log)
+        if size > self.high_water:
+            self.high_water = size
+        if size <= self.max_entries:
+            return entry, ()
         evicted: List[CustodyEntry] = []
-        while len(self.log) > self.max_entries:
-            _tok, old = self.log.popitem(last=False)
+        while len(log) > self.max_entries:
+            _tok, old = log.popitem(last=False)
             self.truncated += 1
             evicted.append(old)
         return entry, evicted
@@ -172,11 +178,6 @@ class DurableState:
         key = (stream, nid)
         self.kseq[key] = self.kseq.get(key, 0) + 1
         return self.kseq[key]
-
-    def next_mseq(self, stream: Any, nid: int, subid: Tuple[int, int]) -> int:
-        key = (stream, nid, subid)
-        self.mseq[key] = self.mseq.get(key, 0) + 1
-        return self.mseq[key]
 
     # ------------------------------------------------------------------
     # Arc migration: the per-key slices travel with the entity

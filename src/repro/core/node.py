@@ -66,6 +66,7 @@ _ORDERING_FIELDS = ("pub", "pseq", "deps")
 #: was derived from, when that one carries them (ordering context,
 #: hop-failover budget).
 _INHERITED_FIELDS = _ORDERING_FIELDS + ("fo",)
+_INHERITED_NAMES = frozenset(_INHERITED_FIELDS)
 #: Hard per-packet hop ceiling.  Transient routing loops are possible
 #: while the ring heals around a crash (A routes to B's stale successor
 #: entry, which routes back); the TTL converts them into counted drops.
@@ -77,6 +78,11 @@ _EVENT_BASE_BYTES = event_message_bytes(0)
 #: subscription iids below it (``_next_marker_iid``): the iid alone
 #: tells a marker from a subscription.
 MARKER_IID_BASE = 1 << 48
+#: Delivery-dedup keys are one int, the subscription's iid above the
+#: event id: the field that changes with every event sits in the low
+#: bits, so one subscription's keys fall on distinct set slots.
+#: ``publish`` refuses the event id that would overflow it.
+EVENT_ID_BITS = 32
 #: Per-(publisher, stream) bound on out-of-order deliveries a
 #: subscriber (or match site) parks while waiting for a gap to fill.
 #: Overflow drops an arrival *unacked* (counted in
@@ -253,14 +259,13 @@ class PubSubNodeMixin:
         self.marker_origin: Dict[int, Tuple[str, int, int]] = {}
         #: accepted-migration iid -> (scheme_name, BoxStore)
         self.migrated: Dict[int, Tuple[str, BoxStore]] = {}
-        #: ``event_id << 48 | iid`` (own iids stay below
-        #: ``MARKER_IID_BASE``) already handed to the application.  The
-        #: packet-level dedup above is keyed on the packet's identity,
-        #: which hop-failover deliberately *changes* (the SubIDs are
-        #: re-grouped onto a fresh packet via an alternate route), so an
-        #: ack-lost-then-failed-over packet arrives twice under two
-        #: different keys.  Exactly-once at the application therefore
-        #: needs this subscriber-side guard as well.
+        #: ``iid << EVENT_ID_BITS | event_id`` already handed to the
+        #: application.  The packet-level dedup above is keyed on the
+        #: packet's identity, which hop-failover deliberately *changes*
+        #: (the SubIDs are re-grouped onto a fresh packet via an
+        #: alternate route), so an ack-lost-then-failed-over packet
+        #: arrives twice under two different keys.  Exactly-once at the
+        #: application therefore needs this subscriber-side guard as well.
         self._delivered: set = set()
 
         #: custody-transfer log (delivery-guarantees extension); ``None``
@@ -635,6 +640,11 @@ class PubSubNodeMixin:
         entry with the same grouping logic as every other SubID).
         """
         event_id = self.system.metrics.new_event(event, self.addr, self.sim.now)
+        if event_id >> EVENT_ID_BITS:
+            raise OverflowError(
+                f"event id {event_id} overflows the delivery-dedup key "
+                f"(EVENT_ID_BITS = {EVENT_ID_BITS})"
+            )
         cfg = self.system.config
         durable = self.durable
         ordering = cfg.ordering if durable is not None else "none"
@@ -661,7 +671,7 @@ class PubSubNodeMixin:
             durable.causal_sent[self.addr] = pseq
             seq_addr = self.system.sequencer_addr(event.scheme_name)
             fields.update(pub=self.addr, pseq=pseq, deps=deps)
-            meta = {"s": ["S", seq_addr], "k": pseq, "q": 1}
+            meta = {"s": ("S", seq_addr), "k": pseq, "q": 1}
             self._dur_log("seq", dict(fields, rt=self.sim.now), -1, None, meta)
             entries = [(-1, None, meta)]
         else:
@@ -828,12 +838,18 @@ class PubSubNodeMixin:
                 non_hits += 1  # _route_miss counts it
                 nh = self._route_miss(nid)
             if nh is _RC_HERE:
+                # A custody entry is a rendezvous key, ordered or not, or
+                # a SubID (delivery or relay).
                 if meta is None:
                     more = self._handle_local_entry(
                         event_id, scheme_name, point, nid, iid, msg
                     )
+                elif iid is not None:
+                    more = self._dur_sub_entry(p, nid, iid, meta, msg)
+                elif "k" in meta:
+                    more = self._dur_key_ordered(p, nid, meta, msg)
                 else:
-                    more = self._durable_handle(p, nid, iid, meta, msg)
+                    more = self._dur_key_unordered(p, nid, meta, msg)
                 if more:
                     worklist.extend(more)
                 continue
@@ -889,12 +905,15 @@ class PubSubNodeMixin:
             return
 
         # What the forwarded packets inherit is a property of the packet
-        # that came in, looked up once for all of them.
+        # that came in, looked up once for all of them, and only when it
+        # carries any of it.
         cfg = system.config
-        inherited = {name: p[name] for name in _INHERITED_FIELDS if name in p}
-        extra_bytes = (
-            DEP_ENTRY_BYTES * len(inherited["deps"]) if "deps" in inherited else 0
-        )
+        inherited = None
+        base_bytes = _EVENT_BASE_BYTES
+        if not _INHERITED_NAMES.isdisjoint(p):
+            inherited = {name: p[name] for name in _INHERITED_FIELDS if name in p}
+            if "deps" in inherited:
+                base_bytes += DEP_ENTRY_BYTES * len(inherited["deps"])
         piggyback = None
         if cfg.piggyback_maintenance:
             piggyback = {
@@ -903,30 +922,34 @@ class PubSubNodeMixin:
                 "pred": self.predecessor,
                 "succ": self.successors[0] if self.successors else None,
             }
-        reliable = cfg.reliable_delivery
+        emit = self._send_event_reliably if cfg.reliable_delivery else send
+        hops = msg.hops
+        path_latency = msg.path_latency
+        root_time = msg.root_time
+        span_id = None
         for nh, ents in groups.items():
-            size = event_message_bytes(len(ents)) + extra_bytes
+            n = len(ents)
+            size = base_bytes + SUBID_BYTES * n
             if carries_meta:
                 # entries are (nid, iid) or (nid, iid, meta)
-                size += DURABLE_META_BYTES * (sum(map(len, ents)) - 2 * len(ents))
+                size += DURABLE_META_BYTES * (sum(map(len, ents)) - 2 * n)
             payload = {
                 "event_id": event_id,
                 "scheme": scheme_name,
                 "point": point,
                 "entries": ents,
             }
-            if inherited:
+            if inherited is not None:
                 # (the failover budget is bounded per packet lineage)
                 payload.update(inherited)
             if piggyback is not None and self._pb_due(nh):
                 payload["pb"] = piggyback
                 size += PIGGYBACK_BYTES
-            child = msg.child(addr, nh, "ps_event", payload, size)
             on_event_message(event_id, size)
             # One call site feeds both edge views: the EventRecord list
             # and the causal trace ("forward" spans) stay in lockstep.
             if tracing:
-                child.span_id = tel.tracer.span(
+                span_id = tel.tracer.span(
                     "forward",
                     t=self.sim.now,
                     node=addr,
@@ -934,15 +957,18 @@ class PubSubNodeMixin:
                     parent=msg.span_id,
                     src=addr,
                     dst=nh,
-                    entries=len(ents),
+                    entries=n,
                     bytes=size,
                 )
             if edge_tracing:
-                system.metrics.on_event_edge(event_id, addr, nh, len(ents))
-            if reliable:
-                self._send_event_reliably(child)
-            else:
-                send(child)
+                system.metrics.on_event_edge(event_id, addr, nh, n)
+            # A forwarded packet continues ``msg``'s path.
+            emit(
+                Message(
+                    addr, nh, "ps_event", payload, size,
+                    hops, path_latency, root_time, span_id,
+                )
+            )
 
     def _trace_match(self, event_id: int, msg: Message, n_matched: int) -> None:
         """Record one matching step in the causal trace (if active)."""
@@ -1009,7 +1035,7 @@ class PubSubNodeMixin:
                 if sub.scheme_name != scheme_name:
                     self.network.stats.record_scheme_mismatch()
                     return []
-                once = event_id << 48 | iid
+                once = iid << EVENT_ID_BITS | event_id
                 if once in self._delivered:
                     # failover redelivery under a fresh packet
                     self.network.stats.record_duplicate_entry()
@@ -1103,7 +1129,7 @@ class PubSubNodeMixin:
         entry, evicted = self.durable.append(
             kind, ev, nid, iid, meta, self.sim.now
         )
-        meta["t"] = [self.addr, entry.tok]
+        meta["t"] = (self.addr, entry.tok)
         self.network.stats.record_durable("appends")
         for old in evicted:
             self._dur_truncated(old)
@@ -1122,10 +1148,7 @@ class PubSubNodeMixin:
         packets: a lost dack just means one more (idempotent)
         redelivery, which the duplicate path re-dacks.
         """
-        t = meta.get("t")
-        if t is None:  # pragma: no cover - defensive
-            return
-        cust, tok = t
+        cust, tok = meta["t"]  # every entry is stamped when it is logged
         if cust == self.addr:
             if self.durable is not None and self.durable.ack(tok) is not None:
                 self.network.stats.record_durable("acked")
@@ -1165,7 +1188,7 @@ class PubSubNodeMixin:
         for key in keys:
             meta: Dict[str, Any] = {}
             if stream is not None:
-                meta["s"] = list(stream)
+                meta["s"] = stream
                 meta["k"] = self.durable.next_kseq(stream, key)
             self._dur_log("key", ev, key, None, meta)
             entries.append((key, None, meta))
@@ -1177,18 +1200,33 @@ class PubSubNodeMixin:
     ) -> List[tuple]:
         """Matched SubIDs -> one logged ``sub`` custody entry each; in
         an ordered mode each takes the next mseq of its subscription in
-        ``stream`` at rendezvous ``key``."""
+        ``stream`` at rendezvous ``key``.  One loop per batch: the log
+        append, the custody stamp and the sequence bump of an entry are
+        done here, and the batch is counted once."""
         if not matched:
             return []
         ev = self._dur_event_fields(p, msg)
+        durable = self.durable
+        append = durable.append
+        mseq = durable.mseq
+        now = self.sim.now
+        addr = self.addr
         out: List[tuple] = []
-        for snid, siid in matched:
-            m: Dict[str, Any] = {}
-            if stream is not None:
-                m["s"] = list(stream)
-                m["m"] = self.durable.next_mseq(stream, key, (snid, siid))
-            self._dur_log("sub", ev, snid, siid, m)
-            out.append((snid, siid, m))
+        for subid in matched:
+            snid, siid = subid
+            if stream is None:
+                meta: Dict[str, Any] = {}
+            else:
+                skey = (stream, key, subid)
+                m = mseq.get(skey, 0) + 1
+                mseq[skey] = m
+                meta = {"s": stream, "m": m}
+            entry, evicted = append("sub", ev, snid, siid, meta, now)
+            meta["t"] = (addr, entry.tok)
+            for old in evicted:
+                self._dur_truncated(old)
+            out.append((snid, siid, meta))
+        self.network.stats.record_durable("appends", len(out))
         return out
 
     def _dur_park(self, park: Dict[int, Message], seq: int, parked: Message) -> None:
@@ -1207,21 +1245,6 @@ class PubSubNodeMixin:
                 return  # the newcomer is the furthest: drop it instead
             del park[worst]
         park[seq] = parked
-
-    def _durable_handle(
-        self,
-        p: dict,
-        nid: int,
-        iid: Optional[int],
-        meta: Dict[str, Any],
-        msg: Message,
-    ) -> List[tuple]:
-        """Consume one custody-tagged entry this node is responsible for."""
-        if iid is None:
-            if "k" in meta:
-                return self._dur_key_ordered(p, nid, meta, msg)
-            return self._dur_key_unordered(p, nid, meta, msg)
-        return self._dur_sub_entry(p, nid, iid, meta, msg)
 
     def _dur_key_unordered(
         self, p: dict, nid: int, meta: Dict[str, Any], msg: Message
@@ -1269,7 +1292,7 @@ class PubSubNodeMixin:
         """
         if not self.rendezvous_index.get(nid):
             return []
-        stream = tuple(meta["s"])
+        stream = meta["s"]
         k = meta["k"]
         skey = (stream, nid)
         w = self.durable.site_w.get(skey, 0)
@@ -1339,7 +1362,7 @@ class PubSubNodeMixin:
         self, p: dict, iid: int, meta: Dict[str, Any], msg: Message
     ) -> List[tuple]:
         """Deliver in per-stream mseq order (contiguity watermark)."""
-        stream = tuple(meta["s"])
+        stream = meta["s"]
         m = meta["m"]
         skey = (stream, iid)
         w = self.durable.sub_w.get(skey, 0)

@@ -24,16 +24,48 @@ from typing import Dict, Optional
 
 from repro.sim.messages import CONTROL_BYTES, Message
 
-#: Packet-dedup keys are one int, ``rseq`` above the sender's epoch
-#: above its address: ``rejoin_node`` refuses the incarnation that
-#: would overflow the epoch field, and no topology reaches 2**32 nodes.
+#: Packet-dedup keys are one int, the sender's address above its
+#: epoch above ``rseq``: the field that changes with every packet sits
+#: in the low bits, so one sender's keys fall on distinct set slots.
+#: ``rejoin_node`` refuses the incarnation that would overflow the
+#: epoch field, and ``_send_event_reliably`` the sequence number that
+#: would overflow its own.
 REL_EPOCH_BITS = 16
-_REL_ADDR_BITS = 32
+REL_SEQ_BITS = 32
 #: Back-off multiplier per consecutive ``ps_busy`` from one packet
 #: (delay = ``retransmit_timeout_ms * factor ** busy_count``).
 BUSY_BACKOFF_FACTOR = 2.0
 #: Ceiling on the busy back-off delay (ms).
 BUSY_BACKOFF_MAX_MS = 30_000.0
+
+
+class RelPending:
+    """One outstanding reliable packet: what a retransmission rebuilds
+    it from (the object sent is not a record of it: ``Network._deliver``
+    counts hops on the object it is handed), and its retry state."""
+
+    __slots__ = (
+        "dst", "payload", "size", "hops", "path_latency", "root_time",
+        "span", "retries", "busy", "timer",
+    )
+
+    def __init__(
+        self, dst: int, payload: dict, size: int, hops: int,
+        path_latency: float, root_time: float, span: Optional[int],
+    ) -> None:
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.hops = hops
+        self.path_latency = path_latency
+        self.root_time = root_time
+        self.span = span
+        #: ack timeouts so far (bounded by ``max_retries``)
+        self.retries = 0
+        #: consecutive ``ps_busy`` NACKs (the back-off exponent)
+        self.busy = 0
+        #: the armed retransmission or back-off timer (the ack cancels it)
+        self.timer = None
 
 
 class TransportMixin:
@@ -46,7 +78,7 @@ class TransportMixin:
         #: link wastes bytes; once per half-interval keeps it fresh.
         self._pb_last_sent: Dict[int, float] = {}
         #: reliable-transport state: outstanding event packets by seq
-        self._rel_pending: Dict[int, dict] = {}
+        self._rel_pending: Dict[int, RelPending] = {}
         self._rel_seq = 0
         #: transport incarnation.  Sequence numbers restart at 0 after a
         #: crash-rejoin; without an epoch in the dedup key, peers that
@@ -55,7 +87,7 @@ class TransportMixin:
         #: packets as duplicates.  ``HyperSubSystem.rejoin_node`` bumps it.
         self._rel_epoch = 0
         #: sender (addr, epoch, seq) already processed (dedup on ack
-        #: loss), packed into one int each
+        #: loss), packed into one int each (``REL_SEQ_BITS``)
         self._rel_seen: set = set()
         # The receive side of ``ps_event`` is chosen here, once: only a
         # config that can put ``rseq`` / ``pb`` on a packet pays for the
@@ -97,38 +129,36 @@ class TransportMixin:
     # ------------------------------------------------------------------
     def _send_event_reliably(self, msg: Message) -> None:
         """Attach a sequence number, arm the retransmission timer."""
-        self._rel_seq += 1
-        seq = self._rel_seq
-        msg.payload["rseq"] = seq
+        seq = self._rel_seq + 1
+        if seq >> REL_SEQ_BITS:
+            raise OverflowError(
+                f"node {self.addr} is out of transport sequence numbers "
+                f"(REL_SEQ_BITS = {REL_SEQ_BITS})"
+            )
+        self._rel_seq = seq
+        payload = msg.payload
+        payload["rseq"] = seq
         if self._rel_epoch:
-            msg.payload["repoch"] = self._rel_epoch
-        state = {
-            "dst": msg.dst,
-            "payload": msg.payload,
-            "size": msg.size_bytes,
-            "hops": msg.hops,
-            "path_latency": msg.path_latency,
-            "root_time": msg.root_time,
-            "retries": 0,
-            "busy": 0,
-            "span": msg.span_id,
-        }
-        self._rel_pending[seq] = state
+            payload["repoch"] = self._rel_epoch
+        state = self._rel_pending[seq] = RelPending(
+            msg.dst, payload, msg.size_bytes, msg.hops, msg.path_latency,
+            msg.root_time, msg.span_id,
+        )
         self.network.send(msg)
         # The timer is kept so the ack can cancel it and a ps_busy NACK
         # can replace it by a backoff timer.
-        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
+        state.timer = self.system.retransmit_lane.arm(self._rel_retry, seq)
 
-    def _dead_abandons(self, state: dict, cause: str) -> bool:
+    def _dead_abandons(self, state: RelPending, cause: str) -> bool:
         """Whether this incarnation is dead.  A dead one transmits
         nothing: the packet ``state`` describes is abandoned, counted
         as a give-up of ``cause``."""
         if self._alive:
             return False
-        self._count_give_up(state["payload"], span=state.get("span"), cause=cause)
+        self._count_give_up(state.payload, span=state.span, cause=cause)
         return True
 
-    def _rel_due(self, seq: int) -> Optional[dict]:
+    def _rel_due(self, seq: int) -> Optional[RelPending]:
         """``seq``'s pending state if it is to go on the wire again;
         ``None`` once acked or abandoned (a dead incarnation's packet
         counts like an exhausted retry budget)."""
@@ -142,7 +172,7 @@ class TransportMixin:
         state = self._rel_due(seq)
         if state is None:
             return  # acked in time
-        if state["retries"] >= self.system.config.max_retries:
+        if state.retries >= self.system.config.max_retries:
             del self._rel_pending[seq]
             # Hop presumed dead.  With hop-failover the pending SubIDs
             # are re-grouped onto an alternate route; otherwise the
@@ -151,18 +181,16 @@ class TransportMixin:
             if self.system.config.hop_failover:
                 self._hop_failover(state)
             else:
-                self._count_give_up(
-                    state["payload"], span=state.get("span"), cause="retries"
-                )
+                self._count_give_up(state.payload, span=state.span, cause="retries")
             return
-        state["retries"] += 1
+        state.retries += 1
         self._trace(
-            "retransmit", event=state["payload"]["event_id"],
-            parent=state.get("span"), dst=state["dst"], attempt=state["retries"],
+            "retransmit", event=state.payload["event_id"],
+            parent=state.span, dst=state.dst, attempt=state.retries,
         )
         self._rel_retransmit(seq, state)
 
-    def _rel_retransmit(self, seq: int, state: dict) -> None:
+    def _rel_retransmit(self, seq: int, state: RelPending) -> None:
         """Put a pending packet on the wire again and re-arm its timer.
 
         The packet is rebuilt from the pending state: the object sent
@@ -171,22 +199,19 @@ class TransportMixin:
         """
         self.network.stats.retransmissions += 1
         # A retransmission is real traffic.
-        self.system.metrics.on_event_message(
-            state["payload"]["event_id"], state["size"]
-        )
+        self.system.metrics.on_event_message(state.payload["event_id"], state.size)
         self.network.send(
             Message(
-                self.addr, state["dst"], "ps_event", state["payload"],
-                state["size"], state["hops"], state["path_latency"],
-                state["root_time"], state.get("span"),
+                self.addr, state.dst, "ps_event", state.payload, state.size,
+                state.hops, state.path_latency, state.root_time, state.span,
             )
         )
-        state["timer"] = self.system.retransmit_lane.arm(self._rel_retry, seq)
+        state.timer = self.system.retransmit_lane.arm(self._rel_retry, seq)
 
     # ------------------------------------------------------------------
     # Hop-failover rerouting (self-healing extension)
     # ------------------------------------------------------------------
-    def _hop_failover(self, state: dict) -> None:
+    def _hop_failover(self, state: RelPending) -> None:
         """Retry exhaustion against one hop: evict the corpse, reroute.
 
         The dead address is purged from the local routing tables (the
@@ -198,24 +223,22 @@ class TransportMixin:
         failover budget (``fo``) so repeated dead hops terminate in a
         counted give-up instead of looping.
         """
-        dead_addr = state["dst"]
+        dead_addr = state.dst
         self.evict_neighbor(dead_addr)
-        fo = state["payload"].get("fo")
+        fo = state.payload.get("fo")
         if fo is None:
             fo = self.system.config.failover_max_attempts
         if fo <= 0:
-            self._count_give_up(
-                state["payload"], span=state.get("span"), cause="failover"
-            )
+            self._count_give_up(state.payload, span=state.span, cause="failover")
             return
         sid = self._trace(
-            "failover", event=state["payload"]["event_id"],
-            parent=state.get("span"), dead=dead_addr, budget=fo,
+            "failover", event=state.payload["event_id"],
+            parent=state.span, dead=dead_addr, budget=fo,
         )
         if sid is not None:
             # Reroutes nest under the failover decision, keeping the
             # causal chain publish -> forward -> failover -> forward.
-            state["span"] = sid
+            state.span = sid
         self.sim.schedule(
             self.system.config.failover_backoff_ms,
             self._failover_resend,
@@ -223,18 +246,18 @@ class TransportMixin:
             fo - 1,
         )
 
-    def _failover_resend(self, state: dict, fo: int) -> None:
+    def _failover_resend(self, state: RelPending, fo: int) -> None:
         if self._dead_abandons(state, "failover"):
             return
-        p = state["payload"]
+        p = state.payload
         # Re-enter Algorithm 5 at this node: responsibility may have
         # shifted to us meanwhile (takeover), in which case the entries
         # are served locally from standby replicas; otherwise they are
         # re-grouped by the repaired routing tables and forwarded.
         self._process_event(
             self._local_event(
-                p, list(p["entries"]), state["hops"], state["path_latency"],
-                state["root_time"], state.get("span"), fo=fo,
+                p, list(p["entries"]), state.hops, state.path_latency,
+                state.root_time, state.span, fo=fo,
             )
         )
 
@@ -243,7 +266,7 @@ class TransportMixin:
         if state is None:
             return
         # Retransmission timer or ps_busy backoff timer, whichever is armed.
-        self.sim.cancel(state["timer"])
+        self.sim.cancel(state.timer)
 
     # ------------------------------------------------------------------
     # Overload protection (bounded-ingress extension; docs/FAULTS.md)
@@ -299,19 +322,19 @@ class TransportMixin:
         state = self._rel_pending.get(seq)
         if state is None:
             return  # a duplicate was served meanwhile, or we gave up
-        state["busy"] += 1
+        state.busy += 1
         self.network.stats.busy_backoffs += 1
-        self.sim.cancel(state["timer"])
+        self.sim.cancel(state.timer)
         delay = min(
             self.system.config.retransmit_timeout_ms
-            * (BUSY_BACKOFF_FACTOR ** state["busy"]),
+            * (BUSY_BACKOFF_FACTOR ** state.busy),
             BUSY_BACKOFF_MAX_MS,
         )
         self._trace(
-            "busy", event=state["payload"]["event_id"],
-            parent=state.get("span"), dst=state["dst"], backoff_ms=delay,
+            "busy", event=state.payload["event_id"],
+            parent=state.span, dst=state.dst, backoff_ms=delay,
         )
-        state["timer"] = self.sim.schedule(delay, self._rel_busy_resend, seq)
+        state.timer = self.sim.schedule(delay, self._rel_busy_resend, seq)
 
     def _rel_busy_resend(self, seq: int) -> None:
         state = self._rel_due(seq)
@@ -337,8 +360,8 @@ class TransportMixin:
                 )
             )
             key = (
-                (rseq << REL_EPOCH_BITS | p.get("repoch", 0)) << _REL_ADDR_BITS
-            ) | msg.src
+                (msg.src << REL_EPOCH_BITS | p.get("repoch", 0)) << REL_SEQ_BITS
+            ) | rseq
             if key in self._rel_seen:
                 # duplicate (our ack was lost, or the network ghosted a
                 # copy): already processed

@@ -107,9 +107,11 @@ class NetworkStats:
             cause: self.registry.counter(f"transport.gave_up.{cause}")
             for cause in GIVE_UP_CAUSES
         }
-        #: durable-delivery custody-log health (zero when the mode is off).
+        #: durable-delivery custody-log health (zero when the mode is
+        #: off), by short name (``"appends"`` for ``durable.appends``).
         self._c_durable = {
-            name: self.registry.counter(name) for name in DURABLE_COUNTERS
+            name.split(".", 1)[1]: self.registry.counter(name)
+            for name in DURABLE_COUNTERS
         }
         #: event entries Algorithm 5 discarded because the healing ring
         #: offered no next hop (or only a degenerate self-hop).
@@ -259,15 +261,12 @@ class NetworkStats:
 
     def record_durable(self, name: str, n: int = 1) -> None:
         """Bump one ``durable.*`` counter (see DURABLE_COUNTERS)."""
-        self._c_durable[f"durable.{name}"].inc(n)
+        self._c_durable[name].inc(n)
 
     @property
     def durable_counts(self) -> Dict[str, int]:
         """``{short name: count}`` for the ``durable.*`` counters."""
-        return {
-            name.split(".", 1)[1]: int(ctr.value)
-            for name, ctr in self._c_durable.items()
-        }
+        return {name: int(ctr.value) for name, ctr in self._c_durable.items()}
 
     def note_queue_depth(self, depth: int) -> None:
         """Raise the run-wide ingress high-water mark (cheap: only a new

@@ -30,22 +30,19 @@ import numpy as np
 class Counter:
     """A named monotonically-increasing tally."""
 
-    __slots__ = ("name", "value", "events")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-        self.events = 0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r}: cannot decrease")
         self.value += amount
-        self.events += 1
 
     def reset(self) -> None:
         self.value = 0.0
-        self.events = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"

@@ -1,6 +1,11 @@
-"""The fixed best-effort run the deterministic cost gates measure:
-calls per message (``tests/test_calls_per_message.py``) and bytes and
-blocks per object (``tests/test_memory_budget.py``)."""
+"""The fixed runs the deterministic cost gates measure.
+
+:func:`fixed_system` is best-effort: calls per message
+(``tests/test_calls_per_message.py``) and bytes and blocks per object
+(``tests/test_memory_budget.py``).  :func:`fixed_durable_system` is
+durable + FIFO under loss: scheduler dispatches per cause
+(``tests/test_guarantees.py``) and calls per custody entry
+(``tests/test_durable_calls.py``)."""
 
 import numpy as np
 
@@ -46,3 +51,47 @@ def fixed_system() -> HyperSubSystem:
     for k, (addr, event) in enumerate(events):
         system.sim.schedule_at(system.sim.now + 50.0 * k, system.publish, addr, event)
     return system
+
+
+N_DURABLE_NODES = 60
+N_DURABLE_EVENTS = 120
+
+
+def fixed_durable_system() -> HyperSubSystem:
+    """60 nodes, one subscription each, durable + FIFO delivery under
+    3 % loss, custody redelivery started and 120 events scheduled 25 ms
+    apart: :func:`run_durable` is the event phase."""
+    cfg = HyperSubConfig(
+        seed=16, code_bits=12, reliable_delivery=True,
+        retransmit_timeout_ms=1_000.0, max_retries=2,
+        delivery_mode="durable", ordering="fifo",
+        direct_rendezvous_levels=21, durable_redelivery_ms=2_000.0,
+        durable_rejoin_grace_ms=2_000.0,
+    )
+    system = HyperSubSystem(num_nodes=N_DURABLE_NODES, config=cfg)
+    scheme = Scheme("s", [Attribute(x, 0, 1000) for x in "ab"])
+    system.add_scheme(scheme)
+    for a in range(N_DURABLE_NODES):
+        system.subscribe(
+            a,
+            Subscription.from_box(
+                scheme, [13.0 * a % 700, 50.0], [13.0 * a % 700 + 250.0, 950.0]
+            ),
+        )
+    system.finish_setup()
+    system.network.set_loss_rate(0.03, seed=16)
+    system.start_durable_redelivery()
+    for i in range(N_DURABLE_EVENTS):
+        system.sim.schedule_at(
+            25.0 * i, system.publish, i % N_DURABLE_NODES,
+            Event(scheme, [37.0 * i % 1000, 500.0]),
+        )
+    return system
+
+
+def run_durable(system: HyperSubSystem) -> None:
+    """The event phase of :func:`fixed_durable_system`: 40 s of traffic
+    and redelivery, then drained with redelivery stopped."""
+    system.run(until=40_000.0)
+    system.stop_durable_redelivery()
+    system.run_until_idle()

@@ -11,10 +11,12 @@ from ``core/matching.py``, one profiler event each whatever its version.
 """
 
 import cProfile
+import os
 import sys
 
 import pytest
 
+import repro
 from repro.core import HyperSubSystem
 from tests.fixed_run import N_EVENTS, fixed_system
 
@@ -23,6 +25,8 @@ from tests.fixed_run import N_EVENTS, fixed_system
 #: ceiling.  After a change that lowers the count, lower the ceiling to
 #: what the failure message reports.
 PINNED = {(3, 11): (4152, 139_223)}
+#: the package's own source files are the program
+_PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
 def profiled_run():
@@ -47,13 +51,15 @@ def program_calls(prof, here: str = __file__) -> int:
     keys by (file, line, name) and lets every generated dataclass
     ``__init__`` ("<string>", 2) overwrite the previous one.  Frames of
     anything else -- a ``gc.callbacks`` hook another test's library
-    installed, the profiler's own ``disable`` -- are not the program's.
+    installed, the profiler's own ``disable``, a helper of the test
+    suite, whatever directory the checkout sits in -- are not the
+    program's.
     """
     calls = 0
     for entry in prof.getstats():
         code = entry.code
         if isinstance(code, str) or not (
-            "/repro/" in code.co_filename
+            code.co_filename.startswith(_PACKAGE_DIR)
             or code.co_filename in ("<string>", here)  # what the test file patches in
         ):
             continue

@@ -15,6 +15,7 @@ from repro.core.matching import BoxStore
 from repro.core.node import MARKER_IID_BASE, ZoneRepo
 from repro.core.subscription import SubID
 from repro.core.summary import as_box
+from repro.core.transport import RelPending
 from repro.core.zones import ContentZone, ZoneGeometry
 from repro.sim.messages import Message, subscription_wire_bytes
 from tests.route_reference import forget_routes
@@ -183,22 +184,25 @@ class TestEventReceivePath:
     @staticmethod
     def _forwarded(monkeypatch, system, payload_extra=None, meta=None):
         """Offer node 0 a packet with one entry it must forward; returns
-        ``(packet sent, calls of Message.child)`` -- only the general
-        emit loop derives packets through ``child``."""
+        ``(packet sent, passes through the general emit loop)`` -- only
+        that loop asks whether the packet carries inherited fields."""
+        from repro.core import node as node_module
         from repro.sim.messages import Message
 
         node = system.nodes[0]
         foreign = next(
             n.node_id for n in system.nodes if not node.is_responsible(n.node_id)
         )
-        children = []
-        real_child = Message.child
+        general = []
 
-        def child(self, *args):
-            children.append(args)
-            return real_child(self, *args)
+        class Probe(frozenset):
+            def isdisjoint(self, other):
+                general.append(other)
+                return frozenset.isdisjoint(self, other)
 
-        monkeypatch.setattr(Message, "child", child)
+        monkeypatch.setattr(
+            node_module, "_INHERITED_NAMES", Probe(node_module._INHERITED_NAMES)
+        )
         sent = []
         monkeypatch.setattr(system.network, "send", sent.append)
         entry = (foreign, 7) if meta is None else (foreign, 7, meta)
@@ -209,12 +213,12 @@ class TestEventReceivePath:
         payload.update(payload_extra or {})
         node._process_event(Message(5, 0, "ps_event", payload, 0, 3, 12.5, 4.0))
         (packet,) = sent
-        return packet, len(children)
+        return packet, len(general)
 
     def test_best_effort_packet_runs_the_straight_line(self, monkeypatch):
         system, _scheme = tiny_system()
-        packet, children = self._forwarded(monkeypatch, system)
-        assert children == 0
+        packet, general = self._forwarded(monkeypatch, system)
+        assert general == 0
         assert list(packet.payload) == ["event_id", "scheme", "point", "entries"]
         assert packet.size_bytes == 20 + 100 + 9
         # ... continuing the path of the packet it was derived from
@@ -224,27 +228,27 @@ class TestEventReceivePath:
 
     def test_inherited_fields_take_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
-        packet, children = self._forwarded(
+        packet, general = self._forwarded(
             monkeypatch, system, {"fo": 2, "pub": 1, "pseq": 4, "deps": [[2, 1]]}
         )
-        assert children == 1
+        assert general == 1
         assert packet.payload["fo"] == 2 and packet.payload["deps"] == [[2, 1]]
         assert packet.size_bytes == 20 + 100 + 9 + 12
 
     def test_custody_metadata_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
-        packet, children = self._forwarded(
+        packet, general = self._forwarded(
             monkeypatch, system, meta={"t": [3, 1]}
         )
-        assert children == 1
+        assert general == 1
         assert packet.payload["entries"][0][2] == {"t": [3, 1]}
         assert packet.size_bytes == 20 + 100 + 9 + 16
 
     def test_edge_tracing_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
         system.tracing = True  # flipped after construction: read per packet
-        _packet, children = self._forwarded(monkeypatch, system)
-        assert children == 1
+        _packet, general = self._forwarded(monkeypatch, system)
+        assert general == 1
 
     def test_piggyback_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system(piggyback_maintenance=True)
@@ -255,8 +259,8 @@ class TestEventReceivePath:
         monkeypatch.setattr(
             node_cls, "_pb_due", lambda self, dst: asked.append(dst) or True
         )
-        packet, children = self._forwarded(monkeypatch, system)
-        assert children == 1 and asked == [packet.dst]
+        packet, general = self._forwarded(monkeypatch, system)
+        assert general == 1 and asked == [packet.dst]
         assert packet.payload["pb"]["addr"] == 0
         assert packet.size_bytes == 20 + 100 + 9 + 24
 
@@ -350,13 +354,14 @@ class TestEventEdgeCases:
         stats = system.network.stats
         assert stats.duplicate_entry == 0
         # what _hop_failover keeps of a packet whose ack never came
-        state = {
-            "payload": {
+        state = RelPending(
+            0,
+            {
                 "event_id": eid, "scheme": "s", "point": event.point,
                 "entries": [(sid.nid, sid.iid)],
             },
-            "hops": 2, "path_latency": 1.0, "root_time": 0.0, "span": None,
-        }
+            0, 2, 1.0, 0.0, None,
+        )
         node._failover_resend(state, 1)
         system.run_until_idle()
         assert system.metrics.records[eid].matched == 1  # still exactly once
@@ -464,6 +469,70 @@ class TestEventEdgeCases:
         eid = system.publish(0, Event(other, {"x": 10.5, "y": 10.5}))
         system.run_until_idle()
         assert system.metrics.records[eid].matched == 0
+
+
+class TestDedupKeys:
+    """The two receive-side dedup sets key on one int whose low bits
+    hold the field that changes with every packet or event, so one
+    sender's (one subscription's) keys fall on distinct set slots
+    instead of all starting on one and probing past their
+    predecessors."""
+
+    @staticmethod
+    def _low_bits(keys, bits=10):
+        return {hash(key) & ((1 << bits) - 1) for key in keys}
+
+    def test_one_senders_packet_keys_differ_in_the_low_bits(self):
+        system, _scheme = tiny_system(reliable_delivery=True)
+        system.finish_setup()
+        receiver = system.nodes[0]
+        for rseq in range(1, 1025):
+            receiver._on_ps_event(
+                Message(
+                    5, 0, "ps_event",
+                    {
+                        "event_id": 1, "scheme": "s", "point": None,
+                        "entries": [], "rseq": rseq, "repoch": 3,
+                    },
+                    0,
+                )
+            )
+        assert len(receiver._rel_seen) == 1024
+        assert len(self._low_bits(receiver._rel_seen)) == 1024
+
+    def test_one_subscriptions_delivery_keys_differ_in_the_low_bits(self):
+        system, scheme = tiny_system()
+        system.subscribe(3, Subscription.from_box(scheme, [0, 0], [100, 100]))
+        system.finish_setup()
+        for i in range(1024):
+            system.publish(i % 12, Event(scheme, {"x": 50, "y": 50}))
+        system.run_until_idle()
+        delivered = system.nodes[3]._delivered
+        assert len(delivered) == 1024
+        assert len(self._low_bits(delivered)) == 1024
+
+    def test_a_sequence_number_past_the_key_width_is_refused(self):
+        from repro.core.transport import REL_SEQ_BITS
+
+        system, scheme = tiny_system(reliable_delivery=True)
+        system.subscribe(3, Subscription.from_box(scheme, [10, 10], [12, 12]))
+        system.finish_setup()
+        system.nodes[0]._rel_seq = (1 << REL_SEQ_BITS) - 1
+        with pytest.raises(OverflowError, match="REL_SEQ_BITS"):
+            system.publish(0, Event(scheme, {"x": 11, "y": 11}))
+
+    def test_an_event_id_past_the_key_width_is_refused(self):
+        from repro.core.node import EVENT_ID_BITS
+
+        system, scheme = tiny_system()
+        system.subscribe(3, Subscription.from_box(scheme, [10, 10], [12, 12]))
+        system.finish_setup()
+        system.metrics._next_event_id = (1 << EVENT_ID_BITS) - 2
+        last = system.publish(0, Event(scheme, {"x": 11, "y": 11}))
+        system.run_until_idle()
+        assert system.metrics.records[last].matched == 1
+        with pytest.raises(OverflowError, match="EVENT_ID_BITS"):
+            system.publish(0, Event(scheme, {"x": 11, "y": 11}))
 
 
 class TestPiggybackThrottle:

@@ -28,6 +28,7 @@ from repro.core.summary import as_box
 from repro.faults import FaultSchedule
 from repro.oracle import RunLog, judge
 from repro.sim.engine import FN, TIME
+from repro.sim.messages import Message
 
 
 # ----------------------------------------------------------------------
@@ -76,9 +77,18 @@ class TestDurableState:
         d = DurableState(max_entries=16)
         assert [d.next_kseq(("S", 7), 3) for _ in range(3)] == [1, 2, 3]
         assert d.next_kseq(("S", 7), 4) == 1  # independent per key
-        assert d.next_mseq(("S", 7), 3, (9, 1)) == 1
-        assert d.next_mseq(("S", 7), 3, (9, 2)) == 1
-        assert d.next_mseq(("S", 7), 3, (9, 1)) == 2
+        # mseq: per (stream, key, subscription), bumped by the node's
+        # custody intake as it logs each matched SubID
+        system, _scheme, _ = _small_system(
+            _durable_cfg(ordering="fifo", direct_rendezvous_levels=21)
+        )
+        p = {"event_id": 1, "scheme": "s", "point": [5.0, 5.0]}
+        out = system.nodes[0]._dur_take_custody(
+            p, Message(0, 0, "ps_event", p, 0), [(9, 1), (9, 2), (9, 1)],
+            ("S", 7), 3,
+        )
+        assert [meta["m"] for _nid, _iid, meta in out] == [1, 1, 2]
+        assert system.nodes[0].durable.mseq[(("S", 7), 3, (9, 1))] == 2
 
     def test_export_absorb_site_state_max_merges(self):
         src = DurableState(max_entries=16)
@@ -432,8 +442,9 @@ class TestCustodyCohort:
         cancelled timer or an idle node never costs a dispatch."""
         from repro.core.node import CustodyCohort
         from repro.core.transport import TransportMixin
+        from tests.fixed_run import N_DURABLE_EVENTS, fixed_durable_system, run_durable
 
-        counts = {"retry": 0, "tick": 0, "publish": 0}
+        counts = {"retry": 0, "tick": 0}
         retry, tick = TransportMixin._rel_retry, CustodyCohort.tick
 
         def counted_retry(self, seq):
@@ -446,35 +457,16 @@ class TestCustodyCohort:
 
         monkeypatch.setattr(TransportMixin, "_rel_retry", counted_retry)
         monkeypatch.setattr(CustodyCohort, "tick", counted_tick)
-        cfg = _durable_cfg(
-            seed=16, ordering="fifo", direct_rendezvous_levels=21,
-            retransmit_timeout_ms=1_000.0, durable_redelivery_ms=2_000.0,
-        )
-        subs = [
-            (a, [13.0 * a % 700, 50.0], [13.0 * a % 700 + 250.0, 950.0])
-            for a in range(60)
-        ]
-        system, scheme, _ = _small_system(cfg, num_nodes=60, subs=subs)
-        system.network.set_loss_rate(0.03, seed=16)
-        system.start_durable_redelivery()
-
-        def publish(i):
-            counts["publish"] += 1
-            system.publish(i % 60, Event(scheme, [37.0 * i % 1000, 500.0]))
-
+        system = fixed_durable_system()
         before = system.sim.processed
-        for i in range(120):
-            system.sim.schedule_at(25.0 * i, publish, i)
-        system.run(until=40_000.0)
-        system.stop_durable_redelivery()
-        system.run_until_idle()
+        run_durable(system)
 
         stats = system.network.stats
         arrivals = stats.total_msgs - stats.dropped_by_cause["loss"]
         assert stats.retransmissions > 0 and stats.dropped_by_cause["loss"] > 0
         assert counts["retry"] < stats.msgs_by_kind["ps_event"] // 5
         assert system.sim.processed - before == (
-            arrivals + counts["publish"] + counts["retry"] + counts["tick"]
+            arrivals + N_DURABLE_EVENTS + counts["retry"] + counts["tick"]
         )
         assert counts["tick"] == 21  # 40 s / 2 s, plus the one that finds nobody
         assert sum(len(n.durable.log) for n in system.nodes) == 0

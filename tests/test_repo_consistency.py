@@ -186,7 +186,7 @@ class TestWireFormatOwners:
     serialiser for real sockets -- has one site to land on."""
 
     #: ``ps_event``: the forward step's two emit loops (the straight
-    #: line's ``Message(...)``, the general loop's ``msg.child``), the
+    #: line's and the general loop's ``Message(...)``), the
     #: self-addressed builder and the retransmit
     MAX_SITES = {"ps_event": 4}
 
