@@ -699,9 +699,9 @@ class PubSubNodeMixin:
                     scheme=event.scheme_name,
                     entries=len(entries),
                 )
-        self._process_event(
-            self._local_event(fields, entries, 0, 0.0, self.sim.now, root_span)
-        )
+        # A best-effort config enters Algorithm 5 by its own handler.
+        process = self._on_plain_event if self._ev_plain else self._process_event
+        process(self._local_event(fields, entries, 0, self.sim.now, root_span))
         return event_id
 
     def _event_target_keys(
@@ -761,8 +761,7 @@ class PubSubNodeMixin:
 
     def _local_event(
         self, fields: Dict[str, Any], entries: List[tuple], hops: int,
-        path_latency: float, root_time: float, span_id: Optional[int],
-        fo: Optional[int] = None,
+        root_time: float, span_id: Optional[int], fo: Optional[int] = None,
     ) -> Message:
         """The one writer of an event packet this node addresses to
         itself (publish root, failover re-entry, parked out-of-order
@@ -775,19 +774,152 @@ class PubSubNodeMixin:
         if fo is not None:
             payload["fo"] = fo
         return Message(
-            self.addr, self.addr, "ps_event", payload, 0,
-            hops, path_latency, root_time, span_id,
+            self.addr, self.addr, "ps_event", payload, 0, hops, root_time, span_id
         )
 
-    def _process_event(self, msg: Message) -> None:
-        """Algorithm 5: one node's share of the dissemination tree.
+    def _on_plain_event(self, msg: Message) -> None:
+        """Algorithm 5 in a best-effort config: the ``ps_event`` handler
+        and the publish entry of a node whose config puts nothing on a
+        packet (``_ev_plain``: no reliable transport and no piggyback,
+        hence no custody, ordering or failover).
 
-        The best-effort packet -- ``(nid, iid)`` entries, the four base
-        payload fields -- is the straight line through this function.
-        Everything a guarantee adds (custody metadata on an entry,
-        ordering context, failover budget, piggybacked ring state,
-        spans) is paid for only by packets that carry it: one test
-        ahead of the emit loop sends those through the general one.
+        Every entry is a ``(nid, iid)`` SubID and the payload has the
+        four base fields, so nothing here tests for more.  Only a packet
+        past the TTL, or one that arrives while edges or spans are being
+        recorded, goes to the general :meth:`_process_event`.  A relay
+        that handles nothing itself and sends every entry down one link
+        sends the arrived ``Message`` on: a new ``src``, ``dst`` and
+        ``size_bytes``, and the payload, ``hops`` and ``root_time`` the
+        next hop must see anyway.
+        """
+        system = self.system
+        tel = system.telemetry
+        if (
+            msg.hops > EVENT_TTL_HOPS
+            or system.tracing
+            or (tel is not None and tel.tracing)
+        ):
+            self._process_event(msg)
+            return
+        p = msg.payload
+        addr = self.addr
+        # The route-decision cache, as in _process_event.
+        rc = self._rc
+        if self.routing_epoch != self._rc_epoch:
+            rc.clear()
+            self._rc_epoch = self.routing_epoch
+        entries = p["entries"]
+        if len(entries) == 1:
+            # One SubID, the shape of most packets: it is relayed as it
+            # came, or handled here and only what it matched is routed.
+            ((nid, iid),) = entries
+            nh = rc.get(nid, _RC_MISS)
+            if nh is _RC_MISS:
+                nh = self._route_miss(nid)
+            else:
+                self.rc_hits += 1
+            if nh is not _RC_HERE:
+                if nh is None or nh == addr:
+                    self.network.stats.record_unroutable()
+                    return
+                self._relay(msg, nh, 1)
+                return
+            worklist = self._handle_local_entry(
+                p["event_id"], p["scheme"], p["point"], nid, iid, msg
+            )
+            if not worklist:
+                return
+        else:
+            worklist = list(entries)
+        rc_get = rc.get
+        misses = 0
+        # SubIDs matched here are appended and handled in arrival order.
+        groups: Dict[int, List[tuple]] = {}
+        for ent in worklist:
+            nid, iid = ent
+            nh = rc_get(nid, _RC_MISS)
+            if nh is _RC_MISS:
+                misses += 1  # _route_miss counts it
+                nh = self._route_miss(nid)
+            if nh is _RC_HERE:
+                more = self._handle_local_entry(
+                    p["event_id"], p["scheme"], p["point"], nid, iid, msg
+                )
+                if more:
+                    worklist.extend(more)
+                continue
+            if nh is None or nh == addr:
+                # Unroutable or a degenerate self-hop: dropped, counted
+                # (see _process_event).
+                self.network.stats.record_unroutable()
+                continue
+            group = groups.get(nh)
+            if group is None:
+                groups[nh] = [ent]
+            else:
+                group.append(ent)
+        n = len(worklist)
+        self.rc_hits += n - misses
+        if not groups:
+            return
+        if len(groups) == 1 and len(entries) > 1:
+            ((nh, ents),) = groups.items()
+            if len(ents) == n:
+                # Every entry leaves on this one link, in arrival order,
+                # and none was handled here.
+                self._relay(msg, nh, n)
+                return
+        event_id = p["event_id"]
+        scheme_name = p["scheme"]
+        point = p["point"]
+        hops = msg.hops
+        root_time = msg.root_time
+        send = self.network.send
+        total = 0
+        for nh, ents in groups.items():
+            size = _EVENT_BASE_BYTES + SUBID_BYTES * len(ents)
+            total += size
+            # A forwarded packet continues ``msg``'s path.
+            send(
+                Message(
+                    addr, nh, "ps_event",
+                    {
+                        "event_id": event_id,
+                        "scheme": scheme_name,
+                        "point": point,
+                        "entries": ents,
+                    },
+                    size, hops, root_time,
+                )
+            )
+        self.system.metrics.on_event_message(event_id, total, len(groups))
+
+    def _relay(self, msg: Message, nh: int, n: int) -> None:
+        """Send the arrived best-effort packet ``msg`` on to ``nh``: all
+        ``n`` of its entries leave on that link and none was handled
+        here, so payload, ``hops`` and ``root_time`` are what the next
+        hop must see already."""
+        size = _EVENT_BASE_BYTES + SUBID_BYTES * n
+        msg.src = self.addr
+        msg.dst = nh
+        msg.size_bytes = size
+        self.system.metrics.on_event_message(msg.payload["event_id"], size)
+        self.network.send(msg)
+
+    def _process_event(self, msg: Message) -> None:
+        """Algorithm 5: one node's share of the dissemination tree, with
+        everything a guarantee adds.
+
+        The ``ps_event`` handler (under ``_on_ps_event``) of a config
+        with reliable transport or piggyback, and every local re-entry
+        of such a config (failover, parked entries, the sequencer,
+        custody redelivery).  In a best-effort config
+        :meth:`_on_plain_event` hands a packet here only for the TTL
+        give-up and while edges or spans are recorded.  Entries are
+        ``(nid, iid)`` SubIDs or custody-tagged ``(nid, iid, meta)``
+        triples; forwarded packets inherit ordering context and the
+        failover budget, may carry ring state, and go out through the
+        reliable transport when the config has it.
         """
         p = msg.payload
         if msg.hops > EVENT_TTL_HOPS:
@@ -876,34 +1008,6 @@ class PubSubNodeMixin:
         tracing = tel is not None and tel.tracing
         edge_tracing = system.tracing
         on_event_message = system.metrics.on_event_message
-        send = self.network.send
-        if (
-            self._ev_plain
-            and len(p) == 4
-            and not (carries_meta or tracing or edge_tracing)
-        ):
-            # Nothing to inherit, attach or record: one packet per link,
-            # sized by the paper's formula, continuing ``msg``'s path.
-            hops = msg.hops
-            path_latency = msg.path_latency
-            root_time = msg.root_time
-            for nh, ents in groups.items():
-                size = _EVENT_BASE_BYTES + SUBID_BYTES * len(ents)
-                on_event_message(event_id, size)
-                send(
-                    Message(
-                        addr, nh, "ps_event",
-                        {
-                            "event_id": event_id,
-                            "scheme": scheme_name,
-                            "point": point,
-                            "entries": ents,
-                        },
-                        size, hops, path_latency, root_time,
-                    )
-                )
-            return
-
         # What the forwarded packets inherit is a property of the packet
         # that came in, looked up once for all of them, and only when it
         # carries any of it.
@@ -922,9 +1026,10 @@ class PubSubNodeMixin:
                 "pred": self.predecessor,
                 "succ": self.successors[0] if self.successors else None,
             }
-        emit = self._send_event_reliably if cfg.reliable_delivery else send
+        emit = (
+            self._send_event_reliably if cfg.reliable_delivery else self.network.send
+        )
         hops = msg.hops
-        path_latency = msg.path_latency
         root_time = msg.root_time
         span_id = None
         for nh, ents in groups.items():
@@ -964,10 +1069,7 @@ class PubSubNodeMixin:
                 system.metrics.on_event_edge(event_id, addr, nh, n)
             # A forwarded packet continues ``msg``'s path.
             emit(
-                Message(
-                    addr, nh, "ps_event", payload, size,
-                    hops, path_latency, root_time, span_id,
-                )
+                Message(addr, nh, "ps_event", payload, size, hops, root_time, span_id)
             )
 
     def _trace_match(self, event_id: int, msg: Message, n_matched: int) -> None:
@@ -1175,9 +1277,7 @@ class PubSubNodeMixin:
 
     def _dur_parked_msg(self, p: dict, ent: tuple, msg: Message) -> Message:
         """Wrap one out-of-order entry for later local re-processing."""
-        return self._local_event(
-            p, [ent], msg.hops, msg.path_latency, msg.root_time, msg.span_id
-        )
+        return self._local_event(p, [ent], msg.hops, msg.root_time, msg.span_id)
 
     def _dur_key_entries(
         self, ev: Dict[str, Any], keys: List[int], stream: Optional[tuple]
@@ -1443,7 +1543,7 @@ class PubSubNodeMixin:
         self._process_event(
             self._local_event(
                 ev, self._dur_key_entries(ev, keys, ("Q",)),
-                msg.hops, msg.path_latency, msg.root_time, msg.span_id,
+                msg.hops, msg.root_time, msg.span_id,
             )
         )
 
@@ -1470,7 +1570,7 @@ class PubSubNodeMixin:
         # end-to-end latency, not time-since-retry.
         self._process_event(
             self._local_event(
-                entry.event, [entry.wire_entry()], 0, 0.0,
+                entry.event, [entry.wire_entry()], 0,
                 entry.event.get("rt", self.sim.now), None,
             )
         )

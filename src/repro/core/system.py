@@ -110,13 +110,18 @@ class Metrics:
         )
         return eid
 
-    def on_event_message(self, event_id: int, size_bytes: int) -> None:
+    def on_event_message(
+        self, event_id: int, size_bytes: int, n_packets: int = 1
+    ) -> None:
+        """Charge ``n_packets`` packets of ``size_bytes`` bytes in all to
+        the event's traffic (a hop that fans out reports its packets
+        once)."""
         try:
             rec = self.records[event_id]
         except KeyError:  # records were cleared while the event was in flight
             return
         rec.bytes += size_bytes
-        rec.messages += 1
+        rec.messages += n_packets
 
     def on_event_edge(
         self, event_id: int, src: int, dst: int, n_entries: int

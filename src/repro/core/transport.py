@@ -45,19 +45,18 @@ class RelPending:
     counts hops on the object it is handed), and its retry state."""
 
     __slots__ = (
-        "dst", "payload", "size", "hops", "path_latency", "root_time",
-        "span", "retries", "busy", "timer",
+        "dst", "payload", "size", "hops", "root_time", "span", "retries",
+        "busy", "timer",
     )
 
     def __init__(
         self, dst: int, payload: dict, size: int, hops: int,
-        path_latency: float, root_time: float, span: Optional[int],
+        root_time: float, span: Optional[int],
     ) -> None:
         self.dst = dst
         self.payload = payload
         self.size = size
         self.hops = hops
-        self.path_latency = path_latency
         self.root_time = root_time
         self.span = span
         #: ack timeouts so far (bounded by ``max_retries``)
@@ -91,10 +90,11 @@ class TransportMixin:
         self._rel_seen: set = set()
         # The receive side of ``ps_event`` is chosen here, once: only a
         # config that can put ``rseq`` / ``pb`` on a packet pays for the
-        # wrapper that reads them.
+        # wrapper that reads them; any other gets Algorithm 5's
+        # best-effort handler.
         #: no feature of this node's config adds to a forwarded packet
         self._ev_plain = not (cfg.reliable_delivery or cfg.piggyback_maintenance)
-        on_event = self._process_event if self._ev_plain else self._on_ps_event
+        on_event = self._on_plain_event if self._ev_plain else self._on_ps_event
         self.register_handler("ps_event", on_event)
         self.register_handler("ps_event_ack", self._on_ps_event_ack)
         self.register_handler("ps_busy", self._on_ps_busy)
@@ -141,8 +141,8 @@ class TransportMixin:
         if self._rel_epoch:
             payload["repoch"] = self._rel_epoch
         state = self._rel_pending[seq] = RelPending(
-            msg.dst, payload, msg.size_bytes, msg.hops, msg.path_latency,
-            msg.root_time, msg.span_id,
+            msg.dst, payload, msg.size_bytes, msg.hops, msg.root_time,
+            msg.span_id,
         )
         self.network.send(msg)
         # The timer is kept so the ack can cancel it and a ps_busy NACK
@@ -203,7 +203,7 @@ class TransportMixin:
         self.network.send(
             Message(
                 self.addr, state.dst, "ps_event", state.payload, state.size,
-                state.hops, state.path_latency, state.root_time, state.span,
+                state.hops, state.root_time, state.span,
             )
         )
         state.timer = self.system.retransmit_lane.arm(self._rel_retry, seq)
@@ -256,8 +256,8 @@ class TransportMixin:
         # re-grouped by the repaired routing tables and forwarded.
         self._process_event(
             self._local_event(
-                p, list(p["entries"]), state.hops, state.path_latency,
-                state.root_time, state.span, fo=fo,
+                p, list(p["entries"]), state.hops, state.root_time,
+                state.span, fo=fo,
             )
         )
 
@@ -348,8 +348,8 @@ class TransportMixin:
     def _on_ps_event(self, msg: Message) -> None:
         """``ps_event`` receive wrapper of a config with reliable
         transport or piggybacked maintenance (registered by
-        ``_init_transport``; in any other config ``_process_event`` is
-        the handler itself): ack + dedup, ring-state absorption."""
+        ``_init_transport``; in any other config ``_on_plain_event`` is
+        the handler): ack + dedup, ring-state absorption."""
         p = msg.payload
         if "rseq" in p:
             rseq = p["rseq"]

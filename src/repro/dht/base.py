@@ -105,7 +105,6 @@ class OverlayNode(SimNode):
         self.rc_misses = 0
         self.register_handler("dht_lookup_step", self._on_lookup_step)
         self.register_handler("dht_lookup_reply", self._on_lookup_reply)
-        self._alive = True
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -143,13 +142,6 @@ class OverlayNode(SimNode):
                 f"{type(self).__name__} has no handler for {msg.kind!r}"
             ) from None
         handler(self, msg)
-
-    def alive(self) -> bool:
-        return self._alive
-
-    def fail(self) -> None:
-        """Crash-stop this node (churn experiments)."""
-        self._alive = False
 
     # ------------------------------------------------------------------
     # Routing-epoch contract (see module docstring)

@@ -19,7 +19,8 @@ from typing import Any, Callable, List, Optional
 #: timer has a fifth slot, ``LANE``.
 TIME, SEQ, FN, ARGS, LANE = range(5)
 #: Callback slot of a ``schedule_every`` record while its own callback
-#: runs: the series can be cancelled, but nothing is queued to count.
+#: runs: not in the queue, yet the series can be cancelled (``cancel``
+#: clears the slot, and the tick then re-arms nothing).
 _IN_FLIGHT = object()
 
 
@@ -64,7 +65,6 @@ class TimeoutLane:
         sim = self._sim
         seq = sim._seq
         sim._seq = seq + 1
-        sim._live += 1
         timer = [sim.now + self.delay, seq, self._fire, (fn, args), self]
         self._waiting.append(timer)
         if self._head is None:
@@ -88,9 +88,9 @@ class TimeoutLane:
         self._head = None
 
     def _fire(self, fn: Callable[..., Any], args: tuple) -> None:
-        # The run loop popped the head's record (and settled ``live``).
-        # The successor is promoted first, so a callback that arms this
-        # lane finds it in a consistent state.
+        # The run loop popped the head's record.  The successor is
+        # promoted first, so a callback that arms this lane finds it in
+        # a consistent state.
         self._promote()
         fn(*args)
 
@@ -113,9 +113,13 @@ class Simulator:
     state: the run loop clears it as the callback starts, and
     :meth:`cancel` clears it (the stub stays in the heap -- removing it
     would be O(n) -- and is skipped when popped).  Hence cancelling is
-    idempotent, drops :attr:`live` exactly once, and changes nothing
-    once the callback has fired.  ``TimeoutLane.arm`` and
-    ``schedule_every`` return records under the same contract.
+    idempotent and changes nothing once the callback has fired.
+    ``TimeoutLane.arm`` and ``schedule_every`` return records under the
+    same contract.
+
+    **Bookkeeping.**  Nothing is counted per dispatch: :attr:`live` is
+    derived from the queue when read, and :attr:`processed` is settled
+    once per :meth:`run` call, when it returns or raises.
     """
 
     def __init__(self) -> None:
@@ -125,8 +129,8 @@ class Simulator:
         #: everything but the run loop.
         self.now: float = 0.0
         self._seq: int = 0
+        #: callbacks executed by the ``run`` calls that have ended
         self._processed: int = 0
-        self._live: int = 0
         #: the timeout lanes created by :meth:`timeout_lane`
         self.lanes: List[TimeoutLane] = []
 
@@ -149,12 +153,19 @@ class Simulator:
         ``pending`` overstates remaining work whenever ``schedule()``
         entries were cancelled (each leaves one stub); this is the
         honest count for progress displays and telemetry sampling.
+        Counted when read (O(queue)): a heap record is live while its
+        callback slot is set, a lane timer while it waits uncancelled.
+        The callback that is running is not queued work.
         """
-        return self._live
+        live = sum(1 for entry in self._queue if entry[FN] is not None)
+        return live + sum(lane.backlog for lane in self.lanes)
 
     @property
     def processed(self) -> int:
-        """Number of callbacks executed so far."""
+        """Number of callbacks executed by :meth:`run` calls that have
+        returned or raised (a callback that raised is not counted).
+        Settled when a call ends, so a callback reading it sees the
+        count from before the current ``run`` call."""
         return self._processed
 
     # ------------------------------------------------------------------
@@ -168,7 +179,6 @@ class Simulator:
         entry = [self.now + delay, seq, fn, args]
         heappush(self._queue, entry)
         self._seq = seq + 1
-        self._live += 1
         return entry
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
@@ -179,7 +189,6 @@ class Simulator:
         entry = [time, seq, fn, args]
         heappush(self._queue, entry)
         self._seq = seq + 1
-        self._live += 1
         return entry
 
     def cancel(self, handle: list) -> None:
@@ -187,13 +196,9 @@ class Simulator:
         :meth:`schedule`, :meth:`schedule_at`, :meth:`schedule_every`
         (stops the series) or :meth:`TimeoutLane.arm`.  Idempotent; a
         no-op once a one-shot callback has fired."""
-        fn = handle[FN]
-        if fn is None:
+        if handle[FN] is None:
             return
         handle[FN] = None
-        if fn is _IN_FLIGHT:
-            return
-        self._live -= 1
         if len(handle) > LANE:
             lane = handle[LANE]
             if lane._head is handle:
@@ -238,7 +243,6 @@ class Simulator:
             handle[FN] = _tick
             heappush(self._queue, handle)
             self._seq += 1
-            self._live += 1
 
         def _tick() -> None:
             handle[FN] = _IN_FLIGHT
@@ -269,19 +273,20 @@ class Simulator:
         horizon = float("inf") if until is None else until
         budget = float("inf") if max_events is None else max_events
         executed = 0
-        while queue and executed < budget:
-            if queue[0][0] > horizon:
-                break
-            entry = heappop(queue)  # slots by number: TIME 0, FN 2, ARGS 3
-            fn = entry[2]
-            if fn is None:
-                continue
-            entry[2] = None
-            self._live -= 1
-            self.now = entry[0]
-            fn(*entry[3])
-            self._processed += 1
-            executed += 1
+        try:
+            while queue and executed < budget:
+                if queue[0][0] > horizon:
+                    break
+                entry = heappop(queue)  # slots by number: TIME 0, FN 2, ARGS 3
+                fn = entry[2]
+                if fn is None:
+                    continue
+                entry[2] = None
+                self.now = entry[0]
+                fn(*entry[3])
+                executed += 1
+        finally:
+            self._processed += executed
         if until is not None and until > self.now:
             self.now = until
         return executed
@@ -289,7 +294,7 @@ class Simulator:
     def run_until_idle(self, max_events: int = 100_000_000) -> int:
         """Drain everything.  Raises if ``max_events`` is exceeded."""
         executed = self.run(max_events=max_events)
-        if self._live and executed >= max_events:
+        if executed >= max_events and self.live:
             raise RuntimeError(
                 f"simulation did not converge within {max_events} events"
             )

@@ -67,8 +67,6 @@ class Message:
     size_bytes: int
     #: hop count accumulated along an application-level dissemination path
     hops: int = 0
-    #: application-level path latency accumulated so far (ms)
-    path_latency: float = 0.0
     #: simulation time at which the *root* request was issued
     root_time: float = 0.0
     #: telemetry span under which this packet's processing nests (set by
@@ -80,10 +78,7 @@ class Message:
         """Derive a follow-on message that inherits path metadata.
 
         Used by recursive protocols (event delivery) where each hop
-        constructs new packets but per-path hop/latency counters must
-        keep accumulating.
+        constructs new packets but the per-path hop count must keep
+        accumulating and the root time must carry over.
         """
-        return Message(
-            src, dst, kind, payload, size_bytes,
-            self.hops, self.path_latency, self.root_time,
-        )
+        return Message(src, dst, kind, payload, size_bytes, self.hops, self.root_time)

@@ -67,6 +67,10 @@ class SimNode:
         self._serving = False
         #: high-water mark of the ingress depth over the node's life.
         self.ingress_peak = 0
+        #: False once the node crashed (:meth:`fail`).  A rejoin is a new
+        #: node object, so nothing sets it back.  ``Network`` reads the
+        #: flag on every arrival; :meth:`alive` is the public reader.
+        self._alive = True
         network.register(self)
 
     def send(self, msg: Message) -> None:
@@ -79,8 +83,12 @@ class SimNode:
         raise NotImplementedError
 
     def alive(self) -> bool:
-        """Churn hook; dead nodes drop incoming packets."""
-        return True
+        """Whether the node is up; dead nodes drop incoming packets."""
+        return self._alive
+
+    def fail(self) -> None:
+        """Crash-stop this node (churn experiments)."""
+        self._alive = False
 
     # ------------------------------------------------------------------
     # Finite-service ingress (overload extension)
@@ -362,7 +370,7 @@ class Network:
             root_time=self.sim.now,
         )
         self.stats.record_send(addr, addr, "ps_storm", size_bytes)
-        self._deliver(msg, 0.0)
+        self._deliver(msg)
 
     # ------------------------------------------------------------------
     def register(self, node: SimNode) -> None:
@@ -399,7 +407,7 @@ class Network:
             self.stats.record_drop("dead_dst")
             return
         if src == dst:
-            self.sim.schedule(self.local_delivery_delay_ms, self._deliver, msg, 0.0)
+            self.sim.schedule(self.local_delivery_delay_ms, self._deliver, msg)
             return
         # The sender did transmit: bytes are charged even if a fault
         # then drops the packet.
@@ -407,8 +415,11 @@ class Network:
         if self._faults_armed:
             self._send_through_faults(msg)
             return
-        latency = self.topology.latency_ms(src, dst) * self._latency_factor
-        self.sim.schedule(latency, self._deliver, msg, latency)
+        self.sim.schedule(
+            self.topology.latency_ms(src, dst) * self._latency_factor,
+            self._deliver,
+            msg,
+        )
 
     def _send_through_faults(self, msg: Message) -> None:
         """Rest of ``send`` for a charged, non-local packet while any
@@ -442,27 +453,27 @@ class Network:
             # Adversarial per-packet jitter: later sends can arrive first.
             latency += float(self._reorder_rng.uniform(0.0, self._reorder_window))
             self.stats.record_reorder()
-        self.sim.schedule(latency, self._deliver, msg, latency)
+        self.sim.schedule(latency, self._deliver, msg)
         if self._dup_rng is not None and self._dup_rng.random() < self._dup_rate:
             # The network ghosts a second copy of the same packet.  A
-            # fresh Message (not the same object) keeps the hop/latency
-            # mutation in _deliver from compounding across the two
-            # deliveries; the payload is shared, exactly like a
-            # retransmitted packet, so dedup layers see the same bits.
+            # fresh Message (not the same object) keeps the hop count
+            # bumped in _deliver -- and a relay that sends the arrived
+            # object on -- from touching the other copy; the payload is
+            # shared, exactly like a retransmitted packet, so dedup
+            # layers see the same bits.
             ghost = dataclasses.replace(msg)
             ghost_latency = latency + float(self._dup_rng.uniform(0.0, latency))
             self.stats.record_duplicate()
-            self.sim.schedule(ghost_latency, self._deliver, ghost, ghost_latency)
+            self.sim.schedule(ghost_latency, self._deliver, ghost)
 
-    def _deliver(self, msg: Message, latency: float) -> None:
+    def _deliver(self, msg: Message) -> None:
         dst = msg.dst
         node = self._nodes.get(dst)
-        if node is None or not node.alive():
+        if node is None or not node._alive:
             self.stats.record_drop("dead_dst")
             return
         if msg.src != dst:
             msg.hops += 1
-            msg.path_latency += latency
         if node.service_rate is None:
             node.handle_message(msg)
         else:

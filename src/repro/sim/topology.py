@@ -34,7 +34,7 @@ class Topology(ABC):
     """Pairwise latency oracle over ``size`` network addresses."""
 
     def __init__(self) -> None:
-        #: link ``(lo, hi)`` -> one-way latency, see :meth:`latency_ms`
+        #: link ``hi * hi + lo`` -> one-way latency, see :meth:`latency_ms`
         self._latency_memo: dict = {}
 
     @property
@@ -56,12 +56,15 @@ class Topology(ABC):
         ``rtt_ms(a, b)`` and ``rtt_ms(b, a)`` are the same float in every
         topology here -- so a hit is the bit-identical float whichever
         direction asked first.  Iterative lookups touch arbitrary pairs,
-        hence the bound (flushed wholesale, like the route cache).
+        hence the bound (flushed wholesale, like the route cache).  The
+        link's key is one int, ``hi * hi + lo`` for ``lo < hi``: distinct
+        per link (it lies in ``[hi**2, (hi + 1)**2)``), cheaper to build
+        and hash than a tuple, and needs no stride.
         """
         if a == b:
             return 0.0
         memo = self._latency_memo
-        key = (a, b) if a < b else (b, a)
+        key = b * b + a if a < b else a * a + b
         try:
             return memo[key]
         except KeyError:

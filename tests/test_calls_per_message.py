@@ -24,7 +24,10 @@ from tests.fixed_run import N_EVENTS, fixed_system
 #: The messages are simulated and must not move at all; the calls are a
 #: ceiling.  After a change that lowers the count, lower the ceiling to
 #: what the failure message reports.
-PINNED = {(3, 11): (4152, 139_223)}
+#: Before the best-effort handler of its own (the relay that sends
+#: the arrived packet on, no per-arrival ``alive()`` call, one metrics
+#: call per forwarding hop) the same run made 138 953 calls.
+PINNED = {(3, 11): (4152, 120_710)}
 #: the package's own source files are the program
 _PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 

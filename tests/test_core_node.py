@@ -124,9 +124,10 @@ class TestRegistration:
 
 
 class TestEventReceivePath:
-    """The ``ps_event`` handler is picked once, from the config; the
-    best-effort packet runs the straight line of ``_process_event`` and
-    anything a feature put on a packet takes the general emit loop."""
+    """The ``ps_event`` handler is picked once, from the config: a
+    best-effort config gets ``_on_plain_event``, which hands the general
+    ``_process_event`` only what it cannot do itself; anything a feature
+    put on a packet takes the general emit loop."""
 
     @pytest.mark.parametrize(
         "cfg, wrapped",
@@ -141,7 +142,7 @@ class TestEventReceivePath:
     def test_handler_is_chosen_at_construction(self, cfg, wrapped):
         system, _scheme = tiny_system(**cfg)
         cls = type(system.nodes[0])
-        expected = cls._on_ps_event if wrapped else cls._process_event
+        expected = cls._on_ps_event if wrapped else cls._on_plain_event
         for node in system.nodes:
             assert node._handlers["ps_event"] is expected
 
@@ -182,10 +183,12 @@ class TestEventReceivePath:
         assert all(node._handlers is table for node in system.nodes)
 
     @staticmethod
-    def _forwarded(monkeypatch, system, payload_extra=None, meta=None):
-        """Offer node 0 a packet with one entry it must forward; returns
-        ``(packet sent, passes through the general emit loop)`` -- only
-        that loop asks whether the packet carries inherited fields."""
+    def _forwarded(monkeypatch, system, payload_extra=None, meta=None, plain=False):
+        """Offer node 0 a packet with one entry it must forward -- to
+        ``_on_plain_event`` if ``plain``, else to ``_process_event`` --
+        and return ``(packet sent, passes through the general emit
+        loop, packet offered)``: only that loop asks whether the packet
+        carries inherited fields."""
         from repro.core import node as node_module
         from repro.sim.messages import Message
 
@@ -211,24 +214,44 @@ class TestEventReceivePath:
             "entries": [entry],
         }
         payload.update(payload_extra or {})
-        node._process_event(Message(5, 0, "ps_event", payload, 0, 3, 12.5, 4.0))
+        offered = Message(5, 0, "ps_event", payload, 0, 3, 4.0)
+        handler = node._on_plain_event if plain else node._process_event
+        handler(offered)
         (packet,) = sent
-        return packet, len(general)
+        return packet, len(general), offered
 
     def test_best_effort_packet_runs_the_straight_line(self, monkeypatch):
+        """``_on_plain_event`` alone, and a relay sends the arrived
+        packet on."""
         system, _scheme = tiny_system()
-        packet, general = self._forwarded(monkeypatch, system)
+        packet, general, offered = self._forwarded(monkeypatch, system, plain=True)
         assert general == 0
+        # every entry leaves on one link, none is handled here: the
+        # arrived Message goes on, payload and path metadata untouched
+        assert packet is offered
+        assert list(packet.payload) == ["event_id", "scheme", "point", "entries"]
+        assert packet.size_bytes == 20 + 100 + 9
+        assert (packet.src, packet.kind) == (0, "ps_event")
+        assert packet.dst == system.nodes[0]._route(packet.payload["entries"][0][0])
+        assert (packet.hops, packet.root_time) == (3, 4.0)
+        assert packet.span_id is None
+
+    def test_general_loop_builds_a_packet_per_link(self, monkeypatch):
+        system, _scheme = tiny_system()
+        packet, general, offered = self._forwarded(monkeypatch, system)
+        assert general == 1
+        assert packet is not offered
+        assert packet.payload is not offered.payload
         assert list(packet.payload) == ["event_id", "scheme", "point", "entries"]
         assert packet.size_bytes == 20 + 100 + 9
         # ... continuing the path of the packet it was derived from
         assert (packet.src, packet.kind) == (0, "ps_event")
-        assert (packet.hops, packet.path_latency, packet.root_time) == (3, 12.5, 4.0)
+        assert (packet.hops, packet.root_time) == (3, 4.0)
         assert packet.span_id is None
 
     def test_inherited_fields_take_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
-        packet, general = self._forwarded(
+        packet, general, _offered = self._forwarded(
             monkeypatch, system, {"fo": 2, "pub": 1, "pseq": 4, "deps": [[2, 1]]}
         )
         assert general == 1
@@ -237,7 +260,7 @@ class TestEventReceivePath:
 
     def test_custody_metadata_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
-        packet, general = self._forwarded(
+        packet, general, _offered = self._forwarded(
             monkeypatch, system, meta={"t": [3, 1]}
         )
         assert general == 1
@@ -247,8 +270,8 @@ class TestEventReceivePath:
     def test_edge_tracing_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system()
         system.tracing = True  # flipped after construction: read per packet
-        _packet, general = self._forwarded(monkeypatch, system)
-        assert general == 1
+        packet, general, offered = self._forwarded(monkeypatch, system, plain=True)
+        assert general == 1 and packet is not offered
 
     def test_piggyback_takes_the_general_loop(self, monkeypatch):
         system, _scheme = tiny_system(piggyback_maintenance=True)
@@ -259,7 +282,7 @@ class TestEventReceivePath:
         monkeypatch.setattr(
             node_cls, "_pb_due", lambda self, dst: asked.append(dst) or True
         )
-        packet, general = self._forwarded(monkeypatch, system)
+        packet, general, _offered = self._forwarded(monkeypatch, system)
         assert general == 1 and asked == [packet.dst]
         assert packet.payload["pb"]["addr"] == 0
         assert packet.size_bytes == 20 + 100 + 9 + 24
@@ -360,7 +383,7 @@ class TestEventEdgeCases:
                 "event_id": eid, "scheme": "s", "point": event.point,
                 "entries": [(sid.nid, sid.iid)],
             },
-            0, 2, 1.0, 0.0, None,
+            0, 2, 0.0, None,
         )
         node._failover_resend(state, 1)
         system.run_until_idle()

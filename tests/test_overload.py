@@ -26,16 +26,12 @@ class Recorder(SimNode):
         super().__init__(addr, network)
         self.received = []
         self.sheds = []
-        self.is_alive = True
 
     def handle_message(self, msg):
         self.received.append((self.sim.now, msg))
 
     def on_ingress_shed(self, msg):
         self.sheds.append(msg)
-
-    def alive(self):
-        return self.is_alive
 
 
 class PriorityRecorder(Recorder):
@@ -145,7 +141,7 @@ class TestServiceModel:
         nodes[1].service_rate = 0.5
         for _ in range(4):
             net.send(msg(0, 1))
-        sim.schedule_at(51.0, lambda: setattr(nodes[1], "is_alive", False))
+        sim.schedule_at(51.0, nodes[1].fail)
         sim.run()
         # One served at 52 would be dead; the service tick finds the node
         # dead and drains everything still queued.
@@ -208,7 +204,7 @@ class TestStorm:
 
     def test_storm_skips_dead_target(self):
         sim, net, nodes = make_net()
-        nodes[2].is_alive = False
+        nodes[2].fail()
         net.start_storm(2, rate_msgs_per_ms=1.0, until_ms=3.0)
         sim.run()
         assert nodes[2].received == []

@@ -31,12 +31,13 @@ N_OPS = 400
 #: Python minor -> (simulated fingerprint, calls) of :func:`profiled_churn`.
 #: The fingerprint must not move at all; the calls are a ceiling.  After
 #: a change that lowers the count, lower the ceiling to what the failure
-#: message reports.
+#: message reports.  (75 300 before liveness became a flag the network
+#: reads per arrival and the scheduler stopped counting per dispatch.)
 PINNED = {
     (3, 11): (
         {"dht_lookup_reply": 1343, "dht_lookup_step": 1343, "ps_register": 211,
          "ps_unregister": 187},
-        75_300,
+        72_216,
     ),
 }
 

@@ -185,8 +185,8 @@ class TestWireFormatOwners:
     (docs/ALGORITHMS.md, "Wire formats"), so a format change -- or a
     serialiser for real sockets -- has one site to land on."""
 
-    #: ``ps_event``: the forward step's two emit loops (the straight
-    #: line's and the general loop's ``Message(...)``), the
+    #: ``ps_event``: the forward step's two emit loops (the best-effort
+    #: handler's fan-out and the general loop's ``Message(...)``), the
     #: self-addressed builder and the retransmit
     MAX_SITES = {"ps_event": 4}
 

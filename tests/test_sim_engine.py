@@ -236,6 +236,70 @@ def test_live_tracks_nested_scheduling():
     assert sim.live == 0
 
 
+def test_counters_are_exact_after_a_callback_raises():
+    """``processed`` is settled when ``run`` ends, by an exception too:
+    the callbacks that returned count, the one that raised does not;
+    ``live`` is what is still queued, whatever the raiser left."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+
+    def raiser():
+        sim.schedule(5.0, lambda: None)
+        raise RuntimeError("callback failed")
+
+    sim.schedule(3.0, raiser)
+    sim.schedule(4.0, lambda: None)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run()
+    assert (sim.now, sim.processed, sim.live) == (3.0, 2, 2)
+    assert sim.run() == 2
+    assert (sim.processed, sim.live, sim.pending) == (4, 0, 0)
+
+
+def test_counters_are_exact_at_a_max_events_stop():
+    """One-shots, a cancelled stub, a timeout lane with a cancelled
+    head and a periodic series, stopped by the ``max_events`` budget."""
+    sim = Simulator()
+    handles = [sim.schedule(float(t), lambda: None) for t in range(1, 7)]
+    sim.cancel(handles[1])  # t = 2: a stub
+    lane = sim.timeout_lane(2.5)
+    timers = [lane.arm(lambda: None) for _ in range(3)]  # all at t = 2.5
+    sim.cancel(timers[0])  # the head: its successor takes the heap slot
+    series = sim.schedule_every(1.5, lambda: None, until=4.0)  # t = 1.5, 3.0
+    assert sim.live == 5 + 2 + 1
+    # fires t = 1, 1.5 (re-arms for 3.0), 2.5, 2.5
+    assert sim.run(max_events=4) == 4
+    assert (sim.now, sim.processed, sim.live) == (2.5, 4, 4 + 1)
+    sim.cancel(series)
+    assert sim.live == 4
+    assert sim.run(max_events=10) == 4
+    assert (sim.processed, sim.live) == (8, 0)
+
+
+def test_live_is_exact_when_read_mid_run():
+    """The telemetry gauge (``sim.live_events``) reads ``live`` from a
+    callback: queued work net of cancelled stubs, lane backlog
+    included, the running callback excluded.  ``processed`` is settled
+    when the ``run`` call ends, so mid-run it reads the count from
+    before the call."""
+    sim = Simulator()
+    handles = [sim.schedule(float(t), lambda: None) for t in range(1, 9)]
+    sim.cancel(handles[6])  # t = 7
+    lane = sim.timeout_lane(10.0)
+    timers = [lane.arm(lambda: None) for _ in range(3)]  # all at t = 10
+    sim.cancel(timers[0])
+    seen = []
+    sim.schedule_every(
+        2.5, lambda: seen.append((sim.now, sim.live, sim.processed)), until=9.0
+    )
+    sim.run()
+    # at 2.5: t = 3, 4, 5, 6, 8 and two lane timers; at 5.0 the t = 5
+    # one-shot has fired (it was queued first); at 7.5 only t = 8 is left
+    assert seen == [(2.5, 5 + 2, 0), (5.0, 2 + 2, 0), (7.5, 1 + 2, 0)]
+    assert (sim.processed, sim.live) == (7 + 2 + 3, 0)
+
+
 # ----------------------------------------------------------------------
 # Handle records: timeout lanes, periodic series, cancellation
 # ----------------------------------------------------------------------

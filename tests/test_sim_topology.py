@@ -66,7 +66,16 @@ class TestLatencyMemo:
         assert topo.latency_ms(1, 0) == 21.0
         assert topo.latency_ms(2, 1) == 499.5
         assert topo.latency_ms(1, 2) == 499.5
-        assert sorted(topo._latency_memo) == [(0, 1), (1, 2)]
+        # one int per link, ``hi * hi + lo``
+        assert sorted(topo._latency_memo) == [1 * 1 + 0, 2 * 2 + 1]
+
+    def test_every_link_has_its_own_memo_key(self):
+        n = 30  # 435 links, under the memo's bound of 16 per node
+        topo = ConstantTopology(n, rtt=10.0)
+        for a in range(n):
+            for b in range(n):
+                topo.latency_ms(a, b)
+        assert len(topo._latency_memo) == n * (n - 1) // 2
 
     def test_memo_is_bounded(self):
         topo = ConstantTopology(6, rtt=10.0)
