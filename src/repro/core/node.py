@@ -27,6 +27,7 @@ subscription migration).
 
 from __future__ import annotations
 
+from operator import le
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -1098,20 +1099,34 @@ class PubSubNodeMixin:
         if iid is None:
             # Rendezvous entry: match every repo reachable at this key
             # (the event's leaf, plus directly-visited shallow zones; an
-            # ancestor's key may equal its rightmost leaf's key).
+            # ancestor's key may equal its rightmost leaf's key) whose
+            # summary filter the event hits (Section 3.3).  A live repo's
+            # ``sf`` covers every box it holds (the registrar keeps it
+            # tight), so a point outside it -- a NaN coordinate included,
+            # as in the kernel -- matches nothing there: the scan is
+            # skipped, and hits and their order are unchanged.
             matched: List[Tuple[int, Optional[int]]] = []
+            pt = None  # the point as floats, converted once when needed
             for repo_key in self.rendezvous_index.get(nid, ()):
                 repo = self.zone_repos[repo_key]
                 entity = self.system.entity(repo.entity_key)
                 if entity.scheme.name != scheme_name:
                     continue
+                sf = repo.sf
+                if sf is not None:
+                    if pt is None:
+                        pt = point.tolist()
+                    if not (all(map(le, sf[0], pt)) and all(map(le, pt, sf[1]))):
+                        continue
                 matched += [
                     (s.nid, s.iid) for s in repo.store.match_point(point)
                 ]
             if not matched:
                 # Takeover path: we are responsible for this key but hold
                 # no live repo -- a standby replica of the failed primary
-                # serves the match instead (replication extension).
+                # serves the match instead (replication extension).  No
+                # filter guard here: ``register_standby`` puts boxes
+                # without merging them into the copy's ``sf``.
                 for repo_key in self.standby_rendezvous.get(nid, ()):
                     if repo_key in self.zone_repos:
                         continue  # already served live above

@@ -656,7 +656,19 @@ class HyperSubSystem:
         stabilize_interval_ms: Optional[float] = None,
         rpc_timeout_ms: Optional[float] = None,
     ) -> None:
-        """Start periodic overlay maintenance on every alive node."""
+        """Start periodic overlay maintenance on every alive node.
+
+        ``rpc_timeout_ms`` must exceed the largest RTT between two of
+        the system's nodes: a shorter timeout expires on every long link
+        before its reply can arrive, so live peers get suspected and
+        evicted and events loop around the damaged routing state."""
+        if rpc_timeout_ms is not None:
+            max_rtt = self.topology.max_rtt_ms()
+            if not rpc_timeout_ms > max_rtt:
+                raise ValueError(
+                    f"rpc_timeout_ms={rpc_timeout_ms} is not above the "
+                    f"topology's largest RTT, {max_rtt:.1f} ms"
+                )
         for node in self.nodes:
             if not node.alive():
                 continue

@@ -287,7 +287,10 @@ class TransportMixin:
         control).  Shedding is never silent: a reliable event packet is
         NACKed with ``ps_busy`` (the sender's copy stays pending, backs
         off and retries), anything else that carried deliveries is
-        accounted exactly like a transport give-up."""
+        accounted exactly like a transport give-up.  A shed
+        ``ps_event_ack`` or ``ps_busy`` is only counted and traced: its
+        ``rseq`` names a packet of the *other* node, so a NACK would back
+        off an unrelated pending packet of the sender's."""
         p = msg.payload if isinstance(msg.payload, dict) else None
         protected = self.system.config.overload_protection
         if protected:
@@ -299,7 +302,10 @@ class TransportMixin:
         if p is None:
             return
         rseq = p.get("rseq")
-        if protected and rseq is not None and msg.src != self.addr:
+        if (
+            protected and rseq is not None and msg.kind == "ps_event"
+            and msg.src != self.addr
+        ):
             self.send(
                 Message(
                     src=self.addr, dst=msg.src, kind="ps_busy",

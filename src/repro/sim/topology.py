@@ -36,6 +36,8 @@ class Topology(ABC):
     def __init__(self) -> None:
         #: link ``hi * hi + lo`` -> one-way latency, see :meth:`latency_ms`
         self._latency_memo: dict = {}
+        #: :meth:`max_rtt_ms`, once asked
+        self._max_rtt: float = -1.0
 
     @property
     @abstractmethod
@@ -80,6 +82,23 @@ class Topology(ABC):
         default loops.  Used heavily by proximity-neighbour selection.
         """
         return np.array([self.rtt_ms(a, b) for b in others], dtype=np.float64)
+
+    def max_rtt_ms(self) -> float:
+        """The largest RTT between two endpoints (0 for one endpoint).
+
+        Exact and cached (a topology is immutable): one :meth:`rtt_many`
+        row per endpoint, against the endpoints above it -- RTTs are
+        symmetric in every topology here."""
+        if self._max_rtt < 0.0:
+            n = self.size
+            self._max_rtt = max(
+                (
+                    float(self.rtt_many(a, np.arange(a + 1, n)).max())
+                    for a in range(n - 1)
+                ),
+                default=0.0,
+            )
+        return self._max_rtt
 
     def mean_rtt(self, sample_pairs: int = 50_000, seed: int = 12345) -> float:
         """Estimate the mean pairwise RTT by sampling distinct pairs."""

@@ -5,7 +5,10 @@
 (``tests/test_memory_budget.py``).  :func:`fixed_durable_system` is
 durable + FIFO under loss: scheduler dispatches per cause
 (``tests/test_guarantees.py``) and calls per custody entry
-(``tests/test_durable_calls.py``)."""
+(``tests/test_durable_calls.py``).  :func:`fixed_rendezvous_system` is
+best-effort with shallow zones visited directly and half its
+subscriptions wildcard on one attribute: rendezvous scans per event
+(``tests/test_rendezvous_scans.py``)."""
 
 import numpy as np
 
@@ -95,3 +98,42 @@ def run_durable(system: HyperSubSystem) -> None:
     system.run(until=40_000.0)
     system.stop_durable_redelivery()
     system.run_until_idle()
+
+
+N_SCAN_NODES = 64
+N_SCAN_SUBS = 200
+N_SCAN_EVENTS = 80
+
+
+def fixed_rendezvous_system() -> HyperSubSystem:
+    """64 nodes, best-effort, the default ``direct_rendezvous_levels``
+    (8, so every event visits the occupied shallow zones directly), 200
+    subscriptions -- every second one leaves one attribute at the full
+    domain (the paper's Section 3.5 case) -- and 80 uniform events
+    scheduled: ``run_until_idle()`` is the event phase.  A shallow
+    zone's key is the last id of its arc, so it shares that key with its
+    rightmost descendants, and a visit to it scans them all."""
+    system = HyperSubSystem(
+        num_nodes=N_SCAN_NODES, config=HyperSubConfig(seed=23, code_bits=12)
+    )
+    scheme = Scheme("w", [Attribute(x, 0, 1_000) for x in "abc"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(23)
+    for k in range(N_SCAN_SUBS):
+        centre = rng.uniform(0, 1_000, size=3)
+        width = rng.uniform(20, 150, size=3)
+        lows = np.maximum(centre - width, 0.0)
+        highs = np.minimum(centre + width, 1_000.0)
+        if k % 2:
+            lows[k % 3], highs[k % 3] = 0.0, 1_000.0
+        system.subscribe(
+            int(rng.integers(0, N_SCAN_NODES)),
+            Subscription.from_box(scheme, lows.tolist(), highs.tolist()),
+        )
+    system.finish_setup()
+    for k, point in enumerate(rng.uniform(0, 1_000, size=(N_SCAN_EVENTS, 3))):
+        system.sim.schedule_at(
+            system.sim.now + 40.0 * k, system.publish,
+            int(rng.integers(0, N_SCAN_NODES)), Event(scheme, point.tolist()),
+        )
+    return system

@@ -256,3 +256,32 @@ class TestScheduledPublication:
         system.run_until_idle()
         (rec,) = system.metrics.records.values()
         assert rec.publish_time == 500.0
+
+
+class TestMaintenanceTimeout:
+    def _ring(self):
+        return HyperSubSystem(
+            num_nodes=16, config=HyperSubConfig(seed=4, code_bits=12, base=2)
+        )
+
+    def test_timeout_below_the_largest_rtt_is_refused(self):
+        """A 200 ms RPC timeout on this ring (largest RTT 393.3 ms) once
+        turned 796 ps_event packets into 3 611 and let 45 die at the
+        TTL: every long link's reply arrives after its timeout."""
+        system = self._ring()
+        assert system.topology.max_rtt_ms() == pytest.approx(393.3, abs=0.05)
+        with pytest.raises(ValueError, match=r"rpc_timeout_ms=200.0 .* 393\.3 ms"):
+            system.start_maintenance(
+                stabilize_interval_ms=300.0, rpc_timeout_ms=200.0
+            )
+        assert all(n.rpc_timeout_ms == 2000.0 for n in system.nodes)
+        with pytest.raises(ValueError):
+            system.start_maintenance(rpc_timeout_ms=system.topology.max_rtt_ms())
+
+    def test_timeout_above_the_largest_rtt_runs(self):
+        system = self._ring()
+        system.start_maintenance(stabilize_interval_ms=300.0, rpc_timeout_ms=1_500.0)
+        assert all(n.rpc_timeout_ms == 1_500.0 for n in system.nodes)
+        system.run(until=system.sim.now + 2_000.0)
+        system.stop_maintenance()
+        system.run_until_idle()

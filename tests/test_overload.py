@@ -13,10 +13,11 @@ from repro.core import (
     Scheme,
     Subscription,
 )
+from repro.core.transport import RelPending
 from repro.faults import FaultSchedule
 from repro.faults.schedule import FaultAction
 from repro.sim.engine import Simulator
-from repro.sim.messages import Message
+from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network, SimNode
 from repro.sim.topology import ConstantTopology
 
@@ -403,3 +404,61 @@ class TestEndToEnd:
         system.run(until=system.sim.now + 5_000.0)
         system.stop_maintenance()
         system.run_until_idle()
+
+
+# ---------------------------------------------------------------------------
+# Only a shed ps_event is NACKed
+# ---------------------------------------------------------------------------
+class TestShedNack:
+    """An ack or a NACK carries ``rseq`` too, but it names a packet of
+    the *other* node: NACKing it would back off an unrelated packet of
+    the sender's that happens to have the same number."""
+
+    SEQ = 1
+
+    def _pair(self):
+        """Node 0 with a full, control-only ingress queue; node 1 with
+        a pending reliable packet of sequence number ``SEQ``."""
+        cfg = HyperSubConfig(
+            seed=3, code_bits=12, reliable_delivery=True,
+            retransmit_timeout_ms=5_000.0, service_model=True,
+            service_rate_msgs_per_ms=0.5, ingress_queue_capacity=2,
+            overload_protection=True,
+        )
+        system = HyperSubSystem(num_nodes=4, config=cfg)
+        a, b = system.nodes[0], system.nodes[1]
+        state = RelPending(2, {"event_id": 9}, 100, 0, 0.0, None)
+        state.timer = system.sim.schedule(20_000.0, lambda: None)
+        b._rel_pending[self.SEQ] = state
+        for rseq in (70, 71):  # acks for packets node 0 never sent
+            a.enqueue(Message(3, 0, "ps_event_ack", {"rseq": rseq}, CONTROL_BYTES))
+        assert a.ingress_depth == 2
+        return system, a, b, state
+
+    @pytest.mark.parametrize("kind", ["ps_event_ack", "ps_busy"])
+    def test_shed_control_packet_is_not_nacked(self, kind):
+        system, a, b, state = self._pair()
+        timer = state.timer
+        a.enqueue(Message(1, 0, kind, {"rseq": self.SEQ}, CONTROL_BYTES))
+        stats = system.network.stats
+        assert stats.shed == 1 and stats.dropped_by_cause["overflow"] == 1
+        system.run(until=system.sim.now + 5_000.0)
+        assert stats.msgs_by_kind.get("ps_busy", 0) == 0
+        assert stats.busy_backoffs == 0
+        assert state.busy == 0 and state.timer is timer
+        assert b._rel_pending[self.SEQ] is state
+
+    def test_shed_event_packet_is_nacked(self):
+        """The contrast: the same shed as a reliable ps_event backs the
+        sender's packet off."""
+        system, a, b, state = self._pair()
+        timer = state.timer
+        a.enqueue(
+            Message(1, 0, "ps_event", {"rseq": self.SEQ, "event_id": 9}, 100)
+        )
+        stats = system.network.stats
+        assert stats.shed == 1
+        system.run(until=system.sim.now + 5_000.0)
+        assert stats.msgs_by_kind["ps_busy"] == 1
+        assert stats.busy_backoffs == 1
+        assert state.busy == 1 and state.timer is not timer

@@ -222,3 +222,26 @@ class TestJitter:
     def test_jitter_varies_across_pairs(self):
         vals = {_pair_jitter(0, b, 0.15) for b in range(1, 50)}
         assert len(vals) > 40
+
+
+class TestMaxRtt:
+    @pytest.mark.parametrize("n, seed", [(2, 1), (16, 4), (40, 9)])
+    def test_king_like_max_is_the_largest_pair(self, n, seed):
+        topo = KingLikeTopology(n, seed=seed)
+        rows = max(float(topo.rtt_many(a, range(n)).max()) for a in range(n))
+        assert topo.max_rtt_ms() == rows
+        # the scalar and vector paths may differ in the last bit
+        every = max(topo.rtt_ms(a, b) for a in range(n) for b in range(n))
+        assert topo.max_rtt_ms() == pytest.approx(every, rel=1e-12)
+
+    def test_explicit_and_constant(self):
+        m = np.array([[0.0, 5.0, 9.5], [5.0, 0.0, 2.0], [9.5, 2.0, 0.0]])
+        assert ExplicitTopology(m).max_rtt_ms() == 9.5
+        assert ConstantTopology(4, rtt=42.0).max_rtt_ms() == 42.0
+        assert ConstantTopology(1).max_rtt_ms() == 0.0
+
+    def test_computed_once(self, monkeypatch):
+        topo = KingLikeTopology(12, seed=3)
+        first = topo.max_rtt_ms()
+        monkeypatch.setattr(topo, "rtt_many", None)  # a second pass would fail
+        assert topo.max_rtt_ms() == first
