@@ -79,8 +79,8 @@ def main(argv=None) -> int:
         "experiment",
         choices=sorted(EXPERIMENTS)
         + ["all", "bench", "list", "top", "trace"],
-        help="experiment id (see `list`), `bench` for the tracked perf "
-        "harness, `chaos` for a randomized fault campaign, `top` to "
+        help="experiment id (see `list`), `bench` for the perf ledger, "
+        "`chaos` for a randomized fault campaign, `top` to "
         "watch a running sweep, or `trace` to inspect a trace",
     )
     parser.add_argument(
@@ -136,23 +136,10 @@ def main(argv=None) -> int:
         help="(trace) emit the event's raw spans as JSON",
     )
     parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default="BENCH_hotpath.json",
-        help="(bench) where to write the results JSON",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="(bench) diff this run against the last committed "
-        "BENCH_trajectory.json point and fail on a >20%% floor "
-        "regression (docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--trajectory",
         metavar="FILE",
         default=None,
-        help="(bench) trajectory file to compare against and append to "
+        help="(bench) trajectory file to append the point to "
         "(default: BENCH_trajectory.json)",
     )
     parser.add_argument(
@@ -265,9 +252,6 @@ def main(argv=None) -> int:
         from repro.bench import DEFAULT_TRAJECTORY_PATH, run_bench
 
         return run_bench(
-            args.out,
-            telemetry_dir=args.telemetry_out,
-            compare=args.compare,
             trajectory_path=args.trajectory or DEFAULT_TRAJECTORY_PATH,
             e2e_summary_path=args.e2e_summary,
             note=args.note,

@@ -1,28 +1,37 @@
-"""Tracked perf-regression harness: ``python -m repro bench``.
+"""The deterministic perf ledger: ``python -m repro bench``.
 
-End-to-end throughput is measured by ``benchmarks/e2e``; this module
-times the few kernels no e2e workload or tier-1 test isolates
-(scheduler dispatch, the retransmission-timer lane, Chord next-hop
-routing, local matching and ``pop_matching``), each against the
-reference it replaced, runs one fig2-shaped macro delivery, and writes
-everything to ``BENCH_hotpath.json`` (see docs/PERFORMANCE.md for how
-to read it).
+The paper judges HyperSub by what its simulation counts (hops, bytes
+per event, stored subscriptions), never by host seconds, and so does
+this module.  The **ledger** is a set of fixed scenarios, each of which
+reports counters that repeat exactly on any host of the same Python
+minor (and, for the memory scenario, the same NumPy major):
 
-CI's ``bench-smoke`` job runs ``python -m repro bench --quick
---compare``, uploads the JSON as an artifact and fails the build when a
-floor check fails -- so a routing or scheduler regression shows up as a
-red build, not as a mysteriously slower ``fig5`` three PRs later.
+* calls of the program's own functions, plus the builtins they call,
+  counted by ``cProfile`` (:func:`program_calls`);
+* simulated messages and bytes by kind, worklist entries, scheduler
+  dispatches and ``match_point`` calls;
+* allocated blocks and zone bytes;
+* state and delivery digests.
 
-The **trajectory** turns single snapshots into history: every bench run
-appends one point (git rev, environment fingerprint, the floor
-metrics including ``mem.bytes_per_node``) to the committed
-``BENCH_trajectory.json``, and ``bench --compare`` diffs the fresh run
-against the last committed comparable point, failing on a >20%
-regression of any floor (docs/PERFORMANCE.md).
+Calls, ``match_point`` calls, blocks and zone bytes are ceilings
+(:data:`CEILINGS`); everything else is simulated and exact.
+``tests/test_ledger.py`` compares every row with the pinned table
+``tests/data/ledger.json`` and shows by mutation that each row fails on
+the regression it stands for.  End-to-end speed is the business of
+``benchmarks/e2e``; docs/PERFORMANCE.md says what a call count cannot
+see.
+
+``python -m repro bench`` runs the ledger and appends one point (the
+ledger, the environment, the git revision, optionally the e2e medians
+of a ``benchmarks/e2e/run.py`` summary and a note) to the committed
+``BENCH_trajectory.json``.
 """
 
 from __future__ import annotations
 
+import cProfile
+import gc
+import hashlib
 import json
 import os
 import platform
@@ -30,11 +39,19 @@ import random
 import sys
 import time
 from pathlib import Path
-from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional
 
-#: Version tag for downstream readers of BENCH_hotpath.json.
-SCHEMA = "repro-bench/1"
+import numpy as np
+
+import repro
+from repro.core import (
+    Attribute,
+    Event,
+    HyperSubConfig,
+    HyperSubSystem,
+    Scheme,
+    Subscription,
+)
 
 #: Version tag of the committed trajectory file.
 TRAJECTORY_SCHEMA = "repro-bench-trajectory/1"
@@ -42,141 +59,509 @@ TRAJECTORY_SCHEMA = "repro-bench-trajectory/1"
 #: Where the trajectory lives (committed at the repo root).
 DEFAULT_TRAJECTORY_PATH = "BENCH_trajectory.json"
 
-#: ``--compare`` fails when a floor metric regresses by more than this.
-REGRESSION_TOLERANCE = 0.20
+#: Counters that are ceilings: a change may lower them.  Every other
+#: counter is simulated and must not move at all.
+CEILINGS = frozenset({"calls", "match_point", "blocks", "zone_bytes"})
 
-#: Conservative floor for scheduler throughput (events/sec).  A shared
-#: CI runner is easily 5x slower than a laptop; the floor only has to
-#: catch order-of-magnitude regressions (an accidental O(n) heap scan).
-SCHEDULER_FLOOR_OPS = 50_000.0
-
-#: The snapshot router must stay well ahead of the linear scan it
-#: replaced (acceptance gate of the routing rework; measured ~30x).
-ROUTING_SPEEDUP_FLOOR = 3.0
+#: the package's own source files are the program
+_PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
 # ----------------------------------------------------------------------
-# Micro benchmarks
+# Counting
 # ----------------------------------------------------------------------
-def _bench_scheduler(events: int = 20_000, repeat: int = 3) -> Dict[str, Any]:
-    """Schedule+dispatch throughput of chained callbacks."""
-    from repro.sim.engine import Simulator
-
-    best = float("inf")
-    for _ in range(repeat):
-        sim = Simulator()
-        remaining = [events]
-
-        def tick() -> None:
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                sim.schedule(1.0, tick)
-
-        t0 = perf_counter()
-        sim.schedule(0.0, tick)
-        sim.run()
-        best = min(best, perf_counter() - t0)
-    return {
-        "events": events,
-        "best_seconds": best,
-        "ops_per_sec": events / best,
-    }
+def _is_program(code, also: Iterable[str]) -> bool:
+    return not isinstance(code, str) and (
+        code.co_filename.startswith(_PACKAGE_DIR)
+        or code.co_filename == "<string>"  # generated dataclass methods
+        or code.co_filename in also
+    )
 
 
-def _bench_scheduler_lane(timers: int = 20_000, repeat: int = 3) -> Dict[str, Any]:
-    """Retransmission-timer traffic: one timer armed per step with a
-    constant delay, nine in ten cancelled 100 steps later (the ack),
-    one in ten left to fire.  Timed through a ``TimeoutLane`` and, as
-    the reference, through ``schedule()`` / ``Simulator.cancel``; the
-    two must fire the same timers at the same times."""
-    from repro.sim.engine import Simulator
+def program_calls(prof: cProfile.Profile, also: Iterable[str] = ()) -> int:
+    """Calls of the program's own functions plus the builtins they call.
 
-    def run(use_lane: bool) -> Tuple[float, List[Tuple[float, int]]]:
-        sim = Simulator()
-        arm = sim.timeout_lane(1_000.0).arm if use_lane else (
-            lambda fn, *args: sim.schedule(1_000.0, fn, *args)
-        )
-        fired: List[Tuple[float, int]] = []
-        armed: List[Any] = []
-
-        def expire(i: int) -> None:
-            fired.append((sim.now, i))
-
-        def step() -> None:
-            i = len(armed)
-            armed.append(arm(expire, i))
-            if i >= 100 and (i - 100) % 10:
-                sim.cancel(armed[i - 100])
-            if i + 1 < timers:
-                sim.schedule(1.0, step)
-
-        t0 = perf_counter()
-        sim.schedule(0.0, step)
-        sim.run()
-        return perf_counter() - t0, fired
-
-    lane_s = ref_s = float("inf")
-    agree = True
-    for _ in range(repeat):
-        seconds, fired = run(True)
-        lane_s = min(lane_s, seconds)
-        seconds, ref_fired = run(False)
-        ref_s = min(ref_s, seconds)
-        agree = agree and fired == ref_fired
-    return {
-        "timers": timers,
-        "fired": len(fired),
-        "agree": agree,
-        "best_seconds": lane_s,
-        "ops_per_sec": timers / lane_s,
-        "reference_ops_per_sec": timers / ref_s,
-        "speedup": ref_s / lane_s,
-    }
-
-
-def _bench_routing(
-    ring_nodes: int = 1024,
-    chain_keys: int = 200,
-    point_keys: int = 20_000,
-    repeat: int = 3,
-) -> Dict[str, Any]:
-    """Chord next-hop routing on a stabilised ring.
-
-    Two views: per-call ``_closest_preceding`` (bisect snapshot) against
-    the reference linear scan, and the end-to-end chain walk every event
-    hop performs (``next_hop_addr`` until the home node answers).
+    Summed over the profiler's entries, one per code object: ``pstats``
+    keys by (file, line, name) and lets every generated dataclass
+    ``__init__`` ("<string>", 2) overwrite the previous one.  Frames of
+    anything else -- a ``gc.callbacks`` hook some library installed, the
+    profiler's own ``disable``, whatever directory the checkout sits in
+    -- are not the program's.  ``also`` names further source files to
+    count as the program (a test's patched-in functions).
     """
+    also = tuple(also)
+    calls = 0
+    for entry in prof.getstats():
+        if not _is_program(entry.code, also):
+            continue
+        calls += entry.callcount
+        calls += sum(
+            sub.callcount for sub in entry.calls or () if isinstance(sub.code, str)
+        )
+    return calls
+
+
+def calls_of(prof: cProfile.Profile, name: str) -> int:
+    """Calls of the program's functions named ``name``."""
+    return sum(
+        entry.callcount
+        for entry in prof.getstats()
+        if _is_program(entry.code, ()) and entry.code.co_name == name
+    )
+
+
+def _profiled(fn: Callable[..., Any], *args: Any):
+    """``(fn(*args), the profile of that call)``."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        result = fn(*args)
+    finally:
+        prof.disable()
+    return result, prof
+
+
+def delivery_digest(system) -> str:
+    """sha256 over every delivery: (event, SubID, addr, hops, latency)."""
+    h = hashlib.sha256()
+    for eid, rec in sorted(system.metrics.records.items()):
+        for delivery in sorted(
+            ((d[0].nid, d[0].iid), d[1], d[2], d[3]) for d in rec.deliveries
+        ):
+            h.update(repr((eid, delivery)).encode())
+    return h.hexdigest()
+
+
+def _traffic(system) -> Dict[str, Any]:
+    """Simulated messages and bytes by kind, worklist entries (one
+    route-cache lookup each), deliveries and their digest."""
+    stats = system.network.stats
+    rc = system.route_cache_stats()
+    return {
+        "msgs": dict(sorted(stats.msgs_by_kind.items())),
+        "bytes": dict(sorted(stats.bytes_by_kind.items())),
+        "entries": int(rc["hits"] + rc["misses"]),
+        "rc_hits": int(rc["hits"]),
+        "deliveries": sum(len(r.deliveries) for r in system.metrics.records.values()),
+        "digest": delivery_digest(system),
+    }
+
+
+# ----------------------------------------------------------------------
+# The fixed systems
+# ----------------------------------------------------------------------
+N_NODES = 80
+N_SUBS = 240
+N_EVENTS = 60
+
+
+def fixed_system() -> HyperSubSystem:
+    """Best-effort: 80 nodes, 240 clustered subscriptions installed, 60
+    events scheduled and not yet run: ``run_until_idle()`` is the event
+    phase."""
+    system = HyperSubSystem(
+        num_nodes=N_NODES, config=HyperSubConfig(seed=5, code_bits=12)
+    )
+    scheme = Scheme("s", [Attribute(x, 0, 10_000) for x in "abcd"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(11)
+    for _ in range(N_SUBS):
+        centre = rng.normal(3_000, 400, size=4) % 10_000
+        width = rng.uniform(200, 900, size=4)
+        system.subscribe(
+            int(rng.integers(0, N_NODES)),
+            Subscription.from_box(
+                scheme,
+                np.maximum(centre - width, 0.0).tolist(),
+                np.minimum(centre + width, 10_000.0).tolist(),
+            ),
+        )
+    system.finish_setup()
+    events = [
+        (int(rng.integers(0, N_NODES)), Event(scheme, point.tolist()))
+        for point in rng.normal(3_000, 400, size=(N_EVENTS, 4)) % 10_000
+    ]
+    for k, (addr, event) in enumerate(events):
+        system.sim.schedule_at(system.sim.now + 50.0 * k, system.publish, addr, event)
+    return system
+
+
+N_DURABLE_NODES = 60
+N_DURABLE_EVENTS = 120
+
+
+def fixed_durable_system() -> HyperSubSystem:
+    """60 nodes, one subscription each, durable + FIFO delivery under
+    3 % loss, custody redelivery started and 120 events scheduled 25 ms
+    apart: :func:`run_durable` is the event phase."""
+    cfg = HyperSubConfig(
+        seed=16, code_bits=12, reliable_delivery=True,
+        retransmit_timeout_ms=1_000.0, max_retries=2,
+        delivery_mode="durable", ordering="fifo",
+        direct_rendezvous_levels=21, durable_redelivery_ms=2_000.0,
+        durable_rejoin_grace_ms=2_000.0,
+    )
+    system = HyperSubSystem(num_nodes=N_DURABLE_NODES, config=cfg)
+    scheme = Scheme("s", [Attribute(x, 0, 1000) for x in "ab"])
+    system.add_scheme(scheme)
+    for a in range(N_DURABLE_NODES):
+        system.subscribe(
+            a,
+            Subscription.from_box(
+                scheme, [13.0 * a % 700, 50.0], [13.0 * a % 700 + 250.0, 950.0]
+            ),
+        )
+    system.finish_setup()
+    system.network.set_loss_rate(0.03, seed=16)
+    system.start_durable_redelivery()
+    for i in range(N_DURABLE_EVENTS):
+        system.sim.schedule_at(
+            25.0 * i, system.publish, i % N_DURABLE_NODES,
+            Event(scheme, [37.0 * i % 1000, 500.0]),
+        )
+    return system
+
+
+def run_durable(system: HyperSubSystem) -> None:
+    """The event phase of :func:`fixed_durable_system`: 40 s of traffic
+    and redelivery, then drained with redelivery stopped."""
+    system.run(until=40_000.0)
+    system.stop_durable_redelivery()
+    system.run_until_idle()
+
+
+N_SCAN_NODES = 64
+N_SCAN_SUBS = 200
+N_SCAN_EVENTS = 80
+
+
+def fixed_rendezvous_system() -> HyperSubSystem:
+    """64 nodes, best-effort, the default ``direct_rendezvous_levels``
+    (8, so every event visits the occupied shallow zones directly), 200
+    subscriptions -- every second one leaves one attribute at the full
+    domain (the paper's Section 3.5 case) -- and 80 uniform events
+    scheduled: ``run_until_idle()`` is the event phase.  A shallow
+    zone's key is the last id of its arc, so it shares that key with its
+    rightmost descendants, and a visit to it lists them all."""
+    system = HyperSubSystem(
+        num_nodes=N_SCAN_NODES, config=HyperSubConfig(seed=23, code_bits=12)
+    )
+    scheme = Scheme("w", [Attribute(x, 0, 1_000) for x in "abc"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(23)
+    for k in range(N_SCAN_SUBS):
+        centre = rng.uniform(0, 1_000, size=3)
+        width = rng.uniform(20, 150, size=3)
+        lows = np.maximum(centre - width, 0.0)
+        highs = np.minimum(centre + width, 1_000.0)
+        if k % 2:
+            lows[k % 3], highs[k % 3] = 0.0, 1_000.0
+        system.subscribe(
+            int(rng.integers(0, N_SCAN_NODES)),
+            Subscription.from_box(scheme, lows.tolist(), highs.tolist()),
+        )
+    system.finish_setup()
+    for k, point in enumerate(rng.uniform(0, 1_000, size=(N_SCAN_EVENTS, 3))):
+        system.sim.schedule_at(
+            system.sim.now + 40.0 * k, system.publish,
+            int(rng.integers(0, N_SCAN_NODES)), Event(scheme, point.tolist()),
+        )
+    return system
+
+
+N_CHURN_NODES = 100
+N_CHURN_INITIAL = 200
+N_CHURN_OPS = 400
+
+
+def churn_system() -> HyperSubSystem:
+    """100 nodes installing through simulated lookups
+    (``simulate_install=True``), 200 subscriptions installed, then 400
+    subscribe / unsubscribe operations scheduled 20 ms apart and not yet
+    run: ``run_until_idle()`` is the churn phase."""
+    system = HyperSubSystem(
+        num_nodes=N_CHURN_NODES,
+        config=HyperSubConfig(seed=5, code_bits=12, simulate_install=True),
+    )
+    scheme = Scheme("s", [Attribute(x, 0, 10_000) for x in "abcd"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(17)
+
+    def subscription():
+        centre = rng.uniform(0, 10_000, size=4)
+        width = rng.uniform(100, 2_500, size=4)
+        return Subscription.from_box(
+            scheme,
+            np.maximum(centre - width, 0.0).tolist(),
+            np.minimum(centre + width, 10_000.0).tolist(),
+        )
+
+    live = []
+    for _ in range(N_CHURN_INITIAL):
+        addr = int(rng.integers(0, N_CHURN_NODES))
+        live.append((addr, system.subscribe(addr, subscription())))
+    system.finish_setup()
+    for k in range(N_CHURN_OPS):
+        at = system.sim.now + 20.0 * (k + 1)
+        if rng.random() < 0.55 or not live:
+            addr = int(rng.integers(0, N_CHURN_NODES))
+            system.sim.schedule_at(at, system.subscribe, addr, subscription())
+        else:
+            addr, subid = live.pop(int(rng.integers(0, len(live))))
+            system.sim.schedule_at(at, system.unsubscribe, addr, subid)
+    return system
+
+
+N_POPULATE_NODES = 64
+N_POPULATE_SUBS = 1_000
+
+
+def populate_plan():
+    """A fixed 64-node system and the ``(addr, Subscription)`` pairs to
+    install into it: half narrow boxes that hash deep and cascade, half
+    boxes that pin one or two of the four attributes and leave the rest
+    to the domain."""
+    domain = 10_000.0
+    system = HyperSubSystem(
+        num_nodes=N_POPULATE_NODES, config=HyperSubConfig(seed=5, code_bits=12)
+    )
+    scheme = Scheme("s", [Attribute(x, 0, domain) for x in "abcd"])
+    system.add_scheme(scheme)
+    rng = np.random.default_rng(23)
+    plan = []
+    for k in range(N_POPULATE_SUBS + 1):
+        centre = rng.uniform(0, domain, size=4)
+        width = rng.uniform(10, 400, size=4)
+        lows = np.maximum(centre - width, 0.0)
+        highs = np.minimum(centre + width, domain)
+        if k % 2:
+            free = rng.random(4) < 0.6
+            lows[free], highs[free] = 0.0, domain
+        sub = Subscription.from_box(scheme, lows.tolist(), highs.tolist())
+        plan.append((int(rng.integers(0, N_POPULATE_NODES)), sub))
+    return system, plan
+
+
+def state_digest(system) -> str:
+    """Digest of every repository's key, summary filter (as ``repr``,
+    so the sign of zero counts), children and stored entries in slot
+    order, the rendezvous index, the iid counters and
+    ``install_traffic``."""
+    h = hashlib.sha256()
+    for node in system.nodes:
+        for key, repo in sorted(node.zone_repos.items()):
+            store = repo.store
+            slots = [None if s is None else store.get_box(s) for s in store._subids]
+            h.update(repr((key, repr(repo.sf), sorted(repo.children.items()), slots)).encode())
+        h.update(repr(sorted(node.rendezvous_index.items())).encode())
+        h.update(repr((node._iid_counter, node._marker_iid_counter)).encode())
+    h.update(repr(sorted(system.install_traffic.items())).encode())
+    return h.hexdigest()[:16]
+
+
+# ----------------------------------------------------------------------
+# The scenarios: each returns one ledger row
+# ----------------------------------------------------------------------
+def _best_effort(also=()) -> Dict[str, Any]:
+    """The event phase of :func:`fixed_system`: the per-hop cost of
+    best-effort delivery."""
+    system = fixed_system()
+    before = system.sim.processed
+    _, prof = _profiled(system.run_until_idle)
+    return dict(
+        _traffic(system),
+        dispatches=system.sim.processed - before,
+        calls=program_calls(prof, also),
+    )
+
+
+def _memory(also=()) -> Dict[str, Any]:
+    """What a zone repository holds after set-up of :func:`fixed_system`
+    (the ``zones`` component of ``measure_system``) and the growth of
+    ``sys.getallocatedblocks()`` over its event phase.  The first run
+    in a process also fills caches, so the row is the second run's."""
+    from repro.telemetry.memory import measure_system
+
+    for _ in range(2):
+        system = fixed_system()
+        repos = sum(len(node.zone_repos) for node in system.nodes)
+        zones = measure_system(system, node_sample=len(system.nodes)).components["zones"]
+        gc.collect()
+        # The type attribute cache pins one name per address-chosen slot.
+        sys._clear_type_cache()
+        before = sys.getallocatedblocks()
+        system.run_until_idle()
+        gc.collect()
+        sys._clear_type_cache()
+        grown = sys.getallocatedblocks() - before
+    return {
+        "repositories": repos,
+        "zone_bytes": zones,
+        "deliveries": sum(r.matched for r in system.metrics.records.values()),
+        "blocks": grown,
+    }
+
+
+def _durable(also=()) -> Dict[str, Any]:
+    """The event phase of :func:`fixed_durable_system`: every
+    ``ps_event`` is a reliable packet with a retransmission record and
+    custody-tagged entries, so the hop ack, the custody log and the
+    subscriber acks are what the calls measure."""
+    system = fixed_durable_system()
+    before = system.sim.processed
+    _, prof = _profiled(run_durable, system)
+    stats = system.network.stats
+    return dict(
+        _traffic(system),
+        retransmissions=stats.retransmissions,
+        lost=stats.dropped_by_cause["loss"],
+        appends=stats.durable_counts["appends"],
+        undrained=sum(len(n.durable.log) for n in system.nodes),
+        dispatches=system.sim.processed - before,
+        calls=program_calls(prof, also),
+    )
+
+
+def _rendezvous(also=()) -> Dict[str, Any]:
+    """The event phase of :func:`fixed_rendezvous_system`: the
+    rendezvous loop scans only the repositories whose summary filter
+    the event point hits."""
+    system = fixed_rendezvous_system()
+    before = system.sim.processed
+    _, prof = _profiled(system.run_until_idle)
+    return dict(
+        _traffic(system),
+        match_point=calls_of(prof, "match_point"),
+        dispatches=system.sim.processed - before,
+        calls=program_calls(prof, also),
+    )
+
+
+def _registrar(also=()) -> Dict[str, Any]:
+    """The churn phase of :func:`churn_system`: Algorithms 2-3 through
+    simulated lookups."""
+    system = churn_system()
+    before = system.sim.processed
+    _, prof = _profiled(system.run_until_idle)
+    by_kind = system.network.stats.msgs_by_kind
+    return {
+        "msgs": {
+            kind: by_kind[kind]
+            for kind in ("dht_lookup_reply", "dht_lookup_step", "ps_register", "ps_unregister")
+        },
+        "install_traffic": {
+            kind: list(v) for kind, v in sorted(system.install_traffic.items())
+        },
+        "registrations": calls_of(prof, "_register_local"),
+        "dispatches": system.sim.processed - before,
+        "calls": program_calls(prof, also),
+    }
+
+
+def _overlay_build(also=()) -> Dict[str, Any]:
+    """``build_chord_overlay`` on a fixed 400-node King-like network:
+    PNS fingers from the occupied spans."""
+    from repro.dht.chord import build_chord_overlay
+    from repro.sim.engine import Simulator
+    from repro.sim.network import Network
+    from repro.sim.topology import KingLikeTopology
+
+    net = Network(Simulator(), KingLikeTopology(400, seed=3))
+    (nodes, _ring), prof = _profiled(build_chord_overlay, net, 3)
+    digest = hashlib.sha256(repr([node.fingers for node in nodes]).encode())
+    return {
+        "spans": sum(len(node.fingers) for node in nodes),
+        "digest": digest.hexdigest()[:16],
+        "calls": program_calls(prof, also),
+    }
+
+
+def _populate(also=()) -> Dict[str, Any]:
+    """Installing :func:`populate_plan` with ``simulate_install=False``:
+    the set-up path every workload pays once per subscription.  One
+    subscription goes in before the profiler starts: the first store of
+    a width in a process also makes the query column every store of that
+    width shares."""
+    system, plan = populate_plan()
+    subscribe = system.subscribe
+    subscribe(*plan.pop())
+
+    def install():
+        for addr, sub in plan:
+            subscribe(addr, sub)
+
+    _, prof = _profiled(install)
+    return {
+        "subscriptions": len(plan),
+        "registrations": sum(
+            count for kind, (count, _bytes) in system.install_traffic.items()
+            if kind != "unregister"
+        ),
+        "digest": state_digest(system),
+        "calls": program_calls(prof, also),
+    }
+
+
+N_TIMERS = 20_000
+
+
+def _deep_queue(also=()) -> Dict[str, Any]:
+    """The scheduler with a deep heap: 20 000 timers at random times, a
+    tenth of them cancelled while all are queued, and a timeout lane:
+    callback ``i`` arms a lane timer when ``i % 4 == 0`` and cancels the
+    newest one (an ack) when ``i % 4 == 2``."""
+    from repro.sim.engine import Simulator
+
+    sim = Simulator()
+    rng = random.Random(13)
+    times = [rng.uniform(0.0, 10_000.0) for _ in range(N_TIMERS)]
+    lane = sim.timeout_lane(250.0)
+    fired = []
+    armed = []
+
+    def expire(i):
+        fired.append((sim.now, -i))
+
+    def fire(i):
+        fired.append((sim.now, i))
+        if i % 4 == 0:
+            armed.append(lane.arm(expire, i))
+        elif i % 4 == 2 and armed:
+            sim.cancel(armed.pop())
+
+    def run():
+        handles = [sim.schedule_at(t, fire, i) for i, t in enumerate(times)]
+        for handle in handles[::10]:
+            sim.cancel(handle)
+        sim.run()
+
+    _, prof = _profiled(run)
+    return {
+        "dispatches": sim.processed,
+        "fired": len(fired),
+        "digest": hashlib.sha256(repr(fired).encode()).hexdigest()[:16],
+        "calls": program_calls(prof, also),
+    }
+
+
+def _chain_walk(also=()) -> Dict[str, Any]:
+    """Chord next-hop routing on a stabilised 1 024-node ring: 200 keys
+    walked from node 0 to their home node, the walk every event hop
+    performs."""
     from repro.dht.chord import build_chord_overlay
     from repro.sim.engine import Simulator
     from repro.sim.network import Network
     from repro.sim.topology import ConstantTopology
 
-    sim = Simulator()
-    net = Network(sim, ConstantTopology(ring_nodes, rtt=100.0))
+    net = Network(Simulator(), ConstantTopology(1024, rtt=100.0))
     nodes, _ring = build_chord_overlay(net, seed=4)
     rng = random.Random(0)
-    keys = [rng.getrandbits(64) for _ in range(chain_keys)]
+    keys = [rng.getrandbits(64) for _ in range(200)]
     for node in nodes:  # steady state: snapshots warm
         node.routing_snapshot()
+    path = []
 
-    # -- per-call: bisect vs reference linear scan ---------------------
-    probe = nodes[0]
-    pkeys = [rng.getrandbits(64) for _ in range(point_keys)]
-    bisect_s = float("inf")
-    linear_s = float("inf")
-    for _ in range(repeat):
-        t0 = perf_counter()
-        for k in pkeys:
-            probe._closest_preceding(k)
-        bisect_s = min(bisect_s, perf_counter() - t0)
-        t0 = perf_counter()
-        for k in pkeys:
-            probe._closest_preceding_linear(k)
-        linear_s = min(linear_s, perf_counter() - t0)
-
-    # -- end to end: chain-walk every key to its home node -------------
-    def walk() -> int:
-        hops = 0
+    def walk():
         for key in keys:
             cur = nodes[0]
             while True:
@@ -184,296 +569,79 @@ def _bench_routing(
                 if nh is None:
                     break
                 cur = nodes[nh]
-                hops += 1
-        return hops
+                path.append(nh)
 
-    hops = walk()
-    chain_s = float("inf")
-    for _ in range(repeat):
-        t0 = perf_counter()
-        walk()
-        chain_s = min(chain_s, perf_counter() - t0)
-
+    _, prof = _profiled(walk)
     return {
-        "ring_nodes": ring_nodes,
-        "bisect_us_per_call": bisect_s / point_keys * 1e6,
-        "linear_us_per_call": linear_s / point_keys * 1e6,
-        "closest_preceding_speedup": linear_s / bisect_s,
-        "chain_keys": chain_keys,
-        "chain_hops": hops,
-        "next_hop_ops_per_sec": hops / chain_s,
+        "hops": len(path),
+        "digest": hashlib.sha256(repr(path).encode()).hexdigest()[:16],
+        "calls": program_calls(prof, also),
     }
 
 
-class _NaiveRowMajorScan:
-    """The fixed baseline the matching ratio is taken against.
-
-    This is ``BoxStore.match_point`` as it stood before the columnar
-    layout, frozen here: row-major ``(capacity, dims)`` bounds at the
-    power-of-two capacity the store's doubling reached, an ``_active``
-    mask and two ``np.all(axis=1)`` reduces along the short axis.  The
-    ``matching_linear_speedup`` floor in ``BENCH_trajectory.json`` was
-    recorded against that scan, so keeping it as the denominator keeps
-    its value and meaning while the store changes underneath; it also
-    makes the agreement check independent of the kernel under test.
-    """
-
-    def __init__(self, ids, lows, highs) -> None:
-        import numpy as np
-
-        self._np = np  # bench.py imports NumPy lazily; not per call
-        n, dims = lows.shape
-        capacity = 8
-        while capacity < n:
-            capacity *= 2
-        self._lows = np.empty((capacity, dims), dtype=np.float64)
-        self._highs = np.empty((capacity, dims), dtype=np.float64)
-        self._lows[:n] = lows
-        self._highs[:n] = highs
-        self._active = np.zeros(capacity, dtype=bool)
-        self._active[:n] = True
-        self._subids = list(ids) + [None] * (capacity - n)
-
-    def match_point(self, point) -> List[Any]:
-        np = self._np
-        point = np.asarray(point, dtype=np.float64)
-        inside = (
-            self._active
-            & np.all(self._lows <= point, axis=1)
-            & np.all(point <= self._highs, axis=1)
-        )
-        return [self._subids[i] for i in np.nonzero(inside)[0]]
-
-
-def _time_matching(store, pts, repeat: int) -> float:
-    """Best-of-``repeat`` seconds to match every point in ``pts``."""
-    best = float("inf")
-    for _ in range(repeat):
-        t0 = perf_counter()
-        for p in pts:
-            store.match_point(p)
-        best = min(best, perf_counter() - t0)
-    return best
-
-
-def _clustered_boxes(n: int, rng, clusters: int = 64):
-    """Fig-shaped box workload: hotspot clusters over a 4-dim domain.
-
-    Subscriptions in the paper's workloads concentrate on popular
-    attribute regions; hotspot clusters reproduce that skew.
-    """
-    import numpy as np
-
-    centres = rng.uniform(500, 9_500, (clusters, 4))
-    which = rng.integers(0, clusters, n)
-    mid = centres[which] + rng.normal(0, 200, (n, 4))
-    half = rng.uniform(5, 250, (n, 4))
-    lows = np.clip(mid - half, 0.0, 10_000.0)
-    highs = np.clip(mid + half, 0.0, 10_000.0)
-    return lows, highs
-
-
-def _bench_algo5(points: int = 200, repeat: int = 3) -> Dict[str, Any]:
-    """``BoxStore.match_point`` on 10^4 clustered boxes.
-
-    The same boxes and query points go through the store and the naive
-    row-major scan; ``linear_speedup`` is the ratio of the two, and the
-    store's answers are cross-checked against the scan so a speedup can
-    never come from a wrong answer.  The set is the first draw of
-    ``default_rng(11)``, the one the trajectory floor was recorded on.
-    """
-    import numpy as np
-
-    from repro.core.matching import BoxStore
-    from repro.core.subscription import SubID
-
-    n = 10_000
-    rng = np.random.default_rng(11)
-    lows, highs = _clustered_boxes(n, rng)
-    pts = rng.uniform(0, 10_000, (points, 4))
-    ids = [SubID(i, 1) for i in range(n)]
-    store = BoxStore(4)
-    for i, sid in enumerate(ids):
-        store.put(sid, lows[i], highs[i])
-    naive = _NaiveRowMajorScan(ids, lows, highs)
-
-    linear_s = _time_matching(store, pts, repeat)
-    naive_s = _time_matching(naive, pts, repeat)
-    agree = all(
-        sorted(store.match_point(p)) == sorted(naive.match_point(p))
-        for p in pts[:50]
-    )
-    return {"scales": {str(n): {
-        "boxes": n,
-        "points": points,
-        "agree": agree,
-        "linear_us_per_call": linear_s / points * 1e6,
-        "naive_us_per_call": naive_s / points * 1e6,
-        "linear_speedup": naive_s / linear_s,
-    }}}
-
-
-def _bench_pop_matching(boxes: int = 30_000, repeat: int = 3) -> Dict[str, Any]:
-    """Migration-sized ``pop_matching`` extraction vs the public-API
-    reference loop it replaced (subids -> get_box -> remove), which
-    re-resolves the slot dict twice per entry."""
-    import numpy as np
-
+def _pop_matching(also=()) -> Dict[str, Any]:
+    """Migration-sized ``BoxStore.pop_matching``: a quarter of 30 000
+    boxes (an identifier arc) extracted in one pass."""
     from repro.core.matching import BoxStore
     from repro.core.subscription import SubID
 
     rng = np.random.default_rng(5)
+    boxes = 30_000
     lows = rng.uniform(0, 9_000, (boxes, 4))
     highs = lows + rng.uniform(10, 500, (boxes, 4))
-    ids = [SubID(int(rng.integers(0, 1 << 32)), i) for i in range(boxes)]
-
-    def fill() -> BoxStore:
-        store = BoxStore(4)
-        for i, sid in enumerate(ids):
-            store.put(sid, lows[i], highs[i])
-        return store
+    store = BoxStore(4)
+    for i in range(boxes):
+        store.put(SubID(int(rng.integers(0, 1 << 32)), i), lows[i], highs[i])
 
     def predicate(sid) -> bool:  # a migrated identifier arc (~1/4)
         return sid.nid % 4 == 1
 
-    single_s = float("inf")
-    reference_s = float("inf")
-    popped = ref_popped = -1
-    for _ in range(repeat):
-        store = fill()
-        t0 = perf_counter()
-        got = store.pop_matching(predicate)
-        single_s = min(single_s, perf_counter() - t0)
-        popped = len(got)
-
-        store = fill()
-        t0 = perf_counter()
-        out = []
-        for sid in [s for s in store.subids() if predicate(s)]:
-            lo, hi = store.get_box(sid)
-            store.remove(sid)
-            out.append((sid, lo, hi))
-        reference_s = min(reference_s, perf_counter() - t0)
-        ref_popped = len(out)
-        if {s for s, _, _ in got} != {s for s, _, _ in out}:
-            raise AssertionError("pop_matching disagrees with reference")
+    got, prof = _profiled(store.pop_matching, predicate)
+    popped = sorted(
+        (s.nid, s.iid, *map(float, lo), *map(float, hi)) for s, lo, hi in got
+    )
     return {
-        "boxes": boxes,
-        "popped": popped,
-        "reference_popped": ref_popped,
-        "single_pass_ms": single_s * 1e3,
-        "reference_ms": reference_s * 1e3,
-        "speedup": reference_s / single_s,
+        "popped": len(got),
+        "left": len(store),
+        "digest": hashlib.sha256(repr(popped).encode()).hexdigest()[:16],
+        "calls": program_calls(prof, also),
     }
 
 
-# ----------------------------------------------------------------------
-# Macro benchmark (fig2-shaped delivery run)
-# ----------------------------------------------------------------------
-def _bench_macro(num_nodes: int, num_events: int, out_dir: str) -> Dict[str, Any]:
-    from repro.core.config import HyperSubConfig
-    from repro.core.system import HyperSubSystem
-    from repro.telemetry import telemetry_session
-    from repro.workloads import WorkloadGenerator, default_paper_spec
-
-    with telemetry_session(
-        os.path.join(out_dir, "bench-macro"), label="bench-macro", tracing=False
-    ):
-        t_build = perf_counter()
-        system = HyperSubSystem(num_nodes=num_nodes, config=HyperSubConfig(seed=1))
-        gen = WorkloadGenerator(
-            default_paper_spec(subs_per_node=10), seed=7
-        )
-        system.add_scheme(gen.scheme)
-        t_populate = perf_counter()
-        gen.populate(system)
-        t_finish = perf_counter()
-        system.finish_setup()
-        t_ready = perf_counter()
-        gen.schedule_events(system, count=num_events)
-        t0 = perf_counter()
-        system.run_until_idle()
-        wall = perf_counter() - t0
-        memory = system.sample_memory()
-        rc = system.route_cache_stats()
-        deliveries = sum(
-            r.matched for r in system.metrics.records.values()
-        )
-    return {
-        "num_nodes": num_nodes,
-        "num_events": num_events,
-        #: host seconds before the timed phase, by stage
-        "setup_s": {
-            "build": t_populate - t_build,
-            "populate": t_finish - t_populate,
-            "finish_setup": t_ready - t_finish,
-            "total": t_ready - t_build,
-        },
-        "wall_seconds": wall,
-        "events_per_sec": num_events / wall,
-        "deliveries": deliveries,
-        "route_cache_stats": rc,
-        "memory": memory.as_dict() if memory is not None else None,
-    }
-
-
-# ----------------------------------------------------------------------
-# Validation (the CI gate)
-# ----------------------------------------------------------------------
-def validate_bench(data: Dict[str, Any]) -> Dict[str, bool]:
-    """Floor checks; every value must be True for the build to pass."""
-    micro = data["micro"]
-    macro = data["macro"]
-    return {
-        "scheduler_floor": (
-            micro["scheduler"]["ops_per_sec"] >= SCHEDULER_FLOOR_OPS
-        ),
-        "scheduler_lane_agreement": bool(
-            micro.get("scheduler_lane", {}).get("agree", True)
-        ),
-        # the store must answer exactly like the naive row-major scan
-        "matching_agreement": micro["algo5"]["scales"]["10000"]["agree"],
-        "pop_matching_improved": micro["pop_matching"]["speedup"] > 1.0,
-        "routing_speedup": (
-            micro["routing"]["closest_preceding_speedup"]
-            >= ROUTING_SPEEDUP_FLOOR
-        ),
-        "route_cache_hits": macro["route_cache_stats"]["hit_rate"] > 0.0,
-        "memory_accounted": (
-            (macro.get("memory") or {}).get("bytes_per_node", 0.0) > 0.0
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# The tracked perf trajectory (``bench --compare``)
-# ----------------------------------------------------------------------
-#: Floor metrics tracked point-to-point.  ``direction`` says which way
-#: is better; ``env`` names the environment-fingerprint fields that
-#: must match between two points for the comparison to mean anything.
-#: Throughput floors need the same machine/core-count/interpreter;
-#: ``mem_bytes_per_node`` is machine-load independent, so only the
-#: interpreter (object layouts change across minors) and architecture
-#: (pointer width) gate it -- it stays comparable across CI runners.
-_FULL_ENV = ("machine", "cpu_count", "python_minor")
-_MEM_ENV = ("machine", "python_minor")
-TRAJECTORY_FLOORS: Dict[str, Dict[str, Any]] = {
-    "events_per_sec": {"direction": "higher", "env": _FULL_ENV},
-    "scheduler_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
-    "scheduler_lane_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
-    "next_hop_ops_per_sec": {"direction": "higher", "env": _FULL_ENV},
-    "routing_speedup": {"direction": "higher", "env": _FULL_ENV},
-    # over the naive row-major scan (``_NaiveRowMajorScan``), 10^4 boxes
-    "matching_linear_speedup": {"direction": "higher", "env": _FULL_ENV},
-    "pop_matching_speedup": {"direction": "higher", "env": _FULL_ENV},
-    "mem_bytes_per_node": {"direction": "lower", "env": _MEM_ENV},
+#: name -> scenario; each takes ``also`` (see :func:`program_calls`),
+#: which the memory scenario, counting no calls, ignores
+SCENARIOS: Dict[str, Callable[..., Dict[str, Any]]] = {
+    "best_effort": _best_effort,
+    "memory": _memory,
+    "durable": _durable,
+    "rendezvous": _rendezvous,
+    "registrar": _registrar,
+    "overlay_build": _overlay_build,
+    "populate": _populate,
+    "deep_queue": _deep_queue,
+    "chain_walk": _chain_walk,
+    "pop_matching": _pop_matching,
 }
 
 
-def _python_minor(version: str) -> str:
-    return ".".join(version.split(".")[:2])
+def table_key(name: str) -> str:
+    """The environment a scenario's row is pinned for: the Python
+    minor, and for memory (object sizes and array headers) the NumPy
+    major as well."""
+    key = "python %d.%d" % sys.version_info[:2]
+    if name == "memory":
+        key += ", numpy " + np.__version__.split(".")[0]
+    return key
 
 
+def run_ledger() -> Dict[str, Dict[str, Any]]:
+    """``{scenario: row}`` for every scenario."""
+    return {name: scenario() for name, scenario in SCENARIOS.items()}
+
+
+# ----------------------------------------------------------------------
+# The tracked perf trajectory
+# ----------------------------------------------------------------------
 #: End-to-end metrics of ``benchmarks/e2e`` a trajectory point carries.
 E2E_POINT_METRICS = ("ops_per_s", "setup_s", "peak_rss_mb")
 
@@ -495,45 +663,27 @@ def e2e_medians(summary: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def trajectory_point(
-    data: Dict[str, Any],
+    ledger: Dict[str, Dict[str, Any]],
     e2e_summary: Optional[Dict[str, Any]] = None,
     note: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Flatten one BENCH_hotpath document into one trajectory point.
+    """One trajectory point: the ledger, the environment it was counted
+    in and the git revision; with ``e2e_summary`` (the parsed
+    ``out/bench/summary.json`` of an end-to-end run of the same
+    checkout) the workloads' medians under ``"e2e"``; ``note`` is free
+    text kept with the point."""
+    from repro.telemetry.manifest import git_revision
 
-    ``e2e_summary`` is the parsed ``out/bench/summary.json`` of an
-    end-to-end benchmark run of the same checkout: the point then
-    carries the workloads' medians under ``"e2e"`` (recorded, not
-    floor-gated).  ``note`` is free text kept with the point.
-    """
-    micro = data["micro"]
-    macro = data["macro"]
-    mem = macro.get("memory") or {}
     point: Dict[str, Any] = {
-        "created_utc": data["created_utc"],
-        "git_rev": data["git_rev"],
-        "scale": dict(data["scale"]),
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "git_rev": git_revision(),
         "env": {
-            "machine": data.get("machine"),
-            "cpu_count": data.get("cpu_count"),
-            "python": data.get("python"),
-            "python_minor": _python_minor(data.get("python", "")),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
-        "metrics": {
-            "events_per_sec": macro["events_per_sec"],
-            "scheduler_ops_per_sec": micro["scheduler"]["ops_per_sec"],
-            "scheduler_lane_ops_per_sec": (
-                micro.get("scheduler_lane", {}).get("ops_per_sec")
-            ),
-            "next_hop_ops_per_sec": micro["routing"]["next_hop_ops_per_sec"],
-            "routing_speedup": micro["routing"]["closest_preceding_speedup"],
-            "matching_linear_speedup": (
-                micro["algo5"]["scales"]["10000"]["linear_speedup"]
-            ),
-            "pop_matching_speedup": micro["pop_matching"]["speedup"],
-            "mem_bytes_per_node": float(mem.get("bytes_per_node", 0.0)),
-            "setup_s": macro.get("setup_s", {}).get("total"),
-        },
+        "ledger": ledger,
     }
     if e2e_summary is not None:
         point["e2e"] = e2e_medians(e2e_summary)
@@ -565,206 +715,24 @@ def append_trajectory(path, point: Dict[str, Any]) -> Dict[str, Any]:
     return doc
 
 
-def find_baseline(
-    doc: Dict[str, Any], point: Dict[str, Any]
-) -> Optional[Dict[str, Any]]:
-    """The newest committed point at the same scale, or None.
-
-    Scale identity means the same (num_nodes, num_events) pair -- a
-    ``--quick`` run must never be judged against a full-scale point.
-    """
-    target = (
-        point["scale"].get("num_nodes"),
-        point["scale"].get("num_events"),
-    )
-    for prior in reversed(doc.get("points", [])):
-        scale = prior.get("scale", {})
-        if (scale.get("num_nodes"), scale.get("num_events")) == target:
-            return prior
-    return None
-
-
-def compare_points(
-    baseline: Dict[str, Any],
-    point: Dict[str, Any],
-    tolerance: float = REGRESSION_TOLERANCE,
-) -> Tuple[List[str], List[str]]:
-    """``(regressions, notes)`` between two trajectory points.
-
-    A floor metric is compared only when every environment field it
-    requires matches between the points (notes say what was skipped and
-    why) -- a laptop's throughput is no baseline for a CI runner, but
-    bytes/node carries across.
-    """
-    regressions: List[str] = []
-    notes: List[str] = []
-    base_env = baseline.get("env", {})
-    env = point.get("env", {})
-    for name, spec in TRAJECTORY_FLOORS.items():
-        mismatched = [
-            f for f in spec["env"] if base_env.get(f) != env.get(f)
-        ]
-        if mismatched:
-            notes.append(
-                f"{name}: skipped (env mismatch on {', '.join(mismatched)})"
-            )
-            continue
-        base = baseline.get("metrics", {}).get(name)
-        new = point.get("metrics", {}).get(name)
-        if not base or new is None:
-            notes.append(f"{name}: skipped (missing value)")
-            continue
-        if spec["direction"] == "higher":
-            change = (new - base) / base
-            worse = change < -tolerance
-        else:
-            change = (new - base) / base
-            worse = change > tolerance
-        arrow = f"{base:,.1f} -> {new:,.1f} ({change:+.1%})"
-        if worse:
-            regressions.append(f"{name}: {arrow} exceeds {tolerance:.0%}")
-        else:
-            notes.append(f"{name}: {arrow} ok")
-    return regressions, notes
-
-
-def compare_to_trajectory(
-    data: Dict[str, Any],
-    path=DEFAULT_TRAJECTORY_PATH,
-    tolerance: float = REGRESSION_TOLERANCE,
-) -> Tuple[bool, List[str]]:
-    """Diff a fresh bench document against the committed trajectory.
-
-    Returns ``(ok, report lines)``; ``ok`` is False only on a floor
-    regression beyond ``tolerance``.  No comparable committed point
-    (first run at a scale, or a brand-new file) passes with a note.
-    """
-    point = trajectory_point(data)
-    doc = load_trajectory(path)
-    baseline = find_baseline(doc, point)
-    if baseline is None:
-        return True, [
-            f"trajectory: no committed point at scale "
-            f"{point['scale'].get('num_nodes')}x"
-            f"{point['scale'].get('num_events')} in {path}; nothing to "
-            "compare (the new point becomes the baseline)"
-        ]
-    regressions, notes = compare_points(baseline, point, tolerance)
-    lines = [
-        f"trajectory: comparing against {baseline.get('git_rev', '?')[:12]} "
-        f"({baseline.get('created_utc', '?')})"
-    ]
-    lines.extend(f"  {n}" for n in notes)
-    lines.extend(f"  REGRESSION {r}" for r in regressions)
-    return not regressions, lines
-
-
 # ----------------------------------------------------------------------
 # Entry point (``python -m repro bench``)
 # ----------------------------------------------------------------------
 def run_bench(
-    out_path: str,
-    telemetry_dir: Optional[str] = None,
-    compare: bool = False,
     trajectory_path: str = DEFAULT_TRAJECTORY_PATH,
-    tolerance: float = REGRESSION_TOLERANCE,
     e2e_summary_path: Optional[str] = None,
     note: Optional[str] = None,
 ) -> int:
-    from repro.experiments.common import scale_from_env
-    from repro.telemetry.manifest import git_revision
-
-    num_nodes, num_events = scale_from_env()
-    tel_dir = telemetry_dir or "out"
-    print(f"bench: macro scale {num_nodes} nodes / {num_events} events")
-
-    t_start = time.time()
-    micro = {
-        "scheduler": _bench_scheduler(),
-        "scheduler_lane": _bench_scheduler_lane(),
-        "routing": _bench_routing(),
-        "algo5": _bench_algo5(),
-        "pop_matching": _bench_pop_matching(),
-    }
-    macro = _bench_macro(num_nodes, num_events, tel_dir)
-
-    data: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "created_utc": time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime(t_start)
-        ),
-        "git_rev": git_revision(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "pid": os.getpid(),
-        "scale": {
-            "name": os.environ.get("REPRO_SCALE", "bench"),
-            "num_nodes": num_nodes,
-            "num_events": num_events,
-        },
-        "micro": micro,
-        "macro": macro,
-    }
-    checks = validate_bench(data)
-    data["checks"] = checks
-    data["wall_seconds"] = time.time() - t_start
-
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    # Compare against the *committed* trajectory first, then append the
-    # fresh point -- one invocation both gates and records.
-    compare_ok = True
-    if compare:
-        compare_ok, lines = compare_to_trajectory(
-            data, trajectory_path, tolerance
-        )
-        print("\n".join(lines), file=sys.stderr if not compare_ok else sys.stdout)
+    """Run the ledger, print it and append one trajectory point."""
     e2e_summary = None
     if e2e_summary_path is not None:
-        e2e_summary = json.loads(
-            Path(e2e_summary_path).read_text(encoding="utf-8")
+        e2e_summary = json.loads(Path(e2e_summary_path).read_text(encoding="utf-8"))
+    ledger = run_ledger()
+    for name, row in ledger.items():
+        flat = ", ".join(
+            f"{k} {v:,}" for k, v in row.items() if isinstance(v, int)
         )
-    append_trajectory(
-        trajectory_path, trajectory_point(data, e2e_summary, note)
-    )
-
-    r = micro["routing"]
-    m = micro["algo5"]["scales"]["10000"]
-    mem = macro.get("memory") or {}
-    print(
-        f"scheduler     {micro['scheduler']['ops_per_sec']:12,.0f} ops/s\n"
-        f"timeout lane  {micro['scheduler_lane']['ops_per_sec']:12,.0f} "
-        f"timers/s armed, 90% cancelled "
-        f"({micro['scheduler_lane']['speedup']:.2f}x vs schedule()/cancel)\n"
-        f"next_hop      {r['next_hop_ops_per_sec']:12,.0f} hops/s "
-        f"(bisect {r['bisect_us_per_call']:.2f}us vs linear "
-        f"{r['linear_us_per_call']:.2f}us = "
-        f"{r['closest_preceding_speedup']:.1f}x)\n"
-        f"match_point   {m['boxes']:>6} boxes: {m['linear_us_per_call']:.1f}us "
-        f"({m['linear_speedup']:.1f}x vs naive scan)\n"
-        f"pop_matching  {micro['pop_matching']['speedup']:.2f}x vs "
-        f"reference loop ({micro['pop_matching']['popped']} of "
-        f"{micro['pop_matching']['boxes']} boxes popped)\n"
-        f"memory        {mem.get('bytes_per_node', 0.0):12,.0f} bytes/node "
-        f"({mem.get('total_bytes', 0) / 1e6:.1f} MB over "
-        f"{mem.get('alive_nodes', 0)} nodes)\n"
-        f"setup         {macro['setup_s']['total']:.2f}s (build "
-        f"{macro['setup_s']['build']:.2f} / populate "
-        f"{macro['setup_s']['populate']:.2f} / finish_setup "
-        f"{macro['setup_s']['finish_setup']:.2f})\n"
-        f"macro         {macro['wall_seconds']:.2f}s "
-        f"({macro['events_per_sec']:,.0f} events/s), route-cache hit rate "
-        f"{macro['route_cache_stats']['hit_rate']:.3f}"
-    )
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        print(f"BENCH CHECKS FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if not compare_ok:
-        print("BENCH TRAJECTORY REGRESSION (see above)", file=sys.stderr)
-        return 1
-    print(f"all checks passed; wrote {out_path}")
+        print(f"{name:14s} [{table_key(name)}] {flat}")
+    append_trajectory(trajectory_path, trajectory_point(ledger, e2e_summary, note))
+    print(f"appended a point to {trajectory_path}")
     return 0

@@ -485,9 +485,8 @@ class HyperSubSystem:
         walk is O(node sample x table size), far too heavy for a
         per-phase hook that some tests call in a tight loop.  It runs
         at ``finish_setup`` (the steady-state footprint of the
-        installed subscription/zone tables), after experiment runs that
-        want the loaded footprint, and under ``python -m repro bench``
-        where ``mem.bytes_per_node`` feeds the tracked perf trajectory.
+        installed subscription/zone tables) and after experiment runs
+        that want the loaded footprint.
 
         Returns the :class:`~repro.telemetry.memory.MemoryReport`, or
         None when no telemetry session is active.
@@ -752,9 +751,8 @@ class HyperSubSystem:
 
         Every Algorithm-5 entry is one lookup, whether it ends up
         handled here or forwarded.  ``hit_rate`` is 0.0 before any
-        routed entry (no division by zero); ``python -m repro bench``
-        records it in ``BENCH_hotpath.json`` and CI asserts it stays
-        > 0.
+        routed entry (no division by zero); the perf ledger pins the
+        hits of a fixed run (``python -m repro bench``).
         """
         hits = sum(n.rc_hits for n in self.nodes)
         misses = sum(n.rc_misses for n in self.nodes)

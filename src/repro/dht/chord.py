@@ -325,8 +325,8 @@ class ChordNode(OverlayNode):
         Only entries strictly inside ``(self, key)`` qualify, the classic
         Chord guarantee that routing never overshoots the home node.
         O(log f) bisect over the sorted snapshot, allocation-free per
-        call; :meth:`_closest_preceding_linear` is the reference scan the
-        property tests compare against.
+        call; ``tests/route_reference.py`` holds the reference linear
+        scan the property tests compare against.
         """
         if self._snap_epoch != self.routing_epoch:
             self._refresh_snapshot()
@@ -340,28 +340,6 @@ class ChordNode(OverlayNode):
         if idx == 0:
             return None
         return self._snap_entries[idx - 1]
-
-    def _closest_preceding_linear(self, key: int) -> Optional[Tuple[int, int]]:
-        """Reference implementation: linear scan over raw routing state.
-
-        Kept (not dead code) as the ground truth for the snapshot router:
-        the property tests assert agreement on randomized rings and the
-        bench harness measures the speedup against it.
-        """
-        seen: Dict[int, int] = {}
-        for ent_id, ent_addr in self._fingers.values():
-            seen.setdefault(ent_id, ent_addr)
-        for ent_id, ent_addr in self._successors:
-            seen.setdefault(ent_id, ent_addr)
-        best: Optional[Tuple[int, int]] = None
-        best_dist = -1
-        for ent_id, ent_addr in seen.items():
-            if id_in_interval(ent_id, self.node_id, key):
-                d = cw_distance(self.node_id, ent_id)
-                if d > best_dist:
-                    best = (ent_id, ent_addr)
-                    best_dist = d
-        return best
 
     def routing_entries(self) -> List[Tuple[int, int]]:
         """Fingers plus successor list, deduplicated by id.

@@ -110,13 +110,6 @@ class ChaosBudget:
         if any(w < 0 for w in weights.values()):
             raise ValueError("kind weights must be non-negative")
 
-    @classmethod
-    def build(cls, kind_weights: Optional[Dict[str, float]] = None, **kw):
-        """Convenience constructor taking the mix as a plain dict."""
-        if kind_weights is not None:
-            kw["kind_weights"] = tuple(sorted(kind_weights.items()))
-        return cls(**kw)
-
 
 @dataclass
 class _Interval:

@@ -81,9 +81,8 @@ def versions() -> Dict[str, Any]:
 
     import numpy
 
-    # machine/cpu_count/python_version make points from different
-    # environments comparable (or visibly incomparable) -- the perf
-    # trajectory's --compare gate keys on them.
+    # machine/cpu_count/python_version make runs from different
+    # environments comparable (or visibly incomparable).
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,

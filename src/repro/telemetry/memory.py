@@ -16,8 +16,10 @@ Two entry points:
 * :func:`publish_memory` -- measure and publish every component as a
   registry gauge (``mem.bytes_per_node``, ``mem.total_bytes``,
   ``mem.<component>``, ``proc.rss_bytes``), which is how the number
-  reaches run manifests, the streaming exporter and the tracked perf
-  trajectory (``python -m repro bench``).
+  reaches run manifests and the streaming exporter.
+
+The perf ledger (``python -m repro bench``) pins the ``zones``
+component of :func:`measure_system` on a fixed run.
 
 Accounting is a deterministic deep ``sys.getsizeof`` walk with a
 shared seen-set (an object referenced from two tables is charged to

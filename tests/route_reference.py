@@ -1,7 +1,31 @@
 """The route decision from the tests' side: the uncached reference
 the cached runs are compared against -- nodes that never remember an
 answer recompute ``is_responsible`` / ``next_hop_addr`` for every
-Algorithm-5 entry -- and one entry driven through the inline cache."""
+Algorithm-5 entry -- one entry driven through the inline cache, and the
+linear routing-state scan Chord's bisect router answers like."""
+
+from repro.dht.idspace import cw_distance, id_in_interval
+
+
+def closest_preceding_linear(node, key):
+    """``ChordNode._closest_preceding`` by a linear scan over the node's
+    raw routing state (fingers first, then successors, deduplicated by
+    id): the entry strictly inside ``(node, key)`` with the largest
+    clockwise progress, or None."""
+    seen = {}
+    for ent_id, ent_addr in node._fingers.values():
+        seen.setdefault(ent_id, ent_addr)
+    for ent_id, ent_addr in node._successors:
+        seen.setdefault(ent_id, ent_addr)
+    best = None
+    best_dist = -1
+    for ent_id, ent_addr in seen.items():
+        if id_in_interval(ent_id, node.node_id, key):
+            d = cw_distance(node.node_id, ent_id)
+            if d > best_dist:
+                best = (ent_id, ent_addr)
+                best_dist = d
+    return best
 
 
 class NeverRemembers(dict):

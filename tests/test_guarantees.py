@@ -442,7 +442,7 @@ class TestCustodyCohort:
         cancelled timer or an idle node never costs a dispatch."""
         from repro.core.node import CustodyCohort
         from repro.core.transport import TransportMixin
-        from tests.fixed_run import N_DURABLE_EVENTS, fixed_durable_system, run_durable
+        from repro.bench import N_DURABLE_EVENTS, fixed_durable_system, run_durable
 
         counts = {"retry": 0, "tick": 0}
         retry, tick = TransportMixin._rel_retry, CustodyCohort.tick

@@ -12,6 +12,7 @@ cache's counters and the unroutable drops.
 import numpy as np
 import pytest
 
+from repro.bench import delivery_digest
 from repro.core import (
     Attribute,
     Event,
@@ -22,7 +23,6 @@ from repro.core import (
 )
 from repro.core.node import HyperSubChordNode, PubSubNodeMixin
 from repro.sim.network import Network
-from tests.test_wire_identity import _delivery_digest
 
 N_EVENTS = 60
 
@@ -75,7 +75,7 @@ def run_system(num_nodes: int, base: int, crash: bool, **cfg) -> HyperSubSystem:
 def observed(system: HyperSubSystem) -> dict:
     stats = system.network.stats
     return {
-        "digest": _delivery_digest(system),
+        "digest": delivery_digest(system),
         "msgs_by_kind": dict(stats.msgs_by_kind),
         "bytes_by_kind": dict(stats.bytes_by_kind),
         "in_bytes": stats.in_bytes.tolist(),

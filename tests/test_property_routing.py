@@ -29,7 +29,7 @@ from repro.dht.idspace import ID_SPACE, id_in_interval
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import ConstantTopology
-from tests.route_reference import forget_routes, route_once
+from tests.route_reference import closest_preceding_linear, forget_routes, route_once
 
 ids64 = st.integers(0, ID_SPACE - 1)
 
@@ -51,8 +51,8 @@ def assert_router_agreement(node: ChordNode, keys) -> None:
     ]
     probes += [ent_id for ent_id, _ in node.routing_entries()]
     for key in probes:
-        assert node._closest_preceding(key) == node._closest_preceding_linear(
-            key
+        assert node._closest_preceding(key) == closest_preceding_linear(
+            node, key
         ), (node.node_id, key)
 
 
@@ -103,7 +103,7 @@ def test_empty_routing_state(node_id, keys):
     node = bare_node(node_id)
     for key in keys:
         assert node._closest_preceding(key) is None
-        assert node._closest_preceding_linear(key) is None
+        assert closest_preceding_linear(node, key) is None
     assert node.routing_entries() == []
     assert node.neighbor_addrs() == []
 

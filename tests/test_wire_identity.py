@@ -14,12 +14,11 @@ paths must reproduce every packet -- same kinds, same counts, same byte
 totals, same deliveries at the same simulated times.
 """
 
-import hashlib
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench import delivery_digest
 from repro.core import (
     Attribute,
     Event,
@@ -40,17 +39,6 @@ PINNED_PREFIXES = (
 )
 
 
-def _delivery_digest(system) -> str:
-    """sha256 over every delivery: (event, SubID, addr, hops, latency)."""
-    h = hashlib.sha256()
-    for eid, rec in sorted(system.metrics.records.items()):
-        for delivery in sorted(
-            ((d[0].nid, d[0].iid), d[1], d[2], d[3]) for d in rec.deliveries
-        ):
-            h.update(repr((eid, delivery)).encode())
-    return h.hexdigest()
-
-
 def _fingerprint(system) -> dict:
     stats = system.network.stats
     return {
@@ -65,7 +53,7 @@ def _fingerprint(system) -> dict:
         "deliveries": sum(
             len(r.deliveries) for r in system.metrics.records.values()
         ),
-        "digest": _delivery_digest(system),
+        "digest": delivery_digest(system),
     }
 
 
