@@ -286,7 +286,9 @@ class KingLikeTopology(Topology):
             return 0.0
         dx = self.coords[a, 0] - self.coords[b, 0]
         dy = self.coords[a, 1] - self.coords[b, 1]
-        dist = math.hypot(dx, dy)
+        # the same formula as ``np.linalg.norm`` in ``rtt_many``, so the
+        # two paths agree to the last bit (``math.hypot`` does not)
+        dist = math.sqrt(dx * dx + dy * dy)
         return (self._base + self._scale * dist) * _pair_jitter(a, b, self._jitter)
 
     def rtt_many(self, a: int, others: Sequence[int]) -> np.ndarray:

@@ -230,9 +230,18 @@ class TestMaxRtt:
         topo = KingLikeTopology(n, seed=seed)
         rows = max(float(topo.rtt_many(a, range(n)).max()) for a in range(n))
         assert topo.max_rtt_ms() == rows
-        # the scalar and vector paths may differ in the last bit
         every = max(topo.rtt_ms(a, b) for a in range(n) for b in range(n))
-        assert topo.max_rtt_ms() == pytest.approx(every, rel=1e-12)
+        assert topo.max_rtt_ms() == every
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (40, 2), (400, 3), (1_740, 1)])
+    def test_scalar_and_vector_rtts_are_bit_equal(self, n, seed):
+        """PNS ranks candidates by ``rtt_many`` and packets are delayed
+        by ``rtt_ms``: both must give the same float for every pair."""
+        topo = KingLikeTopology(n, seed=seed)
+        step = max(1, n // 60)  # every pair at 40 nodes, a sample of rows above
+        for a in range(0, n, step):
+            row = topo.rtt_many(a, range(n)).tolist()
+            assert row == [topo.rtt_ms(a, b) for b in range(n)], a
 
     def test_explicit_and_constant(self):
         m = np.array([[0.0, 5.0, 9.5], [5.0, 0.0, 2.0], [9.5, 2.0, 0.0]])
