@@ -623,7 +623,7 @@ class PubSubNodeMixin:
         repo = self.zone_repos.get((entity_key, code, level))
         if repo is None or subid not in repo.store:
             # stale (e.g. the copy was migrated away)
-            self.network.stats.record_stale_unregister()
+            self.network.stats.stale_unregister += 1
             return
         repo.remove(subid)
         # The removed box may have been what held the filter wide.
@@ -821,7 +821,7 @@ class PubSubNodeMixin:
                 self.rc_hits += 1
             if nh is not _RC_HERE:
                 if nh is None or nh == addr:
-                    self.network.stats.record_unroutable()
+                    self.network.stats.unroutable += 1
                     return
                 self._relay(msg, nh, 1)
                 return
@@ -852,7 +852,7 @@ class PubSubNodeMixin:
             if nh is None or nh == addr:
                 # Unroutable or a degenerate self-hop: dropped, counted
                 # (see _process_event).
-                self.network.stats.record_unroutable()
+                self.network.stats.unroutable += 1
                 continue
             group = groups.get(nh)
             if group is None:
@@ -993,7 +993,7 @@ class PubSubNodeMixin:
                 # Drop the entry, counted: durable custody redelivers
                 # it once the ring converges; best-effort never
                 # promised it.
-                self.network.stats.record_unroutable()
+                self.network.stats.unroutable += 1
                 continue
             group = groups.get(nh)
             if group is None:
@@ -1150,12 +1150,12 @@ class PubSubNodeMixin:
             if own is not None:
                 _entity_key, sub, _zone, subid = own
                 if sub.scheme_name != scheme_name:
-                    self.network.stats.record_scheme_mismatch()
+                    self.network.stats.scheme_mismatch += 1
                     return []
                 once = iid << EVENT_ID_BITS | event_id
                 if once in self._delivered:
                     # failover redelivery under a fresh packet
-                    self.network.stats.record_duplicate_entry()
+                    self.network.stats.duplicate_entry += 1
                     return []
                 self._delivered.add(once)
                 latency_ms = self.sim.now - msg.root_time
@@ -1204,7 +1204,7 @@ class PubSubNodeMixin:
             if entry is not None:
                 mig_scheme, store = entry
                 if mig_scheme != scheme_name:
-                    self.network.stats.record_scheme_mismatch()
+                    self.network.stats.scheme_mismatch += 1
                     return []
                 matched = [(s.nid, s.iid) for s in store.match_point(point)]
                 self._trace_match(event_id, msg, len(matched))
@@ -1228,7 +1228,7 @@ class PubSubNodeMixin:
                     ]
 
         # stale SubID (unsubscribed / departed): dropped, counted
-        self.network.stats.record_stale_subid()
+        self.network.stats.stale_subid += 1
         return []
 
     # ------------------------------------------------------------------

@@ -98,8 +98,9 @@ class PubSubEntity:
     def child_split(self, zone: ContentZone) -> Tuple[float, float]:
         """``(edge, width)`` of the zone's division into children, on
         full dimension ``full_dims[zone.level % len(full_dims)]``: the
-        part of the zone's box (``zone.box(domain_lows, domain_highs)``)
-        the summary cascade reads.  Equal answers are one shared tuple."""
+        part of the zone's box the summary cascade reads
+        (``ContentZone.split_segment``).  Equal answers are one shared
+        tuple."""
         split = zone.split_segment(self._domain_lo, self._domain_hi)
         return self._splits.setdefault(split, split)
 

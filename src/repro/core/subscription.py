@@ -14,7 +14,7 @@ the paper prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -116,10 +116,6 @@ class Subscription:
             for a, lo, hi in zip(scheme.attributes, lows, highs)
         ]
         return cls(scheme, preds)
-
-    @property
-    def box(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.lows, self.highs
 
     def matches(self, event: Event) -> bool:
         """Does the event point fall inside this hyper-rectangle?"""

@@ -33,7 +33,7 @@ from repro.dht.chord import build_chord_overlay
 from repro.dht.idspace import random_ids
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.stats import Distribution, NetworkStats
+from repro.sim.stats import Distribution
 from repro.sim.topology import KingLikeTopology, Topology
 from repro.telemetry.session import current_session
 
@@ -214,11 +214,7 @@ class HyperSubSystem:
         #: hot paths guard on this single attribute, so a disabled run
         #: pays one attribute load per packet)
         self.telemetry = current_session()
-        stats = NetworkStats(
-            topology.size,
-            registry=self.telemetry.registry if self.telemetry else None,
-        )
-        self.network = Network(self.sim, topology, stats=stats)
+        self.network = Network(self.sim, topology)
         #: every retransmission timer of the fleet waits the same
         #: ``retransmit_timeout_ms``, so they share one timeout lane
         self.retransmit_lane = self.sim.timeout_lane(
@@ -280,11 +276,8 @@ class HyperSubSystem:
             # Under a session, edge capture rides the span trace -- keep
             # EventRecord.edges in lockstep so both views agree.
             self.tracing = self.telemetry.tracing
-            self.telemetry.attach_system(self)
-            # Eagerly create the memory gauge so every telemetry-enabled
-            # manifest carries it (REQUIRED_METRICS) even when no
-            # sample_memory() call happens before finalize.
-            self.telemetry.registry.gauge("mem.bytes_per_node")
+            #: this system's share of the session's counters
+            self._telemetry_index = self.telemetry.attach_system(self)
 
     def _apply_service_model(self, node) -> None:
         """Switch ``node`` to finite service (bounded ingress queue,
@@ -417,7 +410,8 @@ class HyperSubSystem:
     # Telemetry (see repro.telemetry and docs/OBSERVABILITY.md)
     # ------------------------------------------------------------------
     def sample_telemetry(self) -> None:
-        """Publish the system-level gauges and snapshot every metric.
+        """Publish this system's counts and gauges, and snapshot every
+        metric.
 
         Called automatically at phase boundaries (``finish_setup`` and
         whenever ``run``/``run_until_idle`` returns); experiments that
@@ -453,6 +447,7 @@ class HyperSubSystem:
         #: may climb
         reg.gauge("surrogate.chain_depth").set(float(chain_depth))
         stats = self.network.stats
+        tel.publish_counts(self._telemetry_index, stats.counts(), stats.queue_peak)
         reg.gauge("repair.bytes").set(
             stats.bytes_for(("ps_ae_", "ps_handoff"))
         )

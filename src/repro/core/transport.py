@@ -371,7 +371,7 @@ class TransportMixin:
             if key in self._rel_seen:
                 # duplicate (our ack was lost, or the network ghosted a
                 # copy): already processed
-                self.network.stats.record_duplicate_packet()
+                self.network.stats.duplicate_packet += 1
                 return
             self._rel_seen.add(key)
         if "pb" in p:

@@ -138,27 +138,6 @@ class ContentZone:
         """The dimension the *next* division (into children) splits."""
         return self.level % dims
 
-    # ------------------------------------------------------------------
-    def box(
-        self, domain_lows: np.ndarray, domain_highs: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The zone's hyper-rectangle within the given content space.
-
-        Replays the division sequence: division ``i`` splits dimension
-        ``i mod d`` into ``base`` equal parts and keeps the part named
-        by the i-th code digit.  The loop runs on Python floats -- the
-        same IEEE double operations as NumPy scalars, bit for bit.
-        """
-        lows, highs = as_floats(domain_lows), as_floats(domain_highs)
-        d = len(lows)
-        base = self.geometry.base
-        for i, digit in enumerate(self.digits()):
-            j = i % d
-            width = (highs[j] - lows[j]) / base
-            lows[j] = lows[j] + digit * width
-            highs[j] = lows[j] + width
-        return np.array(lows), np.array(highs)
-
     def split_segment(
         self, domain_lows: Sequence[float], domain_highs: Sequence[float]
     ) -> Tuple[float, float]:
@@ -166,11 +145,14 @@ class ContentZone:
         ``[edge + digit * width, edge + (digit + 1) * width]`` on
         dimension ``split_dimension(d)``.
 
-        The part of :meth:`box` the summary-filter cascade reads.  Only
-        the divisions of the split dimension are replayed (the others
-        never touch it), with :meth:`box`'s operations in its order, so
-        ``edge`` is its lower bound there and ``width`` its extent over
-        ``base``, bit for bit.  The domain bounds are Python floats.
+        The part of the zone's box the summary-filter cascade reads.
+        Only the divisions of the split dimension are replayed (the
+        others never touch it): division ``i`` splits dimension
+        ``i mod d`` into ``base`` equal parts and keeps the part named
+        by the i-th code digit, so ``edge`` is the box's lower bound
+        there and ``width`` its extent over ``base``, bit for bit
+        (``tests/geometry_reference.py`` replays the whole box).  The
+        domain bounds are Python floats.
         """
         d = len(domain_lows)
         j = self.split_dimension(d)

@@ -305,7 +305,7 @@ class OverlayNode(SimNode):
             stats.lookup_restarts += 1
             if state[_RESTARTS] > MAX_LOOKUP_RESTARTS:
                 del self._pending_lookups[lid]
-                stats.record_lookup_abandoned()
+                stats.lookup_abandoned += 1
                 return
             state[_HOPS] = 0
             self.sim.schedule(500.0, self._lookup_restart, lid)

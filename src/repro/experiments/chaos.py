@@ -279,10 +279,10 @@ def _run_round_inner(task: Dict[str, Any]) -> Dict[str, Any]:
         "invariant_violations": inv_violations,
         "log_left": log_left,
         "violations": violations,
-        "dropped_by_cause": stats.dropped_by_cause,
+        "dropped_by_cause": dict(stats.dropped_by_cause),
         "net_duplicated": stats.duplicated,
         "net_reordered": stats.reordered,
-        "gave_up_by_cause": stats.gave_up_by_cause,
+        "gave_up_by_cause": dict(stats.gave_up_by_cause),
     }
     outcome["digest"] = round_digest(outcome)
     return outcome

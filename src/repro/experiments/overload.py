@@ -255,6 +255,7 @@ def run(
                 "shed_on": on.shed,
                 "busy_backoffs_on": on.busy_backoffs,
                 "overflow_drops_off": off.overflow_drops,
+                "overflow_drops_on": on.overflow_drops,
                 "hot_peak_depth_on": on.hot_peak_depth,
                 "all_passed": report.all_passed,
             },

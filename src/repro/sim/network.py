@@ -214,16 +214,6 @@ class Network:
             or self._reorder_rng is not None
         )
 
-    @property
-    def dropped(self) -> int:
-        """Packets that never reached a live handler (all causes); the
-        per-cause split is ``stats.dropped_by_cause``."""
-        return self.stats.dropped
-
-    @dropped.setter
-    def dropped(self, value: int) -> None:
-        self.stats.dropped = value
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------

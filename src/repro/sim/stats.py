@@ -7,18 +7,21 @@ The paper's cost metrics (Section 5.1):
 * per-event **bandwidth cost** -- total bytes moved for one event;
 * per-node **in/out bandwidth** -- bytes received/sent over a whole run.
 
-:class:`NetworkStats` owns the per-node counters; per-event metrics are
-accumulated by the pub/sub layer in :class:`repro.core.system.EventRecord`.
+:class:`NetworkStats` owns one network's counts -- bytes per node and
+per message kind, drops, retransmissions, give-ups, custody-log health
+-- as plain numbers bumped in place; per-event metrics are accumulated
+by the pub/sub layer in :class:`repro.core.system.EventRecord`.  Each
+count has one owner: a telemetry session does not hold a second copy
+but sums what its systems' stats read at their phase boundaries
+(:meth:`repro.telemetry.session.TelemetrySession.publish_counts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-
-from repro.telemetry.registry import MetricsRegistry
 
 #: Why a packet never reached a live handler.  ``dead_dst`` -- the
 #: destination is unregistered or crashed; ``loss`` -- i.i.d. injected
@@ -42,8 +45,8 @@ GIVE_UP_CAUSES = ("retries", "failover", "ttl", "shed")
 #: Durable-delivery health counters (delivery-guarantees extension):
 #: custody entries appended / retired by subscriber-level acks /
 #: re-sent by the redelivery scan / evicted by the log budget, plus
-#: out-of-order arrivals dropped by a full reorder buffer.  Created
-#: eagerly so every manifest carries them (zero on best-effort runs).
+#: out-of-order arrivals dropped by a full reorder buffer.  Always
+#: present, so every manifest carries them (zero on best-effort runs).
 DURABLE_COUNTERS = (
     "durable.appends",
     "durable.acked",
@@ -53,235 +56,132 @@ DURABLE_COUNTERS = (
 )
 
 
-class _CounterAttr:
-    """An ``int`` attribute of :class:`NetworkStats` kept in the registry
-    counter that ``NetworkStats.__init__`` stored under ``slot``: reading
-    gives the count, assigning (``writable`` ones only) overwrites it."""
-
-    def __init__(self, slot: str, doc: str = "", writable: bool = False) -> None:
-        self.slot = slot
-        self.writable = writable
-        self.__doc__ = doc
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return int(getattr(obj, self.slot).value)
-
-    def __set__(self, obj, value: int) -> None:
-        if not self.writable:
-            raise AttributeError("read-only counter; use its record_* method")
-        getattr(obj, self.slot).value = float(value)
+#: The plain ``int`` counts of :class:`NetworkStats`, attribute ->
+#: manifest name.  Callers bump them in place (``stats.shed += 1``).
+COUNTER_NAMES = {
+    # reliable-transport health: packets resent after an ack timeout, and
+    # packets abandoned after exhausting retries *and* (when hop-failover
+    # is on) rerouting attempts, with the SubIDs riding on them
+    "retransmissions": "transport.retransmissions",
+    "gave_up": "transport.gave_up",
+    "gave_up_subids": "transport.gave_up_subids",
+    # event entries Algorithm 5 discarded because the healing ring offered
+    # no next hop (or only a degenerate self-hop)
+    "unroutable": "transport.unroutable",
+    # ``ps_busy`` NACKs honoured by senders (overload backpressure: each
+    # rescheduled a retransmission with exponential backoff instead of
+    # consuming the retry budget)
+    "busy_backoffs": "transport.busy_backoffs",
+    # packets that never reached a live handler (split in dropped_by_cause)
+    "dropped": "net.dropped",
+    # gray-failure injection (chaos extension): packets the network
+    # delivered a second time, and packets that picked up adversarial
+    # reorder jitter
+    "duplicated": "net.duplicated",
+    "reordered": "net.reordered",
+    # event packets shed by admission control (each one was NACKed with
+    # ``ps_busy`` or accounted as a give-up -- never silently lost)
+    "shed": "faults.shed",
+    # iterative DHT lookups restarted from the origin after the
+    # routing-loop guard tripped, and those dropped after their last
+    # restart also looped (the caller's callback never runs)
+    "lookup_restarts": "dht.lookup_restarts",
+    "lookup_abandoned": "dht.lookup_abandoned",
+    # unregistrations that found no stored copy to remove on the surrogate
+    "stale_unregister": "install.stale_unregister",
+    # event entries that reached their node and found no subscription,
+    # marker or migrated store under that SubID
+    "stale_subid": "delivery.stale_subid",
+    # reliable event packets acked again but not processed again (their
+    # ``(sender, epoch, rseq)`` had been seen)
+    "duplicate_packet": "delivery.duplicate_packet",
+    # entries for a local subscription already handed this event (hop
+    # failover re-groups SubIDs onto a fresh packet)
+    "duplicate_entry": "delivery.duplicate_entry",
+    # entries whose SubID names a subscription or migrated store of
+    # another scheme than the event's
+    "scheme_mismatch": "delivery.scheme_mismatch",
+}
 
 
 class NetworkStats:
-    """Per-node byte/message accounting for one simulation run.
+    """Byte, message and fault counts of one network for one run.
 
-    The reliable-transport health counters (``retransmissions``,
-    ``gave_up``, ``gave_up_subids``) live in a
-    :class:`~repro.telemetry.registry.MetricsRegistry` under the
-    ``transport.*`` names rather than as ad-hoc attributes; the
-    attribute API is preserved via properties.  Passing the telemetry
-    session's registry makes them land in the run manifest for free.
+    Every count is a plain number bumped in place and owned by this
+    network alone: two systems never share one.  :meth:`counts` names
+    each the way the run manifest does; a telemetry session sums those
+    over its systems (docs/OBSERVABILITY.md, "One owner per count").
     """
 
-    def __init__(
-        self, num_nodes: int, registry: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        self._zero_per_node()
-        self.bytes_by_kind: Dict[str, float] = {}
-        self.msgs_by_kind: Dict[str, int] = {}
-        self.registry = registry if registry is not None else MetricsRegistry()
-        #: reliable-transport health: packets resent after an ack timeout,
-        #: and packets abandoned after exhausting retries *and* (when
-        #: hop-failover is on) rerouting attempts.  Before these existed,
-        #: exhausted hops vanished silently (src/repro/core/node.py's
-        #: _rel_retry simply dropped the pending state).
-        self._c_retrans = self.registry.counter("transport.retransmissions")
-        self._c_gave_up = self.registry.counter("transport.gave_up")
-        #: SubIDs riding on abandoned packets (deliveries at risk).
-        self._c_gave_up_subids = self.registry.counter("transport.gave_up_subids")
-        #: per-cause breakdown of the give-ups (see GIVE_UP_CAUSES).
-        self._c_gave_up_cause = {
-            cause: self.registry.counter(f"transport.gave_up.{cause}")
-            for cause in GIVE_UP_CAUSES
-        }
-        #: durable-delivery custody-log health (zero when the mode is
-        #: off), by short name (``"appends"`` for ``durable.appends``).
-        self._c_durable = {
-            name.split(".", 1)[1]: self.registry.counter(name)
-            for name in DURABLE_COUNTERS
-        }
-        #: event entries Algorithm 5 discarded because the healing ring
-        #: offered no next hop (or only a degenerate self-hop).
-        self._c_unroutable = self.registry.counter("transport.unroutable")
-        #: ``ps_busy`` NACKs honoured by senders (overload backpressure:
-        #: each one rescheduled a retransmission with exponential backoff
-        #: instead of consuming the retry budget).
-        self._c_busy = self.registry.counter("transport.busy_backoffs")
-        #: packets that never reached a live handler, total and by cause.
-        self._c_dropped = self.registry.counter("net.dropped")
-        self._c_drop_cause = {
-            cause: self.registry.counter(f"net.dropped.{cause}")
-            for cause in DROP_CAUSES
-        }
-        #: gray-failure injection accounting (chaos extension): packets
-        #: the network delivered a second time, and packets that picked
-        #: up adversarial reorder jitter.  Zero on healthy runs.
-        self._c_duplicated = self.registry.counter("net.duplicated")
-        self._c_reordered = self.registry.counter("net.reordered")
-        #: event packets deliberately shed by admission control (each one
-        #: was NACKed with ``ps_busy`` or accounted as a give-up -- never
-        #: silently lost, mirroring the ``gave_up`` discipline).
-        self._c_shed = self.registry.counter("faults.shed")
-        #: iterative DHT lookups restarted from the origin after the
-        #: routing-loop guard tripped -- an expected transient while the
-        #: ring heals around failures, fatal only if it never converges.
-        self._c_lookup_restarts = self.registry.counter("dht.lookup_restarts")
-        #: lookups dropped after exhausting their restarts (the caller's
-        #: callback never runs).
-        self._c_lookup_abandoned = self.registry.counter("dht.lookup_abandoned")
-        #: unregistrations that found nothing to remove on the surrogate
-        #: (repository gone, or the copy was migrated / already removed).
-        self._c_stale_unregister = self.registry.counter("install.stale_unregister")
-        #: event entries that reached their node and found no subscription,
-        #: marker or migrated store under that SubID (unsubscribed while
-        #: the event was in flight, or the holder departed).
-        self._c_stale_subid = self.registry.counter("delivery.stale_subid")
-        #: reliable event packets acked again but not processed again:
-        #: their ``(sender, epoch, rseq)`` had been seen (the first ack
-        #: was lost and the sender retransmitted, or the network ghosted
-        #: a copy).
-        self._c_duplicate_packet = self.registry.counter("delivery.duplicate_packet")
-        #: entries for a local subscription that had already been handed
-        #: this event (hop failover re-groups SubIDs onto a fresh packet,
-        #: which the packet-level dedup cannot recognise).
-        self._c_duplicate_entry = self.registry.counter("delivery.duplicate_entry")
-        #: entries whose SubID names a subscription or migrated store of
-        #: another scheme than the event's.
-        self._c_scheme_mismatch = self.registry.counter("delivery.scheme_mismatch")
-        # Eagerly create the queue-depth gauges so every pub/sub run's
-        # manifest carries them (REQUIRED_METRICS), even before the first
-        # sample_telemetry() call.  ``queue.depth`` is the deepest
-        # single-node ingress backlog at the latest sample;
-        # ``queue.depth.peak`` is the deepest one seen anywhere over the
-        # whole run (finite-service model).
-        self.registry.gauge("queue.depth")
-        self._g_queue_peak = self.registry.gauge("queue.depth.peak")
+        self.reset()
 
-    # -- registry-backed counter attributes -----------------------------
-    retransmissions = _CounterAttr("_c_retrans", writable=True)
-    gave_up = _CounterAttr("_c_gave_up", writable=True)
-    gave_up_subids = _CounterAttr("_c_gave_up_subids", writable=True)
-    busy_backoffs = _CounterAttr("_c_busy", writable=True)
-    shed = _CounterAttr("_c_shed", writable=True)
-    lookup_restarts = _CounterAttr("_c_lookup_restarts", writable=True)
-    dropped = _CounterAttr("_c_dropped", writable=True)
-    lookup_abandoned = _CounterAttr(
-        "_c_lookup_abandoned", "Lookups dropped after their last restart also looped."
-    )
-    stale_unregister = _CounterAttr(
-        "_c_stale_unregister", "Unregistrations that found no stored copy to remove."
-    )
-    stale_subid = _CounterAttr(
-        "_c_stale_subid", "Event entries for a SubID nobody here holds any more."
-    )
-    duplicate_packet = _CounterAttr(
-        "_c_duplicate_packet", "Reliable event packets received (and acked) a second time."
-    )
-    duplicate_entry = _CounterAttr(
-        "_c_duplicate_entry", "Entries for a subscription already handed this event."
-    )
-    scheme_mismatch = _CounterAttr(
-        "_c_scheme_mismatch", "Entries whose SubID belongs to another scheme than the event."
-    )
-    duplicated = _CounterAttr(
-        "_c_duplicated", "Packets the network ghost-delivered twice (duplicate fault)."
-    )
-    reordered = _CounterAttr(
-        "_c_reordered", "Packets that picked up adversarial reorder jitter."
-    )
-    unroutable = _CounterAttr(
-        "_c_unroutable", "Event entries dropped for want of a next hop (Algorithm 5)."
-    )
+    def reset(self) -> None:
+        """Zero every count (used between warm-up and measurement).
 
-    def record_lookup_abandoned(self) -> None:
-        self._c_lookup_abandoned.inc()
-
-    def record_stale_unregister(self) -> None:
-        self._c_stale_unregister.inc()
-
-    def record_stale_subid(self) -> None:
-        self._c_stale_subid.inc()
-
-    def record_duplicate_packet(self) -> None:
-        self._c_duplicate_packet.inc()
-
-    def record_duplicate_entry(self) -> None:
-        self._c_duplicate_entry.inc()
-
-    def record_scheme_mismatch(self) -> None:
-        self._c_scheme_mismatch.inc()
-
-    @property
-    def dropped_by_cause(self) -> Dict[str, int]:
-        """``{cause: count}`` over :data:`DROP_CAUSES` (all keys present)."""
-        return {
-            cause: int(ctr.value) for cause, ctr in self._c_drop_cause.items()
-        }
-
-    def record_drop(self, cause: str) -> None:
-        """Account one dropped packet under ``cause`` (see DROP_CAUSES)."""
-        self._c_dropped.inc()
-        self._c_drop_cause[cause].inc()
-
-    def record_duplicate(self) -> None:
-        self._c_duplicated.inc()
-
-    def record_reorder(self) -> None:
-        self._c_reordered.inc()
-
-    @property
-    def gave_up_by_cause(self) -> Dict[str, int]:
-        """``{cause: count}`` over :data:`GIVE_UP_CAUSES` (all keys present)."""
-        return {
-            cause: int(ctr.value)
-            for cause, ctr in self._c_gave_up_cause.items()
-        }
-
-    def record_give_up(self, cause: str, n_subids: int) -> None:
-        """Account one abandoned packet under ``cause`` (GIVE_UP_CAUSES)."""
-        self._c_gave_up.inc()
-        self._c_gave_up_cause[cause].inc()
-        self._c_gave_up_subids.inc(n_subids)
-
-    def record_unroutable(self) -> None:
-        self._c_unroutable.inc()
-
-    def record_durable(self, name: str, n: int = 1) -> None:
-        """Bump one ``durable.*`` counter (see DURABLE_COUNTERS)."""
-        self._c_durable[name].inc(n)
-
-    @property
-    def durable_counts(self) -> Dict[str, int]:
-        """``{short name: count}`` for the ``durable.*`` counters."""
-        return {name: int(ctr.value) for name, ctr in self._c_durable.items()}
-
-    def note_queue_depth(self, depth: int) -> None:
-        """Raise the run-wide ingress high-water mark (cheap: only a new
-        per-node peak reaches here, so this is rare by construction)."""
-        if depth > self._g_queue_peak.value:
-            self._g_queue_peak.set(float(depth))
-
-    def _zero_per_node(self) -> None:
+        The dicts are replaced, not cleared: a reader that keeps one
+        across a reset keeps what it read."""
         # Per-node accumulators are plain lists: ``record_send`` runs
         # once per packet and a NumPy scalar read-modify-write costs
         # several times a list slot's.  The array views below are built
         # on demand for the (rare) readers.
-        n = self.num_nodes
-        self._in_bytes = [0.0] * n
-        self._out_bytes = [0.0] * n
+        self._in_bytes = [0.0] * self.num_nodes
+        self._out_bytes = [0.0] * self.num_nodes
+        self.bytes_by_kind: Dict[str, float] = {}
+        self.msgs_by_kind: Dict[str, int] = {}
+        for attr in COUNTER_NAMES:
+            setattr(self, attr, 0)
+        #: ``{cause: count}`` over :data:`DROP_CAUSES` (all keys present)
+        self.dropped_by_cause = dict.fromkeys(DROP_CAUSES, 0)
+        #: ``{cause: count}`` over :data:`GIVE_UP_CAUSES` (all keys present)
+        self.gave_up_by_cause = dict.fromkeys(GIVE_UP_CAUSES, 0)
+        #: ``{short name: count}`` for the ``durable.*`` counters
+        self.durable_counts = {
+            name.split(".", 1)[1]: 0 for name in DURABLE_COUNTERS
+        }
+        #: deepest single-node ingress backlog seen (finite-service model)
+        self.queue_peak = 0
+
+    def counts(self) -> Dict[str, int]:
+        """Every count under its manifest name (``queue_peak``, a
+        high-water mark rather than a count, aside)."""
+        out = {name: getattr(self, attr) for attr, name in COUNTER_NAMES.items()}
+        for prefix, by_key in (
+            ("net.dropped.", self.dropped_by_cause),
+            ("transport.gave_up.", self.gave_up_by_cause),
+            ("durable.", self.durable_counts),
+        ):
+            for key, n in by_key.items():
+                out[prefix + key] = n
+        return out
+
+    def record_drop(self, cause: str) -> None:
+        """Account one dropped packet under ``cause`` (see DROP_CAUSES)."""
+        self.dropped += 1
+        self.dropped_by_cause[cause] += 1
+
+    def record_duplicate(self) -> None:
+        self.duplicated += 1
+
+    def record_reorder(self) -> None:
+        self.reordered += 1
+
+    def record_give_up(self, cause: str, n_subids: int) -> None:
+        """Account one abandoned packet under ``cause`` (GIVE_UP_CAUSES)."""
+        self.gave_up += 1
+        self.gave_up_by_cause[cause] += 1
+        self.gave_up_subids += n_subids
+
+    def record_durable(self, name: str, n: int = 1) -> None:
+        """Bump one ``durable.*`` counter (see DURABLE_COUNTERS)."""
+        self.durable_counts[name] += n
+
+    def note_queue_depth(self, depth: int) -> None:
+        """Raise the run-wide ingress high-water mark (cheap: only a new
+        per-node peak reaches here, so this is rare by construction)."""
+        if depth > self.queue_peak:
+            self.queue_peak = depth
 
     def record_send(self, src: int, dst: int, kind: str, size_bytes: int) -> None:
         self._out_bytes[src] += size_bytes
@@ -311,28 +211,6 @@ class NetworkStats:
     @property
     def total_msgs(self) -> int:
         return sum(self.msgs_by_kind.values())
-
-    def reset(self) -> None:
-        """Zero every counter (used between warm-up and measurement)."""
-        self._zero_per_node()
-        self.bytes_by_kind.clear()
-        self.msgs_by_kind.clear()
-        self.registry.reset("transport.")
-        self.registry.reset("net.dropped")
-        self.registry.reset("net.duplicated")
-        self.registry.reset("net.reordered")
-        self.registry.reset("faults.shed")
-        self.registry.reset("durable.")
-        self.registry.reset("dht.lookup_")
-        self.registry.reset("install.stale_unregister")
-        # by counter, not by the "delivery." prefix: a shared registry
-        # keeps the delivery.hops / delivery.latency_ms histograms there
-        for counter in (
-            self._c_stale_subid, self._c_duplicate_packet,
-            self._c_duplicate_entry, self._c_scheme_mismatch,
-        ):
-            counter.reset()
-        self.registry.reset("queue.depth.peak")
 
     def bytes_for(self, prefixes: Iterable[str]) -> float:
         """Total bytes over all message kinds matching any prefix

@@ -1,15 +1,17 @@
 """Metrics registry: named counters, gauges and histograms.
 
-The seed repository grew measurement state ad hoc -- an attribute here
-(``NetworkStats.retransmissions``), a dict there (``bytes_by_kind``),
-a recomputed aggregate in every experiment.  The registry gives every
-quantity a *name* (dotted, e.g. ``transport.retransmissions``,
-``zone.occupancy``, ``node.load_imbalance``, ``repair.bytes``), one
-owner, and a uniform export path into the run manifest.
+The registry gives every quantity of a telemetry scope a *name*
+(dotted, e.g. ``transport.retransmissions``, ``zone.occupancy``,
+``node.load_imbalance``, ``repair.bytes``) and a uniform export path
+into the run manifest.  For a network's counts it is a view, not the
+owner: ``NetworkStats`` keeps those, and the session writes their sum
+over its systems here at phase boundaries
+(:meth:`repro.telemetry.session.TelemetrySession.publish_counts`).
 
 Three instrument kinds:
 
-* :class:`Counter` -- monotonically increasing tally (``inc``);
+* :class:`Counter` -- tally that ``inc`` only raises (the session's
+  view writes ``value`` directly, which a system's reset lowers);
 * :class:`Gauge` -- last-written value (``set`` / ``add``);
 * :class:`Histogram` -- sample accumulator with percentile summaries
   (``observe``).
@@ -28,7 +30,7 @@ import numpy as np
 
 
 class Counter:
-    """A named monotonically-increasing tally."""
+    """A named tally; ``inc`` refuses to lower it."""
 
     __slots__ = ("name", "value")
 
@@ -40,9 +42,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r}: cannot decrease")
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
@@ -63,9 +62,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         self.value += delta
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
 
@@ -81,9 +77,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         self.values.append(float(value))
-
-    def reset(self) -> None:
-        self.values.clear()
 
     @property
     def n(self) -> int:
@@ -155,11 +148,6 @@ class MetricsRegistry:
         ):
             raise ValueError(f"metric {name!r} already registered with another kind")
 
-    def names(self) -> List[str]:
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
-
     def value(self, name: str) -> Optional[float]:
         """Current scalar value of a counter or gauge (None if unknown)."""
         inst = self._counters.get(name) or self._gauges.get(name)
@@ -196,11 +184,3 @@ class MetricsRegistry:
             n: [[t, v] for t, v in pts] for n, pts in sorted(self.series.items())
         }
         return out
-
-    def reset(self, prefix: str = "") -> None:
-        """Zero every instrument whose name starts with ``prefix``
-        (series are kept -- they are history, not state)."""
-        for group in (self._counters, self._gauges, self._histograms):
-            for name, inst in group.items():
-                if name.startswith(prefix):
-                    inst.reset()

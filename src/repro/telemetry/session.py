@@ -50,6 +50,11 @@ class TelemetrySession:
         self.tracer = Tracer(max_spans=max_spans)
         #: one entry per system built under this session
         self.runs: List[Dict[str, Any]] = []
+        #: per share (an attached system, by attach index, or a merged
+        #: worker manifest): its counts at its last publish, and its
+        #: ``queue.depth.peak``
+        self._shares: List[Dict[str, float]] = []
+        self._peaks: List[float] = []
         #: per-experiment result summaries (record_result)
         self.results: Dict[str, Dict[str, Any]] = {}
         #: free-form provenance (workload spec, scale, ...)
@@ -85,8 +90,11 @@ class TelemetrySession:
         return self.out_dir / STREAM_FILENAME
 
     # -- population --------------------------------------------------------
-    def attach_system(self, system) -> None:
-        """Record one system's provenance (called by HyperSubSystem)."""
+    def attach_system(self, system) -> int:
+        """Record one system's provenance and publish its counts, so
+        every ``REQUIRED_METRICS`` name is present from here on; returns
+        the attach index the system publishes under (called by
+        HyperSubSystem)."""
         self.runs.append(
             {
                 "num_nodes": len(system.nodes),
@@ -94,6 +102,35 @@ class TelemetrySession:
                 "config": asdict(system.config),
             }
         )
+        index = self._new_share()
+        stats = system.network.stats
+        self.publish_counts(index, stats.counts(), stats.queue_peak)
+        self.registry.counter("events.published")
+        for name in ("queue.depth", "repair.bytes", "node.load_imbalance",
+                     "zone.occupancy", "mem.bytes_per_node"):
+            self.registry.gauge(name)
+        return index
+
+    def _new_share(self) -> int:
+        self._shares.append({})
+        self._peaks.append(0.0)
+        return len(self._shares) - 1
+
+    def publish_counts(
+        self, index: int, counts: Dict[str, float], queue_peak: float
+    ) -> None:
+        """Make ``counts`` share ``index``'s part of each counter.
+
+        A session counter is the sum over shares of what each published
+        last, so its value moves by the change in this share -- down,
+        after the system reset its stats.  ``queue.depth.peak`` is the
+        maximum over shares."""
+        share = self._shares[index]
+        for name, n in counts.items():
+            self.registry.counter(name).value += n - share.get(name, 0)
+        share.update(counts)
+        self._peaks[index] = queue_peak
+        self.registry.gauge("queue.depth.peak").set(max(self._peaks))
 
     def record_result(self, name: str, summary: Dict[str, Any]) -> None:
         """Attach one experiment's headline numbers to the manifest."""
@@ -135,23 +172,25 @@ class TelemetrySession:
 
         The child's systems join ``runs``, its result summaries join
         ``results`` (child keys win only where the parent has none),
-        its counters are *summed* into this session's registry, its
-        gauges folded in with max and its snapshot stream concatenated
-        in time order -- so a sweep fanned out over a process pool
-        still produces one parent manifest carrying the aggregate
-        ``events.published``, drop counters, worst ``mem.*`` footprint
-        and the full snapshot timeline.
+        its counters become one more share of this session's sums
+        (:meth:`publish_counts`), its gauges are folded in with max and
+        its snapshot stream concatenated in time order -- so a sweep
+        fanned out over a process pool still produces one parent
+        manifest carrying the aggregate ``events.published``, drop
+        counters, worst ``mem.*`` footprint and the full snapshot
+        timeline.
         """
         self.runs.extend(manifest.get("runs", []))
         for name, summary in manifest.get("results", {}).items():
             self.results.setdefault(name, dict(summary))
         metrics = manifest.get("metrics", {})
-        for name, value in metrics.get("counters", {}).items():
-            if value:
-                self.registry.counter(name).inc(float(value))
-            else:
-                self.registry.counter(name)  # presence matters too
-        for name, value in metrics.get("gauges", {}).items():
+        gauges = metrics.get("gauges", {})
+        self.publish_counts(
+            self._new_share(),
+            {name: float(v) for name, v in metrics.get("counters", {}).items()},
+            float(gauges.get("queue.depth.peak", 0.0)),
+        )
+        for name, value in gauges.items():
             gauge = self.registry.gauge(name)
             gauge.set(max(gauge.value, float(value)))
         child_snaps = manifest.get("snapshots", [])

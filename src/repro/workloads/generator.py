@@ -10,7 +10,7 @@ are Zipf-distributed up to ``max_range_frac`` of the domain.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class WorkloadGenerator:
             lows.append(max(a.min, centre - half))
             highs.append(min(a.max, centre + half))
         return Subscription.from_box(self.scheme, lows, highs)
-
-    def subscriptions(self, count: int) -> Iterator[Subscription]:
-        for _ in range(count):
-            yield self.subscription()
 
     # ------------------------------------------------------------------
     # System drivers

@@ -333,7 +333,7 @@ class TestEventEdgeCases:
         system.run_until_idle()
         assert system.metrics.records[eid].matched == 0
         assert stats.stale_subid == 1
-        assert stats.registry.value("delivery.stale_subid") == 1.0
+        assert stats.counts()["delivery.stale_subid"] == 1
         # the unregistration has landed by now: nothing left to go stale
         home.publish(Event(scheme, {"x": 11, "y": 11}))
         system.run_until_idle()
@@ -357,7 +357,7 @@ class TestEventEdgeCases:
         sent = stats.msgs_by_kind["ps_event"]
         assert sent > 0 and stats.retransmissions == 0
         assert stats.duplicate_packet == sent
-        assert stats.registry.value("delivery.duplicate_packet") == float(sent)
+        assert stats.counts()["delivery.duplicate_packet"] == sent
         stats.reset()
         assert stats.duplicate_packet == 0
 
@@ -389,7 +389,7 @@ class TestEventEdgeCases:
         system.run_until_idle()
         assert system.metrics.records[eid].matched == 1  # still exactly once
         assert stats.duplicate_entry == 1
-        assert stats.registry.value("delivery.duplicate_entry") == 1.0
+        assert stats.counts()["delivery.duplicate_entry"] == 1
         assert stats.stale_subid == 0
 
     def test_wrong_scheme_entries_are_counted(self):
@@ -421,7 +421,7 @@ class TestEventEdgeCases:
         node.migrated[77] = ("other", store)
         assert offer("s", node.node_id, 77) == []
         assert stats.scheme_mismatch == 2
-        assert stats.registry.value("delivery.scheme_mismatch") == 2.0
+        assert stats.counts()["delivery.scheme_mismatch"] == 2
         assert stats.stale_subid == 0 and 999 not in system.metrics.records
         # the same two under the right scheme name are served
         node.migrated[77] = ("s", store)
@@ -790,6 +790,6 @@ class TestInstallPaths:
         node._dispatch_unregister(entity, empty, sid)  # no such repo
         system.run_until_idle()
         assert stats.stale_unregister == 2
-        assert stats.registry.value("install.stale_unregister") == 2.0
+        assert stats.counts()["install.stale_unregister"] == 2
         stats.reset()
         assert stats.stale_unregister == 0

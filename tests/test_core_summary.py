@@ -143,8 +143,6 @@ def test_repo_split_is_the_zone_box_on_the_split_dimension(data, base, dims):
     for level in range(geometry.max_level):
         zone = ContentZone(code, level, geometry)
         zbox = ref.zone_box(zone, entity.domain_lows, entity.domain_highs)
-        got_box = zone.box(entity.domain_lows, entity.domain_highs)
-        assert same_bits(got_box[0], zbox[0]) and same_bits(got_box[1], zbox[1])
 
         # a filter in the full space, overlapping the zone or not
         a = np.array([data.draw(st.floats(lo, hi)) for lo, hi in zip(full_lo, full_hi)])

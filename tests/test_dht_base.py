@@ -46,7 +46,7 @@ class TestDispatch:
                          payload={"key": 1, "lid": 0, "origin": 0},
                          size_bytes=10))
         sim.run()
-        assert net.dropped == 1
+        assert net.stats.dropped == 1
 
 
 class TestLookups:

@@ -118,14 +118,14 @@ class TestServiceModel:
         net.send(msg(0, 2))
         sim.run(until=60.0)
         # The run-wide high-water mark is the *deepest single node*.
-        assert net.stats.registry.value("queue.depth.peak") == 5.0
+        assert net.stats.queue_peak == 5
 
     def test_queue_peak_is_zero_under_infinite_capacity(self):
         sim, net, nodes = make_net()
         for _ in range(10):
             net.send(msg(0, 1))
         sim.run()
-        assert net.stats.registry.value("queue.depth.peak") == 0.0
+        assert net.stats.queue_peak == 0
 
     def test_control_band_is_served_first(self):
         sim = Simulator()
@@ -160,7 +160,7 @@ class TestDropCauses:
         net.send(msg(0, 3))
         sim.run()
         assert net.stats.dropped_by_cause["dead_dst"] == 1
-        assert net.dropped == 1
+        assert net.stats.dropped == 1
 
     def test_loss_and_partition_counted_by_cause(self):
         sim, net, nodes = make_net()
@@ -174,7 +174,7 @@ class TestDropCauses:
         by_cause = net.stats.dropped_by_cause
         assert by_cause["loss"] == 1
         assert by_cause["partition"] == 1
-        assert net.dropped == 2
+        assert net.stats.dropped == 2
 
     def test_reset_zeroes_every_cause(self):
         sim, net, nodes = make_net()
@@ -182,7 +182,7 @@ class TestDropCauses:
         net.send(msg(0, 3))
         sim.run()
         net.stats.reset()
-        assert net.dropped == 0
+        assert net.stats.dropped == 0
         assert all(v == 0 for v in net.stats.dropped_by_cause.values())
 
 

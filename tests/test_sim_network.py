@@ -119,7 +119,7 @@ def test_delivery_to_dead_node_is_dropped():
     assert not nodes[1].alive()
     sim.run()
     assert nodes[1].received == []
-    assert net.dropped == 1
+    assert net.stats.dropped == 1
     assert net.stats.dropped_by_cause["dead_dst"] == 1
 
 
@@ -129,7 +129,7 @@ def test_send_to_unregistered_addr_is_dropped():
     Recorder(0, net)
     net.send(Message(src=0, dst=3, kind="t", payload=None, size_bytes=10))
     sim.run()
-    assert net.dropped == 1
+    assert net.stats.dropped == 1
 
 
 def test_duplicate_registration_rejected():

@@ -44,31 +44,49 @@ class TestNetworkStats:
     def test_unroutable_is_counted_summarised_and_reset(self):
         s = NetworkStats(3)
         assert s.unroutable == 0
-        s.record_unroutable()
-        s.record_unroutable()
+        s.unroutable += 1
+        s.unroutable += 1
         assert s.unroutable == 2
-        assert s.registry.value("transport.unroutable") == 2.0
+        assert s.counts()["transport.unroutable"] == 2
         s.reset()
         assert s.unroutable == 0
-        assert s.registry.value("transport.unroutable") == 0.0
+        assert s.counts()["transport.unroutable"] == 0
 
-    def test_transport_counters_are_registry_backed(self):
+    def test_counts_name_every_count_as_the_manifest_does(self):
+        from repro.telemetry import REQUIRED_METRICS
+
         s = NetworkStats(3)
         s.retransmissions += 2
-        s.gave_up += 1
-        s.gave_up_subids += 4
-        assert s.retransmissions == 2
-        assert s.registry.value("transport.retransmissions") == 2.0
-        assert s.registry.value("transport.gave_up") == 1.0
-        assert s.registry.value("transport.gave_up_subids") == 4.0
+        s.record_give_up("ttl", 4)
+        s.record_drop("loss")
+        s.record_durable("appends", 3)
+        counts = s.counts()
+        assert len(counts) == 29
+        assert all(type(n) is int for n in counts.values())
+        assert counts["transport.retransmissions"] == 2
+        assert counts["transport.gave_up"] == counts["transport.gave_up.ttl"] == 1
+        assert counts["transport.gave_up_subids"] == 4
+        assert counts["net.dropped"] == counts["net.dropped.loss"] == 1
+        assert counts["durable.appends"] == 3
+        assert sum(counts.values()) == 2 + 1 + 1 + 4 + 1 + 1 + 3
+        # every required counter a network owns is among them
+        owned = ("transport.", "net.", "faults.", "durable.")
+        assert {n for n in REQUIRED_METRICS if n.startswith(owned)} <= set(counts)
 
-    def test_shared_registry_receives_transport_counts(self):
-        from repro.telemetry import MetricsRegistry
+    def test_cause_dicts_keep_keys_and_order_and_a_kept_one_survives_reset(self):
+        from repro.sim.stats import DROP_CAUSES, GIVE_UP_CAUSES
 
-        reg = MetricsRegistry()
-        s = NetworkStats(3, registry=reg)
-        s.retransmissions += 5
-        assert reg.value("transport.retransmissions") == 5.0
+        s = NetworkStats(3)
+        kept = s.dropped_by_cause
+        s.record_drop("overflow")
+        assert kept["overflow"] == 1  # a live attribute, not a copy
+        s.reset()
+        assert kept["overflow"] == 1
+        assert list(s.dropped_by_cause.items()) == [(c, 0) for c in DROP_CAUSES]
+        assert list(s.gave_up_by_cause) == list(GIVE_UP_CAUSES)
+        assert list(s.durable_counts) == [
+            "appends", "acked", "redelivered", "truncated", "reorder_overflow"
+        ]
 
     def test_reset_zeroes_transport_counters(self):
         s = NetworkStats(3)

@@ -109,13 +109,57 @@ class TestMetricsRegistry:
         assert s["max"] == 100.0
         assert s["p50"] == pytest.approx(50.5)
 
-    def test_prefix_reset_spares_other_metrics(self):
-        reg = MetricsRegistry()
-        reg.counter("transport.retransmissions").inc(5)
-        reg.counter("events.published").inc(2)
-        reg.reset("transport.")
-        assert reg.value("transport.retransmissions") == 0.0
-        assert reg.value("events.published") == 2.0
+
+class TestSessionCounts:
+    """A session counter is the sum, over the systems built under the
+    session, of what each one's ``stats`` read at its last publish."""
+
+    def test_a_share_moves_the_sum_by_its_change(self, session):
+        a, b = session._new_share(), session._new_share()
+        session.publish_counts(a, {"net.dropped": 5}, 3)
+        session.publish_counts(b, {"net.dropped": 2}, 7)
+        assert session.registry.value("net.dropped") == 7.0
+        assert session.registry.value("queue.depth.peak") == 7.0
+        session.publish_counts(b, {"net.dropped": 0}, 0)  # b reset
+        assert session.registry.value("net.dropped") == 5.0
+        assert session.registry.value("queue.depth.peak") == 3.0
+        with pytest.raises(ValueError):
+            session.registry.counter("net.dropped").inc(-1)
+
+    def test_every_required_metric_is_present_once_a_system_attaches(self, session):
+        from repro.telemetry import REQUIRED_METRICS
+
+        HyperSubSystem(num_nodes=8, config=HyperSubConfig(seed=1, code_bits=12))
+        summary = session.registry.summary()
+        present = set(summary["counters"]) | set(summary["gauges"])
+        assert set(REQUIRED_METRICS) <= present
+        assert not any(summary["counters"].values())
+
+    def test_systems_under_one_session_count_only_their_own(self, session):
+        def publish_some(system, scheme, rng):
+            for _ in range(8):
+                pt = rng.normal(3000, 400, 4) % 10000
+                system.publish(int(rng.integers(0, 20)), Event(scheme, list(pt)))
+            system.run_until_idle()
+
+        a, scheme_a, _, _, rng_a = build(n=20, subs=60, reliable_delivery=True)
+        a.network.set_loss_rate(0.1, seed=1)
+        publish_some(a, scheme_a, rng_a)
+        sa = a.network.stats
+        retrans, dropped = sa.retransmissions, sa.dropped
+        assert retrans > 0 and dropped > 0
+        b, scheme_b, _, _, rng_b = build(n=20, subs=60, reliable_delivery=True)
+        # B's finish_setup reset its own counts, not A's share
+        assert (sa.retransmissions, sa.dropped) == (retrans, dropped)
+        assert session.registry.value("transport.retransmissions") == retrans
+        publish_some(b, scheme_b, rng_b)
+        sb = b.network.stats
+        assert sb.retransmissions == 0 and sb.dropped == 0
+        assert not any(sb.counts().values())
+        reg = session.registry
+        assert reg.value("transport.retransmissions") == retrans + sb.retransmissions
+        assert reg.value("net.dropped") == dropped + sb.dropped
+        assert reg.value("net.dropped.loss") == sa.dropped_by_cause["loss"]
 
 
 class TestTracer:
