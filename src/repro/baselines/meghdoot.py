@@ -63,7 +63,7 @@ class MeghdootNode(CANNode):
         self.own_subs[self._iid] = sub
         self.system.metrics.count_subscription(sub.scheme_name)
         point = self.system.sub_point(sub)
-        payload = {"subid": (subid.nid, subid.iid), "box": (sub.lows.tolist(), sub.highs.tolist())}
+        payload = {"subid": (subid.nid, subid.iid), "box": sub.box}
         size = CONTROL_BYTES + 9 + 16 * self.system.scheme.dimensions
         self._route_to_point(point, "mg_store", payload, size, None)
         return subid
@@ -144,9 +144,9 @@ class MeghdootNode(CANNode):
         self._seen_events.add(event_id)
 
         # Match subscriptions stored in this zone.
-        values = np.asarray(p["values"])
+        values = np.asarray(p["values"]).tolist()
         for subid, sub in self.store.items():
-            if np.all(sub.lows <= values) and np.all(values <= sub.highs):
+            if sub.contains(values):
                 size = event_message_bytes(1)
                 self.system.metrics.on_event_message(event_id, size)
                 self.send(

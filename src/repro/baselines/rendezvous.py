@@ -54,11 +54,11 @@ class RendezvousNode(ChordNode):
         size = CONTROL_BYTES + 9 + 16 * self.system.scheme.dimensions
         payload = {
             "subid": (subid.nid, subid.iid),
-            "box": (sub.lows.tolist(), sub.highs.tolist()),
+            "box": sub.box,
         }
         home = self.system.home_addr
         if home == self.addr:
-            self.store.put(subid, sub.lows, sub.highs)
+            self.store.put(subid, *sub.box)
         else:
             self.send(
                 Message(src=self.addr, dst=home, kind="rv_store",
@@ -67,12 +67,7 @@ class RendezvousNode(ChordNode):
         return subid
 
     def _on_store(self, msg: Message) -> None:
-        lows, highs = msg.payload["box"]
-        self.store.put(
-            SubID(*msg.payload["subid"]),
-            np.asarray(lows, dtype=np.float64),
-            np.asarray(highs, dtype=np.float64),
-        )
+        self.store.put(SubID(*msg.payload["subid"]), *msg.payload["box"])
 
     # ------------------------------------------------------------------
     def publish(self, event: Event) -> int:

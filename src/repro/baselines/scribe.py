@@ -170,11 +170,11 @@ class ScribeNode(PastryNode):
         if event_id in self._seen:
             return  # already filtered via another attribute's topic
         self._seen.add(event_id)
-        point = np.asarray(values)
+        point = np.asarray(values).tolist()
         hops = msg.hops if msg is not None else 0
         latency = (self.sim.now - msg.root_time) if msg is not None else 0.0
         for iid, sub in self.own_subs.items():
-            if np.all(sub.lows <= point) and np.all(point <= sub.highs):
+            if sub.contains(point):
                 self.system.metrics.on_delivery(
                     event_id, SubID(self.addr, iid), self.addr, hops, latency
                 )
@@ -231,9 +231,10 @@ class ScribeContentSystem:
         """
         best_dim, best_range = 0, range(self.buckets)
         best_width = self.buckets + 1
+        lows, highs = sub.box
         for d in range(self.scheme.dimensions):
-            lo_b = self._bucket(d, float(sub.lows[d]))
-            hi_b = self._bucket(d, float(sub.highs[d]))
+            lo_b = self._bucket(d, lows[d])
+            hi_b = self._bucket(d, highs[d])
             width = hi_b - lo_b + 1
             if width < best_width:
                 best_dim, best_range, best_width = d, range(lo_b, hi_b + 1), width

@@ -10,16 +10,16 @@ minor (and, for the memory scenario, the same NumPy major):
   counted by ``cProfile`` (:func:`program_calls`);
 * simulated messages and bytes by kind, worklist entries, scheduler
   dispatches and ``match_point`` calls;
-* allocated blocks and zone bytes;
+* allocated blocks, zone bytes and subscription bytes;
 * state and delivery digests.
 
-Calls, ``match_point`` calls, blocks and zone bytes are ceilings
-(:data:`CEILINGS`); everything else is simulated and exact.
-``tests/test_ledger.py`` compares every row with the pinned table
-``tests/data/ledger.json`` and shows by mutation that each row fails on
-the regression it stands for.  End-to-end speed is the business of
-``benchmarks/e2e``; docs/PERFORMANCE.md says what a call count cannot
-see.
+Calls, ``match_point`` calls, blocks, zone bytes and subscription
+bytes are ceilings (:data:`CEILINGS`); everything else is simulated
+and exact.  ``tests/test_ledger.py`` compares every row with the
+pinned table ``tests/data/ledger.json`` and shows by mutation that each
+row fails on the regression it stands for.  End-to-end speed is the
+business of ``benchmarks/e2e``; docs/PERFORMANCE.md says what a call
+count cannot see.
 
 ``python -m repro bench`` runs the ledger and appends one point (the
 ledger, the environment, the git revision, optionally the e2e medians
@@ -61,7 +61,9 @@ DEFAULT_TRAJECTORY_PATH = "BENCH_trajectory.json"
 
 #: Counters that are ceilings: a change may lower them.  Every other
 #: counter is simulated and must not move at all.
-CEILINGS = frozenset({"calls", "match_point", "blocks", "zone_bytes"})
+CEILINGS = frozenset(
+    {"calls", "match_point", "blocks", "zone_bytes", "subscription_bytes"}
+)
 
 #: the package's own source files are the program
 _PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
@@ -376,16 +378,17 @@ def _best_effort(also=()) -> Dict[str, Any]:
 
 
 def _memory(also=()) -> Dict[str, Any]:
-    """What a zone repository holds after set-up of :func:`fixed_system`
-    (the ``zones`` component of ``measure_system``) and the growth of
-    ``sys.getallocatedblocks()`` over its event phase.  The first run
+    """What the zone repositories and the subscribers' own subscriptions
+    hold after set-up of :func:`fixed_system` (the ``zones`` and
+    ``subscriptions`` components of ``measure_system``) and the growth
+    of ``sys.getallocatedblocks()`` over its event phase.  The first run
     in a process also fills caches, so the row is the second run's."""
     from repro.telemetry.memory import measure_system
 
     for _ in range(2):
         system = fixed_system()
         repos = sum(len(node.zone_repos) for node in system.nodes)
-        zones = measure_system(system, node_sample=len(system.nodes)).components["zones"]
+        held = measure_system(system, node_sample=len(system.nodes)).components
         gc.collect()
         # The type attribute cache pins one name per address-chosen slot.
         sys._clear_type_cache()
@@ -396,7 +399,8 @@ def _memory(also=()) -> Dict[str, Any]:
         grown = sys.getallocatedblocks() - before
     return {
         "repositories": repos,
-        "zone_bytes": zones,
+        "zone_bytes": held["zones"],
+        "subscription_bytes": held["subscriptions"],
         "deliveries": sum(r.matched for r in system.metrics.records.values()),
         "blocks": grown,
     }

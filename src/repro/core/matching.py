@@ -102,9 +102,9 @@ class BoxStore:
     def put(self, subid: SubID, lows, highs) -> None:
         """Insert or replace the box registered under ``subid``.
 
-        The registrar hands in float tuples (:func:`repro.core.summary.
-        as_box`); anything else is read as a float64 array first and
-        must have shape ``(dims,)``.
+        The registrar hands in float tuples (``Subscription.box``,
+        :func:`repro.core.summary.as_box`); anything else is read as a
+        float64 array first and must have shape ``(dims,)``.
         """
         dims = self.dims
         if type(lows) is not tuple or type(highs) is not tuple:

@@ -37,13 +37,14 @@ from repro.core.matching import BoxStore
 from repro.core.replication import ReplicationMixin
 from repro.core.subscription import SubID, Subscription
 from repro.core.summary import (
-    Box, as_box, boxes_equal, contains, merge_box, split_pieces,
+    Box, boxes_equal, contains, merge_box, split_pieces,
 )
 from repro.core.subscheme import PubSubEntity
 from repro.core.transport import TransportMixin
 from repro.core.zones import ContentZone
 from repro.dht.base import _RC_HERE, _RC_MISS
 from repro.dht.chord import ChordNode
+from repro.dht.idspace import ID_BITS, ID_SPACE
 from repro.core import durability
 from repro.core.durability import DurableState
 from repro.sim.messages import (
@@ -347,9 +348,9 @@ class PubSubNodeMixin:
     # ------------------------------------------------------------------
     def subscribe(self, sub: Subscription) -> SubID:
         """Register interest; returns the global subscription id."""
-        # The box's one conversion to floats: everything after it --
+        # The box's one unpacking to floats: everything after it --
         # Algorithm 1, the registrar, the cascade -- reads the tuples.
-        lows, highs = as_box(sub.lows, sub.highs)
+        lows, highs = sub.box
         entity = self.system.entity_for_subscription(sub)
         zone = entity.zone_of_box(lows, highs)
         iid = self._next_iid()
@@ -720,24 +721,29 @@ class PubSubNodeMixin:
         forces the fully direct topology there, so leaves are tracked).
         """
         direct = self.system.config.direct_rendezvous_levels
+        occupied = self.system.shallow_occupied
         keys: List[int] = []
         seen_keys = set()
         for entity in self.system.entities_of(scheme_name):
             leaf = entity.zone_of_point(point)
-            targets = []
-            if not filter_leaf or self.system.shallow_occupied(
-                (entity.key, leaf.code, leaf.level)
-            ):
-                targets.append(leaf)
-            zone = leaf
-            while zone.level > 0:
-                zone = zone.parent()
-                if zone.level < direct and self.system.shallow_occupied(
-                    (entity.key, zone.code, zone.level)
-                ):
-                    targets.append(zone)
-            for z in targets:
-                key = entity.rotated_key(z)
+            code, m = leaf.code, leaf.level
+            geometry = entity.geometry
+            low_bits = ID_BITS - geometry.code_bits
+            # The ancestor at level l has code ``code >> shift`` (shift =
+            # bits_per_digit * (m - l)) and pads those shift bits with
+            # ones (``ContentZone.key``): its key is the leaf's with the
+            # low ``low_bits + shift`` bits set.  Shift 0 is the leaf.
+            leaf_key = (code << low_bits) | ((1 << low_bits) - 1)
+            shifts = []
+            if not filter_leaf or occupied((entity.key, code, m)):
+                shifts.append(0)
+            for level in range(min(direct, m) - 1, -1, -1):
+                shift = geometry.bits_per_digit * (m - level)
+                if occupied((entity.key, code >> shift, level)):
+                    shifts.append(shift)
+            for shift in shifts:
+                key = leaf_key | ((1 << (low_bits + shift)) - 1)
+                key = (key + entity.rotation) % ID_SPACE
                 if key not in seen_keys:
                     seen_keys.add(key)
                     keys.append(key)

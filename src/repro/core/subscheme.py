@@ -60,6 +60,9 @@ class PubSubEntity:
         self.full_dims: List[int] = self.dims.tolist()
         self._domain_lo: List[float] = self.domain_lows.tolist()
         self._domain_hi: List[float] = self.domain_highs.tolist()
+        #: the dimensions as a bitmask over the scheme's (bit ``i`` for
+        #: dimension ``i``, as ``Subscription.specified_bits``)
+        self._dims_bits = sum(1 << d for d in self.full_dims)
         #: whether boxes over the scheme's dimensions need projecting
         self._projects = len(self.full_dims) != scheme.dimensions
         #: every ``child_split`` answer, by value: zones that differ only
@@ -73,7 +76,7 @@ class PubSubEntity:
     ) -> ContentZone:
         """Smallest covering zone of a box's projection; the bounds are
         float sequences over every dimension of the scheme
-        (:func:`~repro.core.summary.as_box`)."""
+        (``Subscription.box``)."""
         if self._projects:
             dims = self.full_dims
             lows = [lows[j] for j in dims]
@@ -106,7 +109,7 @@ class PubSubEntity:
 
     def specified_count(self, sub: Subscription) -> int:
         """How many of this entity's dimensions the subscription pins."""
-        return int(sub.specified[self.dims].sum())
+        return (sub.specified_bits & self._dims_bits).bit_count()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PubSubEntity({self.key!r}, dims={list(self.dims)})"

@@ -13,8 +13,9 @@ the paper prescribes.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class Predicate:
         return cls(attr, low, high)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SubID:
     """Global subscription identifier: (subscriber nodeID, internal ID).
 
@@ -65,10 +66,30 @@ class SubID:
     iid: Optional[int]
 
 
-class Subscription:
-    """A hyper-rectangle over a scheme's content space."""
+class _BoxStructs(dict):
+    """``struct.Struct`` of ``2 * d`` native float64s, by ``d``."""
 
-    __slots__ = ("scheme_name", "lows", "highs", "specified")
+    def __missing__(self, d: int) -> struct.Struct:
+        packer = self[d] = struct.Struct(f"@{2 * d}d")
+        return packer
+
+
+_STRUCTS = _BoxStructs()
+
+
+class Subscription:
+    """A hyper-rectangle over a scheme's content space.
+
+    Packed, so that a subscription costs its bytes: ``bounds`` is one
+    ``bytes`` value holding the ``d`` lows and then the ``d`` highs as
+    native float64s (``lows.tobytes() + highs.tobytes()``), and
+    ``specified_bits`` has bit ``i`` set when attribute ``i`` carries a
+    predicate.  ``lows``, ``highs`` and ``specified`` read these back
+    as fresh read-only arrays; ``box`` reads the bounds as float tuples
+    in one unpack.
+    """
+
+    __slots__ = ("scheme_name", "bounds", "specified_bits")
 
     def __init__(self, scheme: Scheme, predicates: Sequence[Predicate]) -> None:
         seen: Dict[str, Predicate] = {}
@@ -79,12 +100,13 @@ class Subscription:
                     "first (see normalize_predicates)"
                 )
             seen[p.attr] = p
-        lows = scheme.domain_lows()
-        highs = scheme.domain_highs()
-        specified = np.zeros(scheme.dimensions, dtype=bool)
+        attributes = scheme.attributes
+        lows = [a.low for a in attributes]
+        highs = [a.high for a in attributes]
+        bits = 0
         for name, p in seen.items():
             i = scheme.attr_index(name)
-            attr = scheme.attributes[i]
+            attr = attributes[i]
             lo = max(p.low, attr.low)
             hi = min(p.high, attr.high)
             if hi < lo:
@@ -93,14 +115,10 @@ class Subscription:
                 )
             lows[i] = lo
             highs[i] = hi
-            specified[i] = True
-        lows.setflags(write=False)
-        highs.setflags(write=False)
-        specified.setflags(write=False)
+            bits |= 1 << i
         self.scheme_name = scheme.name
-        self.lows = lows
-        self.highs = highs
-        self.specified = specified
+        self.bounds = _STRUCTS[len(attributes)].pack(*lows, *highs)
+        self.specified_bits = bits
 
     # ------------------------------------------------------------------
     @classmethod
@@ -117,32 +135,58 @@ class Subscription:
         ]
         return cls(scheme, preds)
 
+    @property
+    def box(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """``(lows, highs)`` as float tuples."""
+        bounds = self.bounds
+        d = len(bounds) >> 4
+        values = _STRUCTS[d].unpack(bounds)
+        return values[:d], values[d:]
+
+    @property
+    def lows(self) -> np.ndarray:
+        return np.frombuffer(self.bounds, np.float64, len(self.bounds) >> 4)
+
+    @property
+    def highs(self) -> np.ndarray:
+        half = len(self.bounds) >> 1
+        return np.frombuffer(self.bounds, np.float64, offset=half)
+
+    @property
+    def specified(self) -> np.ndarray:
+        bits = self.specified_bits
+        out = np.array(
+            [bits >> i & 1 for i in range(len(self.bounds) >> 4)], dtype=bool
+        )
+        out.setflags(write=False)
+        return out
+
     def matches(self, event: Event) -> bool:
         """Does the event point fall inside this hyper-rectangle?"""
-        if event.scheme_name != self.scheme_name:
-            return False
-        return bool(
-            np.all(self.lows <= event.point) and np.all(event.point <= self.highs)
-        )
+        return event.scheme_name == self.scheme_name and self.contains(event.point)
+
+    def contains(self, point: Sequence[float]) -> bool:
+        """Does ``point`` (one value per dimension) lie inside the box,
+        bounds included?"""
+        lows, highs = self.box
+        return all(lo <= x <= hi for lo, x, hi in zip(lows, point, highs))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"[{lo:g},{hi:g}]" for lo, hi in zip(self.lows, self.highs)
-        )
+        parts = ", ".join(f"[{lo:g},{hi:g}]" for lo, hi in zip(*self.box))
         return f"Subscription({self.scheme_name!r}: {parts})"
 
     def __eq__(self, other) -> bool:
+        # By value, so -0.0 equals 0.0 although their bytes differ.
         return (
             isinstance(other, Subscription)
             and self.scheme_name == other.scheme_name
-            and np.array_equal(self.lows, other.lows)
-            and np.array_equal(self.highs, other.highs)
+            and (self.bounds == other.bounds or self.box == other.box)
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.scheme_name, self.lows.tobytes(), self.highs.tobytes())
-        )
+        bounds = self.bounds
+        half = len(bounds) >> 1
+        return hash((self.scheme_name, bounds[:half], bounds[half:]))
 
 
 def normalize_predicates(
@@ -187,8 +231,10 @@ def normalize_predicates(
 
 def _preds_of(sub: Subscription, scheme: Scheme) -> List[Predicate]:
     """Recover the specified predicates of a subscription."""
-    out: List[Predicate] = []
-    for i, a in enumerate(scheme.attributes):
-        if sub.specified[i]:
-            out.append(Predicate(a.name, float(sub.lows[i]), float(sub.highs[i])))
-    return out
+    lows, highs = sub.box
+    specified = sub.specified
+    return [
+        Predicate(a.name, lows[i], highs[i])
+        for i, a in enumerate(scheme.attributes)
+        if specified[i]
+    ]

@@ -10,12 +10,12 @@ surrogate node registers it to the corresponding child content zone
 These helpers are pure box arithmetic; the cascade itself (who sends
 which registration where) lives in :mod:`repro.core.node`.  A box here
 is a pair of tuples of Python floats, ``(lows, highs)``: the registrar
-makes one from a subscription's arrays or a transfer payload where the
-box enters it (:func:`as_box`), and every step after that -- merge,
-split, compare, the ``ps_register`` payload -- works on the tuples.
-Each operation is the same IEEE operation the NumPy forms in
-``tests/geometry_reference.py`` perform, so the bounds agree bit for
-bit.
+reads one off a subscription (``Subscription.box``) or makes one from a
+transfer payload where the box enters it (:func:`as_box`), and every
+step after that -- merge, split, compare, the ``ps_register`` payload
+-- works on the tuples.  Each operation is the same IEEE operation the
+NumPy forms in ``tests/geometry_reference.py`` perform, so the bounds
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ Box = Tuple[Tuple[float, ...], Tuple[float, ...]]
 
 
 def as_box(lows: Iterable, highs: Iterable) -> Box:
-    """``(lows, highs)`` as a box of float tuples.  Float64 arrays (a
-    subscription's bounds) need only ``tolist``, which is exact; any
+    """``(lows, highs)`` as a box of float tuples.  Float64 arrays
+    need only ``tolist``, which is exact; any
     other array goes through ``tolist`` and then ``float``, anything
     else through ``float``."""
     if hasattr(lows, "tolist") and hasattr(highs, "tolist"):

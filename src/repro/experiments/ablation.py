@@ -26,7 +26,6 @@ from repro.analysis.tables import format_table
 from repro.core.config import HyperSubConfig
 from repro.core.scheme import Attribute, Scheme
 from repro.core.subscription import Predicate, Subscription
-from repro.core.summary import as_box
 from repro.core.system import HyperSubSystem
 from repro.experiments.common import DeliveryConfig, scale_from_env
 from repro.runner import map_configs
@@ -164,7 +163,7 @@ def run(num_nodes: int | None = None, num_events: int | None = None) -> Ablation
             sub = Subscription(scheme, preds)
             system.subscribe(int(rng.integers(0, len(system.nodes))), sub)
             ent = system.entity_for_subscription(sub)
-            levels.append(ent.zone_of_box(*as_box(sub.lows, sub.highs)).level)
+            levels.append(ent.zone_of_box(*sub.box).level)
         system.finish_setup()
         real = np.array(
             [node.stored_subscription_count("sub") for node in system.nodes]

@@ -46,7 +46,7 @@ from __future__ import annotations
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.experiments.common import scale_from_env
 from repro.faults import FaultSchedule, chain_safe_churn, ring_order
 from repro.oracle import RunLog, custody_left, drain_custody, judge
 from repro.runner import map_tasks
+from repro.telemetry.manifest import load_manifest
 from repro.telemetry.session import current_session, telemetry_session
 from repro.workloads import WorkloadGenerator, default_paper_spec
 
@@ -116,6 +117,8 @@ class CellResult:
     durable: Dict[str, int] = field(default_factory=dict)
     gave_up: Dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
+    #: the manifest of the cell's own telemetry session
+    manifest: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     @property
     def ratio(self) -> float:
@@ -172,13 +175,16 @@ class GuaranteesResult:
 def _run_cell(task: dict) -> CellResult:
     """One grid cell, self-contained and picklable for map_tasks.
 
-    Runs under a scoped throwaway telemetry session so worker processes
-    never write into the parent's artifacts.
+    Runs under a scoped telemetry session of its own, so worker
+    processes never write into the parent's artifacts; the session's
+    manifest comes back with the cell for :func:`run` to merge into the
+    parent's session, as a sweep merges its workers.
     """
     t0 = time.time()
     with tempfile.TemporaryDirectory() as tmp:
-        with telemetry_session(tmp, tracing=False):
+        with telemetry_session(tmp, tracing=False) as session:
             cell = _run_cell_inner(task)
+        cell.manifest = load_manifest(session.manifest_path)
     cell.wall_seconds = time.time() - t0
     return cell
 
@@ -424,6 +430,8 @@ def run(
 
     sess = current_session()
     if sess is not None:
+        for c in cells:
+            sess.merge_child_manifest(c.manifest)
         sess.record_result(
             "guarantees",
             {

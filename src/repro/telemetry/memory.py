@@ -271,6 +271,15 @@ def measure_system(
     walk.exclude(system.sim.lanes)
     walk.exclude(system.nodes)
     walk.exclude(system.schemes.values())
+    # Every zone points at its scheme's geometry, configuration like the
+    # scheme.  Its ``__dict__`` also changes size with the number of
+    # geometries the process has built: charged, it would make the first
+    # bucket to walk a zone depend on process history.
+    walk.exclude(
+        entity.geometry
+        for name in system.schemes
+        for entity in system.entities_of(name)
+    )
     if getattr(system, "telemetry", None) is not None:
         walk.exclude([system.telemetry])
 

@@ -1,7 +1,14 @@
 """Tests for events and subscriptions (the point/box data model)."""
 
+import copy
+import pickle
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import HyperSubConfig, HyperSubSystem
 from repro.core.event import Event
@@ -12,6 +19,7 @@ from repro.core.subscription import (
     Subscription,
     normalize_predicates,
 )
+from repro.core.summary import as_box
 
 
 @pytest.fixture
@@ -183,3 +191,111 @@ class TestNormalizePredicates:
         for x, expected in [(5, True), (15, False), (25, True), (35, False)]:
             e = Event(scheme, {"x": x, "y": 0, "z": 0})
             assert any(s.matches(e) for s in subs) == expected
+
+
+# ----------------------------------------------------------------------
+# The packed layout against the three-array one it replaced
+# ----------------------------------------------------------------------
+def three_arrays(scheme, predicates):
+    """``(lows, highs, specified)`` as the three-array ``Subscription``
+    built them: the domain as float64 arrays, each predicate clipped
+    to its attribute and written over it."""
+    lows, highs = scheme.domain_lows(), scheme.domain_highs()
+    specified = np.zeros(scheme.dimensions, dtype=bool)
+    for p in predicates:
+        i = scheme.attr_index(p.attr)
+        attr = scheme.attributes[i]
+        lows[i] = max(p.low, attr.low)
+        highs[i] = min(p.high, attr.high)
+        specified[i] = True
+    return lows, highs, specified
+
+
+@st.composite
+def schemes_and_predicates(draw):
+    """A scheme of 1-6 attributes with integer or float domains, and a
+    subset of them constrained: bounds are domain edges, signed zeros,
+    infinities, values outside the domain (clipped) or inside it."""
+    d = draw(st.integers(1, 6))
+    attributes = []
+    for j in range(d):
+        low = draw(st.sampled_from([0, -0.0, 0.0, -50, -1.5, 3]))
+        high = low + draw(st.sampled_from([1, 10, 100.0, 2.5e6]))
+        attributes.append(Attribute(f"a{j}", low, high))
+    scheme = Scheme("s", attributes)
+    preds = []
+    for a in attributes:
+        if not draw(st.booleans()):
+            continue  # unspecified: the full domain
+        edges = [a.low, a.high, -0.0, 0.0, -np.inf, np.inf, a.low - 7, a.high + 7]
+        inside = st.floats(a.low, a.high, allow_nan=False)
+        lo, hi = sorted(
+            draw(st.one_of(st.sampled_from(edges), inside)) for _ in range(2)
+        )
+        if max(lo, a.low) <= min(hi, a.high):  # else nothing is left after clipping
+            preds.append(Predicate(a.name, lo, hi))
+    return scheme, draw(st.permutations(preds))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(case=schemes_and_predicates(), flip=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_packed_subscription_reads_as_the_three_arrays(case, flip):
+    scheme, preds = case
+    sub = Subscription(scheme, preds)
+    lows, highs, specified = three_arrays(scheme, preds)
+    assert same_bits(sub.lows, lows) and same_bits(sub.highs, highs)
+    assert same_bits(sub.specified, specified)
+    for array in (sub.lows, sub.highs, sub.specified):
+        assert not array.flags.writeable
+    assert sub.box == as_box(lows, highs)
+    assert repr(sub.box) == repr(as_box(lows, highs))  # the sign of zero
+    assert hash(sub) == hash((scheme.name, lows.tobytes(), highs.tobytes()))
+
+    # A twin whose zero bounds may carry the other sign: equal by value.
+    twin_preds = [
+        Predicate(p.attr, -p.low if flip and p.low == 0 else p.low, p.high)
+        for p in preds
+    ]
+    twin = Subscription(scheme, twin_preds)
+    twin_lows, twin_highs, _ = three_arrays(scheme, twin_preds)
+    assert (sub == twin) == (
+        np.array_equal(lows, twin_lows) and np.array_equal(highs, twin_highs)
+    )
+    assert sub != Subscription(Scheme("t", scheme.attributes), preds)
+
+    for copy_ in (pickle.loads(pickle.dumps(sub)), copy.deepcopy(sub)):
+        assert copy_ == sub and hash(copy_) == hash(sub)
+        assert (copy_.bounds, copy_.specified_bits) == (sub.bounds, sub.specified_bits)
+
+
+@dataclass(frozen=True, order=True)
+class DictSubID:
+    """``SubID`` as it was before it had slots."""
+
+    nid: int
+    iid: Optional[int]
+
+
+@given(
+    ids=st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 255)), max_size=12
+    ),
+    marker=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_slotted_subid_behaves_as_before(ids, marker):
+    new = [SubID(*t) for t in ids] + [SubID(marker, None)]
+    old = [DictSubID(*t) for t in ids] + [DictSubID(marker, None)]
+    assert [hash(s) for s in new] == [hash(s) for s in old]
+    assert [(s.nid, s.iid) for s in sorted(new[:-1])] == sorted(ids)
+    assert [(s.nid, s.iid) for s in sorted(new[:-1])] == [
+        (s.nid, s.iid) for s in sorted(old[:-1])
+    ]
+    for s in new:
+        for copy_ in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert copy_ == s and hash(copy_) == hash(s)
+    assert not hasattr(new[-1], "__dict__")

@@ -1,7 +1,11 @@
 """Unit tests for node-level internals not covered by integration tests."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Attribute,
@@ -793,3 +797,76 @@ class TestInstallPaths:
         assert stats.counts()["install.stale_unregister"] == 2
         stats.reset()
         assert stats.stale_unregister == 0
+
+
+# ----------------------------------------------------------------------
+# The rendezvous keys an event visits
+# ----------------------------------------------------------------------
+def zone_climb_keys(node, scheme_name, point, filter_leaf):
+    """The keys of ``_event_target_keys`` by the zone-object climb:
+    the leaf, then each ancestor by ``ContentZone.parent()``, each
+    keyed by ``PubSubEntity.rotated_key``."""
+    system = node.system
+    direct = system.config.direct_rendezvous_levels
+    keys = []
+    for entity in system.entities_of(scheme_name):
+        leaf = entity.zone_of_point(point)
+        targets = []
+        if not filter_leaf or system.shallow_occupied(
+            (entity.key, leaf.code, leaf.level)
+        ):
+            targets.append(leaf)
+        zone = leaf
+        while zone.level > 0:
+            zone = zone.parent()
+            if zone.level < direct and system.shallow_occupied(
+                (entity.key, zone.code, zone.level)
+            ):
+                targets.append(zone)
+        for z in targets:
+            key = entity.rotated_key(z)
+            if key not in keys:
+                keys.append(key)
+    return keys
+
+
+@functools.cache
+def climb_system(direct, base, code_bits):
+    """Eight nodes, one 4-d scheme split into two subschemes (two
+    entities, two rotations)."""
+    system = HyperSubSystem(
+        num_nodes=8,
+        config=HyperSubConfig(
+            seed=4, base=base, code_bits=code_bits,
+            direct_rendezvous_levels=direct,
+        ),
+    )
+    scheme = Scheme("s", [Attribute(a, 0, 1000) for a in "abcd"])
+    system.add_scheme(scheme, subschemes=[["a", "b"], ["c", "d"]])
+    return system
+
+
+@pytest.mark.parametrize("direct", [0, 8, 21])
+@pytest.mark.parametrize("base, code_bits", [(2, 20), (4, 12)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_event_target_keys_follow_the_zone_climb(direct, base, code_bits, data):
+    system = climb_system(direct, base, code_bits)
+    point = data.draw(
+        st.lists(st.floats(0, 1000, allow_nan=False), min_size=4, max_size=4)
+    )
+    # Mark an arbitrary subset of the point's zones occupied, leaves too.
+    system._shallow_occupied.clear()
+    for entity in system.entities_of("s"):
+        leaf = entity.zone_of_point(point)
+        bits = entity.geometry.bits_per_digit
+        for level in data.draw(
+            st.sets(st.integers(0, leaf.level)), label=entity.key
+        ):
+            code = leaf.code >> bits * (leaf.level - level)
+            system.mark_shallow_occupied((entity.key, code, level))
+    node = system.nodes[data.draw(st.integers(0, 7))]
+    for filter_leaf in (False, True):
+        assert node._event_target_keys("s", point, filter_leaf) == zone_climb_keys(
+            node, "s", point, filter_leaf
+        )

@@ -14,6 +14,7 @@ their negative cases, are tested with the judge in tests/test_oracle.py):
 """
 
 import numpy as np
+import pytest
 
 from repro.core import (
     Attribute,
@@ -470,3 +471,24 @@ class TestCustodyCohort:
         )
         assert counts["tick"] == 21  # 40 s / 2 s, plus the one that finds nobody
         assert sum(len(n.durable.log) for n in system.nodes) == 0
+
+
+# ----------------------------------------------------------------------
+# The G1 grid under a telemetry session
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_cells_reach_the_parent_manifest(tmp_path, jobs):
+    """Each cell runs under a session of its own; the parent's manifest
+    carries one run per cell and the cells' counts summed."""
+    from repro.experiments import guarantees
+    from repro.telemetry import load_manifest, telemetry_session
+
+    with telemetry_session(tmp_path, tracing=False):
+        result = guarantees.run(20, 10, jobs=jobs)
+    manifest = load_manifest(tmp_path / "manifest.json")
+    assert len(manifest["runs"]) == len(result.cells) == 8
+    published = [
+        c.manifest["metrics"]["counters"]["events.published"] for c in result.cells
+    ]
+    assert published == [10] * 8
+    assert manifest["metrics"]["counters"]["events.published"] == sum(published)

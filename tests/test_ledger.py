@@ -3,10 +3,11 @@ show each row can fail.
 
 Every scenario of ``repro.bench`` is counted and compared with its row
 in ``tests/data/ledger.json``: a ceiling counter (``repro.bench.CEILINGS``:
-program calls, ``match_point`` calls, blocks, zone bytes) may fall, and
-every other counter is simulated and must match exactly.  Rows are pinned
-per Python minor (memory rows per Python minor and NumPy major); a
-scenario with no row for the running interpreter is skipped.
+program calls, ``match_point`` calls, blocks, zone and subscription
+bytes) may fall, and every other counter is simulated and must match
+exactly.  Rows are pinned per Python minor (memory rows per Python
+minor and NumPy major); a scenario with no row for the running
+interpreter is skipped.
 
 Each mutation puts back a regression a row stands for and shows the row
 fails on it, with the simulated run unchanged.  After a change that
@@ -23,9 +24,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench
 import repro.dht.pns
 from repro.bench import CEILINGS, N_EVENTS, SCENARIOS, table_key
-from repro.core import HyperSubSystem
+from repro.core import HyperSubSystem, Subscription
 from repro.core import node as node_module
 from repro.core.durability import DurableState
 from repro.core.matching import BoxStore
@@ -137,6 +139,35 @@ def _tuple_per_delivery(monkeypatch):
     )
 
 
+class ThreeArraySubscription(Subscription):
+    """A subscription laid out as before packing: its lows, highs and
+    specified mask as three read-only arrays."""
+
+    __slots__ = ("_lows", "_highs", "_specified")
+
+    def __init__(self, scheme, predicates):
+        packed = Subscription(scheme, predicates)
+        self.scheme_name = packed.scheme_name
+        self._lows, self._highs, self._specified = (
+            packed.lows.copy(), packed.highs.copy(), packed.specified.copy()
+        )
+        for array in (self._lows, self._highs, self._specified):
+            array.setflags(write=False)
+
+    lows = property(lambda self: self._lows)
+    highs = property(lambda self: self._highs)
+    specified = property(lambda self: self._specified)
+    bounds = property(lambda self: self._lows.tobytes() + self._highs.tobytes())
+    specified_bits = property(
+        lambda self: sum(1 << i for i, s in enumerate(self._specified.tolist()) if s)
+    )
+
+
+def _three_arrays_per_subscription(monkeypatch):
+    """Every subscription of the scenario stores three arrays again."""
+    monkeypatch.setattr(repro.bench, "Subscription", ThreeArraySubscription)
+
+
 def _wrapper(owner, attr):
     """One pass-through Python call added to every ``owner.attr``."""
 
@@ -217,6 +248,10 @@ MUTATIONS = {
     ),
     "tuple_per_delivery": (
         "memory", "blocks", _tuple_per_delivery, _a_block_per_delivery,
+    ),
+    "three_arrays_per_subscription": (
+        "memory", "subscription_bytes", _three_arrays_per_subscription,
+        _more("subscription_bytes"),
     ),
     "call_per_custody_append": (
         "durable", "calls", _wrapper(DurableState, "append"),
