@@ -76,6 +76,10 @@ class _BoxStructs(dict):
 
 _STRUCTS = _BoxStructs()
 
+#: One packed -0.0 bound.  ``-0.0 == 0.0``, so a box holding it must
+#: hash as the box with that bound +0.0.
+_NEG_ZERO = struct.pack("@d", -0.0)
+
 
 class Subscription:
     """A hyper-rectangle over a scheme's content space.
@@ -185,6 +189,9 @@ class Subscription:
 
     def __hash__(self) -> int:
         bounds = self.bounds
+        if _NEG_ZERO in bounds:  # rare: make every signed zero +0.0
+            packer = _STRUCTS[len(bounds) >> 4]
+            bounds = packer.pack(*(v + 0.0 for v in packer.unpack(bounds)))
         half = len(bounds) >> 1
         return hash((self.scheme_name, bounds[:half], bounds[half:]))
 
