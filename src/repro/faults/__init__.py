@@ -5,8 +5,8 @@ the scaffolding the robustness experiments need:
 
 * :class:`FaultSchedule` -- a deterministic, seedable timeline of
   crash / rejoin / partition / loss / latency-spike / gray-failure
-  actions driven by the simulator clock, with build-time validation
-  (:class:`FaultScheduleError`) and a round-trippable declarative spec;
+  faults driven by the simulator clock, kept as its declarative spec
+  entries, each checked whole at build time (:class:`FaultScheduleError`);
 * :class:`ChaosNemesis` / :class:`ChaosBudget` -- seeded random
   schedule generation within safety floors (chaos campaigns), and
   :func:`chain_safe_churn`, the churn draw that spares every replica
@@ -25,17 +25,12 @@ from repro.faults.chaos import (
     ring_order,
 )
 from repro.faults.invariants import InvariantChecker, InvariantReport
-from repro.faults.schedule import (
-    FaultAction,
-    FaultSchedule,
-    FaultScheduleError,
-)
+from repro.faults.schedule import FaultSchedule, FaultScheduleError
 from repro.faults.shrink import ShrinkResult, shrink_spec
 
 __all__ = [
     "ChaosBudget",
     "ChaosNemesis",
-    "FaultAction",
     "FaultSchedule",
     "FaultScheduleError",
     "InvariantChecker",

@@ -275,7 +275,6 @@ class ChaosNemesis:
         placed: Dict[str, List[Tuple[float, float]]],
         heal_by: float,
     ) -> Optional[Dict]:
-        b = self.budget
         if kind == "crash":
             addr = int(rng.choice(self._candidates))
             t0, t1 = self._window(rng, heal_by, min_len=1_000.0)

@@ -1,105 +1,83 @@
 """Deterministic fault-schedule injection.
 
-The seed repository injected failures ad hoc: experiments called
-``Network.set_loss_rate`` / ``set_partition`` at fixed wall points and
-scheduled ``node.fail()`` by hand, which made fault timelines
-impossible to reuse, compose or replay.  :class:`FaultSchedule` fixes
-that: a schedule is an ordered list of primitive actions pinned to
-simulated time, built either through the fluent builder methods, from
-the declarative spec DSL (:meth:`FaultSchedule.from_spec`), or sampled
-deterministically from a seed (:meth:`FaultSchedule.random_churn`, or
-the full nemesis in :mod:`repro.faults.chaos`).
-``install(system)`` arms every action on the system's simulator clock;
-nothing happens until the clock reaches it.
+A :class:`FaultSchedule` is an ordered list of entries of the
+declarative spec DSL, each pinned to simulated time: crash and rejoin
+of nodes; partition, loss, latency-spike and storm windows; and the
+gray failures, where a node or link is degraded rather than dead (slow
+nodes, one-way cuts, duplicated or reordered packets, flapping nodes).
+It is built through the fluent builders (whose docstrings say what each
+fault does), from a spec (:meth:`FaultSchedule.from_spec`), or sampled
+from a seed (:meth:`FaultSchedule.random_churn`, or the nemesis in
+:mod:`repro.faults.chaos`), so a timeline can be reused, composed and
+replayed; ``install(system)`` arms it on the system's simulator clock.
 
-Primitives:
-
-* ``crash(t, addrs)`` -- crash-stop nodes (volatile surrogate state lost);
-* ``rejoin(t, addrs)`` -- crashed nodes re-enter through Chord's join
-  protocol and resync their arcs (see ``HyperSubSystem.rejoin_node``);
-* ``partition(t0, t1, groups)`` -- a partition window that heals itself;
-* ``loss(t0, rate, until=t1)`` -- an i.i.d. message-loss window;
-* ``latency_spike(t0, t1, factor)`` -- links slow down by ``factor``;
-* ``storm(t0, t1, addr, rate)`` -- flood ``addr`` with ``rate`` synthetic
-  packets per ms (overload injection; needs the finite service model to
-  have any observable effect -- see docs/FAULTS.md).
-
-Gray-failure primitives (chaos extension; the node or link is *not*
-dead, it is degraded -- the failure modes health checks miss):
-
-* ``slow(t0, t1, addrs, factor)`` -- nodes stay alive but serve their
-  ingress queues at ``factor`` of their nominal service rate (needs the
-  finite service model, like ``storm``);
-* ``asym_partition(t0, t1, src, dst)`` -- one-way link cuts: packets
-  from ``src`` addresses to ``dst`` addresses are dropped while the
-  reverse direction still flows;
-* ``duplicate(t0, t1, rate)`` -- each delivered packet is delivered a
-  second time with probability ``rate``;
-* ``reorder(t0, t1, window_ms)`` -- each packet picks up an adversarial
-  extra delay uniform in ``[0, window_ms)``, reordering streams;
-* ``flap(t0, t1, addr, period)`` -- crash/rejoin oscillation: the node
-  crashes at ``t0`` and toggles every ``period`` ms, guaranteed alive
-  again by ``t1``.
-
-Every action is applied through one dispatch point, so a schedule can
-be rendered (``describe()``), serialized back to the declarative DSL
-(``to_spec()``) and replayed bit-identically.  Build-time validation
-(:class:`FaultScheduleError`) rejects schedules that would act
-silently-wrong at runtime: rejoining a node that was never crashed,
-crashing a corpse, flapping through another fault window of the same
-node, or overlapping partition/loss/slow/duplicate/reorder windows
-without an intervening heal (the network applies one at a time, so the
-first heal would clobber the second window).
+The canonical entries are the schedule's one record: ``to_spec()``
+copies them; ``install``, ``describe()`` and ``len()`` expand each into
+its firing steps (apply, then heal).  Every builder call and every
+``from_spec`` entry takes one path: :func:`parse_entry` checks the
+entry whole, the schedule checks it against the entries already taken,
+and only then is it appended.  :class:`FaultScheduleError` names an
+entry that would act silently-wrong at runtime -- a missing, extra or
+ill-typed key, a value out of range, rejoining a node that was never
+crashed, crashing a corpse, flapping through another fault of the same
+node, or overlapping partition / loss / latency / slow / duplicate /
+reorder windows (the network applies one at a time, so the first heal
+would clobber the second window) -- and a rejected entry leaves the
+schedule exactly as it was.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.sim.network import Network
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import HyperSubSystem
 
-#: Action kinds understood by :meth:`FaultSchedule._apply`.
-_KINDS = (
-    "crash",
-    "rejoin",
-    "partition",
-    "heal_partition",
-    "loss",
-    "clear_loss",
-    "latency",
-    "clear_latency",
-    "storm",
-    "slow",
-    "clear_slow",
-    "asym_partition",
-    "heal_asym_partition",
-    "duplicate",
-    "clear_duplicate",
-    "reorder",
-    "clear_reorder",
-    "flap",
-)
+_POSITIVE = ("positive", lambda x: x > 0)
 
-#: Spec keys of the declarative DSL, one per *builder* (window actions
-#: pair an apply and a heal member of :data:`_KINDS`).
-SPEC_KEYS = (
-    "crash",
-    "rejoin",
-    "partition",
-    "loss",
-    "latency",
-    "storm",
-    "slow",
-    "asym_partition",
-    "duplicate",
-    "reorder",
-    "flap",
-)
+#: The value each fault key takes: ``"addr"``, an address list
+#: (``"addrs+"`` non-empty), an addr -> group map, a number with its
+#: range, or a dict of exactly the named fields.
+_SHAPES: Dict[str, object] = {
+    "crash": "addrs",
+    "rejoin": "addrs",
+    "partition": "groups",
+    "loss": ("in [0, 1)", lambda x: 0.0 <= x < 1.0),
+    "latency": _POSITIVE,
+    "storm": {"addr": "addr", "rate": _POSITIVE},
+    "slow": {"addrs": "addrs+", "factor": ("in (0, 1)", lambda x: 0.0 < x < 1.0)},
+    "asym_partition": {"src": "addrs+", "dst": "addrs+"},
+    "duplicate": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "reorder": _POSITIVE,
+    "flap": {"addr": "addr", "period": _POSITIVE},
+}
+#: Fault keys of the declarative DSL, one per builder.
+SPEC_KEYS = tuple(_SHAPES)
+#: Keys an entry carries besides its one fault key.
+_TIMING = ("at", "from", "to", "seed")
+#: Fault keys timed by ``at``; every other key is a ``from``/``to`` window.
+_INSTANT = ("crash", "rejoin")
+#: Fault keys whose network process draws from a ``seed``.
+_SEEDED = ("loss", "duplicate", "reorder")
+#: Window keys the network applies one at a time.
+_SINGLE_ACTIVE = ("partition", "loss", "latency", "duplicate", "reorder")
+#: Windows that set one network value and clear it again:
+#: key -> (describe format, apply, heal name, heal).
+_NET_WINDOWS = {
+    "loss": ("rate={:.3f}", Network.set_loss_rate, "clear_loss", Network.clear_loss),
+    "latency": ("x{:g}", Network.set_latency_factor,
+                "clear_latency", Network.clear_latency_factor),
+    "duplicate": ("rate={:.3f}", Network.set_duplicate,
+                  "clear_duplicate", Network.clear_duplicate),
+    "reorder": ("window={:g}ms", Network.set_reorder,
+                "clear_reorder", Network.clear_reorder),
+}
 
 
 class FaultScheduleError(ValueError):
@@ -108,291 +86,324 @@ class FaultScheduleError(ValueError):
     that was never crashed), or overlapping single-active windows."""
 
 
-@dataclass(frozen=True)
-class FaultAction:
-    """One primitive scheduled at an absolute simulated time (ms)."""
+# -- the per-entry checker ----------------------------------------------
+def _require(entry, ok: bool, why: str) -> None:
+    if not ok:
+        raise FaultScheduleError(f"fault spec entry {entry!r}: {why}")
 
-    time_ms: float
-    kind: str
-    #: node addresses (crash / rejoin / slow / flap; src side of asym)
-    addrs: tuple = ()
-    #: addr -> group map (partition)
-    groups: Optional[tuple] = None
-    #: loss / duplicate probability
-    rate: float = 0.0
-    #: latency multiplier (latency) / flood rate in msgs/ms (storm) /
-    #: service-rate fraction (slow) / reorder window ms (reorder) /
-    #: flap period ms (flap)
-    factor: float = 1.0
-    #: rng seed for the loss/duplicate/reorder process; doubles as the
-    #: window token for asym_partition (concurrent cuts are legal)
-    seed: int = 0
-    #: window end for self-terminating actions (storm, flap)
-    until_ms: Optional[float] = None
-    #: dst side of an asym_partition cut
-    dst_addrs: tuple = ()
 
-    def __post_init__(self) -> None:
-        """Validate at build time -- a bad rate must fail when the
-        schedule is constructed, not hours into a run when it fires."""
-        if self.kind not in _KINDS:
-            raise FaultScheduleError(f"unknown fault kind {self.kind!r}")
-        if self.time_ms < 0:
-            raise FaultScheduleError("fault times must be non-negative")
-        if self.kind == "loss" and not 0.0 <= self.rate < 1.0:
-            raise FaultScheduleError(
-                f"loss rate must be in [0, 1), got {self.rate}"
-            )
-        if self.kind == "latency" and self.factor <= 0:
-            raise FaultScheduleError("latency factor must be positive")
-        if self.kind == "storm":
-            if self.factor <= 0:
-                raise FaultScheduleError("storm rate must be positive (msgs/ms)")
-            if len(self.addrs) != 1:
-                raise FaultScheduleError("storm targets exactly one address")
-            if self.until_ms is None or self.until_ms <= self.time_ms:
-                raise FaultScheduleError("storm window must have positive length")
-        if self.kind == "slow":
-            if not 0.0 < self.factor < 1.0:
-                raise FaultScheduleError(
-                    f"slow factor must be in (0, 1), got {self.factor}"
-                )
-            if not self.addrs:
-                raise FaultScheduleError("slow needs at least one address")
-        if self.kind == "asym_partition":
-            if not self.addrs or not self.dst_addrs:
-                raise FaultScheduleError(
-                    "asym_partition needs non-empty src and dst address sets"
-                )
-            if set(self.addrs) & set(self.dst_addrs):
-                raise FaultScheduleError(
-                    "asym_partition src and dst sets must be disjoint"
-                )
-        if self.kind == "duplicate" and not 0.0 < self.rate <= 1.0:
-            raise FaultScheduleError(
-                f"duplicate rate must be in (0, 1], got {self.rate}"
-            )
-        if self.kind == "reorder" and self.factor <= 0:
-            raise FaultScheduleError("reorder window must be positive (ms)")
-        if self.kind == "flap":
-            if len(self.addrs) != 1:
-                raise FaultScheduleError("flap targets exactly one address")
-            if self.factor <= 0:
-                raise FaultScheduleError("flap period must be positive (ms)")
-            if self.until_ms is None or self.until_ms < self.time_ms + self.factor:
-                raise FaultScheduleError(
-                    "flap window must fit at least one crash+rejoin cycle "
-                    "(until >= from + period)"
-                )
+def _number(entry, what: str, x) -> float:
+    ok = isinstance(x, Real) and not isinstance(x, bool)
+    _require(entry, ok, f"{what} must be a number, got {x!r}")
+    return float(x)
 
-    def describe(self) -> str:
-        if self.kind in ("crash", "rejoin"):
-            return f"t={self.time_ms:.0f}ms {self.kind} {list(self.addrs)}"
-        if self.kind == "partition":
-            return f"t={self.time_ms:.0f}ms partition {dict(self.groups)}"
-        if self.kind == "loss":
-            return f"t={self.time_ms:.0f}ms loss rate={self.rate:.3f}"
-        if self.kind == "latency":
-            return f"t={self.time_ms:.0f}ms latency x{self.factor:g}"
-        if self.kind == "storm":
-            return (
-                f"t={self.time_ms:.0f}ms storm addr={self.addrs[0]} "
-                f"rate={self.factor:g}/ms until={self.until_ms:.0f}ms"
-            )
-        if self.kind == "slow":
-            return (
-                f"t={self.time_ms:.0f}ms slow {list(self.addrs)} "
-                f"x{self.factor:g}"
-            )
-        if self.kind == "clear_slow":
-            return f"t={self.time_ms:.0f}ms clear_slow {list(self.addrs)}"
-        if self.kind == "asym_partition":
-            return (
-                f"t={self.time_ms:.0f}ms asym_partition "
-                f"{list(self.addrs)} -/-> {list(self.dst_addrs)}"
-            )
-        if self.kind == "duplicate":
-            return f"t={self.time_ms:.0f}ms duplicate rate={self.rate:.3f}"
-        if self.kind == "reorder":
-            return f"t={self.time_ms:.0f}ms reorder window={self.factor:g}ms"
-        if self.kind == "flap":
-            return (
-                f"t={self.time_ms:.0f}ms flap addr={self.addrs[0]} "
-                f"period={self.factor:g}ms until={self.until_ms:.0f}ms"
-            )
-        return f"t={self.time_ms:.0f}ms {self.kind}"
+
+def _address(entry, what: str, x) -> int:
+    ok = isinstance(x, Integral) and not isinstance(x, bool)
+    _require(entry, ok, f"{what} must be an integer address, got {x!r}")
+    return int(x)
+
+
+def _shaped(entry, what: str, shape, x):
+    """``x`` checked against ``shape`` (see :data:`_SHAPES`), canonical."""
+    if isinstance(shape, dict):
+        ok = isinstance(x, dict) and sorted(x) == sorted(shape)
+        _require(entry, ok, f"{what} takes a dict of exactly {list(shape)}, got {x!r}")
+        return {k: _shaped(entry, f"{what} {k}", s, x[k]) for k, s in shape.items()}
+    if shape == "addr":
+        return _address(entry, what, x)
+    if shape == "groups":
+        _require(entry, isinstance(x, dict), f"{what} must be a dict, got {x!r}")
+        # JSON object keys arrive as strings: node "3" is node 3.
+        return {
+            _address(entry, f"{what} node", int(a) if str(a).isdigit() else a):
+            _address(entry, f"{what} group", g)
+            for a, g in x.items()
+        }
+    if shape in ("addrs", "addrs+"):
+        ok = isinstance(x, (list, tuple)) and (bool(x) or shape == "addrs")
+        _require(entry, ok, f"{what} must be a list of addresses, got {x!r}")
+        return [_address(entry, what, a) for a in x]
+    text, in_range = shape
+    value = _number(entry, what, x)
+    _require(entry, in_range(value), f"{what} must be {text}, got {value}")
+    return value
+
+
+def _time(entry, name: str) -> float:
+    t = _number(entry, repr(name), entry[name])
+    _require(entry, t >= 0, f"fault times must be non-negative, got {name!r} = {t}")
+    return t
+
+
+def parse_entry(entry) -> Tuple[str, Dict]:
+    """Check one spec entry whole; return ``(key, canonical entry)``.
+
+    An entry has exactly one fault key of :data:`SPEC_KEYS`.  ``crash``
+    and ``rejoin`` take ``at``; every other key takes ``from`` and ``to``
+    (``to`` may be absent or ``None`` only for ``loss``: an open
+    window); only ``loss``, ``duplicate`` and ``reorder`` take a
+    non-negative integer ``seed``.  A missing, extra or ill-typed key,
+    or a value out of range, raises :class:`FaultScheduleError` naming
+    the entry.  The canonical entry has float times and values, int
+    addresses and no zero ``seed``; it parses to itself.
+    """
+    _require(entry, isinstance(entry, dict), "an entry is a dict")
+    keys = [k for k in entry if k not in _TIMING]
+    _require(entry, len(keys) == 1, "needs exactly one fault key")
+    key = keys[0]
+    _require(entry, key in _SHAPES, f"unknown fault key {key!r}")
+    if key in _INSTANT:
+        takes = needs = ("at",)
+    else:
+        takes = ("from", "to") + (("seed",) if key in _SEEDED else ())
+        needs = ("from",) if key == "loss" else ("from", "to")
+    extra = [k for k in entry if k != key and k not in takes]
+    _require(entry, not extra, f"{key} does not take {extra}")
+    missing = [k for k in needs if entry.get(k) is None]
+    _require(entry, not missing, f"{key} needs {missing}")
+    value = _shaped(entry, key, _SHAPES[key], entry[key])
+    if key in _INSTANT:
+        return key, {"at": _time(entry, "at"), key: value}
+    canon: Dict = {"from": _time(entry, "from")}
+    if entry.get("to") is not None:
+        canon["to"] = _time(entry, "to")
+        ok = canon["to"] > canon["from"]
+        _require(entry, ok, f"{key} window must have positive length")
+    canon[key] = value
+    if key == "asym_partition":
+        ok = not set(value["src"]) & set(value["dst"])
+        _require(entry, ok, "asym_partition src and dst sets must be disjoint")
+    if key == "flap":
+        ok = canon["to"] >= canon["from"] + value["period"]
+        _require(entry, ok, "flap window must fit one cycle (to >= from + period)")
+    seed = entry.get("seed", 0)
+    ok = isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0
+    _require(entry, ok, f"seed must be a non-negative integer, got {seed!r}")
+    if seed:
+        canon["seed"] = int(seed)
+    return key, canon
+
+
+def _key(entry: Dict) -> str:
+    return next(k for k in entry if k not in _TIMING)
+
+
+def _overlaps(windows, t0: float, t1: Optional[float]) -> bool:
+    return any(
+        (w1 is None or t0 < w1) and (t1 is None or w0 < t1) for w0, w1 in windows
+    )
+
+
+# -- firing -------------------------------------------------------------
+def _crash(system: "HyperSubSystem", addrs: Sequence[int]) -> None:
+    for addr in addrs:
+        system.nodes[addr].fail()
+
+
+def _rejoin(system: "HyperSubSystem", addrs: Sequence[int]) -> None:
+    for addr in addrs:
+        system.rejoin_node(addr)
+
+
+def _flap(system: "HyperSubSystem", addr: int, period: float, t0: float, t1: float):
+    """Unroll one flap window: the node crashes now (at ``t0``), toggles
+    every ``period`` ms, and -- whatever phase the window ends on -- is
+    rejoined no later than ``t1``: a flap always heals by its end."""
+    _crash(system, (addr,))
+    down = True
+    t = t0 + period
+    while t < t1:
+        system.sim.schedule_at(t, _rejoin if down else _crash, system, (addr,))
+        down = not down
+        t += period
+    if down:
+        system.sim.schedule_at(t1, _rejoin, system, (addr,))
+
+
+def _expand(e: Dict, cut: int) -> List[tuple]:
+    """One canonical entry as its firing steps ``(time, name, addrs,
+    detail, act)``: the apply step, then its heal (a flap unrolls its
+    toggles when it fires).  ``cut`` numbers an ``asym_partition``
+    among the schedule's cuts."""
+    key = _key(e)
+    v = e[key]
+    if key in _INSTANT:
+        act = _crash if key == "crash" else _rejoin
+        return [(e["at"], key, tuple(v), f"{v}", lambda s: act(s, v))]
+    t0, t1, seed = e["from"], e.get("to"), e.get("seed", 0)
+    if key == "storm":
+        addr, rate = v["addr"], v["rate"]
+        detail = f"addr={addr} rate={rate:g}/ms until={t1:.0f}ms"
+        return [(t0, key, (addr,), detail,
+                 lambda s: s.network.start_storm(addr, rate, t1))]
+    if key == "flap":
+        addr, period = v["addr"], v["period"]
+        detail = f"addr={addr} period={period:g}ms until={t1:.0f}ms"
+        return [(t0, key, (addr,), detail, lambda s: _flap(s, addr, period, t0, t1))]
+    if key in _NET_WINDOWS:
+        fmt, apply, heal_name, heal = _NET_WINDOWS[key]
+        args = (v, seed) if key in _SEEDED else (v,)
+        steps = [(t0, key, (), fmt.format(v), lambda s: apply(s.network, *args))]
+        if t1 is not None:
+            steps.append((t1, heal_name, (), "", lambda s: heal(s.network)))
+        return steps
+    if key == "partition":
+        groups = dict(sorted(v.items()))
+        return [
+            (t0, key, (), f"{groups}", lambda s: s.network.set_partition(groups)),
+            (t1, "heal_partition", (), "", lambda s: s.network.clear_partition()),
+        ]
+    if key == "slow":
+        addrs, factor = tuple(v["addrs"]), v["factor"]
+        return [
+            (t0, key, addrs, f"{v['addrs']} x{factor:g}",
+             lambda s: s.network.set_slow(addrs, factor)),
+            (t1, "clear_slow", addrs, f"{v['addrs']}",
+             lambda s: s.network.clear_slow(addrs)),
+        ]
+    src, dst = tuple(v["src"]), tuple(v["dst"])  # asym_partition
+    return [
+        (t0, key, src, f"{v['src']} -/-> {v['dst']}",
+         lambda s: s.network.add_asym_cut(cut, src, dst)),
+        (t1, "heal_asym_partition", (), "", lambda s: s.network.remove_asym_cut(cut)),
+    ]
+
+
+def _fire(system: "HyperSubSystem", name: str, addrs: Tuple[int, ...], act) -> None:
+    tel = system.telemetry
+    if tel is not None:
+        tel.registry.counter(f"faults.{name}").inc(len(addrs) or 1)
+        if tel.tracing:
+            tel.tracer.span("fault", t=system.sim.now, fault=name, addrs=list(addrs))
+    act(system)
 
 
 class FaultSchedule:
-    """An ordered, replayable list of fault-injection actions.
+    """An ordered, replayable list of fault spec entries.
 
     Builder methods return ``self`` so schedules read as timelines::
 
         FaultSchedule().crash(5_000, victims).rejoin(30_000, victims)
 
-    Ties on time fire in insertion order (the simulator's tie-break),
-    so a schedule is fully deterministic.
+    Ties on time fire in the order the entries were taken (the
+    simulator's tie-break), so a schedule is fully deterministic.
     """
 
     def __init__(self) -> None:
-        self.actions: List[FaultAction] = []
-        self._installed = False
-        #: canonical declarative entries, one per builder call, so the
-        #: schedule round-trips through the spec DSL (``to_spec``).
+        #: the canonical spec entries, in the order they were taken
         self._spec: List[Dict] = []
-        #: single-active window bookkeeping: kind -> [(t0, t1|None)].
-        self._windows: Dict[str, List[Tuple[float, Optional[float]]]] = {}
-        #: per-addr life events for target validation:
-        #: addr -> [(time, "crash"|"rejoin")], plus flap windows
-        #: addr -> [(t0, t1)].
-        self._life: Dict[int, List[Tuple[float, str]]] = {}
-        self._flaps: Dict[int, List[Tuple[float, float]]] = {}
+        self._installed = False
 
-    # ------------------------------------------------------------------
-    # Build-time validation helpers
-    # ------------------------------------------------------------------
+    # -- the one way in: the entry whole, then against the schedule ---
+    def _add(self, entry) -> "FaultSchedule":
+        key, e = parse_entry(entry)
+        if key in _SINGLE_ACTIVE:
+            self._check_window(entry, key, e, self._taken(key))
+        elif key == "slow":
+            for a in e["slow"]["addrs"]:
+                slows = [x for x in self._taken("slow") if a in x["slow"]["addrs"]]
+                self._check_window(entry, f"slow[{a}]", e, slows)
+        elif key in _INSTANT:
+            t = e["at"]
+            for a in e[key]:
+                what = f"{key} of node {a} at t={t:g}ms"
+                up = self._alive_at(a, t)
+                _require(
+                    entry, up == (key == "crash"),
+                    f"{what}: the node is already {'up' if up else 'down'} there",
+                )
+                _require(
+                    entry, not _overlaps(self._flap_spans(a), t, t + 1e-9),
+                    f"{what} falls inside a flap window of the same node",
+                )
+        elif key == "flap":
+            self._check_flap(entry, e["flap"]["addr"], e["from"], e["to"])
+        self._spec.append(e)
+        return self
+
+    def _taken(self, key: str) -> List[Dict]:
+        return [x for x in self._spec if key in x]
+
     @staticmethod
-    def _overlaps(
-        windows: Iterable[Tuple[float, Optional[float]]], t0: float, t1: Optional[float]
-    ) -> bool:
-        for w0, w1 in windows:
-            if (w1 is None or t0 < w1) and (t1 is None or w0 < t1):
-                return True
-        return False
-
-    def _check_window(self, kind: str, t0: float, t1: Optional[float]) -> None:
+    def _check_window(entry, kind: str, e: Dict, taken: List[Dict]) -> None:
         """Reject overlapping windows of a single-active fault kind: the
         network applies one at a time, so the first heal would clobber
         the second window and the schedule would lie about itself."""
-        existing = self._windows.setdefault(kind, [])
-        if self._overlaps(existing, t0, t1):
-            raise FaultScheduleError(
-                f"overlapping {kind} windows without an intervening heal: "
-                f"[{t0:g}, {'inf' if t1 is None else format(t1, 'g')}) vs "
-                f"existing {existing}"
-            )
-        existing.append((t0, t1))
+        t0, t1 = e["from"], e.get("to")
+        spans = [(x["from"], x.get("to")) for x in taken]
+        _require(
+            entry, not _overlaps(spans, t0, t1),
+            f"overlapping {kind} windows without an intervening heal: "
+            f"[{t0:g}, {'inf' if t1 is None else format(t1, 'g')}) vs "
+            f"existing {spans}",
+        )
+
+    def _toggles(self, addr: int) -> List[Tuple[float, str]]:
+        """``addr``'s scheduled crashes and rejoins, by time."""
+        return sorted(
+            (x["at"], k) for k in _INSTANT for x in self._taken(k) if addr in x[k]
+        )
+
+    def _flap_spans(self, addr: int) -> List[Tuple[float, float]]:
+        flaps = self._taken("flap")
+        return [(x["from"], x["to"]) for x in flaps if x["flap"]["addr"] == addr]
 
     def _alive_at(self, addr: int, t: float) -> bool:
         """Scheduled life state of ``addr`` just before time ``t``
         (events strictly earlier; ties are pathological and rejected)."""
         state = True
-        for when, what in sorted(self._life.get(addr, ())):
+        for when, what in self._toggles(addr):
             if when >= t:
                 break
             state = what == "rejoin"
         return state
 
-    def _in_flap(self, addr: int, t0: float, t1: Optional[float]) -> bool:
-        return self._overlaps(self._flaps.get(addr, ()), t0, t1)
+    def _check_flap(self, entry, addr: int, t0: float, t1: float) -> None:
+        _require(
+            entry, self._alive_at(addr, t0),
+            f"flap of node {addr} at t={t0:g}ms: the node is already down there",
+        )
+        _require(
+            entry, not _overlaps(self._flap_spans(addr), t0, t1),
+            f"flap of node {addr}: overlapping flap windows",
+        )
+        for when, _what in self._toggles(addr):
+            _require(
+                entry, not t0 <= when < t1,
+                f"flap window of node {addr} overlaps a scheduled crash/rejoin "
+                f"of the same node at t={when:g}ms",
+            )
 
-    def _note_life(self, addr: int, t: float, what: str) -> None:
-        self._life.setdefault(addr, []).append((t, what))
-
-    # ------------------------------------------------------------------
-    # Builders
-    # ------------------------------------------------------------------
-    def _add(self, action: FaultAction) -> "FaultSchedule":
-        # Per-action validation lives in FaultAction.__post_init__ so
-        # directly constructed actions are checked too.
-        self.actions.append(action)
-        return self
-
+    # -- builders ------------------------------------------------------
     def crash(self, at_ms: float, addrs: Iterable[int]) -> "FaultSchedule":
         """Crash-stop ``addrs`` at ``at_ms`` (volatile state is lost)."""
-        addrs = tuple(int(a) for a in addrs)
-        for a in addrs:
-            if not self._alive_at(a, at_ms):
-                raise FaultScheduleError(
-                    f"crash of node {a} at t={at_ms:g}ms: already crashed "
-                    "(no intervening rejoin)"
-                )
-            if self._in_flap(a, at_ms, at_ms + 1e-9):
-                raise FaultScheduleError(
-                    f"crash of node {a} at t={at_ms:g}ms falls inside a "
-                    "flap window of the same node"
-                )
-        for a in addrs:
-            self._note_life(a, at_ms, "crash")
-        self._spec.append({"at": float(at_ms), "crash": list(addrs)})
-        return self._add(FaultAction(at_ms, "crash", addrs=addrs))
+        return self._add({"at": at_ms, "crash": list(addrs)})
 
     def rejoin(self, at_ms: float, addrs: Iterable[int]) -> "FaultSchedule":
         """Previously crashed ``addrs`` rejoin the overlay at ``at_ms``."""
-        addrs = tuple(int(a) for a in addrs)
-        for a in addrs:
-            if self._alive_at(a, at_ms):
-                raise FaultScheduleError(
-                    f"rejoin of node {a} at t={at_ms:g}ms: never crashed "
-                    "before that time (or already rejoined)"
-                )
-            if self._in_flap(a, at_ms, at_ms + 1e-9):
-                raise FaultScheduleError(
-                    f"rejoin of node {a} at t={at_ms:g}ms falls inside a "
-                    "flap window of the same node"
-                )
-        for a in addrs:
-            self._note_life(a, at_ms, "rejoin")
-        self._spec.append({"at": float(at_ms), "rejoin": list(addrs)})
-        return self._add(FaultAction(at_ms, "rejoin", addrs=addrs))
+        return self._add({"at": at_ms, "rejoin": list(addrs)})
 
     def partition(
         self, from_ms: float, until_ms: float, groups: Dict[int, int]
     ) -> "FaultSchedule":
         """Split the network into ``groups`` during [from_ms, until_ms)."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError("partition window must have positive length")
-        self._check_window("partition", from_ms, until_ms)
-        self._spec.append(
-            {
-                "from": float(from_ms),
-                "to": float(until_ms),
-                "partition": {int(k): int(v) for k, v in groups.items()},
-            }
-        )
-        self._add(
-            FaultAction(from_ms, "partition", groups=tuple(sorted(groups.items())))
-        )
-        return self._add(FaultAction(until_ms, "heal_partition"))
+        return self._add({"from": from_ms, "to": until_ms, "partition": groups})
 
     def loss(
-        self,
-        from_ms: float,
-        rate: float,
-        until_ms: Optional[float] = None,
-        seed: int = 0,
+        self, from_ms: float, rate: float,
+        until_ms: Optional[float] = None, seed: int = 0,
     ) -> "FaultSchedule":
         """Drop packets with probability ``rate`` from ``from_ms`` on;
         ``until_ms`` (exclusive) closes the window, ``None`` leaves it
         open for the rest of the run."""
-        if until_ms is not None and until_ms <= from_ms:
-            raise FaultScheduleError("loss window must have positive length")
-        self._check_window("loss", from_ms, until_ms)
-        entry: Dict = {"from": float(from_ms), "loss": float(rate)}
-        if until_ms is not None:
-            entry["to"] = float(until_ms)
-        if seed:
-            entry["seed"] = int(seed)
-        self._spec.append(entry)
-        self._add(FaultAction(from_ms, "loss", rate=rate, seed=seed))
-        if until_ms is not None:
-            self._add(FaultAction(until_ms, "clear_loss"))
-        return self
+        return self._add({"from": from_ms, "to": until_ms, "loss": rate, "seed": seed})
 
     def latency_spike(
         self, from_ms: float, until_ms: float, factor: float
     ) -> "FaultSchedule":
         """Multiply link latencies by ``factor`` during the window."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError("latency window must have positive length")
-        if factor <= 0:
-            raise FaultScheduleError("latency factor must be positive")
-        self._check_window("latency", from_ms, until_ms)
-        self._spec.append(
-            {"from": float(from_ms), "to": float(until_ms), "latency": float(factor)}
-        )
-        self._add(FaultAction(from_ms, "latency", factor=factor))
-        return self._add(FaultAction(until_ms, "clear_latency"))
+        return self._add({"from": from_ms, "to": until_ms, "latency": factor})
 
     def storm(
         self, from_ms: float, until_ms: float, addr: int, rate: float
@@ -403,78 +414,28 @@ class FaultSchedule:
         queue exactly like an event storm at a hot rendezvous zone; with
         infinite capacity (the default) they are handled instantly and
         the storm is invisible -- see docs/FAULTS.md."""
-        self._spec.append(
-            {
-                "from": float(from_ms),
-                "to": float(until_ms),
-                "storm": {"addr": int(addr), "rate": float(rate)},
-            }
-        )
-        return self._add(
-            FaultAction(
-                from_ms, "storm", addrs=(int(addr),), factor=rate, until_ms=until_ms
-            )
-        )
+        storm = {"addr": addr, "rate": rate}
+        return self._add({"from": from_ms, "to": until_ms, "storm": storm})
 
     def slow(
-        self,
-        from_ms: float,
-        until_ms: float,
-        addrs: Iterable[int],
-        factor: float,
+        self, from_ms: float, until_ms: float, addrs: Iterable[int], factor: float
     ) -> "FaultSchedule":
         """Gray failure: ``addrs`` stay alive but serve at ``factor`` of
         their nominal service rate during [from_ms, until_ms).  Needs
         the finite service model (like ``storm``) to be observable."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError("slow window must have positive length")
-        addrs = tuple(int(a) for a in addrs)
-        for a in addrs:
-            self._check_window(f"slow[{a}]", from_ms, until_ms)
-        self._spec.append(
-            {
-                "from": float(from_ms),
-                "to": float(until_ms),
-                "slow": {"addrs": list(addrs), "factor": float(factor)},
-            }
-        )
-        self._add(FaultAction(from_ms, "slow", addrs=addrs, factor=factor))
-        return self._add(FaultAction(until_ms, "clear_slow", addrs=addrs))
+        slow = {"addrs": list(addrs), "factor": factor}
+        return self._add({"from": from_ms, "to": until_ms, "slow": slow})
 
     def asym_partition(
-        self,
-        from_ms: float,
-        until_ms: float,
-        src_addrs: Iterable[int],
-        dst_addrs: Iterable[int],
+        self, from_ms: float, until_ms: float,
+        src_addrs: Iterable[int], dst_addrs: Iterable[int],
     ) -> "FaultSchedule":
         """Gray failure: one-way link cut during [from_ms, until_ms) --
         packets from ``src_addrs`` to ``dst_addrs`` are dropped while
         the reverse direction still flows.  Concurrent cuts are legal
         (each window owns a token), unlike symmetric partitions."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError(
-                "asym_partition window must have positive length"
-            )
-        src = tuple(int(a) for a in src_addrs)
-        dst = tuple(int(a) for a in dst_addrs)
-        token = len(self._windows.setdefault("asym_partition", []))
-        self._windows["asym_partition"].append((from_ms, until_ms))
-        self._spec.append(
-            {
-                "from": float(from_ms),
-                "to": float(until_ms),
-                "asym_partition": {"src": list(src), "dst": list(dst)},
-            }
-        )
-        self._add(
-            FaultAction(
-                from_ms, "asym_partition", addrs=src, dst_addrs=dst, seed=token
-            )
-        )
-        return self._add(
-            FaultAction(until_ms, "heal_asym_partition", seed=token)
-        )
+        cut = {"src": list(src_addrs), "dst": list(dst_addrs)}
+        return self._add({"from": from_ms, "to": until_ms, "asym_partition": cut})
 
     def duplicate(
         self, from_ms: float, until_ms: float, rate: float, seed: int = 0
@@ -482,19 +443,8 @@ class FaultSchedule:
         """Gray failure: during [from_ms, until_ms) every delivered
         packet is delivered a *second* time with probability ``rate``
         (deterministic per seed).  Exactly-once layers must absorb it."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError("duplicate window must have positive length")
-        self._check_window("duplicate", from_ms, until_ms)
-        entry: Dict = {
-            "from": float(from_ms),
-            "to": float(until_ms),
-            "duplicate": float(rate),
-        }
-        if seed:
-            entry["seed"] = int(seed)
-        self._spec.append(entry)
-        self._add(FaultAction(from_ms, "duplicate", rate=rate, seed=seed))
-        return self._add(FaultAction(until_ms, "clear_duplicate"))
+        entry = {"from": from_ms, "to": until_ms, "duplicate": rate, "seed": seed}
+        return self._add(entry)
 
     def reorder(
         self, from_ms: float, until_ms: float, window_ms: float, seed: int = 0
@@ -502,19 +452,8 @@ class FaultSchedule:
         """Gray failure: during [from_ms, until_ms) every packet picks
         up an adversarial extra delay uniform in [0, ``window_ms``),
         reordering otherwise-FIFO streams (deterministic per seed)."""
-        if until_ms <= from_ms:
-            raise FaultScheduleError("reorder window must have positive length")
-        self._check_window("reorder", from_ms, until_ms)
-        entry: Dict = {
-            "from": float(from_ms),
-            "to": float(until_ms),
-            "reorder": float(window_ms),
-        }
-        if seed:
-            entry["seed"] = int(seed)
-        self._spec.append(entry)
-        self._add(FaultAction(from_ms, "reorder", factor=window_ms, seed=seed))
-        return self._add(FaultAction(until_ms, "clear_reorder"))
+        entry = {"from": from_ms, "to": until_ms, "reorder": window_ms, "seed": seed}
+        return self._add(entry)
 
     def flap(
         self, from_ms: float, until_ms: float, addr: int, period_ms: float
@@ -523,47 +462,14 @@ class FaultSchedule:
         ``from_ms`` and toggles every ``period_ms``; whatever the phase,
         it is guaranteed alive again by ``until_ms`` (the heal-by-end
         contract every window primitive keeps)."""
-        addr = int(addr)
-        if not self._alive_at(addr, from_ms):
-            raise FaultScheduleError(
-                f"flap of node {addr} at t={from_ms:g}ms: node is crashed "
-                "there (rejoin it first)"
-            )
-        if self._in_flap(addr, from_ms, until_ms):
-            raise FaultScheduleError(
-                f"flap of node {addr}: overlapping flap windows"
-            )
-        for when, _what in self._life.get(addr, ()):
-            if from_ms <= when < (until_ms if until_ms is not None else when + 1):
-                raise FaultScheduleError(
-                    f"flap window of node {addr} overlaps a scheduled "
-                    f"crash/rejoin of the same node at t={when:g}ms"
-                )
-        # Validation of period/window happens in FaultAction.__post_init__.
-        action = FaultAction(
-            from_ms, "flap", addrs=(addr,), factor=period_ms, until_ms=until_ms
-        )
-        self._flaps.setdefault(addr, []).append((from_ms, until_ms))
-        self._spec.append(
-            {
-                "from": float(from_ms),
-                "to": float(until_ms),
-                "flap": {"addr": addr, "period": float(period_ms)},
-            }
-        )
-        return self._add(action)
+        flap = {"addr": addr, "period": period_ms}
+        return self._add({"from": from_ms, "to": until_ms, "flap": flap})
 
-    # ------------------------------------------------------------------
-    # Generators
-    # ------------------------------------------------------------------
+    # -- generators and the spec ---------------------------------------
     @classmethod
     def random_churn(
-        cls,
-        num_nodes: int,
-        fail_fraction: float,
-        crash_window: tuple,
-        rejoin_window: Optional[tuple] = None,
-        seed: int = 0,
+        cls, num_nodes: int, fail_fraction: float, crash_window: tuple,
+        rejoin_window: Optional[tuple] = None, seed: int = 0,
         protect: Iterable[int] = (),
     ) -> tuple:
         """Sample a deterministic crash(-and-rejoin) schedule.
@@ -593,10 +499,8 @@ class FaultSchedule:
 
     @classmethod
     def from_spec(cls, spec: Sequence[Dict]) -> "FaultSchedule":
-        """Build a schedule from the declarative DSL (docs/SIMULATOR.md).
-
-        Each entry is a dict with either ``at`` (instant actions) or
-        ``from``/``to`` (window actions) plus exactly one fault key::
+        """Build a schedule from the declarative DSL (docs/SIMULATOR.md),
+        one :func:`parse_entry` entry at a time::
 
             [{"at": 5000, "crash": [3, 7]},
              {"at": 30000, "rejoin": [3, 7]},
@@ -604,14 +508,11 @@ class FaultSchedule:
              {"from": 2000, "to": 6000, "partition": {0: 0, 1: 1}},
              {"from": 8000, "to": 9000, "latency": 3.0},
              {"from": 2000, "to": 12000, "storm": {"addr": 4, "rate": 5.0}},
-             {"from": 2000, "to": 9000, "slow": {"addrs": [1, 2],
-                                                 "factor": 0.25}},
-             {"from": 2000, "to": 9000, "asym_partition": {"src": [0],
-                                                           "dst": [3]}},
+             {"from": 2000, "to": 9000, "slow": {"addrs": [1, 2], "factor": 0.25}},
+             {"from": 2000, "to": 9000, "asym_partition": {"src": [0], "dst": [3]}},
              {"from": 2000, "to": 9000, "duplicate": 0.2},
              {"from": 2000, "to": 9000, "reorder": 150.0},
-             {"from": 2000, "to": 12000, "flap": {"addr": 5,
-                                                  "period": 2500.0}}]
+             {"from": 2000, "to": 12000, "flap": {"addr": 5, "period": 2500.0}}]
 
         The inverse is :meth:`to_spec`; the two compose to the identity
         on canonical specs (the round-trip contract the chaos shrinker
@@ -619,169 +520,39 @@ class FaultSchedule:
         """
         sched = cls()
         for entry in spec:
-            entry = dict(entry)
-            at = entry.pop("at", None)
-            t0 = entry.pop("from", None)
-            t1 = entry.pop("to", None)
-            seed = entry.pop("seed", 0)
-            if len(entry) != 1:
-                raise FaultScheduleError(
-                    f"spec entry needs exactly one fault key: {entry}"
-                )
-            key, value = next(iter(entry.items()))
-            if key in ("crash", "rejoin"):
-                if at is None:
-                    raise FaultScheduleError(f"{key} needs 'at'")
-                getattr(sched, key)(at, value)
-                continue
-            if key == "loss":
-                if t0 is None:
-                    raise FaultScheduleError("loss needs 'from'")
-                sched.loss(t0, value, until_ms=t1, seed=seed)
-                continue
-            # Every remaining kind is a closed window.
-            if t0 is None or t1 is None:
-                raise FaultScheduleError(f"{key} needs 'from' and 'to'")
-            if key == "partition":
-                sched.partition(t0, t1, {int(k): v for k, v in value.items()})
-            elif key == "latency":
-                sched.latency_spike(t0, t1, value)
-            elif key == "storm":
-                sched.storm(t0, t1, int(value["addr"]), float(value["rate"]))
-            elif key == "slow":
-                sched.slow(
-                    t0, t1, [int(a) for a in value["addrs"]],
-                    float(value["factor"]),
-                )
-            elif key == "asym_partition":
-                sched.asym_partition(
-                    t0, t1,
-                    [int(a) for a in value["src"]],
-                    [int(a) for a in value["dst"]],
-                )
-            elif key == "duplicate":
-                sched.duplicate(t0, t1, float(value), seed=seed)
-            elif key == "reorder":
-                sched.reorder(t0, t1, float(value), seed=seed)
-            elif key == "flap":
-                sched.flap(t0, t1, int(value["addr"]), float(value["period"]))
-            else:
-                raise FaultScheduleError(f"unknown fault key {key!r}")
+            sched._add(entry)
         return sched
 
     def to_spec(self) -> List[Dict]:
-        """Serialize back to the declarative DSL.
-
-        ``FaultSchedule.from_spec(s.to_spec())`` reconstructs an
-        equivalent schedule for every builder (old and new kinds alike),
-        and ``from_spec(spec).to_spec() == spec`` for canonical specs --
-        the property the chaos campaign's failing-schedule JSON files
-        and the shrinker's candidate serialization depend on.
-        """
+        """A copy of the canonical entries: the declarative DSL that
+        :meth:`from_spec` builds this schedule from again."""
         return copy.deepcopy(self._spec)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+    # -- execution -----------------------------------------------------
+    def _steps(self) -> List[tuple]:
+        """Every entry's firing steps, stable-sorted by time."""
+        steps: List[tuple] = []
+        cuts = 0
+        for e in self._spec:
+            steps += _expand(e, cuts)
+            cuts += "asym_partition" in e
+        return sorted(steps, key=lambda step: step[0])
+
     def install(self, system: "HyperSubSystem") -> None:
-        """Arm every action on the system's simulator (once per schedule)."""
+        """Arm every step on the system's simulator (once per schedule)."""
         if self._installed:
             raise RuntimeError("schedule already installed")
         self._installed = True
-        for action in sorted(self.actions, key=lambda a: a.time_ms):
-            system.sim.schedule_at(action.time_ms, self._apply, system, action)
+        for t, name, addrs, _detail, act in self._steps():
+            system.sim.schedule_at(t, _fire, system, name, addrs, act)
 
-    @staticmethod
-    def _crash_one(system: "HyperSubSystem", addr: int) -> None:
-        system.nodes[addr].fail()
-
-    @staticmethod
-    def _rejoin_one(system: "HyperSubSystem", addr: int) -> None:
-        system.rejoin_node(addr)
-
-    @classmethod
-    def _apply(cls, system: "HyperSubSystem", action: FaultAction) -> None:
-        net = system.network
-        # getattr: fault tests drive _apply against stub systems.
-        tel = getattr(system, "telemetry", None)
-        if tel is not None:
-            tel.registry.counter(f"faults.{action.kind}").inc(
-                len(action.addrs) or 1
-            )
-            if tel.tracing:
-                tel.tracer.span(
-                    "fault",
-                    t=system.sim.now,
-                    fault=action.kind,
-                    addrs=list(action.addrs),
-                )
-        if action.kind == "crash":
-            for addr in action.addrs:
-                system.nodes[addr].fail()
-        elif action.kind == "rejoin":
-            for addr in action.addrs:
-                system.rejoin_node(addr)
-        elif action.kind == "partition":
-            net.set_partition(dict(action.groups))
-        elif action.kind == "heal_partition":
-            net.clear_partition()
-        elif action.kind == "loss":
-            net.set_loss_rate(action.rate, seed=action.seed)
-        elif action.kind == "clear_loss":
-            net.clear_loss()
-        elif action.kind == "latency":
-            net.set_latency_factor(action.factor)
-        elif action.kind == "clear_latency":
-            net.clear_latency_factor()
-        elif action.kind == "storm":
-            net.start_storm(action.addrs[0], action.factor, action.until_ms)
-        elif action.kind == "slow":
-            net.set_slow(action.addrs, action.factor)
-        elif action.kind == "clear_slow":
-            net.clear_slow(action.addrs)
-        elif action.kind == "asym_partition":
-            net.add_asym_cut(action.seed, action.addrs, action.dst_addrs)
-        elif action.kind == "heal_asym_partition":
-            net.remove_asym_cut(action.seed)
-        elif action.kind == "duplicate":
-            net.set_duplicate(action.rate, seed=action.seed)
-        elif action.kind == "clear_duplicate":
-            net.clear_duplicate()
-        elif action.kind == "reorder":
-            net.set_reorder(action.factor, seed=action.seed)
-        elif action.kind == "clear_reorder":
-            net.clear_reorder()
-        elif action.kind == "flap":  # pragma: no branch
-            cls._apply_flap(system, action)
-
-    @classmethod
-    def _apply_flap(cls, system: "HyperSubSystem", action: FaultAction) -> None:
-        """Unroll one flap window into its crash/rejoin oscillation.
-
-        The node crashes *now* (the action's fire time), toggles every
-        ``period`` ms, and -- whatever phase the window length lands on
-        -- is rejoined no later than ``until_ms``: a flap always heals
-        by the end of its window.
-        """
-        addr = action.addrs[0]
-        period = action.factor
-        t1 = action.until_ms
-        cls._crash_one(system, addr)
-        down = True
-        t = action.time_ms + period
-        while t < t1:
-            fn = cls._rejoin_one if down else cls._crash_one
-            system.sim.schedule_at(t, fn, system, addr)
-            down = not down
-            t += period
-        if down:
-            system.sim.schedule_at(t1, cls._rejoin_one, system, addr)
-
-    # ------------------------------------------------------------------
     def describe(self) -> str:
         """Human-readable timeline (sorted by firing time)."""
-        lines = [a.describe() for a in sorted(self.actions, key=lambda a: a.time_ms)]
+        lines = [
+            f"t={t:.0f}ms {name} {detail}".rstrip()
+            for t, name, _addrs, detail, _act in self._steps()
+        ]
         return "\n".join(lines) if lines else "(empty schedule)"
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return len(self._steps())

@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.faults.schedule import FaultSchedule, FaultScheduleError
+from repro.faults.schedule import FaultSchedule, FaultScheduleError, parse_entry
 
 #: Shrink-store schema (hashed into every verdict key).
 SHRINK_SCHEMA = 1
@@ -57,7 +57,7 @@ def spec_is_valid(spec: List[Dict]) -> bool:
     """Does ``spec`` build into a schedule at all?"""
     try:
         FaultSchedule.from_spec(spec)
-    except (FaultScheduleError, KeyError, TypeError):
+    except FaultScheduleError:
         return False
     return True
 
@@ -131,10 +131,7 @@ class _Harness:
 # Structural coupling: crash/rejoin travel as one fault
 # ----------------------------------------------------------------------
 def _entry_kind(entry: Dict) -> str:
-    for k in entry:
-        if k not in ("at", "from", "to", "seed"):
-            return k
-    raise FaultScheduleError(f"spec entry has no fault key: {entry}")
+    return parse_entry(entry)[0]
 
 
 def _groups(spec: List[Dict]) -> List[Tuple[int, ...]]:

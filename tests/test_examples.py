@@ -17,7 +17,8 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 @pytest.mark.parametrize(
     "name",
-    ["quickstart", "auction_house", "stock_ticker", "load_balancing_demo", "trace_event"],
+    ["quickstart", "auction_house", "stock_ticker", "load_balancing_demo", "trace_event",
+     "gray_failures"],
 )
 def test_example_runs(name, capsys):
     runpy.run_path(str(EXAMPLES / f"{name}.py"), run_name="__main__")

@@ -25,6 +25,8 @@ from repro.sim.topology import ConstantTopology
 class StubSystem:
     """Just enough of HyperSubSystem for network-level fault windows."""
 
+    telemetry = None
+
     def __init__(self, n=4):
         self.sim = Simulator()
         self.network = Network(self.sim, ConstantTopology(n, rtt=10.0))
@@ -176,8 +178,7 @@ class TestChainSafeChurn:
             ring = sorted(
                 range(len(system.nodes)), key=lambda a: system.nodes[a].node_id
             )
-            victims = [a for act in sched.actions if act.kind == "crash"
-                       for a in act.addrs]
+            victims = [a for e in sched.to_spec() for a in e.get("crash", ())]
             raise Drawn(ring, victims)
 
         monkeypatch.setattr(FaultSchedule, "install", install)
@@ -201,13 +202,15 @@ class TestFromSpec:
                 {"from": 8_000, "to": 9_000, "latency": 3.0},
             ]
         )
-        kinds = sorted(a.kind for a in sched.actions)
-        assert kinds == sorted(
-            [
-                "crash", "rejoin", "loss", "clear_loss",
-                "partition", "heal_partition", "latency", "clear_latency",
-            ]
-        )
+        assert sched.to_spec() == [
+            {"at": 5_000.0, "crash": [3, 7]},
+            {"at": 30_000.0, "rejoin": [3, 7]},
+            {"from": 1_000.0, "to": 4_000.0, "loss": 0.1, "seed": 9},
+            {"from": 2_000.0, "to": 6_000.0, "partition": {0: 0, 1: 1}},
+            {"from": 8_000.0, "to": 9_000.0, "latency": 3.0},
+        ]
+        # crash + rejoin + (apply, heal) per window
+        assert len(sched) == 8
 
     def test_spec_errors(self):
         with pytest.raises(ValueError):
@@ -300,7 +303,7 @@ class TestLifeValidation:
             FaultSchedule()
             .crash(1_000, [3]).rejoin(2_000, [3]).crash(3_000, [3])
         )
-        assert len(sched.actions) == 3
+        assert len(sched) == 3
 
     def test_crash_inside_flap_window_rejected(self):
         sched = FaultSchedule().flap(1_000, 9_000, addr=3, period_ms=2_000)
@@ -371,9 +374,10 @@ class TestWindowOverlapValidation:
         # Concurrent one-way cuts are legal: each window owns a token.
         sched = FaultSchedule().asym_partition(1_000, 5_000, [0], [1])
         sched.asym_partition(2_000, 6_000, [2], [3])
-        kinds = [a.kind for a in sched.actions]
-        assert kinds.count("asym_partition") == 2
-        assert kinds.count("heal_asym_partition") == 2
+        assert [e["asym_partition"]["src"] for e in sched.to_spec()] == [[0], [2]]
+        steps = sched.describe().splitlines()
+        assert sum("asym_partition [" in line for line in steps) == 2
+        assert sum("heal_asym_partition" in line for line in steps) == 2
 
     def test_gray_builder_parameter_validation(self):
         with pytest.raises(FaultScheduleError):

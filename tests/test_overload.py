@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.core.transport import RelPending
 from repro.faults import FaultSchedule
-from repro.faults.schedule import FaultAction
 from repro.sim.engine import Simulator
 from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network, SimNode
@@ -223,12 +222,11 @@ class TestStorm:
         sched = FaultSchedule.from_spec(
             [{"from": 10.0, "to": 20.0, "storm": {"addr": 1, "rate": 2.0}}]
         )
-        (action,) = sched.actions
-        assert action.kind == "storm"
-        assert action.addrs == (1,)
-        assert action.factor == 2.0
-        assert action.until_ms == 20.0
-        assert "storm" in sched.describe()
+        assert len(sched) == 1
+        assert sched.to_spec() == [
+            {"from": 10.0, "to": 20.0, "storm": {"addr": 1, "rate": 2.0}}
+        ]
+        assert sched.describe() == "t=10ms storm addr=1 rate=2/ms until=20ms"
 
     def test_storm_builder_validation(self):
         with pytest.raises(ValueError):
@@ -238,32 +236,33 @@ class TestStorm:
 
 
 # ---------------------------------------------------------------------------
-# FaultAction build-time validation (satellite: loss-rate bounds)
+# Spec-entry build-time validation (satellite: loss-rate bounds)
 # ---------------------------------------------------------------------------
-class TestFaultActionValidation:
+class TestFaultEntryValidation:
     def test_loss_rate_one_rejected_at_build_time(self):
         with pytest.raises(ValueError):
             FaultSchedule().loss(0.0, 1.0)
         with pytest.raises(ValueError):
             FaultSchedule().loss(0.0, 1.5)
         with pytest.raises(ValueError):
-            FaultAction(0.0, "loss", rate=1.0)
+            FaultSchedule.from_spec([{"from": 0.0, "loss": 1.0}])
 
-    def test_direct_construction_validated(self):
-        with pytest.raises(ValueError):
-            FaultAction(0.0, "not_a_kind")
-        with pytest.raises(ValueError):
-            FaultAction(-1.0, "crash")
-        with pytest.raises(ValueError):
-            FaultAction(0.0, "latency", factor=0.0)
-        with pytest.raises(ValueError):
-            FaultAction(0.0, "storm", addrs=(1, 2), factor=1.0, until_ms=5.0)
-        with pytest.raises(ValueError):
-            FaultAction(0.0, "storm", addrs=(1,), factor=1.0)  # no window
+    def test_spec_entries_validated(self):
+        for entry in (
+            {"at": 0.0, "not_a_kind": [1]},
+            {"at": -1.0, "crash": []},
+            {"from": 0.0, "to": 5.0, "latency": 0.0},
+            {"from": 0.0, "to": 5.0, "storm": {"addr": [1, 2], "rate": 1.0}},
+            {"from": 0.0, "storm": {"addr": 1, "rate": 1.0}},  # no window end
+        ):
+            with pytest.raises(ValueError):
+                FaultSchedule.from_spec([entry])
 
-    def test_valid_actions_still_build(self):
-        FaultAction(0.0, "loss", rate=0.999)
-        FaultAction(0.0, "storm", addrs=(1,), factor=1.0, until_ms=5.0)
+    def test_valid_entries_still_build(self):
+        FaultSchedule.from_spec([{"from": 0.0, "loss": 0.999}])
+        FaultSchedule.from_spec(
+            [{"from": 0.0, "to": 5.0, "storm": {"addr": 1, "rate": 1.0}}]
+        )
 
 
 # ---------------------------------------------------------------------------

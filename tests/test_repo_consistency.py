@@ -282,9 +282,6 @@ class TestNoTestOnlyCode:
             "HyperSubSystem: live joins, which EXPERIMENTS.md C1 verifies "
             "through tests/test_core_joins.py"
         ),
-        "to_spec": (
-            "FaultSchedule: the inverse the chaos tests check from_spec against"
-        ),
         "pending": (
             "Simulator: the heap-plus-lane size docs/SIMULATOR.md defines; "
             "tests/test_sim_engine.py pins cancelled stubs and lane backlog with it"
