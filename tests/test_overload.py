@@ -14,7 +14,7 @@ from repro.core import (
     Subscription,
 )
 from repro.core.transport import RelPending
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, FaultScheduleError
 from repro.sim.engine import Simulator
 from repro.sim.messages import CONTROL_BYTES, Message
 from repro.sim.network import Network, SimNode
@@ -244,7 +244,7 @@ class TestFaultEntryValidation:
             FaultSchedule().loss(0.0, 1.0)
         with pytest.raises(ValueError):
             FaultSchedule().loss(0.0, 1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(FaultScheduleError):
             FaultSchedule.from_spec([{"from": 0.0, "loss": 1.0}])
 
     def test_spec_entries_validated(self):
@@ -255,7 +255,7 @@ class TestFaultEntryValidation:
             {"from": 0.0, "to": 5.0, "storm": {"addr": [1, 2], "rate": 1.0}},
             {"from": 0.0, "storm": {"addr": 1, "rate": 1.0}},  # no window end
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(FaultScheduleError):
                 FaultSchedule.from_spec([entry])
 
     def test_valid_entries_still_build(self):
