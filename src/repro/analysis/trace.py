@@ -8,9 +8,11 @@ resulting tree -- which nodes relayed, which matched, where the SubID
 lists grew and shrank.  Used by ``examples/trace_event.py`` and
 invaluable when a delivery test fails.
 
-Since the telemetry subsystem landed, ``EventRecord.edges`` and the
-``forward`` spans in :mod:`repro.telemetry.tracing` are written by the
-same call site in ``repro.core.node`` -- an exported ``trace.jsonl``
+``HyperSubSystem.tracing`` is the one switch the nodes read: under a
+telemetry session the system takes the session's ``tracing`` flag when
+it attaches, and the ``forward`` spans in
+:mod:`repro.telemetry.tracing` are written by the same call site in
+``repro.core.node`` as ``EventRecord.edges`` -- an exported ``trace.jsonl``
 reconstructs exactly these trees
 (:func:`~repro.telemetry.tracing.edges_from_spans`), and
 ``python -m repro trace --event N`` renders the full causal view

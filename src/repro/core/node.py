@@ -319,7 +319,7 @@ class PubSubNodeMixin:
         per-message sites keep their inline guard); returns the span id,
         ``None`` when no trace is being taken."""
         tel = self.system.telemetry
-        if tel is None or not tel.tracing:
+        if tel is None or not self.system.tracing:
             return None
         return tel.tracer.span(name, t=self.sim.now, node=self.addr, **fields)
 
@@ -689,18 +689,13 @@ class PubSubNodeMixin:
                     dict(fields, rt=self.sim.now), keys, stream
                 )
         root_span = None
-        tel = self.system.telemetry
-        if tel is not None:
-            tel.registry.counter("events.published").inc()
-            if tel.tracing:
-                root_span = tel.tracer.span(
-                    "publish",
-                    t=self.sim.now,
-                    node=self.addr,
-                    event=event_id,
-                    scheme=event.scheme_name,
-                    entries=len(entries),
-                )
+        if self.system.tracing:
+            root_span = self._trace(
+                "publish",
+                event=event_id,
+                scheme=event.scheme_name,
+                entries=len(entries),
+            )
         # A best-effort config enters Algorithm 5 by its own handler.
         process = self._on_plain_event if self._ev_plain else self._process_event
         process(self._local_event(fields, entries, 0, self.sim.now, root_span))
@@ -800,12 +795,7 @@ class PubSubNodeMixin:
         next hop must see anyway.
         """
         system = self.system
-        tel = system.telemetry
-        if (
-            msg.hops > EVENT_TTL_HOPS
-            or system.tracing
-            or (tel is not None and tel.tracing)
-        ):
+        if msg.hops > EVENT_TTL_HOPS or system.tracing:
             self._process_event(msg)
             return
         p = msg.payload
@@ -1011,9 +1001,8 @@ class PubSubNodeMixin:
             return
 
         system = self.system
+        tracing = system.tracing
         tel = system.telemetry
-        tracing = tel is not None and tel.tracing
-        edge_tracing = system.tracing
         on_event_message = system.metrics.on_event_message
         # What the forwarded packets inherit is a property of the packet
         # that came in, looked up once for all of them, and only when it
@@ -1061,18 +1050,18 @@ class PubSubNodeMixin:
             # One call site feeds both edge views: the EventRecord list
             # and the causal trace ("forward" spans) stay in lockstep.
             if tracing:
-                span_id = tel.tracer.span(
-                    "forward",
-                    t=self.sim.now,
-                    node=addr,
-                    event=event_id,
-                    parent=msg.span_id,
-                    src=addr,
-                    dst=nh,
-                    entries=n,
-                    bytes=size,
-                )
-            if edge_tracing:
+                if tel is not None:
+                    span_id = tel.tracer.span(
+                        "forward",
+                        t=self.sim.now,
+                        node=addr,
+                        event=event_id,
+                        parent=msg.span_id,
+                        src=addr,
+                        dst=nh,
+                        entries=n,
+                        bytes=size,
+                    )
                 system.metrics.on_event_edge(event_id, addr, nh, n)
             # A forwarded packet continues ``msg``'s path.
             emit(
@@ -1081,16 +1070,8 @@ class PubSubNodeMixin:
 
     def _trace_match(self, event_id: int, msg: Message, n_matched: int) -> None:
         """Record one matching step in the causal trace (if active)."""
-        tel = self.system.telemetry
-        if tel is not None and tel.tracing and n_matched:
-            tel.tracer.span(
-                "match",
-                t=self.sim.now,
-                node=self.addr,
-                event=event_id,
-                parent=msg.span_id,
-                entries=n_matched,
-            )
+        if n_matched and self.system.tracing:
+            self._trace("match", event=event_id, parent=msg.span_id, entries=n_matched)
 
     def _handle_local_entry(
         self,
@@ -1169,24 +1150,15 @@ class PubSubNodeMixin:
                 system.metrics.on_delivery(
                     event_id, subid, self.addr, msg.hops, latency_ms
                 )
-                tel = system.telemetry
-                if tel is not None:
-                    tel.registry.counter("events.delivered").inc()
-                    tel.registry.histogram("delivery.hops").observe(msg.hops)
-                    tel.registry.histogram("delivery.latency_ms").observe(
-                        latency_ms
+                if system.tracing:
+                    self._trace(
+                        "deliver",
+                        event=event_id,
+                        parent=msg.span_id,
+                        subid=[self.node_id, iid],
+                        hops=msg.hops,
+                        latency_ms=latency_ms,
                     )
-                    if tel.tracing:
-                        tel.tracer.span(
-                            "deliver",
-                            t=self.sim.now,
-                            node=self.addr,
-                            event=event_id,
-                            parent=msg.span_id,
-                            subid=[self.node_id, iid],
-                            hops=msg.hops,
-                            latency_ms=latency_ms,
-                        )
                 system.notify_application(self.addr, event_id, subid)
                 return []
 

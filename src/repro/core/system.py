@@ -86,6 +86,8 @@ class Metrics:
         self.records: Dict[int, EventRecord] = {}
         self.subscriptions_by_scheme: Dict[str, int] = {}
         self._next_event_id = 0
+        #: deliveries of the records ``clear_events`` dropped
+        self._cleared_deliveries = 0
 
     # -- population -----------------------------------------------------
     def count_subscription(self, scheme_name: str, delta: int = 1) -> None:
@@ -149,8 +151,19 @@ class Metrics:
             rec._d += (subid, subscriber_addr, hops, latency_ms)
 
     def clear_events(self) -> None:
-        """Forget event records (subscription counters persist)."""
+        """Forget event records (subscription counters and
+        :meth:`counts` persist)."""
+        self._cleared_deliveries = self.counts()["events.delivered"]
         self.records.clear()
+
+    def counts(self) -> Dict[str, int]:
+        """Publishes and deliveries since this system was built, under
+        their manifest names (read at phase boundaries, never lowered)."""
+        return {
+            "events.published": self._next_event_id,
+            "events.delivered": self._cleared_deliveries
+            + sum(r.matched for r in self.records.values()),
+        }
 
     # -- summaries (the series the figures plot) -------------------------
     def matched_percentages(self) -> Distribution:
@@ -270,7 +283,9 @@ class HyperSubSystem:
         self._durable_redelivery = False
         #: fleet-wide anti-entropy switch, consulted the same way
         self._anti_entropy = False
-        #: record per-event dissemination edges (see repro.analysis.trace)
+        #: the one tracing switch the nodes read: record per-event
+        #: dissemination edges (see repro.analysis.trace) and, under a
+        #: session, spans
         self.tracing: bool = False
         if self.telemetry is not None:
             # Under a session, edge capture rides the span trace -- keep
@@ -425,12 +440,12 @@ class HyperSubSystem:
         tel = self.telemetry
         if tel is None:
             return
-        reg = tel.registry
+        stats = self.network.stats
+        counts = {**stats.counts(), **self.metrics.counts()}
+        tel.publish_counts(self._telemetry_index, counts, stats.queue_peak)
         loads = self.node_loads()
         mean_load = float(loads.mean()) if len(loads) else 0.0
-        reg.gauge("node.load_imbalance").set(
-            float(loads.max()) / mean_load if mean_load > 0 else 0.0
-        )
+        imbalance = float(loads.max()) / mean_load if mean_load > 0 else 0.0
         occupied = 0
         chain_depth = 0
         for node in self.nodes:
@@ -440,38 +455,33 @@ class HyperSubSystem:
             for repo in node.zone_repos.values():
                 if repo.children and repo.zone.level > chain_depth:
                     chain_depth = repo.zone.level
-        #: live zone repositories across the deployment
-        reg.gauge("zone.occupancy").set(float(occupied))
-        #: deepest zone level that pushed surrogate subscriptions -- the
-        #: length of the longest surrogate-subscription chain an event
-        #: may climb
-        reg.gauge("surrogate.chain_depth").set(float(chain_depth))
-        stats = self.network.stats
-        tel.publish_counts(self._telemetry_index, stats.counts(), stats.queue_peak)
-        reg.gauge("repair.bytes").set(
-            stats.bytes_for(("ps_ae_", "ps_handoff"))
-        )
-        reg.gauge("event.bytes").set(stats.bytes_for(("ps_event",)))
-        #: deepest ingress backlog across alive nodes right now (stays 0
-        #: under the seed's infinite-capacity delivery)
-        reg.gauge("queue.depth").set(
-            float(max((n.ingress_depth for n in self.nodes if n.alive()), default=0))
-        )
-        #: scheduler events still queued, net of cancelled stubs
-        reg.gauge("sim.live_events").set(float(self.sim.live))
+        gauges = {
+            "node.load_imbalance": imbalance,
+            # live zone repositories across the deployment
+            "zone.occupancy": occupied,
+            # deepest zone level that pushed surrogate subscriptions --
+            # the length of the longest surrogate-subscription chain an
+            # event may climb
+            "surrogate.chain_depth": chain_depth,
+            "repair.bytes": stats.bytes_for(("ps_ae_", "ps_handoff")),
+            "event.bytes": stats.bytes_for(("ps_event",)),
+            # deepest ingress backlog across alive nodes right now
+            # (stays 0 under the seed's infinite-capacity delivery)
+            "queue.depth": max(
+                (n.ingress_depth for n in self.nodes if n.alive()), default=0
+            ),
+            # scheduler events still queued, net of cancelled stubs
+            "sim.live_events": self.sim.live,
+        }
         if self.config.delivery_mode == "durable":
-            #: unacked custody entries across alive nodes right now --
-            #: the store-and-forward backlog the durable tier carries
-            reg.gauge("durable.log_occupancy").set(
-                float(
-                    sum(
-                        len(n.durable.log)
-                        for n in self.nodes
-                        if n.alive() and n.durable is not None
-                    )
-                )
+            # unacked custody entries across alive nodes right now --
+            # the store-and-forward backlog the durable tier carries
+            gauges["durable.log_occupancy"] = sum(
+                len(n.durable.log)
+                for n in self.nodes
+                if n.alive() and n.durable is not None
             )
-        reg.sample_all(self.sim.now)
+        tel.publish_gauges(gauges, self.sim.now)
 
     def sample_memory(self, node_sample: Optional[int] = None):
         """Measure per-subsystem memory and publish it as gauges.
@@ -491,15 +501,8 @@ class HyperSubSystem:
             return None
         from repro.telemetry.memory import DEFAULT_NODE_SAMPLE, publish_memory
 
-        report = publish_memory(
-            self,
-            tel.registry,
-            node_sample=node_sample
-            if node_sample is not None
-            else DEFAULT_NODE_SAMPLE,
-        )
-        tel.registry.sample("mem.bytes_per_node", self.sim.now)
-        return report
+        sample = DEFAULT_NODE_SAMPLE if node_sample is None else node_sample
+        return publish_memory(self, node_sample=sample)
 
     # ------------------------------------------------------------------
     # Load balancing entry points

@@ -81,7 +81,7 @@ COUNTER_NAMES = {
     "reordered": "net.reordered",
     # event packets shed by admission control (each one was NACKed with
     # ``ps_busy`` or accounted as a give-up -- never silently lost)
-    "shed": "faults.shed",
+    "shed": "net.shed",
     # iterative DHT lookups restarted from the origin after the
     # routing-loop guard tripped, and those dropped after their last
     # restart also looped (the caller's callback never runs)

@@ -2,8 +2,9 @@
 
 Three pieces, one session:
 
-* :class:`MetricsRegistry` -- named counters / gauges / histograms with
-  sim-time series sampling (``repro.telemetry.registry``);
+* :class:`MetricsRegistry` -- named counters and gauges with sim-time
+  series sampling, a view of the counts the systems own
+  (``repro.telemetry.registry``);
 * :class:`Tracer` -- causal span tracing of publish -> forward ->
   match -> deliver chains, JSONL export (``repro.telemetry.tracing``);
 * the run **manifest** -- config, seed, git rev, workload, metric
@@ -22,7 +23,6 @@ from repro.telemetry.export import (
 from repro.telemetry.manifest import (
     REQUIRED_METRICS,
     load_manifest,
-    merge_manifests,
     validate_manifest,
     write_manifest,
 )
@@ -33,7 +33,7 @@ from repro.telemetry.memory import (
     publish_memory,
     rss_bytes,
 )
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.registry import Counter, Gauge, MetricsRegistry
 from repro.telemetry.session import (
     TelemetrySession,
     current_session,
@@ -53,7 +53,6 @@ __all__ = [
     "REQUIRED_METRICS",
     "Counter",
     "Gauge",
-    "Histogram",
     "MemoryReport",
     "MetricsRegistry",
     "SnapshotStreamer",
@@ -66,7 +65,6 @@ __all__ = [
     "load_manifest",
     "make_snapshot",
     "measure_system",
-    "merge_manifests",
     "merge_snapshots",
     "publish_memory",
     "read_jsonl",

@@ -4,8 +4,10 @@ A number without its provenance is a rumor.  The manifest records
 everything needed to reproduce and interpret one telemetry-enabled
 invocation: the command line, git revision, library versions, every
 system configuration built during the run, the workload specification,
-final metric values (and histogram summaries), per-experiment result
-summaries, and where the span trace lives.
+final counter and gauge values, per-experiment result summaries, and
+where the span trace lives.  A parallel sweep's worker manifests are
+folded into the parent's by
+:meth:`repro.telemetry.session.TelemetrySession.merge_child_manifest`.
 
 ``validate_manifest`` is the CI gate: it returns a list of problems
 (empty = good) so a workflow step can assert a fresh manifest parses
@@ -25,6 +27,7 @@ from typing import Any, Dict, List, Optional
 #: retransmissions.)
 REQUIRED_METRICS = (
     "events.published",
+    "events.delivered",
     "transport.retransmissions",
     "transport.gave_up",
     "transport.gave_up.retries",
@@ -35,7 +38,7 @@ REQUIRED_METRICS = (
     "node.load_imbalance",
     "zone.occupancy",
     "net.dropped",
-    "faults.shed",
+    "net.shed",
     "queue.depth",
     "queue.depth.peak",
     "mem.bytes_per_node",
@@ -101,61 +104,6 @@ def write_manifest(path, manifest: Dict[str, Any]) -> None:
 
 def load_manifest(path) -> Dict[str, Any]:
     return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def merge_manifests(manifests: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine several (worker) manifests into one aggregate view.
-
-    Used by the parallel sweep runner: each pool worker runs under its
-    own :class:`~repro.telemetry.session.TelemetrySession` and ships its
-    manifest back to the parent.  Merge semantics:
-
-    * ``runs`` / ``results`` / ``extra`` -- concatenated / key-merged;
-    * counters -- summed (they are per-run tallies);
-    * gauges -- element-wise max (a conservative "worst seen" view);
-    * histograms -- total ``n`` plus max-of-max (exact percentiles are
-      not recoverable from summaries; the per-worker manifests keep
-      them);
-    * ``snapshots`` -- streamed metric snapshots, concatenated in time
-      order (see ``repro.telemetry.export``);
-    * ``wall_seconds`` -- summed (total compute), with the per-worker
-      values preserved under ``worker_wall_seconds``.
-    """
-    from repro.telemetry.export import merge_snapshots
-
-    merged: Dict[str, Any] = {
-        "runs": [],
-        "results": {},
-        "extra": {},
-        "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-        "snapshots": [],
-        "wall_seconds": 0.0,
-        "worker_wall_seconds": [],
-        "workers": len(manifests),
-    }
-    counters = merged["metrics"]["counters"]
-    gauges = merged["metrics"]["gauges"]
-    histograms = merged["metrics"]["histograms"]
-    for m in manifests:
-        merged["runs"].extend(m.get("runs", []))
-        merged["results"].update(m.get("results", {}))
-        merged["extra"].update(m.get("extra", {}))
-        wall = float(m.get("wall_seconds", 0.0))
-        merged["wall_seconds"] += wall
-        merged["worker_wall_seconds"].append(wall)
-        metrics = m.get("metrics", {})
-        for name, value in metrics.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + value
-        for name, value in metrics.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, value), value)
-        for name, summ in metrics.get("histograms", {}).items():
-            agg = histograms.setdefault(name, {"n": 0, "max": 0.0})
-            agg["n"] += int(summ.get("n", 0))
-            agg["max"] = max(agg["max"], float(summ.get("max", 0.0)))
-        merged["snapshots"] = merge_snapshots(
-            merged["snapshots"], m.get("snapshots", [])
-        )
-    return merged
 
 
 def validate_manifest(manifest: Dict[str, Any]) -> List[str]:

@@ -342,9 +342,10 @@ def publish_memory(
     """Measure ``system`` and publish the report as registry gauges.
 
     Gauge names: ``mem.bytes_per_node`` (the headline floor tracked by
-    the perf trajectory), ``mem.total_bytes``, ``mem.<component>`` for
-    every component, and ``proc.rss_bytes``.  Gauges merge with *max*
-    across parallel workers (see ``merge_manifests``), so a sweep's
+    the perf trajectory, which also gets a sim-time series point),
+    ``mem.total_bytes``, ``mem.<component>`` for every component, and
+    ``proc.rss_bytes``.  Gauges merge with *max* across parallel
+    workers (``TelemetrySession.merge_child_manifest``), so a sweep's
     parent manifest reports the worst footprint any worker saw.
     """
     if registry is None:
@@ -361,4 +362,5 @@ def publish_memory(
         registry.gauge(f"mem.{name}").set(float(value))
     if report.rss_bytes is not None:
         registry.gauge("proc.rss_bytes").set(float(report.rss_bytes))
+    registry.sample("mem.bytes_per_node", system.sim.now)
     return report

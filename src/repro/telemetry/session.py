@@ -104,8 +104,8 @@ class TelemetrySession:
         )
         index = self._new_share()
         stats = system.network.stats
-        self.publish_counts(index, stats.counts(), stats.queue_peak)
-        self.registry.counter("events.published")
+        counts = {**stats.counts(), **system.metrics.counts()}
+        self.publish_counts(index, counts, stats.queue_peak)
         for name in ("queue.depth", "repair.bytes", "node.load_imbalance",
                      "zone.occupancy", "mem.bytes_per_node"):
             self.registry.gauge(name)
@@ -131,6 +131,13 @@ class TelemetrySession:
         share.update(counts)
         self._peaks[index] = queue_peak
         self.registry.gauge("queue.depth.peak").set(max(self._peaks))
+
+    def publish_gauges(self, gauges: Dict[str, float], t_ms: float) -> None:
+        """Set each named gauge, then snapshot every counter and gauge
+        at simulated time ``t_ms``."""
+        for name, value in gauges.items():
+            self.registry.gauge(name).set(value)
+        self.registry.sample_all(t_ms)
 
     def record_result(self, name: str, summary: Dict[str, Any]) -> None:
         """Attach one experiment's headline numbers to the manifest."""

@@ -61,8 +61,7 @@ SPANS = [
     (9_000.0, "rejoin", [3, 7]),
 ]
 
-#: ``faults.<name>`` counters: ``len(addrs) or 1`` per firing
-#: (``faults.shed`` is the network's admission-control count).
+#: ``faults.<name>`` counters: ``len(addrs) or 1`` per firing.
 COUNTERS = {
     "faults.asym_partition": 2,
     "faults.clear_duplicate": 1,
@@ -147,7 +146,7 @@ def test_every_key_fires_its_counters_and_spans(session):
     counters = {
         name: value
         for name, value in session.registry.summary()["counters"].items()
-        if name.startswith("faults.") and name != "faults.shed"
+        if name.startswith("faults.")
     }
     assert counters == COUNTERS
     # the flap healed by its window's end, the crashed pair rejoined

@@ -506,3 +506,44 @@ class TestCoveringRetired:
     def test_no_module_under_src_imports_indexing(self):
         offenders = modules_importing("repro.core.indexing")
         assert not offenders, "imports repro.core.indexing: " + ", ".join(offenders)
+
+
+def attribute_reads(packages, attr):
+    """``(rel path, line, dotted owner)`` of every ``<owner>.<attr>``
+    under the given ``src/repro/`` packages."""
+    import ast
+
+    src = REPO / "src" / "repro"
+    found = []
+    for package in packages:
+        for path in sorted((src / package).rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr == attr:
+                    found.append((rel, node.lineno, ast.unparse(node.value)))
+    return found
+
+
+class TestOneOwnerPerCount:
+    """The simulator, overlay and pub/sub layers own their counts and
+    hand them to a telemetry session at phase boundaries; none of them
+    writes to the registry (docs/OBSERVABILITY.md, "One owner per
+    count")."""
+
+    def test_no_registry_access_under_core_dht_sim(self):
+        offenders = [
+            f"{rel}:{line} {owner}.registry"
+            for rel, line, owner in attribute_reads(("core", "dht", "sim"), "registry")
+        ]
+        assert not offenders, "reads the telemetry registry: " + "; ".join(offenders)
+
+    def test_the_nodes_read_one_tracing_switch(self):
+        """``system.tracing`` is the one switch; only the system itself
+        reads the session's flag, once, when it attaches."""
+        offenders = [
+            f"{rel}:{line} {owner}.tracing"
+            for rel, line, owner in attribute_reads(("core",), "tracing")
+            if owner not in ("system", "self.system", "self")
+            and (rel, owner) != ("core/system.py", "self.telemetry")
+        ]
+        assert not offenders, "reads a second tracing flag: " + "; ".join(offenders)

@@ -383,23 +383,20 @@ class TestManifestMerge:
             "metrics": {
                 "counters": {"events.published": published},
                 "gauges": {"queue.depth": published / 10.0},
-                "histograms": {"h": {"n": 2, "max": float(published)}},
             },
         }
 
-    def test_merge_manifests(self):
-        from repro.telemetry import merge_manifests
+    def test_merge_two_children(self, tmp_path):
+        from repro.telemetry import TelemetrySession
 
-        merged = merge_manifests(
-            [self._fake_manifest(10, 1.0), self._fake_manifest(30, 2.0)]
-        )
-        assert merged["workers"] == 2
-        assert len(merged["runs"]) == 2
-        assert merged["metrics"]["counters"]["events.published"] == 40
-        assert merged["metrics"]["gauges"]["queue.depth"] == 3.0
-        assert merged["metrics"]["histograms"]["h"] == {"n": 4, "max": 30.0}
-        assert merged["wall_seconds"] == pytest.approx(3.0)
-        assert merged["worker_wall_seconds"] == [1.0, 2.0]
+        session = TelemetrySession(tmp_path / "tel", tracing=False)
+        session.merge_child_manifest(self._fake_manifest(10, 1.0))
+        session.merge_child_manifest(self._fake_manifest(30, 2.0))
+        # runs concatenate, results key-merge, counters sum, gauges max
+        assert len(session.runs) == 2
+        assert set(session.results) == {"r10", "r30"}
+        assert session.registry.value("events.published") == 40
+        assert session.registry.value("queue.depth") == 3.0
 
     def test_session_absorbs_child(self, tmp_path):
         from repro.telemetry import TelemetrySession

@@ -67,15 +67,12 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         assert reg.counter("a.b") is reg.counter("a.b")
         assert reg.gauge("g") is reg.gauge("g")
-        assert reg.histogram("h") is reg.histogram("h")
 
     def test_name_clash_across_kinds_rejected(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ValueError):
             reg.gauge("x")
-        with pytest.raises(ValueError):
-            reg.histogram("x")
 
     def test_counter_cannot_decrease(self):
         reg = MetricsRegistry()
@@ -98,16 +95,6 @@ class TestMetricsRegistry:
     def test_sample_unknown_name_raises(self):
         with pytest.raises(KeyError):
             MetricsRegistry().sample("nope", 0.0)
-
-    def test_histogram_summary(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for v in range(1, 101):
-            h.observe(float(v))
-        s = h.summary()
-        assert s["n"] == 100
-        assert s["max"] == 100.0
-        assert s["p50"] == pytest.approx(50.5)
 
 
 class TestSessionCounts:
@@ -160,6 +147,76 @@ class TestSessionCounts:
         assert reg.value("transport.retransmissions") == retrans + sb.retransmissions
         assert reg.value("net.dropped") == dropped + sb.dropped
         assert reg.value("net.dropped.loss") == sa.dropped_by_cause["loss"]
+
+    def test_event_counts_are_present_at_zero_from_attach(self, session):
+        from repro.telemetry import REQUIRED_METRICS
+
+        assert {"events.published", "events.delivered"} <= set(REQUIRED_METRICS)
+        system = HyperSubSystem(
+            num_nodes=8, config=HyperSubConfig(seed=1, code_bits=12)
+        )
+        assert system.metrics.counts() == {
+            "events.published": 0,
+            "events.delivered": 0,
+        }
+        assert session.registry.value("events.published") == 0.0
+        assert session.registry.value("events.delivered") == 0.0
+
+    def test_event_counts_per_system_and_never_lowered(self, session):
+        def publish_some(system, scheme, rng, k):
+            for _ in range(k):
+                pt = rng.normal(3000, 400, 4) % 10000
+                system.publish(int(rng.integers(0, 20)), Event(scheme, list(pt)))
+            system.run_until_idle()
+
+        def delivered(system):
+            return sum(r.matched for r in system.metrics.records.values())
+
+        a, scheme_a, _, _, rng_a = build(n=20, subs=60)
+        publish_some(a, scheme_a, rng_a, 6)
+        got_a = a.metrics.counts()
+        assert got_a["events.published"] == 6
+        assert got_a["events.delivered"] == delivered(a) > 0
+        b, scheme_b, _, _, rng_b = build(n=20, subs=60, seed=4)
+        publish_some(b, scheme_b, rng_b, 4)
+        got_b = b.metrics.counts()
+        assert got_b["events.published"] == 4
+        assert a.metrics.counts() == got_a  # B's traffic is not A's
+        reg = session.registry
+        for name in ("events.published", "events.delivered"):
+            assert reg.value(name) == got_a[name] + got_b[name]
+        # neither dropping A's records nor a second set-up lowers them
+        a.metrics.clear_events()
+        a.finish_setup()
+        assert a.metrics.records == {}
+        assert a.metrics.counts() == got_a
+        publish_some(a, scheme_a, rng_a, 2)
+        assert a.metrics.counts()["events.published"] == 8
+        assert a.metrics.counts()["events.delivered"] == (
+            got_a["events.delivered"] + delivered(a)
+        )
+        for name in ("events.published", "events.delivered"):
+            assert reg.value(name) == a.metrics.counts()[name] + got_b[name]
+
+    def test_event_counts_equal_the_publish_and_deliver_spans(self, session):
+        system, scheme, _, _, rng = build()
+        for round_ in range(2):
+            for _ in range(5):
+                pt = rng.normal(3000, 400, 4) % 10000
+                system.publish(int(rng.integers(0, 30)), Event(scheme, list(pt)))
+            system.run_until_idle()
+            if round_ == 0:
+                system.metrics.clear_events()
+        kinds = [s.kind for s in session.tracer.spans]
+        spans = {
+            "events.published": kinds.count("publish"),
+            "events.delivered": kinds.count("deliver"),
+        }
+        assert spans["events.published"] == 10
+        assert spans["events.delivered"] > 0
+        assert system.metrics.counts() == spans
+        for name, n in spans.items():
+            assert session.registry.value(name) == n
 
 
 class TestTracer:

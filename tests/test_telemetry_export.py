@@ -7,7 +7,6 @@ from repro.experiments.common import DeliveryConfig
 from repro.runner import run_sweep
 from repro.telemetry import (
     TelemetrySession,
-    merge_manifests,
     telemetry_session,
 )
 from repro.telemetry.export import (
@@ -110,17 +109,18 @@ def _worker_manifest(tmp_path, name, published, mem_bpn, wall):
 
 
 class TestManifestMerge:
-    def test_two_worker_merge_semantics(self, tmp_path):
+    def test_two_child_merge_semantics(self, tmp_path):
         m1 = _worker_manifest(tmp_path, "w1", published=10, mem_bpn=500.0, wall=2.0)
         m2 = _worker_manifest(tmp_path, "w2", published=32, mem_bpn=900.0, wall=1.0)
-        merged = merge_manifests([m1, m2])
+        parent = TelemetrySession(tmp_path / "parent", label="parent", tracing=False)
+        parent.merge_child_manifest(m1)
+        parent.merge_child_manifest(m2)
         # counters sum, gauges max
-        assert merged["metrics"]["counters"]["events.published"] == 42
-        assert merged["metrics"]["gauges"]["mem.bytes_per_node"] == 900.0
-        assert merged["metrics"]["gauges"]["queue.depth.peak"] == 0.9
+        assert parent.registry.value("events.published") == 42
+        assert parent.registry.value("mem.bytes_per_node") == 900.0
+        assert parent.registry.value("queue.depth.peak") == 0.9
         # snapshot streams concatenate in time order
-        assert [s["wall"] for s in merged["snapshots"]] == [1.0, 2.0]
-        assert merged["workers"] == 2
+        assert [s["wall"] for s in parent.snapshots] == [1.0, 2.0]
 
     def test_merge_child_manifest_folds_snapshots_into_parent(self, tmp_path):
         child = _worker_manifest(tmp_path, "w1", 5, 100.0, wall=0.5)
